@@ -132,16 +132,20 @@ StatusOr<DistributedPermuter::Result> DistributedPermuter::execute(
   // dies, its peers' timeouts are a *consequence* — the root cause is
   // the transport failure, but a typed kInvalidArgument (bad plan,
   // shape mismatch) from any shard explains the failure better than
-  // "peer unreachable" collateral.
+  // "peer unreachable" collateral. The same holds among typed answers:
+  // a shard that refuses its session makes its peers abort typed
+  // kUnavailable, so the refusal wins whichever band it holds.
   Status first_transport = Status::ok();
   Status first_typed = Status::ok();
   for (std::uint32_t s = 0; s < shards; ++s) {
-    if (outcomes[s].status.is_ok()) continue;
+    const Status& st = outcomes[s].status;
+    if (st.is_ok()) continue;
     if (outcomes[s].transport) {
       on_transport_failure(targets[s].caller_index);
-      if (first_transport.is_ok()) first_transport = outcomes[s].status;
-    } else if (first_typed.is_ok()) {
-      first_typed = outcomes[s].status;
+      if (first_transport.is_ok()) first_transport = st;
+    } else if (first_typed.is_ok() || (first_typed.code() == StatusCode::kUnavailable &&
+                                       st.code() != StatusCode::kUnavailable)) {
+      first_typed = st;
     }
   }
   if (!first_typed.is_ok() || !first_transport.is_ok()) {

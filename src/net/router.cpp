@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <random>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -109,6 +110,11 @@ constexpr std::uint8_t kProbePayload[] = {'h', 'm', 'm', 'p', '?'};
 }  // namespace
 
 Router::Router(Config config) : config_(std::move(config)) {
+  // Router ids double as SHARD_EXEC session ids, which shards refuse to
+  // reuse: start at a random point so a restarted router does not replay
+  // its predecessor's ids against the same backends.
+  std::random_device entropy;
+  router_seq_.store((std::uint64_t{entropy()} << 32) | entropy(), std::memory_order_relaxed);
   if (config_.virtual_nodes == 0) config_.virtual_nodes = 1;
   backends_.reserve(config_.backends.size());
   for (const BackendAddress& addr : config_.backends) {
@@ -447,14 +453,14 @@ StatusOr<FrameView> Router::forward_once(std::size_t idx, BackendLink& link,
     const ConstBuffer parts[] = {{payload.data(), payload.size()}};
     if (Status written = write_frame_parts(link.stream, kind, request_id, parts);
         !written.is_ok()) {
-      link.stream.close();
+      link.close();
       if (fresh) return written;
       continue;
     }
     StatusOr<FrameView> response =
         read_frame_view(link.stream, pool, link.storage, config_.max_payload_bytes);
     if (!response.ok()) {
-      link.stream.close();
+      link.close();
       // Only the peer-gone taxonomy is retriable here; a timeout means
       // the backend may still be working the request — resending would
       // double the load exactly when it is struggling.
@@ -468,13 +474,13 @@ StatusOr<FrameView> Router::forward_once(std::size_t idx, BackendLink& link,
       // Pre-frame ERROR: the backend's connection cap answered the
       // *connection*, not our frame (and will close it). Surface the
       // typed frame; the caller maps it like any other ERROR answer.
-      link.stream.close();
+      link.close();
       return response;
     }
     if (frame.request_id != request_id ||
         (static_cast<MsgKind>(frame.kind) != MsgKind::kError &&
          frame.kind != static_cast<std::uint16_t>(kind | 0x80u))) {
-      link.stream.close();
+      link.close();
       return Status(StatusCode::kUnavailable, "backend response does not answer the request");
     }
     return response;
@@ -482,9 +488,17 @@ StatusOr<FrameView> Router::forward_once(std::size_t idx, BackendLink& link,
   return Status(StatusCode::kUnavailable, "backend connection could not be re-established");
 }
 
+bool Router::BackendLink::holds(std::uint64_t fingerprint) {
+  if (!primed.contains(fingerprint)) return false;
+  const StatusOr<bool> readable = stream.poll_readable(std::chrono::milliseconds{0});
+  if (readable.ok() && !readable.value()) return true;
+  close();
+  return false;
+}
+
 Status Router::push_plans(std::size_t idx, BackendLink& link,
-                          std::span<const std::uint64_t> fingerprints) {
-  Backend& b = *backends_[idx];
+                          std::span<const std::uint64_t> fingerprints,
+                          std::atomic<std::uint64_t>& pushed) {
   std::vector<std::pair<std::uint64_t, std::shared_ptr<const std::vector<std::uint8_t>>>>
       to_sync;
   {
@@ -504,7 +518,6 @@ Status Router::push_plans(std::size_t idx, BackendLink& link,
     }
   }
   for (const auto& [fp, payload] : to_sync) {
-    (void)fp;
     StatusOr<FrameView> response = forward_once(
         idx, link, static_cast<std::uint16_t>(MsgKind::kSubmitPlan),
         next_router_request_id(), {payload->data(), payload->size()},
@@ -517,7 +530,8 @@ Status Router::push_plans(std::size_t idx, BackendLink& link,
                  ? Status(StatusCode::kUnavailable, "unexpected resync response kind")
                  : typed;
     }
-    b.plans_synced.fetch_add(1, std::memory_order_relaxed);
+    link.primed.insert(fp);
+    pushed.fetch_add(1, std::memory_order_relaxed);
   }
   return Status::ok();
 }
@@ -561,15 +575,22 @@ Status Router::route_distributed(TcpStream& client, std::vector<BackendLink>& li
                                     runtime::kMaxShards, usable.size(), shape.rows});
   if (shards < 2) return Status::ok();  // not enough fleet: single-node path
 
-  // Every shard must hold the plan before its band arrives — replay it
-  // from the registry over the cached links. A backend that cannot be
-  // primed is dropped (and its breaker fed) rather than failing the
-  // request; distribution only proceeds while two shards remain.
+  // Every shard must hold the plan before its band arrives. A link that
+  // already pushed it, and is still open, is skipped; the others get it
+  // replayed from the registry. A backend that cannot be primed is
+  // dropped (and its breaker fed) rather than failing the request;
+  // distribution only proceeds while two shards remain.
+  const std::uint64_t fp[] = {plan_id};
   std::vector<std::size_t> primed;
+  std::vector<std::size_t> skipped;
   for (const std::size_t idx : usable) {
     if (primed.size() >= shards) break;
-    const std::uint64_t fp[] = {plan_id};
-    const Status pushed = push_plans(idx, links[idx], fp);
+    if (links[idx].holds(plan_id)) {
+      primed.push_back(idx);
+      skipped.push_back(idx);
+      continue;
+    }
+    const Status pushed = push_plans(idx, links[idx], fp, dist_plan_pushes_);
     if (pushed.is_ok()) {
       primed.push_back(idx);
     } else if (pushed.code() == StatusCode::kInvalidArgument) {
@@ -596,11 +617,32 @@ Status Router::route_distributed(TcpStream& client, std::vector<BackendLink>& li
   dconfig.max_payload_bytes = config_.max_payload_bytes;
   dconfig.connect_timeout = config_.connect_timeout;
   dconfig.io_timeout = config_.io_timeout;
-  StatusOr<DistributedPermuter::Result> result = DistributedPermuter::execute(
-      dconfig, next_router_request_id(), plan_id, req.value().deadline_ms, shape.rows,
-      shape.cols, req.value().data.bytes, targets, [this](std::size_t idx) {
-        record_backend_transport_failure(*backends_[idx], false);
-      });
+  const auto execute = [&] {
+    return DistributedPermuter::execute(
+        dconfig, next_router_request_id(), plan_id, req.value().deadline_ms, shape.rows,
+        shape.cols, req.value().data.bytes, targets, [this](std::size_t idx) {
+          record_backend_transport_failure(*backends_[idx], false);
+        });
+  };
+  StatusOr<DistributedPermuter::Result> result = execute();
+  if (!result.ok() && result.status().code() == StatusCode::kInvalidArgument &&
+      !skipped.empty()) {
+    // A shard refused the plan although its push was skipped: it lost
+    // its registry while the link still looked open. Re-prime every
+    // skipped link and retry once under a fresh session id — the
+    // distributed twin of the single-node lazy resync, sound because
+    // PERMUTE is pure.
+    bool reprimed = true;
+    for (const std::size_t idx : skipped) {
+      links[idx].primed.clear();
+      reprimed = reprimed &&
+                 push_plans(idx, links[idx], fp, backends_[idx]->plans_synced).is_ok();
+    }
+    if (reprimed) {
+      plan_resyncs_.fetch_add(1, std::memory_order_relaxed);
+      result = execute();
+    }
+  }
   if (!result.ok()) {
     // No fallback once distribution was attempted: the client gets the
     // typed failure and owns the retry decision.
@@ -702,7 +744,7 @@ Status Router::route_request(TcpStream& client, std::vector<BackendLink>& links,
       }
       if (typed.code() == StatusCode::kInvalidArgument && pass == 0 &&
           !rk.referenced.empty() &&
-          push_plans(idx, links[idx], rk.referenced).is_ok()) {
+          push_plans(idx, links[idx], rk.referenced, b.plans_synced).is_ok()) {
         // "Unknown plan" from a backend that restarted since the health
         // checker's last resync: replay the referenced plans on this
         // very connection and retry once. (A genuinely malformed
@@ -866,18 +908,18 @@ void Router::health_loop() {
           // Recovery = successful probe + a full registry replay, in
           // that order: a restarted backend rejoins the ring already
           // holding every plan it may be asked to serve.
-          if (push_plans(idx, links[idx], {}).is_ok()) {
+          if (push_plans(idx, links[idx], {}, b.plans_synced).is_ok()) {
             b.consecutive_failures.store(0, std::memory_order_relaxed);
             b.breaker_open_until_ns.store(0, std::memory_order_release);
             b.trial_in_flight.store(false, std::memory_order_release);
             b.ejected.store(false, std::memory_order_release);
             b.recoveries.fetch_add(1, std::memory_order_relaxed);
           } else {
-            links[idx].stream.close();
+            links[idx].close();
           }
         }
       } else {
-        links[idx].stream.close();
+        links[idx].close();
         const std::uint32_t fails =
             b.probe_failures.fetch_add(1, std::memory_order_acq_rel) + 1;
         if (fails >= config_.eject_after &&
@@ -900,6 +942,7 @@ Router::Snapshot Router::snapshot() const {
   s.dist_requests = dist_requests_.load(std::memory_order_relaxed);
   s.dist_failures = dist_failures_.load(std::memory_order_relaxed);
   s.dist_bytes = dist_bytes_.load(std::memory_order_relaxed);
+  s.dist_plan_pushes = dist_plan_pushes_.load(std::memory_order_relaxed);
   s.plans_registered = plans_registered_.load(std::memory_order_relaxed);
   s.connections_accepted = connections_accepted_.load(std::memory_order_relaxed);
   s.connections_rejected = connections_rejected_.load(std::memory_order_relaxed);
@@ -945,6 +988,7 @@ std::string Router::Snapshot::to_json() const {
   os << ",\"distributed_requests\":" << dist_requests;
   os << ",\"distributed_failures\":" << dist_failures;
   os << ",\"distributed_bytes\":" << dist_bytes;
+  os << ",\"distributed_plan_pushes\":" << dist_plan_pushes;
   os << ",\"plans_registered\":" << plans_registered;
   os << ",\"connections_accepted\":" << connections_accepted;
   os << ",\"connections_rejected\":" << connections_rejected;
@@ -1001,6 +1045,8 @@ std::string Router::Snapshot::to_prometheus() const {
           "Distributed executions that failed after being attempted.", dist_failures);
   counter("hmm_router_distributed_bytes_total",
           "Element bytes served through the distributed path.", dist_bytes);
+  counter("hmm_router_distributed_plan_pushes_total",
+          "SUBMIT_PLANs priming a shard link for distributed execution.", dist_plan_pushes);
   counter("hmm_router_plans_registered_total", "Distinct plans remembered for replication.",
           plans_registered);
   counter("hmm_router_connections_accepted_total", "Client connections accepted.",
@@ -1039,7 +1085,8 @@ std::string Router::Snapshot::to_prometheus() const {
               [](const BackendStats& b) { return b.recoveries; });
   per_backend("hmm_router_backend_breaker_opens_total", "Circuit-breaker opens.",
               [](const BackendStats& b) { return b.breaker_opens; });
-  per_backend("hmm_router_backend_plans_synced_total", "SUBMIT_PLANs replayed by resync.",
+  per_backend("hmm_router_backend_plans_synced_total",
+              "SUBMIT_PLANs replayed by health or lazy resync.",
               [](const BackendStats& b) { return b.plans_synced; });
 
   os << "# HELP hmm_router_backend_healthy 1 while the backend is in the ring.\n"

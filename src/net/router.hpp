@@ -42,6 +42,17 @@
 ///    backoff. Any other typed ERROR is an *answer* and is relayed
 ///    as-is. When every replica is exhausted the client gets the last
 ///    typed error (or UNAVAILABLE "no routable backend").
+///  - **Distributed shards are primed once per link.** An oversized
+///    PERMUTE split into row bands needs its plan on every selected
+///    shard. Each cached backend link remembers the fingerprints pushed
+///    over it; servers never evict registered plans, so a push stays
+///    good while that connection stays open. The set is cleared when
+///    the link closes (a fresh connection always follows a close), and
+///    an idle link that polls readable (EOF, or the backend's pre-frame
+///    ERROR) is closed and re-primed. If a shard still answers
+///    INVALID_ARGUMENT after a skipped push, the skipped links are
+///    re-primed and the distributed execution is retried once under a
+///    fresh session id.
 ///  - **Zero payload copies.** Requests are read into pooled storage
 ///    (`read_frame_view`) and proxied with scatter-gather writes
 ///    (`write_frame_parts`); responses relay straight out of the
@@ -61,6 +72,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "net/frame_io.hpp"
@@ -148,7 +160,7 @@ class Router {
     std::uint64_t ejections = 0;
     std::uint64_t recoveries = 0;
     std::uint64_t breaker_opens = 0;
-    std::uint64_t plans_synced = 0;  ///< SUBMIT_PLANs replayed by resync
+    std::uint64_t plans_synced = 0;  ///< SUBMIT_PLANs replayed by health/lazy resync
     std::uint64_t forward_count = 0;
     std::uint64_t forward_ns_sum = 0;
     std::uint64_t forward_ns_p50 = 0;
@@ -167,6 +179,7 @@ class Router {
     std::uint64_t dist_requests = 0;   ///< PERMUTEs executed as shard bands
     std::uint64_t dist_failures = 0;   ///< distributed attempts that failed
     std::uint64_t dist_bytes = 0;      ///< element bytes moved distributed
+    std::uint64_t dist_plan_pushes = 0;  ///< SUBMIT_PLANs priming a shard link
     std::uint64_t plans_registered = 0;
     std::uint64_t connections_accepted = 0;
     std::uint64_t connections_rejected = 0;
@@ -216,6 +229,19 @@ class Router {
   struct BackendLink {
     TcpStream stream;
     util::PooledBuffer storage;
+    /// Plan fingerprints acked over this connection.
+    std::unordered_set<std::uint64_t> primed;
+
+    /// Close the connection; what it primed is forgotten with it.
+    void close() noexcept {
+      stream.close();
+      primed.clear();
+    }
+    /// True when `fingerprint` was pushed over this connection and the
+    /// connection is still open. An idle request/response link that
+    /// polls readable has hit EOF or got a pre-frame ERROR, so it is
+    /// closed here.
+    bool holds(std::uint64_t fingerprint);
   };
 
   struct Backend;
@@ -266,8 +292,10 @@ class Router {
 
   /// Replay SUBMIT_PLANs for `fingerprints` (empty = the whole
   /// registry) over `link`; every plan must be acked with PLAN_OK.
+  /// Each acked plan joins `link.primed` and ticks `pushed`.
   runtime::Status push_plans(std::size_t idx, BackendLink& link,
-                             std::span<const std::uint64_t> fingerprints);
+                             std::span<const std::uint64_t> fingerprints,
+                             std::atomic<std::uint64_t>& pushed);
 
   /// Breaker/health gate. O(1): two atomic loads on the common path.
   /// Sets `half_open_trial` when this call claimed the single half-open
@@ -315,7 +343,7 @@ class Router {
   mutable std::mutex plans_mutex_;
   std::unordered_map<std::uint64_t, std::shared_ptr<const std::vector<std::uint8_t>>> plans_;
 
-  std::atomic<std::uint64_t> router_seq_{1};
+  std::atomic<std::uint64_t> router_seq_{0};  ///< randomly seeded by the constructor
   std::atomic<std::uint64_t> requests_total_{0};
   std::atomic<std::uint64_t> failovers_total_{0};
   std::atomic<std::uint64_t> retry_later_failovers_{0};
@@ -325,6 +353,7 @@ class Router {
   std::atomic<std::uint64_t> dist_requests_{0};
   std::atomic<std::uint64_t> dist_failures_{0};
   std::atomic<std::uint64_t> dist_bytes_{0};
+  std::atomic<std::uint64_t> dist_plan_pushes_{0};
   std::atomic<std::uint64_t> plans_registered_{0};
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> connections_rejected_{0};

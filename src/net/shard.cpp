@@ -103,22 +103,23 @@ StatusOr<std::shared_ptr<ShardSession>> ShardSessionRegistry::create(
       pool_.try_acquire(plan.transposed_elements(shard_index) * sizeof(std::uint32_t));
   util::PooledBuffer x =
       pool_.try_acquire(plan.band_elements(shard_index) * sizeof(std::uint32_t));
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (sessions_.contains(id) || tombstones_.contains(id)) {
+    return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: duplicate session id");
+  }
   if (!z.valid() || !x.valid()) {
+    tombstone_locked(id);
     return Status(StatusCode::kResourceExhausted,
                   "SHARD_EXEC: buffer pool refused the exchange staging buffers");
   }
+  if (sessions_.size() >= config_.max_sessions) {
+    tombstone_locked(id);
+    return Status(StatusCode::kResourceExhausted,
+                  "SHARD_EXEC: too many concurrent shard sessions");
+  }
   auto session = std::make_shared<ShardSession>(std::move(plan), shard_index, std::move(z),
                                                 std::move(x));
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (sessions_.size() >= config_.max_sessions) {
-      return Status(StatusCode::kResourceExhausted,
-                    "SHARD_EXEC: too many concurrent shard sessions");
-    }
-    if (!sessions_.emplace(id, session).second) {
-      return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: duplicate session id");
-    }
-  }
+  sessions_.emplace(id, session);
   cv_.notify_all();
   return session;
 }
@@ -128,12 +129,23 @@ std::shared_ptr<ShardSession> ShardSessionRegistry::await(
   std::unique_lock<std::mutex> lock(mutex_);
   std::shared_ptr<ShardSession> found;
   cv_.wait_until(lock, deadline, [&] {
+    if (tombstones_.contains(id)) return true;
     auto it = sessions_.find(id);
     if (it == sessions_.end()) return false;
     found = it->second;
     return true;
   });
   return found;
+}
+
+void ShardSessionRegistry::tombstone_locked(std::uint64_t id) {
+  if (!tombstones_.insert(id).second) return;
+  tombstone_order_.push_back(id);
+  if (tombstone_order_.size() > kMaxTombstones) {
+    tombstones_.erase(tombstone_order_.front());
+    tombstone_order_.pop_front();
+  }
+  cv_.notify_all();
 }
 
 std::shared_ptr<ShardSession> ShardSessionRegistry::find(std::uint64_t id) {
@@ -174,6 +186,7 @@ void ShardSessionRegistry::erase(std::uint64_t id) {
     if (it == sessions_.end()) return;
     victim = std::move(it->second);
     sessions_.erase(it);
+    tombstone_locked(id);
   }
   // Unblock any XCHG thread still waiting on this session's rounds.
   victim->abort(Status(StatusCode::kUnavailable, "shard session closed"));

@@ -17,15 +17,20 @@
 /// staging buffers are pooled RAII handles — a shard that aborts
 /// mid-exchange (peer died, deadline passed, malformed block) releases
 /// every staged byte, which the tests verify via pool-stats deltas.
+/// Erased and refused session ids leave a bounded tombstone, so a
+/// peer's SHARD_XCHG for a session this shard already closed (or never
+/// admitted) is answered at once instead of after the exchange timeout.
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "runtime/distributed.hpp"
@@ -105,14 +110,19 @@ class ShardSessionRegistry {
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
+  /// Ids remembered as closed or refused (oldest forgotten first).
+  static constexpr std::size_t kMaxTombstones = 4096;
+
   /// Create the session for `id`, acquiring both staging buffers from
   /// the pool. kResourceExhausted at the session cap or when the pool
-  /// refuses; kInvalidArgument for a duplicate id.
+  /// refuses (the id is then tombstoned as refused); kInvalidArgument
+  /// for an id that is live or tombstoned.
   [[nodiscard]] runtime::StatusOr<std::shared_ptr<ShardSession>> create(
       std::uint64_t id, runtime::BandPlan plan, std::uint32_t shard_index);
 
   /// Wait up to `deadline` for session `id` (SHARD_XCHG can outrace the
-  /// local SHARD_EXEC). nullptr = never appeared.
+  /// local SHARD_EXEC). nullptr = never appeared, or — immediately —
+  /// the id is tombstoned: its session was already closed or refused.
   [[nodiscard]] std::shared_ptr<ShardSession> await(
       std::uint64_t id, std::chrono::steady_clock::time_point deadline);
 
@@ -165,18 +175,25 @@ class ShardSessionRegistry {
     return hold_rejections_.load(std::memory_order_relaxed);
   }
 
-  /// Drop the session. Staging is released when the last holder lets
-  /// go of the shared_ptr (an in-flight scatter finishes safely first).
+  /// Drop the session and tombstone its id. Staging is released when
+  /// the last holder lets go of the shared_ptr (an in-flight scatter
+  /// finishes safely first).
   void erase(std::uint64_t id);
 
   [[nodiscard]] std::size_t size() const;
 
  private:
+  /// Caller holds `mutex_`; wakes every `await` so a waiter on `id`
+  /// returns now.
+  void tombstone_locked(std::uint64_t id);
+
   Config config_;
   util::BufferPool& pool_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::unordered_map<std::uint64_t, std::shared_ptr<ShardSession>> sessions_;
+  std::unordered_set<std::uint64_t> tombstones_;
+  std::deque<std::uint64_t> tombstone_order_;  ///< FIFO eviction of tombstones_
   std::atomic<std::uint64_t> held_bytes_{0};
   std::atomic<std::uint64_t> hold_rejections_{0};
 };

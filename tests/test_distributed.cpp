@@ -11,7 +11,10 @@
 /// for uint32 data and for float/double carried as 32-bit words.
 /// Failure discipline is tested too: a shard that is dead at fan-out
 /// fails the whole request typed (kUnavailable) and every surviving
-/// shard releases its pooled staging (verified via pool-stats deltas).
+/// shard releases its pooled staging (verified via pool-stats deltas);
+/// a shard that refuses its session fails the request typed within
+/// milliseconds, not after the exchange timeout. The router primes each
+/// shard once per backend link, and re-primes only a restarted one.
 
 #include <gtest/gtest.h>
 
@@ -419,16 +422,19 @@ TEST(ShardCodec, XchgRoundTripsAndRejectsHostileInputs) {
 // --------------------------------------------------- networked fixtures
 
 /// One in-process permd shard (real Server over a real service).
+/// Restartable: a `fixed_port` rebinds with a fresh, plan-less service.
 struct Shard {
   std::unique_ptr<runtime::RobustPermuteService> service;
   std::unique_ptr<net::Server> server;
   std::uint16_t port = 0;
 
   void start(std::chrono::milliseconds exchange_timeout = 5'000ms,
-             std::uint32_t max_payload = net::kDefaultMaxPayload) {
+             std::uint32_t max_payload = net::kDefaultMaxPayload,
+             std::uint16_t fixed_port = 0) {
     service = std::make_unique<runtime::RobustPermuteService>(
         util::ThreadPool::global(), runtime::RobustPermuteService::Config{});
     net::Server::Config config;
+    config.port = fixed_port;
     config.poll_interval = 10ms;
     config.shard_exchange_timeout = exchange_timeout;
     config.max_payload_bytes = max_payload;
@@ -642,6 +648,71 @@ TEST(DistributedWire, DeadShardFailsTypedAndLeaksNothing) {
   for (auto& s : shards) s->stop();
 }
 
+TEST(DistributedWire, RefusedSessionFailsFastAndLeaksNothing) {
+  // One of three shards does not hold the plan and refuses its
+  // SHARD_EXEC. Its peers' SHARD_XCHG blocks to it must be answered at
+  // once (the refused session id is tombstoned), not after the 10 s
+  // exchange timeout, so the whole attempt fails typed and promptly.
+  const std::uint64_t n = 1 << 14;
+  const perm::Permutation p = perm::by_name("random", n, 41);
+  std::vector<std::uint32_t> in(n), expect(n);
+  for (std::uint64_t i = 0; i < n; ++i) in[i] = static_cast<std::uint32_t>(i * 0x27d4eb2du);
+  p.apply<std::uint32_t>({in.data(), n}, {expect.data(), n});
+
+  std::vector<std::unique_ptr<Shard>> shards;
+  std::vector<net::ShardTarget> targets;
+  for (std::size_t i = 0; i < 3; ++i) {
+    shards.push_back(std::make_unique<Shard>());
+    shards.back()->start(/*exchange_timeout=*/10'000ms);
+    targets.push_back(net::ShardTarget{"127.0.0.1", shards.back()->port, i});
+  }
+  const std::uint64_t plan_id = shards[0]->submit(p);
+  ASSERT_EQ(shards[1]->submit(p), plan_id);
+
+  const core::MatrixShape shape = core::shape_for(n, 32);
+  const auto execute = [&](std::uint64_t session_id, std::span<const net::ShardTarget> on) {
+    net::DistributedPermuter::Config config;
+    config.max_payload_bytes = net::kDefaultMaxPayload;
+    config.connect_timeout = 1'000ms;
+    config.io_timeout = 30'000ms;
+    return net::DistributedPermuter::execute(
+        config, session_id, plan_id, /*deadline_ms=*/0, shape.rows, shape.cols,
+        std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(in.data()),
+                                      n * sizeof(std::uint32_t)),
+        on, [](std::size_t) {});
+  };
+  // Warm the plan-holding shards' compile caches, so the timed attempt
+  // measures the exchange, not a compile (slow under sanitizers).
+  auto warm = execute(0x7e1f'0000u, std::span(targets).first(2));
+  ASSERT_TRUE(warm.ok()) << warm.status().to_string();
+
+  const std::uint64_t baseline = util::BufferPool::global().stats().outstanding_bytes;
+  const auto started = std::chrono::steady_clock::now();
+  auto refused = execute(0x7e1f'0001u, targets);
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  ASSERT_FALSE(refused.ok()) << "a shard without the plan must fail the attempt";
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+      << refused.status().to_string();
+  EXPECT_LT(elapsed, 1s) << "peers waited out the exchange timeout on a refused session";
+  EXPECT_TRUE(eventually([&] {
+    return util::BufferPool::global().stats().outstanding_bytes <= baseline;
+  })) << "pooled staging leaked after a refused session";
+  for (auto& s : shards) EXPECT_GE(s->server->counters().shard_aborts, 1u);
+
+  // Re-prime the refused shard; a fresh session then succeeds.
+  ASSERT_EQ(shards[2]->submit(p), plan_id);
+  auto healed = execute(0x7e1f'0002u, targets);
+  ASSERT_TRUE(healed.ok()) << healed.status().to_string();
+  std::vector<std::uint32_t> out;
+  for (const net::DistributedPermuter::Band& band : healed.value().bands) {
+    const std::size_t begin = out.size();
+    out.resize(begin + band.elements);
+    std::memcpy(out.data() + begin, band.bytes.data(), band.bytes.size());
+  }
+  EXPECT_EQ(out, expect);
+  for (auto& s : shards) s->stop();
+}
+
 // ------------------------------------------------------- routed serving
 
 TEST(DistributedRouter, LargePermuteShardsTransparently) {
@@ -702,6 +773,108 @@ TEST(DistributedRouter, LargePermuteShardsTransparently) {
 
   router.stop();
   for (auto& be : backends) be->stop();
+}
+
+/// Three shards behind a router that splits every PERMUTE above 16 KiB
+/// into three bands (n = 2^14 asks for four; the fleet caps it). Health
+/// probes are effectively off, so only the request path sees restarts.
+struct DistFleet {
+  std::vector<std::unique_ptr<Shard>> backends;
+  std::unique_ptr<net::Router> router;
+
+  DistFleet() {
+    net::Router::Config config;
+    for (int i = 0; i < 3; ++i) {
+      backends.push_back(std::make_unique<Shard>());
+      backends.back()->start();
+      config.backends.push_back(net::BackendAddress{"127.0.0.1", backends.back()->port});
+    }
+    config.distributed_max_bytes = 16 << 10;
+    config.probe_interval = 60'000ms;
+    config.eject_after = 1'000'000;
+    config.connect_timeout = 1'000ms;
+    config.io_timeout = 30'000ms;
+    config.poll_interval = 10ms;
+    router = std::make_unique<net::Router>(std::move(config));
+    const Status started = router->start();
+    EXPECT_TRUE(started.is_ok()) << started.to_string();
+  }
+
+  ~DistFleet() {
+    router->stop();
+    for (auto& b : backends) b->stop();
+  }
+
+  [[nodiscard]] net::Client::Config client_config() const {
+    net::Client::Config c;
+    c.host = "127.0.0.1";
+    c.port = router->port();
+    c.io_timeout = 30'000ms;
+    return c;
+  }
+};
+
+/// One PERMUTE through `client`, checked against the serial oracle.
+void expect_bit_exact(net::Client& client, std::uint64_t plan_id, const perm::Permutation& p,
+                      std::uint32_t salt) {
+  const std::uint64_t n = p.size();
+  std::vector<std::uint32_t> a(n), b(n, 0), expect(n);
+  for (std::uint64_t i = 0; i < n; ++i) a[i] = static_cast<std::uint32_t>(i * 0x9e3779b1u) ^ salt;
+  p.apply<std::uint32_t>({a.data(), n}, {expect.data(), n});
+  const Status s = client.permute(plan_id, {a.data(), n}, {b.data(), n});
+  ASSERT_TRUE(s.is_ok()) << s.to_string();
+  EXPECT_EQ(b, expect);
+}
+
+TEST(DistributedRouter, PrimesEachShardOncePerLink) {
+  DistFleet fleet;
+  const perm::Permutation p = perm::by_name("random", 1 << 14, 53);
+  net::Client first(fleet.client_config());
+  auto plan = first.submit_plan(p);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+
+  for (std::uint32_t r = 0; r < 20; ++r) expect_bit_exact(first, plan.value(), p, r);
+  net::Router::Snapshot snap = fleet.router->snapshot();
+  EXPECT_EQ(snap.dist_requests, 20u);
+  EXPECT_EQ(snap.dist_plan_pushes, 3u) << "each shard link is primed once, not per request";
+
+  // A second client connection owns its own backend links.
+  net::Client second(fleet.client_config());
+  for (std::uint32_t r = 0; r < 5; ++r) expect_bit_exact(second, plan.value(), p, 100 + r);
+  snap = fleet.router->snapshot();
+  EXPECT_EQ(snap.dist_requests, 25u);
+  EXPECT_EQ(snap.dist_plan_pushes, 6u);
+  EXPECT_EQ(snap.dist_failures, 0u);
+  for (const net::Router::BackendStats& b : snap.backends) {
+    EXPECT_EQ(b.plans_synced, 0u) << b.backend << ": priming must not count as resync";
+  }
+}
+
+TEST(DistributedRouter, RestartedShardIsReprimedExactlyOnce) {
+  DistFleet fleet;
+  const perm::Permutation p = perm::by_name("random", 1 << 14, 59);
+  net::Client client(fleet.client_config());
+  auto plan = client.submit_plan(p);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  expect_bit_exact(client, plan.value(), p, 0);
+  ASSERT_EQ(fleet.router->snapshot().dist_plan_pushes, 3u);
+
+  // Stopping the shard closes the router's link to it; the fresh server
+  // on the same port holds no plans.
+  Shard& victim = *fleet.backends[1];
+  const std::uint16_t port = victim.port;
+  victim.stop();
+  victim.start(5'000ms, net::kDefaultMaxPayload, port);
+  ASSERT_EQ(victim.port, port);
+
+  expect_bit_exact(client, plan.value(), p, 1);
+  expect_bit_exact(client, plan.value(), p, 2);
+  const net::Router::Snapshot snap = fleet.router->snapshot();
+  EXPECT_EQ(snap.dist_requests, 3u);
+  EXPECT_EQ(snap.dist_failures, 0u);
+  EXPECT_EQ(snap.dist_plan_pushes, 4u) << "only the restarted shard is re-primed, once";
+  EXPECT_EQ(snap.plan_resyncs, 0u) << "the closed link was noticed before SHARD_EXEC";
+  EXPECT_EQ(victim.server->plans(), 1u);
 }
 
 // Gated big-n run (64 MiB of element data — above the default 64 MiB
