@@ -1,9 +1,12 @@
 #include "core/plan_io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <utility>
+#include <vector>
 
 namespace hmm::core {
 namespace {
@@ -12,7 +15,9 @@ namespace {
 //   1: initial format (no payload sanity metadata).
 //   2: same layout, but loaders verify every schedule entry is in range
 //      for its row length (degree checks) — v1 files are rejected so a
-//      foreign or stale file can never be half-trusted.
+//      foreign or stale file can never be half-trusted. Loaders also
+//      check that every row is a permutation (no repeated entry); the
+//      bytes are unchanged, so files written by any v2 saver still load.
 constexpr char kMagic[7] = {'H', 'M', 'M', 'P', 'L', 'A', 'N'};
 constexpr char kVersion = 2;
 
@@ -35,11 +40,20 @@ bool read_u16s(std::istream& is, util::aligned_vector<std::uint16_t>& v, std::ui
                                    static_cast<std::streamsize>(count * sizeof(std::uint16_t))));
 }
 
-/// Degree sanity: a schedule/permutation entry indexes a position
-/// within its row, so every value must be < the row length.
-bool all_below(const util::aligned_vector<std::uint16_t>& v, std::uint64_t bound) {
-  for (const std::uint16_t x : v) {
-    if (x >= bound) return false;
+/// Row sanity: every `row_len`-entry row of a schedule or direct row
+/// permutation must be a permutation of [0, row_len). An entry past the
+/// row would index outside it; a repeated entry would leave an output
+/// slot unwritten, so the run would return whatever the buffer held.
+bool rows_are_permutations(const util::aligned_vector<std::uint16_t>& v,
+                           std::uint64_t row_len) {
+  std::vector<std::uint8_t> seen(row_len);
+  for (std::uint64_t base = 0; base < v.size(); base += row_len) {
+    std::fill(seen.begin(), seen.end(), 0);
+    for (std::uint64_t k = base; k < base + row_len; ++k) {
+      const std::uint16_t x = v[k];
+      if (x >= row_len || seen[x] != 0) return false;
+      seen[x] = 1;
+    }
   }
   return true;
 }
@@ -115,13 +129,15 @@ std::optional<ScheduledPlan> load_plan(std::istream& is, std::string* error) {
       !read_u16s(is, g1, n) || !read_u16s(is, g2, n) || !read_u16s(is, g3, n)) {
     return load_fail(error, "truncated schedule payload");
   }
-  // Degree sanity: pass 1/3 rows have length `cols`, pass 2 rows (the
-  // transposed matrix) have length `rows`; a corrupted payload that
-  // indexes outside its row must fail here, not in a kernel.
-  if (!all_below(p1.phat, cols) || !all_below(p1.q, cols) || !all_below(p2.phat, rows) ||
-      !all_below(p2.q, rows) || !all_below(p3.phat, cols) || !all_below(p3.q, cols) ||
-      !all_below(g1, cols) || !all_below(g2, rows) || !all_below(g3, cols)) {
-    return load_fail(error, "schedule entry indexes outside its row (corrupt payload)");
+  // Pass 1/3 rows have length `cols`, pass 2 rows (the transposed
+  // matrix) have length `rows`; a corrupted payload must fail here, not
+  // in a kernel.
+  for (const auto& [v, row_len] : {std::pair{&p1.phat, cols}, {&p1.q, cols}, {&p2.phat, rows},
+                                   {&p2.q, rows}, {&p3.phat, cols}, {&p3.q, cols},
+                                   {&g1, cols}, {&g2, rows}, {&g3, cols}}) {
+    if (!rows_are_permutations(*v, row_len)) {
+      return load_fail(error, "schedule row is not a permutation of its row (corrupt payload)");
+    }
   }
   return ScheduledPlan::restore(MatrixShape{rows, cols}, params, std::move(p1), std::move(p2),
                                 std::move(p3), std::move(g1), std::move(g2), std::move(g3));

@@ -12,9 +12,10 @@
 ///
 /// The header carries a format-version byte after the magic; loaders
 /// reject unknown versions, truncated payloads, out-of-range machine
-/// parameters, and schedule entries that index outside their row, so a
-/// foreign or corrupted file fails with `nullopt` instead of feeding
-/// garbage indices to a kernel.
+/// parameters, and schedule rows that are not permutations of their
+/// row (an entry outside the row, or a repeated entry), so a foreign or
+/// corrupted file fails with `nullopt` instead of feeding garbage
+/// indices to a kernel or leaving output slots unwritten.
 
 #include <iosfwd>
 #include <optional>
@@ -31,7 +32,7 @@ bool save_plan(std::ostream& os, const ScheduledPlan& plan);
 /// The loaded plan carries the machine parameters it was built for.
 /// When `error` is non-null and loading fails, it receives the reason
 /// (bad magic, unknown version, truncated payload, out-of-range machine
-/// parameters, schedule entry outside its row) — the serving layer
+/// parameters, schedule row that is not a permutation) — the serving layer
 /// surfaces this through `runtime::Status` instead of guessing.
 std::optional<ScheduledPlan> load_plan(std::istream& is, std::string* error = nullptr);
 

@@ -25,6 +25,10 @@
 /// differential tests and the per-variant bench rows; it clamps the
 /// same way and returns the variant actually installed.
 ///
+/// The same choice selects the HMMP frame checksum path (net/wire.cpp):
+/// `scalar` runs the table-driven CRC32C, and every SIMD tier, which
+/// implies SSE4.2, runs the `crc32` instruction.
+///
 /// Element types dispatch by width: 4- and 8-byte elements (the
 /// uint32/uint64/float/double serving types — kernels only move bits,
 /// so float rides the u32 path bit-identically) take the SIMD tiers;

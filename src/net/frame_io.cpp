@@ -16,15 +16,10 @@ Status protocol_error(FrameError e) {
   return Status(StatusCode::kInvalidArgument, "frame: " + std::string(to_string(e)));
 }
 
-}  // namespace
-
-Status write_frame(TcpStream& stream, const Frame& frame) {
-  const std::vector<std::uint8_t> bytes = encode_frame(frame);
-  return stream.send_all(bytes.data(), bytes.size());
-}
-
-Status write_frame_parts(TcpStream& stream, std::uint16_t kind, std::uint64_t request_id,
-                         std::span<const ConstBuffer> parts) {
+/// The header of a payload scattered over `parts`: its total length
+/// and the checksum streamed across the parts.
+StatusOr<FrameHeader> header_over(std::uint16_t kind, std::uint64_t request_id,
+                                  std::span<const ConstBuffer> parts) {
   std::uint64_t payload_len = 0;
   std::uint64_t checksum = checksum_seed();
   for (const ConstBuffer& part : parts) {
@@ -35,60 +30,70 @@ Status write_frame_parts(TcpStream& stream, std::uint16_t kind, std::uint64_t re
   if (payload_len > UINT32_MAX) {
     return Status(StatusCode::kInvalidArgument, "frame payload exceeds the u32 length field");
   }
+  return FrameHeader{.kind = kind,
+                     .request_id = request_id,
+                     .payload_len = static_cast<std::uint32_t>(payload_len),
+                     .checksum = checksum};
+}
 
-  std::array<std::uint8_t, kHeaderBytes> header{};
-  const auto put_u16 = [&header](std::size_t at, std::uint16_t v) {
-    header[at] = static_cast<std::uint8_t>(v);
-    header[at + 1] = static_cast<std::uint8_t>(v >> 8);
-  };
-  const auto put_u32 = [&header](std::size_t at, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) header[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
-  };
-  const auto put_u64 = [&header](std::size_t at, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) header[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
-  };
-  put_u32(0, kMagic);
-  put_u16(4, kWireVersion);
-  put_u16(6, kind);
-  put_u64(8, request_id);
-  put_u32(16, static_cast<std::uint32_t>(payload_len));
-  put_u64(20, checksum);
+StatusOr<FrameHeader> read_header(TcpStream& stream, std::uint32_t max_payload) {
+  std::array<std::uint8_t, kHeaderBytes> bytes{};
+  if (Status s = stream.recv_all(bytes.data(), bytes.size()); !s.is_ok()) return s;
+  FrameHeader header;
+  if (const FrameError e = parse_header(bytes, max_payload, header); e != FrameError::kOk) {
+    return protocol_error(e);
+  }
+  return header;
+}
+
+/// Grow-only reuse: the storage a connection hands back in keeps
+/// serving until a larger frame arrives, so a steady request stream
+/// settles into zero pool traffic (and zero heap traffic) per read.
+Status reserve_payload(util::BufferPool& pool, util::PooledBuffer& storage,
+                       std::uint32_t payload_len) {
+  if (storage.valid() && storage.capacity() >= payload_len) return Status::ok();
+  storage.reset();
+  storage = pool.try_acquire(payload_len);
+  if (!storage.valid()) {
+    return Status(StatusCode::kResourceExhausted, "buffer pool refused the frame payload");
+  }
+  return Status::ok();
+}
+
+}  // namespace
+
+Status write_frame(TcpStream& stream, const Frame& frame) {
+  const std::vector<std::uint8_t> bytes = encode_frame(frame);
+  return stream.send_all(bytes.data(), bytes.size());
+}
+
+Status write_frame_parts(TcpStream& stream, std::uint16_t kind, std::uint64_t request_id,
+                         std::span<const ConstBuffer> parts) {
+  StatusOr<FrameHeader> header = header_over(kind, request_id, parts);
+  if (!header.ok()) return header.status();
+  std::array<std::uint8_t, kHeaderBytes> header_bytes{};
+  encode_header(header.value(), header_bytes);
 
   std::vector<ConstBuffer> vec;
   vec.reserve(parts.size() + 1);
-  vec.push_back(ConstBuffer{header.data(), header.size()});
+  vec.push_back(ConstBuffer{header_bytes.data(), header_bytes.size()});
   vec.insert(vec.end(), parts.begin(), parts.end());
   return stream.send_vectored(vec);
 }
 
 StatusOr<Frame> read_frame(TcpStream& stream, std::uint32_t max_payload) {
-  std::array<std::uint8_t, kHeaderBytes> header{};
-  if (Status s = stream.recv_all(header.data(), header.size()); !s.is_ok()) return s;
-
-  ByteReader r(header);
-  std::uint32_t magic = 0, payload_len = 0;
-  std::uint16_t version = 0, kind = 0;
-  std::uint64_t request_id = 0, checksum = 0;
-  // The header buffer is exactly kHeaderBytes, so these cannot fail.
-  (void)r.get_u32(magic);
-  (void)r.get_u16(version);
-  (void)r.get_u16(kind);
-  (void)r.get_u64(request_id);
-  (void)r.get_u32(payload_len);
-  (void)r.get_u64(checksum);
-
-  if (magic != kMagic) return protocol_error(FrameError::kBadMagic);
-  if (version != kWireVersion) return protocol_error(FrameError::kBadVersion);
-  if (payload_len > max_payload) return protocol_error(FrameError::kOversized);
+  StatusOr<FrameHeader> header = read_header(stream, max_payload);
+  if (!header.ok()) return header.status();
+  const FrameHeader& h = header.value();
 
   Frame frame;
-  frame.kind = kind;
-  frame.request_id = request_id;
-  frame.payload.resize(payload_len);
-  if (payload_len > 0) {
-    if (Status s = stream.recv_all(frame.payload.data(), payload_len); !s.is_ok()) return s;
+  frame.kind = h.kind;
+  frame.request_id = h.request_id;
+  frame.payload.resize(h.payload_len);
+  if (h.payload_len > 0) {
+    if (Status s = stream.recv_all(frame.payload.data(), h.payload_len); !s.is_ok()) return s;
   }
-  if (checksum_bytes(frame.payload) != checksum) {
+  if (checksum_bytes(frame.payload) != h.checksum) {
     return protocol_error(FrameError::kBadChecksum);
   }
   return frame;
@@ -96,43 +101,20 @@ StatusOr<Frame> read_frame(TcpStream& stream, std::uint32_t max_payload) {
 
 StatusOr<FrameView> read_frame_view(TcpStream& stream, util::BufferPool& pool,
                                     util::PooledBuffer& storage, std::uint32_t max_payload) {
-  std::array<std::uint8_t, kHeaderBytes> header{};
-  if (Status s = stream.recv_all(header.data(), header.size()); !s.is_ok()) return s;
+  StatusOr<FrameHeader> header = read_header(stream, max_payload);
+  if (!header.ok()) return header.status();
+  const FrameHeader& h = header.value();
 
-  ByteReader r(header);
-  std::uint32_t magic = 0, payload_len = 0;
-  std::uint16_t version = 0, kind = 0;
-  std::uint64_t request_id = 0, checksum = 0;
-  (void)r.get_u32(magic);
-  (void)r.get_u16(version);
-  (void)r.get_u16(kind);
-  (void)r.get_u64(request_id);
-  (void)r.get_u32(payload_len);
-  (void)r.get_u64(checksum);
-
-  if (magic != kMagic) return protocol_error(FrameError::kBadMagic);
-  if (version != kWireVersion) return protocol_error(FrameError::kBadVersion);
-  if (payload_len > max_payload) return protocol_error(FrameError::kOversized);
-
-  // Grow-only reuse: the storage a connection hands back in keeps
-  // serving until a larger frame arrives, so a steady request stream
-  // settles into zero pool traffic (and zero heap traffic) per read.
-  if (!storage.valid() || storage.capacity() < payload_len) {
-    storage.reset();
-    storage = pool.try_acquire(payload_len);
-    if (!storage.valid()) {
-      return Status(StatusCode::kResourceExhausted, "buffer pool refused the frame payload");
-    }
+  if (Status s = reserve_payload(pool, storage, h.payload_len); !s.is_ok()) return s;
+  std::span<const std::uint8_t> payload{storage.data(), h.payload_len};
+  if (h.payload_len > 0) {
+    if (Status s = stream.recv_all(storage.data(), h.payload_len); !s.is_ok()) return s;
   }
-  std::span<const std::uint8_t> payload{storage.data(), payload_len};
-  if (payload_len > 0) {
-    if (Status s = stream.recv_all(storage.data(), payload_len); !s.is_ok()) return s;
-  }
-  if (checksum_bytes(payload) != checksum) return protocol_error(FrameError::kBadChecksum);
+  if (checksum_bytes(payload) != h.checksum) return protocol_error(FrameError::kBadChecksum);
 
   FrameView view;
-  view.kind = kind;
-  view.request_id = request_id;
+  view.kind = h.kind;
+  view.request_id = h.request_id;
   view.payload = payload;
   return view;
 }
@@ -148,28 +130,13 @@ StatusOr<bool> FrameReader::poll(TcpStream& stream) {
         have_ += n.value();
         if (have_ < kHeaderBytes) break;  // keep pulling while data lasts
 
-        ByteReader r(header_);
-        std::uint32_t magic = 0;
-        std::uint16_t version = 0;
-        (void)r.get_u32(magic);
-        (void)r.get_u16(version);
-        (void)r.get_u16(kind_);
-        (void)r.get_u64(request_id_);
-        (void)r.get_u32(payload_len_);
-        (void)r.get_u64(checksum_);
-        if (magic != kMagic) return protocol_error(FrameError::kBadMagic);
-        if (version != kWireVersion) return protocol_error(FrameError::kBadVersion);
-        if (payload_len_ > max_payload_) return protocol_error(FrameError::kOversized);
-
-        // Same grow-only reuse as read_frame_view: steady-state frames
-        // of a stable size touch neither the pool nor the heap.
-        if (payload_len_ > 0 &&
-            (!storage_.valid() || storage_.capacity() < payload_len_)) {
-          storage_.reset();
-          storage_ = pool_->try_acquire(payload_len_);
-          if (!storage_.valid()) {
-            return Status(StatusCode::kResourceExhausted,
-                          "buffer pool refused the frame payload");
+        if (const FrameError e = parse_header(header_, max_payload_, frame_);
+            e != FrameError::kOk) {
+          return protocol_error(e);
+        }
+        if (frame_.payload_len > 0) {
+          if (Status s = reserve_payload(*pool_, storage_, frame_.payload_len); !s.is_ok()) {
+            return s;
           }
         }
         have_ = 0;
@@ -177,17 +144,15 @@ StatusOr<bool> FrameReader::poll(TcpStream& stream) {
         break;
       }
       case State::kPayload: {
-        if (have_ < payload_len_) {
+        if (have_ < frame_.payload_len) {
           StatusOr<std::size_t> n =
-              stream.recv_some(storage_.data() + have_, payload_len_ - have_);
+              stream.recv_some(storage_.data() + have_, frame_.payload_len - have_);
           if (!n.ok()) return n.status();
           if (n.value() == 0) return false;
           have_ += n.value();
-          if (have_ < payload_len_) break;
+          if (have_ < frame_.payload_len) break;
         }
-        const std::span<const std::uint8_t> payload{
-            payload_len_ > 0 ? storage_.data() : nullptr, payload_len_};
-        if (checksum_bytes(payload) != checksum_) {
+        if (checksum_bytes(view().payload) != frame_.checksum) {
           return protocol_error(FrameError::kBadChecksum);
         }
         state_ = State::kReady;
@@ -201,16 +166,16 @@ StatusOr<bool> FrameReader::poll(TcpStream& stream) {
 
 FrameView FrameReader::view() const noexcept {
   FrameView view;
-  view.kind = kind_;
-  view.request_id = request_id_;
-  view.payload = {payload_len_ > 0 ? storage_.data() : nullptr, payload_len_};
+  view.kind = frame_.kind;
+  view.request_id = frame_.request_id;
+  view.payload = {frame_.payload_len > 0 ? storage_.data() : nullptr, frame_.payload_len};
   return view;
 }
 
 void FrameReader::consume() noexcept {
   state_ = State::kHeader;
   have_ = 0;
-  payload_len_ = 0;
+  frame_.payload_len = 0;
 }
 
 StatusOr<OutboundFrame> make_outbound_frame(std::uint16_t kind, std::uint64_t request_id,
@@ -223,33 +188,14 @@ StatusOr<OutboundFrame> make_outbound_frame(std::uint16_t kind, std::uint64_t re
   if (inline_payload.size() > frame.prefix.size() - kHeaderBytes) {
     return Status(StatusCode::kInvalidArgument, "inline payload exceeds the prefix slot");
   }
-  const std::uint64_t payload_len =
-      inline_payload.size() + pooled_len + owned.size();
-  if (payload_len > UINT32_MAX) {
-    return Status(StatusCode::kInvalidArgument, "frame payload exceeds the u32 length field");
-  }
-  std::uint64_t checksum = checksum_seed();
-  checksum = checksum_extend(checksum, inline_payload);
-  checksum = checksum_extend(checksum, {pooled.valid() ? pooled.data() : nullptr, pooled_len});
-  checksum = checksum_extend(checksum, owned);
-
-  auto* header = frame.prefix.data();
-  const auto put_u16 = [header](std::size_t at, std::uint16_t v) {
-    header[at] = static_cast<std::uint8_t>(v);
-    header[at + 1] = static_cast<std::uint8_t>(v >> 8);
+  const ConstBuffer parts[] = {
+      {inline_payload.data(), inline_payload.size()},
+      {pooled.valid() ? pooled.data() : nullptr, pooled_len},
+      {owned.data(), owned.size()},
   };
-  const auto put_u32 = [header](std::size_t at, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) header[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
-  };
-  const auto put_u64 = [header](std::size_t at, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) header[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
-  };
-  put_u32(0, kMagic);
-  put_u16(4, kWireVersion);
-  put_u16(6, kind);
-  put_u64(8, request_id);
-  put_u32(16, static_cast<std::uint32_t>(payload_len));
-  put_u64(20, checksum);
+  StatusOr<FrameHeader> header = header_over(kind, request_id, parts);
+  if (!header.ok()) return header.status();
+  encode_header(header.value(), std::span(frame.prefix).first<kHeaderBytes>());
   if (!inline_payload.empty()) {
     std::memcpy(frame.prefix.data() + kHeaderBytes, inline_payload.data(),
                 inline_payload.size());

@@ -110,10 +110,7 @@ class FrameReader {
   State state_ = State::kHeader;
   std::size_t have_ = 0;  // bytes assembled in the current state
   std::array<std::uint8_t, kHeaderBytes> header_{};
-  std::uint16_t kind_ = 0;
-  std::uint64_t request_id_ = 0;
-  std::uint32_t payload_len_ = 0;
-  std::uint64_t checksum_ = 0;
+  FrameHeader frame_;  // parsed from header_ once it is complete
   util::PooledBuffer storage_;
 };
 

@@ -7,21 +7,29 @@
 ///
 ///   offset  size  field
 ///        0     4  magic        'H' 'M' 'M' 'P'
-///        4     2  version      u16 LE (currently 1)
+///        4     2  version      u16 LE (currently 2)
 ///        6     2  kind         u16 LE (protocol.hpp enumerates kinds)
 ///        8     8  request_id   u64 LE (echoed verbatim in the response)
 ///       16     4  payload_len  u32 LE (bounded by the peer's limit)
-///       20     8  checksum     u64 LE, FNV-1a64 over the payload bytes
+///       20     8  checksum     u64 LE, CRC32C of the payload, zero-extended
 ///       28     …  payload
 ///
 /// The framing layer treats `kind` and the payload as opaque; it owns
 /// exactly the properties a byte stream can violate: truncation, a
 /// foreign magic, an unknown framing version, a length that exceeds the
-/// receiver's budget, and payload corruption (the checksum reuses
-/// `runtime::Fnv1a64`, the same hash the plan cache keys on). Decoding
-/// is strict and bounds-checked — no field is read past the end of the
+/// receiver's budget, and payload corruption. `encode_header` /
+/// `parse_header` are the one codec for the 28 header bytes; every
+/// sender and receiver (buffer, blocking stream, reactor) goes through
+/// them, so the checks and their order live in one place. Decoding is
+/// strict and bounds-checked — no field is read past the end of the
 /// buffer, and every rejection is a distinct `FrameError` so tests and
 /// metrics can tell a short read from a corrupt one.
+///
+/// The checksum is CRC32C (parameters in docs/PROTOCOL.md §2): it
+/// catches every burst error of up to 32 bits and runs at memory speed
+/// on the SSE4.2 `crc32` instruction, with a table-driven fallback
+/// under the kernels' `scalar` variant (cpu/dispatch.hpp). Version 1
+/// frames (FNV-1a checksums) are refused as `kBadVersion`.
 ///
 /// `ByteWriter`/`ByteReader` are the only serialization primitives the
 /// protocol layer uses; both commit to little-endian byte order
@@ -40,7 +48,7 @@ namespace hmm::net {
 
 /// "HMMP" as a little-endian u32 (bytes on the wire: 'H','M','M','P').
 inline constexpr std::uint32_t kMagic = 0x504d4d48u;
-inline constexpr std::uint16_t kWireVersion = 1;
+inline constexpr std::uint16_t kWireVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 28;
 /// Default per-frame payload budget (requests carry whole arrays).
 inline constexpr std::uint32_t kDefaultMaxPayload = 64u << 20;
@@ -67,7 +75,7 @@ enum class FrameError {
 
 [[nodiscard]] std::string_view to_string(FrameError e) noexcept;
 
-/// FNV-1a64 over a byte span (the frame checksum).
+/// CRC32C over a byte span (the frame checksum), zero-extended.
 [[nodiscard]] std::uint64_t checksum_bytes(std::span<const std::uint8_t> bytes) noexcept;
 
 /// Streaming form of the frame checksum, for scatter-gather senders
@@ -76,6 +84,27 @@ enum class FrameError {
 [[nodiscard]] std::uint64_t checksum_seed() noexcept;
 [[nodiscard]] std::uint64_t checksum_extend(std::uint64_t state,
                                             std::span<const std::uint8_t> bytes) noexcept;
+
+/// The header fields a frame carries besides magic and version, which
+/// `encode_header` writes and `parse_header` checks.
+struct FrameHeader {
+  std::uint16_t kind = 0;
+  std::uint64_t request_id = 0;
+  std::uint32_t payload_len = 0;
+  std::uint64_t checksum = 0;
+};
+
+/// Write the 28-byte wire header: magic, kWireVersion, then `header`.
+void encode_header(const FrameHeader& header,
+                   std::span<std::uint8_t, kHeaderBytes> out) noexcept;
+
+/// Parse and validate a 28-byte header: magic, then version, then
+/// `payload_len` against the receiver's `max_payload` — the earliest
+/// failing field is the one reported. On kOk `out` holds the fields;
+/// on any error it is untouched. The payload checksum is the caller's
+/// to verify once the payload has arrived.
+[[nodiscard]] FrameError parse_header(std::span<const std::uint8_t, kHeaderBytes> in,
+                                      std::uint32_t max_payload, FrameHeader& out) noexcept;
 
 /// Serialize a frame (header + payload) into a fresh buffer.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(const Frame& frame);

@@ -13,6 +13,24 @@ Permutation::Permutation(util::aligned_vector<std::uint32_t> mapping) : map_(std
   HMM_CHECK_MSG(is_valid({map_.data(), map_.size()}), "mapping is not a permutation");
 }
 
+Permutation::Permutation(const Permutation& other)
+    : map_(other.map_), fingerprint_(other.fingerprint_memo()) {}
+
+Permutation::Permutation(Permutation&& other) noexcept
+    : map_(std::move(other.map_)), fingerprint_(other.fingerprint_.exchange(0)) {}
+
+Permutation& Permutation::operator=(const Permutation& other) {
+  map_ = other.map_;
+  set_fingerprint_memo(other.fingerprint_memo());
+  return *this;
+}
+
+Permutation& Permutation::operator=(Permutation&& other) noexcept {
+  map_ = std::move(other.map_);
+  set_fingerprint_memo(other.fingerprint_.exchange(0));
+  return *this;
+}
+
 bool Permutation::is_valid(std::span<const std::uint32_t> mapping) {
   if (mapping.empty()) return false;
   std::vector<std::uint8_t> seen(mapping.size(), 0);

@@ -7,6 +7,7 @@
 /// `i`. This type stores `P` densely (`p[i] = P(i)`, 32-bit — the same
 /// representation the paper's kernels read from global memory).
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 
@@ -23,6 +24,13 @@ class Permutation {
   /// Adopt a mapping; aborts unless it is a bijection on [0, size).
   explicit Permutation(util::aligned_vector<std::uint32_t> mapping);
 
+  /// Copies carry the fingerprint memo; a move takes it and clears the
+  /// source's, whose mapping is gone.
+  Permutation(const Permutation& other);
+  Permutation(Permutation&& other) noexcept;
+  Permutation& operator=(const Permutation& other);
+  Permutation& operator=(Permutation&& other) noexcept;
+
   [[nodiscard]] std::uint64_t size() const noexcept { return map_.size(); }
 
   /// P(i).
@@ -34,6 +42,17 @@ class Permutation {
   /// Read-only view of the dense mapping (what the kernels load).
   [[nodiscard]] std::span<const std::uint32_t> data() const noexcept {
     return {map_.data(), map_.size()};
+  }
+
+  /// Memo slot for `runtime::fingerprint_permutation`, 0 until first
+  /// use. The mapping never changes after construction, so its hash is
+  /// computed once and every later plan lookup reads it from here.
+  /// Relaxed atomics: racing first uses store the same value.
+  [[nodiscard]] std::uint64_t fingerprint_memo() const noexcept {
+    return fingerprint_.load(std::memory_order_relaxed);
+  }
+  void set_fingerprint_memo(std::uint64_t fingerprint) const noexcept {
+    fingerprint_.store(fingerprint, std::memory_order_relaxed);
   }
 
   /// P^-1 (P^-1(P(i)) == i).
@@ -61,6 +80,7 @@ class Permutation {
 
  private:
   util::aligned_vector<std::uint32_t> map_;
+  mutable std::atomic<std::uint64_t> fingerprint_{0};
 };
 
 }  // namespace hmm::perm

@@ -3,8 +3,13 @@
 namespace hmm::runtime {
 namespace {
 
-/// Bumped whenever the key schema changes (fields, order, widths).
-constexpr std::uint64_t kKeySchemaVersion = 1;
+/// Salt of the mapping fingerprint. That fingerprint is the wire plan
+/// id, so this never changes.
+constexpr std::uint64_t kMappingSchemaVersion = 1;
+
+/// Bumped whenever the plan-key schema changes (fields, order, widths).
+/// v2 folds the memoised mapping fingerprint instead of the n words.
+constexpr std::uint64_t kKeySchemaVersion = 2;
 
 }  // namespace
 
@@ -16,12 +21,18 @@ Fnv1a64& Fnv1a64::update_u32_span(std::span<const std::uint32_t> words) noexcept
 }
 
 Fingerprint fingerprint_permutation(const perm::Permutation& p) {
-  return fingerprint_mapping(p.data());
+  std::uint64_t fp = p.fingerprint_memo();
+  if (fp == 0) {
+    // A digest of exactly 0 is simply recomputed on every call.
+    fp = fingerprint_mapping(p.data()).value;
+    p.set_fingerprint_memo(fp);
+  }
+  return Fingerprint{fp};
 }
 
 Fingerprint fingerprint_mapping(std::span<const std::uint32_t> words) {
   Fnv1a64 h;
-  h.update_u64(kKeySchemaVersion);
+  h.update_u64(kMappingSchemaVersion);
   h.update_u64(words.size());
   h.update_u32_span(words);
   return Fingerprint{h.digest()};
@@ -40,7 +51,7 @@ Fingerprint fingerprint_plan_key(const perm::Permutation& p,
   h.update_u32(static_cast<std::uint32_t>(strategy_tag));
   h.update_u32(elem_bytes);
   h.update_u64(p.size());
-  h.update_u32_span(p.data());
+  h.update_u64(fingerprint_permutation(p).value);
   return Fingerprint{h.digest()};
 }
 

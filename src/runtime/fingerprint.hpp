@@ -5,15 +5,22 @@
 /// A compiled `core::OfflinePermuter` is fully determined by
 ///   (permutation mapping, machine parameters, strategy, element width),
 /// so the plan cache keys entries by an FNV-1a hash over exactly those
-/// inputs. The hash is seeded with a format-version salt so a change to
-/// the key schema can never silently alias keys of an older scheme.
+/// inputs. The mapping enters the key as its own fingerprint (the wire
+/// plan id), which `perm::Permutation` memoises: n words are hashed
+/// once per Permutation object, and every later key costs a few dozen
+/// bytes of hashing. The key is seeded with a schema-version salt (2
+/// since the key folds the mapping fingerprint instead of the words),
+/// so a change to the key schema can never silently alias keys of an
+/// older scheme. The mapping fingerprint keeps its own salt: plan ids
+/// are wire-visible and never change.
 ///
 /// FNV-1a is not collision-free; the cache treats the fingerprint as an
 /// identity (no stored-key comparison) because a 64-bit hash over the
 /// handful of distinct permutations a service compiles makes accidental
 /// collision astronomically unlikely (~2^-64 per pair). The fingerprint
 /// of the *permutation words* dominates the input, so two permutations
-/// differing in a single image get unrelated keys.
+/// differing in a single image get unrelated keys. Frame checksums are
+/// not FNV-1a: they are CRC32C (net/wire.hpp).
 
 #include <cstdint>
 #include <span>
@@ -64,6 +71,7 @@ struct Fingerprint {
 };
 
 /// Hash of the permutation mapping alone (no machine / strategy).
+/// Computed on first use and memoised on `p` (copies carry it).
 [[nodiscard]] Fingerprint fingerprint_permutation(const perm::Permutation& p);
 
 /// Same hash over a raw mapping span (host order). This *is* the wire
@@ -72,10 +80,10 @@ struct Fingerprint {
 /// Permutation built from the same words (tested as such).
 [[nodiscard]] Fingerprint fingerprint_mapping(std::span<const std::uint32_t> words);
 
-/// Full plan-cache key: permutation words + machine parameters +
-/// strategy tag + element width in bytes. `strategy_tag` is the integer
-/// value of `core::Strategy` (kept as an int here so this header does
-/// not depend on core/).
+/// Full plan-cache key: machine parameters + strategy tag + element
+/// width in bytes + n + `fingerprint_permutation(p)`. `strategy_tag` is
+/// the integer value of `core::Strategy` (kept as an int here so this
+/// header does not depend on core/).
 [[nodiscard]] Fingerprint fingerprint_plan_key(const perm::Permutation& p,
                                                const model::MachineParams& machine,
                                                int strategy_tag, std::uint32_t elem_bytes);

@@ -9,7 +9,8 @@
 /// offline phase entirely and hit an already-compiled permuter.
 ///
 /// Keying: the 64-bit plan fingerprint (fingerprint.hpp) over the
-/// permutation words + machine parameters + strategy + element width,
+/// machine parameters + strategy + element width + the permutation's
+/// memoised mapping fingerprint (a warm lookup never rewalks the n words),
 /// further mixed with a per-element-type token: entries are typed
 /// (`OfflinePermuter<T>`), so two distinct types of the same width
 /// (float vs int32) must occupy distinct slots even though their

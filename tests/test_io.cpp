@@ -158,6 +158,36 @@ TEST(PlanIo, RejectsOutOfRangeScheduleEntry) {
   EXPECT_FALSE(core::load_plan(corrupt).has_value());
 }
 
+TEST(PlanIo, RejectsScheduleRowWithRepeatedEntry) {
+  // Every entry in range, but one row of a stored schedule repeats an
+  // index: executing it would leave an output slot unwritten (stale
+  // pooled bytes on the serving path), so the loader must refuse it.
+  const MachineParams mp = MachineParams::tiny(4, 9, 2);
+  const perm::Permutation p = perm::by_name("random", 1024, 3);
+  const core::ScheduledPlan plan = core::ScheduledPlan::build(p, mp);
+  std::stringstream ss;
+  ASSERT_TRUE(core::save_plan(ss, plan));
+  const std::string pristine = ss.str();
+
+  // Layout after the 8 + 6*8 header bytes: pass1 p̂, pass1 q, pass2 p̂,
+  // pass2 q, pass3 p̂, pass3 q, then g1, g2, g3 — n u16 entries each.
+  const std::uint64_t n = plan.size();
+  const std::size_t header = 8 + 6 * 8;
+  for (std::size_t array = 0; array < 9; ++array) {
+    std::string bytes = pristine;
+    const std::size_t row0 = header + array * n * sizeof(std::uint16_t);
+    // Entry 1 of row 0 := entry 0 of row 0.
+    bytes[row0 + 2] = bytes[row0];
+    bytes[row0 + 3] = bytes[row0 + 1];
+    std::stringstream corrupt(bytes);
+    std::string why;
+    EXPECT_FALSE(core::load_plan(corrupt, &why).has_value()) << "array " << array;
+    EXPECT_NE(why.find("not a permutation"), std::string::npos) << why;
+  }
+  std::stringstream intact(pristine);
+  EXPECT_TRUE(core::load_plan(intact).has_value());
+}
+
 TEST(PlanIo, RejectsInsaneDimensions) {
   // Craft a header with width = 7 (not a power of two).
   std::stringstream ss;

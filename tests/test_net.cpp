@@ -10,6 +10,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "cpu/dispatch.hpp"
 #include "net/client.hpp"
 #include "net/frame_io.hpp"
 #include "net/protocol.hpp"
@@ -111,6 +113,39 @@ TEST(Wire, UnknownVersionIsRejected) {
   net::Frame out;
   std::size_t consumed = 0;
   EXPECT_EQ(net::decode_frame(bytes, out, consumed), net::FrameError::kBadVersion);
+}
+
+TEST(Wire, VersionOneFrameIsRefusedAsBadVersion) {
+  // A v1 peer (FNV-1a checksums) must get a typed framing error, not a
+  // checksum mismatch: the version is checked before the payload.
+  auto bytes = net::encode_frame(sample_frame());
+  bytes[4] = 0x01;
+  bytes[5] = 0x00;
+  net::Frame out;
+  std::size_t consumed = 0;
+  EXPECT_EQ(net::decode_frame(bytes, out, consumed), net::FrameError::kBadVersion);
+  net::FrameHeader header;
+  EXPECT_EQ(net::parse_header(std::span<const std::uint8_t>(bytes).first<net::kHeaderBytes>(),
+                              net::kDefaultMaxPayload, header),
+            net::FrameError::kBadVersion);
+}
+
+TEST(Wire, HeaderCodecRoundTripsAndWritesVersionTwo) {
+  const net::FrameHeader in{.kind = 0x0203, .request_id = 0x0102030405060708ull,
+                            .payload_len = 0x00abcdef, .checksum = 0xe3069283u};
+  std::array<std::uint8_t, net::kHeaderBytes> bytes{};
+  net::encode_header(in, bytes);
+  EXPECT_EQ(bytes[4], 0x02);
+  EXPECT_EQ(bytes[5], 0x00);
+  EXPECT_EQ(bytes[20], 0x83);  // checksum LE, high half zero
+  EXPECT_EQ(bytes[27], 0x00);
+  net::FrameHeader out;
+  ASSERT_EQ(net::parse_header(bytes, in.payload_len, out), net::FrameError::kOk);
+  EXPECT_EQ(out.kind, in.kind);
+  EXPECT_EQ(out.request_id, in.request_id);
+  EXPECT_EQ(out.payload_len, in.payload_len);
+  EXPECT_EQ(out.checksum, in.checksum);
+  EXPECT_EQ(net::parse_header(bytes, in.payload_len - 1, out), net::FrameError::kOversized);
 }
 
 TEST(Wire, PayloadOverBudgetIsRejectedBeforeRead) {
@@ -830,6 +865,51 @@ TEST(WireZeroCopy, ChecksumExtendMatchesChecksumOverConcatenation) {
   state = net::checksum_extend(state, std::span<const std::uint8_t>(bytes).subspan(100, 0));
   state = net::checksum_extend(state, std::span<const std::uint8_t>(bytes).subspan(100));
   EXPECT_EQ(state, whole);
+}
+
+std::uint64_t checksum_of(std::string_view s) {
+  return net::checksum_bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+}
+
+TEST(WireChecksum, Crc32cKnownAnswers) {
+  // RFC 3720 §B.4 test vectors, plus the CRC catalogue check value.
+  std::vector<std::uint8_t> bytes(32, 0x00);
+  EXPECT_EQ(net::checksum_bytes(bytes), 0x8A9136AAu);
+  std::fill(bytes.begin(), bytes.end(), 0xFF);
+  EXPECT_EQ(net::checksum_bytes(bytes), 0x62A8AB43u);
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<std::uint8_t>(i);
+  EXPECT_EQ(net::checksum_bytes(bytes), 0x46DD794Eu);
+  EXPECT_EQ(checksum_of("123456789"), 0xE3069283u);
+  EXPECT_EQ(checksum_of(""), net::checksum_seed());
+}
+
+TEST(WireChecksum, InstructionMatchesTableBitForBit) {
+  // The kernels' scalar variant selects the table CRC; every SIMD tier
+  // implies SSE4.2 and selects the crc32 instruction.
+  const cpu::KernelVariant active = cpu::kernel_variant();
+  if (cpu::best_kernel_variant() == cpu::KernelVariant::kScalar) {
+    GTEST_SKIP() << "no SSE4.2 crc32 path on this CPU or build";
+  }
+  std::vector<std::uint8_t> bytes(1030 + 8);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>((i * 2654435761u) >> 13);
+  }
+  std::vector<std::uint64_t> table, hardware;
+  for (const bool use_table : {true, false}) {
+    cpu::set_kernel_variant(use_table ? cpu::KernelVariant::kScalar
+                                      : cpu::best_kernel_variant());
+    std::vector<std::uint64_t>& out = use_table ? table : hardware;
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (std::size_t len = 0; len <= 1030; ++len) {
+        out.push_back(net::checksum_bytes(std::span<const std::uint8_t>(bytes).subspan(offset, len)));
+      }
+    }
+  }
+  cpu::set_kernel_variant(active);
+  ASSERT_EQ(table.size(), hardware.size());
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    ASSERT_EQ(table[i], hardware[i]) << "offset " << i / 1031 << " length " << i % 1031;
+  }
 }
 
 TEST(WireZeroCopy, WriteFramePartsRoundTripsThroughReadFrame) {

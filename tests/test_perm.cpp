@@ -47,6 +47,31 @@ TEST(Permutation, ApplyMatchesDefinition) {
   for (std::uint64_t i = 0; i < 16; ++i) EXPECT_EQ(b[p(i)], a[i]);
 }
 
+TEST(Permutation, FingerprintMemoTravelsWithTheMapping) {
+  Permutation p = bit_reversal(64);
+  EXPECT_EQ(p.fingerprint_memo(), 0u);  // computed on first use only
+  p.set_fingerprint_memo(0x1234);
+
+  const Permutation copied(p);
+  EXPECT_EQ(copied.fingerprint_memo(), 0x1234u);
+  Permutation assigned(4);
+  assigned = p;
+  EXPECT_EQ(assigned.fingerprint_memo(), 0x1234u);
+
+  // A move hands the memo over and clears the source, whose mapping is gone.
+  Permutation moved(std::move(p));
+  EXPECT_EQ(moved.fingerprint_memo(), 0x1234u);
+  EXPECT_EQ(p.fingerprint_memo(), 0u);  // NOLINT(bugprone-use-after-move)
+  Permutation move_assigned(4);
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned.fingerprint_memo(), 0x1234u);
+  EXPECT_EQ(moved.fingerprint_memo(), 0u);  // NOLINT(bugprone-use-after-move)
+
+  // inverse() and compose() build new mappings: no memo inherited.
+  EXPECT_EQ(move_assigned.inverse().fingerprint_memo(), 0u);
+  EXPECT_EQ(move_assigned.compose(copied).fingerprint_memo(), 0u);
+}
+
 TEST(Generators, ShuffleIsBitRotation) {
   const Permutation s = shuffle(16);
   // 16 = 4 bits: 0b0001 -> 0b0010, 0b1000 -> 0b0001.

@@ -92,6 +92,43 @@ TEST(Fingerprint, MappingSpanAgreesWithPermutation) {
   }
 }
 
+TEST(Fingerprint, CopiedAndMovedPermutationsAgreeWithTheirWords) {
+  // The mapping fingerprint is memoised on the Permutation; whatever
+  // the memo holds after a copy or a move must still be the hash of the
+  // words the object now owns.
+  const perm::Permutation p = perm::by_name("random", 4096, 5);
+  const Fingerprint expected = runtime::fingerprint_mapping(p.data());
+  EXPECT_EQ(runtime::fingerprint_permutation(p), expected);  // fills p's memo
+
+  const perm::Permutation copied(p);
+  EXPECT_EQ(runtime::fingerprint_permutation(copied), expected);
+  EXPECT_EQ(runtime::fingerprint_mapping(copied.data()), expected);
+
+  perm::Permutation source(p);
+  const perm::Permutation moved(std::move(source));
+  EXPECT_EQ(runtime::fingerprint_permutation(moved), expected);
+  EXPECT_EQ(runtime::fingerprint_mapping(moved.data()), expected);
+
+  perm::Permutation assigned(8);
+  EXPECT_NE(runtime::fingerprint_permutation(assigned), expected);  // fills the memo
+  assigned = p;
+  EXPECT_EQ(runtime::fingerprint_permutation(assigned), expected);
+  perm::Permutation move_assigned(8);
+  EXPECT_NE(runtime::fingerprint_permutation(move_assigned), expected);
+  move_assigned = perm::Permutation(p);
+  EXPECT_EQ(runtime::fingerprint_permutation(move_assigned), expected);
+}
+
+TEST(Fingerprint, WirePlanIdsArePinned) {
+  // fingerprint_mapping is the wire plan id: routers and clients keep
+  // ids across releases, so its bytes must never change (FNV-1a64 over
+  // salt 1, n, then the words, all little-endian).
+  EXPECT_EQ(runtime::fingerprint_permutation(perm::Permutation(8)).value,
+            0x3a6cac7d48af7d2cull);
+  EXPECT_EQ(runtime::fingerprint_permutation(perm::Permutation(1024)).value,
+            0xd0f8244aa950a9b8ull);
+}
+
 TEST(Fingerprint, MappingSpanDiscriminatesContentAndLength) {
   const perm::Permutation p = perm::bit_reversal(512);
   const std::span<const std::uint32_t> words(p.data().data(), p.data().size());
