@@ -63,7 +63,7 @@ class OfflinePermuter {
       }
     }
     HMM_CHECK_MSG(chosen_ != Strategy::kScheduled || plannable,
-                  "scheduled strategy requires power-of-two n >= width^2");
+                  "scheduled strategy requires power-of-two n, width^2 <= n < 2^32");
 
     switch (chosen_) {
       case Strategy::kScheduled:
@@ -209,7 +209,8 @@ class OfflinePermuter {
 
   /// True iff the scheduled plan is usable for (n, machine).
   static bool plan_supported(std::uint64_t n, const model::MachineParams& machine) {
-    if (!util::is_pow2(n)) return false;
+    // The row graph numbers its n edges with 32-bit ids.
+    if (!util::is_pow2(n) || n >= (1ull << 32)) return false;
     const unsigned k = util::log2_floor(n);
     const unsigned wk = util::log2_floor(machine.width);
     return (k - (k + 1) / 2) >= wk;  // rows >= width (layout.cpp's rule)

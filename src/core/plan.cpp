@@ -2,33 +2,24 @@
 
 #include <vector>
 
+#include "graph/euler_split.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hmm::core {
 
 ScheduledPlan ScheduledPlan::build(const perm::Permutation& p,
                                    const model::MachineParams& params,
                                    graph::ColoringAlgorithm algo) {
-  return build_with(nullptr, p, params, algo);
-}
-
-ScheduledPlan ScheduledPlan::build(util::ThreadPool& pool, const perm::Permutation& p,
-                                   const model::MachineParams& params,
-                                   graph::ColoringAlgorithm algo) {
-  return build_with(&pool, p, params, algo);
-}
-
-ScheduledPlan ScheduledPlan::build_with(util::ThreadPool* pool, const perm::Permutation& p,
-                                        const model::MachineParams& params,
-                                        graph::ColoringAlgorithm algo) {
   params.validate();
   const std::uint64_t n = p.size();
+  HMM_CHECK_MSG(n < (1ull << 32), "plan size must be below 2^32 (32-bit edge ids)");
   const MatrixShape shape = shape_for(n, params.width);
   const std::uint64_t r = shape.rows;
   const std::uint64_t m = shape.cols;
   HMM_CHECK_MSG(m <= (1ull << 16) && r <= (1ull << 16),
-                "row/column indices must fit 16 bits (n <= 2^32)");
+                "row/column indices must fit 16 bits");
 
   ScheduledPlan plan;
   plan.n_ = n;
@@ -56,38 +47,33 @@ ScheduledPlan ScheduledPlan::build_with(util::ThreadPool* pool, const perm::Perm
   // g1[i][j]  = color(e)                (pass 1, rows r x cols m)
   // g2[c][i]  = dest_row(element at (i, c) after pass 1)  (pass 2, m x r)
   // g3[i'][c] = dest_col(element at (i', c) after pass 2) (pass 3, r x m)
+  // P is a bijection and every color class is a perfect matching, so
+  // each (i, c) and each (dest_row, c) occurs once: source rows write
+  // disjoint slots and run in parallel.
   util::aligned_vector<std::uint16_t> g1(n), g2(n), g3(n);
-  // elem_by_color[i*m + c] = element with source row i and color c.
-  std::vector<std::uint32_t> elem_by_color(n);
-  for (std::uint64_t e = 0; e < n; ++e) {
-    const std::uint64_t i = e / m;
-    const std::uint32_t c = coloring.color[e];
-    g1[e] = static_cast<std::uint16_t>(c);
-    elem_by_color[i * m + c] = static_cast<std::uint32_t>(e);
-  }
-  for (std::uint64_t i = 0; i < r; ++i) {
-    for (std::uint64_t c = 0; c < m; ++c) {
-      const std::uint32_t e = elem_by_color[i * m + c];
-      const std::uint64_t dest_row = map[e] / m;
-      g2[c * r + i] = static_cast<std::uint16_t>(dest_row);
-      // After pass 2, element e sits at (dest_row, c): pass 3 sends it
-      // to its destination column.
-      g3[dest_row * m + c] = static_cast<std::uint16_t>(map[e] % m);
+  auto derive_rows = [&](std::uint64_t row_lo, std::uint64_t row_hi) {
+    for (std::uint64_t i = row_lo; i < row_hi; ++i) {
+      for (std::uint64_t e = i * m; e < (i + 1) * m; ++e) {
+        const std::uint32_t c = coloring.color[e];
+        const std::uint64_t dest_row = map[e] / m;
+        g1[e] = static_cast<std::uint16_t>(c);
+        g2[c * r + i] = static_cast<std::uint16_t>(dest_row);
+        // After pass 2, element e sits at (dest_row, c): pass 3 sends
+        // it to its destination column.
+        g3[dest_row * m + c] = static_cast<std::uint16_t>(map[e] % m);
+      }
     }
+  };
+  if (n < graph::kInlineEdges) {  // the row graph colored inline too
+    derive_rows(0, r);
+  } else {
+    util::ThreadPool::global().parallel_for_chunks(0, r, derive_rows);
   }
-  elem_by_color.clear();
-  elem_by_color.shrink_to_fit();
 
   // --- Compile every row into its conflict-free bank schedule ----------
-  if (pool) {
-    plan.pass1_ = build_row_schedules(*pool, g1, r, m, params.width, algo);
-    plan.pass2_ = build_row_schedules(*pool, g2, m, r, params.width, algo);
-    plan.pass3_ = build_row_schedules(*pool, g3, r, m, params.width, algo);
-  } else {
-    plan.pass1_ = build_row_schedules(g1, r, m, params.width, algo);
-    plan.pass2_ = build_row_schedules(g2, m, r, params.width, algo);
-    plan.pass3_ = build_row_schedules(g3, r, m, params.width, algo);
-  }
+  plan.pass1_ = build_row_schedules(g1, r, m, params.width, algo);
+  plan.pass2_ = build_row_schedules(g2, m, r, params.width, algo);
+  plan.pass3_ = build_row_schedules(g3, r, m, params.width, algo);
   plan.stats_.schedules_seconds = clock.seconds();
   plan.g1_ = std::move(g1);
   plan.g2_ = std::move(g2);

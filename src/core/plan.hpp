@@ -15,6 +15,14 @@
 ///    compile each row into its (p̂, q) conflict-free bank schedule
 ///    (row_schedule.hpp).
 ///
+/// There is one build path and it runs on `util::ThreadPool::global()`:
+/// the coloring's later levels (euler_split.hpp), the g1..g3 derivation
+/// (one task per band of source rows) and the per-row schedules. Plans
+/// below 64K elements color and derive inline, so small builds pay no
+/// fork-join. The output is deterministic — byte-identical whatever the
+/// thread count — and building from a pool worker (the plan cache's
+/// compiles) is safe because the pool help-drains nested loops.
+///
 /// The plan is permutation-specific but data-independent: build once,
 /// execute any number of arrays (the paper's "offline" setting).
 
@@ -32,23 +40,17 @@ namespace hmm::core {
 /// the paper does not charge; `bench_plan_build` quantifies it).
 struct PlanBuildStats {
   double row_graph_seconds = 0;   ///< building + coloring the row graph
-  double schedules_seconds = 0;   ///< compiling all per-row bank schedules
+  double schedules_seconds = 0;   ///< deriving g1..g3 + compiling all per-row bank schedules
   std::uint64_t colors = 0;       ///< number of colors (= cols)
 };
 
 /// A fully compiled scheduled-permutation plan.
 class ScheduledPlan {
  public:
-  /// Build the plan for permutation `p` on machine `params`.
-  /// Requires |p| a power of two with shape_for-compatible size.
+  /// Build the plan for permutation `p` on machine `params`, on the
+  /// global thread pool. Requires |p| a power of two below 2^32 with a
+  /// shape_for-compatible size.
   static ScheduledPlan build(const perm::Permutation& p, const model::MachineParams& params,
-                             graph::ColoringAlgorithm algo = graph::ColoringAlgorithm::kAuto);
-
-  /// Parallel build: compiles the per-row schedules on the pool (the
-  /// dominant half of plan construction; rows are independent).
-  /// Bit-identical output to the serial build.
-  static ScheduledPlan build(util::ThreadPool& pool, const perm::Permutation& p,
-                             const model::MachineParams& params,
                              graph::ColoringAlgorithm algo = graph::ColoringAlgorithm::kAuto);
 
   [[nodiscard]] std::uint64_t size() const noexcept { return n_; }
@@ -99,10 +101,6 @@ class ScheduledPlan {
 
  private:
   ScheduledPlan() = default;
-
-  static ScheduledPlan build_with(util::ThreadPool* pool, const perm::Permutation& p,
-                                  const model::MachineParams& params,
-                                  graph::ColoringAlgorithm algo);
 
   std::uint64_t n_ = 0;
   MatrixShape shape_;

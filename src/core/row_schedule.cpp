@@ -6,6 +6,7 @@
 
 #include "util/bits.hpp"
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hmm::core {
 
@@ -49,27 +50,9 @@ RowScheduleSet build_row_schedules(std::span<const std::uint16_t> g, std::uint64
   set.cols = cols;
   set.phat.resize(rows * cols);
   set.q.resize(rows * cols);
-  for (std::uint64_t r = 0; r < rows; ++r) {
-    build_row_schedule(g.subspan(r * cols, cols), width,
-                       {set.phat.data() + r * cols, cols}, {set.q.data() + r * cols, cols},
-                       algo);
-  }
-  return set;
-}
-
-RowScheduleSet build_row_schedules(util::ThreadPool& pool, std::span<const std::uint16_t> g,
-                                   std::uint64_t rows, std::uint64_t cols,
-                                   std::uint32_t width, graph::ColoringAlgorithm algo) {
-  HMM_CHECK(g.size() == rows * cols);
-  RowScheduleSet set;
-  set.rows = rows;
-  set.cols = cols;
-  set.phat.resize(rows * cols);
-  set.q.resize(rows * cols);
-  // Rows write disjoint output slices; the coloring itself is
-  // deterministic, so the parallel build is bit-identical to the
-  // serial one.
-  pool.parallel_for(0, rows, [&](std::uint64_t r) {
+  // Rows write disjoint output slices and each coloring is
+  // deterministic, so the result does not depend on the thread count.
+  util::ThreadPool::global().parallel_for(0, rows, [&](std::uint64_t r) {
     build_row_schedule(g.subspan(r * cols, cols), width,
                        {set.phat.data() + r * cols, cols}, {set.q.data() + r * cols, cols},
                        algo);

@@ -15,7 +15,6 @@
 
 #include "graph/coloring.hpp"
 #include "util/aligned_vector.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hmm::core {
 
@@ -48,15 +47,12 @@ struct RowScheduleSet {
 };
 
 /// Build schedules for all rows; `g` holds the row permutations
-/// flattened row-major (rows*cols entries).
+/// flattened row-major (rows*cols entries). Rows are independent, so
+/// their bank colorings run on `util::ThreadPool::global()` (safe to
+/// call from one of its workers: the pool help-drains nested loops).
+/// Deterministic — the output does not depend on the thread count.
 RowScheduleSet build_row_schedules(std::span<const std::uint16_t> g, std::uint64_t rows,
                                    std::uint64_t cols, std::uint32_t width,
-                                   graph::ColoringAlgorithm algo = graph::ColoringAlgorithm::kAuto);
-
-/// Parallel overload: rows are independent, so their bank colorings run
-/// on the pool. Deterministic — identical output to the serial build.
-RowScheduleSet build_row_schedules(util::ThreadPool& pool, std::span<const std::uint16_t> g,
-                                   std::uint64_t rows, std::uint64_t cols, std::uint32_t width,
                                    graph::ColoringAlgorithm algo = graph::ColoringAlgorithm::kAuto);
 
 /// Copy rows [row_begin, row_end) of `full` into a standalone set whose

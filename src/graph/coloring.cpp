@@ -131,7 +131,7 @@ EdgeColoring color_edges(const BipartiteMultigraph& g, ColoringAlgorithm algo) {
     case ColoringAlgorithm::kAuto: {
       const auto degree = g.regular_degree();
       if (degree && (*degree == 0 || util::is_pow2(*degree))) {
-        return color_euler_split(g);
+        return color_euler_split_regular(g, *degree);
       }
       if (degree) return color_matching_peel(g);
       return color_alternating_path(g);

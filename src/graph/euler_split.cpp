@@ -1,136 +1,252 @@
 #include "graph/euler_split.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <numeric>
+#include <span>
 
 #include "util/bits.hpp"
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hmm::graph {
 namespace {
 
-/// CSR adjacency over (left + right) nodes for the subgraph formed by a
-/// group of edges. Slots hold *group-local* edge indices so all scratch
-/// is proportional to the group, not the whole graph.
-struct LevelAdjacency {
-  std::vector<std::uint32_t> offset;  // per node, into slots
-  std::vector<std::uint32_t> slots;   // group-local edge indices
-  std::vector<std::uint32_t> cursor;  // next unexplored slot per node
+constexpr std::uint32_t kNone = ~0u;
 
-  LevelAdjacency(const BipartiteMultigraph& g, const std::vector<std::uint32_t>& edge_ids) {
-    const std::uint32_t nodes = g.left_count() + g.right_count();
-    offset.assign(nodes + 1, 0);
-    for (std::uint32_t id : edge_ids) {
-      const Edge& e = g.edge(id);
-      ++offset[e.u + 1];
-      ++offset[g.left_count() + e.v + 1];
+/// Scratch of one Hierholzer walker over a range of edges. Buffers only
+/// grow (until `trim`), so splitting many groups allocates once. Node-sized
+/// buffers (`begin_`, `end_`, `cursor_`) cover the whole graph;
+/// edge-sized ones cover the range.
+class Walker {
+ public:
+  /// Euler-split `edges` (each node of even degree within the range;
+  /// `degree` as for `build_adjacency`): afterwards `half(k)` is 0 or 1
+  /// for the edge at position k, and every node has exactly half its
+  /// range degree in each half.
+  void walk(std::span<const Edge> edges, std::uint32_t left, std::uint32_t nodes,
+            std::uint32_t degree) {
+    const auto size = static_cast<std::uint32_t>(edges.size());
+    build_adjacency(edges, left, nodes, degree);
+    state_.assign(size, 0);
+
+    // Hierholzer over each connected component: the pop order yields
+    // the Eulerian circuit (reversed, still a closed walk); assigning
+    // alternate walk edges to halves 0/1 balances every node because
+    // bipartite circuits have even length. A stack entry is the node
+    // reached and the edge it was reached by.
+    for (std::uint32_t seed = 0; seed < size; ++seed) {
+      if (state_[seed] != 0) continue;
+      std::uint32_t popped = 0;  // circuit position of the next popped edge
+      stack_.clear();
+      stack_.push_back({edges[seed].u, kNone});
+      while (!stack_.empty()) {
+        const Slot* next = next_slot(stack_.back().to);
+        if (next == nullptr) {
+          const std::uint32_t in = stack_.back().edge;
+          if (in != kNone) state_[in] = static_cast<std::uint8_t>(kUsed | (popped++ & 1u));
+          stack_.pop_back();
+        } else {
+          state_[next->edge] = kUsed;
+          stack_.push_back(*next);
+        }
+      }
+      HMM_DCHECK(popped % 2 == 0);
     }
-    std::partial_sum(offset.begin(), offset.end(), offset.begin());
-    slots.resize(offset.back());
-    std::vector<std::uint32_t> fill(offset.begin(), offset.end() - 1);
-    for (std::uint32_t k = 0; k < edge_ids.size(); ++k) {
-      const Edge& e = g.edge(edge_ids[k]);
-      slots[fill[e.u]++] = k;
-      slots[fill[g.left_count() + e.v]++] = k;
-    }
-    cursor.assign(offset.begin(), offset.end() - 1);
   }
+
+  [[nodiscard]] std::uint8_t half(std::uint32_t k) const { return state_[k] & 1u; }
+
+  /// Free the buffers if they hold more than `max_edges` edges' worth.
+  void trim(std::uint64_t max_edges) {
+    if (state_.capacity() > max_edges) *this = Walker();
+  }
+
+  /// Split the range in place: `walk`, then a stable partition of
+  /// `edges` and `ids` that puts half 0 first. A regular range halves
+  /// exactly, so each half is again a contiguous regular range.
+  void split(std::span<Edge> edges, std::span<std::uint32_t> ids, std::uint32_t left,
+             std::uint32_t nodes, std::uint32_t degree) {
+    walk(edges, left, nodes, degree);
+    const std::size_t size = edges.size();
+    spill_edges_.clear();
+    spill_ids_.clear();
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < size; ++k) {
+      if (half(static_cast<std::uint32_t>(k)) == 0) {
+        edges[kept] = edges[k];
+        ids[kept] = ids[k];
+        ++kept;
+      } else {
+        spill_edges_.push_back(edges[k]);
+        spill_ids_.push_back(ids[k]);
+      }
+    }
+    HMM_CHECK_MSG(kept * 2 == size, "euler split of a regular group must halve it exactly");
+    std::copy(spill_edges_.begin(), spill_edges_.end(), edges.begin() + kept);
+    std::copy(spill_ids_.begin(), spill_ids_.end(), ids.begin() + kept);
+  }
+
+ private:
+  static constexpr std::uint8_t kUsed = 2;
+
+  /// An edge as seen from one endpoint: the node at its other end
+  /// (left nodes first, then right) and its range position.
+  struct Slot {
+    std::uint32_t to;
+    std::uint32_t edge;
+  };
+
+  /// CSR adjacency over (left + right) nodes; each node's slots are in
+  /// increasing range position. `degree` is every node's degree when the
+  /// range is known to be regular (0: count them). Long lists get one
+  /// cache line of padding each: their power-of-two strides would
+  /// otherwise map every node's write stream to the same cache sets.
+  void build_adjacency(std::span<const Edge> edges, std::uint32_t left, std::uint32_t nodes,
+                       std::uint32_t degree) {
+    if (degree != 0) {
+      end_.assign(nodes, degree);
+    } else {
+      end_.assign(nodes, 0);
+      for (const Edge& e : edges) {
+        ++end_[e.u];
+        ++end_[left + e.v];
+      }
+    }
+    const std::uint64_t pad = 2 * edges.size() >= kPadMinDegree * nodes ? kPadSlots : 0;
+    begin_.resize(nodes);
+    std::uint64_t next = 0;
+    for (std::uint32_t node = 0; node < nodes; ++node) {
+      begin_[node] = next;
+      next += end_[node] + pad;
+      end_[node] += begin_[node];
+    }
+    slots_.resize(next);
+    cursor_.assign(begin_.begin(), begin_.end());
+    for (std::uint32_t k = 0; k < edges.size(); ++k) {
+      const std::uint32_t u = edges[k].u;
+      const std::uint32_t v = left + edges[k].v;
+      slots_[cursor_[u]++] = {v, k};
+      slots_[cursor_[v]++] = {u, k};
+    }
+    cursor_.assign(begin_.begin(), begin_.end());
+  }
+
+  /// First unused edge at `node`, or nullptr; advances past used slots.
+  const Slot* next_slot(std::uint32_t node) {
+    std::uint64_t& cur = cursor_[node];
+    for (; cur < end_[node]; ++cur) {
+      if (state_[slots_[cur].edge] == 0) return &slots_[cur];
+    }
+    return nullptr;
+  }
+
+  /// Padding of a node's slot list (8-byte slots: one cache line), and
+  /// the average degree from which it is applied.
+  static constexpr std::uint64_t kPadSlots = 8;
+  static constexpr std::uint64_t kPadMinDegree = 8;
+
+  // Slot offsets are 64-bit: a range of 2^31 edges has 2^32 slots.
+  std::vector<std::uint64_t> begin_;   // per node: first slot
+  std::vector<std::uint64_t> end_;     // per node: one past its last slot
+  std::vector<Slot> slots_;            // incident edges, grouped by node
+  std::vector<std::uint64_t> cursor_;  // next unexplored slot per node
+  std::vector<std::uint8_t> state_;    // 0 unused, else kUsed | half
+  std::vector<Slot> stack_;            // (node reached, edge in)
+  std::vector<Edge> spill_edges_;      // half 1 during the partition
+  std::vector<std::uint32_t> spill_ids_;
 };
+
+/// Run `fn` with the calling thread's walker, so a thread that splits
+/// many groups (every later level's chunks, a plan's 3·r per-row bank
+/// colorings) allocates its scratch once. Buffers grown past the inline
+/// cutoff are freed afterwards, so what a thread keeps stays bounded.
+/// `fn` must not fork onto the pool: a help-draining worker would
+/// re-enter the walker it is using.
+void with_walker(const std::function<void(Walker&)>& fn) {
+  thread_local Walker walker;
+  fn(walker);
+  walker.trim(kInlineEdges);
+}
 
 }  // namespace
 
 std::vector<std::uint8_t> euler_split_once(const BipartiteMultigraph& g,
                                            const std::vector<std::uint32_t>& edge_ids) {
-  std::vector<std::uint8_t> used(edge_ids.size(), 0);
-  std::vector<std::uint8_t> half(edge_ids.size(), 0);
-
-  LevelAdjacency adj(g, edge_ids);
-  const std::uint32_t left = g.left_count();
-
-  auto other_end = [&](std::uint32_t local, std::uint32_t node) -> std::uint32_t {
-    const Edge& e = g.edge(edge_ids[local]);
-    return node < left ? left + e.v : e.u;
-  };
-  auto next_edge = [&](std::uint32_t node) -> std::uint32_t {
-    std::uint32_t& cur = adj.cursor[node];
-    while (cur < adj.offset[node + 1]) {
-      const std::uint32_t local = adj.slots[cur];
-      if (!used[local]) return local;
-      ++cur;
-    }
-    return ~0u;
-  };
-
-  // Hierholzer over each connected component: the pop order yields the
-  // Eulerian circuit (reversed, still a closed walk); assigning
-  // alternate walk edges to halves 0/1 balances every node because
-  // bipartite circuits have even length.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> stack;  // (node, incoming local edge)
-  std::vector<std::uint32_t> circuit;                          // local edge ids in walk order
-  for (std::uint32_t seed = 0; seed < edge_ids.size(); ++seed) {
-    if (used[seed]) continue;
-    const std::uint32_t start = g.edge(edge_ids[seed]).u;
-    circuit.clear();
-    stack.clear();
-    stack.emplace_back(start, ~0u);
-    while (!stack.empty()) {
-      const std::uint32_t node = stack.back().first;
-      const std::uint32_t e = next_edge(node);
-      if (e == ~0u) {
-        if (stack.back().second != ~0u) circuit.push_back(stack.back().second);
-        stack.pop_back();
-      } else {
-        used[e] = 1;
-        stack.emplace_back(other_end(e, node), e);
-      }
-    }
-    HMM_DCHECK(circuit.size() % 2 == 0);
-    for (std::size_t i = 0; i < circuit.size(); ++i) {
-      half[circuit[i]] = static_cast<std::uint8_t>(i & 1u);
-    }
-  }
+  std::vector<Edge> edges(edge_ids.size());
+  for (std::size_t k = 0; k < edge_ids.size(); ++k) edges[k] = g.edge(edge_ids[k]);
+  std::vector<std::uint8_t> half(edges.size());
+  with_walker([&](Walker& w) {
+    w.walk(edges, g.left_count(), g.left_count() + g.right_count(), 0);
+    for (std::uint32_t k = 0; k < half.size(); ++k) half[k] = w.half(k);
+  });
   return half;
 }
 
 EdgeColoring color_euler_split(const BipartiteMultigraph& g) {
   const auto degree = g.regular_degree();
   HMM_CHECK_MSG(degree.has_value(), "euler-split coloring requires a regular graph");
-  HMM_CHECK_MSG(*degree == 0 || util::is_pow2(*degree),
+  return color_euler_split_regular(g, *degree);
+}
+
+EdgeColoring color_euler_split_regular(const BipartiteMultigraph& g, std::uint32_t degree) {
+  HMM_CHECK_MSG(degree == 0 || util::is_pow2(degree),
                 "euler-split coloring requires a power-of-two degree");
-
+  const std::uint64_t total = g.edge_count();
   EdgeColoring result;
-  result.colors = *degree == 0 ? 1 : *degree;
-  result.color.assign(g.edge_count(), 0);
-  if (*degree <= 1) return result;
-
-  // Iterative halving: one group of edge ids per color prefix.
-  std::vector<std::vector<std::uint32_t>> groups;
-  {
-    std::vector<std::uint32_t> all(g.edge_count());
-    std::iota(all.begin(), all.end(), 0u);
-    groups.push_back(std::move(all));
+  result.colors = degree == 0 ? 1 : degree;
+  if (degree <= 1) {
+    result.color.assign(total, 0);
+    return result;
   }
-  std::uint32_t group_degree = *degree;
-  while (group_degree > 1) {
-    std::vector<std::vector<std::uint32_t>> next;
-    next.reserve(groups.size() * 2);
-    for (auto& group : groups) {
-      const auto half = euler_split_once(g, group);
-      std::vector<std::uint32_t> a, b;
-      a.reserve(group.size() / 2);
-      b.reserve(group.size() / 2);
-      for (std::uint32_t k = 0; k < group.size(); ++k) {
-        (half[k] ? b : a).push_back(group[k]);
-      }
-      next.push_back(std::move(a));
-      next.push_back(std::move(b));
+
+  // Iterative halving in place: every split halves a regular group
+  // exactly, so at level L group j is the range [j·E/2^L, (j+1)·E/2^L)
+  // and the group with color prefix j ends up as color j.
+  std::vector<Edge> edges = g.edges();
+  std::vector<std::uint32_t> ids(total);
+  std::iota(ids.begin(), ids.end(), 0u);
+  const std::uint32_t left = g.left_count();
+  const std::uint32_t nodes = left + g.right_count();
+  auto split_level = [&](std::uint64_t groups, Walker& w, std::uint64_t lo, std::uint64_t hi) {
+    const std::uint64_t size = total / groups;
+    const auto group_degree = static_cast<std::uint32_t>(degree / groups);
+    for (std::uint64_t j = lo; j < hi; ++j) {
+      w.split({edges.data() + j * size, size}, {ids.data() + j * size, size}, left, nodes,
+              group_degree);
     }
-    groups = std::move(next);
-    group_degree /= 2;
+  };
+
+  const bool inline_only = total < kInlineEdges;
+  if (inline_only) {
+    with_walker([&](Walker& w) {
+      for (std::uint64_t groups = 1; groups < degree; groups *= 2) {
+        split_level(groups, w, 0, groups);
+      }
+    });
+  } else {
+    // Level 0 is a single group and stays on the caller; every later
+    // level splits its groups on the pool.
+    with_walker([&](Walker& w) { split_level(1, w, 0, 1); });
+    for (std::uint64_t groups = 2; groups < degree; groups *= 2) {
+      util::ThreadPool::global().parallel_for_chunks(
+          0, groups, [&](std::uint64_t lo, std::uint64_t hi) {
+            with_walker([&](Walker& w) { split_level(groups, w, lo, hi); });
+          });
+    }
   }
 
-  HMM_DCHECK(groups.size() == *degree);
-  for (std::uint32_t c = 0; c < groups.size(); ++c) {
-    for (std::uint32_t id : groups[c]) result.color[id] = c;
+  result.color.resize(total);
+  const std::uint64_t size = total / degree;
+  auto paint = [&](std::uint64_t lo, std::uint64_t hi) {
+    for (std::uint64_t k = lo * size; k < hi * size; ++k) {
+      result.color[ids[k]] = static_cast<std::uint32_t>(k / size);
+    }
+  };
+  if (inline_only) {
+    paint(0, degree);
+  } else {
+    util::ThreadPool::global().parallel_for_chunks(0, degree, paint);
   }
   return result;
 }

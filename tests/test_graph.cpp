@@ -106,6 +106,58 @@ TEST(EulerSplit, ParallelEdgesGetDistinctColors) {
   EXPECT_NE(c.color[2], c.color[3]);
 }
 
+/// Reference König coloring: recursive halving by `euler_split_once`,
+/// half 0 taking the lower colors (the definition the in-place,
+/// level-parallel coloring must reproduce edge for edge).
+void color_by_halving(const BipartiteMultigraph& g, const std::vector<std::uint32_t>& ids,
+                      std::uint32_t base, std::uint32_t degree, EdgeColoring& out) {
+  if (degree == 1) {
+    for (std::uint32_t id : ids) out.color[id] = base;
+    return;
+  }
+  const auto half = euler_split_once(g, ids);
+  std::vector<std::uint32_t> lower, upper;
+  for (std::size_t k = 0; k < ids.size(); ++k) (half[k] ? upper : lower).push_back(ids[k]);
+  color_by_halving(g, lower, base, degree / 2, out);
+  color_by_halving(g, upper, base + degree / 2, degree / 2, out);
+}
+
+TEST(EulerSplit, LargeMultigraphIsKonigAbovePoolCutoff) {
+  // 2^17 edges: two components of 512 + 512 nodes, each the union of 64
+  // random perfect matchings taken twice, so every edge has a parallel
+  // twin. Large enough that the coloring's later levels run on the pool.
+  constexpr std::uint32_t kNodes = 1024, kHalf = kNodes / 2, kDegree = 128;
+  util::Xoshiro256 rng(17);
+  BipartiteMultigraph g(kNodes, kNodes);
+  std::vector<std::uint32_t> perm(kHalf);
+  for (std::uint32_t m = 0; m < kDegree / 2; ++m) {
+    for (std::uint32_t comp = 0; comp < 2; ++comp) {
+      std::iota(perm.begin(), perm.end(), 0u);
+      for (std::uint32_t i = kHalf - 1; i > 0; --i) {
+        std::swap(perm[i], perm[rng.bounded(i + 1)]);
+      }
+      for (int twice = 0; twice < 2; ++twice) {
+        for (std::uint32_t u = 0; u < kHalf; ++u) {
+          g.add_edge(comp * kHalf + u, comp * kHalf + perm[u]);
+        }
+      }
+    }
+  }
+  ASSERT_EQ(g.edge_count(), 1u << 17);
+
+  const EdgeColoring c = color_euler_split(g);
+  ASSERT_EQ(c.colors, kDegree);
+  EXPECT_TRUE(is_konig_coloring(g, c));
+
+  EdgeColoring expected;
+  expected.colors = kDegree;
+  expected.color.assign(g.edge_count(), ~0u);
+  std::vector<std::uint32_t> all(g.edge_count());
+  std::iota(all.begin(), all.end(), 0u);
+  color_by_halving(g, all, 0, kDegree, expected);
+  EXPECT_EQ(c.color, expected.color);
+}
+
 TEST(HopcroftKarp, PerfectMatchingOnRegular) {
   for (std::uint32_t degree : {1u, 2u, 3u, 5u, 8u}) {
     BipartiteMultigraph g = random_regular(24, degree, degree * 7);

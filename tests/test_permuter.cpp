@@ -107,6 +107,10 @@ TEST(Permuter, PlanSupportedRule) {
   EXPECT_TRUE(OfflinePermuter<float>::plan_supported(1024, mp));    // 32x32
   EXPECT_TRUE(OfflinePermuter<float>::plan_supported(2048, mp));    // 32x64
   EXPECT_FALSE(OfflinePermuter<float>::plan_supported(1000, mp));   // not pow2
+  // Row-graph edge ids are 32-bit: at n = 2^32 the edge count wraps.
+  EXPECT_TRUE(OfflinePermuter<float>::plan_supported(1ull << 31, mp));
+  EXPECT_FALSE(OfflinePermuter<float>::plan_supported(1ull << 32, mp));
+  EXPECT_FALSE(OfflinePermuter<float>::plan_supported(1ull << 33, mp));
 }
 
 }  // namespace

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/plan.hpp"
+#include "core/plan_io.hpp"
 #include "perm/generators.hpp"
+#include "runtime/fingerprint.hpp"
 #include "test_helpers.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hmm::core {
 namespace {
@@ -92,17 +97,58 @@ TEST(Plan, AllFamiliesValidate) {
   }
 }
 
-TEST(Plan, ParallelBuildBitIdenticalToSerial) {
-  const MachineParams p = MachineParams::tiny(4, 5, 2);
-  const perm::Permutation perm = perm::by_name("random", 1 << 12, 8);
-  const ScheduledPlan serial = ScheduledPlan::build(perm, p);
-  util::ThreadPool pool(3);
-  const ScheduledPlan parallel = ScheduledPlan::build(pool, perm, p);
-  EXPECT_EQ(parallel.pass1().phat, serial.pass1().phat);
-  EXPECT_EQ(parallel.pass1().q, serial.pass1().q);
-  EXPECT_EQ(parallel.pass2().phat, serial.pass2().phat);
-  EXPECT_EQ(parallel.pass3().q, serial.pass3().q);
-  EXPECT_TRUE(parallel.validate(perm));
+/// FNV-1a 64 over a plan's plan_io bytes: pins every schedule and
+/// direct array, the shape and the machine.
+std::uint64_t plan_digest(const ScheduledPlan& plan) {
+  std::ostringstream os;
+  EXPECT_TRUE(save_plan(os, plan));
+  runtime::Fnv1a64 h;
+  for (const unsigned char byte : os.str()) h.update_byte(byte);
+  return h.digest();
+}
+
+// The digests were recorded from the serial build that predates the
+// pooled one. Sizes span the inline cutoff (64K elements): 2^13 (odd
+// log2, so rows != cols) runs inline, 2^16 and above run on the pool.
+TEST(Plan, BuildMatchesPinnedDigests) {
+  struct Case {
+    const char* family;
+    std::uint64_t n;
+    MachineParams machine;
+    std::uint64_t digest;
+  };
+  const MachineParams gtx = MachineParams::gtx680();
+  const Case cases[] = {
+      {"random", 1 << 13, gtx, 8644292221413319603ull},
+      {"bit-reversal", 1 << 13, gtx, 1304771403309335283ull},
+      {"transpose", 1 << 13, gtx, 7240655072908725651ull},
+      {"identical", 1 << 13, gtx, 16793557768712677779ull},
+      {"random", 1 << 16, gtx, 18147284144064522627ull},
+      {"bit-reversal", 1 << 16, gtx, 9314167569029851955ull},
+      {"transpose", 1 << 16, gtx, 16047650115426249523ull},
+      {"identical", 1 << 16, gtx, 9230742316892937011ull},
+      {"random", 1 << 18, gtx, 18059958392576717223ull},
+      {"bit-reversal", 1 << 18, gtx, 2516856023276125331ull},
+      {"transpose", 1 << 18, gtx, 4142697228842892435ull},
+      {"identical", 1 << 18, gtx, 8388543115195628691ull},
+      {"random", 1 << 17, MachineParams::tiny(4, 5, 2), 12401989161669791099ull},
+  };
+  for (const Case& c : cases) {
+    const perm::Permutation perm = perm::by_name(c.family, c.n, 42);
+    EXPECT_EQ(plan_digest(ScheduledPlan::build(perm, c.machine)), c.digest)
+        << c.family << " n=" << c.n << " w=" << c.machine.width;
+  }
+}
+
+// The plan cache compiles on pool workers, so the build's own
+// parallel loops nest inside a task; the bytes must not change.
+TEST(Plan, BuildInsidePoolWorkerMatchesCaller) {
+  const MachineParams p = MachineParams::gtx680();
+  const perm::Permutation perm = perm::by_name("random", 1 << 18, 8);
+  const std::uint64_t on_caller = plan_digest(ScheduledPlan::build(perm, p));
+  auto on_worker = util::ThreadPool::global().submit_task(
+      [&] { return plan_digest(ScheduledPlan::build(perm, p)); });
+  EXPECT_EQ(on_worker.get(), on_caller);
 }
 
 TEST(Plan, MatchingPeelColoringAlsoWorks) {
