@@ -62,6 +62,37 @@ void BM_RandomGather(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomGather)->Range(1 << 14, 1 << 22);
 
+// The two ways a small gather can run: fanned out over the pool (one
+// fork-join) or inline on the caller. `cpu::kInlineElements` sits where
+// these rows cross: below it the fork-join costs more than the three
+// extra cores save.
+void gather_rows(benchmark::State& state, bool fork_join) {
+  const std::uint64_t n = state.range(0);
+  const perm::Permutation p = perm::by_name("random", n, 8);
+  util::aligned_vector<float> a(n, 1.f), b(n);
+  const cpu::simd::KernelOps* ops = cpu::active_kernel_ops(sizeof(float));
+  const auto run = [&](std::uint64_t lo, std::uint64_t hi) {
+    if (ops != nullptr && ops->gather != nullptr) {
+      ops->gather(a.data(), b.data(), p.data().data(), lo, hi);
+      return;
+    }
+    for (std::uint64_t i = lo; i < hi; ++i) b[i] = a[p(i)];
+  };
+  for (auto _ : state) {
+    if (fork_join) {
+      pool().parallel_for_chunks(0, n, run);
+    } else {
+      run(0, n);
+    }
+    benchmark::DoNotOptimize(b.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * n * sizeof(float) * 2));
+}
+void BM_GatherForkJoin(benchmark::State& state) { gather_rows(state, true); }
+void BM_GatherInline(benchmark::State& state) { gather_rows(state, false); }
+BENCHMARK(BM_GatherForkJoin)->RangeMultiplier(2)->Range(1 << 13, 1 << 20)->UseRealTime();
+BENCHMARK(BM_GatherInline)->RangeMultiplier(2)->Range(1 << 13, 1 << 20)->UseRealTime();
+
 void BM_RowWisePass(benchmark::State& state) {
   const std::uint64_t n = state.range(0);
   const model::MachineParams mp = model::MachineParams::gtx680();

@@ -49,6 +49,16 @@ Diagnosis diagnose(const perm::Permutation& p, const model::MachineParams& machi
   if (d.plan_supported && d.fits_shared_f32 && d.time_scheduled < best) {
     d.recommendation = "scheduled";
   }
+
+  d.host_recommendation = std::string(to_string(Strategy::kSDesignated));
+  if (d.plan_supported) {
+    const HostPick pick =
+        host_pick(p.inverse(), sizeof(float), host_params(d.n * sizeof(float)));
+    d.host_recommendation = std::string(to_string(pick.strategy));
+    d.host_misses = pick.misses;
+    d.host_conventional_ms = pick.conventional_ms;
+    d.host_scheduled_ms = pick.scheduled_ms;
+  }
   return d;
 }
 
@@ -80,6 +90,15 @@ void print_diagnosis(std::ostream& os, const Diagnosis& d) {
   }
   os << "    lower bound : " << d.lower_bound << "\n"
      << "  recommendation: " << d.recommendation << "\n";
+  os << "  host pick (kAuto, f32): " << d.host_recommendation;
+  if (d.host_scheduled_ms > 0) {
+    os << "  predicted host ms: s-designated " << util::format_ms(d.host_conventional_ms)
+       << ", scheduled " << util::format_ms(d.host_scheduled_ms) << "  (L2 misses "
+       << d.host_misses.lines << ", page-aliased " << d.host_misses.aliased << ")";
+  } else if (d.plan_supported) {
+    os << "  (source fits one core's L2: no simulation)";
+  }
+  os << "\n";
 }
 
 }  // namespace hmm::core

@@ -5,15 +5,17 @@
 ///
 /// Computes the distribution metrics that drive Lemma 4, the cycle
 /// structure, plan supportability and shared-memory fit, the predicted
-/// HMM time of every strategy, and the model's recommendation — the
-/// analysis `OfflinePermuter`'s kAuto performs, exposed for inspection
-/// and tooling (`examples/permutation_doctor`).
+/// HMM time of every strategy, and the GPU model's recommendation, next
+/// to the pick `OfflinePermuter`'s kAuto makes on this host and the host
+/// times it predicts — exposed for inspection and tooling
+/// (`examples/permutation_doctor`).
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 
 #include "core/in_place.hpp"
+#include "model/host.hpp"
 #include "model/machine.hpp"
 #include "perm/permutation.hpp"
 
@@ -50,6 +52,14 @@ struct Diagnosis {
 
   /// The model's pick: "scheduled", "s-designated" or "d-designated".
   std::string recommendation;
+
+  // The host's pick (kAuto for float elements, core::host_pick on this
+  // host's parameters): "s-designated" outright when the plan is
+  // unsupported.
+  std::string host_recommendation;
+  model::GatherMisses host_misses;  ///< zero when the source fits L2
+  double host_conventional_ms = 0;  ///< predicted gather time (0 = not probed)
+  double host_scheduled_ms = 0;     ///< predicted scheduled time (0 = not probed/unsupported)
 };
 
 /// Run the full analysis (O(n)).

@@ -3,15 +3,19 @@
 /// \brief `OfflinePermuter<T>` — the one-stop downstream API.
 ///
 /// Wraps the paper's decision problem for the user: given a permutation
-/// known in advance, pick the best algorithm for this machine (the
-/// scheduled plan when the permutation's distribution is high and the
-/// size supports it; the conventional gather otherwise), own the
-/// scratch buffers, and expose a single `permute(a, b)` call that can
-/// be invoked any number of times.
+/// known in advance, pick the faster algorithm for this host (the
+/// scheduled plan or the conventional gather), own the scratch
+/// buffers, and expose a single `permute(a, b)` call that can be
+/// invoked any number of times.
 ///
-/// The selection rule mirrors Lemma 4 vs Theorem 9: scheduled wins when
+/// `kAuto` is resolved by `host_pick`: the HMM instantiated for the
+/// host CPU (model/host.hpp), where the address group is a 64 B cache
+/// line and the conventional kernel's distribution is the number of
+/// source lines its gather misses in a core's L2. The paper's own rule,
+/// Lemma 4 against Theorem 9 on the GPU's machine parameters,
 ///   16(n/w + l - 1) + 16 n/(dw)  <  2(n/w + l - 1) + d_w(P) + l - 1,
-/// evaluated with the actual machine parameters and measured d_w(P).
+/// stays available as `gpu_pick`; `predicted_time_units()` reports that
+/// model's time for whichever strategy the host chose.
 
 #include <cstdint>
 #include <optional>
@@ -21,22 +25,56 @@
 #include "core/conventional.hpp"
 #include "core/plan.hpp"
 #include "core/scheduled.hpp"
+#include "core/strategy.hpp"
 #include "model/cost.hpp"
+#include "model/host.hpp"
 #include "perm/distribution.hpp"
 #include "util/bits.hpp"
 #include "util/stopwatch.hpp"
 
 namespace hmm::core {
 
-/// Execution strategy of an OfflinePermuter.
-enum class Strategy {
-  kAuto,           ///< pick by model cost (default)
-  kScheduled,      ///< force the paper's scheduled algorithm
-  kSDesignated,    ///< force conventional gather  (b[i] = a[p̄[i]])
-  kDDesignated,    ///< force conventional scatter (b[p[i]] = a[i])
+/// The paper's selection rule on `machine`: the scheduled algorithm when
+/// its Theorem 9 time beats S-designated's Lemma 4 time at the measured
+/// d_w(P⁻¹) and the plan is supported, S-designated otherwise. A pure
+/// function of (P, machine), kept for the GPU model; kAuto does not use it.
+Strategy gpu_pick(const perm::Permutation& p, const model::MachineParams& machine);
+
+/// kAuto's decision on the host, with the predictions behind it.
+struct HostPick {
+  Strategy strategy = Strategy::kSDesignated;
+  /// Simulated L2 misses of the gather (zero when the source fits L2
+  /// and nothing was simulated).
+  model::GatherMisses misses;
+  double conventional_ms = 0;  ///< predicted gather time
+  double scheduled_ms = 0;     ///< predicted scheduled-kernel time
 };
 
-std::string_view to_string(Strategy s) noexcept;
+/// kAuto on the host, for a permutation whose scheduled plan is
+/// supported. `pinv` is P⁻¹ (the array S-designated gathers through)
+/// and `elem_bytes` is sizeof(T). A source that fits one core's L2
+/// goes to S-designated without simulation; otherwise the gather's L2
+/// misses are simulated (model::gather_l2_misses, on the global pool)
+/// and S-designated is picked only when predicted faster than the
+/// scheduled kernel by more than `model::kHostPickMargin`. A pure
+/// function of (P⁻¹, sizeof(T), host).
+HostPick host_pick(const perm::Permutation& pinv, std::size_t elem_bytes,
+                   const model::HostParams& host);
+
+/// This host's parameters for a gather over a `source_bytes` source:
+/// the cache geometry always; the measured costs only when the source
+/// does not fit L2, since host_pick needs them only then. The costs
+/// come from a probe that runs once per process, on first need: a pool
+/// fork-join, the five scheduled passes on plan-free row schedules, and
+/// a random and a transposing gather at four times the L2. The DRAM
+/// level is probed once, only when a source past the LLC share first
+/// asks for it. Never called on the request path: only compiles ask.
+model::HostParams host_params(std::uint64_t source_bytes);
+
+/// What `host_params` knows without probing: the geometry, plus the
+/// costs of whichever probes have already run (zero otherwise). For
+/// STATS and Prometheus.
+model::HostParams host_params_so_far();
 
 template <class T>
 class OfflinePermuter {
@@ -53,14 +91,10 @@ class OfflinePermuter {
 
     chosen_ = strategy;
     if (strategy == Strategy::kAuto) {
-      if (plannable) {
-        const std::uint64_t t_sched = model::scheduled_time(n, machine_);
-        const std::uint64_t t_conv = model::s_designated_time(
-            n, perm::inverse_distribution(perm_, machine_.width), machine_);
-        chosen_ = t_sched < t_conv ? Strategy::kScheduled : Strategy::kSDesignated;
-      } else {
-        chosen_ = Strategy::kSDesignated;
-      }
+      inverse_.emplace(perm_.inverse());
+      chosen_ = plannable ? host_pick(*inverse_, sizeof(T), host_params(n * sizeof(T))).strategy
+                          : Strategy::kSDesignated;
+      if (chosen_ != Strategy::kSDesignated) inverse_.reset();
     }
     HMM_CHECK_MSG(chosen_ != Strategy::kScheduled || plannable,
                   "scheduled strategy requires power-of-two n, width^2 <= n < 2^32");
@@ -73,7 +107,7 @@ class OfflinePermuter {
                       "plan does not fit this machine's shared memory for T");
         break;
       case Strategy::kSDesignated:
-        inverse_.emplace(perm_.inverse());
+        if (!inverse_) inverse_.emplace(perm_.inverse());
         break;
       case Strategy::kDDesignated:
         break;
@@ -83,7 +117,7 @@ class OfflinePermuter {
     offline_seconds_ = build_clock.seconds();
   }
 
-  /// The strategy actually in use (after kAuto resolution).
+  /// The strategy actually in use: the forced one, or kAuto's host pick.
   [[nodiscard]] Strategy strategy() const noexcept { return chosen_; }
   [[nodiscard]] const perm::Permutation& permutation() const noexcept { return perm_; }
   [[nodiscard]] const model::MachineParams& machine() const noexcept { return machine_; }
@@ -189,7 +223,9 @@ class OfflinePermuter {
     permute(a, b, std::span<T>(scratch_.data(), scratch_.size()));
   }
 
-  /// Predicted HMM running time of the active strategy (time units).
+  /// Predicted HMM running time of the active strategy (time units), on
+  /// the machine the permuter was compiled for — the paper's model, not
+  /// the host's.
   [[nodiscard]] std::uint64_t predicted_time_units() const {
     const std::uint64_t n = size();
     switch (chosen_) {

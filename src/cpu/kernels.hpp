@@ -9,6 +9,9 @@
 /// keep the exact pass structure of the paper's five sequential kernel
 /// launches so the wall-clock benchmarks compare the same algorithms.
 ///
+/// The conventional kernels run inline below `kInlineElements`; every
+/// other kernel fans out over the pool at every size.
+///
 /// Each kernel body is two tiers: the scalar loop (always present, the
 /// differential-test oracle) and, for 4-/8-byte elements, an explicit
 /// SIMD path reached through `active_kernel_ops` (dispatch.hpp). The
@@ -30,7 +33,26 @@
 
 namespace hmm::cpu {
 
+/// Below this many elements the conventional kernels (gather, scatter)
+/// run inline on the calling thread: one fork-join costs more than the
+/// other workers save. `bench_kernels` BM_GatherForkJoin and
+/// BM_GatherInline cross here on a 4-vCPU AVX-512 host (8K: 52 vs 4 µs;
+/// 64K: 54 vs 56 µs; 256K: 149 vs 295 µs). Fixed, like the plan
+/// build's `graph::kInlineEdges`.
+inline constexpr std::uint64_t kInlineElements = std::uint64_t{1} << 16;
+
 namespace detail {
+
+/// Run `body(lo, hi)` over [0, n): inline below kInlineElements,
+/// otherwise as chunks on the pool.
+template <class Body>
+void fan_out(util::ThreadPool& pool, std::uint64_t n, Body&& body) {
+  if (n < kInlineElements) {
+    if (n > 0) body(0, n);
+    return;
+  }
+  pool.parallel_for_chunks(0, n, body);
+}
 
 /// Global-index-space cap for the SIMD tiers: vpgather/vpscatter take
 /// signed 32-bit element indices.
@@ -56,7 +78,7 @@ void scatter(util::ThreadPool& pool, std::span<const T> a, std::span<T> b,
   const simd::KernelOps* ops = active_kernel_ops(sizeof(T));
   const bool simd = ops != nullptr && ops->scatter != nullptr &&
                     a.size() < detail::kSimdIndexLimit;
-  pool.parallel_for_chunks(0, a.size(), [&](std::uint64_t lo, std::uint64_t hi) {
+  detail::fan_out(pool, a.size(), [&](std::uint64_t lo, std::uint64_t hi) {
     if (simd) {
       ops->scatter(a.data(), b.data(), p.data(), lo, hi);
       return;
@@ -73,7 +95,7 @@ void gather(util::ThreadPool& pool, std::span<const T> a, std::span<T> b,
   const simd::KernelOps* ops = active_kernel_ops(sizeof(T));
   const bool simd = ops != nullptr && ops->gather != nullptr &&
                     a.size() < detail::kSimdIndexLimit;
-  pool.parallel_for_chunks(0, a.size(), [&](std::uint64_t lo, std::uint64_t hi) {
+  detail::fan_out(pool, a.size(), [&](std::uint64_t lo, std::uint64_t hi) {
     if (simd) {
       ops->gather(a.data(), b.data(), pinv.data(), lo, hi);
       return;

@@ -1,6 +1,8 @@
 #include "net/client.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
 #include <thread>
 #include <utility>
@@ -13,14 +15,33 @@ using runtime::StatusOr;
 
 namespace {
 
-bool is_error(const Frame& frame) {
+bool is_error(const FrameView& frame) {
   return static_cast<MsgKind>(frame.kind) == MsgKind::kError;
 }
 
-Status decode_error(const Frame& frame) {
+Status decode_error(const FrameView& frame) {
   StatusOr<ErrorResponse> err = ErrorResponse::decode(frame.payload);
   return err.ok() ? err.value().to_status()
                   : Status(StatusCode::kUnavailable, "malformed ERROR frame");
+}
+
+/// The wire (little-endian) bytes of `words`: the caller's memory
+/// itself on a little-endian host, else a converted copy in `staging`.
+std::span<const std::uint8_t> wire_words(std::span<const std::uint32_t> words,
+                                         std::vector<std::uint8_t>& staging) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return {reinterpret_cast<const std::uint8_t*>(words.data()), words.size() * kElemBytes};
+  }
+  ByteWriter w;
+  w.put_u32_span(words);
+  staging = w.take();
+  return staging;
+}
+
+/// Little-endian store of the low `bytes` bytes of `v` at `at`.
+std::uint8_t* put_le(std::uint8_t* at, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) *at++ = static_cast<std::uint8_t>(v >> (8 * i));
+  return at;
 }
 
 }  // namespace
@@ -33,15 +54,15 @@ Status Client::connect() {
   return stream_.set_io_timeout(config_.io_timeout, config_.io_timeout);
 }
 
-StatusOr<Frame> Client::roundtrip_once(MsgKind kind, const std::vector<std::uint8_t>& payload,
-                                       std::uint64_t request_id) {
-  Frame request;
-  request.kind = static_cast<std::uint16_t>(kind);
-  request.request_id = request_id;
-  request.payload = payload;
-  if (Status s = write_frame(stream_, request); !s.is_ok()) return s;
+StatusOr<FrameView> Client::roundtrip_once(MsgKind kind, std::span<const ConstBuffer> parts,
+                                           std::uint64_t request_id) {
+  if (Status s = write_frame_parts(stream_, static_cast<std::uint16_t>(kind), request_id, parts);
+      !s.is_ok()) {
+    return s;
+  }
 
-  StatusOr<Frame> response = read_frame(stream_, config_.max_payload_bytes);
+  StatusOr<FrameView> response = read_frame_view(stream_, util::BufferPool::global(), storage_,
+                                                 config_.max_payload_bytes);
   if (!response.ok()) {
     // The request reached the wire. A clean EOF before any response
     // byte means the server never started answering (idle close, a
@@ -58,7 +79,7 @@ StatusOr<Frame> Client::roundtrip_once(MsgKind kind, const std::vector<std::uint
     }
     return response;
   }
-  const Frame& frame = response.value();
+  const FrameView& frame = response.value();
   const auto resp_kind = static_cast<MsgKind>(frame.kind);
   if (frame.request_id != request_id) {
     if (frame.request_id == 0 && resp_kind == MsgKind::kError) {
@@ -100,7 +121,7 @@ std::chrono::microseconds Client::retry_backoff(const Config& config, int attemp
   return std::chrono::microseconds(delay_us + jitter_us);
 }
 
-StatusOr<Frame> Client::roundtrip(MsgKind kind, std::vector<std::uint8_t> payload) {
+StatusOr<FrameView> Client::roundtrip(MsgKind kind, std::span<const ConstBuffer> parts) {
   Status last(StatusCode::kUnavailable, "not attempted");
   for (int attempt = 0; attempt <= config_.max_retries; ++attempt) {
     if (attempt > 0) {
@@ -114,7 +135,7 @@ StatusOr<Frame> Client::roundtrip(MsgKind kind, std::vector<std::uint8_t> payloa
         continue;  // next attempt backs off and reconnects again
       }
     }
-    StatusOr<Frame> response = roundtrip_once(kind, payload, next_request_id());
+    StatusOr<FrameView> response = roundtrip_once(kind, parts, next_request_id());
     if (response.ok()) return response;
     last = response.status();
     // A frame-level violation or transport failure poisons the
@@ -138,12 +159,13 @@ StatusOr<Frame> Client::roundtrip(MsgKind kind, std::vector<std::uint8_t> payloa
 
 Status Client::ping() {
   static constexpr std::uint8_t kProbe[] = {'h', 'm', 'm', 'p', '?'};
-  std::vector<std::uint8_t> payload(std::begin(kProbe), std::end(kProbe));
-  StatusOr<Frame> response = roundtrip(MsgKind::kPing, payload);
+  const ConstBuffer parts[] = {{kProbe, sizeof(kProbe)}};
+  StatusOr<FrameView> response = roundtrip(MsgKind::kPing, parts);
   if (!response.ok()) return response.status();
-  const Frame& frame = response.value();
+  const FrameView& frame = response.value();
   if (is_error(frame)) return decode_error(frame);
-  if (frame.payload != payload) {
+  if (!std::equal(frame.payload.begin(), frame.payload.end(), std::begin(kProbe),
+                  std::end(kProbe))) {
     return Status(StatusCode::kUnavailable, "PING echo mismatch");
   }
   return Status::ok();
@@ -152,9 +174,11 @@ Status Client::ping() {
 StatusOr<std::uint64_t> Client::submit_plan(const perm::Permutation& p) {
   SubmitPlanRequest req;
   req.mapping.assign(p.data().begin(), p.data().end());
-  StatusOr<Frame> response = roundtrip(MsgKind::kSubmitPlan, req.encode());
+  const std::vector<std::uint8_t> payload = req.encode();
+  const ConstBuffer parts[] = {{payload.data(), payload.size()}};
+  StatusOr<FrameView> response = roundtrip(MsgKind::kSubmitPlan, parts);
   if (!response.ok()) return response.status();
-  const Frame& frame = response.value();
+  const FrameView& frame = response.value();
   if (is_error(frame)) return decode_error(frame);
   ByteReader r(frame.payload);
   std::uint64_t plan_id = 0;
@@ -169,22 +193,22 @@ Status Client::permute(std::uint64_t plan_id, std::span<const std::uint32_t> dat
   if (out.size() != data.size()) {
     return Status(StatusCode::kInvalidArgument, "output span size does not match input");
   }
-  // Serialize straight from the caller's span — the former path staged
-  // the input in a PermuteRequest vector first (one whole extra copy of
-  // the array per call).
-  ByteWriter w;
-  w.put_u64(plan_id);
-  w.put_u32(PermuteRequest::clamp_deadline(deadline));
-  w.put_u32(kElemBytes);
-  w.put_u64(data.size());
-  w.put_u32_span(data);
+  // The PERMUTE header on the stack, the elements straight from the
+  // caller's span: nothing of payload size is staged.
+  std::array<std::uint8_t, 24> prefix{};
+  std::uint8_t* at = put_le(prefix.data(), plan_id, 8);
+  at = put_le(at, PermuteRequest::clamp_deadline(deadline), 4);
+  at = put_le(at, kElemBytes, 4);
+  put_le(at, data.size(), 8);
+  std::vector<std::uint8_t> staging;
+  const std::span<const std::uint8_t> body = wire_words(data, staging);
+  const ConstBuffer parts[] = {{prefix.data(), prefix.size()}, {body.data(), body.size()}};
 
-  StatusOr<Frame> response = roundtrip(MsgKind::kPermute, w.take());
+  StatusOr<FrameView> response = roundtrip(MsgKind::kPermute, parts);
   if (!response.ok()) return response.status();
-  const Frame& frame = response.value();
+  const FrameView& frame = response.value();
   if (is_error(frame)) return decode_error(frame);
-  // decode_into writes the elements straight into the caller's span
-  // (no intermediate result vector + memcpy).
+  // decode_into writes the elements straight into the caller's span.
   if (Status s = PermuteResponse::decode_into(frame.payload, out); !s.is_ok()) {
     // The server's response payload is malformed: a protocol breach,
     // not an invalid argument of ours.
@@ -205,23 +229,27 @@ Status Client::execute_program(std::span<const runtime::ProgramOp> ops,
   if (ops.size() > runtime::kMaxProgramOps) {
     return Status(StatusCode::kInvalidArgument, "program op count exceeds the limit");
   }
-  // Serialize straight from the caller's spans, mirroring permute().
-  ByteWriter w;
-  w.put_u32(PermuteRequest::clamp_deadline(deadline));
-  w.put_u32(kElemBytes);
-  w.put_u32(staged ? kProgramFlagStaged : 0);
-  w.put_u32(static_cast<std::uint32_t>(ops.size()));
+  // The header and op list (at most kMaxProgramOps entries) on the
+  // stack, the elements straight from the caller's span, as permute().
+  std::array<std::uint8_t, 16 + 16 * runtime::kMaxProgramOps + 8> prefix{};
+  std::uint8_t* at = put_le(prefix.data(), PermuteRequest::clamp_deadline(deadline), 4);
+  at = put_le(at, kElemBytes, 4);
+  at = put_le(at, staged ? kProgramFlagStaged : 0, 4);
+  at = put_le(at, ops.size(), 4);
   for (const runtime::ProgramOp& op : ops) {
-    w.put_u32(static_cast<std::uint32_t>(op.op));
-    w.put_u32(0);  // reserved
-    w.put_u64(op.arg);
+    at = put_le(at, static_cast<std::uint32_t>(op.op), 4);
+    at = put_le(at, 0, 4);  // reserved
+    at = put_le(at, op.arg, 8);
   }
-  w.put_u64(data.size());
-  w.put_u32_span(data);
+  at = put_le(at, data.size(), 8);
+  std::vector<std::uint8_t> staging;
+  const std::span<const std::uint8_t> body = wire_words(data, staging);
+  const ConstBuffer parts[] = {{prefix.data(), static_cast<std::size_t>(at - prefix.data())},
+                               {body.data(), body.size()}};
 
-  StatusOr<Frame> response = roundtrip(MsgKind::kExecuteProgram, w.take());
+  StatusOr<FrameView> response = roundtrip(MsgKind::kExecuteProgram, parts);
   if (!response.ok()) return response.status();
-  const Frame& frame = response.value();
+  const FrameView& frame = response.value();
   if (is_error(frame)) return decode_error(frame);
   // PROGRAM_OK carries the PERMUTE_OK layout; decode straight into the
   // caller's span.
@@ -232,9 +260,9 @@ Status Client::execute_program(std::span<const runtime::ProgramOp> ops,
 }
 
 StatusOr<std::string> Client::stats_json() {
-  StatusOr<Frame> response = roundtrip(MsgKind::kStats, {});
+  StatusOr<FrameView> response = roundtrip(MsgKind::kStats, {});
   if (!response.ok()) return response.status();
-  const Frame& frame = response.value();
+  const FrameView& frame = response.value();
   if (is_error(frame)) return decode_error(frame);
   ByteReader r(frame.payload);
   return r.rest_as_string();

@@ -22,6 +22,15 @@
 /// one transport failure that is **not** retried: the request may have
 /// executed, so it surfaces as `kCancelled` ("outcome unknown") and
 /// the resend decision belongs to the caller.
+///
+/// Borrowed storage: a PERMUTE or EXECUTE_PROGRAM sends the caller's
+/// `data` span in place (a stack-built prefix plus the span, one
+/// scatter-gather write) and reads the response into payload storage
+/// the client keeps from the process BufferPool, grown only when a
+/// larger response arrives. The span is borrowed for the duration of
+/// the call only; `out` is written once, from that storage. A steady
+/// stream of same-sized requests therefore allocates nothing of
+/// payload size on either leg.
 
 #include <chrono>
 #include <cstdint>
@@ -34,6 +43,7 @@
 #include "net/socket.hpp"
 #include "perm/permutation.hpp"
 #include "runtime/status.hpp"
+#include "util/buffer_pool.hpp"
 
 namespace hmm::net {
 
@@ -115,16 +125,16 @@ class Client {
   [[nodiscard]] std::uint64_t reconnects() const noexcept { return reconnects_; }
 
  private:
-  /// Send `kind`+payload, receive the matching response frame.
-  /// Reconnects and resends on transport failure (up to max_retries);
-  /// returns the raw response frame (kError frames included — callers
-  /// map them via ErrorResponse::to_status()).
-  runtime::StatusOr<Frame> roundtrip(MsgKind kind, std::vector<std::uint8_t> payload);
+  /// Send `kind` with the payload scattered over `parts`, receive the
+  /// matching response frame into `storage_`. Reconnects and resends
+  /// on transport failure (up to max_retries); returns the response
+  /// frame (kError frames included — callers map them via
+  /// ErrorResponse::to_status()), valid until the next round trip.
+  runtime::StatusOr<FrameView> roundtrip(MsgKind kind, std::span<const ConstBuffer> parts);
 
   /// One attempt on the current connection; no retry logic.
-  runtime::StatusOr<Frame> roundtrip_once(MsgKind kind,
-                                          const std::vector<std::uint8_t>& payload,
-                                          std::uint64_t request_id);
+  runtime::StatusOr<FrameView> roundtrip_once(MsgKind kind, std::span<const ConstBuffer> parts,
+                                              std::uint64_t request_id);
 
   /// Next wire request id: trace prefix in the high half, sequence in
   /// the low half.
@@ -135,6 +145,7 @@ class Client {
 
   Config config_;
   TcpStream stream_;
+  util::PooledBuffer storage_;  ///< response payloads, grow-only
   std::uint64_t next_seq_ = 1;
   std::uint64_t reconnects_ = 0;
 };

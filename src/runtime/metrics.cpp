@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/permuter.hpp"
 #include "cpu/dispatch.hpp"
 #include "util/bits.hpp"
 #include "util/buffer_pool.hpp"
@@ -73,6 +74,22 @@ void ServiceMetrics::record_plan_build(std::uint64_t ns) noexcept {
   atomic_max(plan_build_ns_max_, ns);
 }
 
+void ServiceMetrics::record_plan_strategy(core::Strategy strategy) noexcept {
+  switch (strategy) {
+    case core::Strategy::kScheduled:
+      plans_scheduled_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case core::Strategy::kSDesignated:
+      plans_s_designated_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case core::Strategy::kDDesignated:
+      plans_d_designated_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case core::Strategy::kAuto:
+      break;
+  }
+}
+
 void ServiceMetrics::record_submit(std::uint64_t queue_depth) noexcept {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   atomic_max(queue_high_water_, queue_depth);
@@ -88,6 +105,9 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
   s.plan_builds = plan_builds_.load(std::memory_order_relaxed);
   s.plan_build_ns_total = plan_build_ns_total_.load(std::memory_order_relaxed);
   s.plan_build_ns_max = plan_build_ns_max_.load(std::memory_order_relaxed);
+  s.plans_scheduled = plans_scheduled_.load(std::memory_order_relaxed);
+  s.plans_s_designated = plans_s_designated_.load(std::memory_order_relaxed);
+  s.plans_d_designated = plans_d_designated_.load(std::memory_order_relaxed);
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
@@ -114,6 +134,7 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
   s.program_stages_max = program_stages_.max();
   s.kernel_variant = std::string(cpu::to_string(cpu::kernel_variant()));
   s.numa_nodes = static_cast<std::uint32_t>(util::numa::node_count());
+  s.host = core::host_params_so_far();
   {
     const util::BufferPool::Stats pool = util::BufferPool::global().stats();
     s.pool_hits = pool.hits;
@@ -138,6 +159,9 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
 
 void ServiceMetrics::reset() {
   lookups_.store(0, std::memory_order_relaxed);
+  plans_scheduled_.store(0, std::memory_order_relaxed);
+  plans_s_designated_.store(0, std::memory_order_relaxed);
+  plans_d_designated_.store(0, std::memory_order_relaxed);
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
   evictions_.store(0, std::memory_order_relaxed);
@@ -175,7 +199,10 @@ std::string MetricsSnapshot::to_json() const {
      << ",\"evictions\":" << evictions << ",\"bytes_evicted\":" << bytes_evicted
      << ",\"plan_builds\":" << plan_builds
      << ",\"plan_build_ns_total\":" << plan_build_ns_total
-     << ",\"plan_build_ns_max\":" << plan_build_ns_max << "},"
+     << ",\"plan_build_ns_max\":" << plan_build_ns_max
+     << ",\"plans_by_strategy\":{\"scheduled\":" << plans_scheduled
+     << ",\"s-designated\":" << plans_s_designated
+     << ",\"d-designated\":" << plans_d_designated << "}},"
      << "\"executor\":{"
      << "\"submitted\":" << submitted << ",\"completed\":" << completed
      << ",\"failed\":" << failed << ",\"queue_high_water\":" << queue_high_water
@@ -200,6 +227,15 @@ std::string MetricsSnapshot::to_json() const {
      << "\"runtime\":{"
      << "\"kernel_variant\":\"" << kernel_variant << "\""
      << ",\"numa_nodes\":" << numa_nodes << "},"
+     << "\"host\":{"
+     << "\"line_bytes\":" << host.line_bytes << ",\"page_bytes\":" << host.page_bytes
+     << ",\"l2_bytes\":" << host.l2_bytes << ",\"l2_ways\":" << host.l2_ways
+     << ",\"llc_bytes\":" << host.llc_bytes << ",\"workers\":" << host.workers
+     << ",\"sched_ns\":" << util::format_double(host.sched_ns, 4)
+     << ",\"miss_ns_llc\":" << util::format_double(host.miss_ns_llc, 4)
+     << ",\"miss_ns_dram\":" << util::format_double(host.miss_ns_dram, 4)
+     << ",\"alias_ns\":" << util::format_double(host.alias_ns, 4)
+     << ",\"forkjoin_ns\":" << util::format_double(host.forkjoin_ns, 1) << "},"
      << "\"pool\":{"
      << "\"hits\":" << pool_hits << ",\"misses\":" << pool_misses
      << ",\"releases\":" << pool_releases << ",\"trims\":" << pool_trims
@@ -236,6 +272,9 @@ util::Table MetricsSnapshot::to_table() const {
   t.add_row({"plan builds", util::format_count(plan_builds)});
   t.add_row({"plan build total", format_ns(plan_build_ns_total)});
   t.add_row({"plan build max", format_ns(plan_build_ns_max)});
+  t.add_row({"plans sched / S-des / D-des", util::format_count(plans_scheduled) + " / " +
+                                                util::format_count(plans_s_designated) + " / " +
+                                                util::format_count(plans_d_designated)});
   t.add_separator();
   t.add_row({"requests submitted", util::format_count(submitted)});
   t.add_row({"requests completed", util::format_count(completed)});
@@ -298,6 +337,11 @@ std::string MetricsSnapshot::to_prometheus() const {
   counter("hmm_cache_evictions_total", "Plan-cache evictions.", evictions);
   counter("hmm_cache_bytes_evicted_total", "Bytes reclaimed by eviction.", bytes_evicted);
   counter("hmm_plan_builds_total", "Offline plan compiles.", plan_builds);
+  os << "# HELP hmm_plans_total Compiled plans by the strategy they resolved to.\n"
+     << "# TYPE hmm_plans_total counter\n"
+     << "hmm_plans_total{strategy=\"scheduled\"} " << plans_scheduled << "\n"
+     << "hmm_plans_total{strategy=\"s-designated\"} " << plans_s_designated << "\n"
+     << "hmm_plans_total{strategy=\"d-designated\"} " << plans_d_designated << "\n";
   counter("hmm_requests_submitted_total", "Requests admitted to the executor.", submitted);
   counter("hmm_requests_completed_total", "Requests executed successfully.", completed);
   counter("hmm_requests_failed_total", "Requests that executed and failed.", failed);
@@ -346,6 +390,25 @@ std::string MetricsSnapshot::to_prometheus() const {
   }
   gauge("hmm_numa_nodes", "NUMA nodes the runtime places memory and workers across.",
         numa_nodes);
+  // The host cost model behind kAuto: geometry, then the probed costs
+  // (zero until a plan first needed them).
+  gauge("hmm_host_l2_bytes", "One core's L2, the cache the gather's misses are counted in.",
+        host.l2_bytes);
+  gauge("hmm_host_llc_bytes", "One core's share of the last-level cache.", host.llc_bytes);
+  const auto ns_gauge = [&os](std::string_view name, std::string_view help, double value) {
+    os << "# HELP " << name << " " << help << "\n"
+       << "# TYPE " << name << " gauge\n"
+       << name << " " << util::format_double(value, 4) << "\n";
+  };
+  ns_gauge("hmm_host_sched_ns_per_element",
+           "Probed scheduled-kernel cost per 4-byte element, all five passes.", host.sched_ns);
+  os << "# HELP hmm_host_miss_ns Probed gather cost per L2-missed line.\n"
+     << "# TYPE hmm_host_miss_ns gauge\n"
+     << "hmm_host_miss_ns{level=\"llc\"} " << util::format_double(host.miss_ns_llc, 4) << "\n"
+     << "hmm_host_miss_ns{level=\"dram\"} " << util::format_double(host.miss_ns_dram, 4)
+     << "\n";
+  ns_gauge("hmm_host_alias_ns", "Probed extra cost per page-aliased L2 miss.", host.alias_ns);
+  ns_gauge("hmm_host_forkjoin_ns", "Probed pool fork-join cost.", host.forkjoin_ns);
   // Per-phase digests as summaries. Quantiles come from the log2
   // histogram (factor-of-two resolution); _sum/_count are exact.
   os << "# HELP hmm_phase_duration_seconds Wall time attributed to each serving phase.\n"

@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <string>
 
+#include "core/strategy.hpp"
+#include "model/host.hpp"
 #include "runtime/phase.hpp"
 #include "util/table.hpp"
 
@@ -74,6 +76,11 @@ struct MetricsSnapshot {
   std::uint64_t plan_builds = 0;
   std::uint64_t plan_build_ns_total = 0;
   std::uint64_t plan_build_ns_max = 0;
+  // Compiled plans by the strategy they resolved to: kAuto's host picks
+  // and forced strategies alike.
+  std::uint64_t plans_scheduled = 0;
+  std::uint64_t plans_s_designated = 0;
+  std::uint64_t plans_d_designated = 0;
   // Executor. `completed` and `failed` are disjoint: a request counts
   // in exactly one of them (completed = executed and succeeded), so
   // completed + failed = requests that ran to an outcome.
@@ -116,6 +123,9 @@ struct MetricsSnapshot {
   // the code path that actually ran.
   std::string kernel_variant;
   std::uint32_t numa_nodes = 1;
+  // The host cost model kAuto picks with (core::host_params): geometry
+  // always, costs once the probe has run (zero before).
+  model::HostParams host;
   // Process-wide scratch buffer pool (util::BufferPool::global()).
   // Executors configured with a private pool are not reflected here.
   std::uint64_t pool_hits = 0;
@@ -167,6 +177,8 @@ class ServiceMetrics {
   }
 
   void record_plan_build(std::uint64_t ns) noexcept;
+  /// One compiled plan that resolved to `strategy` (never kAuto).
+  void record_plan_strategy(core::Strategy strategy) noexcept;
 
   void record_submit(std::uint64_t queue_depth) noexcept;
 
@@ -248,6 +260,9 @@ class ServiceMetrics {
   std::atomic<std::uint64_t> plan_builds_{0};
   std::atomic<std::uint64_t> plan_build_ns_total_{0};
   std::atomic<std::uint64_t> plan_build_ns_max_{0};
+  std::atomic<std::uint64_t> plans_scheduled_{0};
+  std::atomic<std::uint64_t> plans_s_designated_{0};
+  std::atomic<std::uint64_t> plans_d_designated_{0};
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> queue_high_water_{0};
   std::atomic<std::uint64_t> completed_{0};

@@ -113,7 +113,10 @@ class PlanCache {
         std::rethrow_exception(std::current_exception());
       }
       const auto build_ns = static_cast<std::uint64_t>(clock.nanos());
-      if (metrics_) metrics_->record_plan_build(build_ns);
+      if (metrics_) {
+        metrics_->record_plan_build(build_ns);
+        metrics_->record_plan_strategy(entry->permuter->strategy());
+      }
       if (phases) phases->add(Phase::kPlanBuild, build_ns);
       commit(fp.value, my_generation, entry, entry->permuter->compiled_bytes());
       promise.set_value(entry);

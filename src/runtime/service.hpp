@@ -83,6 +83,12 @@ class RobustPermuteService {
  public:
   struct Config {
     model::MachineParams machine = model::MachineParams::gtx680();
+    /// Strategy for requests that leave `RequestOptions::strategy` at
+    /// kAuto. kAuto lets each plan's permuter pick by the host cost
+    /// model; kScheduled keeps every plan the paper's algorithm supports
+    /// on it (and so within reach of same-plan batching), leaving the
+    /// rest to kAuto.
+    core::Strategy strategy = core::Strategy::kAuto;
     PlanCache::Config cache;
     Executor::Config executor;
     /// Additional attempts after the first failed plan build (0 = fail
@@ -372,6 +378,18 @@ class RobustPermuteService {
     return deadline != Executor::kNoDeadline && std::chrono::steady_clock::now() >= deadline;
   }
 
+  /// The request's strategy, or the service default when it says kAuto
+  /// (a scheduled default only where the plan supports it).
+  [[nodiscard]] core::Strategy strategy_for(const perm::Permutation& p,
+                                            const RequestOptions& opts) const noexcept {
+    if (opts.strategy != core::Strategy::kAuto) return opts.strategy;
+    if (config_.strategy == core::Strategy::kScheduled &&
+        !core::OfflinePermuter<float>::plan_supported(p.size(), config_.machine)) {
+      return core::Strategy::kAuto;
+    }
+    return config_.strategy;
+  }
+
   /// Deadline-pressure heuristic: with an uncached plan and a deadline
   /// tighter than the worst build observed so far, skip the offline
   /// phase entirely. Conservative on a cold service (no builds observed
@@ -379,7 +397,9 @@ class RobustPermuteService {
   template <class T>
   bool should_skip_build_for_deadline(const perm::Permutation& p, const RequestOptions& opts) {
     if (!config_.allow_degraded || opts.deadline == Executor::kNoDeadline) return false;
-    if (cache_.contains(PlanCache::plan_key<T>(p, config_.machine, opts.strategy))) return false;
+    if (cache_.contains(PlanCache::plan_key<T>(p, config_.machine, strategy_for(p, opts)))) {
+      return false;
+    }
     const std::uint64_t worst_build_ns = metrics_.plan_build_ns_max();
     if (worst_build_ns == 0) return false;
     const auto remaining = opts.deadline - std::chrono::steady_clock::now();
@@ -391,7 +411,7 @@ class RobustPermuteService {
       const perm::Permutation& p, const RequestOptions& opts, PhaseBreakdown* phases) {
     for (int attempt = 0;; ++attempt) {
       StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> result =
-          cache_.try_acquire<T>(p, config_.machine, opts.strategy, phases);
+          cache_.try_acquire<T>(p, config_.machine, strategy_for(p, opts), phases);
       if (result.ok() || attempt >= config_.max_build_retries ||
           !is_transient(result.status().code())) {
         return result;

@@ -75,6 +75,28 @@ TEST(Diagnose, PrintContainsKeyNumbers) {
   EXPECT_NE(out.find("[involution]"), std::string::npos);
 }
 
+TEST(Diagnose, ReportsTheHostPickBesideTheGpuRecommendation) {
+  const MachineParams mp = MachineParams::gtx680();
+  // An L2-resident source: the host gathers, the GPU model schedules.
+  const Diagnosis small = diagnose(perm::bit_reversal(1 << 16), mp);
+  EXPECT_EQ(small.recommendation, "scheduled");
+  EXPECT_EQ(small.host_recommendation, "s-designated");
+  std::ostringstream os;
+  print_diagnosis(os, small);
+  EXPECT_NE(os.str().find("host pick (kAuto, f32): s-designated"), std::string::npos);
+
+  // Past L2, the pick comes with simulated misses and predicted times.
+  const std::uint64_t n = 1 << 20;
+  if (model::host_geometry(1).fits_l2(n * sizeof(float))) GTEST_SKIP() << "L2 holds 4 MiB";
+  const Diagnosis big = diagnose(perm::by_name("transpose", n, 1), mp);
+  EXPECT_GT(big.host_misses.lines, 0u);
+  EXPECT_GT(big.host_conventional_ms, 0.0);
+  EXPECT_GT(big.host_scheduled_ms, 0.0);
+  os.str("");
+  print_diagnosis(os, big);
+  EXPECT_NE(os.str().find("predicted host ms"), std::string::npos);
+}
+
 TEST(Diagnose, DistributionRatiosBounded) {
   const MachineParams mp = MachineParams::gtx680();
   for (const auto& name : perm::family_names()) {

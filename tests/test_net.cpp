@@ -11,8 +11,11 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <limits>
 #include <memory>
 #include <string>
@@ -35,6 +38,24 @@
 #include "runtime/status.hpp"
 #include "util/buffer_pool.hpp"
 #include "util/thread_pool.hpp"
+
+// Heap allocations of at least this many bytes, counted process-wide
+// by the replacement operator new below (the allocation-free client
+// test reads it; every other test ignores it).
+std::atomic<std::size_t> g_large_alloc_threshold{~std::size_t{0}};
+std::atomic<std::uint64_t> g_large_allocs{0};
+
+void* operator new(std::size_t size) {
+  if (size >= g_large_alloc_threshold.load(std::memory_order_relaxed)) {
+    g_large_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs an inlined free() with a
+// new-expression (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace hmm {
 namespace {
@@ -427,6 +448,14 @@ TEST(NetLoopback, CountersSplitOkFromErrorResponses) {
   ASSERT_FALSE(s.is_ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 
+  // The reactor counts a response once the kernel has taken its last
+  // byte, which can land after the client has already read it: wait for
+  // the third count before comparing.
+  const auto settle_by = std::chrono::steady_clock::now() + 2s;
+  while (loop.server.counters().requests_served() < 3 &&
+         std::chrono::steady_clock::now() < settle_by) {
+    std::this_thread::sleep_for(1ms);
+  }
   const net::Server::Counters counters = loop.server.counters();
   EXPECT_EQ(counters.requests_ok, 2u);
   EXPECT_EQ(counters.requests_error, 1u);
@@ -1094,6 +1123,8 @@ TEST(NetLoopback, BatchedServerMatchesLocalApplyAndExecutesBatches) {
   runtime::RobustPermuteService::Config config;
   config.executor.batch.max_batch = 4;
   config.executor.batch.max_delay = std::chrono::milliseconds(500);
+  // Only scheduled executions batch; kAuto would gather an 8K plan.
+  config.strategy = core::Strategy::kScheduled;
   Loopback loop(config);
   const perm::Permutation p = perm::bit_reversal(n);
 
@@ -1424,6 +1455,39 @@ TEST(NetReactor, EarlyArrivalShardHoldsAreBoundedAndReleased) {
   }
   // Server gone: every pooled byte the hostile blocks pinned is back.
   EXPECT_EQ(util::BufferPool::global().stats().outstanding_bytes, baseline);
+}
+
+// The client's borrowed-storage contract: the request leaves from the
+// caller's span and the response lands in grow-only pooled storage, so
+// once warm a 1 MiB round trip takes nothing new from the pool and no
+// payload-sized block from the heap, on either side of the socket.
+TEST(Client, PermuteRoundTripReusesStorage) {
+  const std::uint64_t n = 256 << 10;
+  Loopback loop;
+  net::Client client(loop.client_config());
+  const perm::Permutation p = perm::by_name("random", n, 5);
+  auto plan = client.submit_plan(p);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+
+  std::vector<std::uint32_t> a(n), b(n);
+  for (std::uint64_t i = 0; i < n; ++i) a[i] = static_cast<std::uint32_t>(i * 7 + 1);
+  for (int r = 0; r < 4; ++r) {  // warmup: plan compile, pool classes, client storage
+    ASSERT_TRUE(client.permute(plan.value(), {a.data(), n}, {b.data(), n}).is_ok());
+  }
+  const std::uint64_t misses_before = util::BufferPool::global().stats().misses;
+  const std::uint64_t allocs_before = g_large_allocs.load();
+  g_large_alloc_threshold.store(n * sizeof(std::uint32_t) / 2);
+  for (int r = 0; r < 100; ++r) {
+    const Status s = client.permute(plan.value(), {a.data(), n}, {b.data(), n});
+    if (!s.is_ok()) {
+      g_large_alloc_threshold.store(~std::size_t{0});
+      FAIL() << s.to_string();
+    }
+  }
+  g_large_alloc_threshold.store(~std::size_t{0});
+  EXPECT_EQ(util::BufferPool::global().stats().misses, misses_before);
+  EXPECT_EQ(g_large_allocs.load(), allocs_before) << "payload-sized heap allocations";
+  for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(b[p(i)], a[i]) << i;
 }
 
 // Regression (PR 9): a server that dies (or hits its drain deadline)

@@ -496,6 +496,32 @@ TEST(RobustService, TransientBuildFailureIsRetriedThenServedOptimally) {
   EXPECT_EQ(snap.degraded_executions, 0u);  // never fell off the optimal tier
 }
 
+TEST(RobustService, ScheduledDefaultAppliesWherePlansSupportIt) {
+  runtime::RobustPermuteService::Config config;
+  config.strategy = core::Strategy::kScheduled;
+  ServiceFixture fx(config);
+  const model::MachineParams mp = config.machine;
+  // 4096 elements: the default forces the scheduled plan (kAuto would
+  // gather an L2-resident source). 1000 elements: no scheduled plan
+  // exists, so the default falls back to kAuto instead of aborting.
+  for (const std::uint64_t n : {std::uint64_t{4096}, std::uint64_t{1000}}) {
+    const perm::Permutation p = perm::by_name("random", n, 3);
+    const auto a = test::iota_data<float>(n);
+    util::aligned_vector<float> b(n);
+    auto submitted = fx.service.submit<float>(p, std::span<const float>(a.data(), n),
+                                              std::span<float>(b.data(), n));
+    ASSERT_TRUE(submitted.ok()) << submitted.status().to_string();
+    ASSERT_TRUE(std::move(submitted).value().get().is_ok());
+    for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(b[p(i)], a[i]) << n << " at " << i;
+  }
+  EXPECT_TRUE(fx.service.cache().contains(
+      runtime::PlanCache::plan_key<float>(perm::by_name("random", 4096, 3), mp,
+                                          core::Strategy::kScheduled)));
+  const runtime::MetricsSnapshot snap = fx.service.metrics().snapshot();
+  EXPECT_EQ(snap.plans_scheduled, 1u);
+  EXPECT_EQ(snap.plans_s_designated, 1u);
+}
+
 TEST(RobustService, ExhaustedRetriesDegradeToConventionalAndStayCorrect) {
   runtime::RobustPermuteService::Config config;
   config.max_build_retries = 1;

@@ -616,6 +616,36 @@ TEST(Metrics, CounterConsistencyUnderMixedWorkload) {
   EXPECT_GE(snap.plan_build_ns_total, snap.plan_build_ns_max);
 }
 
+TEST(Metrics, CompiledPlansCountedByResolvedStrategy) {
+  runtime::ServiceMetrics metrics;
+  runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
+  const MachineParams mp = MachineParams::gtx680();
+  const std::uint64_t n = 1 << 12;
+  // kAuto on an L2-resident source resolves to S-designated; the forced
+  // ones count under the strategy they force; a hit compiles nothing.
+  (void)cache.acquire<float>(perm::bit_reversal(n), mp);
+  (void)cache.acquire<float>(perm::bit_reversal(n), mp);
+  (void)cache.acquire<float>(perm::bit_reversal(n), mp, core::Strategy::kScheduled);
+  (void)cache.acquire<float>(perm::shuffle(n), mp, core::Strategy::kDDesignated);
+
+  const auto snap = metrics.snapshot();
+  EXPECT_EQ(snap.plans_scheduled, 1u);
+  EXPECT_EQ(snap.plans_s_designated, 1u);
+  EXPECT_EQ(snap.plans_d_designated, 1u);
+  EXPECT_EQ(snap.plan_builds, 3u);
+  EXPECT_GT(snap.host.l2_bytes, 0u);
+
+  const std::string json = snap.to_json();
+  EXPECT_NE(json.find("\"plans_by_strategy\":{\"scheduled\":1,\"s-designated\":1,"
+                      "\"d-designated\":1}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"host\":{\"line_bytes\":"), std::string::npos);
+  const std::string prom = snap.to_prometheus();
+  EXPECT_NE(prom.find("hmm_plans_total{strategy=\"scheduled\"} 1\n"), std::string::npos);
+  EXPECT_NE(prom.find("hmm_plans_total{strategy=\"s-designated\"} 1\n"), std::string::npos);
+  EXPECT_NE(prom.find("hmm_host_miss_ns{level=\"llc\"}"), std::string::npos);
+}
+
 TEST(Metrics, JsonAndTableRender) {
   runtime::ServiceMetrics metrics;
   metrics.record_lookup(true);

@@ -285,6 +285,39 @@ TEST_P(SimdVariantTest, GatherScatterBitIdenticalDouble) {
   run_conventional_differential<double>(GetParam());
 }
 
+/// Gather and scatter against the naive oracle on both sides of the
+/// inline cutoff: kInlineElements - 1 runs on the caller, + 0 and + 1
+/// fan out over the pool.
+template <class T>
+void run_cutoff_oracle() {
+  util::ThreadPool pool(3);
+  for (const std::uint64_t n : {kInlineElements - 1, kInlineElements, kInlineElements + 1}) {
+    const perm::Permutation p = perm::by_name("random", n, n);
+    const auto a = random_bits<T>(n, n + 1);
+    util::aligned_vector<T> want_s(n), got_s(n), want_g(n), got_g(n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      want_s[p(i)] = a[i];
+      want_g[i] = a[p(i)];
+    }
+    scatter<T>(pool, a, got_s, p.data());
+    gather<T>(pool, a, got_g, p.data());
+    expect_bit_identical(got_s, want_s, "scatter at the cutoff");
+    expect_bit_identical(got_g, want_g, "gather at the cutoff");
+  }
+}
+
+TEST_P(SimdVariantTest, GatherScatterMatchOracleAtInlineCutoff) {
+  run_cutoff_oracle<std::uint32_t>();
+  run_cutoff_oracle<std::uint64_t>();
+}
+
+TEST(KernelDispatch, ScalarGatherScatterMatchOracleAtInlineCutoff) {
+  with_variant(KernelVariant::kScalar, [] {
+    run_cutoff_oracle<float>();
+    run_cutoff_oracle<double>();
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(SimdKernels, SimdVariantTest,
                          ::testing::Values(KernelVariant::kAvx2, KernelVariant::kAvx512),
                          [](const ::testing::TestParamInfo<KernelVariant>& info) {

@@ -23,6 +23,7 @@
 ///               [--metrics-json <path>] [--json]
 ///               [--prom-file <path>] [--slow-ms 0]
 ///               [--batch-max 1] [--batch-delay-us 200]
+///               [--strategy auto|scheduled|s-designated|d-designated]
 ///               [--fault-rate 0.0] [--fault-seed 1]
 ///               [--fault-sites plan_cache.build] [--fault-stall-ms 50]
 ///
@@ -35,6 +36,10 @@
 /// `--batch-max N` (N > 1) turns on same-plan request batching in the
 /// executor: up to N queued PERMUTEs that share a compiled plan run as
 /// one fused kernel sweep, gathered for at most `--batch-delay-us`.
+///
+/// `--strategy` is the strategy every plan compiles to (default
+/// `auto`: the host cost model picks per plan). Batching fuses only
+/// scheduled executions, so a batching smoke forces `scheduled`.
 ///
 /// `--prom-file` rewrites the Prometheus text exposition roughly once
 /// per second while serving (textfile-collector style) and once more
@@ -51,6 +56,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -82,7 +88,7 @@ int main(int argc, char** argv) {
                          "io-timeout-ms",
                          "idle-timeout-ms", "shard-exchange-timeout-ms", "duration-s",
                          "metrics-json", "json", "prom-file", "slow-ms", "batch-max",
-                         "batch-delay-us", "fault-rate", "fault-seed", "fault-sites",
+                         "batch-delay-us", "strategy", "fault-rate", "fault-seed", "fault-sites",
                          "fault-stall-ms"},
                         std::cerr)) {
     return 2;
@@ -109,6 +115,13 @@ int main(int argc, char** argv) {
   const std::int64_t slow_ms = cli.get_int("slow-ms", 0);
   const std::int64_t batch_max = cli.get_int("batch-max", 1);
   const std::int64_t batch_delay_us = cli.get_int("batch-delay-us", 200);
+  const std::optional<core::Strategy> strategy =
+      core::strategy_from_string(cli.get("strategy", "auto"));
+  if (!strategy) {
+    std::cerr << "permd_serve: --strategy must be auto, scheduled, s-designated or "
+                 "d-designated\n";
+    return 2;
+  }
   const double fault_rate = cli.get_double("fault-rate", 0.0);
   const std::uint64_t fault_seed = static_cast<std::uint64_t>(cli.get_int("fault-seed", 1));
   const std::string fault_sites =
@@ -135,6 +148,7 @@ int main(int argc, char** argv) {
   auto& pool = util::ThreadPool::global();
   runtime::RobustPermuteService::Config service_config;
   service_config.cache.max_bytes = cache_bytes;
+  service_config.strategy = *strategy;
   service_config.executor.max_in_flight = max_in_flight;
   service_config.executor.admission =
       reject ? runtime::Executor::Admission::kReject : runtime::Executor::Admission::kBlock;
