@@ -2,7 +2,9 @@
 /// \brief google-benchmark microbenchmarks of the host kernels that the
 ///        three algorithms are built from: coalesced-style streaming
 ///        copy, random scatter/gather (the conventional algorithms'
-///        casual round), row-wise pass, and the two transposes.
+///        casual round), an empty fork-join, the scheduled plan's three
+///        gather sweeps (bytes moved and the fraction of the measured
+///        copy bandwidth per row), and the transposes.
 ///
 /// The per-element throughput gap between `StreamCopy` and
 /// `RandomScatter` is the host-side analogue of the coalesced/casual
@@ -10,8 +12,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <cstring>
+#include <map>
+
 #include "cpu/kernels.hpp"
 #include "core/plan.hpp"
+#include "core/scheduled.hpp"
 #include "perm/generators.hpp"
 #include "util/aligned_vector.hpp"
 #include "util/thread_pool.hpp"
@@ -93,20 +100,91 @@ void BM_GatherInline(benchmark::State& state) { gather_rows(state, false); }
 BENCHMARK(BM_GatherForkJoin)->RangeMultiplier(2)->Range(1 << 13, 1 << 20)->UseRealTime();
 BENCHMARK(BM_GatherInline)->RangeMultiplier(2)->Range(1 << 13, 1 << 20)->UseRealTime();
 
-void BM_RowWisePass(benchmark::State& state) {
-  const std::uint64_t n = state.range(0);
-  const model::MachineParams mp = model::MachineParams::gtx680();
-  const perm::Permutation p = perm::by_name("random", n, 9);
-  const core::ScheduledPlan plan = core::ScheduledPlan::build(p, mp);
-  util::aligned_vector<float> a(n, 1.f), b(n);
+// One empty fork-join: what every sweep and pooled gather pays on top
+// of its work (the caller runs chunks too; see thread_pool.hpp).
+void BM_ForkJoinEmpty(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
-    cpu::row_wise_pass<float>(pool(), a, b, plan.shape().rows, plan.shape().cols,
-                              plan.pass1().phat, plan.pass1().q);
-    benchmark::DoNotOptimize(b.data());
+    pool().parallel_for_chunks(0, n, [](std::uint64_t, std::uint64_t) {});
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * n * sizeof(float) * 2));
 }
-BENCHMARK(BM_RowWisePass)->Range(1 << 14, 1 << 22);
+BENCHMARK(BM_ForkJoinEmpty)->Arg(1 << 20)->UseRealTime();
+
+/// Host copy bandwidth (GB/s, read + write) over n floats on the pool:
+/// the roof the sweep rows are reported against. Measured once per n.
+double memcpy_gbps(std::uint64_t n) {
+  static std::map<std::uint64_t, double> measured;
+  auto [it, fresh] = measured.try_emplace(n, 0.0);
+  if (!fresh) return it->second;
+  util::aligned_vector<float> a(n, 1.f), b(n);
+  double best = 1e30;
+  for (int rep = 0; rep < 7; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    pool().parallel_for_chunks(0, n, [&](std::uint64_t lo, std::uint64_t hi) {
+      std::memcpy(b.data() + lo, a.data() + lo, (hi - lo) * sizeof(float));
+    });
+    best = std::min(best, std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                              .count());
+  }
+  it->second = 2.0 * static_cast<double>(n * sizeof(float)) / best / 1e9;
+  return it->second;
+}
+
+/// Report `bytes` moved per iteration, as GB/s and as a fraction of the
+/// measured copy bandwidth at the same n.
+void report_bytes(benchmark::State& state, std::uint64_t n, double bytes) {
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(static_cast<double>(state.iterations()) * bytes));
+  state.counters["bytes_per_elem"] = bytes / static_cast<double>(n);
+  state.counters["of_memcpy"] = benchmark::Counter(
+      bytes / 1e9 / memcpy_gbps(n), benchmark::Counter::kIsIterationInvariantRate);
+}
+
+// The scheduled plan's three sweeps on float, one row each and the
+// driver: every sweep reads and writes the data once and reads one u16
+// table entry per element, 10 B/element; a whole request moves 30n B.
+enum class Sweep { kBand1, kBand2, kRow3, kAll };
+
+void sweep_rows(benchmark::State& state, Sweep which) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  const model::MachineParams mp = model::MachineParams::gtx680();
+  const core::ScheduledPlan plan =
+      core::ScheduledPlan::build(perm::by_name("random", n, 9), mp);
+  const std::uint64_t r = plan.shape().rows;
+  const std::uint64_t m = plan.shape().cols;
+  util::aligned_vector<float> a(n, 1.f), b(n), scratch(n);
+  const float* src = a.data();
+  float* dst = b.data();
+  const std::span<const float* const> in(&src, 1);
+  const std::span<float* const> out(&dst, 1);
+  for (auto _ : state) {
+    switch (which) {
+      case Sweep::kBand1:
+        cpu::band_sweep<float>(pool(), in, out, r, m, plan.gather1());
+        break;
+      case Sweep::kBand2:
+        cpu::band_sweep<float>(pool(), in, out, m, r, plan.gather2());
+        break;
+      case Sweep::kRow3:
+        cpu::row_sweep<float>(pool(), in, out, r, m, plan.gather3());
+        break;
+      case Sweep::kAll:
+        core::scheduled_cpu<float>(pool(), plan, a, b, scratch);
+        break;
+    }
+    benchmark::DoNotOptimize(b.data());
+    benchmark::ClobberMemory();
+  }
+  report_bytes(state, n, (which == Sweep::kAll ? 30.0 : 10.0) * static_cast<double>(n));
+}
+void BM_BandSweep1(benchmark::State& state) { sweep_rows(state, Sweep::kBand1); }
+void BM_BandSweep2(benchmark::State& state) { sweep_rows(state, Sweep::kBand2); }
+void BM_RowSweep3(benchmark::State& state) { sweep_rows(state, Sweep::kRow3); }
+void BM_ScheduledThreeSweeps(benchmark::State& state) { sweep_rows(state, Sweep::kAll); }
+BENCHMARK(BM_BandSweep1)->RangeMultiplier(4)->Range(1 << 14, 1 << 22)->UseRealTime();
+BENCHMARK(BM_BandSweep2)->RangeMultiplier(4)->Range(1 << 14, 1 << 22)->UseRealTime();
+BENCHMARK(BM_RowSweep3)->RangeMultiplier(4)->Range(1 << 14, 1 << 22)->UseRealTime();
+BENCHMARK(BM_ScheduledThreeSweeps)->RangeMultiplier(4)->Range(1 << 14, 1 << 22)->UseRealTime();
 
 void BM_TransposeBlocked(benchmark::State& state) {
   const std::uint64_t n = state.range(0);

@@ -181,10 +181,10 @@ void run_once(const perm::Permutation& p, std::uint64_t n, std::uint64_t connect
   server.stop();
 }
 
-/// Sweep-level run: the fused five-pass kernel sequence against L
+/// Sweep-level run: the multi-lane three-sweep driver against L
 /// sequential single-lane sweeps — the batching lemma's amortization
-/// (schedule arrays read once per quad of lanes instead of once per
-/// request) with no serving machinery at all. Both modes run over the
+/// (each gather-table entry decoded once for all lanes instead of once
+/// per request) with no serving machinery at all. Both modes run over the
 /// SAME compiled plan and the same lane buffers, in alternating timed
 /// windows, so allocation/alignment luck and machine noise hit both
 /// sides equally; each side keeps its best window.
@@ -201,7 +201,7 @@ void run_sweep(const perm::Permutation& p, std::uint64_t n, std::uint64_t lanes,
   for (std::uint64_t l = 0; l < lanes; ++l) {
     for (std::uint64_t i = 0; i < n; ++i) as[l][i] = static_cast<std::uint32_t>(i + l);
   }
-  std::vector<core::BatchLane<std::uint32_t>> lane_views(lanes);
+  std::vector<core::Lane<std::uint32_t>> lane_views(lanes);
   for (std::uint64_t l = 0; l < lanes; ++l) {
     lane_views[l].a = {as[l].data(), n};
     lane_views[l].b = {bs[l].data(), n};
@@ -209,14 +209,14 @@ void run_sweep(const perm::Permutation& p, std::uint64_t n, std::uint64_t lanes,
   }
   const auto sweep_sequential = [&] {
     for (std::uint64_t l = 0; l < lanes; ++l) {
-      core::scheduled_cpu_lean<std::uint32_t>(pool, *h->plan(), {as[l].data(), n},
-                                              {bs[l].data(), n}, {ss[l].data(), n});
+      core::scheduled_cpu<std::uint32_t>(pool, *h->plan(), {as[l].data(), n},
+                                         {bs[l].data(), n}, {ss[l].data(), n});
     }
   };
   const auto sweep_fused = [&] {
     for (auto& lane : lane_views) lane.active = true;
-    core::scheduled_cpu_lean_batched<std::uint32_t>(
-        pool, *h->plan(), {lane_views.data(), lane_views.size()}, nullptr);
+    (void)core::scheduled_cpu<std::uint32_t>(pool, *h->plan(),
+                                             {lane_views.data(), lane_views.size()});
   };
   // One warm pass of each keeps first-touch page faults out of the
   // windows; the best of several short alternating windows filters
@@ -570,7 +570,7 @@ int main(int argc, char** argv) {
   std::cout << "    program fusion speedup: "
             << util::format_double(program_fused_rps / program_seq_rps, 2) << "x at depth "
             << program_depth
-            << "\n'sweep' rows compare the fused five-pass kernel sequence against\n"
+            << "\n'sweep' rows compare the multi-lane three-sweep driver against\n"
                "the same lanes swept sequentially — the schedule-read amortization\n"
                "batching buys. The 'wire' rows carry the full per-request framing,\n"
                "checksum, and syscall cost, which batching cannot remove (and which\n"

@@ -53,11 +53,10 @@ void fft_butterflies(std::vector<cplx>& x) {
 /// Full FFT: scheduled-plan reorder + butterflies. The plan and the
 /// scratch buffers are caller-owned so repeated FFTs reuse them.
 void fft(const core::ScheduledPlan& plan, util::ThreadPool& pool, std::vector<cplx>& x,
-         util::aligned_vector<cplx>& tmp, util::aligned_vector<cplx>& s1,
-         util::aligned_vector<cplx>& s2) {
+         util::aligned_vector<cplx>& tmp, util::aligned_vector<cplx>& scratch) {
   // The bit-reversal permutation is an involution, so "send i to
   // rev(i)" equals "fetch from rev(i)"; either direction works.
-  core::scheduled_cpu<cplx>(pool, plan, {x.data(), x.size()}, tmp, s1, s2);
+  core::scheduled_cpu<cplx>(pool, plan, {x.data(), x.size()}, tmp, scratch);
   std::copy(tmp.begin(), tmp.end(), x.begin());
   fft_butterflies(x);
 }
@@ -97,8 +96,8 @@ int main(int argc, char** argv) {
     util::Xoshiro256 rng(2);
     for (auto& v : x) v = cplx(rng.uniform01() - 0.5, rng.uniform01() - 0.5);
     const std::vector<cplx> expected = dft(x);
-    util::aligned_vector<cplx> tmp(verify_n), s1(verify_n), s2(verify_n);
-    fft(plan, pool, x, tmp, s1, s2);
+    util::aligned_vector<cplx> tmp(verify_n), scratch(verify_n);
+    fft(plan, pool, x, tmp, scratch);
     double max_err = 0;
     for (std::uint64_t i = 0; i < verify_n; ++i) {
       max_err = std::max(max_err, std::abs(x[i] - expected[i]));
@@ -114,11 +113,11 @@ int main(int argc, char** argv) {
   std::cout << "reorder plan for n=" << n << " built in " << util::format_ms(sw.millis())
             << " ms (amortized over every FFT of this size)\n";
 
-  util::aligned_vector<cplx> a(n), b(n), s1(n), s2(n);
+  util::aligned_vector<cplx> a(n), b(n), scratch(n);
   for (std::uint64_t i = 0; i < n; ++i) a[i] = cplx(static_cast<double>(i), 0);
 
   sw.reset();
-  core::scheduled_cpu<cplx>(pool, plan, a, b, s1, s2);
+  core::scheduled_cpu<cplx>(pool, plan, a, b, scratch);
   const double t_sched = sw.millis();
   util::aligned_vector<cplx> b2(n);
   sw.reset();

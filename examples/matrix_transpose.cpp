@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   const std::uint64_t n = rows * cols;
 
   util::ThreadPool pool;
-  util::aligned_vector<float> a(n), t_kernel(n), t_plan(n), t_scatter(n), s1(n), s2(n);
+  util::aligned_vector<float> a(n), t_kernel(n), t_plan(n), t_scatter(n), s1(n);
   for (std::uint64_t i = 0; i < n; ++i) a[i] = static_cast<float>(i % 977);
 
   // 1. Dedicated blocked transpose kernel.
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   const model::MachineParams machine = model::MachineParams::gtx680();
   const core::ScheduledPlan plan = core::ScheduledPlan::build(p, machine);
   sw.reset();
-  core::scheduled_cpu<float>(pool, plan, a, t_plan, s1, s2);
+  core::scheduled_cpu<float>(pool, plan, a, t_plan, s1);
   const double ms_plan = sw.millis();
 
   // 3. Conventional scatter.

@@ -54,10 +54,10 @@ int main(int argc, char** argv) {
             << " ms (vs recompiling)\n";
 
   util::ThreadPool pool;
-  util::aligned_vector<float> a(n), b(n), s1(n), s2(n);
+  util::aligned_vector<float> a(n), b(n), s1(n);
   for (std::uint64_t i = 0; i < n; ++i) a[i] = static_cast<float>(i);
   sw.reset();
-  core::scheduled_cpu<float>(pool, *plan, a, b, s1, s2);
+  core::scheduled_cpu<float>(pool, *plan, a, b, s1);
   const double exec_ms = sw.millis();
 
   bool correct = true;

@@ -38,12 +38,12 @@ int main(int argc, char** argv) {
 
   // 3. Online: permute a data array. The plan is data-independent —
   //    reuse it for as many arrays as you like.
-  util::aligned_vector<float> a(n), b(n), s1(n), s2(n);
+  util::aligned_vector<float> a(n), b(n), s1(n);
   for (std::uint64_t i = 0; i < n; ++i) a[i] = static_cast<float>(i);
 
   util::ThreadPool pool;
   sw.reset();
-  core::scheduled_cpu<float>(pool, plan, a, b, s1, s2);
+  core::scheduled_cpu<float>(pool, plan, a, b, s1);
   const double t_sched = sw.millis();
 
   // 4. The conventional baseline (b[p[i]] = a[i]) for comparison.

@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   util::aligned_vector<Record> out_sched(n), scratch(n);
   sw.reset();
   for (std::uint64_t c = 0; c < columns; ++c) {
-    core::scheduled_cpu_lean<Record>(pool, plan, payload, out_sched, scratch);
+    core::scheduled_cpu<Record>(pool, plan, payload, out_sched, scratch);
   }
   const double ms_sched = sw.millis() / static_cast<double>(columns);
 

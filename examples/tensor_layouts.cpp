@@ -51,7 +51,7 @@ CaseResult run_case(const std::string& name, const perm::Permutation& p,
   if (diag.plan_supported) {
     const core::ScheduledPlan plan = core::ScheduledPlan::build(p, mp);
     sw.reset();
-    core::scheduled_cpu_lean<float>(pool, plan, a, b, scratch);
+    core::scheduled_cpu<float>(pool, plan, a, b, scratch);
     sched_ms = sw.millis();
   }
   return CaseResult{name, conv_ms, sched_ms, diag.dist_forward_ratio, diag.recommendation};

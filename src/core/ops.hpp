@@ -16,7 +16,6 @@
 #include <span>
 
 #include "core/row_schedule.hpp"
-#include "cpu/kernels.hpp"
 #include "sim/hmm_sim.hpp"
 #include "util/thread_pool.hpp"
 
@@ -95,17 +94,23 @@ RowScheduleSet build_column_schedules(std::span<const std::uint16_t> h, std::uin
                                       graph::ColoringAlgorithm algo =
                                           graph::ColoringAlgorithm::kAuto);
 
-/// Host column-wise permutation through the same three passes
-/// (transpose, row-wise on the transposed matrix, transpose back).
+/// Host column-wise permutation: applies the transposed view's row
+/// schedules down the columns, out[q(k)][c] = in[p̂(k)][c] for row c of
+/// `set`. The simulator's three-pass detour (transpose, row-wise,
+/// transpose) exists for coalescing, which a host column walk does not
+/// need.
 template <class T>
 void column_wise_cpu(util::ThreadPool& pool, std::span<const T> in, std::span<T> out,
-                     std::uint64_t rows, std::uint64_t cols, const RowScheduleSet& set,
-                     std::span<T> scratch, std::uint64_t tile = 32) {
+                     std::uint64_t rows, std::uint64_t cols, const RowScheduleSet& set) {
   HMM_CHECK(set.rows == cols && set.cols == rows);
-  HMM_CHECK(in.size() == rows * cols && out.size() == in.size() && scratch.size() == in.size());
-  cpu::transpose_blocked<T>(pool, in, out, rows, cols, tile);
-  cpu::row_wise_pass<T>(pool, out, scratch, cols, rows, set.phat, set.q);
-  cpu::transpose_blocked<T>(pool, scratch, out, cols, rows, tile);
+  HMM_CHECK(in.size() == rows * cols && out.size() == in.size());
+  pool.parallel_for_chunks(0, cols, [&](std::uint64_t c0, std::uint64_t c1) {
+    for (std::uint64_t c = c0; c < c1; ++c) {
+      const auto phat = set.phat_row(c);
+      const auto q = set.q_row(c);
+      for (std::uint64_t k = 0; k < rows; ++k) out[q[k] * cols + c] = in[phat[k] * cols + c];
+    }
+  });
 }
 
 }  // namespace hmm::core

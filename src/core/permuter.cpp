@@ -46,7 +46,7 @@ HostPick host_pick(const perm::Permutation& pinv, std::size_t elem_bytes,
   pick.scheduled_ms = model::scheduled_ns(n, elem_bytes, host) * 1e-6;
   if (host.fits_l2(source_bytes)) {
     // Each source line is missed about once: the gather streams, and
-    // the scheduled kernel's five passes cannot pay off.
+    // the scheduled kernel's three sweeps cannot pay off.
     const model::GatherMisses cold{.lines = source_bytes / host.line_bytes};
     pick.conventional_ms = model::conventional_ns(cold, source_bytes, host) * 1e-6;
     return pick;
@@ -136,34 +136,32 @@ model::HostParams probe_host(const model::HostParams& geometry) {
 
   // The scheduled kernel streams three arrays, so its rate is probed on
   // the smallest square matrix whose arrays outgrow the LLC share, as
-  // they do at the sizes where the pick matters. Row schedules that
-  // need no plan: in row r, p̂(k) = (k·a) xor r and q(k) = k·b + r (mod
-  // the row length, a and b odd) are permutations, which is all a row
-  // pass requires on the host. (Identity schedules would undercount:
-  // sequential scatters coalesce.)
+  // they do at the sizes where the pick matters: the three sweeps on
+  // gather tables that need no plan. In row r, h(r, c) = (c·a) xor r
+  // (mod the row length, a odd) is a permutation, which is all a sweep
+  // requires. (Identity tables would undercount: sequential gathers
+  // coalesce.) The square's two band sweeps share one band-interleaved
+  // table.
   std::uint64_t side = 1024;
   while (3 * sizeof(std::uint32_t) * side * side < host.llc_bytes) side *= 2;
   const std::uint64_t n = side * side;
-  util::aligned_vector<std::uint16_t> phat(n), q(n);
+  util::aligned_vector<std::uint16_t> banded(n), rows(n);
   pool.parallel_for_chunks(0, side, [&](std::uint64_t r0, std::uint64_t r1) {
     for (std::uint64_t r = r0; r < r1; ++r) {
-      for (std::uint64_t k = 0; k < side; ++k) {
-        phat[r * side + k] = static_cast<std::uint16_t>(((k * 0x2d5) ^ r) & (side - 1));
-        q[r * side + k] = static_cast<std::uint16_t>((k * 0x3a9 + r) & (side - 1));
+      for (std::uint64_t c = 0; c < side; ++c) {
+        const auto h = static_cast<std::uint16_t>(((c * 0x2d5) ^ r) & (side - 1));
+        banded[cpu::band_offset(side, side, r, c)] = h;
+        rows[r * side + c] = h;
       }
     }
   });
   util::aligned_vector<std::uint32_t> a(n, 1), b(n), scratch(n);
-  const std::span<const std::uint16_t> ph(phat.data(), n), qq(q.data(), n);
-  const std::span<std::uint32_t> bs(b.data(), n), ss(scratch.data(), n);
+  Lane<std::uint32_t> lane{a, b, scratch};
+  const SweepTables tables{side, side, banded, banded, rows};
   const double sched_total = median_ns(5, [&] {
-    cpu::row_wise_pass<std::uint32_t>(pool, a, bs, side, side, ph, qq);
-    cpu::transpose_blocked<std::uint32_t>(pool, bs, ss, side, side);
-    cpu::row_wise_pass<std::uint32_t>(pool, ss, bs, side, side, ph, qq);
-    cpu::transpose_blocked<std::uint32_t>(pool, bs, ss, side, side);
-    cpu::row_wise_pass<std::uint32_t>(pool, ss, bs, side, side, ph, qq);
+    (void)scheduled_cpu<std::uint32_t>(pool, tables, std::span<Lane<std::uint32_t>>(&lane, 1));
   });
-  host.sched_ns = std::max(sched_total - 5 * host.forkjoin_ns, 0.0) / static_cast<double>(n);
+  host.sched_ns = std::max(sched_total - 3 * host.forkjoin_ns, 0.0) / static_cast<double>(n);
 
   // The LLC level at four times the L2; the alias surcharge at the same size.
   const std::uint64_t llc_probe = std::bit_ceil(4 * host.l2_bytes / sizeof(std::uint32_t));

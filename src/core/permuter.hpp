@@ -65,7 +65,7 @@ HostPick host_pick(const perm::Permutation& pinv, std::size_t elem_bytes,
 /// the cache geometry always; the measured costs only when the source
 /// does not fit L2, since host_pick needs them only then. The costs
 /// come from a probe that runs once per process, on first need: a pool
-/// fork-join, the five scheduled passes on plan-free row schedules, and
+/// fork-join, the three scheduled sweeps on plan-free gather tables, and
 /// a random and a transposing gather at four times the L2. The DRAM
 /// level is probed once, only when a source past the LLC share first
 /// asks for it. Never called on the request path: only compiles ask.
@@ -135,14 +135,14 @@ class OfflinePermuter {
 
   /// Approximate resident bytes of the compiled artifact: the owned
   /// permutation, plus the strategy's precomputed state (schedule
-  /// arrays + direct row permutations, or the inverse mapping) and the
-  /// internal scratch buffer. Used for byte-bounded cache accounting.
+  /// arrays + gather tables, or the inverse mapping) and the internal
+  /// scratch buffer. Used for byte-bounded cache accounting.
   [[nodiscard]] std::uint64_t compiled_bytes() const noexcept {
     const std::uint64_t n = size();
     std::uint64_t bytes = n * sizeof(std::uint32_t);  // perm_
     if (plan_) {
       bytes += plan_->schedule_bytes();
-      bytes += 3 * n * sizeof(std::uint16_t);  // direct1/2/3
+      bytes += 3 * n * sizeof(std::uint16_t);  // gather1/2/3
     }
     if (inverse_) bytes += n * sizeof(std::uint32_t);
     bytes += scratch_.size() * sizeof(T);
@@ -167,8 +167,8 @@ class OfflinePermuter {
 
   /// Gated variant of the const online phase: `gate` is consulted at
   /// the boundaries between the strategy's sequential kernel launches
-  /// (the scheduled algorithm's five kernels; the conventional
-  /// strategies are a single kernel and only check up front). Returning
+  /// (the scheduled plan's three sweeps; the conventional strategies
+  /// are a single kernel and only check up front). Returning
   /// false stops the execution — the function then returns false and
   /// `b`/`scratch` hold garbage. This is how the runtime executor
   /// observes deadlines and cancellation mid-request without preempting
@@ -180,8 +180,8 @@ class OfflinePermuter {
 
   /// Timed variant of the gated const online phase: `observer` (when
   /// non-empty) receives one (kernel index, wall ns) callback per
-  /// kernel launch that ran — indices 0..4 for the scheduled
-  /// algorithm's five launches, `kConventionalKernel` for the single
+  /// kernel launch that ran — indices 0, 2 and 4 for the scheduled
+  /// plan's three sweeps, `kConventionalKernel` for the single
   /// kernel of a conventional strategy. The serving layer uses this to
   /// attribute request time to the paper's phase structure; an empty
   /// observer skips all clock reads.
@@ -201,9 +201,14 @@ class OfflinePermuter {
       return true;
     };
     switch (chosen_) {
-      case Strategy::kScheduled:
+      case Strategy::kScheduled: {
         HMM_CHECK_MSG(scratch.size() == size(), "scheduled strategy needs n scratch elements");
-        return scheduled_cpu_lean_timed<T>(pool, *plan_, a, b, scratch, gate, observer);
+        Lane<T> lane{a, b, scratch};
+        LaneGate lane_gate;
+        if (gate) lane_gate = [&gate](std::size_t) { return gate(); };
+        return scheduled_cpu<T>(pool, *plan_, std::span<Lane<T>>(&lane, 1), lane_gate,
+                                observer);
+      }
       case Strategy::kSDesignated:
         return run_conventional([&] { s_designated_cpu<T>(pool, a, b, *inverse_); });
       case Strategy::kDDesignated:

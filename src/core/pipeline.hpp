@@ -105,9 +105,9 @@ class PermutationPipeline {
   }
 
   /// Execute on the host backend. `a` in, `b` out; scratch of size n.
-  /// Safe aliasing inside the lean pipeline: its input is fully
-  /// consumed by pass 1 before the scratch leg is first written, so two
-  /// buffers ping-pong through any number of segments.
+  /// Safe aliasing: a segment's input is fully consumed by its first
+  /// sweep before its scratch leg is first written, so two buffers
+  /// ping-pong through any number of segments.
   template <class T>
   void execute(util::ThreadPool& pool, std::span<const T> a, std::span<T> b,
                std::span<T> scratch) const {
@@ -120,7 +120,7 @@ class PermutationPipeline {
     std::span<T> other = scratch;
     for (const auto& seg : segments_) {
       if (!seg.plan) continue;
-      scheduled_cpu_lean<T>(pool, *seg.plan, {cur.data(), n}, other, cur);
+      scheduled_cpu<T>(pool, *seg.plan, std::span<const T>(cur.data(), n), other, cur);
       std::swap(cur, other);
     }
     if (cur.data() != b.data()) std::copy(cur.begin(), cur.end(), b.begin());

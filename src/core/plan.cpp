@@ -2,12 +2,46 @@
 
 #include <vector>
 
+#include "cpu/kernels.hpp"
 #include "graph/euler_split.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hmm::core {
+namespace {
+
+/// Layout of pass `pass`'s (1..3) gather table: passes 1 and 2 feed
+/// `band_sweep` and are band-interleaved, pass 3 is row-major. Pass 2
+/// runs over the transposed (cols x rows) view.
+struct TableShape {
+  std::uint64_t rows = 0;
+  std::uint64_t cols = 0;
+  bool banded = false;
+
+  [[nodiscard]] std::uint64_t offset(std::uint64_t r, std::uint64_t c) const noexcept {
+    return banded ? cpu::band_offset(rows, cols, r, c) : r * cols + c;
+  }
+};
+
+TableShape table_shape(const MatrixShape& shape, unsigned pass) {
+  HMM_CHECK(pass >= 1 && pass <= 3);
+  if (pass == 2) return TableShape{shape.cols, shape.rows, true};
+  return TableShape{shape.rows, shape.cols, pass == 1};
+}
+
+/// Run `body(lo, hi)` over [0, rows): inline for plans below the build's
+/// inline cutoff, on the global pool otherwise.
+template <class Body>
+void for_rows(std::uint64_t n, std::uint64_t rows, Body&& body) {
+  if (n < graph::kInlineEdges) {
+    body(0, rows);
+  } else {
+    util::ThreadPool::global().parallel_for_chunks(0, rows, body);
+  }
+}
+
+}  // namespace
 
 ScheduledPlan ScheduledPlan::build(const perm::Permutation& p,
                                    const model::MachineParams& params,
@@ -74,11 +108,56 @@ ScheduledPlan ScheduledPlan::build(const perm::Permutation& p,
   plan.pass1_ = build_row_schedules(g1, r, m, params.width, algo);
   plan.pass2_ = build_row_schedules(g2, m, r, params.width, algo);
   plan.pass3_ = build_row_schedules(g3, r, m, params.width, algo);
+  plan.derive_gathers(g1, g2, g3);
   plan.stats_.schedules_seconds = clock.seconds();
-  plan.g1_ = std::move(g1);
-  plan.g2_ = std::move(g2);
-  plan.g3_ = std::move(g3);
   return plan;
+}
+
+void ScheduledPlan::derive_gathers(std::span<const std::uint16_t> g1,
+                                   std::span<const std::uint16_t> g2,
+                                   std::span<const std::uint16_t> g3) {
+  const std::span<const std::uint16_t> gs[] = {g1, g2, g3};
+  for (unsigned k = 0; k < 3; ++k) {
+    const TableShape t = table_shape(shape_, k + 1);
+    const std::uint16_t* g = gs[k].data();
+    util::aligned_vector<std::uint16_t>& h = gather_[k];
+    h.resize(n_);
+    for_rows(n_, t.rows, [&](std::uint64_t lo, std::uint64_t hi) {
+      for (std::uint64_t row = lo; row < hi; ++row) {
+        for (std::uint64_t j = 0; j < t.cols; ++j) {
+          h[t.offset(row, g[row * t.cols + j])] = static_cast<std::uint16_t>(j);
+        }
+      }
+    });
+  }
+}
+
+util::aligned_vector<std::uint16_t> ScheduledPlan::gather_rows(unsigned pass, std::uint64_t lo,
+                                                               std::uint64_t hi) const {
+  const TableShape t = table_shape(shape_, pass);
+  HMM_CHECK(lo <= hi && hi <= t.rows);
+  const std::uint16_t* h = gather_[pass - 1].data();
+  util::aligned_vector<std::uint16_t> out((hi - lo) * t.cols);
+  for (std::uint64_t row = lo; row < hi; ++row) {
+    for (std::uint64_t c = 0; c < t.cols; ++c) {
+      out[(row - lo) * t.cols + c] = h[t.offset(row, c)];
+    }
+  }
+  return out;
+}
+
+util::aligned_vector<std::uint16_t> ScheduledPlan::direct(unsigned pass) const {
+  const TableShape t = table_shape(shape_, pass);
+  const std::uint16_t* h = gather_[pass - 1].data();
+  util::aligned_vector<std::uint16_t> g(n_);
+  for_rows(n_, t.rows, [&](std::uint64_t lo, std::uint64_t hi) {
+    for (std::uint64_t row = lo; row < hi; ++row) {
+      for (std::uint64_t c = 0; c < t.cols; ++c) {
+        g[row * t.cols + h[t.offset(row, c)]] = static_cast<std::uint16_t>(c);
+      }
+    }
+  });
+  return g;
 }
 
 ScheduledPlan ScheduledPlan::restore(MatrixShape shape, model::MachineParams params,
@@ -104,9 +183,7 @@ ScheduledPlan ScheduledPlan::restore(MatrixShape shape, model::MachineParams par
   plan.pass1_ = std::move(pass1);
   plan.pass2_ = std::move(pass2);
   plan.pass3_ = std::move(pass3);
-  plan.g1_ = std::move(g1);
-  plan.g2_ = std::move(g2);
-  plan.g3_ = std::move(g3);
+  plan.derive_gathers(g1, g2, g3);
   return plan;
 }
 
@@ -168,16 +245,36 @@ bool ScheduledPlan::validate(const perm::Permutation& p) const {
     std::swap(cur, next);
   };
 
+  const auto realizes_p = [&] {
+    for (std::uint64_t pos = 0; pos < n_; ++pos) {
+      if (p(cur[pos]) != pos) return false;
+    }
+    return true;
+  };
+
   row_pass(pass1_);
   transpose_pass(r, m);
   row_pass(pass2_);
   transpose_pass(m, r);
   row_pass(pass3_);
+  if (!realizes_p()) return false;
 
-  for (std::uint64_t pos = 0; pos < n_; ++pos) {
-    if (p(cur[pos]) != pos) return false;
+  // Replay the host's three gather sweeps: two band sweeps (row pass +
+  // transpose) and a row sweep.
+  for (std::uint64_t e = 0; e < n_; ++e) cur[e] = static_cast<std::uint32_t>(e);
+  for (unsigned pass = 1; pass <= 3; ++pass) {
+    const TableShape t = table_shape(shape_, pass);
+    const std::uint16_t* h = gather_[pass - 1].data();
+    for (std::uint64_t row = 0; row < t.rows; ++row) {
+      for (std::uint64_t c = 0; c < t.cols; ++c) {
+        const std::uint16_t from = h[t.offset(row, c)];
+        if (from >= t.cols) return false;
+        next[pass == 3 ? row * t.cols + c : c * t.rows + row] = cur[row * t.cols + from];
+      }
+    }
+    std::swap(cur, next);
   }
-  return true;
+  return realizes_p();
 }
 
 }  // namespace hmm::core

@@ -14,19 +14,26 @@
 /// 3. Derive the three per-row permutation families g1, g2, g3 and
 ///    compile each row into its (p̂, q) conflict-free bank schedule
 ///    (row_schedule.hpp).
+/// 4. Invert every row of g1..g3 into the host's gather tables h1..h3
+///    (`out[r][c] = in[r][h[r][c]]`). The host runs the plan as three
+///    gather sweeps over h (scheduled.hpp) and never reads (p̂, q); the
+///    schedules serve the simulator, which replays the paper's kernels.
 ///
 /// There is one build path and it runs on `util::ThreadPool::global()`:
 /// the coloring's later levels (euler_split.hpp), the g1..g3 derivation
-/// (one task per band of source rows) and the per-row schedules. Plans
-/// below 64K elements color and derive inline, so small builds pay no
-/// fork-join. The output is deterministic — byte-identical whatever the
-/// thread count — and building from a pool worker (the plan cache's
-/// compiles) is safe because the pool help-drains nested loops.
+/// (one task per band of source rows), the per-row schedules and the
+/// row inversions. Plans below 64K elements color and derive inline, so
+/// small builds pay no fork-join. The output is deterministic —
+/// byte-identical whatever the thread count — and building from a pool
+/// worker (the plan cache's compiles) is safe because a nested
+/// fork-join's caller can run every chunk itself.
 ///
 /// The plan is permutation-specific but data-independent: build once,
 /// execute any number of arrays (the paper's "offline" setting).
 
+#include <array>
 #include <cstdint>
+#include <span>
 
 #include "core/layout.hpp"
 #include "core/row_schedule.hpp"
@@ -40,7 +47,9 @@ namespace hmm::core {
 /// the paper does not charge; `bench_plan_build` quantifies it).
 struct PlanBuildStats {
   double row_graph_seconds = 0;   ///< building + coloring the row graph
-  double schedules_seconds = 0;   ///< deriving g1..g3 + compiling all per-row bank schedules
+  /// deriving g1..g3, compiling all per-row bank schedules and
+  /// inverting g into the gather tables
+  double schedules_seconds = 0;
   std::uint64_t colors = 0;       ///< number of colors (= cols)
 };
 
@@ -65,13 +74,24 @@ class ScheduledPlan {
   /// Pass 3: row-wise over rows x cols (move to destination column).
   [[nodiscard]] const RowScheduleSet& pass3() const noexcept { return pass3_; }
 
-  /// The raw per-row permutations g1/g2/g3 (flattened row-major;
-  /// `out[r][g(j)] = in[r][j]`). The GPU-faithful executors read the
-  /// (p̂, q) schedules instead; these support the direct host variant
-  /// and the schedule-overhead ablation.
-  [[nodiscard]] std::span<const std::uint16_t> direct1() const noexcept { return g1_; }
-  [[nodiscard]] std::span<const std::uint16_t> direct2() const noexcept { return g2_; }
-  [[nodiscard]] std::span<const std::uint16_t> direct3() const noexcept { return g3_; }
+  /// The host's gather tables, the row inverses of the row
+  /// permutations g1..g3 (`out[r][g(j)] = in[r][j]`): entry (r, c) is
+  /// the source column of out[r][c]. gather1 (rows x cols) and gather2
+  /// (cols x rows, the transposed view) are band-interleaved
+  /// (cpu::band_offset) for `cpu::band_sweep`; gather3 (rows x cols) is
+  /// row-major for `cpu::row_sweep`. 6 bytes per element in all.
+  [[nodiscard]] std::span<const std::uint16_t> gather1() const noexcept { return gather_[0]; }
+  [[nodiscard]] std::span<const std::uint16_t> gather2() const noexcept { return gather_[1]; }
+  [[nodiscard]] std::span<const std::uint16_t> gather3() const noexcept { return gather_[2]; }
+
+  /// Rows [lo, hi) of pass `pass`'s (1..3) gather table, copied
+  /// row-major: what a shard executing one band runs `row_sweep` on.
+  [[nodiscard]] util::aligned_vector<std::uint16_t> gather_rows(unsigned pass, std::uint64_t lo,
+                                                                std::uint64_t hi) const;
+
+  /// Pass `pass`'s (1..3) row permutations g, row-major, inverted from
+  /// its gather table: the direct arrays plan files store.
+  [[nodiscard]] util::aligned_vector<std::uint16_t> direct(unsigned pass) const;
 
   /// Total bytes of schedule data the online phase reads from global
   /// memory (the paper's 16-bit 2-D arrays).
@@ -85,12 +105,15 @@ class ScheduledPlan {
   /// element size (the paper's 48 KiB / double limitation).
   [[nodiscard]] bool fits_shared(std::uint64_t elem_size) const noexcept;
 
-  /// Deep invariant check: every row schedule valid and the three-pass
-  /// composition realizes exactly the original permutation. O(n).
+  /// Deep invariant check: every row schedule valid, and both the
+  /// (p̂, q) five-kernel replay and the three gather sweeps realize
+  /// exactly the original permutation. O(n).
   [[nodiscard]] bool validate(const perm::Permutation& p) const;
 
   /// Reassemble a plan from its stored parts (plan_io.hpp
-  /// deserialization). Checks structural consistency (shapes/sizes)
+  /// deserialization): the schedules and the direct row permutations
+  /// g1..g3, whose rows must be permutations; the gather tables are
+  /// derived from them. Checks structural consistency (shapes/sizes)
   /// but not the deep schedule invariants — call validate() for that.
   static ScheduledPlan restore(MatrixShape shape, model::MachineParams params,
                                RowScheduleSet pass1, RowScheduleSet pass2,
@@ -109,9 +132,13 @@ class ScheduledPlan {
   RowScheduleSet pass1_;
   RowScheduleSet pass2_;
   RowScheduleSet pass3_;
-  util::aligned_vector<std::uint16_t> g1_;
-  util::aligned_vector<std::uint16_t> g2_;
-  util::aligned_vector<std::uint16_t> g3_;
+  /// h1 (band-interleaved, rows x cols), h2 (band-interleaved,
+  /// cols x rows), h3 (row-major, rows x cols).
+  std::array<util::aligned_vector<std::uint16_t>, 3> gather_;
+
+  /// Fill h1..h3 with the row inverses of g1..g3.
+  void derive_gathers(std::span<const std::uint16_t> g1, std::span<const std::uint16_t> g2,
+                      std::span<const std::uint16_t> g3);
 };
 
 }  // namespace hmm::core

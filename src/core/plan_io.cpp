@@ -18,6 +18,8 @@ namespace {
 //      foreign or stale file can never be half-trusted. Loaders also
 //      check that every row is a permutation (no repeated entry); the
 //      bytes are unchanged, so files written by any v2 saver still load.
+//      The direct arrays g1..g3 stay on disk; the loader derives the
+//      host's gather tables (their row inverses) after checking them.
 constexpr char kMagic[7] = {'H', 'M', 'M', 'P', 'L', 'A', 'N'};
 constexpr char kVersion = 2;
 
@@ -73,13 +75,9 @@ bool save_plan(std::ostream& os, const ScheduledPlan& plan) {
     write_u16s(os, set->phat);
     write_u16s(os, set->q);
   }
-  auto write_span = [&](std::span<const std::uint16_t> s) {
-    os.write(reinterpret_cast<const char*>(s.data()),
-             static_cast<std::streamsize>(s.size() * sizeof(std::uint16_t)));
-  };
-  write_span(plan.direct1());
-  write_span(plan.direct2());
-  write_span(plan.direct3());
+  // The file keeps the direct row permutations g; the plan holds their
+  // row inverses (the gather tables), so invert back on save.
+  for (unsigned pass = 1; pass <= 3; ++pass) write_u16s(os, plan.direct(pass));
   return static_cast<bool>(os);
 }
 

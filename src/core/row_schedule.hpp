@@ -49,7 +49,8 @@ struct RowScheduleSet {
 /// Build schedules for all rows; `g` holds the row permutations
 /// flattened row-major (rows*cols entries). Rows are independent, so
 /// their bank colorings run on `util::ThreadPool::global()` (safe to
-/// call from one of its workers: the pool help-drains nested loops).
+/// call from one of its workers: a fork-join's caller can run every
+/// chunk itself).
 /// Deterministic — the output does not depend on the thread count.
 RowScheduleSet build_row_schedules(std::span<const std::uint16_t> g, std::uint64_t rows,
                                    std::uint64_t cols, std::uint32_t width,

@@ -1,13 +1,22 @@
 #pragma once
 /// \file scheduled.hpp
-/// \brief Online phase of the scheduled permutation (Section VII):
-///        execute a compiled ScheduledPlan as five kernels —
-///        row-wise, transpose, row-wise, transpose, row-wise —
-///        exactly the paper's five sequential kernel launches.
+/// \brief Online phase of the scheduled permutation (Section VII).
+///
+/// The paper executes a compiled plan as five sequential kernels —
+/// row-wise, transpose, row-wise, transpose, row-wise — and
+/// `scheduled_sim` replays exactly those on the simulator. The host
+/// runs the same three row permutations as three gather sweeps
+/// (`scheduled_cpu`): each transpose is fused into the row pass before
+/// it (cpu::band_sweep), because a 16-row band stays in a core's cache
+/// between the two, and the last row pass is a plain cpu::row_sweep.
+/// Three reads and three writes of the data instead of five of each.
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/plan.hpp"
@@ -18,175 +27,109 @@
 
 namespace hmm::core {
 
-/// Execute the plan on the host backend. `scratch1`/`scratch2` are
-/// caller-provided ping-pong buffers of size n (kept out of the timed
-/// region by the benchmarks, like device buffers allocated once).
-template <class T>
-void scheduled_cpu(util::ThreadPool& pool, const ScheduledPlan& plan, std::span<const T> a,
-                   std::span<T> b, std::span<T> scratch1, std::span<T> scratch2) {
-  const std::uint64_t n = plan.size();
-  HMM_CHECK(a.size() == n && b.size() == n && scratch1.size() == n && scratch2.size() == n);
-  const std::uint64_t r = plan.shape().rows;
-  const std::uint64_t m = plan.shape().cols;
-  const std::uint64_t tile = plan.params().width;
-
-  cpu::row_wise_pass<T>(pool, a, scratch1, r, m, plan.pass1().phat, plan.pass1().q);
-  cpu::transpose_blocked<T>(pool, scratch1, scratch2, r, m, tile);
-  cpu::row_wise_pass<T>(pool, scratch2, scratch1, m, r, plan.pass2().phat, plan.pass2().q);
-  cpu::transpose_blocked<T>(pool, scratch1, scratch2, m, r, tile);
-  cpu::row_wise_pass<T>(pool, scratch2, b, r, m, plan.pass3().phat, plan.pass3().q);
-}
-
-/// Memory-lean host variant: ping-pongs through the output buffer so a
-/// single scratch array suffices (the 2-scratch overload predates the
-/// observation that `b` can serve as one leg of the ping-pong).
-/// `a` must not alias `b` or `scratch`.
-template <class T>
-void scheduled_cpu_lean(util::ThreadPool& pool, const ScheduledPlan& plan,
-                        std::span<const T> a, std::span<T> b, std::span<T> scratch) {
-  const std::uint64_t n = plan.size();
-  HMM_CHECK(a.size() == n && b.size() == n && scratch.size() == n);
-  const std::uint64_t r = plan.shape().rows;
-  const std::uint64_t m = plan.shape().cols;
-  const std::uint64_t tile = plan.params().width;
-
-  cpu::row_wise_pass<T>(pool, a, b, r, m, plan.pass1().phat, plan.pass1().q);
-  cpu::transpose_blocked<T>(pool, b, scratch, r, m, tile);
-  cpu::row_wise_pass<T>(pool, scratch, b, m, r, plan.pass2().phat, plan.pass2().q);
-  cpu::transpose_blocked<T>(pool, b, scratch, m, r, tile);
-  cpu::row_wise_pass<T>(pool, scratch, b, r, m, plan.pass3().phat, plan.pass3().q);
-}
-
-/// Cooperative checkpoint between the five kernel launches: return
-/// false to stop the execution (deadline blown, request cancelled).
-/// The paper's algorithm is five *sequential* kernel launches, so the
-/// gaps between them are the natural preemption points a serving layer
-/// gets for free — a stopped execution leaves `b`/`scratch` partially
-/// written, which the caller must treat as garbage.
+/// Cooperative checkpoint between kernel launches: return false to stop
+/// the execution (deadline blown, request cancelled). The sweeps are
+/// sequential, so the gaps between them are the natural preemption
+/// points a serving layer gets for free — a stopped execution leaves
+/// `b`/`scratch` partially written, which the caller must treat as
+/// garbage.
 using PhaseGate = std::function<bool()>;
 
-/// Per-kernel timing callback: invoked once after each kernel launch
-/// that ran, with the kernel index and its wall time in nanoseconds.
-/// Indices 0..4 are the scheduled algorithm's five launches in order
-/// (row pass 1, transpose 1, row pass 2, transpose 2, row pass 3);
-/// `kConventionalKernel` marks the single kernel of a conventional
-/// strategy. Core stays observability-agnostic: the callback carries a
-/// neutral (index, ns) pair and the serving layer maps it to its own
-/// phase taxonomy.
+/// Per-lane gate of `scheduled_cpu`: consulted with the lane's index
+/// after every sweep but the last; false drops that lane.
+using LaneGate = std::function<bool(std::size_t lane)>;
+
+/// Per-kernel timing callback: invoked once after each kernel that ran,
+/// with the kernel index and its wall time in nanoseconds. The host's
+/// three sweeps report under the index of the paper's row pass each one
+/// starts — 0, 2 and 4 — so indices 1 and 3 (the paper's transposes,
+/// fused into the sweeps) never fire. `kConventionalKernel` marks the
+/// single kernel of a conventional strategy. Core stays
+/// observability-agnostic: the callback carries a neutral (index, ns)
+/// pair and the serving layer maps it to its own phase taxonomy.
 using KernelObserver = std::function<void(unsigned kernel, std::uint64_t ns)>;
 
 /// Kernel index reported by the timed entry points for the single
 /// kernel of a conventional (non-scheduled) strategy.
 inline constexpr unsigned kConventionalKernel = 5;
 
-/// `scheduled_cpu_lean` with a gate consulted before every kernel after
-/// the first and an optional per-kernel timing observer. Returns true
-/// iff all five kernels ran to completion; empty gate and observer
-/// degenerate to the ungated, untimed variant (the Stopwatch reads are
-/// skipped entirely when no observer is installed).
+/// One request of a scheduled execution: b = P(a) through `scratch`,
+/// all of the plan's size. `a` must not alias `b`; it may alias
+/// `scratch` (the first sweep consumes it before scratch is written).
 template <class T>
-bool scheduled_cpu_lean_timed(util::ThreadPool& pool, const ScheduledPlan& plan,
-                              std::span<const T> a, std::span<T> b, std::span<T> scratch,
-                              const PhaseGate& gate, const KernelObserver& observer) {
-  const std::uint64_t n = plan.size();
-  HMM_CHECK(a.size() == n && b.size() == n && scratch.size() == n);
-  const std::uint64_t r = plan.shape().rows;
-  const std::uint64_t m = plan.shape().cols;
-  const std::uint64_t tile = plan.params().width;
-
-  util::Stopwatch clock;
-  const auto observe = [&](unsigned kernel) {
-    if (observer) {
-      observer(kernel, static_cast<std::uint64_t>(clock.nanos()));
-      clock.reset();
-    }
-  };
-
-  cpu::row_wise_pass<T>(pool, a, b, r, m, plan.pass1().phat, plan.pass1().q);
-  observe(0);
-  if (gate && !gate()) return false;
-  cpu::transpose_blocked<T>(pool, b, scratch, r, m, tile);
-  observe(1);
-  if (gate && !gate()) return false;
-  cpu::row_wise_pass<T>(pool, scratch, b, m, r, plan.pass2().phat, plan.pass2().q);
-  observe(2);
-  if (gate && !gate()) return false;
-  cpu::transpose_blocked<T>(pool, b, scratch, m, r, tile);
-  observe(3);
-  if (gate && !gate()) return false;
-  cpu::row_wise_pass<T>(pool, scratch, b, r, m, plan.pass3().phat, plan.pass3().q);
-  observe(4);
-  return true;
-}
-
-/// `scheduled_cpu_lean` with a gate consulted before every kernel after
-/// the first. Returns true iff all five kernels ran to completion; an
-/// empty gate degenerates to the ungated variant.
-template <class T>
-bool scheduled_cpu_lean_gated(util::ThreadPool& pool, const ScheduledPlan& plan,
-                              std::span<const T> a, std::span<T> b, std::span<T> scratch,
-                              const PhaseGate& gate) {
-  return scheduled_cpu_lean_timed<T>(pool, plan, a, b, scratch, gate, {});
-}
-
-/// One request ("lane") of a batched scheduled execution: distinct
-/// (a, b, scratch) triples, one shared compiled plan. The per-lane
-/// `gate` is consulted at every kernel boundary; a lane gated off has
-/// `active` cleared and is excluded from the remaining kernels — its
-/// b/scratch hold garbage, exactly like a gated single execution — and
-/// the other lanes proceed unaffected.
-template <class T>
-struct BatchLane {
+struct Lane {
   std::span<const T> a;
   std::span<T> b;
   std::span<T> scratch;
-  PhaseGate gate;      ///< empty = never stops
-  bool active = true;  ///< in: lane participates; out: ran to completion
+  bool active = true;  ///< in: lane participates; out: ran all three sweeps
 };
 
-/// Batched online phase, the serving-side image of the paper's batching
-/// lemma: many permutations along the same plan amortize to optimal
-/// cost. All active lanes advance through each of the five kernels
-/// *together* — five fork/join barriers per batch instead of per
-/// request — and the plan's schedule arrays (p̂, q) are read once per
-/// kernel, staying hot in cache across every lane. `observer` fires
-/// once per kernel with the batch-wide span. Lanes report their outcome
-/// through `active` (true = all five kernels ran for that lane).
+/// A plan's host schedule: the three gather tables and their shape
+/// (ScheduledPlan::gather1..3). Plan-free callers (the kAuto probe)
+/// fill one in directly.
+struct SweepTables {
+  std::uint64_t rows = 0;
+  std::uint64_t cols = 0;
+  std::span<const std::uint16_t> h1;  ///< band-interleaved, rows x cols
+  std::span<const std::uint16_t> h2;  ///< band-interleaved, cols x rows
+  std::span<const std::uint16_t> h3;  ///< row-major, rows x cols
+};
+
+/// Run the three sweeps over every active lane together — one
+/// fork-join per sweep for the whole batch, each table entry decoded
+/// once for every lane:
+///   1. band sweep a -> b      (row pass 1 + transpose 1, cols x rows)
+///   2. band sweep b -> scratch (row pass 2 + transpose 2, rows x cols)
+///   3. row sweep scratch -> b (row pass 3)
+/// `gate` is consulted for each live lane after sweeps 1 and 2; a lane
+/// it stops has `active` cleared and skips the remaining sweeps while
+/// the others proceed. `observer` fires once per sweep with the
+/// batch-wide span. Returns true iff every active lane ran to
+/// completion.
 template <class T>
-void scheduled_cpu_lean_batched(util::ThreadPool& pool, const ScheduledPlan& plan,
-                                std::span<BatchLane<T>> lanes,
-                                const KernelObserver& observer = {}) {
-  const std::uint64_t n = plan.size();
-  const std::uint64_t r = plan.shape().rows;
-  const std::uint64_t m = plan.shape().cols;
-  const std::uint64_t tile = plan.params().width;
-
-  // Compact live-lane index list, rebuilt at every gate boundary so a
-  // dropped lane costs the remaining kernels nothing.
-  std::vector<std::size_t> live;
-  live.reserve(lanes.size());
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    if (!lanes[i].active) continue;
-    HMM_CHECK(lanes[i].a.size() == n && lanes[i].b.size() == n &&
-              lanes[i].scratch.size() == n);
-    live.push_back(i);
+bool scheduled_cpu(util::ThreadPool& pool, const SweepTables& s, std::span<Lane<T>> lanes,
+                   const LaneGate& gate = {}, const KernelObserver& observer = {}) {
+  const std::uint64_t n = s.rows * s.cols;
+  HMM_CHECK(s.h1.size() == n && s.h2.size() == n && s.h3.size() == n);
+  std::size_t live = 0;
+  for (const Lane<T>& lane : lanes) {
+    if (!lane.active) continue;
+    HMM_CHECK(lane.a.size() == n && lane.b.size() == n && lane.scratch.size() == n);
+    ++live;
   }
-  if (live.empty()) return;
+  if (live == 0) return true;
+  const std::size_t started = live;
 
-  enum class Leg { kA, kB, kScratch };
-  std::vector<const T*> srcs;
-  std::vector<T*> dsts;
-  const auto gather_ptrs = [&](Leg src, Leg dst) {
-    srcs.resize(live.size());
-    dsts.resize(live.size());
-    for (std::size_t l = 0; l < live.size(); ++l) {
-      BatchLane<T>& lane = lanes[live[l]];
-      srcs[l] = src == Leg::kA ? lane.a.data()
-                               : (src == Leg::kB ? lane.b.data() : lane.scratch.data());
-      dsts[l] = dst == Leg::kB ? lane.b.data() : lane.scratch.data();
+  // The live lanes' source and destination pointers for one sweep: on
+  // the stack for a few lanes, so a single request allocates nothing.
+  constexpr std::size_t kStackLanes = 4;
+  std::array<const T*, kStackLanes> src_stack{};
+  std::array<T*, kStackLanes> dst_stack{};
+  std::vector<const T*> src_heap(lanes.size() > kStackLanes ? lanes.size() : 0);
+  std::vector<T*> dst_heap(src_heap.size());
+  const T** srcs = src_heap.empty() ? src_stack.data() : src_heap.data();
+  T** dsts = dst_heap.empty() ? dst_stack.data() : dst_heap.data();
+  const auto bind = [&](auto from, auto to) {
+    std::size_t k = 0;
+    for (Lane<T>& lane : lanes) {
+      if (!lane.active) continue;
+      srcs[k] = (lane.*from).data();
+      dsts[k] = (lane.*to).data();
+      ++k;
     }
+    return std::pair{std::span<const T* const>(srcs, k), std::span<T* const>(dsts, k)};
   };
-
+  // Drop the lanes the gate stops; true while any lane is left.
+  const auto gate_lanes = [&] {
+    if (!gate) return true;
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      if (lanes[i].active && !gate(i)) {
+        lanes[i].active = false;
+        --live;
+      }
+    }
+    return live > 0;
+  };
   util::Stopwatch clock;
   const auto observe = [&](unsigned kernel) {
     if (observer) {
@@ -194,61 +137,36 @@ void scheduled_cpu_lean_batched(util::ThreadPool& pool, const ScheduledPlan& pla
       clock.reset();
     }
   };
-  const auto gate_pass = [&]() -> bool {
-    std::size_t kept = 0;
-    for (std::size_t idx : live) {
-      BatchLane<T>& lane = lanes[idx];
-      if (lane.gate && !lane.gate()) {
-        lane.active = false;
-      } else {
-        live[kept++] = idx;
-      }
-    }
-    live.resize(kept);
-    return !live.empty();
-  };
 
-  gather_ptrs(Leg::kA, Leg::kB);
-  cpu::row_wise_pass_batched<T>(pool, srcs, dsts, r, m, plan.pass1().phat, plan.pass1().q);
+  auto [in, out] = bind(&Lane<T>::a, &Lane<T>::b);
+  cpu::band_sweep<T>(pool, in, out, s.rows, s.cols, s.h1);
   observe(0);
-  if (!gate_pass()) return;
-  gather_ptrs(Leg::kB, Leg::kScratch);
-  cpu::transpose_blocked_batched<T>(pool, srcs, dsts, r, m, tile);
-  observe(1);
-  if (!gate_pass()) return;
-  gather_ptrs(Leg::kScratch, Leg::kB);
-  cpu::row_wise_pass_batched<T>(pool, srcs, dsts, m, r, plan.pass2().phat, plan.pass2().q);
+  if (!gate_lanes()) return false;
+  std::tie(in, out) = bind(&Lane<T>::b, &Lane<T>::scratch);
+  cpu::band_sweep<T>(pool, in, out, s.cols, s.rows, s.h2);
   observe(2);
-  if (!gate_pass()) return;
-  gather_ptrs(Leg::kB, Leg::kScratch);
-  cpu::transpose_blocked_batched<T>(pool, srcs, dsts, m, r, tile);
-  observe(3);
-  if (!gate_pass()) return;
-  gather_ptrs(Leg::kScratch, Leg::kB);
-  cpu::row_wise_pass_batched<T>(pool, srcs, dsts, r, m, plan.pass3().phat, plan.pass3().q);
+  if (!gate_lanes()) return false;
+  std::tie(in, out) = bind(&Lane<T>::scratch, &Lane<T>::b);
+  cpu::row_sweep<T>(pool, in, out, s.rows, s.cols, s.h3);
   observe(4);
+  return live == started;
 }
 
-/// Host variant that applies the per-row permutations directly instead
-/// of reading the (p̂, q) schedule arrays — one indirection per element
-/// instead of two. Used by `bench_ablation_coloring`'s schedule-read
-/// overhead comparison; the GPU-faithful `scheduled_cpu` is what the
-/// paper's implementation does.
+/// `scheduled_cpu` on a compiled plan's tables.
 template <class T>
-void scheduled_cpu_direct(util::ThreadPool& pool, const ScheduledPlan& plan,
-                          std::span<const T> a, std::span<T> b, std::span<T> scratch1,
-                          std::span<T> scratch2) {
-  const std::uint64_t n = plan.size();
-  HMM_CHECK(a.size() == n && b.size() == n && scratch1.size() == n && scratch2.size() == n);
-  const std::uint64_t r = plan.shape().rows;
-  const std::uint64_t m = plan.shape().cols;
-  const std::uint64_t tile = plan.params().width;
+bool scheduled_cpu(util::ThreadPool& pool, const ScheduledPlan& plan, std::span<Lane<T>> lanes,
+                   const LaneGate& gate = {}, const KernelObserver& observer = {}) {
+  const SweepTables tables{plan.shape().rows, plan.shape().cols, plan.gather1(),
+                           plan.gather2(), plan.gather3()};
+  return scheduled_cpu<T>(pool, tables, lanes, gate, observer);
+}
 
-  cpu::row_wise_pass_direct<T>(pool, a, scratch1, r, m, plan.direct1());
-  cpu::transpose_blocked<T>(pool, scratch1, scratch2, r, m, tile);
-  cpu::row_wise_pass_direct<T>(pool, scratch2, scratch1, m, r, plan.direct2());
-  cpu::transpose_blocked<T>(pool, scratch1, scratch2, m, r, tile);
-  cpu::row_wise_pass_direct<T>(pool, scratch2, b, r, m, plan.direct3());
+/// One request, no gate: b = P(a) through one n-element scratch array.
+template <class T>
+void scheduled_cpu(util::ThreadPool& pool, const ScheduledPlan& plan, std::span<const T> a,
+                   std::span<T> b, std::span<T> scratch) {
+  Lane<T> lane{a, b, scratch};
+  (void)scheduled_cpu<T>(pool, plan, std::span<Lane<T>>(&lane, 1));
 }
 
 /// Issue every memory-access round of the scheduled algorithm on the
@@ -260,7 +178,8 @@ std::uint64_t scheduled_sim_rounds(sim::HmmSim& sim, const ScheduledPlan& plan,
                                    std::uint32_t words = 1);
 
 /// Execute the plan on the simulator backend: moves the data through
-/// the same five passes (serially) and accounts the model time.
+/// the paper's five kernels (serially, reading the (p̂, q) schedules)
+/// and accounts the model time.
 template <class T>
 std::uint64_t scheduled_sim(sim::HmmSim& sim, const ScheduledPlan& plan, std::span<const T> a,
                             std::span<T> b) {

@@ -2,16 +2,15 @@
 /// \file dispatch.hpp
 /// \brief Runtime CPU-feature dispatch for the kernel tier.
 ///
-/// The five kernel passes exist in up to three tiers: the scalar C++
-/// loops (the differential-test oracle, always built), an AVX2 tier
-/// (vpgatherdd reads, widened uint16 schedule loads, software prefetch
-/// of upcoming schedule entries), and an AVX-512 tier (full
-/// gather/scatter: vpgatherdd + vpscatterdd move 16 elements per step
-/// with no scalar extraction). The paper's row schedules make the SIMD
-/// tiers well-defined by construction: within a row, q is a
-/// permutation, so the destination indices inside one scatter vector
-/// are distinct — the same conflict-freedom the schedules guarantee
-/// across memory banks holds across SIMD lanes (see DESIGN.md §2.1).
+/// The host kernels exist in up to three tiers: the scalar C++ loops
+/// (the differential-test oracle, always built), an AVX2 tier
+/// (vpgatherdd/vpgatherdq reads, widened uint16 table loads), and an
+/// AVX-512 tier (16-lane gathers with masked tails, plus a vpscatter
+/// for the conventional D-designated kernel, where p is a global
+/// permutation and so the indices inside one scatter vector are
+/// distinct). The scheduled plan's sweeps are gathers only: each step
+/// widens sixteen uint16 table entries to 32-bit offsets, gathers, and
+/// stores a contiguous run (see kernels.hpp).
 ///
 /// Selection happens once, at first kernel launch:
 ///   1. detect what the CPU supports (AVX2; AVX-512 F+BW+VL+DQ),
@@ -77,31 +76,22 @@ namespace simd {
 /// Serial sub-range kernels for one element width, type-erased to
 /// `void*` (the kernels move bits; width is fixed per table). The
 /// thread pool templates in kernels.hpp fan chunks out and call these
-/// per chunk; any null member means "run the scalar loop instead"
-/// (e.g. AVX2 has gathers but no scatter, so its conventional-scatter
-/// slot stays null).
+/// per chunk. Every table has both sweeps; a null conventional member
+/// means "run the scalar loop instead" (AVX2 has gathers but no
+/// scatter, so its conventional-scatter slot stays null).
 struct KernelOps {
-  /// rows [r0, r1) of out[r][q[k]] = in[r][phat[k]].
-  void (*row_pass)(const void* in, void* out, std::uint64_t cols,
-                   const std::uint16_t* phat, const std::uint16_t* q,
-                   std::uint64_t r0, std::uint64_t r1);
-  /// Fused multi-lane row pass: same rows, `lanes` (src, dst) pairs
-  /// sharing one schedule decode per index step.
-  void (*row_pass_batched)(const void* const* srcs, void* const* dsts,
-                           std::uint64_t lanes, std::uint64_t cols,
-                           const std::uint16_t* phat, const std::uint16_t* q,
-                           std::uint64_t r0, std::uint64_t r1);
-  /// Tiles [t0, t1) of the blocked transpose (tile index decodes via
-  /// `tile_cols`), column-gather reads + contiguous stores.
-  void (*transpose_tiles)(const void* in, void* out, std::uint64_t rows,
-                          std::uint64_t cols, std::uint64_t tile,
-                          std::uint64_t tile_cols, std::uint64_t t0, std::uint64_t t1);
-  /// Fused multi-lane blocked transpose over the same tile range.
-  void (*transpose_tiles_batched)(const void* const* srcs, void* const* dsts,
-                                  std::uint64_t lanes, std::uint64_t rows,
-                                  std::uint64_t cols, std::uint64_t tile,
-                                  std::uint64_t tile_cols, std::uint64_t t0,
-                                  std::uint64_t t1);
+  /// Bands [b0, b1) of the fused row pass + transpose: for each lane l,
+  /// dsts[l][c * rows + r] = srcs[l][r * cols + h(r, c)], with `h`
+  /// band-interleaved (cpu::band_offset). `rows` need not be a multiple
+  /// of the band height: the last band runs masked.
+  void (*band_sweep)(const void* const* srcs, void* const* dsts, std::uint64_t lanes,
+                     std::uint64_t rows, std::uint64_t cols, const std::uint16_t* h,
+                     std::uint64_t b0, std::uint64_t b1);
+  /// Rows [r0, r1) of dsts[l][r][c] = srcs[l][r][h[r][c]] for each lane,
+  /// `h` row-major.
+  void (*row_sweep)(const void* const* srcs, void* const* dsts, std::uint64_t lanes,
+                    std::uint64_t cols, const std::uint16_t* h, std::uint64_t r0,
+                    std::uint64_t r1);
   /// b[i] = a[idx[i]] for i in [lo, hi) (conventional S-designated).
   void (*gather)(const void* a, void* b, const std::uint32_t* idx,
                  std::uint64_t lo, std::uint64_t hi);
@@ -117,8 +107,8 @@ struct KernelOps {
 /// width not 4/8 bytes, or the SIMD TUs were not built for this
 /// target). The x86 gather/scatter instructions take signed 32-bit
 /// element indices, so callers must additionally keep any *global*
-/// index space below 2^31 elements (row passes index within a row and
-/// are unaffected).
+/// index space below 2^31 elements (the sweeps index within a band or
+/// row and are unaffected).
 [[nodiscard]] const simd::KernelOps* active_kernel_ops(std::size_t elem_size) noexcept;
 
 }  // namespace hmm::cpu

@@ -1,20 +1,19 @@
 /// \file kernels_avx2.cpp
 /// \brief AVX2 tier of the kernel dispatch (compiled with -mavx2).
 ///
-/// AVX2 has gathers (vpgatherdd/vpgatherqq) but no scatter, so the
-/// shape of every kernel here is: widen eight uint16 schedule entries
-/// to 32-bit lanes with vpmovzxwd, gather the source elements in one
-/// instruction, then store through the destination indices with scalar
-/// stores (the extraction is the price of the missing scatter — the
-/// AVX-512 tier removes it). The conventional `scatter` slot is null
-/// for the same reason: contiguous reads + indexed writes gain nothing
-/// without a scatter instruction, so it stays on the scalar loop.
+/// AVX2 has gathers (vpgatherdd/vpgatherdq) but no scatter. The
+/// scheduled plan's sweeps need none: each step widens uint16 table
+/// entries to 32-bit lanes with vpmovzxwd, gathers the source elements
+/// and stores them contiguously. A band step gathers sixteen rows as
+/// two 8-lane halves (four 4-lane quarters for 8-byte elements), the
+/// same layout and order as the AVX-512 tier. The conventional
+/// `scatter` slot is null: contiguous reads + indexed writes gain
+/// nothing without a scatter instruction, so it stays on the scalar
+/// loop.
 ///
-/// Software prefetch: the schedule arrays are the one stream the
-/// hardware prefetcher cannot see past — each row starts a new stream
-/// of (p̂, q) entries, and the gathers in between evict aggressively —
-/// so each index step prefetches the entries `kPrefetchAhead` bytes
-/// ahead of the cursor.
+/// Masked tails: a short band or row fills its index vector through a
+/// small buffer (AVX2 has no masked 16-bit load) and then runs the
+/// body's masked gather and masked store (vpmaskmov).
 
 #include <immintrin.h>
 
@@ -25,300 +24,145 @@
 namespace hmm::cpu::avx2 {
 namespace {
 
-/// Prefetch distance into the schedule arrays, in uint16 entries
-/// (256 entries = 512 bytes = 8 cache lines ahead).
-constexpr std::uint64_t kPrefetchAhead = 256;
+/// Rows per band (cpu::kBandRows).
+constexpr std::uint64_t kBand = 16;
 
-inline void prefetch_schedules(const std::uint16_t* ph, const std::uint16_t* qq,
-                               std::uint64_t k, std::uint64_t cols) {
-  if (k + kPrefetchAhead < cols) {
-    _mm_prefetch(reinterpret_cast<const char*>(ph + k + kPrefetchAhead), _MM_HINT_T0);
-    _mm_prefetch(reinterpret_cast<const char*>(qq + k + kPrefetchAhead), _MM_HINT_T0);
-  }
-}
-
-/// Eight uint16 schedule entries widened to eight 32-bit gather lanes.
+/// Eight uint16 table entries widened to eight 32-bit gather lanes.
 inline __m256i load_idx8(const std::uint16_t* p) {
   return _mm256_cvtepu16_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
 }
 
-/// Four uint16 schedule entries widened to four 32-bit gather lanes.
-inline __m128i load_idx4(const std::uint16_t* p) {
-  return _mm_cvtepu16_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+/// `k` (< 8) uint16 entries widened, the other lanes zero: the tail
+/// load, which must not read past the table.
+inline __m256i load_idx8_partial(const std::uint16_t* p, std::uint64_t k) {
+  alignas(16) std::uint16_t buf[8] = {};
+  for (std::uint64_t i = 0; i < k; ++i) buf[i] = p[i];
+  return load_idx8(buf);
 }
 
-// ---- row-wise pass ---------------------------------------------------
+/// All-ones in the first `k` (<= 8) 32-bit lanes.
+inline __m256i lane_mask8(std::uint64_t k) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(k)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
 
-void row_pass_u32(const void* in, void* out, std::uint64_t cols,
-                  const std::uint16_t* phat, const std::uint16_t* q,
-                  std::uint64_t r0, std::uint64_t r1) {
-  const auto* in_base = static_cast<const std::uint32_t*>(in);
-  auto* out_base = static_cast<std::uint32_t*>(out);
-  for (std::uint64_t r = r0; r < r1; ++r) {
-    const std::uint32_t* src = in_base + r * cols;
-    std::uint32_t* dst = out_base + r * cols;
-    const std::uint16_t* ph = phat + r * cols;
-    const std::uint16_t* qq = q + r * cols;
-    std::uint64_t k = 0;
-    for (; k + 8 <= cols; k += 8) {
-      prefetch_schedules(ph, qq, k, cols);
-      const __m256i v =
-          _mm256_i32gather_epi32(reinterpret_cast<const int*>(src), load_idx8(ph + k), 4);
-      alignas(32) std::uint32_t vals[8];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(vals), v);
-      dst[qq[k + 0]] = vals[0];
-      dst[qq[k + 1]] = vals[1];
-      dst[qq[k + 2]] = vals[2];
-      dst[qq[k + 3]] = vals[3];
-      dst[qq[k + 4]] = vals[4];
-      dst[qq[k + 5]] = vals[5];
-      dst[qq[k + 6]] = vals[6];
-      dst[qq[k + 7]] = vals[7];
-    }
-    for (; k < cols; ++k) dst[qq[k]] = src[ph[k]];
+/// Gather eight 4-byte elements at offsets `idx` and store them to
+/// `out`, the lanes outside `mask` neither read nor written.
+inline void gather_store(const std::uint32_t* in, std::uint32_t* out, __m256i idx,
+                               __m256i mask, bool full) {
+  const auto* base = reinterpret_cast<const int*>(in);
+  if (full) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                        _mm256_i32gather_epi32(base, idx, 4));
+    return;
   }
+  const __m256i v = _mm256_mask_i32gather_epi32(_mm256_setzero_si256(), base, idx, mask, 4);
+  _mm256_maskstore_epi32(reinterpret_cast<int*>(out), mask, v);
 }
 
-void row_pass_u64(const void* in, void* out, std::uint64_t cols,
-                  const std::uint16_t* phat, const std::uint16_t* q,
-                  std::uint64_t r0, std::uint64_t r1) {
-  const auto* in_base = static_cast<const std::uint64_t*>(in);
-  auto* out_base = static_cast<std::uint64_t*>(out);
-  for (std::uint64_t r = r0; r < r1; ++r) {
-    const std::uint64_t* src = in_base + r * cols;
-    std::uint64_t* dst = out_base + r * cols;
-    const std::uint16_t* ph = phat + r * cols;
-    const std::uint16_t* qq = q + r * cols;
-    std::uint64_t k = 0;
-    for (; k + 4 <= cols; k += 4) {
-      prefetch_schedules(ph, qq, k, cols);
-      const __m256i v = _mm256_i32gather_epi64(
-          reinterpret_cast<const long long*>(src), load_idx4(ph + k), 8);
-      alignas(32) std::uint64_t vals[4];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(vals), v);
-      dst[qq[k + 0]] = vals[0];
-      dst[qq[k + 1]] = vals[1];
-      dst[qq[k + 2]] = vals[2];
-      dst[qq[k + 3]] = vals[3];
-    }
-    for (; k < cols; ++k) dst[qq[k]] = src[ph[k]];
+/// Gather eight 8-byte elements at offsets `idx` as two 4-lane halves;
+/// `mask` is the 32-bit lane mask of the eight offsets.
+inline void gather_store(const std::uint64_t* in, std::uint64_t* out, __m256i idx,
+                               __m256i mask, bool full) {
+  const auto* base = reinterpret_cast<const long long*>(in);
+  const __m128i lo = _mm256_castsi256_si128(idx);
+  const __m128i hi = _mm256_extracti128_si256(idx, 1);
+  if (full) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), _mm256_i32gather_epi64(base, lo, 8));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4),
+                        _mm256_i32gather_epi64(base, hi, 8));
+    return;
   }
+  const __m256i mlo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(mask));
+  const __m256i mhi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(mask, 1));
+  const __m256i zero = _mm256_setzero_si256();
+  _mm256_maskstore_epi64(reinterpret_cast<long long*>(out), mlo,
+                         _mm256_mask_i32gather_epi64(zero, base, lo, mlo, 8));
+  _mm256_maskstore_epi64(reinterpret_cast<long long*>(out + 4), mhi,
+                         _mm256_mask_i32gather_epi64(zero, base, hi, mhi, 8));
 }
 
-// ---- batched row-wise pass -------------------------------------------
+// ---- band sweep (row pass fused with the transpose after it) ---------
 //
-// One schedule decode (the widened index vector + the q entries) is
-// shared by every lane of the step — the SIMD image of the batching
-// lemma's schedule-read amortization.
+// Column c of a band: the band's table entries for c (contiguous) plus
+// the row offsets {0, cols, ..., 15 cols} address its source elements,
+// which land contiguously at out[c][band rows]. Both halves' index
+// vectors are decoded once per column and reused by every lane.
 
-void row_pass_batched_u32(const void* const* srcs, void* const* dsts,
-                          std::uint64_t lanes, std::uint64_t cols,
-                          const std::uint16_t* phat, const std::uint16_t* q,
-                          std::uint64_t r0, std::uint64_t r1) {
+template <class T>
+void band_sweep(const void* const* srcs, void* const* dsts, std::uint64_t lanes,
+                std::uint64_t rows, std::uint64_t cols, const std::uint16_t* h,
+                std::uint64_t b0, std::uint64_t b1) {
+  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i off_lo = _mm256_mullo_epi32(iota, _mm256_set1_epi32(static_cast<int>(cols)));
+  const __m256i off_hi =
+      _mm256_add_epi32(off_lo, _mm256_set1_epi32(static_cast<int>(8 * cols)));
+  for (std::uint64_t band = b0; band < b1; ++band) {
+    const std::uint64_t r0 = band * kBand;
+    const std::uint64_t height = rows - r0 < kBand ? rows - r0 : kBand;
+    const bool full = height == kBand;
+    const std::uint64_t n_lo = height < 8 ? height : 8;
+    const std::uint64_t n_hi = height - n_lo;
+    const __m256i m_lo = lane_mask8(n_lo);
+    const __m256i m_hi = lane_mask8(n_hi);
+    const std::uint16_t* hb = h + r0 * cols;
+    for (std::uint64_t c = 0; c < cols; ++c) {
+      const std::uint16_t* hc = hb + c * height;
+      const __m256i lo = full ? load_idx8(hc) : load_idx8_partial(hc, n_lo);
+      const __m256i hi = full ? load_idx8(hc + 8) : load_idx8_partial(hc + n_lo, n_hi);
+      const __m256i i_lo = _mm256_add_epi32(lo, off_lo);
+      const __m256i i_hi = _mm256_add_epi32(hi, off_hi);
+      for (std::uint64_t l = 0; l < lanes; ++l) {
+        const T* in = static_cast<const T*>(srcs[l]) + r0 * cols;
+        T* out = static_cast<T*>(dsts[l]) + c * rows + r0;
+        gather_store(in, out, i_lo, m_lo, full);
+        if (n_hi > 0) gather_store(in, out + 8, i_hi, m_hi, full);
+      }
+    }
+  }
+}
+
+void band_sweep_u32(const void* const* srcs, void* const* dsts, std::uint64_t lanes,
+                    std::uint64_t rows, std::uint64_t cols, const std::uint16_t* h,
+                    std::uint64_t b0, std::uint64_t b1) {
+  band_sweep<std::uint32_t>(srcs, dsts, lanes, rows, cols, h, b0, b1);
+}
+
+void band_sweep_u64(const void* const* srcs, void* const* dsts, std::uint64_t lanes,
+                    std::uint64_t rows, std::uint64_t cols, const std::uint16_t* h,
+                    std::uint64_t b0, std::uint64_t b1) {
+  band_sweep<std::uint64_t>(srcs, dsts, lanes, rows, cols, h, b0, b1);
+}
+
+// ---- row sweep -------------------------------------------------------
+
+template <class T>
+void row_sweep(const void* const* srcs, void* const* dsts, std::uint64_t lanes,
+               std::uint64_t cols, const std::uint16_t* h, std::uint64_t r0, std::uint64_t r1) {
   for (std::uint64_t r = r0; r < r1; ++r) {
-    const std::uint16_t* ph = phat + r * cols;
-    const std::uint16_t* qq = q + r * cols;
-    const std::uint64_t rc = r * cols;
-    std::uint64_t k = 0;
-    for (; k + 8 <= cols; k += 8) {
-      prefetch_schedules(ph, qq, k, cols);
-      const __m256i idx = load_idx8(ph + k);
+    const std::uint16_t* hr = h + r * cols;
+    for (std::uint64_t k = 0; k < cols; k += 8) {
+      const bool full = k + 8 <= cols;
+      const __m256i mask = lane_mask8(full ? 8 : cols - k);
+      const __m256i idx = full ? load_idx8(hr + k) : load_idx8_partial(hr + k, cols - k);
       for (std::uint64_t l = 0; l < lanes; ++l) {
-        const auto* src = static_cast<const std::uint32_t*>(srcs[l]) + rc;
-        auto* dst = static_cast<std::uint32_t*>(dsts[l]) + rc;
-        const __m256i v =
-            _mm256_i32gather_epi32(reinterpret_cast<const int*>(src), idx, 4);
-        alignas(32) std::uint32_t vals[8];
-        _mm256_store_si256(reinterpret_cast<__m256i*>(vals), v);
-        dst[qq[k + 0]] = vals[0];
-        dst[qq[k + 1]] = vals[1];
-        dst[qq[k + 2]] = vals[2];
-        dst[qq[k + 3]] = vals[3];
-        dst[qq[k + 4]] = vals[4];
-        dst[qq[k + 5]] = vals[5];
-        dst[qq[k + 6]] = vals[6];
-        dst[qq[k + 7]] = vals[7];
-      }
-    }
-    for (; k < cols; ++k) {
-      const std::uint64_t s = ph[k];
-      const std::uint64_t d = qq[k];
-      for (std::uint64_t l = 0; l < lanes; ++l) {
-        static_cast<std::uint32_t*>(dsts[l])[rc + d] =
-            static_cast<const std::uint32_t*>(srcs[l])[rc + s];
+        gather_store(static_cast<const T*>(srcs[l]) + r * cols,
+                     static_cast<T*>(dsts[l]) + r * cols + k, idx, mask, full);
       }
     }
   }
 }
 
-void row_pass_batched_u64(const void* const* srcs, void* const* dsts,
-                          std::uint64_t lanes, std::uint64_t cols,
-                          const std::uint16_t* phat, const std::uint16_t* q,
-                          std::uint64_t r0, std::uint64_t r1) {
-  for (std::uint64_t r = r0; r < r1; ++r) {
-    const std::uint16_t* ph = phat + r * cols;
-    const std::uint16_t* qq = q + r * cols;
-    const std::uint64_t rc = r * cols;
-    std::uint64_t k = 0;
-    for (; k + 4 <= cols; k += 4) {
-      prefetch_schedules(ph, qq, k, cols);
-      const __m128i idx = load_idx4(ph + k);
-      for (std::uint64_t l = 0; l < lanes; ++l) {
-        const auto* src = static_cast<const std::uint64_t*>(srcs[l]) + rc;
-        auto* dst = static_cast<std::uint64_t*>(dsts[l]) + rc;
-        const __m256i v =
-            _mm256_i32gather_epi64(reinterpret_cast<const long long*>(src), idx, 8);
-        alignas(32) std::uint64_t vals[4];
-        _mm256_store_si256(reinterpret_cast<__m256i*>(vals), v);
-        dst[qq[k + 0]] = vals[0];
-        dst[qq[k + 1]] = vals[1];
-        dst[qq[k + 2]] = vals[2];
-        dst[qq[k + 3]] = vals[3];
-      }
-    }
-    for (; k < cols; ++k) {
-      const std::uint64_t s = ph[k];
-      const std::uint64_t d = qq[k];
-      for (std::uint64_t l = 0; l < lanes; ++l) {
-        static_cast<std::uint64_t*>(dsts[l])[rc + d] =
-            static_cast<const std::uint64_t*>(srcs[l])[rc + s];
-      }
-    }
-  }
+void row_sweep_u32(const void* const* srcs, void* const* dsts, std::uint64_t lanes,
+                   std::uint64_t cols, const std::uint16_t* h, std::uint64_t r0,
+                   std::uint64_t r1) {
+  row_sweep<std::uint32_t>(srcs, dsts, lanes, cols, h, r0, r1);
 }
 
-// ---- blocked transpose -----------------------------------------------
-//
-// Column-gather transpose: output row j of the tile is column j of the
-// input, i.e. a strided gather with index vector {0, cols, 2*cols, ...}
-// — then one contiguous store. The caller guarantees rows*cols < 2^31
-// so the 32-bit element indices cannot wrap.
-
-void transpose_tiles_u32(const void* in, void* out, std::uint64_t rows,
-                         std::uint64_t cols, std::uint64_t tile,
-                         std::uint64_t tile_cols, std::uint64_t t0, std::uint64_t t1) {
-  const auto* in_base = static_cast<const std::uint32_t*>(in);
-  auto* out_base = static_cast<std::uint32_t*>(out);
-  const __m256i stride = _mm256_mullo_epi32(
-      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-      _mm256_set1_epi32(static_cast<int>(cols)));
-  for (std::uint64_t t = t0; t < t1; ++t) {
-    const std::uint64_t tr = (t / tile_cols) * tile;
-    const std::uint64_t tc = (t % tile_cols) * tile;
-    const std::uint64_t rmax = rows < tr + tile ? rows : tr + tile;
-    const std::uint64_t cmax = cols < tc + tile ? cols : tc + tile;
-    for (std::uint64_t j = tc; j < cmax; ++j) {
-      std::uint32_t* dst = out_base + j * rows;
-      std::uint64_t i = tr;
-      for (; i + 8 <= rmax; i += 8) {
-        const __m256i idx =
-            _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(i * cols + j)), stride);
-        const __m256i v =
-            _mm256_i32gather_epi32(reinterpret_cast<const int*>(in_base), idx, 4);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), v);
-      }
-      for (; i < rmax; ++i) dst[i] = in_base[i * cols + j];
-    }
-  }
-}
-
-void transpose_tiles_u64(const void* in, void* out, std::uint64_t rows,
-                         std::uint64_t cols, std::uint64_t tile,
-                         std::uint64_t tile_cols, std::uint64_t t0, std::uint64_t t1) {
-  const auto* in_base = static_cast<const std::uint64_t*>(in);
-  auto* out_base = static_cast<std::uint64_t*>(out);
-  const __m128i stride = _mm_mullo_epi32(_mm_setr_epi32(0, 1, 2, 3),
-                                         _mm_set1_epi32(static_cast<int>(cols)));
-  for (std::uint64_t t = t0; t < t1; ++t) {
-    const std::uint64_t tr = (t / tile_cols) * tile;
-    const std::uint64_t tc = (t % tile_cols) * tile;
-    const std::uint64_t rmax = rows < tr + tile ? rows : tr + tile;
-    const std::uint64_t cmax = cols < tc + tile ? cols : tc + tile;
-    for (std::uint64_t j = tc; j < cmax; ++j) {
-      std::uint64_t* dst = out_base + j * rows;
-      std::uint64_t i = tr;
-      for (; i + 4 <= rmax; i += 4) {
-        const __m128i idx =
-            _mm_add_epi32(_mm_set1_epi32(static_cast<int>(i * cols + j)), stride);
-        const __m256i v = _mm256_i32gather_epi64(
-            reinterpret_cast<const long long*>(in_base), idx, 8);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), v);
-      }
-      for (; i < rmax; ++i) dst[i] = in_base[i * cols + j];
-    }
-  }
-}
-
-void transpose_tiles_batched_u32(const void* const* srcs, void* const* dsts,
-                                 std::uint64_t lanes, std::uint64_t rows,
-                                 std::uint64_t cols, std::uint64_t tile,
-                                 std::uint64_t tile_cols, std::uint64_t t0,
-                                 std::uint64_t t1) {
-  const __m256i stride = _mm256_mullo_epi32(
-      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-      _mm256_set1_epi32(static_cast<int>(cols)));
-  for (std::uint64_t t = t0; t < t1; ++t) {
-    const std::uint64_t tr = (t / tile_cols) * tile;
-    const std::uint64_t tc = (t % tile_cols) * tile;
-    const std::uint64_t rmax = rows < tr + tile ? rows : tr + tile;
-    const std::uint64_t cmax = cols < tc + tile ? cols : tc + tile;
-    for (std::uint64_t j = tc; j < cmax; ++j) {
-      std::uint64_t i = tr;
-      for (; i + 8 <= rmax; i += 8) {
-        // One index vector serves every lane of the step.
-        const __m256i idx =
-            _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(i * cols + j)), stride);
-        for (std::uint64_t l = 0; l < lanes; ++l) {
-          const auto* src = static_cast<const std::uint32_t*>(srcs[l]);
-          auto* dst = static_cast<std::uint32_t*>(dsts[l]) + j * rows;
-          const __m256i v =
-              _mm256_i32gather_epi32(reinterpret_cast<const int*>(src), idx, 4);
-          _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), v);
-        }
-      }
-      for (; i < rmax; ++i) {
-        for (std::uint64_t l = 0; l < lanes; ++l) {
-          static_cast<std::uint32_t*>(dsts[l])[j * rows + i] =
-              static_cast<const std::uint32_t*>(srcs[l])[i * cols + j];
-        }
-      }
-    }
-  }
-}
-
-void transpose_tiles_batched_u64(const void* const* srcs, void* const* dsts,
-                                 std::uint64_t lanes, std::uint64_t rows,
-                                 std::uint64_t cols, std::uint64_t tile,
-                                 std::uint64_t tile_cols, std::uint64_t t0,
-                                 std::uint64_t t1) {
-  const __m128i stride = _mm_mullo_epi32(_mm_setr_epi32(0, 1, 2, 3),
-                                         _mm_set1_epi32(static_cast<int>(cols)));
-  for (std::uint64_t t = t0; t < t1; ++t) {
-    const std::uint64_t tr = (t / tile_cols) * tile;
-    const std::uint64_t tc = (t % tile_cols) * tile;
-    const std::uint64_t rmax = rows < tr + tile ? rows : tr + tile;
-    const std::uint64_t cmax = cols < tc + tile ? cols : tc + tile;
-    for (std::uint64_t j = tc; j < cmax; ++j) {
-      std::uint64_t i = tr;
-      for (; i + 4 <= rmax; i += 4) {
-        const __m128i idx =
-            _mm_add_epi32(_mm_set1_epi32(static_cast<int>(i * cols + j)), stride);
-        for (std::uint64_t l = 0; l < lanes; ++l) {
-          const auto* src = static_cast<const std::uint64_t*>(srcs[l]);
-          auto* dst = static_cast<std::uint64_t*>(dsts[l]) + j * rows;
-          const __m256i v = _mm256_i32gather_epi64(
-              reinterpret_cast<const long long*>(src), idx, 8);
-          _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), v);
-        }
-      }
-      for (; i < rmax; ++i) {
-        for (std::uint64_t l = 0; l < lanes; ++l) {
-          static_cast<std::uint64_t*>(dsts[l])[j * rows + i] =
-              static_cast<const std::uint64_t*>(srcs[l])[i * cols + j];
-        }
-      }
-    }
-  }
+void row_sweep_u64(const void* const* srcs, void* const* dsts, std::uint64_t lanes,
+                   std::uint64_t cols, const std::uint16_t* h, std::uint64_t r0,
+                   std::uint64_t r1) {
+  row_sweep<std::uint64_t>(srcs, dsts, lanes, cols, h, r0, r1);
 }
 
 // ---- conventional gather ---------------------------------------------
@@ -356,13 +200,7 @@ void gather_u64(const void* a, void* b, const std::uint32_t* idx,
 // The AVX2 tables: scatter stays null (no scatter instruction below
 // AVX-512), which routes the conventional D-designated kernel to the
 // scalar loop.
-extern const simd::KernelOps kOps4 = {
-    row_pass_u32,          row_pass_batched_u32, transpose_tiles_u32,
-    transpose_tiles_batched_u32, gather_u32,     nullptr,
-};
-extern const simd::KernelOps kOps8 = {
-    row_pass_u64,          row_pass_batched_u64, transpose_tiles_u64,
-    transpose_tiles_batched_u64, gather_u64,     nullptr,
-};
+extern const simd::KernelOps kOps4 = {band_sweep_u32, row_sweep_u32, gather_u32, nullptr};
+extern const simd::KernelOps kOps8 = {band_sweep_u64, row_sweep_u64, gather_u64, nullptr};
 
 }  // namespace hmm::cpu::avx2

@@ -2,21 +2,19 @@
 /// \brief AVX-512 tier of the kernel dispatch (compiled with
 /// -mavx512f -mavx512bw -mavx512vl -mavx512dq).
 ///
-/// With vpscatter available, every kernel becomes a straight-line
-/// gather→scatter pipeline: widen sixteen uint16 schedule entries to
-/// 32-bit lanes, vpgatherdd the source elements, vpscatterdd them to
-/// the destination indices — no scalar extraction anywhere in the main
-/// loop. The scatter is well-defined because q is a permutation within
-/// each row: the destination indices inside one scatter vector are
-/// pairwise distinct, the SIMD-lane image of the schedules'
-/// bank-conflict-freedom (DESIGN.md §2.1). The conventional `scatter`
-/// slot (absent in the AVX2 tier) is populated here for the same
-/// reason: p is a global permutation, so indices are globally unique.
+/// The sweeps are straight-line gather→store pipelines: widen sixteen
+/// uint16 table entries to 32-bit lanes, add the per-lane row offsets,
+/// vpgatherdd (or two 8-lane vpgatherdq for 8-byte elements) from the
+/// cache-resident band or row, and store one contiguous run. For
+/// 4-byte elements a band step stores one full 64 B line. The
+/// conventional `scatter` slot (absent in the AVX2 tier) is populated
+/// here: p is a global permutation, so indices are globally unique and
+/// vpscatterdd is well-defined.
 ///
-/// Masked tails: the row passes and conventional kernels finish
-/// sub-vector remainders with masked gathers/scatters instead of
-/// scalar loops — the same code path as the body, just with the top
-/// lanes switched off.
+/// Masked tails: a band shorter than sixteen rows, a row whose length
+/// is not a multiple of the vector width and the conventional kernels'
+/// remainders all run the body's instructions with the top lanes
+/// switched off, not a scalar loop.
 
 #include <immintrin.h>
 
@@ -27,19 +25,10 @@
 namespace hmm::cpu::avx512 {
 namespace {
 
-/// Prefetch distance into the schedule arrays, in uint16 entries
-/// (256 entries = 512 bytes = 8 cache lines ahead).
-constexpr std::uint64_t kPrefetchAhead = 256;
+/// Rows per band (cpu::kBandRows): one 16-lane gather per column.
+constexpr std::uint64_t kBand = 16;
 
-inline void prefetch_schedules(const std::uint16_t* ph, const std::uint16_t* qq,
-                               std::uint64_t k, std::uint64_t cols) {
-  if (k + kPrefetchAhead < cols) {
-    _mm_prefetch(reinterpret_cast<const char*>(ph + k + kPrefetchAhead), _MM_HINT_T0);
-    _mm_prefetch(reinterpret_cast<const char*>(qq + k + kPrefetchAhead), _MM_HINT_T0);
-  }
-}
-
-/// Sixteen uint16 schedule entries widened to sixteen 32-bit lanes.
+/// Sixteen uint16 table entries widened to sixteen 32-bit lanes.
 inline __m512i load_idx16(const std::uint16_t* p) {
   return _mm512_cvtepu16_epi32(
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
@@ -50,292 +39,134 @@ inline __m512i load_idx16_masked(const std::uint16_t* p, __mmask16 m) {
   return _mm512_cvtepu16_epi32(_mm256_maskz_loadu_epi16(m, p));
 }
 
-/// Eight uint16 schedule entries widened to eight 32-bit lanes.
-inline __m256i load_idx8(const std::uint16_t* p) {
-  return _mm256_cvtepu16_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+inline __mmask16 low_mask16(std::uint64_t k) {
+  return static_cast<__mmask16>((1u << k) - 1u);
 }
 
-inline __m256i load_idx8_masked(const std::uint16_t* p, __mmask8 m) {
-  return _mm256_cvtepu16_epi32(_mm_maskz_loadu_epi16(m, p));
+/// Lane i's row offset inside a band: i * cols.
+inline __m512i band_offsets(std::uint64_t cols) {
+  const __m512i iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+  return _mm512_mullo_epi32(iota, _mm512_set1_epi32(static_cast<int>(cols)));
 }
 
-// ---- row-wise pass ---------------------------------------------------
-
-void row_pass_u32(const void* in, void* out, std::uint64_t cols,
-                  const std::uint16_t* phat, const std::uint16_t* q,
-                  std::uint64_t r0, std::uint64_t r1) {
-  const auto* in_base = static_cast<const std::uint32_t*>(in);
-  auto* out_base = static_cast<std::uint32_t*>(out);
-  for (std::uint64_t r = r0; r < r1; ++r) {
-    const std::uint32_t* src = in_base + r * cols;
-    std::uint32_t* dst = out_base + r * cols;
-    const std::uint16_t* ph = phat + r * cols;
-    const std::uint16_t* qq = q + r * cols;
-    std::uint64_t k = 0;
-    for (; k + 16 <= cols; k += 16) {
-      prefetch_schedules(ph, qq, k, cols);
-      const __m512i v = _mm512_i32gather_epi32(load_idx16(ph + k), src, 4);
-      _mm512_i32scatter_epi32(dst, load_idx16(qq + k), v, 4);
-    }
-    if (k < cols) {
-      const __mmask16 m = static_cast<__mmask16>((1u << (cols - k)) - 1u);
-      const __m512i v = _mm512_mask_i32gather_epi32(
-          _mm512_setzero_si512(), m, load_idx16_masked(ph + k, m), src, 4);
-      _mm512_mask_i32scatter_epi32(dst, m, load_idx16_masked(qq + k, m), v, 4);
-    }
+/// Gather sixteen 8-byte elements at 32-bit offsets `idx` (lanes off in
+/// `m` read nothing) and store them to `out` under the same mask.
+inline void gather_store_u64x16(const std::uint64_t* in, std::uint64_t* out, __m512i idx,
+                                __mmask16 m) {
+  const __m256i lo = _mm512_castsi512_si256(idx);
+  const __m256i hi = _mm512_extracti64x4_epi64(idx, 1);
+  const auto mlo = static_cast<__mmask8>(m & 0xff);
+  const auto mhi = static_cast<__mmask8>(m >> 8);
+  if (m == 0xffff) {
+    _mm512_storeu_si512(out, _mm512_i32gather_epi64(lo, in, 8));
+    _mm512_storeu_si512(out + 8, _mm512_i32gather_epi64(hi, in, 8));
+    return;
   }
+  _mm512_mask_storeu_epi64(
+      out, mlo, _mm512_mask_i32gather_epi64(_mm512_setzero_si512(), mlo, lo, in, 8));
+  _mm512_mask_storeu_epi64(
+      out + 8, mhi, _mm512_mask_i32gather_epi64(_mm512_setzero_si512(), mhi, hi, in, 8));
 }
 
-void row_pass_u64(const void* in, void* out, std::uint64_t cols,
-                  const std::uint16_t* phat, const std::uint16_t* q,
-                  std::uint64_t r0, std::uint64_t r1) {
-  const auto* in_base = static_cast<const std::uint64_t*>(in);
-  auto* out_base = static_cast<std::uint64_t*>(out);
-  for (std::uint64_t r = r0; r < r1; ++r) {
-    const std::uint64_t* src = in_base + r * cols;
-    std::uint64_t* dst = out_base + r * cols;
-    const std::uint16_t* ph = phat + r * cols;
-    const std::uint16_t* qq = q + r * cols;
-    std::uint64_t k = 0;
-    for (; k + 8 <= cols; k += 8) {
-      prefetch_schedules(ph, qq, k, cols);
-      const __m512i v = _mm512_i32gather_epi64(load_idx8(ph + k), src, 8);
-      _mm512_i32scatter_epi64(dst, load_idx8(qq + k), v, 8);
-    }
-    if (k < cols) {
-      const __mmask8 m = static_cast<__mmask8>((1u << (cols - k)) - 1u);
-      const __m512i v = _mm512_mask_i32gather_epi64(
-          _mm512_setzero_si512(), m, load_idx8_masked(ph + k, m), src, 8);
-      _mm512_mask_i32scatter_epi64(dst, m, load_idx8_masked(qq + k, m), v, 8);
-    }
-  }
-}
-
-// ---- batched row-wise pass -------------------------------------------
+// ---- band sweep (row pass fused with the transpose after it) ---------
 //
-// The widened (p̂, q) index vectors are decoded once per step and
-// reused by every lane — the SIMD image of the batching lemma's
-// schedule-read amortization.
+// Column c of a band: sixteen table entries (one per band row, 32 B
+// contiguous) plus the row offsets {0, cols, ..., 15 cols} address the
+// band's sixteen source elements; they land contiguously at
+// out[c][band rows]. The index vector is decoded once per column and
+// reused by every lane.
 
-void row_pass_batched_u32(const void* const* srcs, void* const* dsts,
-                          std::uint64_t lanes, std::uint64_t cols,
-                          const std::uint16_t* phat, const std::uint16_t* q,
-                          std::uint64_t r0, std::uint64_t r1) {
+void band_sweep_u32(const void* const* srcs, void* const* dsts, std::uint64_t lanes,
+                    std::uint64_t rows, std::uint64_t cols, const std::uint16_t* h,
+                    std::uint64_t b0, std::uint64_t b1) {
+  const __m512i offsets = band_offsets(cols);
+  for (std::uint64_t band = b0; band < b1; ++band) {
+    const std::uint64_t r0 = band * kBand;
+    const std::uint64_t height = rows - r0 < kBand ? rows - r0 : kBand;
+    const __mmask16 m = low_mask16(height);
+    const std::uint16_t* hb = h + r0 * cols;
+    for (std::uint64_t c = 0; c < cols; ++c) {
+      if (height == kBand) {
+        const __m512i idx = _mm512_add_epi32(load_idx16(hb + c * kBand), offsets);
+        for (std::uint64_t l = 0; l < lanes; ++l) {
+          const auto* in = static_cast<const std::uint32_t*>(srcs[l]) + r0 * cols;
+          auto* out = static_cast<std::uint32_t*>(dsts[l]) + c * rows + r0;
+          _mm512_storeu_si512(out, _mm512_i32gather_epi32(idx, in, 4));
+        }
+      } else {
+        const __m512i idx =
+            _mm512_add_epi32(load_idx16_masked(hb + c * height, m), offsets);
+        for (std::uint64_t l = 0; l < lanes; ++l) {
+          const auto* in = static_cast<const std::uint32_t*>(srcs[l]) + r0 * cols;
+          auto* out = static_cast<std::uint32_t*>(dsts[l]) + c * rows + r0;
+          _mm512_mask_storeu_epi32(
+              out, m, _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), m, idx, in, 4));
+        }
+      }
+    }
+  }
+}
+
+void band_sweep_u64(const void* const* srcs, void* const* dsts, std::uint64_t lanes,
+                    std::uint64_t rows, std::uint64_t cols, const std::uint16_t* h,
+                    std::uint64_t b0, std::uint64_t b1) {
+  const __m512i offsets = band_offsets(cols);
+  for (std::uint64_t band = b0; band < b1; ++band) {
+    const std::uint64_t r0 = band * kBand;
+    const std::uint64_t height = rows - r0 < kBand ? rows - r0 : kBand;
+    const __mmask16 m = low_mask16(height);
+    const std::uint16_t* hb = h + r0 * cols;
+    for (std::uint64_t c = 0; c < cols; ++c) {
+      const __m512i idx = _mm512_add_epi32(
+          height == kBand ? load_idx16(hb + c * kBand) : load_idx16_masked(hb + c * height, m),
+          offsets);
+      for (std::uint64_t l = 0; l < lanes; ++l) {
+        const auto* in = static_cast<const std::uint64_t*>(srcs[l]) + r0 * cols;
+        auto* out = static_cast<std::uint64_t*>(dsts[l]) + c * rows + r0;
+        gather_store_u64x16(in, out, idx, m);
+      }
+    }
+  }
+}
+
+// ---- row sweep -------------------------------------------------------
+
+void row_sweep_u32(const void* const* srcs, void* const* dsts, std::uint64_t lanes,
+                   std::uint64_t cols, const std::uint16_t* h, std::uint64_t r0,
+                   std::uint64_t r1) {
   for (std::uint64_t r = r0; r < r1; ++r) {
-    const std::uint16_t* ph = phat + r * cols;
-    const std::uint16_t* qq = q + r * cols;
-    const std::uint64_t rc = r * cols;
-    std::uint64_t k = 0;
-    for (; k + 16 <= cols; k += 16) {
-      prefetch_schedules(ph, qq, k, cols);
-      const __m512i gi = load_idx16(ph + k);
-      const __m512i si = load_idx16(qq + k);
+    const std::uint16_t* hr = h + r * cols;
+    for (std::uint64_t k = 0; k < cols; k += 16) {
+      const bool full = k + 16 <= cols;
+      const __mmask16 m = full ? static_cast<__mmask16>(0xffff) : low_mask16(cols - k);
+      const __m512i idx = full ? load_idx16(hr + k) : load_idx16_masked(hr + k, m);
       for (std::uint64_t l = 0; l < lanes; ++l) {
-        const auto* src = static_cast<const std::uint32_t*>(srcs[l]) + rc;
-        auto* dst = static_cast<std::uint32_t*>(dsts[l]) + rc;
-        _mm512_i32scatter_epi32(dst, si, _mm512_i32gather_epi32(gi, src, 4), 4);
-      }
-    }
-    if (k < cols) {
-      const __mmask16 m = static_cast<__mmask16>((1u << (cols - k)) - 1u);
-      const __m512i gi = load_idx16_masked(ph + k, m);
-      const __m512i si = load_idx16_masked(qq + k, m);
-      for (std::uint64_t l = 0; l < lanes; ++l) {
-        const auto* src = static_cast<const std::uint32_t*>(srcs[l]) + rc;
-        auto* dst = static_cast<std::uint32_t*>(dsts[l]) + rc;
-        const __m512i v =
-            _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), m, gi, src, 4);
-        _mm512_mask_i32scatter_epi32(dst, m, si, v, 4);
+        const auto* in = static_cast<const std::uint32_t*>(srcs[l]) + r * cols;
+        auto* out = static_cast<std::uint32_t*>(dsts[l]) + r * cols + k;
+        if (full) {
+          _mm512_storeu_si512(out, _mm512_i32gather_epi32(idx, in, 4));
+        } else {
+          _mm512_mask_storeu_epi32(
+              out, m, _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), m, idx, in, 4));
+        }
       }
     }
   }
 }
 
-void row_pass_batched_u64(const void* const* srcs, void* const* dsts,
-                          std::uint64_t lanes, std::uint64_t cols,
-                          const std::uint16_t* phat, const std::uint16_t* q,
-                          std::uint64_t r0, std::uint64_t r1) {
+void row_sweep_u64(const void* const* srcs, void* const* dsts, std::uint64_t lanes,
+                   std::uint64_t cols, const std::uint16_t* h, std::uint64_t r0,
+                   std::uint64_t r1) {
   for (std::uint64_t r = r0; r < r1; ++r) {
-    const std::uint16_t* ph = phat + r * cols;
-    const std::uint16_t* qq = q + r * cols;
-    const std::uint64_t rc = r * cols;
-    std::uint64_t k = 0;
-    for (; k + 8 <= cols; k += 8) {
-      prefetch_schedules(ph, qq, k, cols);
-      const __m256i gi = load_idx8(ph + k);
-      const __m256i si = load_idx8(qq + k);
+    const std::uint16_t* hr = h + r * cols;
+    for (std::uint64_t k = 0; k < cols; k += 16) {
+      const bool full = k + 16 <= cols;
+      const __mmask16 m = full ? static_cast<__mmask16>(0xffff) : low_mask16(cols - k);
+      const __m512i idx = full ? load_idx16(hr + k) : load_idx16_masked(hr + k, m);
       for (std::uint64_t l = 0; l < lanes; ++l) {
-        const auto* src = static_cast<const std::uint64_t*>(srcs[l]) + rc;
-        auto* dst = static_cast<std::uint64_t*>(dsts[l]) + rc;
-        _mm512_i32scatter_epi64(dst, si, _mm512_i32gather_epi64(gi, src, 8), 8);
-      }
-    }
-    if (k < cols) {
-      const __mmask8 m = static_cast<__mmask8>((1u << (cols - k)) - 1u);
-      const __m256i gi = load_idx8_masked(ph + k, m);
-      const __m256i si = load_idx8_masked(qq + k, m);
-      for (std::uint64_t l = 0; l < lanes; ++l) {
-        const auto* src = static_cast<const std::uint64_t*>(srcs[l]) + rc;
-        auto* dst = static_cast<std::uint64_t*>(dsts[l]) + rc;
-        const __m512i v =
-            _mm512_mask_i32gather_epi64(_mm512_setzero_si512(), m, gi, src, 8);
-        _mm512_mask_i32scatter_epi64(dst, m, si, v, 8);
-      }
-    }
-  }
-}
-
-// ---- blocked transpose -----------------------------------------------
-//
-// Column-gather transpose: output row j of the tile is column j of the
-// input — a strided gather with index vector {0, cols, 2*cols, ...},
-// then one contiguous store. The caller guarantees rows*cols < 2^31 so
-// the 32-bit element indices cannot wrap.
-
-void transpose_tiles_u32(const void* in, void* out, std::uint64_t rows,
-                         std::uint64_t cols, std::uint64_t tile,
-                         std::uint64_t tile_cols, std::uint64_t t0, std::uint64_t t1) {
-  const auto* in_base = static_cast<const std::uint32_t*>(in);
-  auto* out_base = static_cast<std::uint32_t*>(out);
-  const __m512i iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
-                                         13, 14, 15);
-  const __m512i stride =
-      _mm512_mullo_epi32(iota, _mm512_set1_epi32(static_cast<int>(cols)));
-  for (std::uint64_t t = t0; t < t1; ++t) {
-    const std::uint64_t tr = (t / tile_cols) * tile;
-    const std::uint64_t tc = (t % tile_cols) * tile;
-    const std::uint64_t rmax = rows < tr + tile ? rows : tr + tile;
-    const std::uint64_t cmax = cols < tc + tile ? cols : tc + tile;
-    for (std::uint64_t j = tc; j < cmax; ++j) {
-      std::uint32_t* dst = out_base + j * rows;
-      std::uint64_t i = tr;
-      for (; i + 16 <= rmax; i += 16) {
-        const __m512i idx =
-            _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(i * cols + j)), stride);
-        _mm512_storeu_si512(dst + i, _mm512_i32gather_epi32(idx, in_base, 4));
-      }
-      if (i < rmax) {
-        const __mmask16 m = static_cast<__mmask16>((1u << (rmax - i)) - 1u);
-        const __m512i idx =
-            _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(i * cols + j)), stride);
-        const __m512i v =
-            _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), m, idx, in_base, 4);
-        _mm512_mask_storeu_epi32(dst + i, m, v);
-      }
-    }
-  }
-}
-
-void transpose_tiles_u64(const void* in, void* out, std::uint64_t rows,
-                         std::uint64_t cols, std::uint64_t tile,
-                         std::uint64_t tile_cols, std::uint64_t t0, std::uint64_t t1) {
-  const auto* in_base = static_cast<const std::uint64_t*>(in);
-  auto* out_base = static_cast<std::uint64_t*>(out);
-  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  const __m256i stride =
-      _mm256_mullo_epi32(iota, _mm256_set1_epi32(static_cast<int>(cols)));
-  for (std::uint64_t t = t0; t < t1; ++t) {
-    const std::uint64_t tr = (t / tile_cols) * tile;
-    const std::uint64_t tc = (t % tile_cols) * tile;
-    const std::uint64_t rmax = rows < tr + tile ? rows : tr + tile;
-    const std::uint64_t cmax = cols < tc + tile ? cols : tc + tile;
-    for (std::uint64_t j = tc; j < cmax; ++j) {
-      std::uint64_t* dst = out_base + j * rows;
-      std::uint64_t i = tr;
-      for (; i + 8 <= rmax; i += 8) {
-        const __m256i idx =
-            _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(i * cols + j)), stride);
-        _mm512_storeu_si512(dst + i, _mm512_i32gather_epi64(idx, in_base, 8));
-      }
-      if (i < rmax) {
-        const __mmask8 m = static_cast<__mmask8>((1u << (rmax - i)) - 1u);
-        const __m256i idx =
-            _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(i * cols + j)), stride);
-        const __m512i v =
-            _mm512_mask_i32gather_epi64(_mm512_setzero_si512(), m, idx, in_base, 8);
-        _mm512_mask_storeu_epi64(dst + i, m, v);
-      }
-    }
-  }
-}
-
-void transpose_tiles_batched_u32(const void* const* srcs, void* const* dsts,
-                                 std::uint64_t lanes, std::uint64_t rows,
-                                 std::uint64_t cols, std::uint64_t tile,
-                                 std::uint64_t tile_cols, std::uint64_t t0,
-                                 std::uint64_t t1) {
-  const __m512i iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
-                                         13, 14, 15);
-  const __m512i stride =
-      _mm512_mullo_epi32(iota, _mm512_set1_epi32(static_cast<int>(cols)));
-  for (std::uint64_t t = t0; t < t1; ++t) {
-    const std::uint64_t tr = (t / tile_cols) * tile;
-    const std::uint64_t tc = (t % tile_cols) * tile;
-    const std::uint64_t rmax = rows < tr + tile ? rows : tr + tile;
-    const std::uint64_t cmax = cols < tc + tile ? cols : tc + tile;
-    for (std::uint64_t j = tc; j < cmax; ++j) {
-      std::uint64_t i = tr;
-      for (; i + 16 <= rmax; i += 16) {
-        // One index vector serves every lane of the step.
-        const __m512i idx =
-            _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(i * cols + j)), stride);
-        for (std::uint64_t l = 0; l < lanes; ++l) {
-          const auto* src = static_cast<const std::uint32_t*>(srcs[l]);
-          auto* dst = static_cast<std::uint32_t*>(dsts[l]) + j * rows;
-          _mm512_storeu_si512(dst + i, _mm512_i32gather_epi32(idx, src, 4));
-        }
-      }
-      if (i < rmax) {
-        const __mmask16 m = static_cast<__mmask16>((1u << (rmax - i)) - 1u);
-        const __m512i idx =
-            _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(i * cols + j)), stride);
-        for (std::uint64_t l = 0; l < lanes; ++l) {
-          const auto* src = static_cast<const std::uint32_t*>(srcs[l]);
-          auto* dst = static_cast<std::uint32_t*>(dsts[l]) + j * rows;
-          const __m512i v =
-              _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), m, idx, src, 4);
-          _mm512_mask_storeu_epi32(dst + i, m, v);
-        }
-      }
-    }
-  }
-}
-
-void transpose_tiles_batched_u64(const void* const* srcs, void* const* dsts,
-                                 std::uint64_t lanes, std::uint64_t rows,
-                                 std::uint64_t cols, std::uint64_t tile,
-                                 std::uint64_t tile_cols, std::uint64_t t0,
-                                 std::uint64_t t1) {
-  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  const __m256i stride =
-      _mm256_mullo_epi32(iota, _mm256_set1_epi32(static_cast<int>(cols)));
-  for (std::uint64_t t = t0; t < t1; ++t) {
-    const std::uint64_t tr = (t / tile_cols) * tile;
-    const std::uint64_t tc = (t % tile_cols) * tile;
-    const std::uint64_t rmax = rows < tr + tile ? rows : tr + tile;
-    const std::uint64_t cmax = cols < tc + tile ? cols : tc + tile;
-    for (std::uint64_t j = tc; j < cmax; ++j) {
-      std::uint64_t i = tr;
-      for (; i + 8 <= rmax; i += 8) {
-        const __m256i idx =
-            _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(i * cols + j)), stride);
-        for (std::uint64_t l = 0; l < lanes; ++l) {
-          const auto* src = static_cast<const std::uint64_t*>(srcs[l]);
-          auto* dst = static_cast<std::uint64_t*>(dsts[l]) + j * rows;
-          _mm512_storeu_si512(dst + i, _mm512_i32gather_epi64(idx, src, 8));
-        }
-      }
-      if (i < rmax) {
-        const __mmask8 m = static_cast<__mmask8>((1u << (rmax - i)) - 1u);
-        const __m256i idx =
-            _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(i * cols + j)), stride);
-        for (std::uint64_t l = 0; l < lanes; ++l) {
-          const auto* src = static_cast<const std::uint64_t*>(srcs[l]);
-          auto* dst = static_cast<std::uint64_t*>(dsts[l]) + j * rows;
-          const __m512i v =
-              _mm512_mask_i32gather_epi64(_mm512_setzero_si512(), m, idx, src, 8);
-          _mm512_mask_storeu_epi64(dst + i, m, v);
-        }
+        const auto* in = static_cast<const std::uint64_t*>(srcs[l]) + r * cols;
+        auto* out = static_cast<std::uint64_t*>(dsts[l]) + r * cols + k;
+        gather_store_u64x16(in, out, idx, m);
       }
     }
   }
@@ -417,13 +248,7 @@ void scatter_u64(const void* a, void* b, const std::uint32_t* idx,
 
 }  // namespace
 
-extern const simd::KernelOps kOps4 = {
-    row_pass_u32,          row_pass_batched_u32, transpose_tiles_u32,
-    transpose_tiles_batched_u32, gather_u32,     scatter_u32,
-};
-extern const simd::KernelOps kOps8 = {
-    row_pass_u64,          row_pass_batched_u64, transpose_tiles_u64,
-    transpose_tiles_batched_u64, gather_u64,     scatter_u64,
-};
+extern const simd::KernelOps kOps4 = {band_sweep_u32, row_sweep_u32, gather_u32, scatter_u32};
+extern const simd::KernelOps kOps8 = {band_sweep_u64, row_sweep_u64, gather_u64, scatter_u64};
 
 }  // namespace hmm::cpu::avx512

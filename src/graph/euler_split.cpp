@@ -161,8 +161,8 @@ class Walker {
 /// many groups (every later level's chunks, a plan's 3·r per-row bank
 /// colorings) allocates its scratch once. Buffers grown past the inline
 /// cutoff are freed afterwards, so what a thread keeps stays bounded.
-/// `fn` must not fork onto the pool: a help-draining worker would
-/// re-enter the walker it is using.
+/// `fn` must not fork onto the pool: a fork-join's caller runs chunks
+/// of its loop itself and would re-enter the walker it is using.
 void with_walker(const std::function<void(Walker&)>& fn) {
   thread_local Walker walker;
   fn(walker);

@@ -167,10 +167,10 @@ double conventional_ns(const GatherMisses& misses, std::uint64_t source_bytes,
 }
 
 double scheduled_ns(std::uint64_t n, std::size_t elem_bytes, const HostParams& host) noexcept {
-  // Bytes per element over the five passes: 3 x (read e + read 2 x u16
-  // + write e) + 2 x (read e + write e) = 10e + 12; 52 at e = 4.
-  const double scale = (10.0 * static_cast<double>(elem_bytes) + 12.0) / 52.0;
-  return static_cast<double>(n) * host.sched_ns * scale + 5.0 * host.forkjoin_ns;
+  // Bytes per element over the three sweeps: 3 x (read e + read one
+  // u16 + write e) = 6e + 6; 30 at e = 4.
+  const double scale = (6.0 * static_cast<double>(elem_bytes) + 6.0) / 30.0;
+  return static_cast<double>(n) * host.sched_ns * scale + 3.0 * host.forkjoin_ns;
 }
 
 }  // namespace hmm::model

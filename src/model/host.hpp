@@ -25,8 +25,8 @@
 ///
 /// The scheduled algorithm's cost is permutation-independent
 /// (Theorem 9), so it is one measured rate per element. Both sides pay
-/// the pool's fork-join: once for the gather, five times for the
-/// scheduled kernel's five passes.
+/// the pool's fork-join: once for the gather, three times for the
+/// scheduled kernel's three sweeps.
 ///
 /// `HostParams` carries both the geometry (read from sysconf/sysfs)
 /// and the measured costs; `core::host_params` fills the costs with a
@@ -51,7 +51,7 @@ struct HostParams {
   std::uint32_t workers = 1;             ///< chunks a gather is split into (pool size)
 
   // Costs (ns of wall time; zero until probed).
-  double sched_ns = 0;      ///< scheduled kernel, per 4-byte element, all five passes
+  double sched_ns = 0;      ///< scheduled kernel, per 4-byte element, all three sweeps
   double miss_ns_llc = 0;   ///< gather, per L2-missed line, source within the LLC share
   double miss_ns_dram = 0;  ///< gather, per L2-missed line, source past the LLC share
   double alias_ns = 0;      ///< extra per miss a whole number of pages from the last access
@@ -97,10 +97,9 @@ double conventional_ns(const GatherMisses& misses, std::uint64_t source_bytes,
                        const HostParams& host) noexcept;
 
 /// Predicted wall ns of the scheduled kernel on n `elem_bytes`-byte
-/// elements: the probed rate scaled by the bytes the five passes move
-/// per element (three row passes read data + two u16 schedule entries
-/// and write data; two transposes read and write data), plus five
-/// fork-joins.
+/// elements: the probed rate scaled by the bytes the three sweeps move
+/// per element (each reads the data and one u16 table entry and writes
+/// the data), plus three fork-joins.
 double scheduled_ns(std::uint64_t n, std::size_t elem_bytes, const HostParams& host) noexcept;
 
 /// kAuto leaves the scheduled kernel only when the gather is predicted

@@ -861,7 +861,7 @@ OutboundFrame Server::handle_shard_exec(const FrameView& request) {
 
   // Compile (or fetch) the *full* scheduled plan — cached by
   // fingerprint, so every band of a hot plan shares one compile — and
-  // slice this shard's rows of each pass as subspans.
+  // its row-major band tables, sliced once per compile and shard count.
   std::shared_ptr<const core::OfflinePermuter<std::uint32_t>> permuter =
       service_.cache().acquire<std::uint32_t>(*plan, service_.config().machine,
                                               core::Strategy::kScheduled);
@@ -874,10 +874,27 @@ OutboundFrame Server::handle_shard_exec(const FrameView& request) {
     return fail(Status(StatusCode::kInvalidArgument,
                        "SHARD_EXEC: matrix shape does not match the compiled plan"));
   }
-  StatusOr<runtime::BandPlanner> planner_or =
-      runtime::BandPlanner::build(*splan, exec.shard_count());
-  if (!planner_or.ok()) return fail(planner_or.status());
-  const runtime::BandPlanner& planner = planner_or.value();
+  std::shared_ptr<const runtime::BandPlanner> planner_ptr;
+  {
+    std::lock_guard lock(shard_planners_mutex_);
+    for (const ShardPlanner& entry : shard_planners_) {
+      if (entry.shards == exec.shard_count() && entry.shard == me &&
+          entry.permuter.lock() == permuter) {
+        planner_ptr = entry.planner;
+        break;
+      }
+    }
+  }
+  if (planner_ptr == nullptr) {
+    StatusOr<runtime::BandPlanner> planner_or =
+        runtime::BandPlanner::build(*splan, exec.shard_count(), me);
+    if (!planner_or.ok()) return fail(planner_or.status());
+    planner_ptr = std::make_shared<const runtime::BandPlanner>(std::move(planner_or).value());
+    std::lock_guard lock(shard_planners_mutex_);
+    shard_planners_.push_back(ShardPlanner{permuter, exec.shard_count(), me, planner_ptr});
+    if (shard_planners_.size() > kShardPlanners) shard_planners_.pop_front();
+  }
+  const runtime::BandPlanner& planner = *planner_ptr;
 
   util::BufferPool& pool = util::BufferPool::global();
   const std::uint64_t band_elems = bands.band_elements(me);
@@ -917,8 +934,8 @@ OutboundFrame Server::handle_shard_exec(const FrameView& request) {
   util::ThreadPool& workers = util::ThreadPool::global();
 
   // Pass 1 (row-wise over this band's rows of the rows x cols view).
-  const runtime::BandPassView p1 = planner.pass1(me);
-  cpu::row_wise_pass<std::uint32_t>(workers, in, y_span, p1.rows, p1.cols, p1.phat, p1.q);
+  const runtime::BandPassView p1 = planner.pass1();
+  cpu::row_sweep<std::uint32_t>(workers, in, y_span, p1.rows, p1.cols, p1.gather);
 
   // Round-1 exchange: one block per peer, each exactly once; the self
   // block scatters locally through the same exactly-once bookkeeping.
@@ -963,9 +980,9 @@ OutboundFrame Server::handle_shard_exec(const FrameView& request) {
   if (!round_st.is_ok()) return fail(round_st);
 
   // Pass 2 (row-wise over this shard's rows of the transposed view).
-  const runtime::BandPassView p2 = planner.pass2(me);
-  cpu::row_wise_pass<std::uint32_t>(workers, std::span<const std::uint32_t>(session->z_span()),
-                                    w_span, p2.rows, p2.cols, p2.phat, p2.q);
+  const runtime::BandPassView p2 = planner.pass2();
+  cpu::row_sweep<std::uint32_t>(workers, std::span<const std::uint32_t>(session->z_span()),
+                                w_span, p2.rows, p2.cols, p2.gather);
 
   round_st = run_round(2, w_span);
   if (!round_st.is_ok()) return fail(round_st);
@@ -974,9 +991,9 @@ OutboundFrame Server::handle_shard_exec(const FrameView& request) {
 
   // Pass 3 (row-wise, back in the rows x cols view): the result is this
   // band's rows of the final array, contiguous.
-  const runtime::BandPassView p3 = planner.pass3(me);
-  cpu::row_wise_pass<std::uint32_t>(workers, std::span<const std::uint32_t>(session->x_span()),
-                                    result_span, p3.rows, p3.cols, p3.phat, p3.q);
+  const runtime::BandPassView p3 = planner.pass3();
+  cpu::row_sweep<std::uint32_t>(workers, std::span<const std::uint32_t>(session->x_span()),
+                                result_span, p3.rows, p3.cols, p3.gather);
 
   shard_execs_.fetch_add(1, std::memory_order_relaxed);
   return elements_outbound(MsgKind::kShardExecOk, request.request_id, std::move(result),

@@ -325,6 +325,22 @@ class Server {
 
   ShardSessionRegistry shard_sessions_;
 
+  /// A shard's row-major band tables of a compiled plan, sliced once
+  /// when the plan first runs as that shard and reused by every
+  /// SHARD_EXEC on it. The weak pointer names the compile the tables
+  /// came from: a recompiled plan (after cache eviction) is sliced
+  /// afresh, and a dropped one does not stay resident through here.
+  struct ShardPlanner {
+    std::weak_ptr<const core::OfflinePermuter<std::uint32_t>> permuter;
+    std::uint32_t shards = 0;
+    std::uint32_t shard = 0;
+    std::shared_ptr<const runtime::BandPlanner> planner;
+  };
+  /// Most planners kept; the oldest is dropped past this.
+  static constexpr std::size_t kShardPlanners = 8;
+  std::mutex shard_planners_mutex_;
+  std::deque<ShardPlanner> shard_planners_;
+
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> connections_rejected_{0};
   std::atomic<std::uint64_t> requests_ok_{0};

@@ -75,10 +75,19 @@ StatusOr<BandPlan> BandPlan::build(std::uint64_t rows, std::uint64_t cols,
 }
 
 StatusOr<BandPlanner> BandPlanner::build(const core::ScheduledPlan& plan,
-                                         std::uint32_t shards) {
+                                         std::uint32_t shards, std::uint32_t shard) {
+  if (shard >= shards) {
+    return Status(StatusCode::kInvalidArgument, "band planner: shard index out of range");
+  }
   auto bands = BandPlan::build(plan.shape().rows, plan.shape().cols, shards);
   if (!bands.ok()) return bands.status();
-  return BandPlanner(plan, std::move(bands).value());
+  BandPlanner planner(std::move(bands).value(), shard);
+  const BandRange& rb = planner.bands_.row_band(shard);
+  const BandRange& cb = planner.bands_.col_band(shard);
+  planner.gather_[0] = plan.gather_rows(1, rb.begin, rb.end);
+  planner.gather_[1] = plan.gather_rows(2, cb.begin, cb.end);
+  planner.gather_[2] = plan.gather_rows(3, rb.begin, rb.end);
+  return planner;
 }
 
 void extract_block_round1(const BandPlan& plan, std::uint32_t src, std::uint32_t dst,

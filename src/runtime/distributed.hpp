@@ -19,17 +19,20 @@
 ///
 /// `BandPlan` is pure geometry (band ranges + the exchange block list);
 /// `BandPlanner` binds the geometry to a compiled `core::ScheduledPlan`
-/// and hands out the band's rows of each pass schedule as zero-copy
-/// subspans of the full `RowScheduleSet` — the rows a shard runs are
-/// bit-identical to the rows a single node would run (see
-/// `core::slice_rows` for the owning variant).
+/// and holds one shard's rows of each pass's gather table. A shard runs
+/// each pass as `cpu::row_sweep` on its rows, so the planner copies
+/// them row-major (the plan stores the first two tables
+/// band-interleaved for the single-node fused sweeps), once when it is
+/// built; the entries a shard runs are the ones a single node would run.
 
+#include <array>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/plan.hpp"
-#include "core/row_schedule.hpp"
+#include "util/aligned_vector.hpp"
 #include "runtime/status.hpp"
 
 namespace hmm::runtime {
@@ -129,58 +132,51 @@ class BandPlan {
   std::vector<BlockTransfer> round2_;
 };
 
-/// One band's rows of a pass schedule, borrowed from the full plan.
+/// One band's rows of a pass's gather table (row-major), borrowed
+/// from the planner.
 struct BandPassView {
   std::uint64_t rows = 0;  ///< rows this band executes
   std::uint64_t cols = 0;  ///< row length of the pass
-  std::span<const std::uint16_t> phat;
-  std::span<const std::uint16_t> q;
+  std::span<const std::uint16_t> gather;
 };
 
-/// Binds a `BandPlan` to a compiled plan and serves each shard its
-/// slice of the three pass schedules. Borrows `plan` — the caller keeps
-/// it alive (shards hold the plan-cache entry).
+/// One shard's slice of a compiled plan: the band geometry and the
+/// shard's rows of the three passes' gather tables, copied row-major
+/// (6 bytes per element of its band). It borrows nothing, so a server
+/// can keep one per hot plan.
 class BandPlanner {
  public:
   /// Fails (kInvalidArgument) when the split is infeasible for the
-  /// plan's shape (see BandPlan::build).
+  /// plan's shape (see BandPlan::build) or `shard` is not below `shards`.
   [[nodiscard]] static StatusOr<BandPlanner> build(const core::ScheduledPlan& plan,
-                                                   std::uint32_t shards);
+                                                   std::uint32_t shards, std::uint32_t shard);
 
   [[nodiscard]] const BandPlan& bands() const noexcept { return bands_; }
-  [[nodiscard]] const core::ScheduledPlan& plan() const noexcept { return *plan_; }
 
-  /// Shard s's rows of pass 1 / 2 / 3. Pass 1 and 3 run over the row
-  /// band of the rows x cols view; pass 2 over the column band of the
+  /// The shard's rows of pass 1 / 2 / 3. Pass 1 and 3 run over its row
+  /// band of the rows x cols view; pass 2 over its column band of the
   /// transposed cols x rows view.
-  [[nodiscard]] BandPassView pass1(std::uint32_t shard) const noexcept {
-    return slice(plan_->pass1(), bands_.row_band(shard));
+  [[nodiscard]] BandPassView pass1() const noexcept {
+    return view(0, bands_.row_band(shard_), bands_.cols());
   }
-  [[nodiscard]] BandPassView pass2(std::uint32_t shard) const noexcept {
-    return slice(plan_->pass2(), bands_.col_band(shard));
+  [[nodiscard]] BandPassView pass2() const noexcept {
+    return view(1, bands_.col_band(shard_), bands_.rows());
   }
-  [[nodiscard]] BandPassView pass3(std::uint32_t shard) const noexcept {
-    return slice(plan_->pass3(), bands_.row_band(shard));
+  [[nodiscard]] BandPassView pass3() const noexcept {
+    return view(2, bands_.row_band(shard_), bands_.cols());
   }
 
  private:
-  BandPlanner(const core::ScheduledPlan& plan, BandPlan bands)
-      : plan_(&plan), bands_(std::move(bands)) {}
+  BandPlanner(BandPlan bands, std::uint32_t shard) : bands_(std::move(bands)), shard_(shard) {}
 
-  [[nodiscard]] static BandPassView slice(const core::RowScheduleSet& set,
-                                          const BandRange& band) noexcept {
-    const std::uint64_t offset = band.begin * set.cols;
-    const std::uint64_t len = band.rows() * set.cols;
-    return BandPassView{
-        .rows = band.rows(),
-        .cols = set.cols,
-        .phat = std::span<const std::uint16_t>(set.phat.data() + offset, len),
-        .q = std::span<const std::uint16_t>(set.q.data() + offset, len),
-    };
+  [[nodiscard]] BandPassView view(std::size_t pass, const BandRange& band,
+                                  std::uint64_t cols) const noexcept {
+    return BandPassView{.rows = band.rows(), .cols = cols, .gather = gather_[pass]};
   }
 
-  const core::ScheduledPlan* plan_ = nullptr;
   BandPlan bands_;
+  std::uint32_t shard_ = 0;
+  std::array<util::aligned_vector<std::uint16_t>, 3> gather_;  ///< row-major, per pass
 };
 
 /// Extract the round-1 block (src -> dst) from shard src's pass-1

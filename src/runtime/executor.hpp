@@ -38,7 +38,7 @@
 /// **Same-plan batching** (Config::batch, off by default). Requests
 /// that share a compiled scheduled plan are gathered — up to
 /// `max_batch` of them, for at most `max_delay` — and executed as one
-/// `core::scheduled_cpu_lean_batched` sweep: five thread-pool
+/// multi-lane `core::scheduled_cpu` call: three thread-pool
 /// fork/joins per *batch* instead of per request, the serving-side
 /// image of the paper's batching lemma (many permutations along the
 /// same plan amortize to optimal cost). Batching is invisible to
@@ -52,8 +52,8 @@
 ///
 /// Requests drain onto the shared thread pool via
 /// `ThreadPool::submit_task`; each request then fans its kernels out
-/// on the same pool (`parallel_for` help-drains when called from a
-/// worker, so this nesting cannot deadlock — see thread_pool.hpp).
+/// on the same pool (a fork-join's caller can run every chunk itself,
+/// so this nesting cannot deadlock — see thread_pool.hpp).
 ///
 /// Concurrency model: one compiled plan may serve many in-flight
 /// requests at once — the executor acquires per-request scratch and
@@ -110,15 +110,15 @@ class Executor {
     std::chrono::microseconds max_delay{200};
     /// Cache-residency budget for one fused sweep: input + output +
     /// scratch across every lane. Lane counts are capped so the batch
-    /// fits (an unbatched request chains its five passes through a
+    /// fits (an unbatched request chains its three sweeps through a
     /// cache-resident buffer trio; a batch that overflows the cache
     /// loses that reuse and runs *slower* than sequential requests —
     /// measured crossover is ~256 KiB/lane on a 1.5 MiB budget). When
     /// the budget admits fewer than `kMinFusedLanes` lanes, the request
     /// skips gathering entirely.
     std::uint64_t cache_budget_bytes = 1536 << 10;
-    /// Below this many lanes the quad-unrolled fused kernels degrade to
-    /// the per-lane remainder path and amortize nothing; don't gather.
+    /// Below this many lanes a batch amortizes too little table
+    /// decoding and fork-join to pay for its gather delay; don't gather.
     static constexpr std::uint64_t kMinFusedLanes = 4;
 
     [[nodiscard]] bool enabled() const noexcept { return max_batch > 1; }
@@ -487,8 +487,8 @@ class Executor {
   }
 
   /// Execute one gathered batch on a pool worker: per-item dequeue
-  /// checks, pooled scratch, one fused five-kernel sweep, per-item
-  /// resolution. Mirrors run_request_body's semantics per item.
+  /// checks, pooled scratch, one multi-lane three-sweep execution,
+  /// per-item resolution. Mirrors run_request_body's semantics per item.
   template <class T>
   void run_batch(BatchGroup<T>& group) {
     const core::OfflinePermuter<T>& h = *group.permuter;
@@ -497,7 +497,7 @@ class Executor {
 
     // Dequeue-time checks, then scratch acquisition, per item. Items
     // that fail here resolve immediately; survivors become lanes.
-    std::vector<core::BatchLane<T>> lanes;
+    std::vector<core::Lane<T>> lanes;
     std::vector<std::size_t> lane_items;
     std::vector<util::PooledBuffer> scratches;
     lanes.reserve(group.items.size());
@@ -543,14 +543,8 @@ class Executor {
                           Status(StatusCode::kResourceExhausted, "buffer pool cap exceeded"));
           continue;
         }
-        core::BatchLane<T> lane;
-        lane.a = item.a;
-        lane.b = item.b;
-        lane.scratch = scratch.template as_span<T>(scratch_elems);
-        lane.gate = [&item] {
-          return !item.opts.cancel.cancelled() && !expired(item.opts.deadline);
-        };
-        lanes.push_back(std::move(lane));
+        lanes.push_back(
+            core::Lane<T>{item.a, item.b, scratch.template as_span<T>(scratch_elems)});
         lane_items.push_back(i);
         scratches.push_back(std::move(scratch));
       } catch (const FaultInjectedError& e) {
@@ -567,9 +561,9 @@ class Executor {
     }
     if (lanes.empty()) return;
 
-    // One fused sweep. The observer fans each kernel's span into every
-    // lane still active during that kernel (a lane gated off at the
-    // boundary after kernel k was still active *during* k, and its
+    // One fused execution. The observer fans each sweep's span into
+    // every lane still active during that sweep (a lane gated off at
+    // the boundary after sweep k was still active *during* k, and its
     // `active` flag is cleared only after the observation).
     const core::KernelObserver observer = [&lanes, &group, &lane_items](unsigned kernel,
                                                                         std::uint64_t ns) {
@@ -580,9 +574,15 @@ class Executor {
       }
     };
 
+    const core::LaneGate gate = [&group, &lane_items](std::size_t l) {
+      const SubmitOptions& opts = group.items[lane_items[l]].opts;
+      return !opts.cancel.cancelled() && !expired(opts.deadline);
+    };
+
     Status sweep_error = Status::ok();
     try {
-      core::scheduled_cpu_lean_batched<T>(pool_, *h.plan(), lanes, observer);
+      (void)core::scheduled_cpu<T>(pool_, *h.plan(), std::span<core::Lane<T>>(lanes), gate,
+                                   observer);
     } catch (const std::bad_alloc&) {
       sweep_error = Status(StatusCode::kResourceExhausted, "allocation failed during execute");
     } catch (const std::exception& e) {

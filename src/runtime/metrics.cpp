@@ -401,7 +401,7 @@ std::string MetricsSnapshot::to_prometheus() const {
        << name << " " << util::format_double(value, 4) << "\n";
   };
   ns_gauge("hmm_host_sched_ns_per_element",
-           "Probed scheduled-kernel cost per 4-byte element, all five passes.", host.sched_ns);
+           "Probed scheduled-kernel cost per 4-byte element, all three sweeps.", host.sched_ns);
   os << "# HELP hmm_host_miss_ns Probed gather cost per L2-missed line.\n"
      << "# TYPE hmm_host_miss_ns gauge\n"
      << "hmm_host_miss_ns{level=\"llc\"} " << util::format_double(host.miss_ns_llc, 4) << "\n"

@@ -52,9 +52,7 @@ const std::array<Phase, kPhaseCount>& all_phases() noexcept {
 Phase phase_for_kernel(unsigned kernel) noexcept {
   switch (kernel) {
     case 0: return Phase::kKernelRowPass1;
-    case 1: return Phase::kKernelTranspose1;
     case 2: return Phase::kKernelRowPass2;
-    case 3: return Phase::kKernelTranspose2;
     case 4: return Phase::kKernelRowPass3;
     default: return Phase::kKernelConventional;
   }

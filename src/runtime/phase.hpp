@@ -6,7 +6,11 @@
 /// The paper's whole argument is that total permutation time decomposes
 /// into distinct memory-access phases (three row-wise passes + two
 /// transposes for the scheduled algorithm vs the distribution-dependent
-/// single kernel of the conventional one). The serving layer inherits
+/// single kernel of the conventional one). The host fuses each
+/// transpose into the row pass before it, so a scheduled request
+/// records three kernel phases: `row_pass_1` (row pass 1 + transpose
+/// 1), `row_pass_2` (row pass 2 + transpose 2) and `row_pass_3`. The
+/// serving layer inherits
 /// that structure and adds its own: a request's wall time is admission
 /// wait + queue wait + plan-cache lookup (+ build on a miss) + the
 /// kernel passes + response serialization. This header names those
@@ -36,11 +40,11 @@ enum class Phase : std::uint8_t {
   kQueueWait,           ///< enqueue -> dequeue on the pool
   kPlanLookup,          ///< plan-cache index probe (hit or miss)
   kPlanBuild,           ///< offline plan compile (or wait on the builder)
-  kKernelRowPass1,      ///< scheduled kernel 1: row-wise pass
-  kKernelTranspose1,    ///< scheduled kernel 2: blocked transpose
-  kKernelRowPass2,      ///< scheduled kernel 3: row-wise pass
-  kKernelTranspose2,    ///< scheduled kernel 4: blocked transpose
-  kKernelRowPass3,      ///< scheduled kernel 5: row-wise pass
+  kKernelRowPass1,      ///< scheduled sweep 1: row pass 1 fused with transpose 1
+  kKernelTranspose1,    ///< retired: fused into row_pass_1, never recorded
+  kKernelRowPass2,      ///< scheduled sweep 2: row pass 2 fused with transpose 2
+  kKernelTranspose2,    ///< retired: fused into row_pass_2, never recorded
+  kKernelRowPass3,      ///< scheduled sweep 3: row pass 3
   kKernelConventional,  ///< single conventional kernel (chosen or degraded)
   kSerialize,           ///< response encode + socket write
   kProgramCompile,      ///< program resolve + fuse (compose/inverse/generators)
@@ -56,7 +60,7 @@ inline constexpr std::size_t kPhaseCount = 12;
 [[nodiscard]] const std::array<Phase, kPhaseCount>& all_phases() noexcept;
 
 /// Map a kernel index reported by `core::OfflinePermuter::permute_timed`
-/// (0..4 = the scheduled algorithm's five launches, `core::
+/// (0, 2, 4 = the scheduled plan's three sweeps, `core::
 /// kConventionalKernel` = the single conventional kernel) to its Phase.
 [[nodiscard]] Phase phase_for_kernel(unsigned kernel) noexcept;
 

@@ -17,11 +17,17 @@
 ///    runtime executor (src/runtime/executor.hpp) drains its request
 ///    queue through this API.
 ///
-/// Nested use is safe: when `parallel_for` is called *from a worker
-/// thread of the same pool* (e.g. a submitted task executing a
-/// permutation kernel), the caller helps drain the queue instead of
-/// blocking idle, so submitted tasks that fan out onto the pool cannot
-/// deadlock it.
+/// Fork-join is caller-joined: `parallel_for_chunks` posts at most
+/// `size() - 1` helper tasks under one lock with one notify, and the
+/// caller and the helpers claim chunks from one atomic counter. The caller
+/// then waits for chunks still running elsewhere with a short bounded
+/// spin before sleeping on a condition variable; idle workers never
+/// spin. Because the caller can finish every chunk itself, nested use
+/// is safe without help-draining: a worker thread (e.g. a submitted
+/// task executing a permutation kernel) that fans out never blocks on
+/// queued work, and never runs an unrelated queued task inline while
+/// its own loop is pending. A helper that starts after its loop is done
+/// finds nothing to claim and returns.
 ///
 /// NUMA placement (multi-node machines only): workers are pinned to
 /// nodes in contiguous blocks, and the queue splits per node. A task
@@ -76,9 +82,10 @@ class ThreadPool {
 
   /// Run fn(i) for i in [begin, end), split into ~`chunks_per_thread`
   /// contiguous chunks per worker; blocks until every index is done.
-  /// With a single worker (or a tiny range) this degrades to a serial
-  /// loop on the calling thread — no task overhead. If any invocation
-  /// of `fn` throws, the first captured exception is rethrown here
+  /// The calling thread runs chunks alongside the workers. With a
+  /// single worker (or a tiny range) this degrades to a serial loop on
+  /// the calling thread — no task overhead. If any invocation of `fn`
+  /// throws, the first captured exception is rethrown here, once,
   /// after all chunks have finished.
   void parallel_for(std::uint64_t begin, std::uint64_t end,
                     const std::function<void(std::uint64_t)>& fn,
@@ -116,9 +123,9 @@ class ThreadPool {
   void worker_loop(int node);
   void submit(std::function<void()> fn);
 
-  /// Pop one queued task and run it; returns false if every queue was
-  /// empty. Prefers the calling worker's node queue.
-  bool run_one_task();
+  /// Enqueue `copies` copies of `fn` under one lock, then wake workers
+  /// with one notify.
+  void post(std::function<void()> fn, std::uint64_t copies);
 
   /// Pop from `preferred`'s queue, stealing from the others when it is
   /// empty. Pre: mutex_ held and pending_ > 0.

@@ -60,31 +60,67 @@ TEST(Kernels, TransposeTileSizeIrrelevantToResult) {
   }
 }
 
-TEST(Kernels, RowWisePassMatchesDirect) {
-  util::ThreadPool pool(2);
-  const std::uint64_t rows = 16, cols = 64;
-  const std::uint32_t w = 8;
-  // Random per-row permutations; build schedules and compare the
-  // schedule path against the direct path.
-  util::Xoshiro256 rng(6);
+TEST(Kernels, BandOffsetCoversEveryEntryOnce) {
+  // Full bands only, a masked last band, and fewer rows than one band.
+  for (auto [rows, cols] : std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+           {16, 8}, {32, 5}, {17, 3}, {40, 7}, {5, 9}, {1, 1}}) {
+    std::vector<int> hits(rows * cols, 0);
+    for (std::uint64_t r = 0; r < rows; ++r) {
+      for (std::uint64_t c = 0; c < cols; ++c) {
+        const std::uint64_t off = band_offset(rows, cols, r, c);
+        ASSERT_LT(off, rows * cols) << rows << "x" << cols << " (" << r << ", " << c << ")";
+        ++hits[off];
+        // Inside a band, one column's entries are contiguous by row.
+        if (r % kBandRows != 0) {
+          EXPECT_EQ(off, band_offset(rows, cols, r - 1, c) + 1);
+        }
+      }
+    }
+    for (const int h : hits) EXPECT_EQ(h, 1) << rows << "x" << cols;
+  }
+}
+
+/// The gather table a row schedule set encodes: out[r][q(k)] =
+/// in[r][p̂(k)], i.e. h[r][q(k)] = p̂(k).
+std::vector<std::uint16_t> gather_of(const core::RowScheduleSet& set) {
+  std::vector<std::uint16_t> h(set.rows * set.cols);
+  for (std::uint64_t r = 0; r < set.rows; ++r) {
+    const auto phat = set.phat_row(r);
+    const auto q = set.q_row(r);
+    for (std::uint64_t k = 0; k < set.cols; ++k) h[r * set.cols + q[k]] = phat[k];
+  }
+  return h;
+}
+
+/// Random per-row permutations g, rows x cols.
+std::vector<std::uint16_t> random_rows(std::uint64_t rows, std::uint64_t cols,
+                                       util::Xoshiro256& rng) {
   std::vector<std::uint16_t> g(rows * cols);
   for (std::uint64_t r = 0; r < rows; ++r) {
     auto* row = g.data() + r * cols;
     for (std::uint64_t j = 0; j < cols; ++j) row[j] = static_cast<std::uint16_t>(j);
     for (std::uint64_t j = cols - 1; j > 0; --j) std::swap(row[j], row[rng.bounded(j + 1)]);
   }
+  return g;
+}
+
+TEST(Kernels, RowSweepOnScheduleGatherMatchesDirect) {
+  util::ThreadPool pool(2);
+  const std::uint64_t rows = 16, cols = 64;
+  const std::uint32_t w = 8;
+  // Random per-row permutations; the gather table a compiled schedule
+  // encodes must realize out[r][g(j)] = in[r][j], like g itself.
+  util::Xoshiro256 rng(6);
+  const std::vector<std::uint16_t> g = random_rows(rows, cols, rng);
   const core::RowScheduleSet set = core::build_row_schedules(g, rows, cols, w);
+  const std::vector<std::uint16_t> h = gather_of(set);
 
   const auto a = test::iota_data<float>(rows * cols);
-  util::aligned_vector<float> b1(rows * cols), b2(rows * cols);
-  row_wise_pass<float>(pool, a, b1, rows, cols, set.phat, set.q);
-  row_wise_pass_direct<float>(pool, a, b2, rows, cols, g);
-  EXPECT_EQ(b1, b2);
-
-  // And both realize out[r][g(j)] = in[r][j].
+  util::aligned_vector<float> b(rows * cols);
+  row_sweep<float>(pool, a, b, rows, cols, h);
   for (std::uint64_t r = 0; r < rows; ++r) {
     for (std::uint64_t j = 0; j < cols; ++j) {
-      EXPECT_EQ(b1[r * cols + g[r * cols + j]], a[r * cols + j]);
+      EXPECT_EQ(b[r * cols + g[r * cols + j]], a[r * cols + j]);
     }
   }
 }
@@ -99,7 +135,7 @@ TEST(Kernels, WorkOnIntegerTypes) {
   for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(b[p(i)], a[i]);
 }
 
-/// Parameterized shape sweep for the row-wise pass.
+/// Parameterized shape sweep: the schedule's gather table and g agree.
 class RowPassShapes
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::uint64_t>> {};
 
@@ -109,17 +145,14 @@ TEST_P(RowPassShapes, ScheduleAndDirectAgree) {
   if (cols % w != 0) GTEST_SKIP();
   util::ThreadPool pool(2);
   util::Xoshiro256 rng(rows * 31 + cols);
-  std::vector<std::uint16_t> g(rows * cols);
-  for (std::uint64_t r = 0; r < rows; ++r) {
-    auto* row = g.data() + r * cols;
-    for (std::uint64_t j = 0; j < cols; ++j) row[j] = static_cast<std::uint16_t>(j);
-    for (std::uint64_t j = cols - 1; j > 0; --j) std::swap(row[j], row[rng.bounded(j + 1)]);
-  }
+  const std::vector<std::uint16_t> g = random_rows(rows, cols, rng);
   const core::RowScheduleSet set = core::build_row_schedules(g, rows, cols, w);
   const auto a = test::iota_data<double>(rows * cols);
   util::aligned_vector<double> b1(rows * cols), b2(rows * cols);
-  row_wise_pass<double>(pool, a, b1, rows, cols, set.phat, set.q);
-  row_wise_pass_direct<double>(pool, a, b2, rows, cols, g);
+  row_sweep<double>(pool, a, b1, rows, cols, gather_of(set));
+  for (std::uint64_t r = 0; r < rows; ++r) {
+    for (std::uint64_t j = 0; j < cols; ++j) b2[r * cols + g[r * cols + j]] = a[r * cols + j];
+  }
   EXPECT_EQ(b1, b2);
 }
 

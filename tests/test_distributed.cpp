@@ -192,7 +192,7 @@ TEST(BandBlocks, Round2RealizesTheInverseTranspose) {
 
 // -------------------------------------------------- planner band slices
 
-TEST(BandPlanner, SlicesAreSubspansOfTheFullSchedules) {
+TEST(BandPlanner, SlicesAreTheShardRowsOfTheGatherTables) {
   const std::uint64_t n = 1 << 12;
   runtime::PlanCache cache{runtime::PlanCache::Config{}, nullptr};
   auto h = cache.acquire<std::uint32_t>(perm::by_name("random", n, 5), MachineParams::gtx680(),
@@ -200,28 +200,33 @@ TEST(BandPlanner, SlicesAreSubspansOfTheFullSchedules) {
   const core::ScheduledPlan* plan = h->plan();
   ASSERT_NE(plan, nullptr);
 
-  auto built = BandPlanner::build(*plan, 3);
-  ASSERT_TRUE(built.ok()) << built.status().to_string();
-  const BandPlanner& planner = built.value();
+  EXPECT_FALSE(BandPlanner::build(*plan, 3, 3).ok());
 
+  // Each slice holds, row-major, exactly the table rows a single node
+  // runs for the band.
+  const auto same = [](std::span<const std::uint16_t> got,
+                       const util::aligned_vector<std::uint16_t>& want) {
+    return std::ranges::equal(got, want);
+  };
   for (std::uint32_t s = 0; s < 3; ++s) {
-    const runtime::BandPassView p1 = planner.pass1(s);
+    auto built = BandPlanner::build(*plan, 3, s);
+    ASSERT_TRUE(built.ok()) << built.status().to_string();
+    const BandPlanner& planner = built.value();
+    const runtime::BandPassView p1 = planner.pass1();
     const runtime::BandRange& rb = planner.bands().row_band(s);
     EXPECT_EQ(p1.rows, rb.rows());
-    EXPECT_EQ(p1.cols, plan->pass1().cols);
-    // Zero-copy: the view points into the full set's storage at the
-    // band's rows — bit-identical to what a single node would run.
-    EXPECT_EQ(p1.phat.data(), plan->pass1().phat.data() + rb.begin * plan->pass1().cols);
-    EXPECT_EQ(p1.q.data(), plan->pass1().q.data() + rb.begin * plan->pass1().cols);
+    EXPECT_EQ(p1.cols, plan->shape().cols);
+    EXPECT_TRUE(same(p1.gather, plan->gather_rows(1, rb.begin, rb.end)));
 
-    const runtime::BandPassView p2 = planner.pass2(s);
+    const runtime::BandPassView p2 = planner.pass2();
     const runtime::BandRange& cb = planner.bands().col_band(s);
     EXPECT_EQ(p2.rows, cb.rows());
-    EXPECT_EQ(p2.phat.data(), plan->pass2().phat.data() + cb.begin * plan->pass2().cols);
+    EXPECT_EQ(p2.cols, plan->shape().rows);
+    EXPECT_TRUE(same(p2.gather, plan->gather_rows(2, cb.begin, cb.end)));
 
-    const runtime::BandPassView p3 = planner.pass3(s);
+    const runtime::BandPassView p3 = planner.pass3();
     EXPECT_EQ(p3.rows, rb.rows());
-    EXPECT_EQ(p3.phat.data(), plan->pass3().phat.data() + rb.begin * plan->pass3().cols);
+    EXPECT_TRUE(same(p3.gather, plan->gather_rows(3, rb.begin, rb.end)));
   }
 }
 
@@ -240,20 +245,23 @@ TEST(BandPlanner, LocalSimulationMatchesOracle) {
   util::ThreadPool& pool = util::ThreadPool::global();
 
   for (std::uint32_t shards : {2u, 3u, 4u, 7u}) {
-    auto built = BandPlanner::build(*plan, shards);
-    ASSERT_TRUE(built.ok()) << built.status().to_string();
-    const BandPlanner& planner = built.value();
-    const BandPlan& bp = planner.bands();
+    std::vector<BandPlanner> planners;
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      auto built = BandPlanner::build(*plan, shards, s);
+      ASSERT_TRUE(built.ok()) << built.status().to_string();
+      planners.push_back(std::move(built).value());
+    }
+    const BandPlan& bp = planners.front().bands();
 
     std::vector<std::uint32_t> in(n), y(n), z(n), w(n), x(n), out(n);
     for (std::uint64_t i = 0; i < n; ++i) in[i] = static_cast<std::uint32_t>(i * 0x9e3779b9u);
 
     std::vector<std::uint32_t> block;
     for (std::uint32_t s = 0; s < shards; ++s) {
-      const runtime::BandPassView p1 = planner.pass1(s);
-      cpu::row_wise_pass<std::uint32_t>(
-          pool, {in.data() + bp.band_offset(s), bp.band_elements(s)},
-          {y.data() + bp.band_offset(s), bp.band_elements(s)}, p1.rows, p1.cols, p1.phat, p1.q);
+      const runtime::BandPassView p1 = planners[s].pass1();
+      cpu::row_sweep<std::uint32_t>(pool, {in.data() + bp.band_offset(s), bp.band_elements(s)},
+                                    {y.data() + bp.band_offset(s), bp.band_elements(s)},
+                                    p1.rows, p1.cols, p1.gather);
     }
     for (std::uint32_t src = 0; src < shards; ++src) {
       for (std::uint32_t dst = 0; dst < shards; ++dst) {
@@ -267,11 +275,11 @@ TEST(BandPlanner, LocalSimulationMatchesOracle) {
       }
     }
     for (std::uint32_t s = 0; s < shards; ++s) {
-      const runtime::BandPassView p2 = planner.pass2(s);
-      cpu::row_wise_pass<std::uint32_t>(
+      const runtime::BandPassView p2 = planners[s].pass2();
+      cpu::row_sweep<std::uint32_t>(
           pool, {z.data() + bp.col_band(s).begin * rows, bp.transposed_elements(s)},
           {w.data() + bp.col_band(s).begin * rows, bp.transposed_elements(s)}, p2.rows, p2.cols,
-          p2.phat, p2.q);
+          p2.gather);
     }
     for (std::uint32_t src = 0; src < shards; ++src) {
       for (std::uint32_t dst = 0; dst < shards; ++dst) {
@@ -284,11 +292,10 @@ TEST(BandPlanner, LocalSimulationMatchesOracle) {
       }
     }
     for (std::uint32_t s = 0; s < shards; ++s) {
-      const runtime::BandPassView p3 = planner.pass3(s);
-      cpu::row_wise_pass<std::uint32_t>(
-          pool, {x.data() + bp.band_offset(s), bp.band_elements(s)},
-          {out.data() + bp.band_offset(s), bp.band_elements(s)}, p3.rows, p3.cols, p3.phat,
-          p3.q);
+      const runtime::BandPassView p3 = planners[s].pass3();
+      cpu::row_sweep<std::uint32_t>(pool, {x.data() + bp.band_offset(s), bp.band_elements(s)},
+                                    {out.data() + bp.band_offset(s), bp.band_elements(s)},
+                                    p3.rows, p3.cols, p3.gather);
     }
 
     std::vector<std::uint32_t> expect(n);

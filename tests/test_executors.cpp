@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <complex>
+#include <cstring>
+#include <iterator>
+#include <vector>
+
 #include "core/conventional.hpp"
 #include "core/plan.hpp"
 #include "core/scheduled.hpp"
+#include "cpu/dispatch.hpp"
 #include "model/cost.hpp"
 #include "perm/distribution.hpp"
 #include "perm/generators.hpp"
@@ -91,25 +97,123 @@ TEST(ScheduledCpu, CorrectForAllFamilies) {
     const perm::Permutation p = perm::by_name(name, n);
     const ScheduledPlan plan = ScheduledPlan::build(p, mp);
     const auto a = test::iota_data<float>(n);
-    util::aligned_vector<float> b(n, -1.f), s1(n), s2(n);
-    scheduled_cpu<float>(pool, plan, a, b, s1, s2);
+    util::aligned_vector<float> b(n, -1.f), s1(n);
+    scheduled_cpu<float>(pool, plan, a, b, s1);
     expect_permuted<float>(p, a, b);
   }
 }
 
-TEST(ScheduledCpu, LeanVariantMatchesTwoScratch) {
+/// Distinct element bit patterns (the index in the low bytes), so a
+/// misplaced element cannot compare equal; any width.
+template <class T>
+util::aligned_vector<T> distinct_bits(std::uint64_t n, std::uint64_t seed) {
+  util::aligned_vector<T> v(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    std::uint64_t words[(sizeof(T) + 7) / 8];
+    for (std::size_t k = 0; k < std::size(words); ++k) words[k] = i + ((seed + k) << 40);
+    std::memcpy(&v[i], words, sizeof(T));
+  }
+  return v;
+}
+
+/// Run the driver on `lanes` lanes of `plan` under `variant` (skipped
+/// when the CPU cannot run it); every lane must equal the naive oracle
+/// b[p[i]] = a[i] bit for bit, and only sweeps 0, 2 and 4 report.
+template <class T>
+void expect_driver_matches_oracle(cpu::KernelVariant variant, const perm::Permutation& p,
+                                  const ScheduledPlan& plan, std::size_t lanes) {
+  util::ThreadPool pool(3);
+  const std::uint64_t n = p.size();
+  std::vector<util::aligned_vector<T>> as, bs, ss;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    as.push_back(distinct_bits<T>(n, l));
+    bs.push_back(distinct_bits<T>(n, 99));
+    ss.emplace_back(n);
+  }
+  std::vector<Lane<T>> ls;
+  for (std::size_t l = 0; l < lanes; ++l) ls.push_back(Lane<T>{as[l], bs[l], ss[l]});
+  std::vector<unsigned> fired;
+  const cpu::KernelVariant prev = cpu::kernel_variant();
+  ASSERT_EQ(cpu::set_kernel_variant(variant), variant);
+  const KernelObserver observe = [&](unsigned kernel, std::uint64_t) {
+    fired.push_back(kernel);
+  };
+  const bool ran = scheduled_cpu<T>(pool, plan, std::span<Lane<T>>(ls), {}, observe);
+  cpu::set_kernel_variant(prev);
+  ASSERT_TRUE(ran);
+  EXPECT_EQ(fired, (std::vector<unsigned>{0, 2, 4}));
+  for (std::size_t l = 0; l < lanes; ++l) {
+    util::aligned_vector<T> want(n);
+    for (std::uint64_t i = 0; i < n; ++i) want[p(i)] = as[l][i];
+    ASSERT_EQ(std::memcmp(bs[l].data(), want.data(), n * sizeof(T)), 0)
+        << "lane " << l << " of " << lanes << ", n=" << n << ", " << cpu::to_string(variant);
+  }
+}
+
+// Every tier x u32/u64/float/double/16-byte complex x a square plan, a
+// 2^odd plan (rows != cols) and a plan whose 8 rows are under one
+// 16-row band x 1..5 lanes, against the naive oracle.
+TEST(ScheduledCpu, MatchesOracleOnEveryTierTypeShapeAndLaneCount) {
+  const MachineParams mp = MachineParams::tiny(4, 9, 2);
+  for (const cpu::KernelVariant variant :
+       {cpu::KernelVariant::kScalar, cpu::KernelVariant::kAvx2, cpu::KernelVariant::kAvx512}) {
+    if (variant > cpu::best_kernel_variant()) continue;  // CPU or build cannot run it
+    for (const std::uint64_t n : {1ull << 12, 1ull << 11, 1ull << 7}) {
+      const perm::Permutation p = perm::by_name("random", n, n + 1);
+      const ScheduledPlan plan = ScheduledPlan::build(p, mp);
+      for (std::size_t lanes = 1; lanes <= 5; ++lanes) {
+        expect_driver_matches_oracle<std::uint32_t>(variant, p, plan, lanes);
+        expect_driver_matches_oracle<std::uint64_t>(variant, p, plan, lanes);
+        expect_driver_matches_oracle<float>(variant, p, plan, lanes);
+        expect_driver_matches_oracle<double>(variant, p, plan, lanes);
+        expect_driver_matches_oracle<std::complex<double>>(variant, p, plan, lanes);
+      }
+    }
+  }
+}
+
+// A lane its gate stops after sweep 1 or 2 is dropped there (active
+// cleared, the remaining sweeps skip it) while the other lanes finish
+// correctly; a gate that stops every lane ends the call at once.
+TEST(ScheduledCpu, GateStopsLanesAfterEachSweep) {
   util::ThreadPool pool(2);
   const MachineParams mp = MachineParams::tiny(4, 9, 2);
-  const std::uint64_t n = 1 << 10;
-  for (const auto& name : test::families_for(n)) {
-    const perm::Permutation p = perm::by_name(name, n);
-    const ScheduledPlan plan = ScheduledPlan::build(p, mp);
-    const auto a = test::iota_data<float>(n);
-    util::aligned_vector<float> b1(n, -1.f), b2(n, -1.f), s1(n), s2(n);
-    scheduled_cpu<float>(pool, plan, a, b1, s1, s2);
-    scheduled_cpu_lean<float>(pool, plan, a, b2, s1);
-    EXPECT_EQ(b1, b2) << name;
-    expect_permuted<float>(p, a, b2);
+  const std::uint64_t n = 1 << 11;
+  const perm::Permutation p = perm::by_name("random", n, 7);
+  const ScheduledPlan plan = ScheduledPlan::build(p, mp);
+  const auto a = test::iota_data<float>(n);
+  for (const unsigned stop_after : {1u, 2u}) {
+    std::vector<util::aligned_vector<float>> bs(3, util::aligned_vector<float>(n, -1.f)),
+        ss(3, util::aligned_vector<float>(n));
+    std::vector<Lane<float>> lanes;
+    for (std::size_t l = 0; l < 3; ++l) lanes.push_back(Lane<float>{a, bs[l], ss[l]});
+    unsigned asked = 0;
+    const LaneGate gate = [&](std::size_t lane) {
+      if (lane != 1) return true;
+      return ++asked < stop_after;
+    };
+    std::vector<unsigned> fired;
+    EXPECT_FALSE(scheduled_cpu<float>(pool, plan, std::span<Lane<float>>(lanes), gate,
+                                      [&](unsigned k, std::uint64_t) { fired.push_back(k); }));
+    EXPECT_EQ(asked, stop_after);
+    EXPECT_EQ(fired, (std::vector<unsigned>{0, 2, 4}));
+    EXPECT_FALSE(lanes[1].active);
+    for (const std::size_t l : {0u, 2u}) {
+      EXPECT_TRUE(lanes[l].active);
+      expect_permuted<float>(p, a, bs[l]);
+    }
+
+    // Every lane stopped: no further sweep runs.
+    for (Lane<float>& lane : lanes) lane.active = true;
+    fired.clear();
+    unsigned calls = 0;
+    const LaneGate stop_all = [&](std::size_t) { return ++calls <= 3 * (stop_after - 1); };
+    EXPECT_FALSE(scheduled_cpu<float>(pool, plan, std::span<Lane<float>>(lanes), stop_all,
+                                      [&](unsigned k, std::uint64_t) { fired.push_back(k); }));
+    const std::vector<unsigned> ran =
+        stop_after == 1 ? std::vector<unsigned>{0} : std::vector<unsigned>{0, 2};
+    EXPECT_EQ(fired, ran);
+    for (const Lane<float>& lane : lanes) EXPECT_FALSE(lane.active);
   }
 }
 
@@ -120,8 +224,8 @@ TEST(ScheduledCpu, DoubleElements) {
   const perm::Permutation p = perm::by_name("random", n, 3);
   const ScheduledPlan plan = ScheduledPlan::build(p, mp);
   const auto a = test::iota_data<double>(n);
-  util::aligned_vector<double> b(n, -1.0), s1(n), s2(n);
-  scheduled_cpu<double>(pool, plan, a, b, s1, s2);
+  util::aligned_vector<double> b(n, -1.0), s1(n);
+  scheduled_cpu<double>(pool, plan, a, b, s1);
   expect_permuted<double>(p, a, b);
 }
 

@@ -62,13 +62,17 @@ TEST_P(Fuzz, FullInvariantChain) {
   d.p.apply<float>(a, expected);
 
   util::ThreadPool pool(2);
-  util::aligned_vector<float> b(d.n), s1(d.n), s2(d.n);
-  core::scheduled_cpu<float>(pool, plan, a, b, s1, s2);
+  util::aligned_vector<float> b(d.n), s1(d.n);
+  core::scheduled_cpu<float>(pool, plan, a, b, s1);
   ASSERT_EQ(b, expected);
 
+  // Two lanes through one multi-lane call.
   std::fill(b.begin(), b.end(), -1.f);
-  core::scheduled_cpu_direct<float>(pool, plan, a, b, s1, s2);
+  util::aligned_vector<float> b2(d.n, -1.f), s2(d.n);
+  core::Lane<float> lanes[] = {{a, b, s1}, {a, b2, s2}};
+  ASSERT_TRUE(core::scheduled_cpu<float>(pool, plan, std::span<core::Lane<float>>(lanes)));
   ASSERT_EQ(b, expected);
+  ASSERT_EQ(b2, expected);
 
   // 3. Simulator: zero casual rounds, exact Theorem 9 time when the
   //    block counts divide evenly across DMMs (guaranteed: rows,

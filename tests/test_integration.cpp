@@ -46,8 +46,8 @@ TEST_P(EndToEnd, AllExecutorsAgree) {
   }
   {
     const ScheduledPlan plan = ScheduledPlan::build(p, mp);
-    util::aligned_vector<float> b(c.n, -1.f), s1(c.n), s2(c.n);
-    scheduled_cpu<float>(pool, plan, a, b, s1, s2);
+    util::aligned_vector<float> b(c.n, -1.f), s1(c.n);
+    scheduled_cpu<float>(pool, plan, a, b, s1);
     EXPECT_EQ(b, expected) << "scheduled cpu";
 
     sim::HmmSim sim(mp);
@@ -118,16 +118,16 @@ TEST(Property, ExecutorsCompose) {
   util::ThreadPool pool(2);
 
   const auto a = test::iota_data<float>(n);
-  util::aligned_vector<float> mid(n), out1(n), out2(n), s1(n), s2(n);
+  util::aligned_vector<float> mid(n), out1(n), out2(n), s1(n);
 
   const ScheduledPlan plan_p = ScheduledPlan::build(p, mp);
   const ScheduledPlan plan_q = ScheduledPlan::build(q, mp);
-  scheduled_cpu<float>(pool, plan_p, a, mid, s1, s2);
-  scheduled_cpu<float>(pool, plan_q, mid, out1, s1, s2);
+  scheduled_cpu<float>(pool, plan_p, a, mid, s1);
+  scheduled_cpu<float>(pool, plan_q, mid, out1, s1);
 
   const perm::Permutation qp = q.compose(p);
   const ScheduledPlan plan_qp = ScheduledPlan::build(qp, mp);
-  scheduled_cpu<float>(pool, plan_qp, a, out2, s1, s2);
+  scheduled_cpu<float>(pool, plan_qp, a, out2, s1);
 
   EXPECT_EQ(out1, out2);
 }

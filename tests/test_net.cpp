@@ -428,6 +428,13 @@ TEST(NetLoopback, PingEchoes) {
   net::Client client(loop.client_config());
   const Status s = client.ping();
   EXPECT_TRUE(s.is_ok()) << s.to_string();
+  // The reactor counts the response once the kernel has taken its last
+  // byte, which can land after the client has already read it.
+  const auto settle_by = std::chrono::steady_clock::now() + 2s;
+  while (loop.server.counters().requests_served() < 1 &&
+         std::chrono::steady_clock::now() < settle_by) {
+    std::this_thread::sleep_for(1ms);
+  }
   EXPECT_GE(loop.server.counters().requests_served(), 1u);
 }
 

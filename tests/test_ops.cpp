@@ -71,8 +71,8 @@ TEST(OpsCpu, ColumnWiseCorrect) {
   const RowScheduleSet set = build_column_schedules(h, rows, cols, mp.width);
 
   const auto a = test::iota_data<float>(rows * cols);
-  util::aligned_vector<float> out(rows * cols), scratch(rows * cols);
-  column_wise_cpu<float>(pool, a, out, rows, cols, set, scratch, mp.width);
+  util::aligned_vector<float> out(rows * cols);
+  column_wise_cpu<float>(pool, a, out, rows, cols, set);
 
   // b[h_c(i)][c] == a[i][c].
   for (std::uint64_t c = 0; c < cols; ++c) {
@@ -93,8 +93,8 @@ TEST(OpsCpu, ColumnWiseIdentity) {
   }
   const RowScheduleSet set = build_column_schedules(h, rows, cols, mp.width);
   const auto a = test::iota_data<double>(rows * cols);
-  util::aligned_vector<double> out(rows * cols), scratch(rows * cols);
-  column_wise_cpu<double>(pool, a, out, rows, cols, set, scratch, mp.width);
+  util::aligned_vector<double> out(rows * cols);
+  column_wise_cpu<double>(pool, a, out, rows, cols, set);
   EXPECT_EQ(out, a);
 }
 

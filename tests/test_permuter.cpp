@@ -195,7 +195,7 @@ TEST(HostModel, DramLevelWithEveryAccessMissingGoesScheduled) {
   const HostPick pick = host_pick(perm::by_name("random", n, 42).inverse(), 4, host);
   EXPECT_GT(static_cast<double>(pick.misses.lines) / n, 0.9);
   EXPECT_EQ(pick.strategy, Strategy::kScheduled);
-  // The same misses at the LLC level would not pay for five passes.
+  // The same misses at the LLC level would not pay for three sweeps.
   host.llc_bytes = 64 << 20;
   host.miss_ns_llc = 1.0;
   EXPECT_EQ(host_pick(perm::by_name("random", n, 42).inverse(), 4, host).strategy,

@@ -759,9 +759,10 @@ TEST(Metrics, PhasesRenderInJsonTableAndPrometheus) {
 
 TEST(Executor, ScheduledRequestRecordsEveryKernelPhase) {
   // The tentpole end-to-end check at the executor level: one request
-  // through the scheduled (5-pass) permuter must leave exactly one
-  // sample in every request-path phase and in each of the five kernel
-  // passes — and none in the conventional-kernel or serialize phases.
+  // through the scheduled permuter must leave exactly one sample in
+  // every request-path phase and in each of the three sweeps — and none
+  // in the retired transpose phases (fused into the sweeps), the
+  // conventional-kernel or the serialize phase.
   using runtime::Phase;
   const std::uint64_t n = 1 << 12;
   runtime::ServiceMetrics metrics;
@@ -785,11 +786,12 @@ TEST(Executor, ScheduledRequestRecordsEveryKernelPhase) {
 
   const auto snap = metrics.snapshot();
   for (Phase phase : {Phase::kAdmissionWait, Phase::kQueueWait, Phase::kPlanLookup,
-                      Phase::kPlanBuild, Phase::kKernelRowPass1, Phase::kKernelTranspose1,
-                      Phase::kKernelRowPass2, Phase::kKernelTranspose2,
+                      Phase::kPlanBuild, Phase::kKernelRowPass1, Phase::kKernelRowPass2,
                       Phase::kKernelRowPass3}) {
     EXPECT_EQ(snap.phase(phase).count, 1u) << runtime::to_string(phase);
   }
+  EXPECT_EQ(snap.phase(Phase::kKernelTranspose1).count, 0u);
+  EXPECT_EQ(snap.phase(Phase::kKernelTranspose2).count, 0u);
   EXPECT_EQ(snap.phase(Phase::kKernelConventional).count, 0u);
   EXPECT_EQ(snap.phase(Phase::kSerialize).count, 0u);
 }

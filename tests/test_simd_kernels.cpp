@@ -5,12 +5,16 @@
 /// denormals, and negative zeros), so a variant that round-trips
 /// values through arithmetic instead of moving bits would be caught.
 /// Shapes deliberately include odd tails (cols not a multiple of any
-/// lane width), single rows/columns, and the batched quad-lane
-/// geometries the serving path uses.
+/// lane width, rows not a multiple of the 16-row band), single
+/// rows/columns, and 1..5 lanes per call, as the serving path batches.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <complex>
 #include <cstring>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "cpu/dispatch.hpp"
@@ -30,8 +34,12 @@ util::aligned_vector<T> random_bits(std::uint64_t n, std::uint64_t seed) {
   util::aligned_vector<T> v(n);
   util::Xoshiro256 rng(seed);
   for (auto& x : v) {
-    const std::uint64_t bits = rng.next();
-    std::memcpy(&x, &bits, sizeof(T));
+    unsigned char bytes[sizeof(T)];
+    for (std::size_t k = 0; k < sizeof(T); k += sizeof(std::uint64_t)) {
+      const std::uint64_t bits = rng.next();
+      std::memcpy(bytes + k, &bits, std::min(sizeof(bits), sizeof(T) - k));
+    }
+    std::memcpy(&x, bytes, sizeof(T));
   }
   return v;
 }
@@ -78,179 +86,153 @@ class SimdVariantTest : public ::testing::TestWithParam<KernelVariant> {
   KernelVariant prev_{};
 };
 
-constexpr std::uint64_t kRowCounts[] = {1, 3, 17};
-constexpr std::uint64_t kColCounts[] = {1, 7, 16, 24, 100, 257, 1000};
+/// Shapes of the sweep tests: rows not a multiple of the 16-row band
+/// (masked last band), cols not a multiple of any vector width (masked
+/// row tail), single rows and columns, and square power-of-two plans.
+constexpr std::pair<std::uint64_t, std::uint64_t> kSweepShapes[] = {
+    {1, 1}, {1, 100}, {7, 13}, {16, 16}, {17, 24}, {33, 100}, {5, 257}, {64, 128}, {100, 1}};
 
-template <class T>
-void run_row_pass_differential(KernelVariant variant) {
-  util::ThreadPool pool(2);
-  for (const std::uint64_t rows : kRowCounts) {
-    for (const std::uint64_t cols : kColCounts) {
-      const std::uint64_t n = rows * cols;
-      util::Xoshiro256 rng(rows * 100003 + cols);
-      std::vector<std::uint16_t> phat(n), q(n);
-      for (std::uint64_t r = 0; r < rows; ++r) {
-        const auto ph = random_perm16(cols, rng);
-        const auto qq = random_perm16(cols, rng);
-        std::copy(ph.begin(), ph.end(), phat.begin() + static_cast<std::ptrdiff_t>(r * cols));
-        std::copy(qq.begin(), qq.end(), q.begin() + static_cast<std::ptrdiff_t>(r * cols));
-      }
-      const auto in = random_bits<T>(n, n + sizeof(T));
-      util::aligned_vector<T> want(n), got(n);
-      with_variant(KernelVariant::kScalar, [&] {
-        row_wise_pass<T>(pool, in, want, rows, cols, phat, q);
-      });
-      with_variant(variant, [&] {
-        row_wise_pass<T>(pool, in, got, rows, cols, phat, q);
-      });
-      expect_bit_identical(got, want, "row_wise_pass");
+/// A rows x cols gather table of random row permutations, in the
+/// band-interleaved layout (`banded`) or row-major; `at(r, c)` reads
+/// entry (r, c) for the oracles.
+struct GatherTable {
+  std::uint64_t rows, cols;
+  bool banded;
+  std::vector<std::uint16_t> h;
+
+  GatherTable(std::uint64_t r, std::uint64_t c, bool b, std::uint64_t seed)
+      : rows(r), cols(c), banded(b), h(r * c) {
+    util::Xoshiro256 rng(seed);
+    for (std::uint64_t row = 0; row < rows; ++row) {
+      const auto perm = random_perm16(cols, rng);
+      for (std::uint64_t col = 0; col < cols; ++col) h[offset(row, col)] = perm[col];
     }
   }
-}
+  [[nodiscard]] std::uint64_t offset(std::uint64_t r, std::uint64_t c) const {
+    return banded ? band_offset(rows, cols, r, c) : r * cols + c;
+  }
+  [[nodiscard]] std::uint64_t at(std::uint64_t r, std::uint64_t c) const {
+    return h[offset(r, c)];
+  }
+};
 
-TEST_P(SimdVariantTest, RowPassBitIdenticalU32) {
-  run_row_pass_differential<std::uint32_t>(GetParam());
-}
-TEST_P(SimdVariantTest, RowPassBitIdenticalU64) {
-  run_row_pass_differential<std::uint64_t>(GetParam());
-}
-TEST_P(SimdVariantTest, RowPassBitIdenticalFloat) {
-  run_row_pass_differential<float>(GetParam());
-}
-TEST_P(SimdVariantTest, RowPassBitIdenticalDouble) {
-  run_row_pass_differential<double>(GetParam());
-}
+/// Rows as wide as a 16-bit gather table allows: indices at and above
+/// 32768 catch a kernel that sign-extends them, and 65535 is the
+/// largest; 17 and 3 rows leave a masked last band, 32769 a masked
+/// row tail.
+constexpr std::pair<std::uint64_t, std::uint64_t> kWideShapes[] = {
+    {1, 65536}, {17, 65536}, {3, 32769}};
 
+/// `band_sweep` (banded) or `row_sweep` on 1..max_lanes lanes under
+/// `variant` on a pool of `threads`, each lane bit-identical to the
+/// naive oracle of its definition: out[c][r] (banded) or out[r][c] =
+/// in[r][h(r, c)].
 template <class T>
-void run_row_pass_batched_differential(KernelVariant variant) {
-  util::ThreadPool pool(2);
-  const std::uint64_t rows = 5;
-  for (const std::uint64_t cols : {24ull, 100ull, 256ull}) {
-    for (const std::uint64_t lanes : {1ull, 2ull, 4ull, 5ull, 9ull}) {
+void run_sweep_oracle(KernelVariant variant, bool banded,
+                      std::span<const std::pair<std::uint64_t, std::uint64_t>> shapes =
+                          kSweepShapes,
+                      unsigned threads = 2, std::uint64_t max_lanes = 5) {
+  util::ThreadPool pool(threads);
+  for (const auto& [rows, cols] : shapes) {
+    const GatherTable t(rows, cols, banded, rows * 131 + cols);
+    for (std::uint64_t lanes = 1; lanes <= max_lanes; ++lanes) {
       const std::uint64_t n = rows * cols;
-      util::Xoshiro256 rng(cols * 31 + lanes);
-      std::vector<std::uint16_t> phat(n), q(n);
-      for (std::uint64_t r = 0; r < rows; ++r) {
-        const auto ph = random_perm16(cols, rng);
-        const auto qq = random_perm16(cols, rng);
-        std::copy(ph.begin(), ph.end(), phat.begin() + static_cast<std::ptrdiff_t>(r * cols));
-        std::copy(qq.begin(), qq.end(), q.begin() + static_cast<std::ptrdiff_t>(r * cols));
-      }
       std::vector<util::aligned_vector<T>> ins, wants, gots;
       std::vector<const T*> srcs;
-      std::vector<T*> want_ptrs, got_ptrs;
+      std::vector<T*> dsts;
       for (std::uint64_t l = 0; l < lanes; ++l) {
-        ins.push_back(random_bits<T>(n, l * 7919 + cols));
+        ins.push_back(random_bits<T>(n, n * 7 + l));
         wants.emplace_back(n);
         gots.emplace_back(n);
+        for (std::uint64_t r = 0; r < rows; ++r) {
+          for (std::uint64_t c = 0; c < cols; ++c) {
+            wants[l][banded ? c * rows + r : r * cols + c] = ins[l][r * cols + t.at(r, c)];
+          }
+        }
       }
       for (std::uint64_t l = 0; l < lanes; ++l) {
         srcs.push_back(ins[l].data());
-        want_ptrs.push_back(wants[l].data());
-        got_ptrs.push_back(gots[l].data());
+        dsts.push_back(gots[l].data());
       }
-      with_variant(KernelVariant::kScalar, [&] {
-        row_wise_pass_batched<T>(pool, srcs, want_ptrs, rows, cols, phat, q);
-      });
       with_variant(variant, [&] {
-        row_wise_pass_batched<T>(pool, srcs, got_ptrs, rows, cols, phat, q);
+        if (banded) {
+          band_sweep<T>(pool, srcs, dsts, rows, cols, t.h);
+        } else {
+          row_sweep<T>(pool, srcs, dsts, rows, cols, t.h);
+        }
       });
       for (std::uint64_t l = 0; l < lanes; ++l) {
-        expect_bit_identical(gots[l], wants[l], "row_wise_pass_batched");
+        expect_bit_identical(gots[l], wants[l], banded ? "band_sweep" : "row_sweep");
       }
     }
   }
 }
 
-TEST_P(SimdVariantTest, RowPassBatchedBitIdenticalU32) {
-  run_row_pass_batched_differential<std::uint32_t>(GetParam());
+TEST_P(SimdVariantTest, BandSweepMatchesOracleU32) {
+  run_sweep_oracle<std::uint32_t>(GetParam(), true);
 }
-TEST_P(SimdVariantTest, RowPassBatchedBitIdenticalU64) {
-  run_row_pass_batched_differential<std::uint64_t>(GetParam());
+TEST_P(SimdVariantTest, BandSweepMatchesOracleU64) {
+  run_sweep_oracle<std::uint64_t>(GetParam(), true);
 }
-TEST_P(SimdVariantTest, RowPassBatchedBitIdenticalFloat) {
-  run_row_pass_batched_differential<float>(GetParam());
+TEST_P(SimdVariantTest, BandSweepMatchesOracleFloat) {
+  run_sweep_oracle<float>(GetParam(), true);
 }
-TEST_P(SimdVariantTest, RowPassBatchedBitIdenticalDouble) {
-  run_row_pass_batched_differential<double>(GetParam());
+TEST_P(SimdVariantTest, BandSweepMatchesOracleDouble) {
+  run_sweep_oracle<double>(GetParam(), true);
+}
+TEST_P(SimdVariantTest, RowSweepMatchesOracleU32) {
+  run_sweep_oracle<std::uint32_t>(GetParam(), false);
+}
+TEST_P(SimdVariantTest, RowSweepMatchesOracleU64) {
+  run_sweep_oracle<std::uint64_t>(GetParam(), false);
+}
+TEST_P(SimdVariantTest, RowSweepMatchesOracleFloat) {
+  run_sweep_oracle<float>(GetParam(), false);
+}
+TEST_P(SimdVariantTest, RowSweepMatchesOracleDouble) {
+  run_sweep_oracle<double>(GetParam(), false);
 }
 
-template <class T>
-void run_transpose_differential(KernelVariant variant) {
-  util::ThreadPool pool(2);
-  const std::pair<std::uint64_t, std::uint64_t> shapes[] = {
-      {7, 13}, {32, 32}, {100, 52}, {1, 128}, {128, 1}, {64, 16}, {33, 17}};
-  for (const auto [rows, cols] : shapes) {
-    for (const std::uint64_t tile : {1ull, 5ull, 16ull, 32ull}) {
-      const std::uint64_t n = rows * cols;
-      const auto in = random_bits<T>(n, rows * 31 + cols * 7 + tile);
-      util::aligned_vector<T> want(n), got(n);
-      with_variant(KernelVariant::kScalar, [&] {
-        transpose_blocked<T>(pool, in, want, rows, cols, tile);
-      });
-      with_variant(variant, [&] {
-        transpose_blocked<T>(pool, in, got, rows, cols, tile);
-      });
-      expect_bit_identical(got, want, "transpose_blocked");
+TEST_P(SimdVariantTest, BandSweepZeroExtendsWideIndicesU32) {
+  run_sweep_oracle<std::uint32_t>(GetParam(), true, kWideShapes, 2, 2);
+}
+TEST_P(SimdVariantTest, BandSweepZeroExtendsWideIndicesU64) {
+  run_sweep_oracle<std::uint64_t>(GetParam(), true, kWideShapes, 2, 2);
+}
+TEST_P(SimdVariantTest, RowSweepZeroExtendsWideIndicesU32) {
+  run_sweep_oracle<std::uint32_t>(GetParam(), false, kWideShapes, 2, 2);
+}
+TEST_P(SimdVariantTest, RowSweepZeroExtendsWideIndicesU64) {
+  run_sweep_oracle<std::uint64_t>(GetParam(), false, kWideShapes, 2, 2);
+}
+
+/// Pools of 1 (the caller runs every chunk), 3 and 5 threads put the
+/// chunk boundaries on different bands and rows than the 2-thread runs.
+TEST_P(SimdVariantTest, SweepsMatchOracleOnEveryPoolSize) {
+  for (const unsigned threads : {1U, 3U, 5U}) {
+    for (const bool banded : {true, false}) {
+      run_sweep_oracle<std::uint32_t>(GetParam(), banded, kSweepShapes, threads, 3);
+      run_sweep_oracle<double>(GetParam(), banded, kSweepShapes, threads, 3);
     }
   }
 }
 
-TEST_P(SimdVariantTest, TransposeBitIdenticalU32) {
-  run_transpose_differential<std::uint32_t>(GetParam());
-}
-TEST_P(SimdVariantTest, TransposeBitIdenticalU64) {
-  run_transpose_differential<std::uint64_t>(GetParam());
-}
-TEST_P(SimdVariantTest, TransposeBitIdenticalFloat) {
-  run_transpose_differential<float>(GetParam());
-}
-TEST_P(SimdVariantTest, TransposeBitIdenticalDouble) {
-  run_transpose_differential<double>(GetParam());
-}
-
-template <class T>
-void run_transpose_batched_differential(KernelVariant variant) {
-  util::ThreadPool pool(2);
-  const std::uint64_t rows = 33, cols = 21;
-  const std::uint64_t n = rows * cols;
-  for (const std::uint64_t lanes : {1ull, 2ull, 4ull, 5ull, 9ull}) {
-    std::vector<util::aligned_vector<T>> ins, wants, gots;
-    std::vector<const T*> srcs;
-    std::vector<T*> want_ptrs, got_ptrs;
-    for (std::uint64_t l = 0; l < lanes; ++l) {
-      ins.push_back(random_bits<T>(n, l * 104729 + lanes));
-      wants.emplace_back(n);
-      gots.emplace_back(n);
-    }
-    for (std::uint64_t l = 0; l < lanes; ++l) {
-      srcs.push_back(ins[l].data());
-      want_ptrs.push_back(wants[l].data());
-      got_ptrs.push_back(gots[l].data());
-    }
-    with_variant(KernelVariant::kScalar, [&] {
-      transpose_blocked_batched<T>(pool, srcs, want_ptrs, rows, cols, 16);
-    });
-    with_variant(variant, [&] {
-      transpose_blocked_batched<T>(pool, srcs, got_ptrs, rows, cols, 16);
-    });
-    for (std::uint64_t l = 0; l < lanes; ++l) {
-      expect_bit_identical(gots[l], wants[l], "transpose_blocked_batched");
-    }
+TEST(KernelDispatch, ScalarSweepsZeroExtendWideIndices) {
+  for (const bool banded : {true, false}) {
+    run_sweep_oracle<std::uint32_t>(KernelVariant::kScalar, banded, kWideShapes, 2, 2);
+    run_sweep_oracle<std::uint64_t>(KernelVariant::kScalar, banded, kWideShapes, 2, 2);
   }
 }
 
-TEST_P(SimdVariantTest, TransposeBatchedBitIdenticalU32) {
-  run_transpose_batched_differential<std::uint32_t>(GetParam());
-}
-TEST_P(SimdVariantTest, TransposeBatchedBitIdenticalU64) {
-  run_transpose_batched_differential<std::uint64_t>(GetParam());
-}
-TEST_P(SimdVariantTest, TransposeBatchedBitIdenticalFloat) {
-  run_transpose_batched_differential<float>(GetParam());
-}
-TEST_P(SimdVariantTest, TransposeBatchedBitIdenticalDouble) {
-  run_transpose_batched_differential<double>(GetParam());
+TEST(KernelDispatch, ScalarSweepsMatchOracle) {
+  for (const bool banded : {true, false}) {
+    run_sweep_oracle<std::uint32_t>(KernelVariant::kScalar, banded);
+    run_sweep_oracle<std::uint64_t>(KernelVariant::kScalar, banded);
+    run_sweep_oracle<float>(KernelVariant::kScalar, banded);
+    run_sweep_oracle<double>(KernelVariant::kScalar, banded);
+    // The FFT example's 16-byte complex has no SIMD table in any tier.
+    run_sweep_oracle<std::complex<double>>(best_kernel_variant(), banded);
+  }
 }
 
 template <class T>

@@ -97,7 +97,7 @@ TEST_F(Table2Shape, HostBackendSanity) {
   util::aligned_vector<float> b1(kN), b2(kN), s(kN);
   core::d_designated_cpu<float>(pool, a, b1, p);
   const core::ScheduledPlan plan = core::ScheduledPlan::build(p, mp_);
-  core::scheduled_cpu_lean<float>(pool, plan, a, b2, s);
+  core::scheduled_cpu<float>(pool, plan, a, b2, s);
   EXPECT_EQ(b1, b2);
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <new>
@@ -8,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/aligned_vector.hpp"
@@ -239,8 +241,8 @@ TEST(ThreadPool, SubmitTaskDeliversExceptionThroughFuture) {
 TEST(ThreadPool, NestedParallelForFromSubmittedTasksDoesNotDeadlock) {
   // Regression for the runtime executor's pattern: tasks running *on*
   // the pool fan out with parallel_for on the same pool. With blocking
-  // waits this deadlocks once tasks occupy every worker; the help-drain
-  // path must keep making progress.
+  // waits this deadlocks once tasks occupy every worker; the caller
+  // running chunks itself must keep making progress.
   ThreadPool pool(2);
   std::vector<std::future<std::uint64_t>> futs;
   for (int t = 0; t < 8; ++t) {
@@ -251,6 +253,144 @@ TEST(ThreadPool, NestedParallelForFromSubmittedTasksDoesNotDeadlock) {
     }));
   }
   for (auto& f : futs) EXPECT_EQ(f.get(), 49995000u);
+}
+
+// A nested fork-join on a worker must not pop and run an unrelated
+// queued task inline: that task's whole run would land on the nested
+// caller's latency.
+TEST(ThreadPool, NestedForkJoinDoesNotRunAnUnrelatedQueuedTask) {
+  using namespace std::chrono_literals;
+  ThreadPool pool(2);
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::promise<void> blocker_started, outer_started, slow_queued;
+  const std::shared_future<void> slow_is_queued = slow_queued.get_future().share();
+  // Worker 1 parks; worker 2 runs `outer`, so the slow task stays queued.
+  auto blocker = pool.submit_task([&] {
+    blocker_started.set_value();
+    released.wait();
+  });
+  blocker_started.get_future().wait();
+  std::atomic<bool> slow_started{false};
+  struct Outcome {
+    std::uint64_t sum;
+    bool slow_ran_first;
+    std::chrono::steady_clock::duration took;
+  };
+  auto outer = pool.submit_task([&] {
+    outer_started.set_value();
+    slow_is_queued.wait();
+    const auto t0 = std::chrono::steady_clock::now();
+    std::atomic<std::uint64_t> sum{0};
+    pool.parallel_for(0, 64, [&](std::uint64_t i) { sum.fetch_add(i); });
+    return Outcome{sum.load(), slow_started.load(), std::chrono::steady_clock::now() - t0};
+  });
+  outer_started.get_future().wait();
+  auto slow = pool.submit_task([&] {
+    slow_started = true;
+    std::this_thread::sleep_for(200ms);
+  });
+  slow_queued.set_value();
+  const Outcome got = outer.get();
+  EXPECT_EQ(got.sum, 2016u);
+  EXPECT_FALSE(got.slow_ran_first);
+  EXPECT_LT(got.took, 150ms);
+  release.set_value();
+  blocker.get();
+  slow.get();
+}
+
+// With every worker busy, a fork-join still completes: a nested one on
+// the last free worker and one from an outside thread alike run every
+// chunk on their caller.
+TEST(ThreadPool, ForkJoinCompletesWithEveryWorkerBusy) {
+  ThreadPool pool(3);
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> parked{0};
+  std::vector<std::future<void>> blockers;
+  for (int i = 0; i < 2; ++i) {
+    blockers.push_back(pool.submit_task([&] {
+      parked.fetch_add(1);
+      released.wait();
+    }));
+  }
+  while (parked.load() < 2) std::this_thread::yield();
+  const auto sum_loop = [&pool] {
+    std::atomic<std::uint64_t> sum{0};
+    pool.parallel_for(0, 10000, [&](std::uint64_t i) { sum.fetch_add(i); });
+    return sum.load();
+  };
+  std::promise<void> third_parked;
+  auto nested = pool.submit_task([&] {
+    const std::uint64_t sum = sum_loop();
+    third_parked.set_value();
+    released.wait();
+    return sum;
+  });
+  third_parked.get_future().wait();  // now every worker is busy
+  EXPECT_EQ(sum_loop(), 49995000u);
+  release.set_value();
+  EXPECT_EQ(nested.get(), 49995000u);
+  for (auto& b : blockers) b.get();
+}
+
+// An exception from a chunk the caller runs and one from a chunk a
+// helper runs both surface on the caller, once, and the pool stays
+// usable. Caller and helper chunks each wait (bounded) for the other
+// side to have started one, so both kinds of chunk really run.
+TEST(ThreadPool, ExceptionFromCallerOrHelperChunkIsRethrownOnce) {
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const bool throw_on_caller : {true, false}) {
+    std::atomic<bool> caller_ran{false}, helper_ran{false};
+    int caught = 0;
+    try {
+      pool.parallel_for_chunks(0, 64, [&](std::uint64_t, std::uint64_t) {
+        const bool on_caller = std::this_thread::get_id() == caller;
+        (on_caller ? caller_ran : helper_ran) = true;
+        const std::atomic<bool>& other = on_caller ? helper_ran : caller_ran;
+        const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+        while (!other.load() && std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::yield();
+        }
+        if (on_caller == throw_on_caller) throw std::runtime_error("chunk failure");
+      });
+    } catch (const std::runtime_error&) {
+      ++caught;
+    }
+    EXPECT_EQ(caught, 1) << (throw_on_caller ? "caller" : "helper");
+    EXPECT_TRUE(caller_ran.load());
+    EXPECT_TRUE(helper_ran.load());
+    std::atomic<std::uint64_t> sum{0};
+    EXPECT_NO_THROW(pool.parallel_for(0, 100, [&](std::uint64_t i) { sum.fetch_add(i); }));
+    EXPECT_EQ(sum.load(), 4950u);
+  }
+}
+
+// Back-to-back fork-joins from two outside threads: every chunk runs
+// exactly once, none is skipped, across 10k joins (a helper that starts
+// after its loop is done must find nothing to claim).
+TEST(ThreadPool, BackToBackForkJoinsRunEveryChunkOnce) {
+  ThreadPool pool(3);
+  constexpr int kJoinsPerThread = 5000;
+  constexpr std::uint64_t kRange = 97;
+  std::atomic<int> bad{0};
+  const auto run = [&] {
+    for (int j = 0; j < kJoinsPerThread; ++j) {
+      std::vector<std::atomic<std::uint8_t>> hits(kRange);
+      pool.parallel_for_chunks(0, kRange, [&](std::uint64_t lo, std::uint64_t hi) {
+        for (std::uint64_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+      });
+      for (const auto& h : hits) {
+        if (h.load() != 1) bad.fetch_add(1);
+      }
+    }
+  };
+  std::thread a(run), b(run);
+  a.join();
+  b.join();
+  EXPECT_EQ(bad.load(), 0);
 }
 
 TEST(Cli, FlagsAndPositional) {
