@@ -42,24 +42,6 @@ bool read_u16s(std::istream& is, util::aligned_vector<std::uint16_t>& v, std::ui
                                    static_cast<std::streamsize>(count * sizeof(std::uint16_t))));
 }
 
-/// Row sanity: every `row_len`-entry row of a schedule or direct row
-/// permutation must be a permutation of [0, row_len). An entry past the
-/// row would index outside it; a repeated entry would leave an output
-/// slot unwritten, so the run would return whatever the buffer held.
-bool rows_are_permutations(const util::aligned_vector<std::uint16_t>& v,
-                           std::uint64_t row_len) {
-  std::vector<std::uint8_t> seen(row_len);
-  for (std::uint64_t base = 0; base < v.size(); base += row_len) {
-    std::fill(seen.begin(), seen.end(), 0);
-    for (std::uint64_t k = base; k < base + row_len; ++k) {
-      const std::uint16_t x = v[k];
-      if (x >= row_len || seen[x] != 0) return false;
-      seen[x] = 1;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 bool save_plan(std::ostream& os, const ScheduledPlan& plan) {

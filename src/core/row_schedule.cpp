@@ -105,4 +105,17 @@ bool row_schedule_valid(std::span<const std::uint16_t> g, std::span<const std::u
   return true;
 }
 
+bool rows_are_permutations(std::span<const std::uint16_t> table, std::uint64_t row_len) {
+  std::vector<std::uint8_t> seen(row_len);
+  for (std::uint64_t base = 0; base < table.size(); base += row_len) {
+    std::fill(seen.begin(), seen.end(), 0);
+    for (std::uint64_t k = base; k < base + row_len; ++k) {
+      const std::uint16_t x = table[k];
+      if (x >= row_len || seen[x] != 0) return false;
+      seen[x] = 1;
+    }
+  }
+  return true;
+}
+
 }  // namespace hmm::core

@@ -64,6 +64,13 @@ RowScheduleSet build_row_schedules(std::span<const std::uint16_t> g, std::uint64
 RowScheduleSet slice_rows(const RowScheduleSet& full, std::uint64_t row_begin,
                           std::uint64_t row_end);
 
+/// Row sanity for tables read from outside the process (plan files,
+/// SHARD_PLAN bands): true iff every `row_len`-entry row of `table` is
+/// a permutation of [0, row_len). An entry past the row would index
+/// outside it; a repeated entry would leave an output slot unwritten,
+/// so a run would return whatever the buffer held.
+bool rows_are_permutations(std::span<const std::uint16_t> table, std::uint64_t row_len);
+
 /// Verify the schedule invariants for one row (used by tests and
 /// `ScheduledPlan::validate`): p̂ and q are permutations, `g = q ∘ p̂⁻¹`,
 /// and every schedule warp touches w distinct banks on both sides.

@@ -3,9 +3,13 @@
 #include <thread>
 #include <utility>
 
+#include "core/layout.hpp"
+#include "core/permuter.hpp"
+#include "core/plan.hpp"
 #include "net/frame_io.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
+#include "util/bits.hpp"
 
 namespace hmm::net {
 
@@ -89,6 +93,32 @@ void run_shard(const DistributedPermuter::Config& config, std::uint64_t session_
 }
 
 }  // namespace
+
+StatusOr<std::vector<std::vector<std::uint8_t>>> DistributedPermuter::compile(
+    const perm::Permutation& p, std::uint64_t plan_id, std::uint32_t width,
+    std::uint32_t shards) {
+  model::MachineParams machine = model::MachineParams::gtx680();
+  machine.width = width;
+  if (!util::is_pow2(width) ||
+      !core::OfflinePermuter<std::uint32_t>::plan_supported(p.size(), machine)) {
+    return Status(StatusCode::kInvalidArgument,
+                  "distributed compile: plan is not schedulable at this width");
+  }
+  const core::MatrixShape shape = core::shape_for(p.size(), width);
+  if (Status split = runtime::BandPlan::build(shape.rows, shape.cols, shards).status();
+      !split.is_ok()) {
+    return split;
+  }
+  const core::ScheduledPlan plan = core::ScheduledPlan::build(p, machine);
+  std::vector<std::vector<std::uint8_t>> payloads;
+  payloads.reserve(shards);
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    StatusOr<runtime::BandPlanner> planner = runtime::BandPlanner::build(plan, shards, s);
+    if (!planner.ok()) return planner.status();
+    payloads.push_back(ShardPlanRequest{plan_id, std::move(planner).value()}.encode());
+  }
+  return payloads;
+}
 
 StatusOr<DistributedPermuter::Result> DistributedPermuter::execute(
     const Config& config, std::uint64_t session_id, std::uint64_t plan_id,

@@ -13,6 +13,13 @@
 /// so its network cost is one pass over the data regardless of the
 /// shard count.
 ///
+/// The offline phase runs here too, once per plan and shard count:
+/// `compile` builds the scheduled plan for the shards' machine and
+/// encodes every shard's band rows as a SHARD_PLAN payload, and a
+/// shard primed with its payload runs SHARD_EXEC with no compile of its
+/// own. (A shard that was never primed still compiles locally when the
+/// plan was registered with it by SUBMIT_PLAN.)
+///
 /// Failure discipline: distribution is all-or-nothing. Once SHARD_EXEC
 /// frames are in flight there is no single-node fallback — a shard that
 /// dies mid-exchange fails the whole request typed (kUnavailable), the
@@ -28,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "perm/permutation.hpp"
 #include "runtime/distributed.hpp"
 #include "runtime/status.hpp"
 #include "util/buffer_pool.hpp"
@@ -67,6 +75,16 @@ class DistributedPermuter {
     std::vector<Band> bands;  ///< shard order; concatenation = output
     std::uint64_t total_elements = 0;
   };
+
+  /// The distributed offline phase: compile `p` once on the global
+  /// pool for the shards' machine (permd's default machine with width
+  /// `width`), slice each of `shards` bands and encode it as the
+  /// SHARD_PLAN payload for plan id `plan_id`. Entry s primes shard s.
+  /// Fails (kInvalidArgument) when `p` is not schedulable at `width` or
+  /// cannot be split `shards` ways.
+  [[nodiscard]] static runtime::StatusOr<std::vector<std::vector<std::uint8_t>>> compile(
+      const perm::Permutation& p, std::uint64_t plan_id, std::uint32_t width,
+      std::uint32_t shards);
 
   /// Execute `rows x cols` (= count) elements of plan `plan_id` across
   /// `targets.size()` shards. `data_bytes` is the request's element

@@ -1,5 +1,8 @@
 #include "net/protocol.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 namespace hmm::net {
 
 using runtime::Status;
@@ -15,6 +18,7 @@ std::string_view to_string(MsgKind kind) noexcept {
     case MsgKind::kExecuteProgram: return "EXECUTE_PROGRAM";
     case MsgKind::kShardExec: return "SHARD_EXEC";
     case MsgKind::kShardXchg: return "SHARD_XCHG";
+    case MsgKind::kShardPlan: return "SHARD_PLAN";
     case MsgKind::kPingOk: return "PING_OK";
     case MsgKind::kPlanOk: return "PLAN_OK";
     case MsgKind::kPermuteOk: return "PERMUTE_OK";
@@ -22,6 +26,7 @@ std::string_view to_string(MsgKind kind) noexcept {
     case MsgKind::kProgramOk: return "PROGRAM_OK";
     case MsgKind::kShardExecOk: return "SHARD_EXEC_OK";
     case MsgKind::kShardXchgOk: return "SHARD_XCHG_OK";
+    case MsgKind::kShardPlanOk: return "SHARD_PLAN_OK";
     case MsgKind::kError: return "ERROR";
   }
   return "UNKNOWN";
@@ -36,6 +41,7 @@ bool is_request_kind(std::uint16_t kind) noexcept {
     case MsgKind::kExecuteProgram:
     case MsgKind::kShardExec:
     case MsgKind::kShardXchg:
+    case MsgKind::kShardPlan:
       return true;
     default:
       return false;
@@ -484,6 +490,90 @@ StatusOr<ShardXchgRequestView> ShardXchgRequestView::decode(
   if (!words.ok()) return words.status();
   view.block = words.value();
   return view;
+}
+
+std::vector<std::uint8_t> ShardPlanRequest::encode() const {
+  const runtime::BandPlan& bands = planner.bands();
+  ByteWriter w;
+  w.put_u64(plan_id);
+  w.put_u32(planner.shard());
+  w.put_u32(bands.shards());
+  w.put_u64(bands.rows());
+  w.put_u64(bands.cols());
+  for (const runtime::BandPassView& pass :
+       {planner.pass1(), planner.pass2(), planner.pass3()}) {
+    w.put_u16_span(pass.gather);
+  }
+  return w.take();
+}
+
+StatusOr<ShardPlanRequest> ShardPlanRequest::decode(std::span<const std::uint8_t> payload) {
+  ByteReader r(payload);
+  std::uint64_t plan_id = 0;
+  std::uint32_t shard_index = 0;
+  std::uint32_t shard_count = 0;
+  std::uint64_t rows = 0;
+  std::uint64_t cols = 0;
+  if (!r.get_u64(plan_id) || !r.get_u32(shard_index) || !r.get_u32(shard_count) ||
+      !r.get_u64(rows) || !r.get_u64(cols)) {
+    return Status(StatusCode::kInvalidArgument, "SHARD_PLAN: truncated header");
+  }
+  if (shard_count == 0 || shard_count > kMaxWireShards) {
+    return Status(StatusCode::kInvalidArgument, "SHARD_PLAN: shard count out of range");
+  }
+  if (shard_index >= shard_count) {
+    return Status(StatusCode::kInvalidArgument,
+                  "SHARD_PLAN: shard index out of range for the shard count");
+  }
+  if (rows == 0 || cols == 0) {
+    return Status(StatusCode::kInvalidArgument, "SHARD_PLAN: empty matrix shape");
+  }
+  if (cols > std::numeric_limits<std::uint64_t>::max() / rows) {
+    return Status(StatusCode::kInvalidArgument, "SHARD_PLAN: matrix shape overflows");
+  }
+  // Gather entries are u16 column indexes: no row (cols for passes 1
+  // and 3, rows for pass 2) may be longer than 2^16.
+  if (std::max(rows, cols) > (1ull << 16)) {
+    return Status(StatusCode::kInvalidArgument,
+                  "SHARD_PLAN: row length exceeds the 16-bit gather index");
+  }
+  StatusOr<runtime::BandPlan> bands = runtime::BandPlan::build(rows, cols, shard_count);
+  if (!bands.ok()) return bands.status();
+  std::uint64_t entries = 0;
+  for (unsigned pass = 1; pass <= 3; ++pass) {
+    entries += runtime::BandPlanner::table_entries(bands.value(), shard_index, pass);
+  }
+  if (r.remaining() != entries * sizeof(std::uint16_t)) {
+    return Status(StatusCode::kInvalidArgument,
+                  "SHARD_PLAN: table bytes do not match the band geometry");
+  }
+  runtime::BandPlanner::Tables gather;
+  for (unsigned pass = 1; pass <= 3; ++pass) {
+    util::aligned_vector<std::uint16_t>& table = gather[pass - 1];
+    table.resize(runtime::BandPlanner::table_entries(bands.value(), shard_index, pass));
+    if constexpr (std::endian::native == std::endian::little) {
+      std::span<const std::uint8_t> bytes;
+      (void)r.get_bytes(table.size() * sizeof(std::uint16_t), bytes);
+      std::memcpy(table.data(), bytes.data(), bytes.size());
+    } else {
+      for (std::uint16_t& h : table) (void)r.get_u16(h);
+    }
+  }
+  StatusOr<runtime::BandPlanner> planner = runtime::BandPlanner::from_rows(
+      std::move(bands).value(), shard_index, std::move(gather));
+  if (!planner.ok()) {
+    return Status(StatusCode::kInvalidArgument, "SHARD_PLAN: " + planner.status().message());
+  }
+  return ShardPlanRequest{plan_id, std::move(planner).value()};
+}
+
+Status shard_plan_outcome(std::uint16_t kind, std::span<const std::uint8_t> payload) {
+  if (static_cast<MsgKind>(kind) == MsgKind::kShardPlanOk) return Status::ok();
+  if (static_cast<MsgKind>(kind) == MsgKind::kError) {
+    StatusOr<ErrorResponse> err = ErrorResponse::decode(payload);
+    if (err.ok()) return err.value().to_status();
+  }
+  return Status(StatusCode::kUnavailable, "shard sent an unexpected SHARD_PLAN answer");
 }
 
 StatusOr<WordsResponseView> WordsResponseView::decode(std::span<const std::uint8_t> payload,

@@ -26,6 +26,9 @@
 ///                    happen as peer-to-peer column exchanges)
 ///   SHARD_XCHG       shard -> shard: one column block of an exchange
 ///                    round (each (src, dst) block moves exactly once)
+///   SHARD_PLAN       coordinator -> shard: prime one shard with its
+///                    band's gather rows of a plan the coordinator
+///                    compiled, so SHARD_EXEC runs with no compile
 ///
 /// Every failure travels as an ERROR response whose code is the wire
 /// image of the `runtime::Status` the serving stack produced — the
@@ -75,6 +78,13 @@
 ///                      u8 data[count * elem_bytes]
 ///   SHARD_XCHG_OK
 ///                resp: empty
+///   SHARD_PLAN   req:  u64 plan_id, u32 shard_index,
+///                      u32 shard_count (1..64), u64 rows, u64 cols,
+///                      u16 pass1[band rows x cols],
+///                      u16 pass2[column-band rows x rows],
+///                      u16 pass3[band rows x cols]   (row-major)
+///   SHARD_PLAN_OK
+///                resp: empty
 ///   ERROR        resp: u32 code, UTF-8 message bytes
 
 #include <chrono>
@@ -86,6 +96,7 @@
 #include <vector>
 
 #include "net/wire.hpp"
+#include "runtime/distributed.hpp"
 #include "runtime/program.hpp"
 #include "runtime/status.hpp"
 
@@ -101,6 +112,7 @@ enum class MsgKind : std::uint16_t {
   kExecuteProgram = 0x05,
   kShardExec = 0x06,
   kShardXchg = 0x07,
+  kShardPlan = 0x08,
   kPingOk = 0x81,
   kPlanOk = 0x82,
   kPermuteOk = 0x83,
@@ -108,6 +120,7 @@ enum class MsgKind : std::uint16_t {
   kProgramOk = 0x85,
   kShardExecOk = 0x86,
   kShardXchgOk = 0x87,
+  kShardPlanOk = 0x88,
   kError = 0xff,
 };
 
@@ -326,6 +339,28 @@ struct ShardXchgRequestView {
   [[nodiscard]] static runtime::StatusOr<ShardXchgRequestView> decode(
       std::span<const std::uint8_t> payload, std::uint64_t max_elements);
 };
+
+/// SHARD_PLAN: one shard's band of a plan the coordinator compiled —
+/// the shard's rows of the three passes' gather tables, 6 bytes per
+/// band element. The plan id is the coordinator's claim (a shard holds
+/// no mapping to check it against); what decode guarantees is that the
+/// rows are safe to run: the header fields are in range, the tables
+/// are exactly as long as the band geometry says, and every row is a
+/// permutation of its width. Each failure is a distinct
+/// kInvalidArgument.
+struct ShardPlanRequest {
+  std::uint64_t plan_id = 0;
+  runtime::BandPlanner planner;
+
+  [[nodiscard]] std::vector<std::uint8_t> encode() const;
+  [[nodiscard]] static runtime::StatusOr<ShardPlanRequest> decode(
+      std::span<const std::uint8_t> payload);
+};
+
+/// What a SHARD_PLAN answer says: OK for SHARD_PLAN_OK, the typed
+/// status of an ERROR frame, kUnavailable for anything else.
+[[nodiscard]] runtime::Status shard_plan_outcome(std::uint16_t kind,
+                                                 std::span<const std::uint8_t> payload);
 
 /// Borrowing decode of the "u64 count + words" response layout shared
 /// by PERMUTE_OK, PROGRAM_OK, and SHARD_EXEC_OK — the coordinator

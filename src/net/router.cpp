@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -488,8 +489,8 @@ StatusOr<FrameView> Router::forward_once(std::size_t idx, BackendLink& link,
   return Status(StatusCode::kUnavailable, "backend connection could not be re-established");
 }
 
-bool Router::BackendLink::holds(std::uint64_t fingerprint) {
-  if (!primed.contains(fingerprint)) return false;
+bool Router::BackendLink::holds(const BandKey& band) {
+  if (!primed.contains(band)) return false;
   const StatusOr<bool> readable = stream.poll_readable(std::chrono::milliseconds{0});
   if (readable.ok() && !readable.value()) return true;
   close();
@@ -530,9 +531,99 @@ Status Router::push_plans(std::size_t idx, BackendLink& link,
                  ? Status(StatusCode::kUnavailable, "unexpected resync response kind")
                  : typed;
     }
-    link.primed.insert(fp);
     pushed.fetch_add(1, std::memory_order_relaxed);
   }
+  return Status::ok();
+}
+
+Router::ShardPlansOr Router::shard_plans(std::uint64_t fingerprint, std::uint32_t shards) {
+  const ShardPlansKey key{fingerprint, shards};
+  std::promise<ShardPlansOr> promise;
+  std::shared_future<ShardPlansOr> result;
+  bool compile = false;
+  {
+    std::lock_guard lock(shard_plans_mutex_);
+    if (const auto it = shard_plans_.find(key); it != shard_plans_.end()) {
+      result = it->second;
+    } else {
+      result = promise.get_future().share();
+      compile = true;
+      shard_plans_.emplace(key, result);
+      shard_plans_order_.push_back(key);
+      while (shard_plans_order_.size() > std::max(1u, config_.max_plans)) {
+        shard_plans_.erase(shard_plans_order_.front());
+        shard_plans_order_.pop_front();
+      }
+    }
+  }
+  if (compile) {
+    // Every outcome, a throw included, is answered: waiters must not
+    // hang on a promise that is never kept.
+    ShardPlansOr compiled = Status(StatusCode::kResourceExhausted, "allocation failed");
+    try {
+      compiled = compile_shard_plans(fingerprint, shards);
+    } catch (const std::bad_alloc&) {
+    } catch (const std::exception& e) {
+      compiled = Status(StatusCode::kUnavailable, e.what());
+    }
+    const bool failed = !compiled.ok();
+    promise.set_value(std::move(compiled));
+    if (failed) {
+      // Forget the failure so a later request compiles afresh (an entry
+      // still compiling under this key is someone else's, and stays).
+      std::lock_guard lock(shard_plans_mutex_);
+      if (const auto it = shard_plans_.find(key);
+          it != shard_plans_.end() &&
+          it->second.wait_for(std::chrono::seconds(0)) == std::future_status::ready &&
+          !it->second.get().ok()) {
+        shard_plans_.erase(it);
+        std::erase(shard_plans_order_, key);
+      }
+    }
+  }
+  return result.get();
+}
+
+Router::ShardPlansOr Router::compile_shard_plans(std::uint64_t fingerprint,
+                                                 std::uint32_t shards) {
+  std::shared_ptr<const std::vector<std::uint8_t>> submitted;
+  {
+    std::lock_guard lock(plans_mutex_);
+    if (const auto it = plans_.find(fingerprint); it != plans_.end()) submitted = it->second;
+  }
+  if (submitted == nullptr) {
+    return Status(StatusCode::kInvalidArgument, "plan is not in the router registry");
+  }
+  // The registry keeps SUBMIT_PLAN payloads that were validated on the
+  // way in, so this decode cannot fail on a well-behaved router.
+  StatusOr<SubmitPlanRequestView> req =
+      SubmitPlanRequestView::decode(*submitted, std::numeric_limits<std::uint64_t>::max());
+  if (!req.ok()) return req.status();
+  util::aligned_vector<std::uint32_t> words(req.value().mapping.count);
+  req.value().mapping.copy_to({words.data(), words.size()});
+  const perm::Permutation p(std::move(words));
+
+  StatusOr<ShardPlans> compiled =
+      DistributedPermuter::compile(p, fingerprint, config_.distributed_width, shards);
+  if (!compiled.ok()) return compiled.status();
+  dist_plan_compiles_.fetch_add(1, std::memory_order_relaxed);
+  return std::make_shared<const ShardPlans>(std::move(compiled).value());
+}
+
+Status Router::push_band(std::size_t idx, BackendLink& link, const BandKey& band,
+                         std::span<const std::uint8_t> payload,
+                         std::atomic<std::uint64_t>& pushed) {
+  StatusOr<FrameView> response =
+      forward_once(idx, link, static_cast<std::uint16_t>(MsgKind::kShardPlan),
+                   next_router_request_id(), payload, config_.connect_timeout,
+                   config_.io_timeout);
+  if (!response.ok()) return response.status();
+  if (Status acked = shard_plan_outcome(response.value().kind, response.value().payload);
+      !acked.is_ok()) {
+    return acked;
+  }
+  link.primed.insert(band);
+  pushed.fetch_add(1, std::memory_order_relaxed);
   return Status::ok();
 }
 
@@ -575,41 +666,62 @@ Status Router::route_distributed(TcpStream& client, std::vector<BackendLink>& li
                                     runtime::kMaxShards, usable.size(), shape.rows});
   if (shards < 2) return Status::ok();  // not enough fleet: single-node path
 
-  // Every shard must hold the plan before its band arrives. A link that
-  // already pushed it, and is still open, is skipped; the others get it
-  // replayed from the registry. A backend that cannot be primed is
-  // dropped (and its breaker fed) rather than failing the request;
-  // distribution only proceeds while two shards remain.
-  const std::uint64_t fp[] = {plan_id};
-  std::vector<std::size_t> primed;
-  std::vector<std::size_t> skipped;
-  for (const std::size_t idx : usable) {
-    if (primed.size() >= shards) break;
-    if (links[idx].holds(plan_id)) {
-      primed.push_back(idx);
-      skipped.push_back(idx);
-      continue;
-    }
-    const Status pushed = push_plans(idx, links[idx], fp, dist_plan_pushes_);
-    if (pushed.is_ok()) {
-      primed.push_back(idx);
-    } else if (pushed.code() == StatusCode::kInvalidArgument) {
-      // The plan is not in the router registry (or the backend rejects
-      // it): no shard can be primed — single-node path owns the answer.
-      return Status::ok();
-    } else {
+  // Every shard must hold its band's rows before SHARD_EXEC arrives.
+  // The router compiles the plan once per shard count and primes shard
+  // s with band s; a link that already pushed that band, and is still
+  // open, is skipped. A backend that cannot be primed is replaced by
+  // the next usable one (or dropped, which changes the shard count and
+  // so every band), and its breaker is fed; distribution only proceeds
+  // while two shards remain.
+  std::vector<std::size_t> chosen(usable.begin(), usable.begin() + shards);
+  std::size_t spare = chosen.size();
+  std::shared_ptr<const ShardPlans> plans;
+  std::vector<std::uint32_t> skipped;  ///< band indexes whose push was skipped
+  const auto band_key = [&](std::uint32_t s) {
+    return BandKey{plan_id, static_cast<std::uint32_t>(chosen.size()), s};
+  };
+  for (bool all_primed = false; !all_primed;) {
+    if (chosen.size() < 2) return Status::ok();  // not enough fleet: single-node path
+    ShardPlansOr compiled = shard_plans(plan_id, static_cast<std::uint32_t>(chosen.size()));
+    // Not in the router registry, or not schedulable: the single-node
+    // path owns the answer.
+    if (!compiled.ok()) return Status::ok();
+    plans = std::move(compiled).value();
+    skipped.clear();
+    all_primed = true;
+    for (std::uint32_t s = 0; s < chosen.size();) {
+      const std::size_t idx = chosen[s];
+      if (links[idx].holds(band_key(s))) {
+        skipped.push_back(s++);
+        continue;
+      }
+      const Status pushed =
+          push_band(idx, links[idx], band_key(s), (*plans)[s], dist_plan_pushes_);
+      if (pushed.is_ok()) {
+        ++s;
+        continue;
+      }
+      // The backend refuses the band (an old server answers SHARD_PLAN
+      // as an unknown kind): the single-node path owns the answer.
+      if (pushed.code() == StatusCode::kInvalidArgument) return Status::ok();
       record_backend_transport_failure(*backends_[idx], false);
+      if (spare < usable.size()) {
+        chosen[s] = usable[spare++];  // same band, next usable backend
+        continue;
+      }
+      chosen.erase(chosen.begin() + s);
+      all_primed = false;  // new shard count: every band changes
+      break;
     }
   }
-  if (primed.size() < 2) return Status::ok();
-  shards = primed.size();
+  shards = chosen.size();
 
   handled = true;
   dist_requests_.fetch_add(1, std::memory_order_relaxed);
 
   std::vector<ShardTarget> targets;
   targets.reserve(shards);
-  for (const std::size_t idx : primed) {
+  for (const std::size_t idx : chosen) {
     targets.push_back(ShardTarget{backends_[idx]->addr.host, backends_[idx]->addr.port, idx});
   }
 
@@ -627,16 +739,18 @@ Status Router::route_distributed(TcpStream& client, std::vector<BackendLink>& li
   StatusOr<DistributedPermuter::Result> result = execute();
   if (!result.ok() && result.status().code() == StatusCode::kInvalidArgument &&
       !skipped.empty()) {
-    // A shard refused the plan although its push was skipped: it lost
-    // its registry while the link still looked open. Re-prime every
-    // skipped link and retry once under a fresh session id — the
-    // distributed twin of the single-node lazy resync, sound because
-    // PERMUTE is pure.
+    // A shard refused its band although the push was skipped: it
+    // dropped the band (or restarted) while the link still looked open.
+    // Re-prime every skipped link and retry once under a fresh session
+    // id — the distributed twin of the single-node lazy resync, sound
+    // because PERMUTE is pure.
     bool reprimed = true;
-    for (const std::size_t idx : skipped) {
-      links[idx].primed.clear();
-      reprimed = reprimed &&
-                 push_plans(idx, links[idx], fp, backends_[idx]->plans_synced).is_ok();
+    for (const std::uint32_t s : skipped) {
+      const std::size_t idx = chosen[s];
+      links[idx].primed.erase(band_key(s));
+      reprimed = reprimed && push_band(idx, links[idx], band_key(s), (*plans)[s],
+                                       backends_[idx]->plans_synced)
+                                 .is_ok();
     }
     if (reprimed) {
       plan_resyncs_.fetch_add(1, std::memory_order_relaxed);
@@ -650,7 +764,7 @@ Status Router::route_distributed(TcpStream& client, std::vector<BackendLink>& li
     wrote_error = true;
     return write_frame(client, make_error_frame(request.request_id, result.status()));
   }
-  for (const std::size_t idx : primed) {
+  for (const std::size_t idx : chosen) {
     record_backend_success(*backends_[idx]);
     backends_[idx]->ok.fetch_add(1, std::memory_order_relaxed);
   }
@@ -943,6 +1057,7 @@ Router::Snapshot Router::snapshot() const {
   s.dist_failures = dist_failures_.load(std::memory_order_relaxed);
   s.dist_bytes = dist_bytes_.load(std::memory_order_relaxed);
   s.dist_plan_pushes = dist_plan_pushes_.load(std::memory_order_relaxed);
+  s.dist_plan_compiles = dist_plan_compiles_.load(std::memory_order_relaxed);
   s.plans_registered = plans_registered_.load(std::memory_order_relaxed);
   s.connections_accepted = connections_accepted_.load(std::memory_order_relaxed);
   s.connections_rejected = connections_rejected_.load(std::memory_order_relaxed);
@@ -989,6 +1104,7 @@ std::string Router::Snapshot::to_json() const {
   os << ",\"distributed_failures\":" << dist_failures;
   os << ",\"distributed_bytes\":" << dist_bytes;
   os << ",\"distributed_plan_pushes\":" << dist_plan_pushes;
+  os << ",\"distributed_plan_compiles\":" << dist_plan_compiles;
   os << ",\"plans_registered\":" << plans_registered;
   os << ",\"connections_accepted\":" << connections_accepted;
   os << ",\"connections_rejected\":" << connections_rejected;
@@ -1046,7 +1162,10 @@ std::string Router::Snapshot::to_prometheus() const {
   counter("hmm_router_distributed_bytes_total",
           "Element bytes served through the distributed path.", dist_bytes);
   counter("hmm_router_distributed_plan_pushes_total",
-          "SUBMIT_PLANs priming a shard link for distributed execution.", dist_plan_pushes);
+          "SHARD_PLANs priming a shard link for distributed execution.", dist_plan_pushes);
+  counter("hmm_router_distributed_plan_compiles_total",
+          "Distributed plans compiled by the router (once per plan and shard count).",
+          dist_plan_compiles);
   counter("hmm_router_plans_registered_total", "Distinct plans remembered for replication.",
           plans_registered);
   counter("hmm_router_connections_accepted_total", "Client connections accepted.",

@@ -42,15 +42,23 @@
 ///    backoff. Any other typed ERROR is an *answer* and is relayed
 ///    as-is. When every replica is exhausted the client gets the last
 ///    typed error (or UNAVAILABLE "no routable backend").
-///  - **Distributed shards are primed once per link.** An oversized
-///    PERMUTE split into row bands needs its plan on every selected
-///    shard. Each cached backend link remembers the fingerprints pushed
-///    over it; servers never evict registered plans, so a push stays
-///    good while that connection stays open. The set is cleared when
-///    the link closes (a fresh connection always follows a close), and
-///    an idle link that polls readable (EOF, or the backend's pre-frame
-///    ERROR) is closed and re-primed. If a shard still answers
-///    INVALID_ARGUMENT after a skipped push, the skipped links are
+///  - **The router owns the distributed offline phase.** An oversized
+///    PERMUTE split into row bands needs every selected shard to hold
+///    its band's gather rows. The router compiles the plan once per
+///    (fingerprint, shard count) — single-flight across connection
+///    threads, on the first request that needs it — and keeps only the
+///    encoded SHARD_PLAN payloads (6 bytes per element over all
+///    shards), up to `max_plans` of them. Shard s is primed with band s
+///    by SHARD_PLAN; it never compiles the plan itself.
+///  - **Distributed shards are primed once per link.** Each cached
+///    backend link remembers the (fingerprint, shard count, shard)
+///    bands pushed over it, so a push stays good while that connection
+///    stays open, and a fleet that shrinks primes the bands of its new
+///    shard count. The set is cleared when the link closes (a fresh
+///    connection always follows a close), and an idle link that polls
+///    readable (EOF, or the backend's pre-frame ERROR) is closed and
+///    re-primed. If a shard still answers INVALID_ARGUMENT after a
+///    skipped push (it dropped the band), the skipped links are
 ///    re-primed and the distributed execution is retried once under a
 ///    fresh session id.
 ///  - **Zero payload copies.** Requests are read into pooled storage
@@ -66,13 +74,18 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
+#include <future>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "net/frame_io.hpp"
@@ -103,7 +116,8 @@ class Router {
     std::uint32_t max_payload_bytes = kDefaultMaxPayload;
     /// Client-side connection cap; excess connections get RETRY_LATER.
     std::uint32_t max_connections = 256;
-    /// Bound on remembered SUBMIT_PLAN payloads (fingerprint-deduped).
+    /// Bound on remembered SUBMIT_PLAN payloads (fingerprint-deduped),
+    /// and on kept distributed plans (the oldest is dropped past it).
     std::uint32_t max_plans = 4096;
     /// How many backends of a plan's preference list receive its
     /// SUBMIT_PLAN (clamped to the backend count). 2 = primary + one
@@ -179,7 +193,8 @@ class Router {
     std::uint64_t dist_requests = 0;   ///< PERMUTEs executed as shard bands
     std::uint64_t dist_failures = 0;   ///< distributed attempts that failed
     std::uint64_t dist_bytes = 0;      ///< element bytes moved distributed
-    std::uint64_t dist_plan_pushes = 0;  ///< SUBMIT_PLANs priming a shard link
+    std::uint64_t dist_plan_pushes = 0;  ///< SHARD_PLANs priming a shard link
+    std::uint64_t dist_plan_compiles = 0;  ///< distributed plans compiled here
     std::uint64_t plans_registered = 0;
     std::uint64_t connections_accepted = 0;
     std::uint64_t connections_rejected = 0;
@@ -224,25 +239,34 @@ class Router {
   [[nodiscard]] bool backend_breaker_open(std::size_t idx) const;
 
  private:
+  /// One shard's band of a distributed plan: (fingerprint, shard
+  /// count, shard index).
+  using BandKey = std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>;
+
   /// A cached connection to one backend plus the pooled storage its
   /// response payloads land in. Owned by exactly one thread.
   struct BackendLink {
     TcpStream stream;
     util::PooledBuffer storage;
-    /// Plan fingerprints acked over this connection.
-    std::unordered_set<std::uint64_t> primed;
+    /// Shard bands acked over this connection.
+    std::set<BandKey> primed;
 
     /// Close the connection; what it primed is forgotten with it.
     void close() noexcept {
       stream.close();
       primed.clear();
     }
-    /// True when `fingerprint` was pushed over this connection and the
+    /// True when `band` was pushed over this connection and the
     /// connection is still open. An idle request/response link that
     /// polls readable has hit EOF or got a pre-frame ERROR, so it is
     /// closed here.
-    bool holds(std::uint64_t fingerprint);
+    bool holds(const BandKey& band);
   };
+
+  /// The encoded SHARD_PLAN payloads of one distributed plan; entry s
+  /// primes shard s.
+  using ShardPlans = std::vector<std::vector<std::uint8_t>>;
+  using ShardPlansOr = runtime::StatusOr<std::shared_ptr<const ShardPlans>>;
 
   struct Backend;
   struct ConnSlot {
@@ -292,10 +316,24 @@ class Router {
 
   /// Replay SUBMIT_PLANs for `fingerprints` (empty = the whole
   /// registry) over `link`; every plan must be acked with PLAN_OK.
-  /// Each acked plan joins `link.primed` and ticks `pushed`.
+  /// Each acked plan ticks `pushed`.
   runtime::Status push_plans(std::size_t idx, BackendLink& link,
                              std::span<const std::uint64_t> fingerprints,
                              std::atomic<std::uint64_t>& pushed);
+
+  /// The distributed plan for (fingerprint, shard count): cached, or
+  /// compiled now on this thread (see DistributedPermuter::compile)
+  /// while concurrent callers for the same key wait for it. A failed
+  /// compile is answered to its waiters and not kept.
+  ShardPlansOr shard_plans(std::uint64_t fingerprint, std::uint32_t shards);
+  ShardPlansOr compile_shard_plans(std::uint64_t fingerprint, std::uint32_t shards);
+
+  /// Push `band`'s SHARD_PLAN payload over `link` and wait for
+  /// SHARD_PLAN_OK; on success the band joins `link.primed` and
+  /// `pushed` ticks.
+  runtime::Status push_band(std::size_t idx, BackendLink& link, const BandKey& band,
+                            std::span<const std::uint8_t> payload,
+                            std::atomic<std::uint64_t>& pushed);
 
   /// Breaker/health gate. O(1): two atomic loads on the common path.
   /// Sets `half_open_trial` when this call claimed the single half-open
@@ -343,6 +381,14 @@ class Router {
   mutable std::mutex plans_mutex_;
   std::unordered_map<std::uint64_t, std::shared_ptr<const std::vector<std::uint8_t>>> plans_;
 
+  /// Distributed plans by (fingerprint, shard count), in compile order
+  /// for the `max_plans` bound. An entry is a future so that callers
+  /// arriving mid-compile wait for the one compile in flight.
+  using ShardPlansKey = std::pair<std::uint64_t, std::uint32_t>;
+  std::mutex shard_plans_mutex_;
+  std::map<ShardPlansKey, std::shared_future<ShardPlansOr>> shard_plans_;
+  std::deque<ShardPlansKey> shard_plans_order_;
+
   std::atomic<std::uint64_t> router_seq_{0};  ///< randomly seeded by the constructor
   std::atomic<std::uint64_t> requests_total_{0};
   std::atomic<std::uint64_t> failovers_total_{0};
@@ -354,6 +400,7 @@ class Router {
   std::atomic<std::uint64_t> dist_failures_{0};
   std::atomic<std::uint64_t> dist_bytes_{0};
   std::atomic<std::uint64_t> dist_plan_pushes_{0};
+  std::atomic<std::uint64_t> dist_plan_compiles_{0};
   std::atomic<std::uint64_t> plans_registered_{0};
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> connections_rejected_{0};

@@ -141,12 +141,45 @@ Server::Counters Server::counters() const {
   c.shard_blocks = shard_blocks_.load(std::memory_order_relaxed);
   c.shard_aborts = shard_aborts_.load(std::memory_order_relaxed);
   c.shard_hold_rejections = shard_sessions_.hold_rejections();
+  c.shard_compiles = shard_compiles_.load(std::memory_order_relaxed);
   return c;
 }
 
 std::uint64_t Server::plans() const {
   std::lock_guard lock(plans_mutex_);
   return plans_.size();
+}
+
+std::uint64_t Server::shard_plans() const {
+  std::lock_guard lock(bands_mutex_);
+  return bands_.size();
+}
+
+std::uint64_t Server::shard_plan_bytes() const {
+  std::lock_guard lock(bands_mutex_);
+  return band_bytes_;
+}
+
+std::string Server::to_prometheus() const {
+  const Counters c = counters();
+  std::ostringstream os;
+  const auto family = [&os](std::string_view name, std::string_view type, std::string_view help,
+                            std::uint64_t value) {
+    os << "# HELP " << name << " " << help << "\n"
+       << "# TYPE " << name << " " << type << "\n"
+       << name << " " << value << "\n";
+  };
+  family("hmm_server_shard_plans", "gauge", "Shard bands held (primed or compiled here).",
+         shard_plans());
+  family("hmm_server_shard_plan_bytes", "gauge", "Gather-row bytes of the shard bands held.",
+         shard_plan_bytes());
+  family("hmm_server_shard_compiles_total", "counter",
+         "Shard bands compiled here because none was primed.", c.shard_compiles);
+  family("hmm_server_shard_execs_total", "counter", "SHARD_EXEC band executions completed.",
+         c.shard_execs);
+  family("hmm_server_shard_aborts_total", "counter", "Shard sessions that failed mid-flight.",
+         c.shard_aborts);
+  return os.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -540,6 +573,8 @@ OutboundFrame Server::handle_request(Conn& conn) {
         return handle_shard_exec(request);
       case MsgKind::kShardXchg:
         return handle_shard_xchg(request);
+      case MsgKind::kShardPlan:
+        return to_outbound(handle_shard_plan(request));
       case MsgKind::kStats:
         return to_outbound(handle_stats(request.request_id));
       default:
@@ -844,57 +879,9 @@ OutboundFrame Server::handle_shard_exec(const FrameView& request) {
     deadline = std::min(deadline, started + std::chrono::milliseconds(exec.deadline_ms));
   }
 
-  std::shared_ptr<const perm::Permutation> plan;
-  {
-    std::lock_guard lock(plans_mutex_);
-    auto it = plans_.find(exec.plan_id);
-    if (it != plans_.end()) plan = it->second;
-  }
-  if (plan == nullptr) {
-    return fail(Status(StatusCode::kInvalidArgument,
-                       "SHARD_EXEC: unknown plan id (SUBMIT_PLAN it first)"));
-  }
-  if (plan->size() != exec.rows * exec.cols) {
-    return fail(Status(StatusCode::kInvalidArgument,
-                       "SHARD_EXEC: matrix shape does not match the plan size"));
-  }
-
-  // Compile (or fetch) the *full* scheduled plan — cached by
-  // fingerprint, so every band of a hot plan shares one compile — and
-  // its row-major band tables, sliced once per compile and shard count.
-  std::shared_ptr<const core::OfflinePermuter<std::uint32_t>> permuter =
-      service_.cache().acquire<std::uint32_t>(*plan, service_.config().machine,
-                                              core::Strategy::kScheduled);
-  const core::ScheduledPlan* splan = permuter->plan();
-  if (splan == nullptr) {
-    return fail(Status(StatusCode::kInvalidArgument,
-                       "SHARD_EXEC: plan is not schedulable on this machine"));
-  }
-  if (splan->shape().rows != exec.rows || splan->shape().cols != exec.cols) {
-    return fail(Status(StatusCode::kInvalidArgument,
-                       "SHARD_EXEC: matrix shape does not match the compiled plan"));
-  }
-  std::shared_ptr<const runtime::BandPlanner> planner_ptr;
-  {
-    std::lock_guard lock(shard_planners_mutex_);
-    for (const ShardPlanner& entry : shard_planners_) {
-      if (entry.shards == exec.shard_count() && entry.shard == me &&
-          entry.permuter.lock() == permuter) {
-        planner_ptr = entry.planner;
-        break;
-      }
-    }
-  }
-  if (planner_ptr == nullptr) {
-    StatusOr<runtime::BandPlanner> planner_or =
-        runtime::BandPlanner::build(*splan, exec.shard_count(), me);
-    if (!planner_or.ok()) return fail(planner_or.status());
-    planner_ptr = std::make_shared<const runtime::BandPlanner>(std::move(planner_or).value());
-    std::lock_guard lock(shard_planners_mutex_);
-    shard_planners_.push_back(ShardPlanner{permuter, exec.shard_count(), me, planner_ptr});
-    if (shard_planners_.size() > kShardPlanners) shard_planners_.pop_front();
-  }
-  const runtime::BandPlanner& planner = *planner_ptr;
+  StatusOr<std::shared_ptr<const runtime::BandPlanner>> band = band_for(exec);
+  if (!band.ok()) return fail(band.status());
+  const runtime::BandPlanner& planner = *band.value();
 
   util::BufferPool& pool = util::BufferPool::global();
   const std::uint64_t band_elems = bands.band_elements(me);
@@ -1000,6 +987,89 @@ OutboundFrame Server::handle_shard_exec(const FrameView& request) {
                            band_elems);
 }
 
+Frame Server::handle_shard_plan(const FrameView& request) {
+  StatusOr<ShardPlanRequest> req = ShardPlanRequest::decode(request.payload);
+  if (!req.ok()) return make_error_frame(request.request_id, req.status());
+  store_band(req.value().plan_id,
+             std::make_shared<const runtime::BandPlanner>(std::move(req.value().planner)));
+  return make_ok_frame(request.request_id, MsgKind::kShardPlanOk, {});
+}
+
+void Server::store_band(std::uint64_t plan_id,
+                        std::shared_ptr<const runtime::BandPlanner> band) {
+  const BandKey key{plan_id, band->bands().shards(), band->shard()};
+  std::lock_guard lock(bands_mutex_);
+  if (const auto it = band_index_.find(key); it != band_index_.end()) {
+    band_bytes_ -= it->second->second->table_bytes();
+    bands_.erase(it->second);
+    band_index_.erase(it);
+  }
+  band_bytes_ += band->table_bytes();
+  bands_.emplace_back(key, std::move(band));
+  band_index_.emplace(key, std::prev(bands_.end()));
+  while (bands_.size() > std::max(1u, config_.max_plans)) {
+    band_bytes_ -= bands_.front().second->table_bytes();
+    band_index_.erase(bands_.front().first);
+    bands_.pop_front();
+  }
+}
+
+StatusOr<std::shared_ptr<const runtime::BandPlanner>> Server::band_for(
+    const ShardExecRequestView& exec) {
+  const BandKey key{exec.plan_id, exec.shard_count(), exec.shard_index};
+  std::shared_ptr<const runtime::BandPlanner> band;
+  {
+    std::lock_guard lock(bands_mutex_);
+    if (const auto it = band_index_.find(key); it != band_index_.end()) {
+      band = it->second->second;
+    }
+  }
+  if (band != nullptr) {
+    if (band->bands().rows() != exec.rows || band->bands().cols() != exec.cols) {
+      return Status(StatusCode::kInvalidArgument,
+                    "SHARD_EXEC: matrix shape does not match the primed band");
+    }
+    return band;
+  }
+
+  // Not primed: compile locally if the plan was registered here. The
+  // full plan is cached by fingerprint, so every band of it shares one
+  // compile.
+  std::shared_ptr<const perm::Permutation> plan;
+  {
+    std::lock_guard lock(plans_mutex_);
+    auto it = plans_.find(exec.plan_id);
+    if (it != plans_.end()) plan = it->second;
+  }
+  if (plan == nullptr) {
+    return Status(StatusCode::kInvalidArgument,
+                  "SHARD_EXEC: unknown plan id (SHARD_PLAN or SUBMIT_PLAN it first)");
+  }
+  if (plan->size() != exec.rows * exec.cols) {
+    return Status(StatusCode::kInvalidArgument,
+                  "SHARD_EXEC: matrix shape does not match the plan size");
+  }
+  std::shared_ptr<const core::OfflinePermuter<std::uint32_t>> permuter =
+      service_.cache().acquire<std::uint32_t>(*plan, service_.config().machine,
+                                              core::Strategy::kScheduled);
+  const core::ScheduledPlan* splan = permuter->plan();
+  if (splan == nullptr) {
+    return Status(StatusCode::kInvalidArgument,
+                  "SHARD_EXEC: plan is not schedulable on this machine");
+  }
+  if (splan->shape().rows != exec.rows || splan->shape().cols != exec.cols) {
+    return Status(StatusCode::kInvalidArgument,
+                  "SHARD_EXEC: matrix shape does not match the compiled plan");
+  }
+  StatusOr<runtime::BandPlanner> built =
+      runtime::BandPlanner::build(*splan, exec.shard_count(), exec.shard_index);
+  if (!built.ok()) return built.status();
+  band = std::make_shared<const runtime::BandPlanner>(std::move(built).value());
+  shard_compiles_.fetch_add(1, std::memory_order_relaxed);
+  store_band(exec.plan_id, band);
+  return band;
+}
+
 OutboundFrame Server::handle_shard_xchg(const FrameView& request) {
   const std::uint64_t max_elements = config_.max_payload_bytes / kElemBytes;
   StatusOr<ShardXchgRequestView> req = ShardXchgRequestView::decode(request.payload, max_elements);
@@ -1071,6 +1141,9 @@ Frame Server::handle_stats(std::uint64_t request_id) {
      << ",\"shard_sessions\":" << shard_sessions_.size()
      << ",\"shard_hold_bytes\":" << shard_sessions_.held_bytes()
      << ",\"shard_hold_rejections\":" << c.shard_hold_rejections
+     << ",\"shard_plans\":" << shard_plans()
+     << ",\"shard_plan_bytes\":" << shard_plan_bytes()
+     << ",\"shard_compiles\":" << c.shard_compiles
      << ",\"io_threads\":" << reactors_.size()
      << ",\"plans\":" << plans() << "}";
   if (service_json.size() > 2 && service_json.front() == '{') {

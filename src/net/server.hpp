@@ -52,10 +52,12 @@
 #include <cstdint>
 #include <deque>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -76,7 +78,9 @@ class Server {
     std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
     std::uint32_t max_payload_bytes = kDefaultMaxPayload;
     /// Upper bound on registered plans (fingerprint-deduplicated).
-    /// At the bound, SUBMIT_PLAN answers RETRY_LATER.
+    /// At the bound, SUBMIT_PLAN answers RETRY_LATER. The same bound
+    /// caps the shard bands held; past it the oldest band is dropped
+    /// (the router re-primes a dropped band on its next use).
     std::uint32_t max_plans = 4096;
     /// Connection cap; excess connections get a RETRY_LATER error
     /// frame and a close, never a silent drop.
@@ -137,6 +141,9 @@ class Server {
     std::uint64_t shard_blocks = 0;       ///< SHARD_XCHG blocks accepted
     std::uint64_t shard_aborts = 0;       ///< shard sessions that failed mid-flight
     std::uint64_t shard_hold_rejections = 0;  ///< early-arrival holds over budget
+    /// Bands this shard compiled itself: SHARD_EXECs whose band was
+    /// never primed by SHARD_PLAN but whose plan was registered.
+    std::uint64_t shard_compiles = 0;
 
     /// Responses of either kind delivered to a client. (The pre-split
     /// `requests_served` also counted responses whose socket write
@@ -168,6 +175,14 @@ class Server {
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
   [[nodiscard]] Counters counters() const;
   [[nodiscard]] std::uint64_t plans() const;
+  /// Shard bands held (primed by SHARD_PLAN or compiled on a miss), and
+  /// the gather-row bytes they occupy (6 per band element).
+  [[nodiscard]] std::uint64_t shard_plans() const;
+  [[nodiscard]] std::uint64_t shard_plan_bytes() const;
+  /// The server-level Prometheus families (`hmm_server_*`): shard band
+  /// state and shard counters, to append after the service snapshot's
+  /// exposition.
+  [[nodiscard]] std::string to_prometheus() const;
 
  private:
   /// Response-origin tags carried on OutboundFrames so ok/error
@@ -269,6 +284,17 @@ class Server {
   /// aborts + erases the session (staging released) and answers typed.
   OutboundFrame handle_shard_exec(const FrameView& request);
 
+  /// SHARD_PLAN: validate one shard's band rows (the decode does) and
+  /// store them under (plan id, shard count, shard).
+  Frame handle_shard_plan(const FrameView& request);
+
+  /// The band a SHARD_EXEC runs: the primed one, or — on a miss, when
+  /// the plan was registered with SUBMIT_PLAN — one compiled here and
+  /// stored under the same key.
+  runtime::StatusOr<std::shared_ptr<const runtime::BandPlanner>> band_for(
+      const ShardExecRequestView& exec);
+  void store_band(std::uint64_t plan_id, std::shared_ptr<const runtime::BandPlanner> band);
+
   /// SHARD_XCHG: rendezvous with the local session (bounded wait under
   /// a held-bytes budget — the block may outrace this shard's own
   /// SHARD_EXEC) and scatter the block into its staging buffer.
@@ -325,21 +351,16 @@ class Server {
 
   ShardSessionRegistry shard_sessions_;
 
-  /// A shard's row-major band tables of a compiled plan, sliced once
-  /// when the plan first runs as that shard and reused by every
-  /// SHARD_EXEC on it. The weak pointer names the compile the tables
-  /// came from: a recompiled plan (after cache eviction) is sliced
-  /// afresh, and a dropped one does not stay resident through here.
-  struct ShardPlanner {
-    std::weak_ptr<const core::OfflinePermuter<std::uint32_t>> permuter;
-    std::uint32_t shards = 0;
-    std::uint32_t shard = 0;
-    std::shared_ptr<const runtime::BandPlanner> planner;
-  };
-  /// Most planners kept; the oldest is dropped past this.
-  static constexpr std::size_t kShardPlanners = 8;
-  std::mutex shard_planners_mutex_;
-  std::deque<ShardPlanner> shard_planners_;
+  /// The shard's bands, keyed by (plan id, shard count, shard), in
+  /// arrival order: a band re-stored under its key moves to the back,
+  /// and past `max_plans` bands the oldest is dropped.
+  using BandKey = std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>;
+  using BandList =
+      std::list<std::pair<BandKey, std::shared_ptr<const runtime::BandPlanner>>>;
+  mutable std::mutex bands_mutex_;
+  BandList bands_;
+  std::map<BandKey, BandList::iterator> band_index_;
+  std::uint64_t band_bytes_ = 0;
 
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> connections_rejected_{0};
@@ -351,6 +372,7 @@ class Server {
   std::atomic<std::uint64_t> shard_execs_{0};
   std::atomic<std::uint64_t> shard_blocks_{0};
   std::atomic<std::uint64_t> shard_aborts_{0};
+  std::atomic<std::uint64_t> shard_compiles_{0};
 };
 
 }  // namespace hmm::net

@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "core/row_schedule.hpp"
 #include "util/check.hpp"
 
 namespace hmm::runtime {
@@ -87,6 +88,31 @@ StatusOr<BandPlanner> BandPlanner::build(const core::ScheduledPlan& plan,
   planner.gather_[0] = plan.gather_rows(1, rb.begin, rb.end);
   planner.gather_[1] = plan.gather_rows(2, cb.begin, cb.end);
   planner.gather_[2] = plan.gather_rows(3, rb.begin, rb.end);
+  return planner;
+}
+
+StatusOr<BandPlanner> BandPlanner::from_rows(BandPlan bands, std::uint32_t shard,
+                                             Tables gather) {
+  if (shard >= bands.shards()) {
+    return Status(StatusCode::kInvalidArgument, "band planner: shard index out of range");
+  }
+  for (unsigned pass = 1; pass <= 3; ++pass) {
+    if (gather[pass - 1].size() != table_entries(bands, shard, pass)) {
+      return Status(StatusCode::kInvalidArgument,
+                    "band planner: pass " + std::to_string(pass) +
+                        " table length does not match the band geometry");
+    }
+  }
+  for (unsigned pass = 1; pass <= 3; ++pass) {
+    const std::uint64_t width = pass == 2 ? bands.rows() : bands.cols();
+    if (!core::rows_are_permutations(gather[pass - 1], width)) {
+      return Status(StatusCode::kInvalidArgument,
+                    "band planner: a pass " + std::to_string(pass) +
+                        " row is not a permutation of its width");
+    }
+  }
+  BandPlanner planner(std::move(bands), shard);
+  planner.gather_ = std::move(gather);
   return planner;
 }
 

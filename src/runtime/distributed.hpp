@@ -18,12 +18,14 @@
 /// make the shared-memory scatters conflict-free — one level up.
 ///
 /// `BandPlan` is pure geometry (band ranges + the exchange block list);
-/// `BandPlanner` binds the geometry to a compiled `core::ScheduledPlan`
-/// and holds one shard's rows of each pass's gather table. A shard runs
-/// each pass as `cpu::row_sweep` on its rows, so the planner copies
-/// them row-major (the plan stores the first two tables
-/// band-interleaved for the single-node fused sweeps), once when it is
-/// built; the entries a shard runs are the ones a single node would run.
+/// `BandPlanner` holds one shard's rows of each pass's gather table. A
+/// shard runs each pass as `cpu::row_sweep` on its rows, so the planner
+/// keeps them row-major (the plan stores the first two tables
+/// band-interleaved for the single-node fused sweeps); the entries a
+/// shard runs are the ones a single node would run. The coordinator
+/// slices them from the one compiled `core::ScheduledPlan` (`build`)
+/// and ships them; the shard rebuilds the planner from the received
+/// rows (`from_rows`), which validates them first.
 
 #include <array>
 #include <cstdint>
@@ -141,17 +143,41 @@ struct BandPassView {
 };
 
 /// One shard's slice of a compiled plan: the band geometry and the
-/// shard's rows of the three passes' gather tables, copied row-major
-/// (6 bytes per element of its band). It borrows nothing, so a server
-/// can keep one per hot plan.
+/// shard's rows of the three passes' gather tables, row-major (6 bytes
+/// per element of its band). It borrows nothing, so a server can keep
+/// one per hot plan.
 class BandPlanner {
  public:
-  /// Fails (kInvalidArgument) when the split is infeasible for the
-  /// plan's shape (see BandPlan::build) or `shard` is not below `shards`.
+  using Tables = std::array<util::aligned_vector<std::uint16_t>, 3>;
+
+  /// Slice shard `shard`'s rows out of a compiled plan. Fails
+  /// (kInvalidArgument) when the split is infeasible for the plan's
+  /// shape (see BandPlan::build) or `shard` is not below `shards`.
   [[nodiscard]] static StatusOr<BandPlanner> build(const core::ScheduledPlan& plan,
                                                    std::uint32_t shards, std::uint32_t shard);
 
+  /// Adopt received rows (pass 1, 2, 3, row-major) for shard `shard`
+  /// of `bands`. Validates before keeping anything, each failure a
+  /// distinct kInvalidArgument: `shard` below the shard count, every
+  /// table exactly as long as the band geometry says, and every row a
+  /// permutation of its width (an entry past the row would gather out
+  /// of bounds; a repeated one would leave an output slot unwritten).
+  [[nodiscard]] static StatusOr<BandPlanner> from_rows(BandPlan bands, std::uint32_t shard,
+                                                       Tables gather);
+
+  /// Entries of shard `shard`'s pass-`pass` (1..3) table under `bands`.
+  [[nodiscard]] static std::uint64_t table_entries(const BandPlan& bands, std::uint32_t shard,
+                                                   unsigned pass) noexcept {
+    return pass == 2 ? bands.transposed_elements(shard) : bands.band_elements(shard);
+  }
+
   [[nodiscard]] const BandPlan& bands() const noexcept { return bands_; }
+  [[nodiscard]] std::uint32_t shard() const noexcept { return shard_; }
+  /// Bytes of gather rows held (2 per table entry).
+  [[nodiscard]] std::uint64_t table_bytes() const noexcept {
+    return (gather_[0].size() + gather_[1].size() + gather_[2].size()) *
+           sizeof(std::uint16_t);
+  }
 
   /// The shard's rows of pass 1 / 2 / 3. Pass 1 and 3 run over its row
   /// band of the rows x cols view; pass 2 over its column band of the
@@ -176,7 +202,7 @@ class BandPlanner {
 
   BandPlan bands_;
   std::uint32_t shard_ = 0;
-  std::array<util::aligned_vector<std::uint16_t>, 3> gather_;  ///< row-major, per pass
+  Tables gather_;  ///< row-major, per pass
 };
 
 /// Extract the round-1 block (src -> dst) from shard src's pass-1

@@ -13,8 +13,10 @@
 /// fails the whole request typed (kUnavailable) and every surviving
 /// shard releases its pooled staging (verified via pool-stats deltas);
 /// a shard that refuses its session fails the request typed within
-/// milliseconds, not after the exchange timeout. The router primes each
-/// shard once per backend link, and re-primes only a restarted one.
+/// milliseconds, not after the exchange timeout. The router compiles
+/// each distributed plan once and primes every shard with only its
+/// band's rows (SHARD_PLAN), once per backend link; it re-primes only a
+/// restarted shard or a dropped band.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +26,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,12 +35,15 @@
 #include "cpu/kernels.hpp"
 #include "net/client.hpp"
 #include "net/distributed.hpp"
+#include "net/frame_io.hpp"
 #include "net/protocol.hpp"
 #include "net/router.hpp"
 #include "net/server.hpp"
+#include "net/socket.hpp"
 #include "perm/generators.hpp"
 #include "perm/permutation.hpp"
 #include "runtime/distributed.hpp"
+#include "runtime/fingerprint.hpp"
 #include "runtime/plan_cache.hpp"
 #include "runtime/service.hpp"
 #include "runtime/status.hpp"
@@ -426,6 +432,91 @@ TEST(ShardCodec, XchgRoundTripsAndRejectsHostileInputs) {
   EXPECT_FALSE(net::ShardXchgRequest::decode(good, 3).ok()) << "block over element cap";
 }
 
+/// SHARD_PLAN payload of band 1 of 3 of a real 2^12 plan (64 x 64).
+std::vector<std::uint8_t> sample_shard_plan(const perm::Permutation& p, std::uint32_t shard) {
+  runtime::PlanCache cache{runtime::PlanCache::Config{}, nullptr};
+  auto h = cache.acquire<std::uint32_t>(p, MachineParams::gtx680(), core::Strategy::kScheduled);
+  auto planner = BandPlanner::build(*h->plan(), 3, shard);
+  EXPECT_TRUE(planner.ok()) << planner.status().to_string();
+  return net::ShardPlanRequest{0xabcdef0123456789ull, std::move(planner).value()}.encode();
+}
+
+TEST(ShardCodec, PlanRoundTrips) {
+  const perm::Permutation p = perm::by_name("random", 1 << 12, 13);
+  runtime::PlanCache cache{runtime::PlanCache::Config{}, nullptr};
+  auto h = cache.acquire<std::uint32_t>(p, MachineParams::gtx680(), core::Strategy::kScheduled);
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    auto built = BandPlanner::build(*h->plan(), 3, s);
+    ASSERT_TRUE(built.ok()) << built.status().to_string();
+    const BandPlanner& want = built.value();
+    const std::vector<std::uint8_t> bytes =
+        net::ShardPlanRequest{0xabcdef0123456789ull, want}.encode();
+    // 32-byte header + 6 bytes per band element (square shape).
+    EXPECT_EQ(bytes.size(), 32 + 6 * want.bands().band_elements(s));
+
+    auto got = net::ShardPlanRequest::decode(bytes);
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    EXPECT_EQ(got.value().plan_id, 0xabcdef0123456789ull);
+    const BandPlanner& planner = got.value().planner;
+    EXPECT_EQ(planner.shard(), s);
+    EXPECT_EQ(planner.bands().shards(), 3u);
+    EXPECT_EQ(planner.bands().rows(), h->plan()->shape().rows);
+    EXPECT_EQ(planner.bands().cols(), h->plan()->shape().cols);
+    EXPECT_EQ(planner.table_bytes(), want.table_bytes());
+    EXPECT_TRUE(std::ranges::equal(planner.pass1().gather, want.pass1().gather));
+    EXPECT_TRUE(std::ranges::equal(planner.pass2().gather, want.pass2().gather));
+    EXPECT_TRUE(std::ranges::equal(planner.pass3().gather, want.pass3().gather));
+  }
+}
+
+TEST(ShardCodec, PlanRejectsHostileInputs) {
+  const perm::Permutation p = perm::by_name("random", 1 << 12, 13);
+  const std::vector<std::uint8_t> good = sample_shard_plan(p, 1);
+  ASSERT_TRUE(net::ShardPlanRequest::decode(good).ok());
+
+  // Each hostile input fails typed, with its own reason.
+  std::vector<std::string> reasons;
+  const auto expect_reject = [&](const std::vector<std::uint8_t>& bytes, const char* what) {
+    auto r = net::ShardPlanRequest::decode(bytes);
+    ASSERT_FALSE(r.ok()) << what;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << what;
+    reasons.push_back(r.status().message());
+  };
+  const auto with_u32 = [&](std::size_t offset, std::uint32_t v) {
+    std::vector<std::uint8_t> bad = good;
+    for (int i = 0; i < 4; ++i) bad[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    return bad;
+  };
+  const auto with_u64 = [&](std::size_t offset, std::uint64_t v) {
+    std::vector<std::uint8_t> bad = good;
+    for (int i = 0; i < 8; ++i) bad[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    return bad;
+  };
+
+  expect_reject({good.begin(), good.begin() + 20}, "truncated frame");
+  expect_reject(with_u32(12, 0), "zero shards");
+  expect_reject(with_u32(8, 3), "shard_index >= shard_count");
+  {
+    std::vector<std::uint8_t> bad = with_u64(16, 1ull << 33);
+    for (int i = 0; i < 8; ++i) bad[24 + i] = bad[16 + i];  // cols = rows = 2^33
+    expect_reject(bad, "rows * cols overflow");
+  }
+  expect_reject(with_u64(24, (1ull << 16) + 1), "cols > 65536");
+  expect_reject({good.begin(), good.end() - 2}, "table length off by one");
+  {
+    // The last row of pass 3 repeats its first entry.
+    std::vector<std::uint8_t> bad = good;
+    const std::size_t row = bad.size() - 2 * 64;
+    bad[bad.size() - 2] = bad[row];
+    bad[bad.size() - 1] = bad[row + 1];
+    expect_reject(bad, "one row with a duplicated index");
+  }
+  std::vector<std::string> distinct = reasons;
+  std::ranges::sort(distinct);
+  EXPECT_EQ(std::ranges::unique(distinct).begin(), distinct.end())
+      << "every check names its own reason";
+}
+
 // --------------------------------------------------- networked fixtures
 
 /// One in-process permd shard (real Server over a real service).
@@ -437,11 +528,12 @@ struct Shard {
 
   void start(std::chrono::milliseconds exchange_timeout = 5'000ms,
              std::uint32_t max_payload = net::kDefaultMaxPayload,
-             std::uint16_t fixed_port = 0) {
+             std::uint16_t fixed_port = 0, std::uint32_t max_plans = 4096) {
     service = std::make_unique<runtime::RobustPermuteService>(
         util::ThreadPool::global(), runtime::RobustPermuteService::Config{});
     net::Server::Config config;
     config.port = fixed_port;
+    config.max_plans = max_plans;
     config.poll_interval = 10ms;
     config.shard_exchange_timeout = exchange_timeout;
     config.max_payload_bytes = max_payload;
@@ -467,6 +559,25 @@ struct Shard {
   }
 };
 
+/// Push one SHARD_PLAN payload at `port` and return the shard's answer.
+Status prime_shard(std::uint16_t port, std::span<const std::uint8_t> payload) {
+  auto conn = net::tcp_connect("127.0.0.1", port, 1'000ms);
+  if (!conn.ok()) return conn.status();
+  net::TcpStream stream = std::move(conn).value();
+  (void)stream.set_io_timeout(30'000ms, 30'000ms);
+  const net::ConstBuffer parts[] = {{payload.data(), payload.size()}};
+  if (Status sent = net::write_frame_parts(
+          stream, static_cast<std::uint16_t>(net::MsgKind::kShardPlan), 7, parts);
+      !sent.is_ok()) {
+    return sent;
+  }
+  util::PooledBuffer storage;
+  auto response = net::read_frame_view(stream, util::BufferPool::global(), storage, 4096);
+  if (!response.ok()) return response.status();
+  EXPECT_EQ(response.value().request_id, 7u);
+  return net::shard_plan_outcome(response.value().kind, response.value().payload);
+}
+
 bool eventually(const std::function<bool()>& pred, std::chrono::milliseconds budget = 5'000ms) {
   const auto deadline = std::chrono::steady_clock::now() + budget;
   while (std::chrono::steady_clock::now() < deadline) {
@@ -477,21 +588,29 @@ bool eventually(const std::function<bool()>& pred, std::chrono::milliseconds bud
 }
 
 /// Run one distributed execution through DistributedPermuter against
-/// `shards.size()` live servers and return the concatenated output.
+/// `shards.size()` live servers and return the concatenated output. The
+/// plan is compiled once here and each live shard primed with its band,
+/// the way the router does it.
 runtime::StatusOr<std::vector<std::uint32_t>> run_distributed(
     std::vector<Shard*> shards, const perm::Permutation& p,
     std::span<const std::uint32_t> data, std::vector<std::size_t>* transport_failures = nullptr,
     std::uint32_t max_payload = net::kDefaultMaxPayload,
     std::chrono::milliseconds io_timeout = 60'000ms) {
   const core::MatrixShape shape = core::shape_for(p.size(), 32);
-  std::uint64_t plan_id = 0;
-  for (Shard* s : shards) {
-    if (s->server) plan_id = s->submit(p);
-  }
+  const std::uint64_t plan_id = runtime::fingerprint_permutation(p).value;
 
   std::vector<net::ShardTarget> targets;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     targets.push_back(net::ShardTarget{"127.0.0.1", shards[i]->port, i});
+  }
+
+  auto bands = net::DistributedPermuter::compile(p, plan_id, 32,
+                                                 static_cast<std::uint32_t>(shards.size()));
+  if (!bands.ok()) return bands.status();
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    if (!shards[i]->server) continue;
+    const Status primed = prime_shard(shards[i]->port, bands.value()[i]);
+    if (!primed.is_ok()) return primed;
   }
 
   net::DistributedPermuter::Config config;
@@ -881,7 +1000,208 @@ TEST(DistributedRouter, RestartedShardIsReprimedExactlyOnce) {
   EXPECT_EQ(snap.dist_failures, 0u);
   EXPECT_EQ(snap.dist_plan_pushes, 4u) << "only the restarted shard is re-primed, once";
   EXPECT_EQ(snap.plan_resyncs, 0u) << "the closed link was noticed before SHARD_EXEC";
-  EXPECT_EQ(victim.server->plans(), 1u);
+  // Priming hands the restarted shard its band, not the permutation.
+  EXPECT_EQ(victim.server->shard_plans(), 1u);
+  EXPECT_EQ(victim.server->plans(), 0u);
+  EXPECT_EQ(victim.server->counters().shard_compiles, 0u);
+}
+
+TEST(DistributedRouter, PrimedShardsHoldOnlyTheirBands) {
+  DistFleet fleet;
+  const std::uint64_t n = 1 << 14;  // 128 x 128: every band table is 6 B per band element
+  const perm::Permutation p = perm::by_name("random", n, 61);
+  net::Client first(fleet.client_config());
+  auto plan = first.submit_plan(p);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  // Two client connections ask for the plan at once: one compiles, the
+  // other waits for that compile.
+  net::Client second(fleet.client_config());
+  std::thread racer([&] { expect_bit_exact(second, plan.value(), p, 1); });
+  expect_bit_exact(first, plan.value(), p, 0);
+  racer.join();
+
+  const net::Router::Snapshot snap = fleet.router->snapshot();
+  EXPECT_EQ(snap.dist_requests, 2u);
+  EXPECT_EQ(snap.dist_plan_pushes, 6u) << "each connection's links are primed once";
+  EXPECT_EQ(snap.dist_plan_compiles, 1u) << "two connections share one compile";
+  EXPECT_NE(snap.to_prometheus().find("hmm_router_distributed_plan_compiles_total 1\n"),
+            std::string::npos);
+  EXPECT_NE(snap.to_json().find("\"distributed_plan_compiles\":1,"), std::string::npos);
+
+  // With every backend usable, band s sits on the plan's s-th preference.
+  const core::MatrixShape shape = core::shape_for(n, 32);
+  auto bands = BandPlan::build(shape.rows, shape.cols, 3);
+  ASSERT_TRUE(bands.ok());
+  const std::vector<std::size_t> order = fleet.router->preference(plan.value());
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    const Shard& shard = *fleet.backends[order[s]];
+    EXPECT_EQ(shard.server->shard_plans(), 1u);
+    EXPECT_EQ(shard.server->shard_plan_bytes(), 6 * bands.value().band_elements(s));
+    EXPECT_EQ(shard.server->counters().shard_compiles, 0u);
+    EXPECT_EQ(shard.server->counters().shard_execs, 2u);
+    EXPECT_EQ(shard.service->cache().entries(), 0u) << "a primed shard compiles nothing";
+    const std::string prom = shard.server->to_prometheus();
+    EXPECT_NE(prom.find("hmm_server_shard_plans 1\n"), std::string::npos) << prom;
+    EXPECT_NE(prom.find("hmm_server_shard_compiles_total 0\n"), std::string::npos) << prom;
+    net::Client::Config cc;
+    cc.host = "127.0.0.1";
+    cc.port = shard.port;
+    net::Client direct(cc);
+    auto stats = direct.stats_json();
+    ASSERT_TRUE(stats.ok()) << stats.status().to_string();
+    EXPECT_NE(stats.value().find("\"shard_plans\":1,"), std::string::npos) << stats.value();
+    EXPECT_NE(stats.value().find("\"shard_compiles\":0,"), std::string::npos) << stats.value();
+  }
+}
+
+TEST(DistributedRouter, ShrunkFleetPrimesTheTwoShardBands) {
+  DistFleet fleet;
+  const perm::Permutation p = perm::by_name("random", 1 << 14, 67);
+  net::Client client(fleet.client_config());
+  auto plan = client.submit_plan(p);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  expect_bit_exact(client, plan.value(), p, 0);
+  ASSERT_EQ(fleet.router->snapshot().dist_plan_pushes, 3u);
+
+  // One shard goes away for good (probes are off, so only the request
+  // path notices): its band cannot be pushed, and with no spare backend
+  // the split shrinks to two shards, whose bands all change.
+  const std::size_t gone = fleet.router->preference(plan.value())[1];
+  fleet.backends[gone]->stop();
+  expect_bit_exact(client, plan.value(), p, 1);
+  expect_bit_exact(client, plan.value(), p, 2);
+
+  const net::Router::Snapshot snap = fleet.router->snapshot();
+  EXPECT_EQ(snap.dist_requests, 3u);
+  EXPECT_EQ(snap.dist_failures, 0u);
+  EXPECT_EQ(snap.dist_plan_compiles, 2u) << "one compile per shard count";
+  EXPECT_EQ(snap.dist_plan_pushes, 5u) << "each survivor is primed once with its 2-shard band";
+  for (std::size_t i = 0; i < 3; ++i) {
+    if (i == gone) continue;
+    EXPECT_EQ(fleet.backends[i]->server->shard_plans(), 2u);
+    EXPECT_EQ(fleet.backends[i]->server->counters().shard_compiles, 0u);
+  }
+}
+
+TEST(DistributedRouter, DroppedBandIsReprimedOnceThroughTheRetry) {
+  // Shards that hold one band at most: priming another plan's bands
+  // drops this plan's, behind the router's back.
+  std::vector<std::unique_ptr<Shard>> backends;
+  net::Router::Config config;
+  for (int i = 0; i < 3; ++i) {
+    backends.push_back(std::make_unique<Shard>());
+    backends.back()->start(5'000ms, net::kDefaultMaxPayload, 0, /*max_plans=*/1);
+    config.backends.push_back(net::BackendAddress{"127.0.0.1", backends.back()->port});
+  }
+  config.distributed_max_bytes = 16 << 10;
+  config.probe_interval = 60'000ms;
+  config.eject_after = 1'000'000;
+  config.io_timeout = 30'000ms;
+  config.poll_interval = 10ms;
+  net::Router router(std::move(config));
+  ASSERT_TRUE(router.start().is_ok());
+  net::Client::Config cc;
+  cc.host = "127.0.0.1";
+  cc.port = router.port();
+  cc.io_timeout = 30'000ms;
+  net::Client client(cc);
+
+  const perm::Permutation p = perm::by_name("random", 1 << 14, 71);
+  auto plan = client.submit_plan(p);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  expect_bit_exact(client, plan.value(), p, 0);
+  ASSERT_EQ(router.snapshot().dist_plan_pushes, 3u);
+
+  const perm::Permutation other = perm::by_name("bit-reversal", 1 << 14, 1);
+  auto other_bands = net::DistributedPermuter::compile(
+      other, runtime::fingerprint_permutation(other).value, 32, 3);
+  ASSERT_TRUE(other_bands.ok());
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    ASSERT_TRUE(prime_shard(backends[s]->port, other_bands.value()[s]).is_ok());
+    ASSERT_EQ(backends[s]->server->shard_plans(), 1u);
+  }
+
+  expect_bit_exact(client, plan.value(), p, 1);
+  expect_bit_exact(client, plan.value(), p, 2);
+  const net::Router::Snapshot snap = router.snapshot();
+  EXPECT_EQ(snap.dist_requests, 3u);
+  EXPECT_EQ(snap.dist_failures, 0u);
+  EXPECT_EQ(snap.plan_resyncs, 1u) << "one retry re-primed the dropped bands";
+  EXPECT_EQ(snap.dist_plan_pushes, 3u);
+  EXPECT_EQ(snap.dist_plan_compiles, 1u) << "the re-prime reuses the router's compile";
+  std::uint64_t reprimed = 0;
+  for (const net::Router::BackendStats& b : snap.backends) reprimed += b.plans_synced;
+  EXPECT_EQ(reprimed, 3u);
+  router.stop();
+  for (auto& b : backends) b->stop();
+}
+
+TEST(DistributedWire, UnprimedShardsCompileRegisteredPlansLocally) {
+  // A direct DistributedPermuter caller that registered the plan with
+  // SUBMIT_PLAN but never primed bands: each shard compiles its band
+  // once, keeps it, and the result is the oracle's.
+  const std::uint64_t n = 1 << 14;
+  const perm::Permutation p = perm::by_name("random", n, 73);
+  std::vector<std::uint32_t> in(n), expect(n);
+  for (std::uint64_t i = 0; i < n; ++i) in[i] = static_cast<std::uint32_t>(i * 0x2545f491u);
+  p.apply<std::uint32_t>({in.data(), n}, {expect.data(), n});
+
+  std::vector<std::unique_ptr<Shard>> shards;
+  std::vector<net::ShardTarget> targets;
+  std::uint64_t plan_id = 0;
+  for (std::size_t i = 0; i < 3; ++i) {
+    shards.push_back(std::make_unique<Shard>());
+    shards.back()->start();
+    plan_id = shards.back()->submit(p);
+    targets.push_back(net::ShardTarget{"127.0.0.1", shards.back()->port, i});
+  }
+  const core::MatrixShape shape = core::shape_for(n, 32);
+  net::DistributedPermuter::Config config;
+  config.max_payload_bytes = net::kDefaultMaxPayload;
+  for (std::uint64_t session : {0x10ca'1000u, 0x10ca'1001u}) {
+    auto result = net::DistributedPermuter::execute(
+        config, session, plan_id, /*deadline_ms=*/0, shape.rows, shape.cols,
+        std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(in.data()),
+                                      n * sizeof(std::uint32_t)),
+        targets, [](std::size_t) {});
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    std::vector<std::uint32_t> out;
+    for (const net::DistributedPermuter::Band& band : result.value().bands) {
+      const std::size_t begin = out.size();
+      out.resize(begin + band.elements);
+      std::memcpy(out.data() + begin, band.bytes.data(), band.bytes.size());
+    }
+    EXPECT_EQ(out, expect);
+  }
+  for (auto& s : shards) {
+    EXPECT_EQ(s->server->counters().shard_compiles, 1u) << "compiled once, then reused";
+    EXPECT_EQ(s->server->shard_plans(), 1u);
+    s->stop();
+  }
+}
+
+TEST(DistributedWire, MalformedShardPlanLeavesNoBand) {
+  Shard shard;
+  shard.start();
+  const perm::Permutation p = perm::by_name("random", 1 << 12, 13);
+  std::vector<std::uint8_t> payload = sample_shard_plan(p, 2);
+  // The last row of pass 3 repeats its first entry.
+  const std::size_t row = payload.size() - 2 * 64;
+  payload[payload.size() - 2] = payload[row];
+  payload[payload.size() - 1] = payload[row + 1];
+
+  const Status primed = prime_shard(shard.port, payload);
+  ASSERT_FALSE(primed.is_ok());
+  EXPECT_EQ(primed.code(), StatusCode::kInvalidArgument) << primed.to_string();
+  EXPECT_NE(primed.message().find("not a permutation"), std::string::npos)
+      << primed.to_string();
+  EXPECT_EQ(shard.server->shard_plans(), 0u);
+  EXPECT_EQ(shard.server->shard_plan_bytes(), 0u);
+
+  // The well-formed payload is accepted on the same server.
+  ASSERT_TRUE(prime_shard(shard.port, sample_shard_plan(p, 2)).is_ok());
+  EXPECT_EQ(shard.server->shard_plans(), 1u);
+  shard.stop();
 }
 
 // Gated big-n run (64 MiB of element data — above the default 64 MiB
@@ -898,8 +1218,8 @@ TEST(DistributedRouter, BigPermuteAboveSingleFrameCap) {
   std::vector<Shard*> ptrs;
   for (int i = 0; i < 4; ++i) {
     shards.push_back(std::make_unique<Shard>());
-    // Generous budgets: each shard cold-compiles the full 2^24 plan on
-    // first use, which dwarfs the exchange itself.
+    // Generous budgets: the one 2^24 compile (run_distributed's, the
+    // router's offline phase) dwarfs the exchange itself.
     shards.back()->start(/*exchange_timeout=*/600'000ms, big_payload);
     ptrs.push_back(shards.back().get());
   }

@@ -103,18 +103,19 @@ bool print_router_stats(const std::string& json, std::ostream& os) {
   if (json.find("\"router\":{") == std::string::npos) return false;
   using hmm::util::format_count;
   std::uint64_t routed = 0, failovers = 0, shorted = 0, dist = 0, dist_failed = 0,
-                dist_pushes = 0;
+                dist_pushes = 0, dist_compiles = 0;
   (void)scrape_u64(json, "requests_total", routed);
   (void)scrape_u64(json, "failovers_total", failovers);
   (void)scrape_u64(json, "breaker_short_circuits", shorted);
   (void)scrape_u64(json, "distributed_requests", dist);
   (void)scrape_u64(json, "distributed_failures", dist_failed);
   (void)scrape_u64(json, "distributed_plan_pushes", dist_pushes);
+  (void)scrape_u64(json, "distributed_plan_compiles", dist_compiles);
   os << "router: " << routed << " requests routed, " << failovers << " failovers, "
      << shorted << " breaker short-circuits";
   if (dist > 0 || dist_failed > 0) {
-    os << ", " << dist << " distributed (" << dist_failed << " failed, " << dist_pushes
-       << " plan pushes)";
+    os << ", " << dist << " distributed (" << dist_failed << " failed, " << dist_compiles
+       << " plan compiles, " << dist_pushes << " plan pushes)";
   }
   os << "\n";
 

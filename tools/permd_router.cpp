@@ -201,7 +201,8 @@ int main(int argc, char** argv) {
   if (snap.dist_requests > 0 || snap.dist_failures > 0) {
     std::cout << "distributed: " << snap.dist_requests << " requests ("
               << snap.dist_failures << " failed), " << snap.dist_bytes
-              << " element bytes sharded, " << snap.dist_plan_pushes << " plan pushes\n";
+              << " element bytes sharded, " << snap.dist_plan_compiles << " plan compiles, "
+              << snap.dist_plan_pushes << " plan pushes\n";
   }
   for (const net::Router::BackendStats& b : snap.backends) {
     std::cout << "  " << b.backend << (b.healthy ? "  healthy" : "  EJECTED")

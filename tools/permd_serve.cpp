@@ -215,12 +215,13 @@ int main(int argc, char** argv) {
 
   // Atomic-rename exposition writer: scrapers (and the CI smoke) must
   // never read a half-written file.
-  const auto write_prom = [&prom_file](const runtime::MetricsSnapshot& snapshot) -> bool {
+  const auto write_prom = [&prom_file,
+                           &server](const runtime::MetricsSnapshot& snapshot) -> bool {
     if (prom_file.empty()) return true;
     const std::string tmp = prom_file + ".tmp";
     {
       std::ofstream pf(tmp);
-      pf << snapshot.to_prometheus();
+      pf << snapshot.to_prometheus() << server.to_prometheus();
       if (!pf) return false;
     }
     return std::rename(tmp.c_str(), prom_file.c_str()) == 0;
