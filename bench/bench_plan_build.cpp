@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
   const model::MachineParams mp = model::MachineParams::gtx680();
   util::Table table({"family", "n", "shape", "row-graph ms", "schedules ms", "total ms",
-                     "schedule bytes", "ns/element"});
+                     "plan bytes", "ns/element"});
   for (const std::string& fam : families) {
     for (std::uint64_t n = min_n; n <= max_n; n <<= 1) {
       const perm::Permutation p = perm::by_name(fam, n, 42);
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
            util::format_count(plan.shape().rows) + "x" + util::format_count(plan.shape().cols),
            util::format_ms(st.row_graph_seconds * 1e3),
            util::format_ms(st.schedules_seconds * 1e3), util::format_ms(total_ms),
-           util::format_bytes(plan.schedule_bytes()),
+           util::format_bytes(plan.gather_bytes()),
            util::format_double(total_ms * 1e6 / static_cast<double>(n), 1)});
     }
   }

@@ -9,6 +9,7 @@
 
 #include "bench_common.hpp"
 
+#include <array>
 #include <iostream>
 
 #include "core/ops.hpp"
@@ -90,11 +91,12 @@ int main(int argc, char** argv) {
   }
 
   const core::ScheduledPlan plan = core::ScheduledPlan::build(p, mp);
+  const std::array<core::RowScheduleSet, 3> schedules = core::bank_schedules(plan);
   {
     sim::HmmSim sim(mp);
     Row r;
     r.name = "Scheduled (ours)";
-    r.sim_time = core::scheduled_sim_rounds(sim, plan);
+    r.sim_time = core::scheduled_sim_rounds(sim, plan.shape(), schedules);
     r.observed = sim.stats().observed_counts();
     r.formula_time = model::scheduled_time(n, mp);
     r.declarations_ok = sim.stats().declarations_hold();
@@ -118,7 +120,7 @@ int main(int argc, char** argv) {
     sim::HmmSim sim(mp);
     Row r;
     r.name = "  row-wise (component)";
-    r.sim_time = core::row_wise_sim_rounds(sim, plan.pass1());
+    r.sim_time = core::row_wise_sim_rounds(sim, schedules[0]);
     r.observed = sim.stats().observed_counts();
     r.formula_time = model::row_wise_time(n, mp);
     r.declarations_ok = sim.stats().declarations_hold();
@@ -128,7 +130,7 @@ int main(int argc, char** argv) {
     sim::HmmSim sim(mp);
     Row r;
     r.name = "  column-wise (component)";
-    r.sim_time = core::column_wise_sim_rounds(sim, "colwise", plan.pass2(), shape.rows,
+    r.sim_time = core::column_wise_sim_rounds(sim, "colwise", schedules[1], shape.rows,
                                               shape.cols);
     r.observed = sim.stats().observed_counts();
     r.formula_time = model::column_wise_time(n, mp);

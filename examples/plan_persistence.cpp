@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     sw.reset();
     const bool ok = core::save_plan_file(path, plan) && perm::save_file(perm_path, p);
     std::cout << "compiled plan in " << util::format_ms(build_ms) << " ms, persisted "
-              << util::format_bytes(plan.schedule_bytes()) << " of schedules to " << path
+              << util::format_bytes(plan.gather_bytes()) << " of gather tables to " << path
               << " in " << util::format_ms(sw.millis()) << " ms: "
               << (ok ? "ok" : "FAILED") << "\n";
     if (!ok) return 1;

@@ -32,9 +32,9 @@ int main(int argc, char** argv) {
   const core::ScheduledPlan plan = core::ScheduledPlan::build(p, machine);
   std::cout << "plan: n=" << n << " viewed as " << plan.shape().rows << "x"
             << plan.shape().cols << ", built in " << util::format_ms(sw.millis())
-            << " ms, schedules " << util::format_bytes(plan.schedule_bytes())
-            << ", fits shared for float: " << (plan.fits_shared(sizeof(float)) ? "yes" : "no")
-            << "\n";
+            << " ms, gather tables " << util::format_bytes(plan.gather_bytes())
+            << ", fits the GPU's shared memory for float: "
+            << (plan.fits_shared(sizeof(float)) ? "yes" : "no") << "\n";
 
   // 3. Online: permute a data array. The plan is data-independent —
   //    reuse it for as many arrays as you like.
@@ -56,7 +56,9 @@ int main(int argc, char** argv) {
             << util::format_ms(t_conv) << " ms, results match: "
             << (b == b2 ? "yes" : "NO") << "\n";
 
-  // Bonus: what the theoretical HMM machine says about both.
+  // Bonus: what the theoretical HMM machine says about both. The
+  // simulator replays the paper's kernels on the (p̂, q) bank schedules,
+  // derived from the plan on demand (core::bank_schedules).
   sim::HmmSim sim(machine);
   const std::uint64_t units_sched = core::scheduled_sim_rounds(sim, plan);
   sim.reset();

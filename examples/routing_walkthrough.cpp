@@ -9,6 +9,7 @@
 ///
 /// Run: ./routing_walkthrough [--n 16] [--family random] [--seed 4]
 
+#include <array>
 #include <iomanip>
 #include <iostream>
 
@@ -53,6 +54,9 @@ int main(int argc, char** argv) {
 
   std::cout << "Figure 6 walkthrough: " << family << " permutation of " << n
             << " elements as a " << r << "x" << m << " matrix.\n"
+            << "The plan holds " << plan.gather_bytes()
+            << " bytes of gather tables; the steps below replay the (p̂, q) schedules\n"
+            << "derived from them.\n"
             << "Each cell shows the (dest_row, dest_col) of the element at that position.\n\n";
 
   std::vector<std::uint32_t> cur(n), next(n);
@@ -76,18 +80,21 @@ int main(int argc, char** argv) {
     std::swap(cur, next);
   };
 
-  row_pass(plan.pass1());
+  // The paper's (p̂, q) bank schedules, derived from the plan's gather
+  // tables: what a GPU's shared-memory row pass would read.
+  const std::array<core::RowScheduleSet, 3> schedules = core::bank_schedules(plan);
+  row_pass(schedules[0]);
   print_state("\nAfter Step 1 (row-wise: each element in its color column — note every "
               "column now holds distinct dest rows)",
               cur, r, m, p);
 
   transpose(r, m);
-  row_pass(plan.pass2());
+  row_pass(schedules[1]);
   transpose(m, r);
   print_state("\nAfter Step 2 (column-wise: every element in its destination row)", cur, r,
               m, p);
 
-  row_pass(plan.pass3());
+  row_pass(schedules[2]);
   print_state("\nAfter Step 3 (row-wise: every element at its destination)", cur, r, m, p);
 
   // Verify: element at position pos must have dest == pos.

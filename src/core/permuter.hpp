@@ -103,8 +103,6 @@ class OfflinePermuter {
       case Strategy::kScheduled:
         plan_.emplace(ScheduledPlan::build(perm_, machine_));
         scratch_.resize(n);
-        HMM_CHECK_MSG(plan_->fits_shared(sizeof(T)),
-                      "plan does not fit this machine's shared memory for T");
         break;
       case Strategy::kSDesignated:
         if (!inverse_) inverse_.emplace(perm_.inverse());
@@ -134,16 +132,13 @@ class OfflinePermuter {
   [[nodiscard]] double offline_build_seconds() const noexcept { return offline_seconds_; }
 
   /// Approximate resident bytes of the compiled artifact: the owned
-  /// permutation, plus the strategy's precomputed state (schedule
-  /// arrays + gather tables, or the inverse mapping) and the internal
-  /// scratch buffer. Used for byte-bounded cache accounting.
+  /// permutation, plus the strategy's precomputed state (the gather
+  /// tables, or the inverse mapping) and the internal scratch buffer.
+  /// Used for byte-bounded cache accounting.
   [[nodiscard]] std::uint64_t compiled_bytes() const noexcept {
     const std::uint64_t n = size();
     std::uint64_t bytes = n * sizeof(std::uint32_t);  // perm_
-    if (plan_) {
-      bytes += plan_->schedule_bytes();
-      bytes += 3 * n * sizeof(std::uint16_t);  // gather1/2/3
-    }
+    if (plan_) bytes += plan_->gather_bytes();
     if (inverse_) bytes += n * sizeof(std::uint32_t);
     bytes += scratch_.size() * sizeof(T);
     return bytes;

@@ -104,10 +104,6 @@ ScheduledPlan ScheduledPlan::build(const perm::Permutation& p,
     util::ThreadPool::global().parallel_for_chunks(0, r, derive_rows);
   }
 
-  // --- Compile every row into its conflict-free bank schedule ----------
-  plan.pass1_ = build_row_schedules(g1, r, m, params.width, algo);
-  plan.pass2_ = build_row_schedules(g2, m, r, params.width, algo);
-  plan.pass3_ = build_row_schedules(g3, r, m, params.width, algo);
   plan.derive_gathers(g1, g2, g3);
   plan.stats_.schedules_seconds = clock.seconds();
   return plan;
@@ -161,34 +157,28 @@ util::aligned_vector<std::uint16_t> ScheduledPlan::direct(unsigned pass) const {
 }
 
 ScheduledPlan ScheduledPlan::restore(MatrixShape shape, model::MachineParams params,
-                                     RowScheduleSet pass1, RowScheduleSet pass2,
-                                     RowScheduleSet pass3,
                                      util::aligned_vector<std::uint16_t> g1,
                                      util::aligned_vector<std::uint16_t> g2,
                                      util::aligned_vector<std::uint16_t> g3) {
   params.validate();
   const std::uint64_t n = shape.size();
-  HMM_CHECK(pass1.rows == shape.rows && pass1.cols == shape.cols);
-  HMM_CHECK(pass2.rows == shape.cols && pass2.cols == shape.rows);
-  HMM_CHECK(pass3.rows == shape.rows && pass3.cols == shape.cols);
-  HMM_CHECK(pass1.phat.size() == n && pass1.q.size() == n);
-  HMM_CHECK(pass2.phat.size() == n && pass2.q.size() == n);
-  HMM_CHECK(pass3.phat.size() == n && pass3.q.size() == n);
   HMM_CHECK(g1.size() == n && g2.size() == n && g3.size() == n);
 
   ScheduledPlan plan;
   plan.n_ = n;
   plan.shape_ = shape;
   plan.params_ = params;
-  plan.pass1_ = std::move(pass1);
-  plan.pass2_ = std::move(pass2);
-  plan.pass3_ = std::move(pass3);
   plan.derive_gathers(g1, g2, g3);
   return plan;
 }
 
-std::uint64_t ScheduledPlan::schedule_bytes() const noexcept {
-  return pass1_.bytes() + pass2_.bytes() + pass3_.bytes();
+std::array<RowScheduleSet, 3> bank_schedules(const ScheduledPlan& plan) {
+  const std::uint64_t r = plan.shape().rows;
+  const std::uint64_t m = plan.shape().cols;
+  const std::uint32_t w = plan.params().width;
+  return {build_row_schedules(plan.direct(1), r, m, w),
+          build_row_schedules(plan.direct(2), m, r, w),
+          build_row_schedules(plan.direct(3), r, m, w)};
 }
 
 std::uint64_t ScheduledPlan::shared_bytes_needed(std::uint64_t elem_size) const noexcept {
@@ -204,63 +194,11 @@ bool ScheduledPlan::fits_shared(std::uint64_t elem_size) const noexcept {
 
 bool ScheduledPlan::validate(const perm::Permutation& p) const {
   if (p.size() != n_) return false;
-  const std::uint64_t r = shape_.rows;
-  const std::uint64_t m = shape_.cols;
 
-  // Check every row schedule's local invariants, reconstructing each
-  // row permutation g from (p̂, q).
-  auto check_set = [&](const RowScheduleSet& set) {
-    std::vector<std::uint16_t> g(set.cols);
-    for (std::uint64_t row = 0; row < set.rows; ++row) {
-      const auto phat = set.phat_row(row);
-      const auto q = set.q_row(row);
-      for (std::uint64_t k = 0; k < set.cols; ++k) {
-        if (phat[k] >= set.cols) return false;
-        g[phat[k]] = q[k];
-      }
-      if (!row_schedule_valid(g, phat, q, params_.width)) return false;
-    }
-    return true;
-  };
-  if (!check_set(pass1_) || !check_set(pass2_) || !check_set(pass3_)) return false;
-
-  // Replay the three passes on element ids and verify the composition
-  // equals P.
+  // Replay the host's three gather sweeps on element ids — two band
+  // sweeps (row pass + transpose) and a row sweep — and check that the
+  // composition equals P.
   std::vector<std::uint32_t> cur(n_), next(n_);
-  for (std::uint64_t e = 0; e < n_; ++e) cur[e] = static_cast<std::uint32_t>(e);
-
-  auto row_pass = [&](const RowScheduleSet& set) {
-    for (std::uint64_t row = 0; row < set.rows; ++row) {
-      const auto phat = set.phat_row(row);
-      const auto q = set.q_row(row);
-      const std::uint64_t base = row * set.cols;
-      for (std::uint64_t k = 0; k < set.cols; ++k) next[base + q[k]] = cur[base + phat[k]];
-    }
-    std::swap(cur, next);
-  };
-  auto transpose_pass = [&](std::uint64_t rows, std::uint64_t cols) {
-    for (std::uint64_t i = 0; i < rows; ++i) {
-      for (std::uint64_t j = 0; j < cols; ++j) next[j * rows + i] = cur[i * cols + j];
-    }
-    std::swap(cur, next);
-  };
-
-  const auto realizes_p = [&] {
-    for (std::uint64_t pos = 0; pos < n_; ++pos) {
-      if (p(cur[pos]) != pos) return false;
-    }
-    return true;
-  };
-
-  row_pass(pass1_);
-  transpose_pass(r, m);
-  row_pass(pass2_);
-  transpose_pass(m, r);
-  row_pass(pass3_);
-  if (!realizes_p()) return false;
-
-  // Replay the host's three gather sweeps: two band sweeps (row pass +
-  // transpose) and a row sweep.
   for (std::uint64_t e = 0; e < n_; ++e) cur[e] = static_cast<std::uint32_t>(e);
   for (unsigned pass = 1; pass <= 3; ++pass) {
     const TableShape t = table_shape(shape_, pass);
@@ -274,7 +212,10 @@ bool ScheduledPlan::validate(const perm::Permutation& p) const {
     }
     std::swap(cur, next);
   }
-  return realizes_p();
+  for (std::uint64_t pos = 0; pos < n_; ++pos) {
+    if (p(cur[pos]) != pos) return false;
+  }
+  return true;
 }
 
 }  // namespace hmm::core

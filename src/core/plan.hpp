@@ -2,7 +2,7 @@
 /// \file plan.hpp
 /// \brief The offline phase of the scheduled permutation (Section VII):
 ///        factor P into row-wise / column-wise / row-wise passes and
-///        precompute every conflict-free schedule.
+///        precompute the host's gather tables.
 ///
 /// Plan construction:
 /// 1. Build the *row graph*: source rows x destination rows, one edge
@@ -11,19 +11,21 @@
 ///    through column c. Properness makes pass 1 a valid row-wise
 ///    permutation; perfect-matching color classes make pass 2 a valid
 ///    column-wise permutation.
-/// 3. Derive the three per-row permutation families g1, g2, g3 and
-///    compile each row into its (p̂, q) conflict-free bank schedule
-///    (row_schedule.hpp).
+/// 3. Derive the three per-row permutation families g1, g2, g3.
 /// 4. Invert every row of g1..g3 into the host's gather tables h1..h3
 ///    (`out[r][c] = in[r][h[r][c]]`). The host runs the plan as three
-///    gather sweeps over h (scheduled.hpp) and never reads (p̂, q); the
-///    schedules serve the simulator, which replays the paper's kernels.
+///    gather sweeps over h (scheduled.hpp), and the tables are all a
+///    plan stores.
+///
+/// The paper's (p̂, q) conflict-free bank schedules (row_schedule.hpp)
+/// matter only to the GPU's shared memory, which only the simulator
+/// models: `bank_schedules(plan)` derives them on demand from g1..g3.
 ///
 /// There is one build path and it runs on `util::ThreadPool::global()`:
 /// the coloring's later levels (euler_split.hpp), the g1..g3 derivation
-/// (one task per band of source rows), the per-row schedules and the
-/// row inversions. Plans below 64K elements color and derive inline, so
-/// small builds pay no fork-join. The output is deterministic —
+/// (one task per band of source rows) and the row inversions. Plans
+/// below 64K elements color and derive inline, so small builds pay no
+/// fork-join. The output is deterministic —
 /// byte-identical whatever the thread count — and building from a pool
 /// worker (the plan cache's compiles) is safe because a nested
 /// fork-join's caller can run every chunk itself.
@@ -47,8 +49,7 @@ namespace hmm::core {
 /// the paper does not charge; `bench_plan_build` quantifies it).
 struct PlanBuildStats {
   double row_graph_seconds = 0;   ///< building + coloring the row graph
-  /// deriving g1..g3, compiling all per-row bank schedules and
-  /// inverting g into the gather tables
+  /// deriving g1..g3 and inverting them into the gather tables
   double schedules_seconds = 0;
   std::uint64_t colors = 0;       ///< number of colors (= cols)
 };
@@ -67,13 +68,6 @@ class ScheduledPlan {
   [[nodiscard]] const model::MachineParams& params() const noexcept { return params_; }
   [[nodiscard]] const PlanBuildStats& build_stats() const noexcept { return stats_; }
 
-  /// Pass 1: row-wise over rows x cols (route every element to its color column).
-  [[nodiscard]] const RowScheduleSet& pass1() const noexcept { return pass1_; }
-  /// Pass 2: row-wise over the transposed matrix, cols x rows (move to destination row).
-  [[nodiscard]] const RowScheduleSet& pass2() const noexcept { return pass2_; }
-  /// Pass 3: row-wise over rows x cols (move to destination column).
-  [[nodiscard]] const RowScheduleSet& pass3() const noexcept { return pass3_; }
-
   /// The host's gather tables, the row inverses of the row
   /// permutations g1..g3 (`out[r][g(j)] = in[r][j]`): entry (r, c) is
   /// the source column of out[r][c]. gather1 (rows x cols) and gather2
@@ -84,40 +78,42 @@ class ScheduledPlan {
   [[nodiscard]] std::span<const std::uint16_t> gather2() const noexcept { return gather_[1]; }
   [[nodiscard]] std::span<const std::uint16_t> gather3() const noexcept { return gather_[2]; }
 
+  /// Bytes of the three gather tables: everything the host reads
+  /// besides the data, 6 per element.
+  [[nodiscard]] std::uint64_t gather_bytes() const noexcept {
+    return 3 * n_ * sizeof(std::uint16_t);
+  }
+
   /// Rows [lo, hi) of pass `pass`'s (1..3) gather table, copied
   /// row-major: what a shard executing one band runs `row_sweep` on.
   [[nodiscard]] util::aligned_vector<std::uint16_t> gather_rows(unsigned pass, std::uint64_t lo,
                                                                 std::uint64_t hi) const;
 
   /// Pass `pass`'s (1..3) row permutations g, row-major, inverted from
-  /// its gather table: the direct arrays plan files store.
+  /// its gather table: pass 1 and 3 are rows x cols, pass 2 runs over
+  /// the transposed matrix, cols x rows. What plan files store and
+  /// `bank_schedules` compiles.
   [[nodiscard]] util::aligned_vector<std::uint16_t> direct(unsigned pass) const;
 
-  /// Total bytes of schedule data the online phase reads from global
-  /// memory (the paper's 16-bit 2-D arrays).
-  [[nodiscard]] std::uint64_t schedule_bytes() const noexcept;
-
-  /// Shared memory per block required to execute with `elem_size`-byte
-  /// elements (the max over the three row passes and the transpose tile).
+  /// GPU model: shared memory per block required to execute with
+  /// `elem_size`-byte elements (the max over the three row passes and
+  /// the transpose tile). The host never consults it.
   [[nodiscard]] std::uint64_t shared_bytes_needed(std::uint64_t elem_size) const noexcept;
 
-  /// True iff the plan fits this machine's shared memory for the
-  /// element size (the paper's 48 KiB / double limitation).
+  /// GPU model: true iff the plan fits this machine's shared memory for
+  /// the element size (the paper's 48 KiB / double limitation).
   [[nodiscard]] bool fits_shared(std::uint64_t elem_size) const noexcept;
 
-  /// Deep invariant check: every row schedule valid, and both the
-  /// (p̂, q) five-kernel replay and the three gather sweeps realize
-  /// exactly the original permutation. O(n).
+  /// Deep invariant check: the three gather sweeps realize exactly the
+  /// original permutation. O(n).
   [[nodiscard]] bool validate(const perm::Permutation& p) const;
 
   /// Reassemble a plan from its stored parts (plan_io.hpp
-  /// deserialization): the schedules and the direct row permutations
-  /// g1..g3, whose rows must be permutations; the gather tables are
-  /// derived from them. Checks structural consistency (shapes/sizes)
-  /// but not the deep schedule invariants — call validate() for that.
+  /// deserialization): the direct row permutations g1..g3, whose rows
+  /// must be permutations; the gather tables are derived from them.
+  /// Checks structural consistency (sizes) but not that the plan
+  /// realizes any particular permutation — call validate() for that.
   static ScheduledPlan restore(MatrixShape shape, model::MachineParams params,
-                               RowScheduleSet pass1, RowScheduleSet pass2,
-                               RowScheduleSet pass3,
                                util::aligned_vector<std::uint16_t> g1,
                                util::aligned_vector<std::uint16_t> g2,
                                util::aligned_vector<std::uint16_t> g3);
@@ -129,9 +125,6 @@ class ScheduledPlan {
   MatrixShape shape_;
   model::MachineParams params_;
   PlanBuildStats stats_;
-  RowScheduleSet pass1_;
-  RowScheduleSet pass2_;
-  RowScheduleSet pass3_;
   /// h1 (band-interleaved, rows x cols), h2 (band-interleaved,
   /// cols x rows), h3 (row-major, rows x cols).
   std::array<util::aligned_vector<std::uint16_t>, 3> gather_;
@@ -140,5 +133,13 @@ class ScheduledPlan {
   void derive_gathers(std::span<const std::uint16_t> g1, std::span<const std::uint16_t> g2,
                       std::span<const std::uint16_t> g3);
 };
+
+/// The paper's (p̂, q) conflict-free bank schedules of passes 1..3
+/// (index k - 1 for pass k), compiled from `plan.direct(k)` on the
+/// global pool: what the simulator and the GPU-model executors replay.
+/// Deterministic. Each call colors every row's bank graph afresh, so a
+/// caller that replays a plan more than once derives once and keeps
+/// the result.
+std::array<RowScheduleSet, 3> bank_schedules(const ScheduledPlan& plan);
 
 }  // namespace hmm::core

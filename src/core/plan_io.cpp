@@ -1,12 +1,10 @@
 #include "core/plan_io.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <utility>
-#include <vector>
 
 namespace hmm::core {
 namespace {
@@ -20,8 +18,13 @@ namespace {
 //      bytes are unchanged, so files written by any v2 saver still load.
 //      The direct arrays g1..g3 stay on disk; the loader derives the
 //      host's gather tables (their row inverses) after checking them.
+//   3: the same header, then g1..g3 only. The six (p̂, q) schedule
+//      arrays are gone: plans no longer hold them, and the simulator
+//      derives them from g (core::bank_schedules). v2 files are refused
+//      rather than read past their schedules: the repository commits no
+//      plan file, so a stale one is rebuilt, not migrated.
 constexpr char kMagic[7] = {'H', 'M', 'M', 'P', 'L', 'A', 'N'};
-constexpr char kVersion = 2;
+constexpr char kVersion = 3;
 
 void write_u64(std::ostream& os, std::uint64_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof v);
@@ -53,10 +56,6 @@ bool save_plan(std::ostream& os, const ScheduledPlan& plan) {
   write_u64(os, plan.params().latency);
   write_u64(os, plan.params().dmms);
   write_u64(os, plan.params().shared_bytes);
-  for (const RowScheduleSet* set : {&plan.pass1(), &plan.pass2(), &plan.pass3()}) {
-    write_u16s(os, set->phat);
-    write_u16s(os, set->q);
-  }
   // The file keeps the direct row permutations g; the plan holds their
   // row inverses (the gather tables), so invert back on save.
   for (unsigned pass = 1; pass <= 3; ++pass) write_u16s(os, plan.direct(pass));
@@ -100,27 +99,20 @@ std::optional<ScheduledPlan> load_plan(std::istream& is, std::string* error) {
   params.dmms = static_cast<std::uint32_t>(dmms);
   params.shared_bytes = shared;
 
-  RowScheduleSet p1{.rows = rows, .cols = cols, .phat = {}, .q = {}};
-  RowScheduleSet p2{.rows = cols, .cols = rows, .phat = {}, .q = {}};
-  RowScheduleSet p3{.rows = rows, .cols = cols, .phat = {}, .q = {}};
   util::aligned_vector<std::uint16_t> g1, g2, g3;
-  if (!read_u16s(is, p1.phat, n) || !read_u16s(is, p1.q, n) || !read_u16s(is, p2.phat, n) ||
-      !read_u16s(is, p2.q, n) || !read_u16s(is, p3.phat, n) || !read_u16s(is, p3.q, n) ||
-      !read_u16s(is, g1, n) || !read_u16s(is, g2, n) || !read_u16s(is, g3, n)) {
-    return load_fail(error, "truncated schedule payload");
+  if (!read_u16s(is, g1, n) || !read_u16s(is, g2, n) || !read_u16s(is, g3, n)) {
+    return load_fail(error, "truncated gather payload");
   }
   // Pass 1/3 rows have length `cols`, pass 2 rows (the transposed
   // matrix) have length `rows`; a corrupted payload must fail here, not
   // in a kernel.
-  for (const auto& [v, row_len] : {std::pair{&p1.phat, cols}, {&p1.q, cols}, {&p2.phat, rows},
-                                   {&p2.q, rows}, {&p3.phat, cols}, {&p3.q, cols},
-                                   {&g1, cols}, {&g2, rows}, {&g3, cols}}) {
+  for (const auto& [v, row_len] : {std::pair{&g1, cols}, {&g2, rows}, {&g3, cols}}) {
     if (!rows_are_permutations(*v, row_len)) {
-      return load_fail(error, "schedule row is not a permutation of its row (corrupt payload)");
+      return load_fail(error, "plan row is not a permutation of its row (corrupt payload)");
     }
   }
-  return ScheduledPlan::restore(MatrixShape{rows, cols}, params, std::move(p1), std::move(p2),
-                                std::move(p3), std::move(g1), std::move(g2), std::move(g3));
+  return ScheduledPlan::restore(MatrixShape{rows, cols}, params, std::move(g1), std::move(g2),
+                                std::move(g3));
 }
 
 bool save_plan_file(const std::string& path, const ScheduledPlan& plan) {

@@ -60,21 +60,6 @@ RowScheduleSet build_row_schedules(std::span<const std::uint16_t> g, std::uint64
   return set;
 }
 
-RowScheduleSet slice_rows(const RowScheduleSet& full, std::uint64_t row_begin,
-                          std::uint64_t row_end) {
-  HMM_CHECK_MSG(row_begin <= row_end && row_end <= full.rows,
-                "slice_rows: band out of range");
-  RowScheduleSet band;
-  band.rows = row_end - row_begin;
-  band.cols = full.cols;
-  band.phat.resize(band.rows * band.cols);
-  band.q.resize(band.rows * band.cols);
-  const std::uint64_t offset = row_begin * full.cols;
-  std::copy_n(full.phat.data() + offset, band.phat.size(), band.phat.data());
-  std::copy_n(full.q.data() + offset, band.q.size(), band.q.data());
-  return band;
-}
-
 bool row_schedule_valid(std::span<const std::uint16_t> g, std::span<const std::uint16_t> phat,
                         std::span<const std::uint16_t> q, std::uint32_t width) {
   const std::uint64_t len = g.size();

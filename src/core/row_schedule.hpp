@@ -56,14 +56,6 @@ RowScheduleSet build_row_schedules(std::span<const std::uint16_t> g, std::uint64
                                    std::uint64_t cols, std::uint32_t width,
                                    graph::ColoringAlgorithm algo = graph::ColoringAlgorithm::kAuto);
 
-/// Copy rows [row_begin, row_end) of `full` into a standalone set whose
-/// row 0 is `full`'s row `row_begin`. The slice's schedules are
-/// bit-identical to the corresponding rows of the full set, so a shard
-/// executing its band reproduces exactly the rows a single node would
-/// run (runtime/distributed.hpp builds band plans on top of this).
-RowScheduleSet slice_rows(const RowScheduleSet& full, std::uint64_t row_begin,
-                          std::uint64_t row_end);
-
 /// Row sanity for tables read from outside the process (plan files,
 /// SHARD_PLAN bands): true iff every `row_len`-entry row of `table` is
 /// a permutation of [0, row_len). An entry past the row would index
@@ -71,9 +63,9 @@ RowScheduleSet slice_rows(const RowScheduleSet& full, std::uint64_t row_begin,
 /// so a run would return whatever the buffer held.
 bool rows_are_permutations(std::span<const std::uint16_t> table, std::uint64_t row_len);
 
-/// Verify the schedule invariants for one row (used by tests and
-/// `ScheduledPlan::validate`): p̂ and q are permutations, `g = q ∘ p̂⁻¹`,
-/// and every schedule warp touches w distinct banks on both sides.
+/// Verify the schedule invariants for one row (used by tests): p̂ and q
+/// are permutations, `g = q ∘ p̂⁻¹`, and every schedule warp touches w
+/// distinct banks on both sides.
 bool row_schedule_valid(std::span<const std::uint16_t> g, std::span<const std::uint16_t> phat,
                         std::span<const std::uint16_t> q, std::uint32_t width);
 

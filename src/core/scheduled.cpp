@@ -6,11 +6,17 @@ namespace hmm::core {
 
 std::uint64_t scheduled_sim_rounds(sim::HmmSim& sim, const ScheduledPlan& plan,
                                    std::uint32_t words) {
-  const std::uint64_t n = plan.size();
-  const std::uint64_t r = plan.shape().rows;
-  const std::uint64_t m = plan.shape().cols;
   HMM_CHECK_MSG(plan.params().width == sim.params().width,
                 "plan was built for a different machine width");
+  return scheduled_sim_rounds(sim, plan.shape(), bank_schedules(plan), words);
+}
+
+std::uint64_t scheduled_sim_rounds(sim::HmmSim& sim, const MatrixShape& shape,
+                                   const std::array<RowScheduleSet, 3>& schedules,
+                                   std::uint32_t words) {
+  const std::uint64_t n = shape.size();
+  const std::uint64_t r = shape.rows;
+  const std::uint64_t m = shape.cols;
 
   // Data buffers are element-addressed; their word base stays
   // group-aligned because alloc_global returns width-aligned bases.
@@ -27,11 +33,11 @@ std::uint64_t scheduled_sim_rounds(sim::HmmSim& sim, const ScheduledPlan& plan,
                   .q = sim.alloc_global(n)};
 
   std::uint64_t t = 0;
-  t += row_wise_sim_rounds(sim, "pass1", plan.pass1(), p1, words);
+  t += row_wise_sim_rounds(sim, "pass1", schedules[0], p1, words);
   t += transpose_sim_rounds(sim, "transpose1", r, m, base_t1, base_t2, words);
-  t += row_wise_sim_rounds(sim, "pass2", plan.pass2(), p2, words);
+  t += row_wise_sim_rounds(sim, "pass2", schedules[1], p2, words);
   t += transpose_sim_rounds(sim, "transpose2", m, r, base_t1, base_t2, words);
-  t += row_wise_sim_rounds(sim, "pass3", plan.pass3(), p3, words);
+  t += row_wise_sim_rounds(sim, "pass3", schedules[2], p3, words);
   return t;
 }
 

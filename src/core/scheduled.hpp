@@ -173,8 +173,16 @@ void scheduled_cpu(util::ThreadPool& pool, const ScheduledPlan& plan, std::span<
 /// simulator (16 coalesced global + 16 conflict-free shared rounds);
 /// returns the elapsed time units. Addresses only — pair with
 /// `scheduled_sim` for data movement. `words` is the data element
-/// width in machine words (model::words_of<T>()).
+/// width in machine words (model::words_of<T>()). Derives the plan's
+/// bank schedules (`bank_schedules`).
 std::uint64_t scheduled_sim_rounds(sim::HmmSim& sim, const ScheduledPlan& plan,
+                                   std::uint32_t words = 1);
+
+/// The same rounds for explicit pass 1..3 bank schedules of a `shape`
+/// plan, e.g. a deliberately corrupted copy whose bank conflicts the
+/// simulator must flag.
+std::uint64_t scheduled_sim_rounds(sim::HmmSim& sim, const MatrixShape& shape,
+                                   const std::array<RowScheduleSet, 3>& schedules,
                                    std::uint32_t words = 1);
 
 /// Execute the plan on the simulator backend: moves the data through
@@ -185,8 +193,11 @@ std::uint64_t scheduled_sim(sim::HmmSim& sim, const ScheduledPlan& plan, std::sp
                             std::span<T> b) {
   const std::uint64_t n = plan.size();
   HMM_CHECK(a.size() == n && b.size() == n);
+  HMM_CHECK_MSG(plan.params().width == sim.params().width,
+                "plan was built for a different machine width");
   const std::uint64_t r = plan.shape().rows;
   const std::uint64_t m = plan.shape().cols;
+  const std::array<RowScheduleSet, 3> schedules = bank_schedules(plan);
 
   std::vector<T> t1(n), t2(n);
   auto row_pass = [&](const RowScheduleSet& set, const T* in, T* out) {
@@ -203,13 +214,13 @@ std::uint64_t scheduled_sim(sim::HmmSim& sim, const ScheduledPlan& plan, std::sp
     }
   };
 
-  row_pass(plan.pass1(), a.data(), t1.data());
+  row_pass(schedules[0], a.data(), t1.data());
   transpose_pass(r, m, t1.data(), t2.data());
-  row_pass(plan.pass2(), t2.data(), t1.data());
+  row_pass(schedules[1], t2.data(), t1.data());
   transpose_pass(m, r, t1.data(), t2.data());
-  row_pass(plan.pass3(), t2.data(), b.data());
+  row_pass(schedules[2], t2.data(), b.data());
 
-  return scheduled_sim_rounds(sim, plan, model::words_of<T>());
+  return scheduled_sim_rounds(sim, plan.shape(), schedules, model::words_of<T>());
 }
 
 }  // namespace hmm::core

@@ -5,6 +5,7 @@
 ///        running on the simulator. Tests pin these, time unit for
 ///        time unit, against the hand-rolled executors in core/.
 
+#include <array>
 #include <cstdint>
 
 #include "core/plan.hpp"
@@ -159,9 +160,10 @@ std::uint64_t transpose_exec(Machine& m, GlobalArray<T> in, GlobalArray<T> out,
 }
 
 /// The scheduled permutation as five sequential kernel launches
-/// (Section VIII's implementation structure). Uploads the plan's
-/// schedule arrays, runs row-wise / transpose / row-wise / transpose /
-/// row-wise, and leaves the result in `b`. Returns total time units.
+/// (Section VIII's implementation structure). Uploads the plan's bank
+/// schedules (core::bank_schedules), runs row-wise / transpose /
+/// row-wise / transpose / row-wise, and leaves the result in `b`.
+/// Returns total time units.
 template <class T>
 std::uint64_t scheduled_exec(Machine& m, GlobalArray<T> a, GlobalArray<T> b,
                              const core::ScheduledPlan& plan) {
@@ -175,9 +177,10 @@ std::uint64_t scheduled_exec(Machine& m, GlobalArray<T> a, GlobalArray<T> b,
   auto up = [&m](const util::aligned_vector<std::uint16_t>& v) {
     return m.alloc_global<std::uint16_t>(std::span<const std::uint16_t>{v.data(), v.size()});
   };
-  auto ph1 = up(plan.pass1().phat), q1 = up(plan.pass1().q);
-  auto ph2 = up(plan.pass2().phat), q2 = up(plan.pass2().q);
-  auto ph3 = up(plan.pass3().phat), q3 = up(plan.pass3().q);
+  const std::array<core::RowScheduleSet, 3> s = core::bank_schedules(plan);
+  auto ph1 = up(s[0].phat), q1 = up(s[0].q);
+  auto ph2 = up(s[1].phat), q2 = up(s[1].q);
+  auto ph3 = up(s[2].phat), q3 = up(s[2].q);
 
   std::uint64_t t = 0;
   t += row_wise_exec<T>(m, a, t1, ph1, q1, r, c);

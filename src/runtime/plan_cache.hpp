@@ -2,8 +2,8 @@
 /// \file plan_cache.hpp
 /// \brief Thread-safe LRU cache of compiled `core::OfflinePermuter`s.
 ///
-/// The paper's offline phase (row graph + König coloring + per-row bank
-/// schedules) is data-independent: built once per permutation, a plan
+/// The paper's offline phase (row graph + König coloring + the gather
+/// tables) is data-independent: built once per permutation, a plan
 /// executes any number of arrays. This cache is the serving-side
 /// exploitation of that property — repeated permutations skip the
 /// offline phase entirely and hit an already-compiled permuter.

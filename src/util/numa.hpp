@@ -3,7 +3,7 @@
 /// \brief Minimal NUMA topology discovery and thread/node placement.
 ///
 /// The serving hot path touches three memory streams per request —
-/// input elements, scratch, and the plan's schedule arrays — and a
+/// input elements, scratch, and the plan's gather tables — and a
 /// cross-socket hop on any of them costs more than the kernels' whole
 /// L1 discipline saves. This layer gives the pool and thread pool just
 /// enough topology to keep a request on one socket: which node each

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/conventional.hpp"
 #include "core/plan.hpp"
 #include "core/scheduled.hpp"
@@ -139,15 +141,15 @@ TEST(Property, CorruptedScheduleTriggersBankConflict) {
   const MachineParams mp = MachineParams::tiny(4, 5, 2);
   const std::uint64_t n = 256;
   const perm::Permutation p = perm::bit_reversal(n);
-  ScheduledPlan plan = ScheduledPlan::build(p, mp);
+  const ScheduledPlan plan = ScheduledPlan::build(p, mp);
   ASSERT_TRUE(plan.validate(p));
 
   // Swap two slots of pass-1 row 0 across warps so two same-bank reads
-  // land in one warp. Rebuild a broken copy via const_cast-free path:
-  // copy the schedule arrays, patch, and replay through the simulator.
-  auto broken = plan;
-  auto& phat = const_cast<util::aligned_vector<std::uint16_t>&>(broken.pass1().phat);
-  auto& q = const_cast<util::aligned_vector<std::uint16_t>&>(broken.pass1().q);
+  // land in one warp: patch a copy of the derived schedules and replay
+  // it through the simulator.
+  std::array<RowScheduleSet, 3> broken = bank_schedules(plan);
+  auto& phat = broken[0].phat;
+  auto& q = broken[0].q;
   // Find two slots in different warps whose phat banks are equal.
   const std::uint32_t w = mp.width;
   bool swapped = false;
@@ -162,7 +164,7 @@ TEST(Property, CorruptedScheduleTriggersBankConflict) {
   }
   ASSERT_TRUE(swapped);
   sim::HmmSim sim(mp);
-  scheduled_sim_rounds(sim, broken);
+  scheduled_sim_rounds(sim, plan.shape(), broken);
   EXPECT_FALSE(sim.stats().declarations_hold());
 }
 

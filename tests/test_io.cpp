@@ -74,8 +74,6 @@ TEST(PlanIo, RoundTripPreservesEverything) {
   EXPECT_EQ(loaded->size(), plan.size());
   EXPECT_EQ(loaded->shape(), plan.shape());
   EXPECT_EQ(loaded->params(), plan.params());
-  EXPECT_EQ(loaded->pass1().phat, plan.pass1().phat);
-  EXPECT_EQ(loaded->pass2().q, plan.pass2().q);
   for (unsigned pass = 1; pass <= 3; ++pass) {
     EXPECT_EQ(loaded->direct(pass), plan.direct(pass)) << "pass " << pass;
   }
@@ -112,7 +110,7 @@ TEST(PlanIo, RejectsGarbageHeaders) {
   {
     std::stringstream ss;
     ss << "HMMPLAN";
-    ss.put(2);  // valid magic + version, truncated header fields
+    ss.put(3);  // valid magic + version, truncated header fields
     EXPECT_FALSE(core::load_plan(ss).has_value());
   }
   {
@@ -128,9 +126,21 @@ TEST(PlanIo, RejectsTruncatedPayload) {
   std::stringstream ss;
   ASSERT_TRUE(core::save_plan(ss, core::ScheduledPlan::build(p, mp)));
   std::string bytes = ss.str();
-  bytes.resize(bytes.size() / 2);  // valid header, half the schedules
+  bytes.resize(bytes.size() / 2);  // valid header, half the gather payload
   std::stringstream cut(bytes);
   EXPECT_FALSE(core::load_plan(cut).has_value());
+}
+
+TEST(PlanIo, RejectsGatherPayloadShortByOneEntry) {
+  const MachineParams mp = MachineParams::tiny(4, 9, 2);
+  std::stringstream ss;
+  ASSERT_TRUE(core::save_plan(ss, core::ScheduledPlan::build(perm::shuffle(1024), mp)));
+  std::string bytes = ss.str();
+  bytes.resize(bytes.size() - sizeof(std::uint16_t));  // g3 loses its last entry
+  std::stringstream cut(bytes);
+  std::string why;
+  EXPECT_FALSE(core::load_plan(cut, &why).has_value());
+  EXPECT_NE(why.find("truncated"), std::string::npos) << why;
 }
 
 TEST(PlanIo, RejectsUnknownFormatVersion) {
@@ -147,15 +157,42 @@ TEST(PlanIo, RejectsUnknownFormatVersion) {
   EXPECT_FALSE(core::load_plan(future_version).has_value());
 }
 
+// A well-formed version-2 file — the same header, then the six (p̂, q)
+// schedule arrays, then g1..g3 — is refused on its version byte.
+TEST(PlanIo, RejectsVersion2File) {
+  const MachineParams mp = MachineParams::tiny(4, 9, 2);
+  const core::ScheduledPlan plan =
+      core::ScheduledPlan::build(perm::by_name("random", 1024, 3), mp);
+  std::stringstream ss;
+  ASSERT_TRUE(core::save_plan(ss, plan));
+  const std::string v3 = ss.str();
+  const std::size_t header = 8 + 6 * 8;
+
+  std::string v2 = v3.substr(0, header);
+  v2[7] = 2;
+  for (const core::RowScheduleSet& set : core::bank_schedules(plan)) {
+    for (const auto* a : {&set.phat, &set.q}) {
+      v2.append(reinterpret_cast<const char*>(a->data()), a->size() * sizeof(std::uint16_t));
+    }
+  }
+  v2.append(v3, header);
+  ASSERT_EQ(v2.size(), v3.size() + 6 * plan.size() * sizeof(std::uint16_t));
+
+  std::stringstream old(v2);
+  std::string why;
+  EXPECT_FALSE(core::load_plan(old, &why).has_value());
+  EXPECT_NE(why.find("version"), std::string::npos) << why;
+}
+
 TEST(PlanIo, RejectsOutOfRangeScheduleEntry) {
   const MachineParams mp = MachineParams::tiny(4, 9, 2);
   const perm::Permutation p = perm::shuffle(1024);
   std::stringstream ss;
   ASSERT_TRUE(core::save_plan(ss, core::ScheduledPlan::build(p, mp)));
   std::string bytes = ss.str();
-  // First u16 of pass1.phat sits right after the 8-byte magic/version
-  // + six u64 header fields. 0xFFFF indexes far outside any row (the
-  // shape of n=1024 has cols <= 32), so degree sanity must reject it.
+  // First u16 of g1 sits right after the 8-byte magic/version + six
+  // u64 header fields. 0xFFFF indexes far outside any row (the shape of
+  // n=1024 has cols <= 32), so degree sanity must reject it.
   const std::size_t first_entry = 8 + 6 * 8;
   bytes[first_entry] = static_cast<char>(0xFF);
   bytes[first_entry + 1] = static_cast<char>(0xFF);
@@ -164,9 +201,9 @@ TEST(PlanIo, RejectsOutOfRangeScheduleEntry) {
 }
 
 TEST(PlanIo, RejectsScheduleRowWithRepeatedEntry) {
-  // Every entry in range, but one row of a stored schedule repeats an
-  // index: executing it would leave an output slot unwritten (stale
-  // pooled bytes on the serving path), so the loader must refuse it.
+  // Every entry in range, but one row of a stored g repeats an index:
+  // executing it would leave an output slot unwritten (stale pooled
+  // bytes on the serving path), so the loader must refuse it.
   const MachineParams mp = MachineParams::tiny(4, 9, 2);
   const perm::Permutation p = perm::by_name("random", 1024, 3);
   const core::ScheduledPlan plan = core::ScheduledPlan::build(p, mp);
@@ -174,11 +211,11 @@ TEST(PlanIo, RejectsScheduleRowWithRepeatedEntry) {
   ASSERT_TRUE(core::save_plan(ss, plan));
   const std::string pristine = ss.str();
 
-  // Layout after the 8 + 6*8 header bytes: pass1 p̂, pass1 q, pass2 p̂,
-  // pass2 q, pass3 p̂, pass3 q, then g1, g2, g3 — n u16 entries each.
+  // Layout after the 8 + 6*8 header bytes: g1, g2, g3 — n u16 entries
+  // each.
   const std::uint64_t n = plan.size();
   const std::size_t header = 8 + 6 * 8;
-  for (std::size_t array = 0; array < 9; ++array) {
+  for (std::size_t array = 0; array < 3; ++array) {
     std::string bytes = pristine;
     const std::size_t row0 = header + array * n * sizeof(std::uint16_t);
     // Entry 1 of row 0 := entry 0 of row 0.
@@ -197,7 +234,7 @@ TEST(PlanIo, RejectsInsaneDimensions) {
   // Craft a header with width = 7 (not a power of two).
   std::stringstream ss;
   ss.write("HMMPLAN", 7);
-  ss.put(2);  // current format version
+  ss.put(3);  // current format version
   auto w64 = [&](std::uint64_t v) { ss.write(reinterpret_cast<const char*>(&v), 8); };
   w64(16);  // rows
   w64(16);  // cols

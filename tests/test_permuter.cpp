@@ -85,6 +85,31 @@ TEST(Permuter, ForcingScheduledOnTinyArrayAborts) {
                "scheduled strategy requires");
 }
 
+// The GPU's shared-memory limit is a property of the simulated
+// machine, not of the host: a plan whose rows would not fit the
+// machine's shared memory still runs on the host's gather sweeps.
+TEST(Permuter, ScheduledRunsPastTheMachinesSharedMemory) {
+  MachineParams mp = MachineParams::tiny(4, 5, 2);
+  mp.shared_bytes = 256;  // smaller than one 32-double row
+  const std::uint64_t n = 4096;
+  OfflinePermuter<double> op(perm::by_name("random", n, 5), mp, Strategy::kScheduled);
+  ASSERT_NE(op.plan(), nullptr);
+  EXPECT_FALSE(op.plan()->fits_shared(sizeof(double)));
+  check(op, n);
+}
+
+// 2^23 doubles: a 2048 x 4096 plan whose 4096-double rows need 80 KiB
+// of GPU shared memory, past the GTX-680's 48 KiB. kAuto may pick
+// either strategy here; whichever it picks must construct and run.
+TEST(Permuter, AutoOnLargeDoublePlanRuns) {
+  const std::uint64_t n = 1ull << 23;
+  OfflinePermuter<double> op(perm::by_name("random", n, 23));
+  EXPECT_TRUE(op.strategy() == Strategy::kScheduled ||
+              op.strategy() == Strategy::kSDesignated)
+      << to_string(op.strategy());
+  check(op, n);
+}
+
 TEST(Permuter, ReusableAcrossManyArrays) {
   const std::uint64_t n = 1 << 12;
   OfflinePermuter<float> op(perm::shuffle(n), MachineParams::tiny(8, 100, 2),

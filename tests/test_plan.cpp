@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <array>
+#include <span>
 
 #include "core/plan.hpp"
-#include "core/plan_io.hpp"
 #include "perm/generators.hpp"
 #include "runtime/fingerprint.hpp"
 #include "test_helpers.hpp"
@@ -68,10 +68,13 @@ TEST(Plan, RectangularSize) {
 
 TEST(Plan, ScheduleBytesMatchPaperLayout) {
   // 3 passes x 2 arrays x n entries x 16-bit (the paper's short int 2-D
-  // arrays).
+  // arrays), derived on demand; the plan itself holds 3 gather tables.
   const MachineParams p = MachineParams::tiny(4, 5, 2);
   const ScheduledPlan plan = ScheduledPlan::build(perm::identical(256), p);
-  EXPECT_EQ(plan.schedule_bytes(), 3 * 2 * 256 * sizeof(std::uint16_t));
+  std::uint64_t bytes = 0;
+  for (const RowScheduleSet& set : bank_schedules(plan)) bytes += set.bytes();
+  EXPECT_EQ(bytes, 3 * 2 * 256 * sizeof(std::uint16_t));
+  EXPECT_EQ(plan.gather_bytes(), 3 * 256 * sizeof(std::uint16_t));
 }
 
 TEST(Plan, SharedCapacityCheck) {
@@ -87,6 +90,23 @@ TEST(Plan, SharedCapacityCheck) {
   EXPECT_FALSE(plan2.fits_shared(8));
 }
 
+/// Every row of the derived (p̂, q) schedules is a conflict-free
+/// schedule of its row of g (`plan.direct(k)`).
+bool bank_schedules_valid(const ScheduledPlan& plan) {
+  const std::array<RowScheduleSet, 3> schedules = bank_schedules(plan);
+  for (unsigned pass = 1; pass <= 3; ++pass) {
+    const RowScheduleSet& set = schedules[pass - 1];
+    const util::aligned_vector<std::uint16_t> g = plan.direct(pass);
+    for (std::uint64_t row = 0; row < set.rows; ++row) {
+      const std::span<const std::uint16_t> g_row(g.data() + row * set.cols, set.cols);
+      if (!row_schedule_valid(g_row, set.phat_row(row), set.q_row(row), plan.params().width)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 TEST(Plan, AllFamiliesValidate) {
   const MachineParams p = MachineParams::tiny(4, 5, 2);
   const std::uint64_t n = 256;
@@ -97,19 +117,49 @@ TEST(Plan, AllFamiliesValidate) {
   }
 }
 
-/// FNV-1a 64 over a plan's plan_io bytes: pins every schedule and
-/// direct array, the shape and the machine.
+TEST(Plan, BankSchedulesValidForAllFamilies) {
+  const MachineParams p = MachineParams::tiny(4, 5, 2);
+  const std::uint64_t n = 256;
+  for (const auto& name : test::families_for(n)) {
+    const ScheduledPlan plan = ScheduledPlan::build(perm::by_name(name, n), p);
+    EXPECT_TRUE(bank_schedules_valid(plan)) << name;
+  }
+}
+
+/// FNV-1a 64 over a plan in the byte layout of plan file version 2:
+/// the header (magic, version 2, shape, machine), then pass 1..3's
+/// derived p̂ and q, then the direct arrays g1..g3. Pins every schedule
+/// and direct array, the shape and the machine.
 std::uint64_t plan_digest(const ScheduledPlan& plan) {
-  std::ostringstream os;
-  EXPECT_TRUE(save_plan(os, plan));
   runtime::Fnv1a64 h;
-  for (const unsigned char byte : os.str()) h.update_byte(byte);
+  const auto hash = [&h](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) h.update_byte(bytes[i]);
+  };
+  const auto hash_u64 = [&hash](std::uint64_t v) { hash(&v, sizeof v); };
+  const auto hash_u16s = [&hash](const util::aligned_vector<std::uint16_t>& v) {
+    hash(v.data(), v.size() * sizeof(std::uint16_t));
+  };
+  hash("HMMPLAN\x02", 8);
+  hash_u64(plan.shape().rows);
+  hash_u64(plan.shape().cols);
+  hash_u64(plan.params().width);
+  hash_u64(plan.params().latency);
+  hash_u64(plan.params().dmms);
+  hash_u64(plan.params().shared_bytes);
+  for (const RowScheduleSet& set : bank_schedules(plan)) {
+    hash_u16s(set.phat);
+    hash_u16s(set.q);
+  }
+  for (unsigned pass = 1; pass <= 3; ++pass) hash_u16s(plan.direct(pass));
   return h.digest();
 }
 
 // The digests were recorded from the serial build that predates the
-// pooled one. Sizes span the inline cutoff (64K elements): 2^13 (odd
-// log2, so rows != cols) runs inline, 2^16 and above run on the pool.
+// pooled one, when plans stored their bank schedules and plan files
+// were version 2 (this layout). Sizes span the inline cutoff (64K
+// elements): 2^13 (odd log2, so rows != cols) runs inline, 2^16 and
+// above run on the pool.
 TEST(Plan, BuildMatchesPinnedDigests) {
   struct Case {
     const char* family;
@@ -169,6 +219,7 @@ TEST_P(PlanSweep, RandomPermValidates) {
   const perm::Permutation perm = perm::by_name("random", n, n + machine_idx);
   const ScheduledPlan plan = ScheduledPlan::build(perm, p);
   EXPECT_TRUE(plan.validate(perm));
+  EXPECT_TRUE(bank_schedules_valid(plan));
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, PlanSweep,

@@ -124,55 +124,6 @@ TEST(RowSchedule, SetBuildsAllRows) {
   }
 }
 
-TEST(RowSchedule, SliceRowsReproducesFullSetRows) {
-  const std::uint64_t rows = 16, cols = 32;
-  const std::uint32_t w = 8;
-  std::vector<std::uint16_t> g(rows * cols);
-  for (std::uint64_t r = 0; r < rows; ++r) {
-    const auto row = random_row_perm(cols, r + 500);
-    std::copy(row.begin(), row.end(), g.begin() + r * cols);
-  }
-  const RowScheduleSet full = build_row_schedules(g, rows, cols, w);
-
-  // Bands of every shape — interior, prefix, suffix, single row, whole
-  // set — must be bit-identical to the matching rows of the full set.
-  const std::pair<std::uint64_t, std::uint64_t> bands[] = {
-      {0, 4}, {4, 12}, {12, 16}, {7, 8}, {0, rows}};
-  for (const auto& [begin, end] : bands) {
-    const RowScheduleSet band = slice_rows(full, begin, end);
-    EXPECT_EQ(band.rows, end - begin);
-    EXPECT_EQ(band.cols, cols);
-    for (std::uint64_t r = begin; r < end; ++r) {
-      const std::uint64_t local = r - begin;
-      EXPECT_TRUE(std::equal(band.phat_row(local).begin(), band.phat_row(local).end(),
-                             full.phat_row(r).begin()))
-          << "band [" << begin << "," << end << ") phat row " << r;
-      EXPECT_TRUE(std::equal(band.q_row(local).begin(), band.q_row(local).end(),
-                             full.q_row(r).begin()))
-          << "band [" << begin << "," << end << ") q row " << r;
-      // The sliced schedule rows still satisfy the full invariants
-      // against the original row permutation.
-      EXPECT_TRUE(row_schedule_valid({g.data() + r * cols, cols}, band.phat_row(local),
-                                     band.q_row(local), w))
-          << "band [" << begin << "," << end << ") row " << r;
-    }
-  }
-}
-
-TEST(RowSchedule, SliceRowsEmptyBand) {
-  const std::uint64_t rows = 4, cols = 16;
-  std::vector<std::uint16_t> g(rows * cols);
-  for (std::uint64_t r = 0; r < rows; ++r) {
-    const auto row = random_row_perm(cols, r + 900);
-    std::copy(row.begin(), row.end(), g.begin() + r * cols);
-  }
-  const RowScheduleSet full = build_row_schedules(g, rows, cols, 4);
-  const RowScheduleSet band = slice_rows(full, 2, 2);
-  EXPECT_EQ(band.rows, 0u);
-  EXPECT_EQ(band.cols, cols);
-  EXPECT_EQ(band.bytes(), 0u);
-}
-
 // Sweep row length x width with every coloring algorithm.
 class RowScheduleSweep
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::uint32_t,
