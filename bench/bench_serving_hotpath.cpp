@@ -346,7 +346,7 @@ void run_program_compare(std::uint64_t n, std::uint64_t depth, std::uint64_t con
 /// Distributed-vs-single comparison over the same plan and data: one
 /// row drives plain PERMUTEs at a single shard, the others fan the same
 /// request out as SHARD_EXEC row bands across S in-process shards (the
-/// peer-to-peer column exchange included). On one machine over loopback
+/// peer-to-peer block exchange included). On one machine over loopback
 /// this measures the sharding *overhead* — the exchange's extra wire
 /// hops — not a speedup; the row exists so the trajectory catches
 /// regressions in the distributed path's constant factors.
@@ -587,7 +587,7 @@ int main(int argc, char** argv) {
             << util::format_double(dist_sharded_rps / dist_single_rps, 2) << "x at n="
             << util::format_count(dist_n)
             << " — 'dist' rows run the same request single-node vs sharded into row\n"
-               "bands with the peer-to-peer column exchange; on one loopback host\n"
+               "bands with the peer-to-peer block exchange; on one loopback host\n"
                "this prices the exchange overhead (the win is capacity: each shard\n"
                "holds and permutes only its band).\n"
                "'srv-epoll-*' rows are reactor-specific: the cNN row widens the\n"

@@ -128,20 +128,6 @@ void ScheduledPlan::derive_gathers(std::span<const std::uint16_t> g1,
   }
 }
 
-util::aligned_vector<std::uint16_t> ScheduledPlan::gather_rows(unsigned pass, std::uint64_t lo,
-                                                               std::uint64_t hi) const {
-  const TableShape t = table_shape(shape_, pass);
-  HMM_CHECK(lo <= hi && hi <= t.rows);
-  const std::uint16_t* h = gather_[pass - 1].data();
-  util::aligned_vector<std::uint16_t> out((hi - lo) * t.cols);
-  for (std::uint64_t row = lo; row < hi; ++row) {
-    for (std::uint64_t c = 0; c < t.cols; ++c) {
-      out[(row - lo) * t.cols + c] = h[t.offset(row, c)];
-    }
-  }
-  return out;
-}
-
 util::aligned_vector<std::uint16_t> ScheduledPlan::direct(unsigned pass) const {
   const TableShape t = table_shape(shape_, pass);
   const std::uint16_t* h = gather_[pass - 1].data();

@@ -84,11 +84,6 @@ class ScheduledPlan {
     return 3 * n_ * sizeof(std::uint16_t);
   }
 
-  /// Rows [lo, hi) of pass `pass`'s (1..3) gather table, copied
-  /// row-major: what a shard executing one band runs `row_sweep` on.
-  [[nodiscard]] util::aligned_vector<std::uint16_t> gather_rows(unsigned pass, std::uint64_t lo,
-                                                                std::uint64_t hi) const;
-
   /// Pass `pass`'s (1..3) row permutations g, row-major, inverted from
   /// its gather table: pass 1 and 3 are rows x cols, pass 2 runs over
   /// the transposed matrix, cols x rows. What plan files store and

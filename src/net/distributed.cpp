@@ -5,7 +5,6 @@
 
 #include "core/layout.hpp"
 #include "core/permuter.hpp"
-#include "core/plan.hpp"
 #include "net/frame_io.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
@@ -28,7 +27,7 @@ struct ShardOutcome {
 };
 
 /// Run one shard end to end: connect, ship the band, block until the
-/// shard finished its three passes (the response *is* the completion
+/// shard finished its exchange (the response *is* the completion
 /// signal), gather the band response into pooled storage.
 void run_shard(const DistributedPermuter::Config& config, std::uint64_t session_id,
                std::uint64_t plan_id, std::uint32_t deadline_ms, std::uint64_t rows,
@@ -105,17 +104,15 @@ StatusOr<std::vector<std::vector<std::uint8_t>>> DistributedPermuter::compile(
                   "distributed compile: plan is not schedulable at this width");
   }
   const core::MatrixShape shape = core::shape_for(p.size(), width);
-  if (Status split = runtime::BandPlan::build(shape.rows, shape.cols, shards).status();
-      !split.is_ok()) {
-    return split;
-  }
-  const core::ScheduledPlan plan = core::ScheduledPlan::build(p, machine);
+  StatusOr<runtime::BandPlan> bands = runtime::BandPlan::build(shape.rows, shape.cols, shards);
+  if (!bands.ok()) return bands.status();
+  StatusOr<std::vector<runtime::BandExchange>> compiled =
+      runtime::BandExchange::compile(p, bands.value());
+  if (!compiled.ok()) return compiled.status();
   std::vector<std::vector<std::uint8_t>> payloads;
   payloads.reserve(shards);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    StatusOr<runtime::BandPlanner> planner = runtime::BandPlanner::build(plan, shards, s);
-    if (!planner.ok()) return planner.status();
-    payloads.push_back(ShardPlanRequest{plan_id, std::move(planner).value()}.encode());
+  for (runtime::BandExchange& band : compiled.value()) {
+    payloads.push_back(ShardPlanRequest{plan_id, std::move(band)}.encode());
   }
   return payloads;
 }
@@ -140,8 +137,7 @@ StatusOr<DistributedPermuter::Result> DistributedPermuter::execute(
 
   // One thread per shard: every SHARD_EXEC must be in flight
   // concurrently — the shards rendezvous with each other mid-request,
-  // so shipping the bands serially would deadlock on the first
-  // exchange round.
+  // so shipping the bands serially would deadlock on the exchange.
   std::vector<ShardOutcome> outcomes(shards);
   std::vector<std::thread> threads;
   threads.reserve(shards);

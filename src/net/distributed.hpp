@@ -8,23 +8,23 @@
 /// targets (address + an opaque caller index) and the request's wire
 /// bytes, and reports per-target transport failures through a callback
 /// so the caller (the router) can feed its breakers and health state.
-/// The cross-shard column exchange itself is peer-to-peer — the
-/// coordinator only ships each band once and reads each band back once,
-/// so its network cost is one pass over the data regardless of the
-/// shard count.
+/// The cross-shard exchange itself is peer-to-peer — the coordinator
+/// only ships each band once and reads each band back once, so its
+/// network cost is one pass over the data regardless of the shard
+/// count.
 ///
 /// The offline phase runs here too, once per plan and shard count:
-/// `compile` builds the scheduled plan for the shards' machine and
-/// encodes every shard's band rows as a SHARD_PLAN payload, and a
-/// shard primed with its payload runs SHARD_EXEC with no compile of its
-/// own. (A shard that was never primed still compiles locally when the
-/// plan was registered with it by SUBMIT_PLAN.)
+/// `compile` builds every shard's pack and merge tables in O(n)
+/// (runtime::BandExchange::compile) and encodes each as a SHARD_PLAN
+/// payload, and a shard primed with its payload runs SHARD_EXEC with no
+/// compile of its own. (A shard that was never primed runs the same
+/// compile itself when the plan was registered with it by SUBMIT_PLAN.)
 ///
 /// Failure discipline: distribution is all-or-nothing. Once SHARD_EXEC
 /// frames are in flight there is no single-node fallback — a shard that
 /// dies mid-exchange fails the whole request typed (kUnavailable), the
 /// surviving shards abort their sessions on their own exchange
-/// deadlines, and every pooled staging byte is released (tests verify
+/// deadlines, and every pooled buffer byte is released (tests verify
 /// via pool-stats deltas). Falling back would re-run a half-exchanged
 /// permutation and double the load exactly when the fleet is degraded.
 
@@ -57,8 +57,8 @@ class DistributedPermuter {
     /// Response cap when reading SHARD_EXEC_OK frames.
     std::uint32_t max_payload_bytes = 0;
     /// Per-shard connect and I/O budgets. The I/O budget must cover the
-    /// shard's whole three-pass execution including both exchange
-    /// rounds, not just the frame transfer.
+    /// shard's whole execution including the exchange, not just the
+    /// frame transfer.
     std::chrono::milliseconds connect_timeout{1'000};
     std::chrono::milliseconds io_timeout{30'000};
   };
@@ -76,12 +76,13 @@ class DistributedPermuter {
     std::uint64_t total_elements = 0;
   };
 
-  /// The distributed offline phase: compile `p` once on the global
-  /// pool for the shards' machine (permd's default machine with width
-  /// `width`), slice each of `shards` bands and encode it as the
+  /// The distributed offline phase: split `p` into `shards` row bands
+  /// of its matrix shape at `width` (core::shape_for), compile every
+  /// band's pack and merge tables in O(n), and encode each as the
   /// SHARD_PLAN payload for plan id `plan_id`. Entry s primes shard s.
-  /// Fails (kInvalidArgument) when `p` is not schedulable at `width` or
-  /// cannot be split `shards` ways.
+  /// Fails (kInvalidArgument) when `p` is not schedulable at `width`
+  /// (the shape the shards' own machine would give it) or cannot be
+  /// split `shards` ways.
   [[nodiscard]] static runtime::StatusOr<std::vector<std::vector<std::uint8_t>>> compile(
       const perm::Permutation& p, std::uint64_t plan_id, std::uint32_t width,
       std::uint32_t shards);

@@ -444,30 +444,54 @@ std::vector<std::uint8_t> ShardXchgRequest::encode() const {
 std::vector<std::uint8_t> ShardXchgRequest::encode_prefix(std::uint64_t count) const {
   ByteWriter w;
   w.put_u64(session_id);
-  w.put_u32(round);
+  w.put_u32(0);  // reserved
   w.put_u32(src_shard);
   w.put_u64(count);
   return w.take();
 }
+
+namespace {
+
+/// Shared SHARD_XCHG header decoder; `r` then sits at the first block
+/// byte. The reserved word holds revision 1's round number, so a block
+/// from a revision-1 peer is refused here. A block may be empty (every
+/// peer gets one), but then nothing may follow the header.
+Status decode_xchg_header(ByteReader& r, std::uint64_t& session_id, std::uint32_t& src_shard,
+                          std::uint64_t& count) {
+  std::uint32_t reserved = 0;
+  if (!r.get_u64(session_id) || !r.get_u32(reserved) || !r.get_u32(src_shard) ||
+      !r.get_u64(count)) {
+    return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: truncated header");
+  }
+  if (reserved != 0) {
+    return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: reserved field must be zero");
+  }
+  if (src_shard >= kMaxWireShards) {
+    return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: source shard out of range");
+  }
+  if (count == 0 && r.remaining() != 0) {
+    return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: bytes after an empty block");
+  }
+  return Status::ok();
+}
+
+}  // namespace
 
 StatusOr<ShardXchgRequest> ShardXchgRequest::decode(std::span<const std::uint8_t> payload,
                                                     std::uint64_t max_elements) {
   ByteReader r(payload);
   ShardXchgRequest req;
   std::uint64_t count = 0;
-  if (!r.get_u64(req.session_id) || !r.get_u32(req.round) || !r.get_u32(req.src_shard) ||
-      !r.get_u64(count)) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: truncated header");
+  if (Status header = decode_xchg_header(r, req.session_id, req.src_shard, count);
+      !header.is_ok()) {
+    return header;
   }
-  if (req.round != 1 && req.round != 2) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: round must be 1 or 2");
+  if (count > 0) {
+    StatusOr<std::vector<std::uint32_t>> words =
+        decode_words(r, count, max_elements, "SHARD_XCHG");
+    if (!words.ok()) return words.status();
+    req.block = std::move(words).value();
   }
-  if (req.src_shard >= kMaxWireShards) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: source shard out of range");
-  }
-  StatusOr<std::vector<std::uint32_t>> words = decode_words(r, count, max_elements, "SHARD_XCHG");
-  if (!words.ok()) return words.status();
-  req.block = std::move(words).value();
   return req;
 }
 
@@ -476,34 +500,30 @@ StatusOr<ShardXchgRequestView> ShardXchgRequestView::decode(
   ByteReader r(payload);
   ShardXchgRequestView view;
   std::uint64_t count = 0;
-  if (!r.get_u64(view.session_id) || !r.get_u32(view.round) || !r.get_u32(view.src_shard) ||
-      !r.get_u64(count)) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: truncated header");
+  if (Status header = decode_xchg_header(r, view.session_id, view.src_shard, count);
+      !header.is_ok()) {
+    return header;
   }
-  if (view.round != 1 && view.round != 2) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: round must be 1 or 2");
+  if (count > 0) {
+    StatusOr<WordsView> words = decode_words_view(r, count, max_elements, "SHARD_XCHG");
+    if (!words.ok()) return words.status();
+    view.block = words.value();
   }
-  if (view.src_shard >= kMaxWireShards) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: source shard out of range");
-  }
-  StatusOr<WordsView> words = decode_words_view(r, count, max_elements, "SHARD_XCHG");
-  if (!words.ok()) return words.status();
-  view.block = words.value();
   return view;
 }
 
 std::vector<std::uint8_t> ShardPlanRequest::encode() const {
-  const runtime::BandPlan& bands = planner.bands();
+  const runtime::BandPlan& bands = band.bands();
   ByteWriter w;
   w.put_u64(plan_id);
-  w.put_u32(planner.shard());
+  w.put_u32(band.shard());
   w.put_u32(bands.shards());
   w.put_u64(bands.rows());
   w.put_u64(bands.cols());
-  for (const runtime::BandPassView& pass :
-       {planner.pass1(), planner.pass2(), planner.pass3()}) {
-    w.put_u16_span(pass.gather);
-  }
+  for (const std::uint64_t c : band.send()) w.put_u64(c);
+  for (const std::uint64_t c : band.recv()) w.put_u64(c);
+  w.put_u32_span(band.pack());
+  w.put_u32_span(band.merge());
   return w.take();
 }
 
@@ -528,43 +548,45 @@ StatusOr<ShardPlanRequest> ShardPlanRequest::decode(std::span<const std::uint8_t
   if (rows == 0 || cols == 0) {
     return Status(StatusCode::kInvalidArgument, "SHARD_PLAN: empty matrix shape");
   }
-  if (cols > std::numeric_limits<std::uint64_t>::max() / rows) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_PLAN: matrix shape overflows");
-  }
-  // Gather entries are u16 column indexes: no row (cols for passes 1
-  // and 3, rows for pass 2) may be longer than 2^16.
-  if (std::max(rows, cols) > (1ull << 16)) {
+  // Table entries are u32 element indexes within a band.
+  if (cols > (1ull << 32) / rows) {
     return Status(StatusCode::kInvalidArgument,
-                  "SHARD_PLAN: row length exceeds the 16-bit gather index");
+                  "SHARD_PLAN: matrix exceeds the 32-bit element index");
   }
   StatusOr<runtime::BandPlan> bands = runtime::BandPlan::build(rows, cols, shard_count);
   if (!bands.ok()) return bands.status();
-  std::uint64_t entries = 0;
-  for (unsigned pass = 1; pass <= 3; ++pass) {
-    entries += runtime::BandPlanner::table_entries(bands.value(), shard_index, pass);
+  runtime::BandExchange::Counts send(shard_count);
+  runtime::BandExchange::Counts recv(shard_count);
+  for (runtime::BandExchange::Counts* counts : {&send, &recv}) {
+    for (std::uint64_t& c : *counts) {
+      if (!r.get_u64(c)) {
+        return Status(StatusCode::kInvalidArgument, "SHARD_PLAN: truncated block lengths");
+      }
+    }
   }
-  if (r.remaining() != entries * sizeof(std::uint16_t)) {
+  const std::uint64_t band = bands.value().band_elements(shard_index);
+  if (r.remaining() != 2 * band * sizeof(std::uint32_t)) {
     return Status(StatusCode::kInvalidArgument,
                   "SHARD_PLAN: table bytes do not match the band geometry");
   }
-  runtime::BandPlanner::Tables gather;
-  for (unsigned pass = 1; pass <= 3; ++pass) {
-    util::aligned_vector<std::uint16_t>& table = gather[pass - 1];
-    table.resize(runtime::BandPlanner::table_entries(bands.value(), shard_index, pass));
+  runtime::BandExchange::Table pack(band);
+  runtime::BandExchange::Table merge(band);
+  for (runtime::BandExchange::Table* table : {&pack, &merge}) {
     if constexpr (std::endian::native == std::endian::little) {
       std::span<const std::uint8_t> bytes;
-      (void)r.get_bytes(table.size() * sizeof(std::uint16_t), bytes);
-      std::memcpy(table.data(), bytes.data(), bytes.size());
+      (void)r.get_bytes(band * sizeof(std::uint32_t), bytes);
+      std::memcpy(table->data(), bytes.data(), bytes.size());
     } else {
-      for (std::uint16_t& h : table) (void)r.get_u16(h);
+      for (std::uint32_t& v : *table) (void)r.get_u32(v);
     }
   }
-  StatusOr<runtime::BandPlanner> planner = runtime::BandPlanner::from_rows(
-      std::move(bands).value(), shard_index, std::move(gather));
-  if (!planner.ok()) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_PLAN: " + planner.status().message());
+  StatusOr<runtime::BandExchange> adopted = runtime::BandExchange::from_tables(
+      std::move(bands).value(), shard_index, std::move(send), std::move(recv), std::move(pack),
+      std::move(merge));
+  if (!adopted.ok()) {
+    return Status(StatusCode::kInvalidArgument, "SHARD_PLAN: " + adopted.status().message());
   }
-  return ShardPlanRequest{plan_id, std::move(planner).value()};
+  return ShardPlanRequest{plan_id, std::move(adopted).value()};
 }
 
 Status shard_plan_outcome(std::uint16_t kind, std::span<const std::uint8_t> payload) {

@@ -22,13 +22,14 @@
 ///                    path
 ///   STATS            fetch the server's ServiceMetrics snapshot as JSON
 ///   SHARD_EXEC       coordinator -> shard: execute one row band of a
-///                    distributed PERMUTE (three passes; the transposes
-///                    happen as peer-to-peer column exchanges)
-///   SHARD_XCHG       shard -> shard: one column block of an exchange
-///                    round (each (src, dst) block moves exactly once)
+///                    distributed PERMUTE (pack, one peer-to-peer
+///                    exchange, merge)
+///   SHARD_XCHG       shard -> shard: the one block a shard sends a peer
+///                    in an exchange
 ///   SHARD_PLAN       coordinator -> shard: prime one shard with its
-///                    band's gather rows of a plan the coordinator
-///                    compiled, so SHARD_EXEC runs with no compile
+///                    band's pack and merge tables of a plan the
+///                    coordinator compiled, so SHARD_EXEC runs with no
+///                    compile
 ///
 /// Every failure travels as an ERROR response whose code is the wire
 /// image of the `runtime::Status` the serving stack produced — the
@@ -60,7 +61,7 @@
 ///   PROGRAM_OK   resp: u64 count, u8 data[count * elem_bytes]
 ///                      (identical layout to PERMUTE_OK)
 ///   STATS_OK     resp: UTF-8 JSON bytes
-///   SHARD_EXEC   req:  u32 version (1), u32 elem_bytes (4),
+///   SHARD_EXEC   req:  u32 version (2), u32 elem_bytes (4),
 ///                      u64 session_id, u64 plan_id, u32 deadline_ms,
 ///                      u32 shard_index, u32 shard_count (1..64),
 ///                      u32 reserved (0), u64 rows, u64 cols,
@@ -73,16 +74,17 @@
 ///   SHARD_EXEC_OK
 ///                resp: u64 count, u8 data[count * elem_bytes]
 ///                      (identical layout to PERMUTE_OK)
-///   SHARD_XCHG   req:  u64 session_id, u32 round (1 | 2),
-///                      u32 src_shard, u64 count,
+///   SHARD_XCHG   req:  u64 session_id, u32 reserved (0),
+///                      u32 src_shard, u64 count (may be 0),
 ///                      u8 data[count * elem_bytes]
 ///   SHARD_XCHG_OK
 ///                resp: empty
 ///   SHARD_PLAN   req:  u64 plan_id, u32 shard_index,
 ///                      u32 shard_count (1..64), u64 rows, u64 cols,
-///                      u16 pass1[band rows x cols],
-///                      u16 pass2[column-band rows x rows],
-///                      u16 pass3[band rows x cols]   (row-major)
+///                      u64 send[shard_count], u64 recv[shard_count],
+///                      u32 pack[band], u32 merge[band]
+///                      (band = the shard's rows x cols; both tables
+///                      start on 8-byte offsets)
 ///   SHARD_PLAN_OK
 ///                resp: empty
 ///   ERROR        resp: u32 code, UTF-8 message bytes
@@ -251,13 +253,15 @@ struct PermuteRequestView {
 
 // --- SHARD_EXEC / SHARD_XCHG -----------------------------------------
 // Distributed permutation (docs/PROTOCOL.md §3.8): the coordinator
-// splits a PERMUTE into row bands, sends each shard its band via
-// SHARD_EXEC, and the shards realize the two transposes as direct
-// peer-to-peer SHARD_XCHG block exchanges keyed by session_id.
+// splits a PERMUTE into row bands and sends each shard its band via
+// SHARD_EXEC; each shard packs its band, pushes one SHARD_XCHG block to
+// every peer (keyed by session_id), and merges the blocks it receives.
 
-/// SHARD_EXEC wire revision. Bumped only for incompatible layout
-/// changes; a shard strictly rejects versions it does not speak.
-inline constexpr std::uint32_t kShardProtocolVersion = 1;
+/// SHARD_EXEC wire revision. Bumped only for incompatible changes to
+/// the exchange; a shard strictly rejects versions it does not speak.
+/// Revision 2 is the single-exchange execution (revision 1 ran three
+/// passes and two transpose rounds).
+inline constexpr std::uint32_t kShardProtocolVersion = 2;
 
 /// Wire bound on the shard count (mirrors runtime::kMaxShards).
 inline constexpr std::uint32_t kMaxWireShards = 64;
@@ -314,10 +318,10 @@ struct ShardExecRequestView {
       std::span<const std::uint8_t> payload, std::uint64_t max_elements);
 };
 
-/// Owning SHARD_XCHG request (one column block of an exchange round).
+/// Owning SHARD_XCHG request (the one block `src_shard` sends the
+/// receiver in an exchange).
 struct ShardXchgRequest {
   std::uint64_t session_id = 0;
-  std::uint32_t round = 0;      ///< 1 after pass 1, 2 after pass 2
   std::uint32_t src_shard = 0;  ///< sender's shard index
   std::vector<std::uint32_t> block;
 
@@ -329,10 +333,9 @@ struct ShardXchgRequest {
 };
 
 /// Borrowing decode of SHARD_XCHG (block offset 24 — 8-byte aligned in
-/// pooled storage, so the scatter reads the block in place).
+/// pooled storage, so the copy reads the block in place).
 struct ShardXchgRequestView {
   std::uint64_t session_id = 0;
-  std::uint32_t round = 0;
   std::uint32_t src_shard = 0;
   WordsView block;
 
@@ -340,17 +343,17 @@ struct ShardXchgRequestView {
       std::span<const std::uint8_t> payload, std::uint64_t max_elements);
 };
 
-/// SHARD_PLAN: one shard's band of a plan the coordinator compiled —
-/// the shard's rows of the three passes' gather tables, 6 bytes per
-/// band element. The plan id is the coordinator's claim (a shard holds
-/// no mapping to check it against); what decode guarantees is that the
-/// rows are safe to run: the header fields are in range, the tables
-/// are exactly as long as the band geometry says, and every row is a
-/// permutation of its width. Each failure is a distinct
-/// kInvalidArgument.
+/// SHARD_PLAN: one shard's part of a plan the coordinator compiled —
+/// its block lengths and its pack and merge tables, 8 bytes per band
+/// element. The plan id is the coordinator's claim (a shard holds no
+/// mapping to check it against); what decode guarantees is that the
+/// tables are safe to run: the header fields are in range, the tables
+/// are exactly as long as the band geometry says, and
+/// `runtime::BandExchange::from_tables` accepts them. Each failure is
+/// a distinct kInvalidArgument.
 struct ShardPlanRequest {
   std::uint64_t plan_id = 0;
-  runtime::BandPlanner planner;
+  runtime::BandExchange band;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   [[nodiscard]] static runtime::StatusOr<ShardPlanRequest> decode(

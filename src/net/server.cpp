@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/permuter.hpp"
 #include "cpu/kernels.hpp"
 #include "runtime/distributed.hpp"
 #include "runtime/fingerprint.hpp"
@@ -139,6 +138,7 @@ Server::Counters Server::counters() const {
   c.idle_closed = idle_closed_.load(std::memory_order_relaxed);
   c.shard_execs = shard_execs_.load(std::memory_order_relaxed);
   c.shard_blocks = shard_blocks_.load(std::memory_order_relaxed);
+  c.shard_xchg_bytes = shard_xchg_bytes_.load(std::memory_order_relaxed);
   c.shard_aborts = shard_aborts_.load(std::memory_order_relaxed);
   c.shard_hold_rejections = shard_sessions_.hold_rejections();
   c.shard_compiles = shard_compiles_.load(std::memory_order_relaxed);
@@ -171,14 +171,16 @@ std::string Server::to_prometheus() const {
   };
   family("hmm_server_shard_plans", "gauge", "Shard bands held (primed or compiled here).",
          shard_plans());
-  family("hmm_server_shard_plan_bytes", "gauge", "Gather-row bytes of the shard bands held.",
-         shard_plan_bytes());
+  family("hmm_server_shard_plan_bytes", "gauge",
+         "Pack and merge table bytes of the shard bands held.", shard_plan_bytes());
   family("hmm_server_shard_compiles_total", "counter",
          "Shard bands compiled here because none was primed.", c.shard_compiles);
   family("hmm_server_shard_execs_total", "counter", "SHARD_EXEC band executions completed.",
          c.shard_execs);
   family("hmm_server_shard_aborts_total", "counter", "Shard sessions that failed mid-flight.",
          c.shard_aborts);
+  family("hmm_server_shard_xchg_bytes_total", "counter",
+         "Element bytes this shard pushed to its peers.", c.shard_xchg_bytes);
   return os.str();
 }
 
@@ -288,7 +290,7 @@ void Server::dispatch(Reactor& r, const std::shared_ptr<Conn>& conn) {
   if (kind == MsgKind::kShardExec || kind == MsgKind::kShardXchg) {
     // Shard ops run on dedicated threads, never the bounded pool: a
     // SHARD_EXEC blocks on *peer* exchanges, so a pool full of execs
-    // across shards would deadlock a distributed round.
+    // across shards would deadlock an exchange.
     auto done = std::make_shared<std::atomic<bool>>(false);
     std::lock_guard lock(shard_thread_mutex_);
     reap_shard_threads_locked();
@@ -784,43 +786,9 @@ std::chrono::milliseconds budget_until(std::chrono::steady_clock::time_point dea
   return std::max(left, std::chrono::milliseconds(1));
 }
 
-/// Push one exchange block at a peer and wait for its ack. The link is
-/// connected lazily on the first round and reused for the second.
-/// (Peer links are plain blocking client streams — the shard-exec
-/// handler owns a dedicated thread.)
-Status send_shard_block(TcpStream& link, bool& connected, const ShardPeer& peer,
-                        std::uint64_t session_id, std::uint32_t round, std::uint32_t src,
-                        std::span<const std::uint32_t> block,
-                        std::chrono::steady_clock::time_point deadline,
-                        util::BufferPool& pool) {
-  if (!connected) {
-    StatusOr<TcpStream> conn = tcp_connect(peer.host, peer.port, budget_until(deadline));
-    if (!conn.ok()) return conn.status();
-    link = std::move(conn).value();
-    connected = true;
-  }
-  const auto budget = budget_until(deadline);
-  (void)link.set_io_timeout(budget, budget);
-
-  ShardXchgRequest header;
-  header.session_id = session_id;
-  header.round = round;
-  header.src_shard = src;
-  const std::vector<std::uint8_t> prefix = header.encode_prefix(block.size());
-  Status sent;
-  if constexpr (std::endian::native == std::endian::little) {
-    // Native words are already wire order: the block leaves straight
-    // from the extraction scratch, scatter-gathered.
-    const ConstBuffer parts[] = {{prefix.data(), prefix.size()},
-                                 {block.data(), block.size() * sizeof(std::uint32_t)}};
-    sent = write_frame_parts(link, static_cast<std::uint16_t>(MsgKind::kShardXchg),
-                             session_id, parts);
-  } else {
-    header.block.assign(block.begin(), block.end());
-    sent = write_frame(link, make_ok_frame(session_id, MsgKind::kShardXchg, header.encode()));
-  }
-  if (!sent.is_ok()) return sent;
-
+/// Read one peer's SHARD_XCHG answer: OK for the ack, the typed status
+/// of an ERROR frame, kUnavailable for anything else.
+Status read_block_ack(TcpStream& link, std::uint64_t session_id, util::BufferPool& pool) {
   util::PooledBuffer ack_storage;
   StatusOr<FrameView> ack = read_frame_view(link, pool, ack_storage, 4096);
   if (!ack.ok()) return ack.status();
@@ -836,6 +804,67 @@ Status send_shard_block(TcpStream& link, bool& connected, const ShardPeer& peer,
   return Status::ok();
 }
 
+/// The exchange's send side: write every peer's block from the packed
+/// band, then read the acks, so the pushes overlap instead of each
+/// waiting out its predecessor's round trip. A peer with no elements
+/// from this shard still gets its (empty) block: every pair of shards
+/// meets in every exchange, so a peer that refused the session is
+/// heard from at once. `pushed_bytes` counts the element bytes
+/// written. (Peer links are plain blocking client streams — the
+/// shard-exec handler owns a dedicated thread.)
+Status push_blocks(const runtime::BandExchange& band, const ShardExecRequestView& exec,
+                   std::span<const std::uint32_t> packed,
+                   std::chrono::steady_clock::time_point deadline, util::BufferPool& pool,
+                   std::atomic<std::uint64_t>& pushed_bytes) {
+  const std::uint32_t me = band.shard();
+  // A dead peer mid-exchange is the canonical distributed failure:
+  // surface it transient so the coordinator fails the request typed
+  // instead of hanging on this shard.
+  const auto peer_failed = [](std::uint32_t dst, const Status& why) {
+    if (why.code() == StatusCode::kInvalidArgument) return why;
+    return Status(StatusCode::kUnavailable, "peer shard " + std::to_string(dst) +
+                                                " unreachable during exchange: " + why.message());
+  };
+  std::vector<TcpStream> links(band.bands().shards());
+  for (std::uint32_t dst = 0; dst < band.bands().shards(); ++dst) {
+    if (dst == me) continue;
+    StatusOr<TcpStream> conn =
+        tcp_connect(exec.peers[dst].host, exec.peers[dst].port, budget_until(deadline));
+    if (!conn.ok()) return peer_failed(dst, conn.status());
+    TcpStream& link = links[dst] = std::move(conn).value();
+    const auto budget = budget_until(deadline);
+    (void)link.set_io_timeout(budget, budget);
+
+    const std::span<const std::uint32_t> block =
+        packed.subspan(band.send_offset(dst), band.send()[dst]);
+    ShardXchgRequest header;
+    header.session_id = exec.session_id;
+    header.src_shard = me;
+    const std::vector<std::uint8_t> prefix = header.encode_prefix(block.size());
+    Status sent;
+    if constexpr (std::endian::native == std::endian::little) {
+      // Native words are already wire order: the block leaves straight
+      // from the packed band, scatter-gathered.
+      const ConstBuffer parts[] = {{prefix.data(), prefix.size()},
+                                   {block.data(), block.size_bytes()}};
+      sent = write_frame_parts(link, static_cast<std::uint16_t>(MsgKind::kShardXchg),
+                               exec.session_id, parts);
+    } else {
+      header.block.assign(block.begin(), block.end());
+      sent = write_frame(link,
+                         make_ok_frame(exec.session_id, MsgKind::kShardXchg, header.encode()));
+    }
+    if (!sent.is_ok()) return peer_failed(dst, sent);
+    pushed_bytes.fetch_add(block.size_bytes(), std::memory_order_relaxed);
+  }
+  for (std::uint32_t dst = 0; dst < band.bands().shards(); ++dst) {
+    if (dst == me) continue;
+    const Status acked = read_block_ack(links[dst], exec.session_id, pool);
+    if (!acked.is_ok()) return peer_failed(dst, acked);
+  }
+  return Status::ok();
+}
+
 }  // namespace
 
 OutboundFrame Server::handle_shard_exec(const FrameView& request) {
@@ -843,25 +872,29 @@ OutboundFrame Server::handle_shard_exec(const FrameView& request) {
   StatusOr<ShardExecRequestView> req = ShardExecRequestView::decode(request.payload, max_elements);
   if (!req.ok()) return error_outbound(request.request_id, req.status());
   const ShardExecRequestView& exec = req.value();
-  const std::uint32_t me = exec.shard_index;
 
   auto fail = [&](const Status& why) {
     shard_aborts_.fetch_add(1, std::memory_order_relaxed);
     return error_outbound(request.request_id, why);
   };
+  // Until the session exists, a failure tombstones its id so the peers'
+  // blocks for it are answered at once.
+  auto refuse = [&](const Status& why) {
+    shard_sessions_.refuse(exec.session_id);
+    return fail(why);
+  };
 
-  StatusOr<runtime::BandPlan> bands_or =
-      runtime::BandPlan::build(exec.rows, exec.cols, exec.shard_count());
-  if (!bands_or.ok()) return fail(bands_or.status());
-  if (exec.band.count != bands_or.value().band_elements(me)) {
-    return fail(Status(StatusCode::kInvalidArgument,
-                       "SHARD_EXEC: band element count does not match the band split"));
+  StatusOr<std::shared_ptr<const runtime::BandExchange>> band_or = band_for(exec);
+  if (!band_or.ok()) return refuse(band_or.status());
+  const std::shared_ptr<const runtime::BandExchange> band = std::move(band_or).value();
+  const std::uint64_t band_elems = band->elements();
+  if (exec.band.count != band_elems) {
+    return refuse(Status(StatusCode::kInvalidArgument,
+                         "SHARD_EXEC: band element count does not match the band split"));
   }
 
-  // Open the session *before* the (possibly slow) plan compile: peers'
-  // round-1 blocks can land in staging while this shard still builds.
   StatusOr<std::shared_ptr<ShardSession>> session_or =
-      shard_sessions_.create(exec.session_id, std::move(bands_or).value(), me);
+      shard_sessions_.create(exec.session_id, band);
   if (!session_or.ok()) return fail(session_or.status());
   std::shared_ptr<ShardSession> session = std::move(session_or).value();
   struct SessionGuard {
@@ -869,7 +902,6 @@ OutboundFrame Server::handle_shard_exec(const FrameView& request) {
     std::uint64_t id;
     ~SessionGuard() { registry.erase(id); }
   } session_guard{shard_sessions_, exec.session_id};
-  const runtime::BandPlan& bands = session->plan();
 
   // The exchange budget is the server's knob, tightened by the
   // request's own deadline when it carries one.
@@ -879,13 +911,7 @@ OutboundFrame Server::handle_shard_exec(const FrameView& request) {
     deadline = std::min(deadline, started + std::chrono::milliseconds(exec.deadline_ms));
   }
 
-  StatusOr<std::shared_ptr<const runtime::BandPlanner>> band = band_for(exec);
-  if (!band.ok()) return fail(band.status());
-  const runtime::BandPlanner& planner = *band.value();
-
   util::BufferPool& pool = util::BufferPool::global();
-  const std::uint64_t band_elems = bands.band_elements(me);
-
   std::span<const std::uint32_t> in = exec.band.in_place();
   util::PooledBuffer in_copy;
   if (in.empty()) {
@@ -898,89 +924,30 @@ OutboundFrame Server::handle_shard_exec(const FrameView& request) {
     exec.band.copy_to(copy_span);
     in = copy_span;
   }
-
-  std::uint64_t max_block = 0;
-  for (std::uint32_t dst = 0; dst < bands.shards(); ++dst) {
-    max_block = std::max({max_block, bands.block(1, me, dst).elements(),
-                          bands.block(2, me, dst).elements()});
-  }
-  util::PooledBuffer y = pool.try_acquire(band_elems * sizeof(std::uint32_t));
-  util::PooledBuffer w =
-      pool.try_acquire(bands.transposed_elements(me) * sizeof(std::uint32_t));
+  util::PooledBuffer packed = pool.try_acquire(band_elems * sizeof(std::uint32_t));
   util::PooledBuffer result = pool.try_acquire(band_elems * sizeof(std::uint32_t));
-  util::PooledBuffer scratch = pool.try_acquire(max_block * sizeof(std::uint32_t));
-  if (!y.valid() || !w.valid() || !result.valid() || !scratch.valid()) {
+  if (!packed.valid() || !result.valid()) {
     return fail(Status(StatusCode::kResourceExhausted,
-                       "buffer pool refused the shard pass buffers"));
+                       "buffer pool refused the shard pack and merge buffers"));
   }
-  const std::span<std::uint32_t> y_span = y.as_span<std::uint32_t>(band_elems);
-  const std::span<std::uint32_t> w_span =
-      w.as_span<std::uint32_t>(bands.transposed_elements(me));
-  const std::span<std::uint32_t> result_span = result.as_span<std::uint32_t>(band_elems);
-
+  const std::span<std::uint32_t> packed_span = packed.as_span<std::uint32_t>(band_elems);
   util::ThreadPool& workers = util::ThreadPool::global();
 
-  // Pass 1 (row-wise over this band's rows of the rows x cols view).
-  const runtime::BandPassView p1 = planner.pass1();
-  cpu::row_sweep<std::uint32_t>(workers, in, y_span, p1.rows, p1.cols, p1.gather);
+  // Pack: the band grouped by destination shard, in destination order.
+  cpu::gather<std::uint32_t>(workers, in, packed_span, band->pack());
 
-  // Round-1 exchange: one block per peer, each exactly once; the self
-  // block scatters locally through the same exactly-once bookkeeping.
-  std::vector<TcpStream> links(bands.shards());
-  std::vector<std::uint8_t> connected(bands.shards(), 0);
-  auto run_round = [&](std::uint32_t round,
-                       std::span<const std::uint32_t> local) -> Status {
-    for (std::uint32_t dst = 0; dst < bands.shards(); ++dst) {
-      const std::uint64_t elems = bands.block(round, me, dst).elements();
-      const std::span<std::uint32_t> block = scratch.as_span<std::uint32_t>(elems);
-      if (round == 1) {
-        runtime::extract_block_round1(bands, me, dst, local, block);
-      } else {
-        runtime::extract_block_round2(bands, me, dst, local, block);
-      }
-      if (dst == me) {
-        const Status local_st = session->accept_block(round, me, block);
-        if (!local_st.is_ok()) return local_st;
-        continue;
-      }
-      bool link_up = connected[dst] != 0;
-      const Status sent =
-          send_shard_block(links[dst], link_up, exec.peers[dst], exec.session_id, round, me,
-                           block, deadline, pool);
-      connected[dst] = link_up ? 1 : 0;
-      if (!sent.is_ok()) {
-        // A dead peer mid-exchange is the canonical distributed
-        // failure: surface it transient so the coordinator fails the
-        // request typed instead of hanging on this shard.
-        if (sent.code() == StatusCode::kInvalidArgument) return sent;
-        return Status(StatusCode::kUnavailable,
-                      "peer shard " + std::to_string(dst) +
-                          " unreachable during exchange: " + sent.message());
-      }
-    }
-    return Status::ok();
-  };
+  // Exchange: the self block is copied into its slot; every peer block
+  // leaves in one pipelined push.
+  const std::uint32_t me = band->shard();
+  const auto self = packed_span.subspan(band->send_offset(me), band->send()[me]);
+  std::copy(self.begin(), self.end(), session->recv_span().begin() + band->recv_offset(me));
+  Status exchanged = push_blocks(*band, exec, packed_span, deadline, pool, shard_xchg_bytes_);
+  if (exchanged.is_ok()) exchanged = session->wait_blocks(deadline);
+  if (!exchanged.is_ok()) return fail(exchanged);
 
-  Status round_st = run_round(1, y_span);
-  if (!round_st.is_ok()) return fail(round_st);
-  round_st = session->wait_round(1, deadline);
-  if (!round_st.is_ok()) return fail(round_st);
-
-  // Pass 2 (row-wise over this shard's rows of the transposed view).
-  const runtime::BandPassView p2 = planner.pass2();
-  cpu::row_sweep<std::uint32_t>(workers, std::span<const std::uint32_t>(session->z_span()),
-                                w_span, p2.rows, p2.cols, p2.gather);
-
-  round_st = run_round(2, w_span);
-  if (!round_st.is_ok()) return fail(round_st);
-  round_st = session->wait_round(2, deadline);
-  if (!round_st.is_ok()) return fail(round_st);
-
-  // Pass 3 (row-wise, back in the rows x cols view): the result is this
-  // band's rows of the final array, contiguous.
-  const runtime::BandPassView p3 = planner.pass3();
-  cpu::row_sweep<std::uint32_t>(workers, std::span<const std::uint32_t>(session->x_span()),
-                                result_span, p3.rows, p3.cols, p3.gather);
+  // Merge: the received blocks into this band of the final array.
+  cpu::gather<std::uint32_t>(workers, std::span<const std::uint32_t>(session->recv_span()),
+                             result.as_span<std::uint32_t>(band_elems), band->merge());
 
   shard_execs_.fetch_add(1, std::memory_order_relaxed);
   return elements_outbound(MsgKind::kShardExecOk, request.request_id, std::move(result),
@@ -991,12 +958,12 @@ Frame Server::handle_shard_plan(const FrameView& request) {
   StatusOr<ShardPlanRequest> req = ShardPlanRequest::decode(request.payload);
   if (!req.ok()) return make_error_frame(request.request_id, req.status());
   store_band(req.value().plan_id,
-             std::make_shared<const runtime::BandPlanner>(std::move(req.value().planner)));
+             std::make_shared<const runtime::BandExchange>(std::move(req.value().band)));
   return make_ok_frame(request.request_id, MsgKind::kShardPlanOk, {});
 }
 
 void Server::store_band(std::uint64_t plan_id,
-                        std::shared_ptr<const runtime::BandPlanner> band) {
+                        std::shared_ptr<const runtime::BandExchange> band) {
   const BandKey key{plan_id, band->bands().shards(), band->shard()};
   std::lock_guard lock(bands_mutex_);
   if (const auto it = band_index_.find(key); it != band_index_.end()) {
@@ -1014,10 +981,10 @@ void Server::store_band(std::uint64_t plan_id,
   }
 }
 
-StatusOr<std::shared_ptr<const runtime::BandPlanner>> Server::band_for(
+StatusOr<std::shared_ptr<const runtime::BandExchange>> Server::band_for(
     const ShardExecRequestView& exec) {
   const BandKey key{exec.plan_id, exec.shard_count(), exec.shard_index};
-  std::shared_ptr<const runtime::BandPlanner> band;
+  std::shared_ptr<const runtime::BandExchange> band;
   {
     std::lock_guard lock(bands_mutex_);
     if (const auto it = band_index_.find(key); it != band_index_.end()) {
@@ -1032,9 +999,8 @@ StatusOr<std::shared_ptr<const runtime::BandPlanner>> Server::band_for(
     return band;
   }
 
-  // Not primed: compile locally if the plan was registered here. The
-  // full plan is cached by fingerprint, so every band of it shares one
-  // compile.
+  // Not primed: compile here, with the router's O(n) compile, if the
+  // plan was registered here.
   std::shared_ptr<const perm::Permutation> plan;
   {
     std::lock_guard lock(plans_mutex_);
@@ -1049,22 +1015,14 @@ StatusOr<std::shared_ptr<const runtime::BandPlanner>> Server::band_for(
     return Status(StatusCode::kInvalidArgument,
                   "SHARD_EXEC: matrix shape does not match the plan size");
   }
-  std::shared_ptr<const core::OfflinePermuter<std::uint32_t>> permuter =
-      service_.cache().acquire<std::uint32_t>(*plan, service_.config().machine,
-                                              core::Strategy::kScheduled);
-  const core::ScheduledPlan* splan = permuter->plan();
-  if (splan == nullptr) {
-    return Status(StatusCode::kInvalidArgument,
-                  "SHARD_EXEC: plan is not schedulable on this machine");
-  }
-  if (splan->shape().rows != exec.rows || splan->shape().cols != exec.cols) {
-    return Status(StatusCode::kInvalidArgument,
-                  "SHARD_EXEC: matrix shape does not match the compiled plan");
-  }
-  StatusOr<runtime::BandPlanner> built =
-      runtime::BandPlanner::build(*splan, exec.shard_count(), exec.shard_index);
-  if (!built.ok()) return built.status();
-  band = std::make_shared<const runtime::BandPlanner>(std::move(built).value());
+  StatusOr<runtime::BandPlan> bands =
+      runtime::BandPlan::build(exec.rows, exec.cols, exec.shard_count());
+  if (!bands.ok()) return bands.status();
+  StatusOr<std::vector<runtime::BandExchange>> compiled =
+      runtime::BandExchange::compile(*plan, bands.value());
+  if (!compiled.ok()) return compiled.status();
+  band = std::make_shared<const runtime::BandExchange>(
+      std::move(compiled.value()[exec.shard_index]));
   shard_compiles_.fetch_add(1, std::memory_order_relaxed);
   store_band(exec.plan_id, band);
   return band;
@@ -1077,7 +1035,7 @@ OutboundFrame Server::handle_shard_xchg(const FrameView& request) {
   const ShardXchgRequestView& xchg = req.value();
 
   // The block may outrace this shard's own SHARD_EXEC. The fast path —
-  // the session already exists — scatters straight through. The slow
+  // the session already exists — copies straight through. The slow
   // path parks this handler in `await`, pinning the block's pooled
   // payload bytes for up to the exchange timeout, so it runs under the
   // registry's held-bytes budget: a hostile peer spraying blocks at
@@ -1100,7 +1058,7 @@ OutboundFrame Server::handle_shard_xchg(const FrameView& request) {
 
   std::span<const std::uint32_t> block = xchg.block.in_place();
   util::PooledBuffer block_copy;
-  if (block.empty()) {
+  if (block.empty() && xchg.block.count > 0) {
     util::BufferPool& pool = util::BufferPool::global();
     block_copy = pool.try_acquire(xchg.block.count * sizeof(std::uint32_t));
     if (!block_copy.valid()) {
@@ -1114,7 +1072,7 @@ OutboundFrame Server::handle_shard_xchg(const FrameView& request) {
     block = copy_span;
   }
 
-  const Status accepted = session->accept_block(xchg.round, xchg.src_shard, block);
+  const Status accepted = session->accept_block(xchg.src_shard, block);
   if (!accepted.is_ok()) return error_outbound(request.request_id, accepted);
   shard_blocks_.fetch_add(1, std::memory_order_relaxed);
   return to_outbound(make_ok_frame(request.request_id, MsgKind::kShardXchgOk, {}));
@@ -1137,6 +1095,7 @@ Frame Server::handle_stats(std::uint64_t request_id) {
      << ",\"idle_closed\":" << c.idle_closed
      << ",\"shard_execs\":" << c.shard_execs
      << ",\"shard_blocks\":" << c.shard_blocks
+     << ",\"shard_xchg_bytes\":" << c.shard_xchg_bytes
      << ",\"shard_aborts\":" << c.shard_aborts
      << ",\"shard_sessions\":" << shard_sessions_.size()
      << ",\"shard_hold_bytes\":" << shard_sessions_.held_bytes()

@@ -19,7 +19,7 @@
 ///    eventfd-signaled completion queue. SHARD_EXEC / SHARD_XCHG run on
 ///    dedicated short-lived threads instead: a shard exec blocks on
 ///    *peer* exchanges, and letting those fill a bounded pool could
-///    deadlock a distributed round across shards.
+///    deadlock an exchange across shards.
 ///  - **Strictly alternating request/response.** While a request is in
 ///    flight its connection's EPOLLIN interest is paused; reading
 ///    resumes only after the response has fully reached the wire.
@@ -117,7 +117,7 @@ class Server {
     /// Distributed execution: bound on waiting for peer SHARD_XCHG
     /// blocks (exec side) and for the local SHARD_EXEC to open the
     /// session (xchg side). A shard whose peer dies mid-exchange fails
-    /// typed (kUnavailable) and releases its staging after this long.
+    /// typed (kUnavailable) and releases its buffers after this long.
     std::chrono::milliseconds shard_exchange_timeout{10'000};
     /// Concurrent distributed executions this shard admits; excess
     /// SHARD_EXECs answer RETRY_LATER.
@@ -139,6 +139,7 @@ class Server {
     std::uint64_t idle_closed = 0;  ///< connections closed by idle_timeout
     std::uint64_t shard_execs = 0;        ///< SHARD_EXEC band executions completed
     std::uint64_t shard_blocks = 0;       ///< SHARD_XCHG blocks accepted
+    std::uint64_t shard_xchg_bytes = 0;   ///< element bytes pushed to peers
     std::uint64_t shard_aborts = 0;       ///< shard sessions that failed mid-flight
     std::uint64_t shard_hold_rejections = 0;  ///< early-arrival holds over budget
     /// Bands this shard compiled itself: SHARD_EXECs whose band was
@@ -176,7 +177,7 @@ class Server {
   [[nodiscard]] Counters counters() const;
   [[nodiscard]] std::uint64_t plans() const;
   /// Shard bands held (primed by SHARD_PLAN or compiled on a miss), and
-  /// the gather-row bytes they occupy (6 per band element).
+  /// the pack and merge table bytes they occupy (8 per band element).
   [[nodiscard]] std::uint64_t shard_plans() const;
   [[nodiscard]] std::uint64_t shard_plan_bytes() const;
   /// The server-level Prometheus families (`hmm_server_*`): shard band
@@ -279,25 +280,25 @@ class Server {
   OutboundFrame handle_program(const FrameView& request);
 
   /// SHARD_EXEC: run this shard's row band of a distributed PERMUTE —
-  /// pass 1, push round-1 blocks at the peers, wait for theirs, pass 2,
-  /// round-2 exchange, pass 3, respond with the band. Every failure
-  /// aborts + erases the session (staging released) and answers typed.
+  /// pack, push one block at every peer, wait for theirs, merge,
+  /// respond with the band. Every failure aborts + erases the session
+  /// (buffers released) and answers typed.
   OutboundFrame handle_shard_exec(const FrameView& request);
 
-  /// SHARD_PLAN: validate one shard's band rows (the decode does) and
+  /// SHARD_PLAN: validate one shard's tables (the decode does) and
   /// store them under (plan id, shard count, shard).
   Frame handle_shard_plan(const FrameView& request);
 
   /// The band a SHARD_EXEC runs: the primed one, or — on a miss, when
   /// the plan was registered with SUBMIT_PLAN — one compiled here and
   /// stored under the same key.
-  runtime::StatusOr<std::shared_ptr<const runtime::BandPlanner>> band_for(
+  runtime::StatusOr<std::shared_ptr<const runtime::BandExchange>> band_for(
       const ShardExecRequestView& exec);
-  void store_band(std::uint64_t plan_id, std::shared_ptr<const runtime::BandPlanner> band);
+  void store_band(std::uint64_t plan_id, std::shared_ptr<const runtime::BandExchange> band);
 
   /// SHARD_XCHG: rendezvous with the local session (bounded wait under
   /// a held-bytes budget — the block may outrace this shard's own
-  /// SHARD_EXEC) and scatter the block into its staging buffer.
+  /// SHARD_EXEC) and copy the block into its receive buffer.
   OutboundFrame handle_shard_xchg(const FrameView& request);
 
   Frame handle_submit_plan(const FrameView& request);
@@ -356,7 +357,7 @@ class Server {
   /// and past `max_plans` bands the oldest is dropped.
   using BandKey = std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>;
   using BandList =
-      std::list<std::pair<BandKey, std::shared_ptr<const runtime::BandPlanner>>>;
+      std::list<std::pair<BandKey, std::shared_ptr<const runtime::BandExchange>>>;
   mutable std::mutex bands_mutex_;
   BandList bands_;
   std::map<BandKey, BandList::iterator> band_index_;
@@ -371,6 +372,7 @@ class Server {
   std::atomic<std::uint64_t> idle_closed_{0};
   std::atomic<std::uint64_t> shard_execs_{0};
   std::atomic<std::uint64_t> shard_blocks_{0};
+  std::atomic<std::uint64_t> shard_xchg_bytes_{0};
   std::atomic<std::uint64_t> shard_aborts_{0};
   std::atomic<std::uint64_t> shard_compiles_{0};
 };

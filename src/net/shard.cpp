@@ -1,5 +1,6 @@
 #include "net/shard.hpp"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -14,76 +15,58 @@ using runtime::StatusOr;
 static_assert(runtime::kMaxShards == kMaxWireShards,
               "wire shard bound must mirror the band-plan bound");
 
-ShardSession::ShardSession(runtime::BandPlan plan, std::uint32_t shard_index,
-                           util::PooledBuffer z, util::PooledBuffer x)
-    : plan_(std::move(plan)),
-      shard_index_(shard_index),
-      z_(std::move(z)),
-      x_(std::move(x)) {
-  claimed_[0].assign(plan_.shards(), 0);
-  claimed_[1].assign(plan_.shards(), 0);
+ShardSession::ShardSession(std::shared_ptr<const runtime::BandExchange> band,
+                           util::PooledBuffer recv)
+    : band_(std::move(band)),
+      recv_(std::move(recv)),
+      claimed_(band_->bands().shards(), 0),
+      pending_(band_->bands().shards() - 1) {}
+
+std::span<std::uint32_t> ShardSession::recv_span() noexcept {
+  return recv_.as_span<std::uint32_t>(band_->elements());
 }
 
-std::span<std::uint32_t> ShardSession::z_span() noexcept {
-  return {reinterpret_cast<std::uint32_t*>(z_.data()),
-          plan_.transposed_elements(shard_index_)};
-}
-
-std::span<std::uint32_t> ShardSession::x_span() noexcept {
-  return {reinterpret_cast<std::uint32_t*>(x_.data()), plan_.band_elements(shard_index_)};
-}
-
-Status ShardSession::accept_block(std::uint32_t round, std::uint32_t src,
-                                  std::span<const std::uint32_t> block) {
-  if (round != 1 && round != 2) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: round must be 1 or 2");
-  }
-  if (src >= plan_.shards()) {
+Status ShardSession::accept_block(std::uint32_t src, std::span<const std::uint32_t> block) {
+  if (src >= band_->bands().shards()) {
     return Status(StatusCode::kInvalidArgument,
                   "SHARD_XCHG: source shard out of range for this session");
   }
-  const runtime::BlockTransfer& t = plan_.block(round, src, shard_index_);
-  if (block.size() != t.elements()) {
+  if (src == band_->shard()) {
     return Status(StatusCode::kInvalidArgument,
-                  "SHARD_XCHG: block size does not match the exchange schedule");
+                  "SHARD_XCHG: a shard's own block never crosses the wire");
+  }
+  if (block.size() != band_->recv()[src]) {
+    return Status(StatusCode::kInvalidArgument,
+                  "SHARD_XCHG: block length is not the plan's length for this source");
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!aborted_.is_ok()) return aborted_;
-    if (claimed_[round - 1][src]) {
+    if (claimed_[src]) {
       return Status(StatusCode::kInvalidArgument,
-                    "SHARD_XCHG: duplicate block for this round and source");
+                    "SHARD_XCHG: duplicate block from this source");
     }
-    claimed_[round - 1][src] = 1;
+    claimed_[src] = 1;
   }
-  // Blocks from distinct sources land in disjoint staging regions, so
-  // the scatter itself runs unlocked.
-  if (round == 1) {
-    runtime::scatter_block_round1(plan_, src, shard_index_, block, z_span());
-  } else {
-    runtime::scatter_block_round2(plan_, src, shard_index_, block, x_span());
-  }
+  // Blocks from distinct sources land in disjoint slots, so the copy
+  // itself runs unlocked.
+  std::copy(block.begin(), block.end(), recv_span().begin() + band_->recv_offset(src));
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!aborted_.is_ok()) return aborted_;
-    ++arrived_[round - 1];
+    --pending_;
   }
   cv_.notify_all();
   return Status::ok();
 }
 
-Status ShardSession::wait_round(std::uint32_t round,
-                                std::chrono::steady_clock::time_point deadline) {
+Status ShardSession::wait_blocks(std::chrono::steady_clock::time_point deadline) {
   std::unique_lock<std::mutex> lock(mutex_);
-  const std::uint32_t want = plan_.shards();
-  cv_.wait_until(lock, deadline, [&] {
-    return !aborted_.is_ok() || arrived_[round - 1] >= want;
-  });
+  cv_.wait_until(lock, deadline, [&] { return !aborted_.is_ok() || pending_ == 0; });
   if (!aborted_.is_ok()) return aborted_;
-  if (arrived_[round - 1] >= want) return Status::ok();
+  if (pending_ == 0) return Status::ok();
   return Status(StatusCode::kUnavailable,
-                "shard exchange round " + std::to_string(round) +
-                    " timed out waiting for peer blocks");
+                "shard exchange timed out waiting for peer blocks");
 }
 
 void ShardSession::abort(Status why) {
@@ -96,32 +79,33 @@ void ShardSession::abort(Status why) {
 }
 
 StatusOr<std::shared_ptr<ShardSession>> ShardSessionRegistry::create(
-    std::uint64_t id, runtime::BandPlan plan, std::uint32_t shard_index) {
-  // Acquire staging outside the lock: pool pressure must not stall
+    std::uint64_t id, std::shared_ptr<const runtime::BandExchange> band) {
+  // Acquire the buffer outside the lock: pool pressure must not stall
   // unrelated sessions' rendezvous.
-  util::PooledBuffer z =
-      pool_.try_acquire(plan.transposed_elements(shard_index) * sizeof(std::uint32_t));
-  util::PooledBuffer x =
-      pool_.try_acquire(plan.band_elements(shard_index) * sizeof(std::uint32_t));
+  util::PooledBuffer recv = pool_.try_acquire(band->elements() * sizeof(std::uint32_t));
   std::lock_guard<std::mutex> lock(mutex_);
   if (sessions_.contains(id) || tombstones_.contains(id)) {
     return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: duplicate session id");
   }
-  if (!z.valid() || !x.valid()) {
+  if (!recv.valid()) {
     tombstone_locked(id);
     return Status(StatusCode::kResourceExhausted,
-                  "SHARD_EXEC: buffer pool refused the exchange staging buffers");
+                  "SHARD_EXEC: buffer pool refused the exchange receive buffer");
   }
   if (sessions_.size() >= config_.max_sessions) {
     tombstone_locked(id);
     return Status(StatusCode::kResourceExhausted,
                   "SHARD_EXEC: too many concurrent shard sessions");
   }
-  auto session = std::make_shared<ShardSession>(std::move(plan), shard_index, std::move(z),
-                                                std::move(x));
+  auto session = std::make_shared<ShardSession>(std::move(band), std::move(recv));
   sessions_.emplace(id, session);
   cv_.notify_all();
   return session;
+}
+
+void ShardSessionRegistry::refuse(std::uint64_t id) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!sessions_.contains(id)) tombstone_locked(id);
 }
 
 std::shared_ptr<ShardSession> ShardSessionRegistry::await(
@@ -188,7 +172,7 @@ void ShardSessionRegistry::erase(std::uint64_t id) {
     sessions_.erase(it);
     tombstone_locked(id);
   }
-  // Unblock any XCHG thread still waiting on this session's rounds.
+  // A block still arriving for this session sees it closed.
   victim->abort(Status(StatusCode::kUnavailable, "shard session closed"));
 }
 

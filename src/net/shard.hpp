@@ -5,16 +5,17 @@
 ///        SHARD_XCHG blocks its peers push at it.
 ///
 /// A distributed execution is keyed by a coordinator-chosen session id.
-/// The SHARD_EXEC handler creates the session (allocating both exchange
-/// staging buffers from the shared BufferPool up front), runs the three
-/// band-local passes, and between them waits for the session to collect
-/// all `shards` blocks of the active round. SHARD_XCHG connections
-/// arrive on independent server threads — possibly *before* the local
-/// SHARD_EXEC has been decoded — so `await` blocks (bounded) for the
-/// session to appear, then scatters the block straight into staging.
+/// The SHARD_EXEC handler creates the session (allocating the receive
+/// buffer from the shared BufferPool up front), packs its band, pushes
+/// one block at every peer, and waits for the session to collect one
+/// block from every peer (empty when the peer has no elements for it)
+/// before it merges. SHARD_XCHG connections arrive on independent
+/// server threads — possibly *before* the local SHARD_EXEC has been
+/// decoded — so `await` blocks (bounded) for the session to appear,
+/// then copies the block straight into its slot of the receive buffer.
 ///
 /// Failure discipline: every exit path erases the session, and the
-/// staging buffers are pooled RAII handles — a shard that aborts
+/// receive buffer is a pooled RAII handle — a shard that aborts
 /// mid-exchange (peer died, deadline passed, malformed block) releases
 /// every staged byte, which the tests verify via pool-stats deltas.
 /// Erased and refused session ids leave a bounded tombstone, so a
@@ -41,48 +42,44 @@ namespace hmm::net {
 
 /// One in-flight distributed execution on this shard. Thread-safe: the
 /// exec thread and any number of SHARD_XCHG connection threads share
-/// it. Blocks from distinct sources land in disjoint staging regions,
-/// so scatters run outside the lock; arrival bookkeeping is locked.
+/// it. Blocks from distinct sources land in disjoint slots of the
+/// receive buffer, so copies run outside the lock; arrival bookkeeping
+/// is locked.
 class ShardSession {
  public:
-  ShardSession(runtime::BandPlan plan, std::uint32_t shard_index, util::PooledBuffer z,
-               util::PooledBuffer x);
+  ShardSession(std::shared_ptr<const runtime::BandExchange> band, util::PooledBuffer recv);
 
-  [[nodiscard]] const runtime::BandPlan& plan() const noexcept { return plan_; }
-  [[nodiscard]] std::uint32_t shard_index() const noexcept { return shard_index_; }
+  [[nodiscard]] const runtime::BandExchange& band() const noexcept { return *band_; }
 
-  /// Shard's slice of the transposed view (round-1 target, pass-2 input).
-  [[nodiscard]] std::span<std::uint32_t> z_span() noexcept;
-  /// Shard's pass-3 input (round-2 target).
-  [[nodiscard]] std::span<std::uint32_t> x_span() noexcept;
+  /// The receive buffer: the source blocks in shard order, the merge's
+  /// input. The exec thread copies its own block into its slot.
+  [[nodiscard]] std::span<std::uint32_t> recv_span() noexcept;
 
-  /// Scatter one round-`round` block from `src` into staging and mark
-  /// it arrived. Exactly-once: a duplicate (round, src) block, a wrong
-  /// block size, or an out-of-range source is a typed kInvalidArgument;
-  /// a block for an aborted session reports the abort reason.
-  [[nodiscard]] runtime::Status accept_block(std::uint32_t round, std::uint32_t src,
+  /// Copy one peer's block into its slot and mark it arrived. Each a
+  /// typed kInvalidArgument: a source out of range, the receiver
+  /// itself (the self block never travels), a length other than the
+  /// plan's for that source, and a second block from a source. A block
+  /// for an aborted session reports the abort reason.
+  [[nodiscard]] runtime::Status accept_block(std::uint32_t src,
                                              std::span<const std::uint32_t> block);
 
-  /// Block until all `shards` blocks of `round` arrived, the session
-  /// aborted, or `deadline` passed (kUnavailable — a missing peer block
-  /// is a transient fleet condition, not a caller bug).
-  [[nodiscard]] runtime::Status wait_round(std::uint32_t round,
-                                           std::chrono::steady_clock::time_point deadline);
+  /// Block until every peer block arrived, the session aborted, or
+  /// `deadline` passed (kUnavailable — a missing peer block is a
+  /// transient fleet condition, not a caller bug).
+  [[nodiscard]] runtime::Status wait_blocks(std::chrono::steady_clock::time_point deadline);
 
   /// Fail the session: pending and future waits/accepts observe `why`.
   void abort(runtime::Status why);
 
  private:
-  runtime::BandPlan plan_;
-  std::uint32_t shard_index_ = 0;
-  util::PooledBuffer z_;
-  util::PooledBuffer x_;
+  std::shared_ptr<const runtime::BandExchange> band_;
+  util::PooledBuffer recv_;
 
   std::mutex mutex_;
   std::condition_variable cv_;
   runtime::Status aborted_;  ///< OK = live
-  std::vector<std::uint8_t> claimed_[2];
-  std::uint32_t arrived_[2] = {0, 0};
+  std::vector<std::uint8_t> claimed_;  ///< per source
+  std::uint32_t pending_ = 0;          ///< peer blocks still to arrive
 };
 
 /// The shard's session table. Sessions are created by SHARD_EXEC and
@@ -113,12 +110,16 @@ class ShardSessionRegistry {
   /// Ids remembered as closed or refused (oldest forgotten first).
   static constexpr std::size_t kMaxTombstones = 4096;
 
-  /// Create the session for `id`, acquiring both staging buffers from
+  /// Create the session for `id`, acquiring its receive buffer from
   /// the pool. kResourceExhausted at the session cap or when the pool
   /// refuses (the id is then tombstoned as refused); kInvalidArgument
   /// for an id that is live or tombstoned.
   [[nodiscard]] runtime::StatusOr<std::shared_ptr<ShardSession>> create(
-      std::uint64_t id, runtime::BandPlan plan, std::uint32_t shard_index);
+      std::uint64_t id, std::shared_ptr<const runtime::BandExchange> band);
+
+  /// Tombstone `id` unless it is live: an exec that fails before its
+  /// session exists still answers its peers' blocks at once.
+  void refuse(std::uint64_t id);
 
   /// Wait up to `deadline` for session `id` (SHARD_XCHG can outrace the
   /// local SHARD_EXEC). nullptr = never appeared, or — immediately —
@@ -128,7 +129,7 @@ class ShardSessionRegistry {
 
   /// Non-blocking lookup: the session if it exists right now. The fast
   /// path for SHARD_XCHG when the local exec already won the race — no
-  /// hold needed, the block scatters straight through.
+  /// hold needed, the block is copied straight in.
   [[nodiscard]] std::shared_ptr<ShardSession> find(std::uint64_t id);
 
   /// RAII accounting for bytes an early-arrival SHARD_XCHG handler
@@ -175,9 +176,9 @@ class ShardSessionRegistry {
     return hold_rejections_.load(std::memory_order_relaxed);
   }
 
-  /// Drop the session and tombstone its id. Staging is released when
-  /// the last holder lets go of the shared_ptr (an in-flight scatter
-  /// finishes safely first).
+  /// Drop the session and tombstone its id. The receive buffer is
+  /// released when the last holder lets go of the shared_ptr (an
+  /// in-flight copy finishes safely first).
   void erase(std::uint64_t id);
 
   [[nodiscard]] std::size_t size() const;

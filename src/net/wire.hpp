@@ -134,15 +134,6 @@ class ByteWriter {
   void put_bytes(std::span<const std::uint8_t> bytes) {
     buf_.insert(buf_.end(), bytes.begin(), bytes.end());
   }
-  void put_u16_span(std::span<const std::uint16_t> halves) {
-    if constexpr (std::endian::native == std::endian::little) {
-      const auto* raw = reinterpret_cast<const std::uint8_t*>(halves.data());
-      buf_.insert(buf_.end(), raw, raw + halves.size() * 2);
-    } else {
-      buf_.reserve(buf_.size() + halves.size() * 2);
-      for (std::uint16_t h : halves) put_u16(h);
-    }
-  }
   void put_u32_span(std::span<const std::uint32_t> words) {
     // The wire is little-endian; on an LE host the in-memory words are
     // already wire bytes, so bulk-append instead of shifting per word.

@@ -1,9 +1,9 @@
 #include "runtime/distributed.hpp"
 
 #include <string>
+#include <utility>
 
-#include "core/row_schedule.hpp"
-#include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hmm::runtime {
 
@@ -22,6 +22,27 @@ std::vector<BandRange> split(std::uint64_t total, std::uint32_t parts) {
     at += take;
   }
   return bands;
+}
+
+/// Exclusive prefix sums of `counts`.
+BandExchange::Counts offsets(const BandExchange::Counts& counts) {
+  BandExchange::Counts out(counts.size());
+  std::uint64_t at = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    out[i] = at;
+    at += counts[i];
+  }
+  return out;
+}
+
+/// True iff `counts` sums to exactly `total` (no wraparound on the way).
+bool sums_to(const BandExchange::Counts& counts, std::uint64_t total) {
+  std::uint64_t sum = 0;
+  for (const std::uint64_t c : counts) {
+    if (c > total - sum) return false;
+    sum += c;
+  }
+  return sum == total;
 }
 
 }  // namespace
@@ -45,141 +66,124 @@ StatusOr<BandPlan> BandPlan::build(std::uint64_t rows, std::uint64_t cols,
   plan.rows_ = rows;
   plan.cols_ = cols;
   plan.row_bands_ = split(rows, shards);
-  plan.col_bands_ = split(cols, shards);
-  plan.round1_.reserve(static_cast<std::size_t>(shards) * shards);
-  plan.round2_.reserve(static_cast<std::size_t>(shards) * shards);
-  for (std::uint32_t src = 0; src < shards; ++src) {
-    for (std::uint32_t dst = 0; dst < shards; ++dst) {
-      // Round 1: the sender's view is its rows x cols row band; the
-      // receiver owns columns col_band(dst) of it.
-      plan.round1_.push_back(BlockTransfer{
-          .src = src,
-          .dst = dst,
-          .row_begin = plan.row_bands_[src].begin,
-          .row_end = plan.row_bands_[src].end,
-          .col_begin = plan.col_bands_[dst].begin,
-          .col_end = plan.col_bands_[dst].end,
-      });
-      // Round 2: the sender's view is its cols x rows slice of the
-      // transposed matrix; the receiver owns columns row_band(dst).
-      plan.round2_.push_back(BlockTransfer{
-          .src = src,
-          .dst = dst,
-          .row_begin = plan.col_bands_[src].begin,
-          .row_end = plan.col_bands_[src].end,
-          .col_begin = plan.row_bands_[dst].begin,
-          .col_end = plan.row_bands_[dst].end,
-      });
-    }
-  }
   return plan;
 }
 
-StatusOr<BandPlanner> BandPlanner::build(const core::ScheduledPlan& plan,
-                                         std::uint32_t shards, std::uint32_t shard) {
-  if (shard >= shards) {
-    return Status(StatusCode::kInvalidArgument, "band planner: shard index out of range");
-  }
-  auto bands = BandPlan::build(plan.shape().rows, plan.shape().cols, shards);
-  if (!bands.ok()) return bands.status();
-  BandPlanner planner(std::move(bands).value(), shard);
-  const BandRange& rb = planner.bands_.row_band(shard);
-  const BandRange& cb = planner.bands_.col_band(shard);
-  planner.gather_[0] = plan.gather_rows(1, rb.begin, rb.end);
-  planner.gather_[1] = plan.gather_rows(2, cb.begin, cb.end);
-  planner.gather_[2] = plan.gather_rows(3, rb.begin, rb.end);
-  return planner;
-}
+BandExchange::BandExchange(BandPlan bands, std::uint32_t shard, Counts send, Counts recv,
+                           Table pack, Table merge)
+    : bands_(std::move(bands)),
+      shard_(shard),
+      send_(std::move(send)),
+      recv_(std::move(recv)),
+      send_offset_(offsets(send_)),
+      recv_offset_(offsets(recv_)),
+      pack_(std::move(pack)),
+      merge_(std::move(merge)) {}
 
-StatusOr<BandPlanner> BandPlanner::from_rows(BandPlan bands, std::uint32_t shard,
-                                             Tables gather) {
-  if (shard >= bands.shards()) {
-    return Status(StatusCode::kInvalidArgument, "band planner: shard index out of range");
+StatusOr<std::vector<BandExchange>> BandExchange::compile(const perm::Permutation& p,
+                                                          const BandPlan& bands) {
+  const std::uint64_t n = bands.rows() * bands.cols();
+  if (p.size() != n) {
+    return Status(StatusCode::kInvalidArgument,
+                  "band exchange: permutation size does not match the band split");
   }
-  for (unsigned pass = 1; pass <= 3; ++pass) {
-    if (gather[pass - 1].size() != table_entries(bands, shard, pass)) {
-      return Status(StatusCode::kInvalidArgument,
-                    "band planner: pass " + std::to_string(pass) +
-                        " table length does not match the band geometry");
+  const std::uint32_t shards = bands.shards();
+  util::ThreadPool& pool = util::ThreadPool::global();
+  const auto band_end = [&](std::uint32_t s) {
+    return bands.band_offset(s) + bands.band_elements(s);
+  };
+
+  // Pass 1: for every destination j, the element that lands there and
+  // the shard it comes from. p is a bijection, so chunks of sources
+  // write disjoint destinations.
+  Table pinv(n);
+  std::vector<std::uint8_t> source(n);
+  pool.parallel_for_chunks(0, n, [&](std::uint64_t lo, std::uint64_t hi) {
+    std::uint32_t s = 0;
+    while (lo >= band_end(s)) ++s;
+    for (std::uint64_t i = lo; i < hi; ++i) {
+      if (i == band_end(s)) ++s;
+      const std::uint32_t j = p(i);
+      pinv[j] = static_cast<std::uint32_t>(i);
+      source[j] = static_cast<std::uint8_t>(s);
     }
+  });
+
+  // Pass 2, one task per destination band d: recv[d][s] = positions of
+  // band d fed from band s, which is also the length of the block s
+  // sends d.
+  std::vector<Counts> recv(shards, Counts(shards, 0));
+  pool.parallel_for(0, shards, [&](std::uint64_t task) {
+    const auto d = static_cast<std::uint32_t>(task);
+    for (std::uint64_t j = bands.band_offset(d); j < band_end(d); ++j) ++recv[d][source[j]];
+  });
+
+  // Pass 3, one task per destination band d, in destination order. Each
+  // source's group for d starts after its groups for the bands before
+  // d and fills in destination order — exactly the order its block for
+  // d arrives in — and each merge entry is the next unread slot of its
+  // source's block.
+  std::vector<Table> pack(shards);
+  std::vector<Table> merge(shards);
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    pack[s].resize(bands.band_elements(s));
+    merge[s].resize(bands.band_elements(s));
   }
-  for (unsigned pass = 1; pass <= 3; ++pass) {
-    const std::uint64_t width = pass == 2 ? bands.rows() : bands.cols();
-    if (!core::rows_are_permutations(gather[pass - 1], width)) {
-      return Status(StatusCode::kInvalidArgument,
-                    "band planner: a pass " + std::to_string(pass) +
-                        " row is not a permutation of its width");
+  std::vector<Counts> group(shards, Counts(shards, 0));  // group[d][s]: s's group for d
+  for (std::uint32_t d = 1; d < shards; ++d) {
+    for (std::uint32_t s = 0; s < shards; ++s) group[d][s] = group[d - 1][s] + recv[d - 1][s];
+  }
+  pool.parallel_for(0, shards, [&](std::uint64_t task) {
+    const auto d = static_cast<std::uint32_t>(task);
+    Counts next = offsets(recv[d]);
+    Counts& at = group[d];
+    const std::uint64_t lo = bands.band_offset(d);
+    std::uint32_t* out = merge[d].data();
+    for (std::uint64_t j = lo; j < band_end(d); ++j) {
+      const std::uint8_t s = source[j];
+      pack[s][at[s]++] = pinv[j] - static_cast<std::uint32_t>(bands.band_offset(s));
+      out[j - lo] = static_cast<std::uint32_t>(next[s]++);
     }
+  });
+
+  std::vector<Counts> send(shards, Counts(shards));
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    for (std::uint32_t d = 0; d < shards; ++d) send[s][d] = recv[d][s];
   }
-  BandPlanner planner(std::move(bands), shard);
-  planner.gather_ = std::move(gather);
-  return planner;
+  std::vector<BandExchange> result;
+  result.reserve(shards);
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    result.push_back(BandExchange(bands, s, std::move(send[s]), std::move(recv[s]),
+                                  std::move(pack[s]), std::move(merge[s])));
+  }
+  return result;
 }
 
-void extract_block_round1(const BandPlan& plan, std::uint32_t src, std::uint32_t dst,
-                          std::span<const std::uint32_t> y_local,
-                          std::span<std::uint32_t> block) {
-  const BlockTransfer& t = plan.block(1, src, dst);
-  const std::uint64_t br = t.row_end - t.row_begin;
-  const std::uint64_t bw = t.col_end - t.col_begin;
-  HMM_CHECK(y_local.size() == plan.band_elements(src) && block.size() == br * bw);
-  const std::uint64_t cols = plan.cols();
-  for (std::uint64_t i = 0; i < br; ++i) {
-    const std::uint32_t* row = y_local.data() + i * cols + t.col_begin;
-    std::uint32_t* out = block.data() + i * bw;
-    for (std::uint64_t j = 0; j < bw; ++j) out[j] = row[j];
+StatusOr<BandExchange> BandExchange::from_tables(BandPlan bands, std::uint32_t shard,
+                                                 Counts send, Counts recv, Table pack,
+                                                 Table merge) {
+  const auto invalid = [](const char* why) {
+    return Status(StatusCode::kInvalidArgument, std::string("band exchange: ") + why);
+  };
+  if (shard >= bands.shards()) return invalid("shard index out of range");
+  if (send.size() != bands.shards() || recv.size() != bands.shards()) {
+    return invalid("need one send and one receive length per shard");
   }
-}
-
-void scatter_block_round1(const BandPlan& plan, std::uint32_t src, std::uint32_t dst,
-                          std::span<const std::uint32_t> block,
-                          std::span<std::uint32_t> z_local) {
-  const BlockTransfer& t = plan.block(1, src, dst);
-  const std::uint64_t br = t.row_end - t.row_begin;
-  const std::uint64_t bw = t.col_end - t.col_begin;
-  HMM_CHECK(block.size() == br * bw && z_local.size() == plan.transposed_elements(dst));
-  // Transpose 1 is z[j * rows + i] = y[i * cols + j]; the receiver's
-  // z_local row 0 is global column col_begin, so the block lands at
-  // z_local[(j - col_begin) * rows + (row_begin + i)].
-  const std::uint64_t rows = plan.rows();
-  for (std::uint64_t i = 0; i < br; ++i) {
-    const std::uint32_t* in = block.data() + i * bw;
-    std::uint32_t* out = z_local.data() + t.row_begin + i;
-    for (std::uint64_t j = 0; j < bw; ++j) out[j * rows] = in[j];
+  const std::uint64_t band = bands.band_elements(shard);
+  if (!sums_to(send, band)) return invalid("send lengths do not sum to the band");
+  if (!sums_to(recv, band)) return invalid("receive lengths do not sum to the band");
+  if (send[shard] != recv[shard]) return invalid("the self block differs sent and received");
+  if (pack.size() != band || merge.size() != band) {
+    return invalid("table length does not match the band");
   }
-}
-
-void extract_block_round2(const BandPlan& plan, std::uint32_t src, std::uint32_t dst,
-                          std::span<const std::uint32_t> w_local,
-                          std::span<std::uint32_t> block) {
-  const BlockTransfer& t = plan.block(2, src, dst);
-  const std::uint64_t br = t.row_end - t.row_begin;
-  const std::uint64_t bw = t.col_end - t.col_begin;
-  HMM_CHECK(w_local.size() == plan.transposed_elements(src) && block.size() == br * bw);
-  const std::uint64_t rows = plan.rows();
-  for (std::uint64_t i = 0; i < br; ++i) {
-    const std::uint32_t* row = w_local.data() + i * rows + t.col_begin;
-    std::uint32_t* out = block.data() + i * bw;
-    for (std::uint64_t j = 0; j < bw; ++j) out[j] = row[j];
+  if (!perm::Permutation::is_valid(pack)) {
+    return invalid("pack table is not a permutation of the band");
   }
-}
-
-void scatter_block_round2(const BandPlan& plan, std::uint32_t src, std::uint32_t dst,
-                          std::span<const std::uint32_t> block,
-                          std::span<std::uint32_t> x_local) {
-  const BlockTransfer& t = plan.block(2, src, dst);
-  const std::uint64_t br = t.row_end - t.row_begin;
-  const std::uint64_t bw = t.col_end - t.col_begin;
-  HMM_CHECK(block.size() == br * bw && x_local.size() == plan.band_elements(dst));
-  // Transpose 2 is x[i * cols + j] = w[j * rows + i]; the receiver's
-  // x_local row 0 is global row col_begin (= row_band(dst).begin), so
-  // the block lands at x_local[(i - col_begin) * cols + (row_begin + j)].
-  const std::uint64_t cols = plan.cols();
-  for (std::uint64_t i = 0; i < br; ++i) {
-    const std::uint32_t* in = block.data() + i * bw;
-    std::uint32_t* out = x_local.data() + t.row_begin + i;
-    for (std::uint64_t j = 0; j < bw; ++j) out[j * cols] = in[j];
+  if (!perm::Permutation::is_valid(merge)) {
+    return invalid("merge table is not a permutation of the band");
   }
+  return BandExchange(std::move(bands), shard, std::move(send), std::move(recv),
+                      std::move(pack), std::move(merge));
 }
 
 }  // namespace hmm::runtime

@@ -1,26 +1,28 @@
 /// Tests for the distributed permutation subsystem: band geometry
-/// (`runtime::BandPlan`), schedule slicing (`runtime::BandPlanner`),
-/// the extract/scatter block transposes, the SHARD_EXEC / SHARD_XCHG
-/// wire codecs, and the full networked path — `net::DistributedPermuter`
-/// fanning row bands out to real in-process `net::Server` shards that
-/// exchange column blocks peer-to-peer, and the router's
-/// `--distributed-max-bytes` path on top of it.
+/// (`runtime::BandPlan`), the O(n) pack/merge compile
+/// (`runtime::BandExchange`), the shard session's receive side, the
+/// SHARD_EXEC / SHARD_XCHG / SHARD_PLAN wire codecs, and the full
+/// networked path — `net::DistributedPermuter` fanning row bands out to
+/// real in-process `net::Server` shards that exchange one block per
+/// peer, and the router's `--distributed-max-bytes` path on top of it.
 ///
 /// Ground truth everywhere is `perm::Permutation::apply` (the serial
 /// oracle): a distributed result must be bit-identical to single-node,
-/// for uint32 data and for float/double carried as 32-bit words.
-/// Failure discipline is tested too: a shard that is dead at fan-out
-/// fails the whole request typed (kUnavailable) and every surviving
-/// shard releases its pooled staging (verified via pool-stats deltas);
-/// a shard that refuses its session fails the request typed within
-/// milliseconds, not after the exchange timeout. The router compiles
-/// each distributed plan once and primes every shard with only its
-/// band's rows (SHARD_PLAN), once per backend link; it re-primes only a
-/// restarted shard or a dropped band.
+/// for uint32 data and for float/double carried as 32-bit words, at
+/// every shard count from 1 to 8, simulated in process and over
+/// loopback. Failure discipline is tested too: a shard that is dead at
+/// fan-out fails the whole request typed (kUnavailable) and every
+/// surviving shard releases its pooled buffers (verified via pool-stats
+/// deltas); a shard that refuses its session fails the request typed
+/// within milliseconds, not after the exchange timeout. The router
+/// compiles each distributed plan once and primes every shard with only
+/// its band's tables (SHARD_PLAN), once per backend link; it re-primes
+/// only a restarted shard or a dropped band.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -28,10 +30,10 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/layout.hpp"
-#include "core/permuter.hpp"
 #include "cpu/kernels.hpp"
 #include "net/client.hpp"
 #include "net/distributed.hpp"
@@ -39,12 +41,12 @@
 #include "net/protocol.hpp"
 #include "net/router.hpp"
 #include "net/server.hpp"
+#include "net/shard.hpp"
 #include "net/socket.hpp"
 #include "perm/generators.hpp"
 #include "perm/permutation.hpp"
 #include "runtime/distributed.hpp"
 #include "runtime/fingerprint.hpp"
-#include "runtime/plan_cache.hpp"
 #include "runtime/service.hpp"
 #include "runtime/status.hpp"
 #include "util/buffer_pool.hpp"
@@ -54,9 +56,8 @@ namespace hmm {
 namespace {
 
 using namespace std::chrono_literals;
-using model::MachineParams;
+using runtime::BandExchange;
 using runtime::BandPlan;
-using runtime::BandPlanner;
 using runtime::Status;
 using runtime::StatusCode;
 
@@ -70,20 +71,16 @@ TEST(BandPlan, EvenSplitCoversEverythingOnce) {
   EXPECT_EQ(bp.cols(), 128u);
   EXPECT_EQ(bp.shards(), 4u);
 
-  // Row bands tile [0, rows) contiguously; col bands tile [0, cols).
-  std::uint64_t next_row = 0, next_col = 0, total = 0;
+  // Row bands tile [0, rows) contiguously, and so do their elements.
+  std::uint64_t next_row = 0, total = 0;
   for (std::uint32_t s = 0; s < 4; ++s) {
     EXPECT_EQ(bp.row_band(s).begin, next_row);
-    EXPECT_EQ(bp.col_band(s).begin, next_col);
     EXPECT_GE(bp.row_band(s).rows(), 1u);
-    EXPECT_GE(bp.col_band(s).rows(), 1u);
     next_row = bp.row_band(s).end;
-    next_col = bp.col_band(s).end;
     EXPECT_EQ(bp.band_offset(s), total);
     total += bp.band_elements(s);
   }
   EXPECT_EQ(next_row, 64u);
-  EXPECT_EQ(next_col, 128u);
   EXPECT_EQ(total, 64u * 128u);
 }
 
@@ -103,27 +100,6 @@ TEST(BandPlan, UnevenSplitBalancesWithinOneRow) {
   EXPECT_LE(max_rows - min_rows, 1u);
 }
 
-TEST(BandPlan, ExchangeScheduleMovesEveryBlockExactlyOnce) {
-  auto plan = BandPlan::build(32, 64, 3);
-  ASSERT_TRUE(plan.ok());
-  const BandPlan& bp = plan.value();
-  for (std::uint32_t round : {1u, 2u}) {
-    const auto sched = bp.exchange(round);
-    ASSERT_EQ(sched.size(), 9u) << "round " << round;
-    std::uint64_t moved = 0;
-    std::vector<bool> seen(9, false);
-    for (const runtime::BlockTransfer& t : sched) {
-      const std::size_t key = t.src * 3 + t.dst;
-      EXPECT_FALSE(seen[key]) << "duplicate (src,dst) in round " << round;
-      seen[key] = true;
-      moved += t.elements();
-      EXPECT_EQ(&bp.block(round, t.src, t.dst), &t);
-    }
-    // Every element of the matrix crosses the exchange exactly once.
-    EXPECT_EQ(moved, 32u * 64u) << "round " << round;
-  }
-}
-
 TEST(BandPlan, RejectsInfeasibleSplits) {
   EXPECT_FALSE(BandPlan::build(64, 64, 0).ok());
   EXPECT_FALSE(BandPlan::build(64, 64, 65).ok());  // > kMaxShards
@@ -131,183 +107,46 @@ TEST(BandPlan, RejectsInfeasibleSplits) {
   EXPECT_TRUE(BandPlan::build(4, 64, 4).ok());
 }
 
-// ------------------------------------------------- extract/scatter blocks
+// ------------------------------------------------------- shard session
 
-/// Running a full round's extract+scatter over all (src, dst) pairs
-/// must realize exactly a matrix transpose across band boundaries.
-TEST(BandBlocks, Round1RealizesTheTranspose) {
-  const std::uint64_t rows = 32, cols = 64;
-  auto plan = BandPlan::build(rows, cols, 3);
-  ASSERT_TRUE(plan.ok());
-  const BandPlan& bp = plan.value();
+TEST(ShardSession, RejectsHostileBlocks) {
+  // Shard 1 of 3 over a random plan expects one block from shard 0 and
+  // one from shard 2, each exactly as long as its recv entry.
+  const perm::Permutation p = perm::by_name("random", 1 << 12, 5);
+  auto bands = BandPlan::build(64, 64, 3);
+  ASSERT_TRUE(bands.ok());
+  auto compiled = BandExchange::compile(p, bands.value());
+  ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+  const auto band = std::make_shared<const BandExchange>(std::move(compiled.value()[1]));
+  ASSERT_GT(band->recv()[0], 1u);
+  ASSERT_GT(band->recv()[2], 0u);
+  net::ShardSession session(
+      band, util::BufferPool::global().try_acquire(band->elements() * sizeof(std::uint32_t)));
 
-  std::vector<std::uint32_t> y(rows * cols);
-  for (std::uint64_t i = 0; i < y.size(); ++i) y[i] = static_cast<std::uint32_t>(i * 2654435761u);
-  std::vector<std::uint32_t> z(rows * cols, 0);
-
-  std::vector<std::uint32_t> block;
-  for (std::uint32_t src = 0; src < 3; ++src) {
-    const std::span<const std::uint32_t> y_band(y.data() + bp.band_offset(src),
-                                                bp.band_elements(src));
-    for (std::uint32_t dst = 0; dst < 3; ++dst) {
-      block.assign(bp.block(1, src, dst).elements(), 0);
-      runtime::extract_block_round1(bp, src, dst, y_band, block);
-      const std::span<std::uint32_t> z_band(z.data() + bp.col_band(dst).begin * rows,
-                                            bp.transposed_elements(dst));
-      runtime::scatter_block_round1(bp, src, dst, block, z_band);
-    }
-  }
-  // z, read as the cols x rows matrix, is y transposed.
-  for (std::uint64_t r = 0; r < rows; ++r) {
-    for (std::uint64_t c = 0; c < cols; ++c) {
-      ASSERT_EQ(z[c * rows + r], y[r * cols + c]) << "(" << r << "," << c << ")";
-    }
-  }
-}
-
-TEST(BandBlocks, Round2RealizesTheInverseTranspose) {
-  const std::uint64_t rows = 32, cols = 64;
-  auto plan = BandPlan::build(rows, cols, 4);
-  ASSERT_TRUE(plan.ok());
-  const BandPlan& bp = plan.value();
-
-  // w is the cols x rows view (pass-2 output); round 2 must put
-  // w[c][r] at x[r][c].
-  std::vector<std::uint32_t> w(rows * cols);
-  for (std::uint64_t i = 0; i < w.size(); ++i) w[i] = static_cast<std::uint32_t>(i ^ 0x5bd1e995u);
-  std::vector<std::uint32_t> x(rows * cols, 0);
-
-  std::vector<std::uint32_t> block;
-  for (std::uint32_t src = 0; src < 4; ++src) {
-    const std::span<const std::uint32_t> w_band(w.data() + bp.col_band(src).begin * rows,
-                                                bp.transposed_elements(src));
-    for (std::uint32_t dst = 0; dst < 4; ++dst) {
-      block.assign(bp.block(2, src, dst).elements(), 0);
-      runtime::extract_block_round2(bp, src, dst, w_band, block);
-      const std::span<std::uint32_t> x_band(x.data() + bp.band_offset(dst),
-                                            bp.band_elements(dst));
-      runtime::scatter_block_round2(bp, src, dst, block, x_band);
-    }
-  }
-  for (std::uint64_t c = 0; c < cols; ++c) {
-    for (std::uint64_t r = 0; r < rows; ++r) {
-      ASSERT_EQ(x[r * cols + c], w[c * rows + r]) << "(" << c << "," << r << ")";
-    }
-  }
-}
-
-// -------------------------------------------------- planner band slices
-
-TEST(BandPlanner, SlicesAreTheShardRowsOfTheGatherTables) {
-  const std::uint64_t n = 1 << 12;
-  runtime::PlanCache cache{runtime::PlanCache::Config{}, nullptr};
-  auto h = cache.acquire<std::uint32_t>(perm::by_name("random", n, 5), MachineParams::gtx680(),
-                                        core::Strategy::kScheduled);
-  const core::ScheduledPlan* plan = h->plan();
-  ASSERT_NE(plan, nullptr);
-
-  EXPECT_FALSE(BandPlanner::build(*plan, 3, 3).ok());
-
-  // Each slice holds, row-major, exactly the table rows a single node
-  // runs for the band.
-  const auto same = [](std::span<const std::uint16_t> got,
-                       const util::aligned_vector<std::uint16_t>& want) {
-    return std::ranges::equal(got, want);
+  const auto expect_reject = [](const Status& st, const char* reason) {
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.to_string();
+    EXPECT_NE(st.message().find(reason), std::string::npos) << st.to_string();
   };
-  for (std::uint32_t s = 0; s < 3; ++s) {
-    auto built = BandPlanner::build(*plan, 3, s);
-    ASSERT_TRUE(built.ok()) << built.status().to_string();
-    const BandPlanner& planner = built.value();
-    const runtime::BandPassView p1 = planner.pass1();
-    const runtime::BandRange& rb = planner.bands().row_band(s);
-    EXPECT_EQ(p1.rows, rb.rows());
-    EXPECT_EQ(p1.cols, plan->shape().cols);
-    EXPECT_TRUE(same(p1.gather, plan->gather_rows(1, rb.begin, rb.end)));
+  const std::vector<std::uint32_t> from0(band->recv()[0], 0xa0u);
+  const std::vector<std::uint32_t> from2(band->recv()[2], 0xa2u);
+  expect_reject(session.accept_block(3, from0), "source shard out of range");
+  expect_reject(session.accept_block(1, from0), "own block never crosses the wire");
+  expect_reject(session.accept_block(0, std::span(from0).first(from0.size() - 1)),
+                "block length is not the plan's length");
+  ASSERT_TRUE(session.accept_block(0, from0).is_ok());
+  expect_reject(session.accept_block(0, from0), "duplicate block from this source");
 
-    const runtime::BandPassView p2 = planner.pass2();
-    const runtime::BandRange& cb = planner.bands().col_band(s);
-    EXPECT_EQ(p2.rows, cb.rows());
-    EXPECT_EQ(p2.cols, plan->shape().rows);
-    EXPECT_TRUE(same(p2.gather, plan->gather_rows(2, cb.begin, cb.end)));
-
-    const runtime::BandPassView p3 = planner.pass3();
-    EXPECT_EQ(p3.rows, rb.rows());
-    EXPECT_TRUE(same(p3.gather, plan->gather_rows(3, rb.begin, rb.end)));
-  }
-}
-
-/// The whole distributed dataflow — band-local pass 1, block exchange,
-/// band-local pass 2 on the transposed view, block exchange back,
-/// band-local pass 3 — run in-process, must equal the serial oracle.
-/// This pins the index math independently of any networking.
-TEST(BandPlanner, LocalSimulationMatchesOracle) {
-  const std::uint64_t n = 1 << 12;
-  const perm::Permutation p = perm::by_name("random", n, 17);
-  runtime::PlanCache cache{runtime::PlanCache::Config{}, nullptr};
-  auto h = cache.acquire<std::uint32_t>(p, MachineParams::gtx680(), core::Strategy::kScheduled);
-  const core::ScheduledPlan* plan = h->plan();
-  ASSERT_NE(plan, nullptr);
-  const std::uint64_t rows = plan->shape().rows, cols = plan->shape().cols;
-  util::ThreadPool& pool = util::ThreadPool::global();
-
-  for (std::uint32_t shards : {2u, 3u, 4u, 7u}) {
-    std::vector<BandPlanner> planners;
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      auto built = BandPlanner::build(*plan, shards, s);
-      ASSERT_TRUE(built.ok()) << built.status().to_string();
-      planners.push_back(std::move(built).value());
-    }
-    const BandPlan& bp = planners.front().bands();
-
-    std::vector<std::uint32_t> in(n), y(n), z(n), w(n), x(n), out(n);
-    for (std::uint64_t i = 0; i < n; ++i) in[i] = static_cast<std::uint32_t>(i * 0x9e3779b9u);
-
-    std::vector<std::uint32_t> block;
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      const runtime::BandPassView p1 = planners[s].pass1();
-      cpu::row_sweep<std::uint32_t>(pool, {in.data() + bp.band_offset(s), bp.band_elements(s)},
-                                    {y.data() + bp.band_offset(s), bp.band_elements(s)},
-                                    p1.rows, p1.cols, p1.gather);
-    }
-    for (std::uint32_t src = 0; src < shards; ++src) {
-      for (std::uint32_t dst = 0; dst < shards; ++dst) {
-        block.assign(bp.block(1, src, dst).elements(), 0);
-        runtime::extract_block_round1(bp, src, dst,
-                                      {y.data() + bp.band_offset(src), bp.band_elements(src)},
-                                      block);
-        runtime::scatter_block_round1(
-            bp, src, dst, block,
-            {z.data() + bp.col_band(dst).begin * rows, bp.transposed_elements(dst)});
-      }
-    }
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      const runtime::BandPassView p2 = planners[s].pass2();
-      cpu::row_sweep<std::uint32_t>(
-          pool, {z.data() + bp.col_band(s).begin * rows, bp.transposed_elements(s)},
-          {w.data() + bp.col_band(s).begin * rows, bp.transposed_elements(s)}, p2.rows, p2.cols,
-          p2.gather);
-    }
-    for (std::uint32_t src = 0; src < shards; ++src) {
-      for (std::uint32_t dst = 0; dst < shards; ++dst) {
-        block.assign(bp.block(2, src, dst).elements(), 0);
-        runtime::extract_block_round2(
-            bp, src, dst, {w.data() + bp.col_band(src).begin * rows, bp.transposed_elements(src)},
-            block);
-        runtime::scatter_block_round2(bp, src, dst, block,
-                                      {x.data() + bp.band_offset(dst), bp.band_elements(dst)});
-      }
-    }
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      const runtime::BandPassView p3 = planners[s].pass3();
-      cpu::row_sweep<std::uint32_t>(pool, {x.data() + bp.band_offset(s), bp.band_elements(s)},
-                                    {out.data() + bp.band_offset(s), bp.band_elements(s)},
-                                    p3.rows, p3.cols, p3.gather);
-    }
-
-    std::vector<std::uint32_t> expect(n);
-    p.apply<std::uint32_t>({in.data(), n}, {expect.data(), n});
-    EXPECT_EQ(out, expect) << "shards=" << shards << " rows=" << rows << " cols=" << cols;
-  }
+  // Shard 2's block is still missing: the wait times out transient.
+  EXPECT_EQ(session.wait_blocks(std::chrono::steady_clock::now() + 10ms).code(),
+            StatusCode::kUnavailable);
+  ASSERT_TRUE(session.accept_block(2, from2).is_ok());
+  ASSERT_TRUE(session.wait_blocks(std::chrono::steady_clock::now() + 10ms).is_ok());
+  // Each block landed in its source's slot of the receive buffer.
+  const std::span<std::uint32_t> recv = session.recv_span();
+  EXPECT_EQ(recv[band->recv_offset(0)], 0xa0u);
+  EXPECT_EQ(recv[band->recv_offset(0) + from0.size() - 1], 0xa0u);
+  EXPECT_EQ(recv[band->recv_offset(2)], 0xa2u);
+  EXPECT_EQ(recv[band->recv_offset(2) + from2.size() - 1], 0xa2u);
 }
 
 // --------------------------------------------------------------- codecs
@@ -377,7 +216,7 @@ TEST(ShardCodec, ExecRejectsHostileInputs) {
   expect_reject({good.begin(), good.begin() + 60}, "truncated peer table");
   expect_reject({good.begin(), good.end() - 4}, "truncated band");
 
-  // Field tampering (offsets fixed by the v1 layout).
+  // Field tampering (offsets fixed by the layout).
   auto tamper = [&](std::size_t offset, std::uint8_t value, const char* what) {
     std::vector<std::uint8_t> bad = good;
     bad[offset] = value;
@@ -405,15 +244,14 @@ TEST(ShardCodec, ExecRejectsHostileInputs) {
 TEST(ShardCodec, XchgRoundTripsAndRejectsHostileInputs) {
   net::ShardXchgRequest req;
   req.session_id = 0xfeedface12345678ull;
-  req.round = 2;
   req.src_shard = 5;
   req.block = {1u, 2u, 3u, 0xffffffffu};
   const std::vector<std::uint8_t> good = req.encode();
+  ASSERT_EQ(good.size(), 24u + 16u) << "the block starts on an 8-byte offset";
 
   auto owned = net::ShardXchgRequest::decode(good, 1 << 20);
   ASSERT_TRUE(owned.ok()) << owned.status().to_string();
   EXPECT_EQ(owned.value().session_id, req.session_id);
-  EXPECT_EQ(owned.value().round, 2u);
   EXPECT_EQ(owned.value().src_shard, 5u);
   EXPECT_EQ(owned.value().block, req.block);
 
@@ -426,46 +264,65 @@ TEST(ShardCodec, XchgRoundTripsAndRejectsHostileInputs) {
 
   EXPECT_FALSE(net::ShardXchgRequest::decode({good.begin(), good.begin() + 10}, 1 << 20).ok());
   EXPECT_FALSE(net::ShardXchgRequest::decode({good.begin(), good.end() - 2}, 1 << 20).ok());
-  std::vector<std::uint8_t> bad_round = good;
-  bad_round[8] = 3;  // round must be 1 or 2
-  EXPECT_FALSE(net::ShardXchgRequest::decode(bad_round, 1 << 20).ok());
+  std::vector<std::uint8_t> out_of_range = good;
+  out_of_range[12] = 64;  // src_shard >= the wire's shard bound
+  EXPECT_FALSE(net::ShardXchgRequest::decode(out_of_range, 1 << 20).ok());
   EXPECT_FALSE(net::ShardXchgRequest::decode(good, 3).ok()) << "block over element cap";
+
+  // An empty block is legal (every peer gets one), with nothing after
+  // its header.
+  net::ShardXchgRequest empty = req;
+  empty.block.clear();
+  std::vector<std::uint8_t> empty_bytes = empty.encode();
+  ASSERT_EQ(empty_bytes.size(), 24u);
+  auto empty_owned = net::ShardXchgRequest::decode(empty_bytes, 1 << 20);
+  ASSERT_TRUE(empty_owned.ok()) << empty_owned.status().to_string();
+  EXPECT_TRUE(empty_owned.value().block.empty());
+  auto empty_view = net::ShardXchgRequestView::decode(empty_bytes, 1 << 20);
+  ASSERT_TRUE(empty_view.ok()) << empty_view.status().to_string();
+  EXPECT_EQ(empty_view.value().block.count, 0u);
+  empty_bytes.push_back(0);
+  EXPECT_FALSE(net::ShardXchgRequestView::decode(empty_bytes, 1 << 20).ok());
 }
 
-/// SHARD_PLAN payload of band 1 of 3 of a real 2^12 plan (64 x 64).
+/// SHARD_PLAN payload of band `shard` of 3 of a 2^12 plan (64 x 64):
+/// rows 22 / 21 / 21, so band 1 holds 1344 elements.
 std::vector<std::uint8_t> sample_shard_plan(const perm::Permutation& p, std::uint32_t shard) {
-  runtime::PlanCache cache{runtime::PlanCache::Config{}, nullptr};
-  auto h = cache.acquire<std::uint32_t>(p, MachineParams::gtx680(), core::Strategy::kScheduled);
-  auto planner = BandPlanner::build(*h->plan(), 3, shard);
-  EXPECT_TRUE(planner.ok()) << planner.status().to_string();
-  return net::ShardPlanRequest{0xabcdef0123456789ull, std::move(planner).value()}.encode();
+  auto payloads = net::DistributedPermuter::compile(
+      p, runtime::fingerprint_permutation(p).value, /*width=*/32, /*shards=*/3);
+  EXPECT_TRUE(payloads.ok()) << payloads.status().to_string();
+  return std::move(payloads.value()[shard]);
 }
 
 TEST(ShardCodec, PlanRoundTrips) {
   const perm::Permutation p = perm::by_name("random", 1 << 12, 13);
-  runtime::PlanCache cache{runtime::PlanCache::Config{}, nullptr};
-  auto h = cache.acquire<std::uint32_t>(p, MachineParams::gtx680(), core::Strategy::kScheduled);
+  auto bands = BandPlan::build(64, 64, 3);
+  ASSERT_TRUE(bands.ok());
+  auto compiled = BandExchange::compile(p, bands.value());
+  ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
   for (std::uint32_t s = 0; s < 3; ++s) {
-    auto built = BandPlanner::build(*h->plan(), 3, s);
-    ASSERT_TRUE(built.ok()) << built.status().to_string();
-    const BandPlanner& want = built.value();
+    const BandExchange& want = compiled.value()[s];
     const std::vector<std::uint8_t> bytes =
         net::ShardPlanRequest{0xabcdef0123456789ull, want}.encode();
-    // 32-byte header + 6 bytes per band element (square shape).
-    EXPECT_EQ(bytes.size(), 32 + 6 * want.bands().band_elements(s));
+    // 32-byte header, two u64 lengths per shard, 8 bytes per element.
+    EXPECT_EQ(bytes.size(), 32 + 16 * 3 + 8 * bands.value().band_elements(s));
+    // The router's compile encodes the same band (past the plan id).
+    const std::vector<std::uint8_t> routed = sample_shard_plan(p, s);
+    EXPECT_TRUE(std::ranges::equal(std::span(bytes).subspan(8), std::span(routed).subspan(8)));
 
     auto got = net::ShardPlanRequest::decode(bytes);
     ASSERT_TRUE(got.ok()) << got.status().to_string();
     EXPECT_EQ(got.value().plan_id, 0xabcdef0123456789ull);
-    const BandPlanner& planner = got.value().planner;
-    EXPECT_EQ(planner.shard(), s);
-    EXPECT_EQ(planner.bands().shards(), 3u);
-    EXPECT_EQ(planner.bands().rows(), h->plan()->shape().rows);
-    EXPECT_EQ(planner.bands().cols(), h->plan()->shape().cols);
-    EXPECT_EQ(planner.table_bytes(), want.table_bytes());
-    EXPECT_TRUE(std::ranges::equal(planner.pass1().gather, want.pass1().gather));
-    EXPECT_TRUE(std::ranges::equal(planner.pass2().gather, want.pass2().gather));
-    EXPECT_TRUE(std::ranges::equal(planner.pass3().gather, want.pass3().gather));
+    const BandExchange& band = got.value().band;
+    EXPECT_EQ(band.shard(), s);
+    EXPECT_EQ(band.bands().shards(), 3u);
+    EXPECT_EQ(band.bands().rows(), 64u);
+    EXPECT_EQ(band.bands().cols(), 64u);
+    EXPECT_EQ(band.table_bytes(), 8 * bands.value().band_elements(s));
+    EXPECT_TRUE(std::ranges::equal(band.send(), want.send()));
+    EXPECT_TRUE(std::ranges::equal(band.recv(), want.recv()));
+    EXPECT_TRUE(std::ranges::equal(band.pack(), want.pack()));
+    EXPECT_TRUE(std::ranges::equal(band.merge(), want.merge()));
   }
 }
 
@@ -473,44 +330,77 @@ TEST(ShardCodec, PlanRejectsHostileInputs) {
   const perm::Permutation p = perm::by_name("random", 1 << 12, 13);
   const std::vector<std::uint8_t> good = sample_shard_plan(p, 1);
   ASSERT_TRUE(net::ShardPlanRequest::decode(good).ok());
+  // Layout of band 1 of 3: header [0, 32), send [32, 56), recv [56, 80),
+  // pack [80, 80 + 4 * 1344), merge after it.
+  constexpr std::size_t kSend = 32, kRecv = 56, kPack = 80, kMerge = 80 + 4 * 1344;
+  ASSERT_EQ(good.size(), kMerge + 4 * 1344);
 
   // Each hostile input fails typed, with its own reason.
   std::vector<std::string> reasons;
-  const auto expect_reject = [&](const std::vector<std::uint8_t>& bytes, const char* what) {
+  const auto expect_reject = [&](const std::vector<std::uint8_t>& bytes, const char* what,
+                                 const char* reason) {
     auto r = net::ShardPlanRequest::decode(bytes);
     ASSERT_FALSE(r.ok()) << what;
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << what;
+    EXPECT_NE(r.status().message().find(reason), std::string::npos)
+        << what << ": " << r.status().to_string();
     reasons.push_back(r.status().message());
+  };
+  const auto u64_at = [&](std::size_t offset) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) v |= std::uint64_t{good[offset + i]} << (8 * i);
+    return v;
+  };
+  const auto put_u32 = [](std::vector<std::uint8_t>& bytes, std::size_t offset, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) bytes[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  };
+  const auto put_u64 = [](std::vector<std::uint8_t>& bytes, std::size_t offset, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) bytes[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
   };
   const auto with_u32 = [&](std::size_t offset, std::uint32_t v) {
     std::vector<std::uint8_t> bad = good;
-    for (int i = 0; i < 4; ++i) bad[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    put_u32(bad, offset, v);
     return bad;
   };
   const auto with_u64 = [&](std::size_t offset, std::uint64_t v) {
     std::vector<std::uint8_t> bad = good;
-    for (int i = 0; i < 8; ++i) bad[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    put_u64(bad, offset, v);
+    return bad;
+  };
+  // Entry k of the table at `table` repeats entry 0.
+  const auto repeat_first = [&](std::size_t table) {
+    std::vector<std::uint8_t> bad = good;
+    std::copy_n(bad.begin() + table, 4, bad.begin() + table + 4 * 1343);
     return bad;
   };
 
-  expect_reject({good.begin(), good.begin() + 20}, "truncated frame");
-  expect_reject(with_u32(12, 0), "zero shards");
-  expect_reject(with_u32(8, 3), "shard_index >= shard_count");
+  expect_reject({good.begin(), good.begin() + 20}, "truncated frame", "truncated header");
+  expect_reject(with_u32(12, 0), "zero shards", "shard count out of range");
+  expect_reject(with_u32(8, 3), "shard_index >= shard_count", "shard index out of range");
   {
-    std::vector<std::uint8_t> bad = with_u64(16, 1ull << 33);
-    for (int i = 0; i < 8; ++i) bad[24 + i] = bad[16 + i];  // cols = rows = 2^33
-    expect_reject(bad, "rows * cols overflow");
+    std::vector<std::uint8_t> bad = with_u64(16, 1ull << 17);
+    put_u64(bad, 24, 1ull << 17);
+    expect_reject(bad, "rows * cols past 2^32", "32-bit element index");
   }
-  expect_reject(with_u64(24, (1ull << 16) + 1), "cols > 65536");
-  expect_reject({good.begin(), good.end() - 2}, "table length off by one");
+  expect_reject(with_u64(16, 2), "three shards over two rows", "more shards");
+  expect_reject({good.begin(), good.begin() + kRecv + 4}, "truncated counts",
+                "truncated block lengths");
+  expect_reject({good.begin(), good.end() - 4}, "tables short by one entry",
+                "table bytes do not match");
+  expect_reject(with_u64(kSend, u64_at(kSend) + 1), "send lengths off by one",
+                "send lengths do not sum");
+  expect_reject(with_u64(kRecv, u64_at(kRecv) + 1), "recv lengths off by one",
+                "receive lengths do not sum");
   {
-    // The last row of pass 3 repeats its first entry.
-    std::vector<std::uint8_t> bad = good;
-    const std::size_t row = bad.size() - 2 * 64;
-    bad[bad.size() - 2] = bad[row];
-    bad[bad.size() - 1] = bad[row + 1];
-    expect_reject(bad, "one row with a duplicated index");
+    // send still sums to the band, but the self block moved to shard 0.
+    std::vector<std::uint8_t> bad = with_u64(kSend, u64_at(kSend) + 1);
+    put_u64(bad, kSend + 8, u64_at(kSend + 8) - 1);
+    expect_reject(bad, "self block differs", "self block");
   }
+  expect_reject(repeat_first(kPack), "pack with a repeated entry",
+                "pack table is not a permutation");
+  expect_reject(repeat_first(kMerge), "merge with a repeated entry",
+                "merge table is not a permutation");
   std::vector<std::string> distinct = reasons;
   std::ranges::sort(distinct);
   EXPECT_EQ(std::ranges::unique(distinct).begin(), distinct.end())
@@ -617,9 +507,9 @@ runtime::StatusOr<std::vector<std::uint32_t>> run_distributed(
   config.max_payload_bytes = max_payload;
   config.connect_timeout = 1'000ms;
   config.io_timeout = io_timeout;
+  static std::atomic<std::uint64_t> next_session{0x5e55'0000};
   auto result = net::DistributedPermuter::execute(
-      config, /*session_id=*/0x5e55'1011u + p.size(), plan_id, /*deadline_ms=*/0, shape.rows,
-      shape.cols,
+      config, next_session++, plan_id, /*deadline_ms=*/0, shape.rows, shape.cols,
       std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(data.data()),
                                     data.size_bytes()),
       targets, [&](std::size_t idx) {
@@ -637,96 +527,274 @@ runtime::StatusOr<std::vector<std::uint32_t>> run_distributed(
   return out;
 }
 
-// ------------------------------------------------------- end-to-end wire
+/// `shards` live in-process shards.
+struct Fleet {
+  std::vector<std::unique_ptr<Shard>> shards;
+  std::vector<Shard*> ptrs;
 
-TEST(DistributedWire, TwoAndFourShardsMatchOracleUint32) {
-  const std::uint64_t n = 1 << 14;
-  const perm::Permutation p = perm::by_name("random", n, 23);
-  std::vector<std::uint32_t> in(n), expect(n);
-  for (std::uint64_t i = 0; i < n; ++i) in[i] = static_cast<std::uint32_t>(i * 0x85ebca6bu);
-  p.apply<std::uint32_t>({in.data(), n}, {expect.data(), n});
-
-  for (std::size_t count : {2u, 4u}) {
-    std::vector<std::unique_ptr<Shard>> shards;
-    std::vector<Shard*> ptrs;
+  explicit Fleet(std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) {
       shards.push_back(std::make_unique<Shard>());
       shards.back()->start();
       ptrs.push_back(shards.back().get());
     }
-    auto out = run_distributed(ptrs, p, {in.data(), n});
-    ASSERT_TRUE(out.ok()) << count << " shards: " << out.status().to_string();
-    EXPECT_EQ(out.value(), expect) << count << " shards";
-    for (auto& s : shards) {
-      EXPECT_EQ(s->server->counters().shard_execs, 1u);
-      EXPECT_EQ(s->server->counters().shard_aborts, 0u);
-      // Every shard accepted one wire block per *other* peer per round
-      // (its own block short-circuits locally, never hitting the wire).
-      EXPECT_EQ(s->server->counters().shard_blocks, 2 * (count - 1));
-      s->stop();
+  }
+  ~Fleet() {
+    for (auto& s : shards) s->stop();
+  }
+};
+
+// ----------------------------------------------------- the one oracle
+
+/// One oracle case: a permutation of a 32-bit word array, its input,
+/// and the serial oracle's output. Wider elements ride as words: the
+/// word map P_w(w i + k) = w P(i) + k moves each element's words
+/// together, so permuting the words permutes the elements.
+struct OracleCase {
+  std::string name;
+  perm::Permutation p;
+  std::vector<std::uint32_t> in;
+  std::vector<std::uint32_t> expect;
+};
+
+template <class T>
+std::vector<std::uint32_t> as_words(const std::vector<T>& v) {
+  std::vector<std::uint32_t> words(v.size() * sizeof(T) / sizeof(std::uint32_t));
+  std::memcpy(words.data(), v.data(), v.size() * sizeof(T));
+  return words;
+}
+
+template <class T>
+OracleCase make_case(std::string name, const perm::Permutation& p) {
+  const std::uint64_t n = p.size();
+  std::vector<T> a(n), b(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if constexpr (std::is_same_v<T, std::uint32_t>) {
+      a[i] = static_cast<std::uint32_t>(i * 0x9e3779b9u);
+    } else {
+      a[i] = static_cast<T>(0.5) + static_cast<T>(i) / static_cast<T>(3);
+    }
+  }
+  p.apply<T>(a, b);
+  constexpr std::uint64_t w = sizeof(T) / sizeof(std::uint32_t);
+  util::aligned_vector<std::uint32_t> words(n * w);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    for (std::uint64_t k = 0; k < w; ++k) {
+      words[w * i + k] = static_cast<std::uint32_t>(w * p(i) + k);
+    }
+  }
+  return OracleCase{std::move(name), perm::Permutation(std::move(words)), as_words(a),
+                    as_words(b)};
+}
+
+/// The row bands a coordinator splits `words` words into.
+BandPlan word_bands(std::uint64_t words, std::uint32_t shards) {
+  const core::MatrixShape shape = core::shape_for(words, 32);
+  auto bands = BandPlan::build(shape.rows, shape.cols, shards);
+  EXPECT_TRUE(bands.ok()) << bands.status().to_string();
+  return std::move(bands).value();
+}
+
+/// Every family at n = 2^12 as uint32, float and double, plus the
+/// inputs of the two oracle tests this one replaced.
+std::vector<OracleCase> oracle_cases(std::uint32_t shards) {
+  const std::uint64_t n = 1 << 12;
+  std::vector<OracleCase> cases;
+  const auto add_all_types = [&](const std::string& family,
+                                 const std::function<perm::Permutation(std::uint64_t)>& of) {
+    // `of(w)` is the element permutation whose elements are w words.
+    cases.push_back(make_case<std::uint32_t>(family + "/u32", of(1)));
+    cases.push_back(make_case<float>(family + "/float", of(1)));
+    cases.push_back(make_case<double>(family + "/double", of(2)));
+  };
+  for (const char* family : {"random", "identical", "bit-reversal", "transpose"}) {
+    add_all_types(family, [&](std::uint64_t) { return perm::by_name(family, n, 23); });
+  }
+  // Band shift: rotate by one band of the word split, so (for an even
+  // split) every element of a band crosses the same link.
+  add_all_types("band-shift", [&](std::uint64_t w) {
+    return perm::rotation(n, word_bands(n * w, shards).band_elements(0) / w);
+  });
+  cases.push_back(make_case<std::uint32_t>("random-2^12-seed17/u32",
+                                           perm::by_name("random", n, 17)));
+  cases.push_back(make_case<std::uint32_t>("random-2^14-seed23/u32",
+                                           perm::by_name("random", 1 << 14, 23)));
+  return cases;
+}
+
+/// The exchange without sockets: compile, pack every band, route every
+/// block to its destination's slot, merge.
+std::vector<std::uint32_t> simulate(const OracleCase& c, std::uint32_t shards) {
+  const BandPlan bands = word_bands(c.p.size(), shards);
+  auto compiled = BandExchange::compile(c.p, bands);
+  EXPECT_TRUE(compiled.ok()) << compiled.status().to_string();
+  if (!compiled.ok()) return {};
+  const std::vector<BandExchange>& ex = compiled.value();
+  util::ThreadPool& pool = util::ThreadPool::global();
+
+  std::vector<std::vector<std::uint32_t>> packed(shards), recv(shards);
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    packed[s].resize(ex[s].elements());
+    recv[s].resize(ex[s].elements());
+    cpu::gather<std::uint32_t>(
+        pool, std::span(c.in).subspan(bands.band_offset(s), ex[s].elements()), packed[s],
+        ex[s].pack());
+  }
+  for (std::uint32_t src = 0; src < shards; ++src) {
+    for (std::uint32_t dst = 0; dst < shards; ++dst) {
+      EXPECT_EQ(ex[src].send()[dst], ex[dst].recv()[src]) << c.name;
+      std::copy_n(packed[src].begin() + ex[src].send_offset(dst), ex[src].send()[dst],
+                  recv[dst].begin() + ex[dst].recv_offset(src));
+    }
+  }
+  std::vector<std::uint32_t> out(c.in.size());
+  for (std::uint32_t d = 0; d < shards; ++d) {
+    cpu::gather<std::uint32_t>(pool, recv[d],
+                               std::span(out).subspan(bands.band_offset(d), ex[d].elements()),
+                               ex[d].merge());
+  }
+  return out;
+}
+
+/// Elements of each band that leave it — counted from p alone, not
+/// from the compiled tables.
+std::vector<std::uint64_t> elements_leaving(const perm::Permutation& p, const BandPlan& bands) {
+  const auto band_of = [&](std::uint64_t i) {
+    std::uint32_t s = 0;
+    while (i >= bands.band_offset(s) + bands.band_elements(s)) ++s;
+    return s;
+  };
+  std::vector<std::uint64_t> leaving(bands.shards(), 0);
+  for (std::uint64_t i = 0; i < p.size(); ++i) {
+    const std::uint32_t src = band_of(i);
+    if (src != band_of(p(i))) ++leaving[src];
+  }
+  return leaving;
+}
+
+class ShardCounts : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(ShardCounts, LocalAndLoopbackMatchTheOracle) {
+  const std::uint32_t shards = GetParam();
+  Fleet fleet(shards);
+  const std::vector<OracleCase> cases = oracle_cases(shards);
+  std::vector<std::uint64_t> pushed(shards, 0);
+  for (const OracleCase& c : cases) {
+    EXPECT_EQ(simulate(c, shards), c.expect) << c.name << " simulated, " << shards << " shards";
+    auto out = run_distributed(fleet.ptrs, c.p, c.in);
+    ASSERT_TRUE(out.ok()) << c.name << ": " << out.status().to_string();
+    EXPECT_EQ(out.value(), c.expect) << c.name << " over loopback, " << shards << " shards";
+
+    const std::vector<std::uint64_t> leaving =
+        elements_leaving(c.p, word_bands(c.p.size(), shards));
+    for (std::uint32_t s = 0; s < shards; ++s) pushed[s] += leaving[s] * sizeof(std::uint32_t);
+  }
+  // One wire block from every peer per execution (its own block never
+  // travels), and each element that changes band pushed once.
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    const net::Server::Counters c = fleet.shards[s]->server->counters();
+    EXPECT_EQ(c.shard_execs, cases.size());
+    EXPECT_EQ(c.shard_aborts, 0u);
+    EXPECT_EQ(c.shard_blocks, cases.size() * (shards - 1)) << "shard " << s;
+    EXPECT_EQ(c.shard_xchg_bytes, pushed[s]) << "shard " << s;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(DistributedOracle, ShardCounts, ::testing::Range(1u, 9u),
+                         [](const ::testing::TestParamInfo<std::uint32_t>& shard_count) {
+                           return "s" + std::to_string(shard_count.param);
+                         });
+
+// ------------------------------------------------------- end-to-end wire
+
+TEST(DistributedWire, FloatAndDoubleRideAsWordsBitIdentical) {
+  for (const OracleCase& c :
+       {make_case<float>("shuffle/float", perm::by_name("shuffle", 1 << 12, 7)),
+        make_case<double>("random/double", perm::by_name("random", 1 << 12, 9))}) {
+    for (const std::size_t shards : {3u, 4u}) {
+      Fleet fleet(shards);
+      auto out = run_distributed(fleet.ptrs, c.p, c.in);
+      ASSERT_TRUE(out.ok()) << c.name << ": " << out.status().to_string();
+      EXPECT_EQ(std::memcmp(out.value().data(), c.expect.data(), c.expect.size() * 4), 0)
+          << c.name << ", " << shards << " shards";
     }
   }
 }
 
-TEST(DistributedWire, FloatAndDoubleRideAsWordsBitIdentical) {
-  // float: one word per element — the word permutation IS the element
-  // permutation, so the wire path is exercised with float payload bits.
-  {
-    const std::uint64_t n = 1 << 12;
-    const perm::Permutation p = perm::by_name("shuffle", n, 7);
-    std::vector<float> a(n);
-    for (std::uint64_t i = 0; i < n; ++i) a[i] = 0.5f + static_cast<float>(i) * 1.25f;
-    std::vector<float> expect(n);
-    p.apply<float>({a.data(), n}, {expect.data(), n});
-
-    std::vector<std::uint32_t> words(n);
-    std::memcpy(words.data(), a.data(), n * sizeof(float));
-
-    std::vector<std::unique_ptr<Shard>> shards;
-    std::vector<Shard*> ptrs;
-    for (int i = 0; i < 3; ++i) {
-      shards.push_back(std::make_unique<Shard>());
-      shards.back()->start();
-      ptrs.push_back(shards.back().get());
-    }
-    auto out = run_distributed(ptrs, p, {words.data(), n});
-    ASSERT_TRUE(out.ok()) << out.status().to_string();
-    EXPECT_EQ(std::memcmp(out.value().data(), expect.data(), n * sizeof(float)), 0);
-    for (auto& s : shards) s->stop();
+TEST(DistributedWire, PeerTrafficIsOneCrossingPerMovedElement) {
+  // Three shards over 128 x 128 (bands of 43 / 43 / 42 rows). Identity
+  // keeps every element home; random moves about (s-1)/s of each band,
+  // once — the two-round exchange moved 2(s-1)/s.
+  const std::uint64_t n = 1 << 14;
+  Fleet fleet(3);
+  const BandPlan bands = word_bands(n, 3);
+  const OracleCase identical = make_case<std::uint32_t>("identical", perm::identical(n));
+  auto out = run_distributed(fleet.ptrs, identical.p, identical.in);
+  ASSERT_TRUE(out.ok()) << out.status().to_string();
+  EXPECT_EQ(out.value(), identical.expect);
+  for (auto& s : fleet.shards) {
+    EXPECT_EQ(s->server->counters().shard_xchg_bytes, 0u) << "identity pushes nothing";
+    EXPECT_EQ(s->server->counters().shard_blocks, 2u) << "one empty block from each peer";
   }
-  // double: two words per element. The word-level permutation
-  // P_w(2i + j) = 2 P(i) + j over 2n words moves each double's word
-  // pair together, so permuting the word view equals permuting doubles.
-  {
-    const std::uint64_t n = 1 << 12;
-    const perm::Permutation p = perm::by_name("random", n, 9);
-    util::aligned_vector<std::uint32_t> word_map(2 * n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      word_map[2 * i] = 2 * p(i);
-      word_map[2 * i + 1] = 2 * p(i) + 1;
-    }
-    const perm::Permutation pw(std::move(word_map));
 
-    std::vector<double> a(n);
-    for (std::uint64_t i = 0; i < n; ++i) a[i] = 1.0 / (1.0 + static_cast<double>(i));
-    std::vector<double> expect(n);
-    p.apply<double>({a.data(), n}, {expect.data(), n});
-
-    std::vector<std::uint32_t> words(2 * n);
-    std::memcpy(words.data(), a.data(), n * sizeof(double));
-
-    std::vector<std::unique_ptr<Shard>> shards;
-    std::vector<Shard*> ptrs;
-    for (int i = 0; i < 4; ++i) {
-      shards.push_back(std::make_unique<Shard>());
-      shards.back()->start();
-      ptrs.push_back(shards.back().get());
-    }
-    auto out = run_distributed(ptrs, pw, {words.data(), 2 * n});
-    ASSERT_TRUE(out.ok()) << out.status().to_string();
-    EXPECT_EQ(std::memcmp(out.value().data(), expect.data(), n * sizeof(double)), 0);
-    for (auto& s : shards) s->stop();
+  const OracleCase random = make_case<std::uint32_t>("random", perm::by_name("random", n, 29));
+  out = run_distributed(fleet.ptrs, random.p, random.in);
+  ASSERT_TRUE(out.ok()) << out.status().to_string();
+  EXPECT_EQ(out.value(), random.expect);
+  const std::vector<std::uint64_t> leaving = elements_leaving(random.p, bands);
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    const std::uint64_t band_bytes = bands.band_elements(s) * sizeof(std::uint32_t);
+    const std::uint64_t bytes = fleet.shards[s]->server->counters().shard_xchg_bytes;
+    EXPECT_EQ(bytes, leaving[s] * sizeof(std::uint32_t)) << "shard " << s;
+    EXPECT_GT(bytes, band_bytes / 2) << "shard " << s;
+    EXPECT_LT(bytes, band_bytes * 3 / 4) << "shard " << s;
+    const std::string value = std::to_string(bytes);
+    EXPECT_NE(fleet.shards[s]->server->to_prometheus().find(
+                  "hmm_server_shard_xchg_bytes_total " + value + "\n"),
+              std::string::npos);
+    net::Client::Config cc;
+    cc.host = "127.0.0.1";
+    cc.port = fleet.shards[s]->port;
+    net::Client direct(cc);
+    auto stats = direct.stats_json();
+    ASSERT_TRUE(stats.ok()) << stats.status().to_string();
+    EXPECT_NE(stats.value().find("\"shard_xchg_bytes\":" + value + ","), std::string::npos)
+        << stats.value();
   }
+}
+
+TEST(DistributedWire, RevisionOneShardExecIsRefusedTyped) {
+  std::vector<std::uint8_t> v1 = sample_exec().encode();
+  v1[0] = 1;
+  auto decoded = net::ShardExecRequestView::decode(v1, 1 << 20);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("unsupported shard protocol version"),
+            std::string::npos)
+      << decoded.status().to_string();
+
+  // A shard answers it at once with the typed refusal, so a mixed fleet
+  // fails cleanly instead of waiting out an exchange.
+  Shard shard;
+  shard.start();
+  auto conn = net::tcp_connect("127.0.0.1", shard.port, 1'000ms);
+  ASSERT_TRUE(conn.ok()) << conn.status().to_string();
+  net::TcpStream stream = std::move(conn).value();
+  ASSERT_TRUE(stream.set_io_timeout(5'000ms, 5'000ms).is_ok());
+  net::Frame frame;
+  frame.kind = static_cast<std::uint16_t>(net::MsgKind::kShardExec);
+  frame.request_id = 11;
+  frame.payload = v1;
+  ASSERT_TRUE(net::write_frame(stream, frame).is_ok());
+  auto answer = net::read_frame(stream, net::kDefaultMaxPayload);
+  ASSERT_TRUE(answer.ok()) << answer.status().to_string();
+  ASSERT_EQ(static_cast<net::MsgKind>(answer.value().kind), net::MsgKind::kError);
+  auto err = net::ErrorResponse::decode(answer.value().payload);
+  ASSERT_TRUE(err.ok());
+  EXPECT_EQ(err.value().to_status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(err.value().to_status().message().find("unsupported shard protocol version"),
+            std::string::npos);
+  shard.stop();
 }
 
 TEST(DistributedWire, DeadShardFailsTypedAndLeaksNothing) {
@@ -1008,7 +1076,7 @@ TEST(DistributedRouter, RestartedShardIsReprimedExactlyOnce) {
 
 TEST(DistributedRouter, PrimedShardsHoldOnlyTheirBands) {
   DistFleet fleet;
-  const std::uint64_t n = 1 << 14;  // 128 x 128: every band table is 6 B per band element
+  const std::uint64_t n = 1 << 14;  // 128 x 128: every band's tables are 8 B per element
   const perm::Permutation p = perm::by_name("random", n, 61);
   net::Client first(fleet.client_config());
   auto plan = first.submit_plan(p);
@@ -1036,7 +1104,7 @@ TEST(DistributedRouter, PrimedShardsHoldOnlyTheirBands) {
   for (std::uint32_t s = 0; s < 3; ++s) {
     const Shard& shard = *fleet.backends[order[s]];
     EXPECT_EQ(shard.server->shard_plans(), 1u);
-    EXPECT_EQ(shard.server->shard_plan_bytes(), 6 * bands.value().band_elements(s));
+    EXPECT_EQ(shard.server->shard_plan_bytes(), 8 * bands.value().band_elements(s));
     EXPECT_EQ(shard.server->counters().shard_compiles, 0u);
     EXPECT_EQ(shard.server->counters().shard_execs, 2u);
     EXPECT_EQ(shard.service->cache().entries(), 0u) << "a primed shard compiles nothing";
@@ -1185,10 +1253,9 @@ TEST(DistributedWire, MalformedShardPlanLeavesNoBand) {
   shard.start();
   const perm::Permutation p = perm::by_name("random", 1 << 12, 13);
   std::vector<std::uint8_t> payload = sample_shard_plan(p, 2);
-  // The last row of pass 3 repeats its first entry.
-  const std::size_t row = payload.size() - 2 * 64;
-  payload[payload.size() - 2] = payload[row];
-  payload[payload.size() - 1] = payload[row + 1];
+  // The last merge entry repeats the first (band 2 holds 21 x 64).
+  const std::size_t merge = payload.size() - 4 * 21 * 64;
+  std::copy_n(payload.begin() + merge, 4, payload.end() - 4);
 
   const Status primed = prime_shard(shard.port, payload);
   ASSERT_FALSE(primed.is_ok());
@@ -1218,8 +1285,7 @@ TEST(DistributedRouter, BigPermuteAboveSingleFrameCap) {
   std::vector<Shard*> ptrs;
   for (int i = 0; i < 4; ++i) {
     shards.push_back(std::make_unique<Shard>());
-    // Generous budgets: the one 2^24 compile (run_distributed's, the
-    // router's offline phase) dwarfs the exchange itself.
+    // Generous budgets for slow hosts and sanitizer builds.
     shards.back()->start(/*exchange_timeout=*/600'000ms, big_payload);
     ptrs.push_back(shards.back().get());
   }

@@ -1410,7 +1410,6 @@ TEST(NetReactor, EarlyArrivalShardHoldsAreBoundedAndReleased) {
     Loopback loop({}, server_config);
 
     net::ShardXchgRequest xchg;
-    xchg.round = 1;
     xchg.src_shard = 0;
     xchg.block.assign(768, 7);  // 3072 payload bytes
 
