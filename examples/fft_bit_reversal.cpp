@@ -89,6 +89,7 @@ int main(int argc, char** argv) {
   const model::MachineParams machine = model::MachineParams::gtx680();
 
   // --- correctness: FFT (with library reorder) vs direct DFT ----------
+  bool fft_ok = false;
   {
     const core::ScheduledPlan plan =
         core::ScheduledPlan::build(perm::bit_reversal(verify_n), machine);
@@ -102,8 +103,9 @@ int main(int argc, char** argv) {
     for (std::uint64_t i = 0; i < verify_n; ++i) {
       max_err = std::max(max_err, std::abs(x[i] - expected[i]));
     }
+    fft_ok = max_err < 1e-6 * verify_n;
     std::cout << "FFT vs DFT (n=" << verify_n << "): max |error| = " << max_err
-              << (max_err < 1e-6 * verify_n ? "  [OK]" : "  [FAIL]") << "\n";
+              << (fft_ok ? "  [OK]" : "  [FAIL]") << "\n";
   }
 
   // --- reorder-stage timing at scale ----------------------------------
@@ -124,8 +126,9 @@ int main(int argc, char** argv) {
   core::d_designated_cpu<cplx>(pool, a, b2, rev);
   const double t_conv = sw.millis();
 
+  const bool equal = b == b2;
   std::cout << "bit-reversal reorder of " << n << " complex<double>: scheduled "
             << util::format_ms(t_sched) << " ms vs conventional " << util::format_ms(t_conv)
-            << " ms; equal: " << (b == b2 ? "yes" : "NO") << "\n";
-  return 0;
+            << " ms; equal: " << (equal ? "yes" : "NO") << "\n";
+  return fft_ok && equal ? 0 : 1;
 }

@@ -73,10 +73,11 @@ int main(int argc, char** argv) {
               << std::setw(15) << model::to_string(r.observed) << std::setw(8) << r.stages
               << r.time << "\n";
   }
+  const bool hold = sim.stats().declarations_hold();
   std::cout << "  total: " << total << " time units (formula "
             << model::scheduled_time(n, mp) << ", lower bound "
             << model::lower_bound(n, mp) << ")\n"
             << "  every global round coalesced / shared round conflict-free: "
-            << (sim.stats().declarations_hold() ? "yes" : "NO") << "\n";
-  return 0;
+            << (hold ? "yes" : "NO") << "\n";
+  return hold ? 0 : 1;
 }

@@ -134,7 +134,7 @@ void BufferPool::trim() {
   std::lock_guard lock(mutex_);
   for (auto& per_class : free_lists_) {
     for (std::size_t i = 0; i < per_class.size(); ++i) {
-      const std::size_t size = config_.min_class_bytes << i;
+      [[maybe_unused]] const std::size_t size = config_.min_class_bytes << i;
       for (std::uint8_t* block : per_class[i]) {
         HMM_POOL_UNPOISON(block, size);
         ::operator delete(block, std::align_val_t{kBufferAlignment});

@@ -7,7 +7,6 @@
 #include "core/plan.hpp"
 #include "core/scheduled.hpp"
 #include "core/shared_permute.hpp"
-#include "exec/kernel.hpp"
 #include "perm/generators.hpp"
 #include "sim/hmm_sim.hpp"
 #include "test_helpers.hpp"
@@ -65,14 +64,6 @@ TEST(EdgeCases, SharedRoundRequiresAlignedBlocks) {
   EXPECT_DEATH(sim.shared_round("s", addrs, 8, model::Dir::kRead,
                                 model::AccessClass::kConflictFree),
                "multiple of block size");
-}
-
-TEST(EdgeCases, ExecLaunchRequiresWidthMultipleBlocks) {
-  exec::Machine m(MachineParams::tiny(4, 5, 2));
-  struct Regs {};
-  exec::Kernel<Regs> k("noop");
-  k.compute([](const exec::ThreadCtx&, Regs&) {});
-  EXPECT_DEATH(m.launch(exec::LaunchConfig{1, 6}, k), "multiple of the machine width");
 }
 
 TEST(EdgeCases, SharedPermutationSizeLimits) {

@@ -3,6 +3,8 @@
 #include <complex>
 #include <cstring>
 #include <iterator>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/conventional.hpp"
@@ -307,6 +309,88 @@ TEST(ScheduledSim, LosesToConventionalOnIdentical) {
   const std::uint64_t t_conv = d_designated_sim_rounds(sim_conv, p);
   EXPECT_GT(t_sched, t_conv);
 }
+
+/// Machine sweep of the simulator backend: on every test machine and
+/// every paper family, each executor's `*_sim` moves the data to the
+/// oracle's result, and its clock equals the cost model's closed form
+/// and the address-only round generator run on a fresh simulator.
+/// n = 16 w^2 is an even power of two, so the plan is square and every
+/// family is valid.
+class SimSweep : public ::testing::TestWithParam<std::tuple<int, std::string>> {
+ protected:
+  MachineParams mp() const { return test::machines()[std::get<0>(GetParam())]; }
+  std::uint64_t n() const { return 16ull * mp().width * mp().width; }
+  perm::Permutation p() const { return perm::by_name(std::get<1>(GetParam()), n(), 3); }
+};
+
+TEST_P(SimSweep, ScheduledMatchesTheorem9) {
+  const MachineParams mp = this->mp();
+  const std::uint64_t n = this->n();
+  const perm::Permutation p = this->p();
+  const ScheduledPlan plan = ScheduledPlan::build(p, mp);
+  const auto a = test::iota_data<float>(n);
+  util::aligned_vector<float> b(n, -1.f);
+  sim::HmmSim sim(mp);
+  const std::uint64_t t = scheduled_sim<float>(sim, plan, a, b);
+  expect_permuted<float>(p, a, b);
+  EXPECT_EQ(t, model::scheduled_time(n, mp));
+  sim::HmmSim addresses_only(mp);
+  EXPECT_EQ(scheduled_sim_rounds(addresses_only, plan), t);
+  EXPECT_EQ(sim.stats().observed_counts(), model::rounds::scheduled);
+  EXPECT_TRUE(sim.stats().declarations_hold());
+}
+
+TEST_P(SimSweep, DDesignatedMatchesLemma4) {
+  const MachineParams mp = this->mp();
+  const std::uint64_t n = this->n();
+  const perm::Permutation p = this->p();
+  const auto a = test::iota_data<float>(n);
+  util::aligned_vector<float> b(n, -1.f);
+  sim::HmmSim sim(mp);
+  const std::uint64_t t = d_designated_sim<float>(sim, a, b, p);
+  expect_permuted<float>(p, a, b);
+  EXPECT_EQ(t, model::d_designated_time(n, perm::distribution(p, mp.width), mp));
+  sim::HmmSim addresses_only(mp);
+  EXPECT_EQ(d_designated_sim_rounds(addresses_only, p), t);
+  EXPECT_EQ(sim.stats().rounds.size(), model::rounds::d_designated.total_rounds());
+  EXPECT_TRUE(sim.stats().declarations_hold());
+}
+
+TEST_P(SimSweep, SDesignatedDoubleMatchesLemma4) {
+  const MachineParams mp = this->mp();
+  const std::uint64_t n = this->n();
+  const perm::Permutation p = this->p();
+  const perm::Permutation pinv = p.inverse();
+  constexpr std::uint32_t kWords = model::words_of<double>();
+  const auto a = test::iota_data<double>(n);
+  util::aligned_vector<double> b(n, -1.0);
+  sim::HmmSim sim(mp);
+  const std::uint64_t t = s_designated_sim<double>(sim, a, b, pinv);
+  expect_permuted<double>(p, a, b);
+  EXPECT_EQ(t, model::s_designated_time(
+                   n, perm::inverse_distribution_groups(p, mp.width, mp.width / kWords), mp,
+                   kWords));
+  sim::HmmSim addresses_only(mp);
+  EXPECT_EQ(s_designated_sim_rounds(addresses_only, pinv, kWords), t);
+  EXPECT_EQ(sim.stats().rounds.size(), model::rounds::s_designated.total_rounds());
+  EXPECT_TRUE(sim.stats().declarations_hold());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, SimSweep,
+    ::testing::Combine(::testing::Values(0, 1, 2),
+                       ::testing::Values("identical", "shuffle", "random", "bit-reversal",
+                                         "transpose", "butterfly", "rotation", "gray")),
+    [](const ::testing::TestParamInfo<SimSweep::ParamType>& case_info) {
+      std::string name = "m";
+      name += std::to_string(std::get<0>(case_info.param));
+      name += '_';
+      name += std::get<1>(case_info.param);
+      for (char& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace hmm::core

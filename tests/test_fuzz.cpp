@@ -11,7 +11,6 @@
 #include "core/plan.hpp"
 #include "core/plan_io.hpp"
 #include "core/scheduled.hpp"
-#include "exec/paper_kernels.hpp"
 #include "model/cost.hpp"
 #include "perm/distribution.hpp"
 #include "perm/generators.hpp"
@@ -98,14 +97,11 @@ TEST_P(Fuzz, FullInvariantChain) {
   ASSERT_EQ(core::d_designated_sim_rounds(conv, d.p),
             model::d_designated_time(d.n, perm::distribution(d.p, mp.width), mp));
 
-  // 5. exec-layer kernels agree with the hand-rolled rounds.
-  exec::Machine m(mp);
-  auto ga = m.alloc_global<float>(std::span<const float>{a.data(), d.n});
-  auto gb = m.alloc_global<float>(d.n);
-  const std::uint64_t t_exec = exec::scheduled_exec<float>(m, ga, gb, plan);
-  ASSERT_EQ(t_exec, t);
+  // 5. The simulator moves the data through the five kernels to the
+  //    reference result, in the same time as the rounds alone.
+  sim::HmmSim data_sim(mp);
   util::aligned_vector<float> out(d.n);
-  m.read_back(gb, std::span<float>{out.data(), d.n});
+  ASSERT_EQ(core::scheduled_sim<float>(data_sim, plan, a, out), t);
   ASSERT_EQ(out, expected);
 
   // 6. Serialization round-trip preserves behaviour.

@@ -36,12 +36,9 @@ run bench_ablation_columnwise --max 1M
 run bench_ablation_passes --n 1M
 run bench_plan_build --max 1M
 run bench_shared_permutation
-run bench_app_fft --n 64K
-run bench_app_sorting --n 16K
 run bench_ablation_omega
 run bench_ablation_blockcap --max 8M
 run bench_ablation_packed --n 1M
-run bench_app_scan --max 128K
 run bench_machine_sweep --n 1M
 
 # Runtime serving layer: cold/warm plan acquisition + batched execution.
