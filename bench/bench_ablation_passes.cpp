@@ -45,20 +45,26 @@ int main(int argc, char** argv) {
       id2[cpu::band_offset(m, r, row, c)] = static_cast<std::uint16_t>(c);
     }
   }
-  const core::SweepTables identity{r, m, id1, id2, id3};
 
   util::aligned_vector<float> a(n, 1.f), b(n), s(n);
-  core::Lane<float> lane{a, b, s};
-  const std::span<core::Lane<float>> lanes(&lane, 1);
   const float* src = a.data();
   float* dst = s.data();
   const std::span<const float* const> in(&src, 1);
   const std::span<float* const> out(&dst, 1);
+  // The three sweeps as the pipeline runs them: a -> b -> s -> b.
+  const float* b_in = b.data();
+  const float* s_in = s.data();
+  float* b_out = b.data();
 
   const double t_sched =
-      bench::time_ms([&] { core::scheduled_cpu<float>(pool, plan, lanes); }, reps);
-  const double t_identity =
-      bench::time_ms([&] { core::scheduled_cpu<float>(pool, identity, lanes); }, reps);
+      bench::time_ms([&] { core::scheduled_cpu<float>(pool, plan, a, b, s); }, reps);
+  const double t_identity = bench::time_ms(
+      [&] {
+        cpu::band_sweep<float>(pool, in, {&b_out, 1}, r, m, id1);
+        cpu::band_sweep<float>(pool, {&b_in, 1}, out, m, r, id2);
+        cpu::row_sweep<float>(pool, {&s_in, 1}, {&b_out, 1}, r, m, id3);
+      },
+      reps);
   const double t_conv =
       bench::time_ms([&] { core::d_designated_cpu<float>(pool, a, b, p); }, reps);
 

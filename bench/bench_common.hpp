@@ -11,7 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "core/bucketed.hpp"
 #include "core/conventional.hpp"
+#include "core/permuter.hpp"
 #include "core/plan.hpp"
 #include "core/scheduled.hpp"
 #include "model/cost.hpp"
@@ -73,18 +75,21 @@ struct Measurement {
   std::uint64_t sim_units = 0;
 };
 
-/// All three algorithms measured on one permutation instance.
+/// The paper's three algorithms measured on one permutation instance,
+/// and the host's bucketed kernel beside them.
 template <class T>
 struct TrioResult {
   Measurement d_designated;
   Measurement s_designated;
   Measurement scheduled;
+  Measurement bucketed;
   std::uint64_t dist = 0;      ///< d_w(P)
   std::uint64_t dist_inv = 0;  ///< d_w(P^-1)
 };
 
-/// Run D-designated, S-designated, and scheduled on permutation `p`
-/// with element type T. `measure_sim=false` skips the simulator pass
+/// Run D-designated, S-designated, scheduled and bucketed on
+/// permutation `p` with element type T (bucketed with the band kAuto
+/// would give it on this host). `measure_sim=false` skips the simulator pass
 /// (used by the largest sizes to keep default runs quick).
 template <class T>
 TrioResult<T> run_trio(const perm::Permutation& p, const model::MachineParams& mp,
@@ -112,6 +117,13 @@ TrioResult<T> run_trio(const perm::Permutation& p, const model::MachineParams& m
   out.scheduled.cpu_ms =
       time_ms([&] { core::scheduled_cpu<T>(pool, plan, a, b, s1); }, reps);
 
+  const core::BucketedPlan buckets = core::BucketedPlan::build(
+      p, core::BucketedPlan::band_for(n, sizeof(T), core::host_params(0).l2_bytes),
+      core::BucketedPlan::skew_for(sizeof(T)));
+  util::aligned_vector<T> packed(buckets.packed_size());
+  out.bucketed.cpu_ms = time_ms(
+      [&] { (void)core::bucketed_cpu<T>(pool, buckets, a, b, packed); }, reps);
+
   if (measure_sim) {
     sim::HmmSim sim(mp);
     out.d_designated.sim_units = core::d_designated_sim_rounds(sim, p, words);
@@ -119,11 +131,16 @@ TrioResult<T> run_trio(const perm::Permutation& p, const model::MachineParams& m
     out.s_designated.sim_units = core::s_designated_sim_rounds(sim, pinv, words);
     sim.reset();
     out.scheduled.sim_units = core::scheduled_sim_rounds(sim, plan, words);
+    for (const perm::Permutation& gather : buckets.gathers()) {
+      sim.reset();
+      out.bucketed.sim_units += core::s_designated_sim_rounds(sim, gather, words);
+    }
   } else {
     // Closed forms are exact for these algorithms (verified by tests).
     out.d_designated.sim_units = model::d_designated_time(n, out.dist, mp, words);
     out.s_designated.sim_units = model::s_designated_time(n, out.dist_inv, mp, words);
     out.scheduled.sim_units = model::scheduled_time(n, mp, words);
+    out.bucketed.sim_units = core::bucketed_time(buckets, mp, words);
   }
   return out;
 }

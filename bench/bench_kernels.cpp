@@ -3,8 +3,9 @@
 ///        three algorithms are built from: coalesced-style streaming
 ///        copy, random scatter/gather (the conventional algorithms'
 ///        casual round), an empty fork-join, the scheduled plan's three
-///        gather sweeps (bytes moved and the fraction of the measured
-///        copy bandwidth per row), and the transposes.
+///        gather sweeps and the bucketed plan's two passes (bytes moved
+///        and the fraction of the measured copy bandwidth per row), and
+///        the transposes.
 ///
 /// The per-element throughput gap between `StreamCopy` and
 /// `RandomScatter` is the host-side analogue of the coalesced/casual
@@ -17,6 +18,7 @@
 #include <map>
 
 #include "cpu/kernels.hpp"
+#include "core/bucketed.hpp"
 #include "core/plan.hpp"
 #include "core/scheduled.hpp"
 #include "perm/generators.hpp"
@@ -185,6 +187,55 @@ BENCHMARK(BM_BandSweep1)->RangeMultiplier(4)->Range(1 << 14, 1 << 22)->UseRealTi
 BENCHMARK(BM_BandSweep2)->RangeMultiplier(4)->Range(1 << 14, 1 << 22)->UseRealTime();
 BENCHMARK(BM_RowSweep3)->RangeMultiplier(4)->Range(1 << 14, 1 << 22)->UseRealTime();
 BENCHMARK(BM_ScheduledThreeSweeps)->RangeMultiplier(4)->Range(1 << 14, 1 << 22)->UseRealTime();
+
+// The bucketed plan's two passes on float, one row each and the whole
+// strategy. The pack reads and writes the data and reads a u16 entry
+// (10 B/element), the merge a u32 entry (12 B/element); a request moves
+// 22n B. Arguments: n, the family (0 random, 1 bit-reversal,
+// 2 transpose) and the band (0 = BucketedPlan::band_for at a 2 MiB L2,
+// 16K floats).
+enum class Pass { kPack, kMerge, kAll };
+
+void bucket_rows(benchmark::State& state, Pass which) {
+  static const char* const kFamilies[] = {"random", "bit-reversal", "transpose"};
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  const char* family = kFamilies[state.range(1)];
+  const std::uint64_t band = state.range(2) > 0
+                                 ? static_cast<std::uint64_t>(state.range(2))
+                                 : core::BucketedPlan::band_for(n, sizeof(float), 2u << 20);
+  const core::BucketedPlan plan = core::BucketedPlan::build(
+      perm::by_name(family, n, 9), band, core::BucketedPlan::skew_for(sizeof(float)));
+  util::aligned_vector<float> a(n, 1.f), b(n), packed(plan.packed_size());
+  const std::span<const float> in(a.data(), n);
+  const std::span<float> scratch(packed.data(), packed.size());
+  for (auto _ : state) {
+    switch (which) {
+      case Pass::kPack:
+        core::bucketed_pack<float>(pool(), plan, in, scratch);
+        break;
+      case Pass::kMerge:
+        core::bucketed_merge<float>(pool(), plan, scratch, b);
+        break;
+      case Pass::kAll:
+        (void)core::bucketed_cpu<float>(pool(), plan, in, b, scratch);
+        break;
+    }
+    benchmark::DoNotOptimize(b.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::string(family) + " B=" + std::to_string(band));
+  const double per_elem = which == Pass::kPack ? 10.0 : which == Pass::kMerge ? 12.0 : 22.0;
+  report_bytes(state, n, per_elem * static_cast<double>(n));
+}
+void BM_BucketedPack(benchmark::State& state) { bucket_rows(state, Pass::kPack); }
+void BM_BucketedMerge(benchmark::State& state) { bucket_rows(state, Pass::kMerge); }
+void BM_Bucketed(benchmark::State& state) { bucket_rows(state, Pass::kAll); }
+BENCHMARK(BM_BucketedPack)->ArgsProduct({{1 << 20, 1 << 22, 1 << 24}, {0}, {0}})->UseRealTime();
+BENCHMARK(BM_BucketedMerge)->ArgsProduct({{1 << 20, 1 << 22, 1 << 24}, {0}, {0}})->UseRealTime();
+// The family spread at the default band, and the band sweep that fixed it.
+BENCHMARK(BM_Bucketed)
+    ->ArgsProduct({{1 << 20, 1 << 22, 1 << 24}, {0, 1, 2}, {0, 32768, 65536}})
+    ->UseRealTime();
 
 void BM_TransposeBlocked(benchmark::State& state) {
   const std::uint64_t n = state.range(0);

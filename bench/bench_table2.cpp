@@ -2,7 +2,8 @@
 /// \brief Reproduces **Table II**: running time of the D-designated,
 ///        S-designated, and scheduled algorithms for the five paper
 ///        permutations across array sizes, for float (Table IIa) and
-///        double (Table IIb) elements.
+///        double (Table IIb) elements, with the host's bucketed kernel
+///        (core/bucketed.hpp) beside them.
 ///
 /// Two result sets are printed per element type:
 ///  * host wall-clock milliseconds (this machine's CPU backend stands in
@@ -23,8 +24,8 @@
 /// LLC is much larger than the GTX-680's 512 KiB L2), and a kAuto table:
 /// each cell's host pick (core::host_pick on this host's probed
 /// parameters), the simulated L2 misses and predicted times behind it,
-/// and its regret t(pick) / min(t) against the measured S-designated
-/// and scheduled columns, summed per size over the families.
+/// and its regret t(pick) / min(t) against the measured S-designated,
+/// scheduled and bucketed columns, summed per size over the families.
 
 #include "bench_common.hpp"
 
@@ -37,19 +38,21 @@ namespace {
 using namespace hmm;
 
 /// The kAuto table: per cell the host pick and its regret against the
-/// better of the measured S-designated and scheduled times, the model's
-/// inputs behind the pick, and the regret summed over families per size.
+/// best of the measured S-designated, scheduled and bucketed times, the
+/// model's inputs behind the pick, and the regret summed over families
+/// per size.
 template <class T>
 void print_kauto(const std::string& type_name, const std::vector<std::uint64_t>& sizes,
                  const std::vector<std::string>& families,
                  const std::vector<std::vector<bench::TrioResult<T>>>& results,
                  const std::vector<std::vector<core::HostPick>>& picks, bool csv) {
   const auto measured_ms = [&](std::size_t f, std::size_t s, core::Strategy strategy) {
-    return strategy == core::Strategy::kScheduled ? results[f][s].scheduled.cpu_ms
-                                                  : results[f][s].s_designated.cpu_ms;
+    return strategy == core::Strategy::kBucketed ? results[f][s].bucketed.cpu_ms
+                                                 : results[f][s].s_designated.cpu_ms;
   };
   const auto best_ms = [&](std::size_t f, std::size_t s) {
-    return std::min(results[f][s].scheduled.cpu_ms, results[f][s].s_designated.cpu_ms);
+    const bench::TrioResult<T>& r = results[f][s];
+    return std::min({r.scheduled.cpu_ms, r.s_designated.cpu_ms, r.bucketed.cpu_ms});
   };
   std::vector<std::string> header = {"permutation"};
   for (std::uint64_t n : sizes) header.push_back(bench::size_label(n));
@@ -70,7 +73,7 @@ void print_kauto(const std::string& type_name, const std::vector<std::uint64_t>&
 
   print("kAuto host pick : regret t(pick)/min(t)", [&](std::size_t f, std::size_t s) {
     const core::Strategy pick = picks[f][s].strategy;
-    return std::string(pick == core::Strategy::kScheduled ? "sched " : "S-des ") +
+    return std::string(pick == core::Strategy::kBucketed ? "bucket " : "S-des ") +
            util::format_double(measured_ms(f, s, pick) / best_ms(f, s), 2);
   });
   print("kAuto model: L2 misses per element (page-aliased)", [&](std::size_t f, std::size_t s) {
@@ -78,17 +81,21 @@ void print_kauto(const std::string& type_name, const std::vector<std::uint64_t>&
     return util::format_double(static_cast<double>(picks[f][s].misses.lines) / n, 2) + " (" +
            util::format_double(static_cast<double>(picks[f][s].misses.aliased) / n, 2) + ")";
   });
-  print("kAuto model: predicted ms, S-designated / scheduled",
+  print("kAuto model: predicted ms, S-designated / bucketed",
         [&](std::size_t f, std::size_t s) {
           return util::format_ms(picks[f][s].conventional_ms) + " / " +
-                 util::format_ms(picks[f][s].scheduled_ms);
+                 util::format_ms(picks[f][s].bucketed_ms);
         });
+  print("bucketed / scheduled, measured", [&](std::size_t f, std::size_t s) {
+    return util::format_double(results[f][s].bucketed.cpu_ms / results[f][s].scheduled.cpu_ms,
+                               2);
+  });
 
   const model::HostParams host = core::host_params(sizes.back() * sizeof(T));
   std::cout << "\nHost parameters: line " << host.line_bytes << " B, L2 "
             << util::format_bytes(host.l2_bytes) << " / " << host.l2_ways << "-way, LLC share "
             << util::format_bytes(host.llc_bytes) << ", " << host.workers
-            << " workers; sched " << util::format_double(host.sched_ns, 3)
+            << " workers; bucketed " << util::format_double(host.bucket_ns, 3)
             << " ns/elem, miss " << util::format_double(host.miss_ns_llc, 3) << " (LLC) / "
             << util::format_double(host.miss_ns_dram, 3) << " (DRAM) ns, alias +"
             << util::format_double(host.alias_ns, 3) << " ns, fork-join "
@@ -160,6 +167,9 @@ void run_for_type(const std::string& type_name, bool full, bool extended, int re
   print_block("Scheduled (ours), host ms", [](const bench::TrioResult<T>& r) {
     return util::format_ms(r.scheduled.cpu_ms);
   });
+  print_block("Bucketed (host kernel), host ms", [](const bench::TrioResult<T>& r) {
+    return util::format_ms(r.bucketed.cpu_ms);
+  });
 
   print_block("D-designated, HMM time units", [](const bench::TrioResult<T>& r) {
     return util::format_count(r.d_designated.sim_units);
@@ -170,6 +180,8 @@ void run_for_type(const std::string& type_name, bool full, bool extended, int re
   print_block("Scheduled (ours), HMM time units", [](const bench::TrioResult<T>& r) {
     return util::format_count(r.scheduled.sim_units);
   });
+  print_block("Bucketed, HMM time units (two Lemma 4 gathers)",
+              [](const bench::TrioResult<T>& r) { return util::format_count(r.bucketed.sim_units); });
 
   if (extended) print_kauto(type_name, sizes, families, results, picks, csv);
 

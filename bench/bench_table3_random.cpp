@@ -1,7 +1,8 @@
 /// \file bench_table3_random.cpp
 /// \brief Reproduces **Table III**: sample many uniformly random
 ///        permutations and report the min / average / max running time
-///        of the three algorithms plus the distribution ratio d_w(P)/n.
+///        of the three algorithms plus the distribution ratio d_w(P)/n,
+///        with the host's bucketed kernel beside them.
 ///
 /// The paper samples 1000 permutations of 4M doubles and finds
 /// d_w(P)/n in [0.99987, 0.99990], near-zero variance for every
@@ -48,38 +49,44 @@ int main(int argc, char** argv) {
   std::cout << "n = " << bench::size_label(n) << " doubles, " << samples
             << " random permutations (paper: 1000 x 4M).\n\n";
 
-  Agg cpu_d, cpu_s, cpu_sched, sim_d, sim_s, sim_sched, dist_ratio;
+  Agg cpu_d, cpu_s, cpu_sched, cpu_bucket, sim_d, sim_s, sim_sched, sim_bucket, dist_ratio;
   for (int s = 0; s < samples; ++s) {
     const perm::Permutation p = perm::by_name("random", n, 1000 + s);
     const auto r = bench::run_trio<double>(p, mp, pool, /*measure_sim=*/false, /*reps=*/1);
     cpu_d.add(r.d_designated.cpu_ms);
     cpu_s.add(r.s_designated.cpu_ms);
     cpu_sched.add(r.scheduled.cpu_ms);
+    cpu_bucket.add(r.bucketed.cpu_ms);
     sim_d.add(static_cast<double>(r.d_designated.sim_units));
     sim_s.add(static_cast<double>(r.s_designated.sim_units));
     sim_sched.add(static_cast<double>(r.scheduled.sim_units));
+    sim_bucket.add(static_cast<double>(r.bucketed.sim_units));
     dist_ratio.add(static_cast<double>(r.dist) / static_cast<double>(n));
   }
 
-  util::Table table({"statistic", "D-designated", "S-designated", "Scheduled", "d_w(P)/n"});
-  table.add_row({"host ms   minimum", util::format_ms(cpu_d.min), util::format_ms(cpu_s.min),
-                 util::format_ms(cpu_sched.min), util::format_double(dist_ratio.min, 5)});
-  table.add_row({"host ms   average", util::format_ms(cpu_d.avg(samples)),
-                 util::format_ms(cpu_s.avg(samples)), util::format_ms(cpu_sched.avg(samples)),
-                 util::format_double(dist_ratio.avg(samples), 5)});
-  table.add_row({"host ms   maximum", util::format_ms(cpu_d.max), util::format_ms(cpu_s.max),
-                 util::format_ms(cpu_sched.max), util::format_double(dist_ratio.max, 5)});
+  util::Table table(
+      {"statistic", "D-designated", "S-designated", "Scheduled", "Bucketed", "d_w(P)/n"});
+  const auto ms_row = [&](const char* label, auto&& stat) {
+    table.add_row({label, util::format_ms(stat(cpu_d)), util::format_ms(stat(cpu_s)),
+                   util::format_ms(stat(cpu_sched)), util::format_ms(stat(cpu_bucket)),
+                   util::format_double(stat(dist_ratio), 5)});
+  };
+  const auto units_row = [&](const char* label, auto&& stat) {
+    const auto units = [&](const Agg& a) {
+      return util::format_count(static_cast<std::uint64_t>(stat(a)));
+    };
+    table.add_row({label, units(sim_d), units(sim_s), units(sim_sched), units(sim_bucket), ""});
+  };
+  const auto min = [](const Agg& a) { return a.min; };
+  const auto avg = [&](const Agg& a) { return a.avg(samples); };
+  const auto max = [](const Agg& a) { return a.max; };
+  ms_row("host ms   minimum", min);
+  ms_row("host ms   average", avg);
+  ms_row("host ms   maximum", max);
   table.add_separator();
-  table.add_row({"HMM units minimum", util::format_count(static_cast<std::uint64_t>(sim_d.min)),
-                 util::format_count(static_cast<std::uint64_t>(sim_s.min)),
-                 util::format_count(static_cast<std::uint64_t>(sim_sched.min)), ""});
-  table.add_row({"HMM units average",
-                 util::format_count(static_cast<std::uint64_t>(sim_d.avg(samples))),
-                 util::format_count(static_cast<std::uint64_t>(sim_s.avg(samples))),
-                 util::format_count(static_cast<std::uint64_t>(sim_sched.avg(samples))), ""});
-  table.add_row({"HMM units maximum", util::format_count(static_cast<std::uint64_t>(sim_d.max)),
-                 util::format_count(static_cast<std::uint64_t>(sim_s.max)),
-                 util::format_count(static_cast<std::uint64_t>(sim_sched.max)), ""});
+  units_row("HMM units minimum", min);
+  units_row("HMM units average", avg);
+  units_row("HMM units maximum", max);
   if (csv) {
     table.print_csv(std::cout);
   } else {

@@ -54,12 +54,11 @@ struct Diagnosis {
   std::string recommendation;
 
   // The host's pick (kAuto for float elements, core::host_pick on this
-  // host's parameters): "s-designated" outright when the plan is
-  // unsupported.
+  // host's parameters): "s-designated" or "bucketed".
   std::string host_recommendation;
   model::GatherMisses host_misses;  ///< zero when the source fits L2
-  double host_conventional_ms = 0;  ///< predicted gather time (0 = not probed)
-  double host_scheduled_ms = 0;     ///< predicted scheduled time (0 = not probed/unsupported)
+  double host_conventional_ms = 0;  ///< predicted gather time
+  double host_bucketed_ms = 0;      ///< predicted bucketed time (0 when the source fits L2)
 };
 
 /// Run the full analysis (O(n)).

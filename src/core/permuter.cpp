@@ -17,13 +17,14 @@ std::string_view to_string(Strategy s) noexcept {
     case Strategy::kScheduled: return "scheduled";
     case Strategy::kSDesignated: return "s-designated";
     case Strategy::kDDesignated: return "d-designated";
+    case Strategy::kBucketed: return "bucketed";
   }
   return "?";
 }
 
 std::optional<Strategy> strategy_from_string(std::string_view name) noexcept {
   for (Strategy s : {Strategy::kAuto, Strategy::kScheduled, Strategy::kSDesignated,
-                     Strategy::kDDesignated}) {
+                     Strategy::kDDesignated, Strategy::kBucketed}) {
     if (name == to_string(s)) return s;
   }
   return std::nullopt;
@@ -43,20 +44,20 @@ HostPick host_pick(const perm::Permutation& pinv, std::size_t elem_bytes,
   const std::uint64_t n = pinv.size();
   const std::uint64_t source_bytes = n * elem_bytes;
   HostPick pick;
-  pick.scheduled_ms = model::scheduled_ns(n, elem_bytes, host) * 1e-6;
-  if (host.fits_l2(source_bytes)) {
+  if (host.fits_half_l2(source_bytes)) {
     // Each source line is missed about once: the gather streams, and
-    // the scheduled kernel's three sweeps cannot pay off.
+    // the bucketed kernel's two passes cannot pay off.
     const model::GatherMisses cold{.lines = source_bytes / host.line_bytes};
     pick.conventional_ms = model::conventional_ns(cold, source_bytes, host) * 1e-6;
     return pick;
   }
-  pick.misses =
-      model::gather_l2_misses(pinv.data(), elem_bytes, host, util::ThreadPool::global());
+  pick.misses = model::gather_l2_misses(pinv.data(), elem_bytes, host.source_share(),
+                                        util::ThreadPool::global());
   pick.conventional_ms = model::conventional_ns(pick.misses, source_bytes, host) * 1e-6;
-  pick.strategy = pick.conventional_ms * model::kHostPickMargin < pick.scheduled_ms
+  pick.bucketed_ms = model::bucketed_ns(n, elem_bytes, host) * 1e-6;
+  pick.strategy = pick.conventional_ms * model::kHostPickMargin < pick.bucketed_ms
                       ? Strategy::kSDesignated
-                      : Strategy::kScheduled;
+                      : Strategy::kBucketed;
   return pick;
 }
 
@@ -105,7 +106,8 @@ double probe_miss_ns(std::uint64_t n, const model::HostParams& host) {
   });
   const std::span<const std::uint32_t> p(pinv.data(), n);
   const model::GatherMisses m =
-      model::gather_l2_misses(p, sizeof(std::uint32_t), host, util::ThreadPool::global());
+      model::gather_l2_misses(p, sizeof(std::uint32_t), host.source_share(),
+                               util::ThreadPool::global());
   return gather_ns(p, host) / static_cast<double>(std::max<std::uint64_t>(1, m.lines));
 }
 
@@ -121,7 +123,8 @@ double probe_alias_ns(std::uint64_t n, const model::HostParams& host) {
   }
   const std::span<const std::uint32_t> p(pinv.data(), n);
   const model::GatherMisses m =
-      model::gather_l2_misses(p, sizeof(std::uint32_t), host, util::ThreadPool::global());
+      model::gather_l2_misses(p, sizeof(std::uint32_t), host.source_share(),
+                               util::ThreadPool::global());
   const double rest = gather_ns(p, host) - static_cast<double>(m.lines) * host.miss_ns_llc;
   return std::max(rest, 0.0) / static_cast<double>(std::max<std::uint64_t>(1, m.aliased));
 }
@@ -134,34 +137,27 @@ model::HostParams probe_host(const model::HostParams& geometry) {
     pool.parallel_for_chunks(0, std::uint64_t{1} << 20, [](std::uint64_t, std::uint64_t) {});
   });
 
-  // The scheduled kernel streams three arrays, so its rate is probed on
-  // the smallest square matrix whose arrays outgrow the LLC share, as
-  // they do at the sizes where the pick matters: the three sweeps on
-  // gather tables that need no plan. In row r, h(r, c) = (c·a) xor r
-  // (mod the row length, a odd) is a permutation, which is all a sweep
-  // requires. (Identity tables would undercount: sequential gathers
-  // coalesce.) The square's two band sweeps share one band-interleaved
-  // table.
-  std::uint64_t side = 1024;
-  while (3 * sizeof(std::uint32_t) * side * side < host.llc_bytes) side *= 2;
-  const std::uint64_t n = side * side;
-  util::aligned_vector<std::uint16_t> banded(n), rows(n);
-  pool.parallel_for_chunks(0, side, [&](std::uint64_t r0, std::uint64_t r1) {
-    for (std::uint64_t r = r0; r < r1; ++r) {
-      for (std::uint64_t c = 0; c < side; ++c) {
-        const auto h = static_cast<std::uint16_t>(((c * 0x2d5) ^ r) & (side - 1));
-        banded[cpu::band_offset(side, side, r, c)] = h;
-        rows[r * side + c] = h;
-      }
-    }
+  // The bucketed kernel streams three arrays, so its rate is probed at
+  // the smallest power of two from 1M whose arrays outgrow the LLC
+  // share, as they do at the sizes where the pick matters, on a
+  // random-looking permutation. (The identity would undercount: its
+  // merge reads one stream.)
+  std::uint64_t n = std::uint64_t{1} << 20;
+  while (3 * sizeof(std::uint32_t) * n < host.llc_bytes) n *= 2;
+  const unsigned bits = util::log2_floor(n);
+  util::aligned_vector<std::uint32_t> map(n);
+  pool.parallel_for_chunks(0, n, [&](std::uint64_t lo, std::uint64_t hi) {
+    for (std::uint64_t i = lo; i < hi; ++i) map[i] = mix(i, n, bits);
   });
-  util::aligned_vector<std::uint32_t> a(n, 1), b(n), scratch(n);
-  Lane<std::uint32_t> lane{a, b, scratch};
-  const SweepTables tables{side, side, banded, banded, rows};
-  const double sched_total = median_ns(5, [&] {
-    (void)scheduled_cpu<std::uint32_t>(pool, tables, std::span<Lane<std::uint32_t>>(&lane, 1));
+  const BucketedPlan plan =
+      BucketedPlan::build(perm::Permutation(std::move(map)),
+                          BucketedPlan::band_for(n, sizeof(std::uint32_t), host.l2_bytes),
+                          BucketedPlan::skew_for(sizeof(std::uint32_t)));
+  util::aligned_vector<std::uint32_t> a(n, 1), b(n), packed(plan.packed_size());
+  const double bucket_total = median_ns(5, [&] {
+    (void)bucketed_cpu<std::uint32_t>(pool, plan, a, b, packed);
   });
-  host.sched_ns = std::max(sched_total - 3 * host.forkjoin_ns, 0.0) / static_cast<double>(n);
+  host.bucket_ns = std::max(bucket_total - 2 * host.forkjoin_ns, 0.0) / static_cast<double>(n);
 
   // The LLC level at four times the L2; the alias surcharge at the same size.
   const std::uint64_t llc_probe = std::bit_ceil(4 * host.l2_bytes / sizeof(std::uint32_t));
@@ -189,7 +185,7 @@ std::atomic<bool> g_costs_ready{false}, g_dram_ready{false};
 }  // namespace
 
 model::HostParams host_params(std::uint64_t source_bytes) {
-  if (geometry().fits_l2(source_bytes)) return geometry();
+  if (geometry().fits_half_l2(source_bytes)) return geometry();
   std::call_once(g_probed, [] {
     g_costs = probe_host(geometry());
     g_costs_ready.store(true, std::memory_order_release);

@@ -4,9 +4,10 @@
 ///
 /// Wraps the paper's decision problem for the user: given a permutation
 /// known in advance, pick the faster algorithm for this host (the
-/// scheduled plan or the conventional gather), own the scratch
+/// bucketed two gathers or the conventional gather), own the scratch
 /// buffers, and expose a single `permute(a, b)` call that can be
-/// invoked any number of times.
+/// invoked any number of times. Forced `kScheduled` runs the paper's
+/// own algorithm (Tables II and III).
 ///
 /// `kAuto` is resolved by `host_pick`: the HMM instantiated for the
 /// host CPU (model/host.hpp), where the address group is a 64 B cache
@@ -22,6 +23,7 @@
 #include <span>
 #include <string_view>
 
+#include "core/bucketed.hpp"
 #include "core/conventional.hpp"
 #include "core/plan.hpp"
 #include "core/scheduled.hpp"
@@ -43,32 +45,33 @@ Strategy gpu_pick(const perm::Permutation& p, const model::MachineParams& machin
 /// kAuto's decision on the host, with the predictions behind it.
 struct HostPick {
   Strategy strategy = Strategy::kSDesignated;
-  /// Simulated L2 misses of the gather (zero when the source fits L2
-  /// and nothing was simulated).
+  /// Simulated L2 misses of the gather (zero when the source fits half
+  /// the L2 and nothing was simulated).
   model::GatherMisses misses;
   double conventional_ms = 0;  ///< predicted gather time
-  double scheduled_ms = 0;     ///< predicted scheduled-kernel time
+  double bucketed_ms = 0;      ///< predicted bucketed-kernel time (0 when not simulated)
 };
 
-/// kAuto on the host, for a permutation whose scheduled plan is
-/// supported. `pinv` is P⁻¹ (the array S-designated gathers through)
-/// and `elem_bytes` is sizeof(T). A source that fits one core's L2
-/// goes to S-designated without simulation; otherwise the gather's L2
-/// misses are simulated (model::gather_l2_misses, on the global pool)
-/// and S-designated is picked only when predicted faster than the
-/// scheduled kernel by more than `model::kHostPickMargin`. A pure
-/// function of (P⁻¹, sizeof(T), host).
+/// kAuto on the host. `pinv` is P⁻¹ (the array S-designated gathers
+/// through) and `elem_bytes` is sizeof(T). A source that fits in half
+/// of one core's L2 goes to S-designated without simulation; otherwise
+/// the gather's L2 misses are simulated on the source's share of the L2
+/// (model::gather_l2_misses on `host.source_share()`, on the global
+/// pool) and S-designated is picked only when predicted faster
+/// than the bucketed kernel by more than `model::kHostPickMargin`. A
+/// pure function of (P⁻¹, sizeof(T), host).
 HostPick host_pick(const perm::Permutation& pinv, std::size_t elem_bytes,
                    const model::HostParams& host);
 
 /// This host's parameters for a gather over a `source_bytes` source:
 /// the cache geometry always; the measured costs only when the source
-/// does not fit L2, since host_pick needs them only then. The costs
-/// come from a probe that runs once per process, on first need: a pool
-/// fork-join, the three scheduled sweeps on plan-free gather tables, and
-/// a random and a transposing gather at four times the L2. The DRAM
-/// level is probed once, only when a source past the LLC share first
-/// asks for it. Never called on the request path: only compiles ask.
+/// does not fit half the L2, since host_pick needs them only then. The
+/// costs come from a probe that runs once per process, on first need: a
+/// pool fork-join, the bucketed kernel on a random-looking permutation
+/// past the LLC share, and a random and a transposing gather at four
+/// times the L2. The DRAM level is probed once, only when a source past
+/// the LLC share first asks for it. Never called on the request path:
+/// only compiles ask.
 model::HostParams host_params(std::uint64_t source_bytes);
 
 /// What `host_params` knows without probing: the geometry, plus the
@@ -87,22 +90,28 @@ class OfflinePermuter {
       : perm_(std::move(p)), machine_(machine) {
     const util::Stopwatch build_clock;
     const std::uint64_t n = perm_.size();
-    const bool plannable = util::is_pow2(n) && plan_supported(n, machine_);
 
     chosen_ = strategy;
     if (strategy == Strategy::kAuto) {
       inverse_.emplace(perm_.inverse());
-      chosen_ = plannable ? host_pick(*inverse_, sizeof(T), host_params(n * sizeof(T))).strategy
-                          : Strategy::kSDesignated;
+      chosen_ = host_pick(*inverse_, sizeof(T), host_params(n * sizeof(T))).strategy;
       if (chosen_ != Strategy::kSDesignated) inverse_.reset();
     }
-    HMM_CHECK_MSG(chosen_ != Strategy::kScheduled || plannable,
+    HMM_CHECK_MSG(chosen_ != Strategy::kScheduled || plan_supported(n, machine_),
                   "scheduled strategy requires power-of-two n, width^2 <= n < 2^32");
 
     switch (chosen_) {
       case Strategy::kScheduled:
         plan_.emplace(ScheduledPlan::build(perm_, machine_));
         scratch_.resize(n);
+        break;
+      case Strategy::kBucketed:
+        // host_params(0) is the geometry alone: an empty source fits
+        // L2, so nothing is probed.
+        buckets_.emplace(BucketedPlan::build(
+            perm_, BucketedPlan::band_for(n, sizeof(T), host_params(0).l2_bytes),
+            BucketedPlan::skew_for(sizeof(T))));
+        scratch_.resize(buckets_->packed_size());
         break;
       case Strategy::kSDesignated:
         if (!inverse_) inverse_.emplace(perm_.inverse());
@@ -126,6 +135,11 @@ class OfflinePermuter {
     return plan_ ? &*plan_ : nullptr;
   }
 
+  /// The compiled bucketed plan, when the bucketed strategy is active.
+  [[nodiscard]] const BucketedPlan* buckets() const noexcept {
+    return buckets_ ? &*buckets_ : nullptr;
+  }
+
   /// Wall-clock seconds the constructor spent on the offline phase
   /// (strategy selection + plan build or inverse computation). This is
   /// the cost a plan cache amortizes away on a hit.
@@ -139,15 +153,19 @@ class OfflinePermuter {
     const std::uint64_t n = size();
     std::uint64_t bytes = n * sizeof(std::uint32_t);  // perm_
     if (plan_) bytes += plan_->gather_bytes();
+    if (buckets_) bytes += buckets_->table_bytes();
     if (inverse_) bytes += n * sizeof(std::uint32_t);
     bytes += scratch_.size() * sizeof(T);
     return bytes;
   }
 
-  /// Scratch elements an external-scratch `permute` call must provide
-  /// (n for the scheduled strategy, 0 otherwise).
+  /// Scratch elements an external-scratch `permute` call must provide:
+  /// n for the scheduled strategy, the padded packed array for the
+  /// bucketed one, 0 for the conventional ones.
   [[nodiscard]] std::uint64_t scratch_elements() const noexcept {
-    return chosen_ == Strategy::kScheduled ? size() : 0;
+    if (plan_) return size();
+    if (buckets_) return buckets_->packed_size();
+    return 0;
   }
 
   /// Thread-safe online phase: b[P(i)] = a[i] using caller-provided
@@ -162,8 +180,9 @@ class OfflinePermuter {
 
   /// Gated variant of the const online phase: `gate` is consulted at
   /// the boundaries between the strategy's sequential kernel launches
-  /// (the scheduled plan's three sweeps; the conventional strategies
-  /// are a single kernel and only check up front). Returning
+  /// (the scheduled plan's three sweeps, the bucketed plan's two
+  /// passes; the conventional strategies are a single kernel and only
+  /// check up front). Returning
   /// false stops the execution — the function then returns false and
   /// `b`/`scratch` hold garbage. This is how the runtime executor
   /// observes deadlines and cancellation mid-request without preempting
@@ -176,7 +195,8 @@ class OfflinePermuter {
   /// Timed variant of the gated const online phase: `observer` (when
   /// non-empty) receives one (kernel index, wall ns) callback per
   /// kernel launch that ran — indices 0, 2 and 4 for the scheduled
-  /// plan's three sweeps, `kConventionalKernel` for the single
+  /// plan's three sweeps, 0 and `kConventionalKernel` for the bucketed
+  /// plan's pack and merge, `kConventionalKernel` for the single
   /// kernel of a conventional strategy. The serving layer uses this to
   /// attribute request time to the paper's phase structure; an empty
   /// observer skips all clock reads.
@@ -204,6 +224,8 @@ class OfflinePermuter {
         return scheduled_cpu<T>(pool, *plan_, std::span<Lane<T>>(&lane, 1), lane_gate,
                                 observer);
       }
+      case Strategy::kBucketed:
+        return bucketed_cpu<T>(pool, *buckets_, a, b, scratch, gate, observer);
       case Strategy::kSDesignated:
         return run_conventional([&] { s_designated_cpu<T>(pool, a, b, *inverse_); });
       case Strategy::kDDesignated:
@@ -237,6 +259,8 @@ class OfflinePermuter {
       case Strategy::kDDesignated:
         return model::d_designated_time(n, perm::distribution(perm_, machine_.width),
                                         machine_);
+      case Strategy::kBucketed:
+        return bucketed_time(*buckets_, machine_);
       case Strategy::kAuto:
         break;
     }
@@ -258,6 +282,7 @@ class OfflinePermuter {
   Strategy chosen_;
   double offline_seconds_ = 0;
   std::optional<ScheduledPlan> plan_;
+  std::optional<BucketedPlan> buckets_;
   std::optional<perm::Permutation> inverse_;
   util::aligned_vector<T> scratch_;
 };

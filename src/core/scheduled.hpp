@@ -44,7 +44,12 @@ using LaneGate = std::function<bool(std::size_t lane)>;
 /// three sweeps report under the index of the paper's row pass each one
 /// starts — 0, 2 and 4 — so indices 1 and 3 (the paper's transposes,
 /// fused into the sweeps) never fire. `kConventionalKernel` marks the
-/// single kernel of a conventional strategy. Core stays
+/// single kernel of a conventional strategy. The bucketed strategy
+/// (bucketed.hpp) reports its pack as kernel 0 and its merge, a
+/// conventional gather over the packed array, as `kConventionalKernel`,
+/// so every index stays inside 0..5, the range the end-to-end
+/// benchmark's span names cover; pack and merge get labels of their own
+/// when that benchmark is next revised. Core stays
 /// observability-agnostic: the callback carries a neutral (index, ns)
 /// pair and the serving layer maps it to its own phase taxonomy.
 using KernelObserver = std::function<void(unsigned kernel, std::uint64_t ns)>;
@@ -64,18 +69,8 @@ struct Lane {
   bool active = true;  ///< in: lane participates; out: ran all three sweeps
 };
 
-/// A plan's host schedule: the three gather tables and their shape
-/// (ScheduledPlan::gather1..3). Plan-free callers (the kAuto probe)
-/// fill one in directly.
-struct SweepTables {
-  std::uint64_t rows = 0;
-  std::uint64_t cols = 0;
-  std::span<const std::uint16_t> h1;  ///< band-interleaved, rows x cols
-  std::span<const std::uint16_t> h2;  ///< band-interleaved, cols x rows
-  std::span<const std::uint16_t> h3;  ///< row-major, rows x cols
-};
-
-/// Run the three sweeps over every active lane together — one
+/// Run the plan's three sweeps (ScheduledPlan::gather1..3) over every
+/// active lane together — one
 /// fork-join per sweep for the whole batch, each table entry decoded
 /// once for every lane:
 ///   1. band sweep a -> b      (row pass 1 + transpose 1, cols x rows)
@@ -87,10 +82,11 @@ struct SweepTables {
 /// batch-wide span. Returns true iff every active lane ran to
 /// completion.
 template <class T>
-bool scheduled_cpu(util::ThreadPool& pool, const SweepTables& s, std::span<Lane<T>> lanes,
+bool scheduled_cpu(util::ThreadPool& pool, const ScheduledPlan& plan, std::span<Lane<T>> lanes,
                    const LaneGate& gate = {}, const KernelObserver& observer = {}) {
-  const std::uint64_t n = s.rows * s.cols;
-  HMM_CHECK(s.h1.size() == n && s.h2.size() == n && s.h3.size() == n);
+  const std::uint64_t rows = plan.shape().rows;
+  const std::uint64_t cols = plan.shape().cols;
+  const std::uint64_t n = rows * cols;
   std::size_t live = 0;
   for (const Lane<T>& lane : lanes) {
     if (!lane.active) continue;
@@ -139,26 +135,17 @@ bool scheduled_cpu(util::ThreadPool& pool, const SweepTables& s, std::span<Lane<
   };
 
   auto [in, out] = bind(&Lane<T>::a, &Lane<T>::b);
-  cpu::band_sweep<T>(pool, in, out, s.rows, s.cols, s.h1);
+  cpu::band_sweep<T>(pool, in, out, rows, cols, plan.gather1());
   observe(0);
   if (!gate_lanes()) return false;
   std::tie(in, out) = bind(&Lane<T>::b, &Lane<T>::scratch);
-  cpu::band_sweep<T>(pool, in, out, s.cols, s.rows, s.h2);
+  cpu::band_sweep<T>(pool, in, out, cols, rows, plan.gather2());
   observe(2);
   if (!gate_lanes()) return false;
   std::tie(in, out) = bind(&Lane<T>::scratch, &Lane<T>::b);
-  cpu::row_sweep<T>(pool, in, out, s.rows, s.cols, s.h3);
+  cpu::row_sweep<T>(pool, in, out, rows, cols, plan.gather3());
   observe(4);
   return live == started;
-}
-
-/// `scheduled_cpu` on a compiled plan's tables.
-template <class T>
-bool scheduled_cpu(util::ThreadPool& pool, const ScheduledPlan& plan, std::span<Lane<T>> lanes,
-                   const LaneGate& gate = {}, const KernelObserver& observer = {}) {
-  const SweepTables tables{plan.shape().rows, plan.shape().cols, plan.gather1(),
-                           plan.gather2(), plan.gather3()};
-  return scheduled_cpu<T>(pool, tables, lanes, gate, observer);
 }
 
 /// One request, no gate: b = P(a) through one n-element scratch array.

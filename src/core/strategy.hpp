@@ -15,6 +15,7 @@ enum class Strategy {
   kScheduled,      ///< force the paper's scheduled algorithm
   kSDesignated,    ///< force conventional gather  (b[i] = a[p̄[i]])
   kDDesignated,    ///< force conventional scatter (b[p[i]] = a[i])
+  kBucketed,       ///< two gathers through skewed buckets (core/bucketed.hpp)
 };
 
 std::string_view to_string(Strategy s) noexcept;

@@ -16,6 +16,10 @@
 ///   - `row_sweep`: a plain row pass (pass 5, and shard bands).
 /// Both are gathers, `out[...] = in[r][h(r, c)]`, driven by the row
 /// inverses of the plan's row permutations (ScheduledPlan::gather1..3).
+/// The bucketed plan (core/bucketed.hpp), kAuto's large-n kernel, runs
+/// `bucket_sweep` (the row-sweep op, one band per row, the output rows
+/// skewed apart) and then the conventional `gather` over the padded
+/// result: 22 B/element at 4-byte elements.
 ///
 /// Each kernel body is two tiers: the scalar loop (always present, the
 /// differential-test oracle and the path for element widths other than
@@ -97,15 +101,17 @@ void scatter(util::ThreadPool& pool, std::span<const T> a, std::span<T> b,
   });
 }
 
-/// S-designated conventional permutation: b[i] = a[pinv[i]] (casual reads).
+/// S-designated conventional permutation: b[i] = a[pinv[i]] (casual
+/// reads). `a` may be longer than `b` (the bucketed merge gathers from
+/// a padded array); every entry of `pinv` must index it.
 template <class T>
 void gather(util::ThreadPool& pool, std::span<const T> a, std::span<T> b,
             std::span<const std::uint32_t> pinv) {
-  HMM_CHECK(a.size() == b.size() && a.size() == pinv.size());
+  HMM_CHECK(a.size() >= b.size() && b.size() == pinv.size());
   const simd::KernelOps* ops = active_kernel_ops(sizeof(T));
   const bool simd = ops != nullptr && ops->gather != nullptr &&
                     a.size() < detail::kSimdIndexLimit;
-  detail::fan_out(pool, a.size(), [&](std::uint64_t lo, std::uint64_t hi) {
+  detail::fan_out(pool, b.size(), [&](std::uint64_t lo, std::uint64_t hi) {
     if (simd) {
       ops->gather(a.data(), b.data(), pinv.data(), lo, hi);
       return;
@@ -191,6 +197,38 @@ void row_sweep(util::ThreadPool& pool, std::span<const T* const> srcs,
         T* out = dsts[l] + r * cols;
         for (std::uint64_t c = 0; c < cols; ++c) out[c] = in[hr[c]];
       }
+    }
+  });
+}
+
+/// The bucketed kernel's pass 1: for each band b of `band` elements
+/// (the last one may be shorter),
+///   out[b·pitch + k] = in[b·band + h[b·band + k]],
+/// i.e. one row sweep per band with the output rows `pitch` elements
+/// apart. Every `h` entry indexes inside its own band. Parallel over
+/// bands: each reads its band at random (it sits in the core's L2) and
+/// writes its region in order.
+template <class T>
+void bucket_sweep(util::ThreadPool& pool, std::span<const T> in, std::span<T> out,
+                  std::uint64_t band, std::uint64_t pitch, std::span<const std::uint16_t> h) {
+  const std::uint64_t n = in.size();
+  const std::uint64_t bands = (n + band - 1) / band;
+  HMM_CHECK(band >= 1 && pitch >= band && h.size() == n);
+  HMM_CHECK(n == 0 || out.size() >= (bands - 1) * pitch + (n - (bands - 1) * band));
+  const simd::KernelOps* ops = active_kernel_ops(sizeof(T));
+  pool.parallel_for_chunks(0, bands, [&](std::uint64_t b0, std::uint64_t b1) {
+    for (std::uint64_t b = b0; b < b1; ++b) {
+      const std::uint64_t len = std::min(band, n - b * band);
+      const T* src = in.data() + b * band;
+      T* dst = out.data() + b * pitch;
+      const std::uint16_t* hb = h.data() + b * band;
+      if (ops != nullptr) {
+        const void* s = src;
+        void* d = dst;
+        ops->row_sweep(&s, &d, 1, len, hb, 0, 1);
+        continue;
+      }
+      for (std::uint64_t k = 0; k < len; ++k) dst[k] = src[hb[k]];
     }
   });
 }

@@ -28,15 +28,34 @@ namespace {
 /// Rows per band (cpu::kBandRows): one 16-lane gather per column.
 constexpr std::uint64_t kBand = 16;
 
+// The widen, gather and half-extract helpers use the masked intrinsics
+// with a full mask: GCC 12 defines the unmasked ones on an
+// uninitialized register, which trips -Wmaybe-uninitialized. They are
+// the same instructions, except that the low half of an index vector
+// is extracted (one vextracti64x4) rather than reinterpreted.
+
+/// Every lane of a 16-lane mask.
+constexpr __mmask16 kAll16 = 0xFFFF;
+
 /// Sixteen uint16 table entries widened to sixteen 32-bit lanes.
 inline __m512i load_idx16(const std::uint16_t* p) {
-  return _mm512_cvtepu16_epi32(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+  return _mm512_maskz_cvtepu16_epi32(kAll16,
+                                     _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
 }
 
 /// Masked variant of load_idx16 for the tail (inactive lanes zero).
 inline __m512i load_idx16_masked(const std::uint16_t* p, __mmask16 m) {
-  return _mm512_cvtepu16_epi32(_mm256_maskz_loadu_epi16(m, p));
+  return _mm512_maskz_cvtepu16_epi32(m, _mm256_maskz_loadu_epi16(m, p));
+}
+
+/// Sixteen 4-byte elements at 32-bit offsets `idx`.
+inline __m512i gather_u32x16(const std::uint32_t* in, __m512i idx) {
+  return _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), kAll16, idx, in, 4);
+}
+
+/// Eight 8-byte elements at 32-bit offsets `idx`.
+inline __m512i gather_u64x8(const std::uint64_t* in, __m256i idx) {
+  return _mm512_mask_i32gather_epi64(_mm512_setzero_si512(), 0xFF, idx, in, 8);
 }
 
 inline __mmask16 low_mask16(std::uint64_t k) {
@@ -53,13 +72,13 @@ inline __m512i band_offsets(std::uint64_t cols) {
 /// `m` read nothing) and store them to `out` under the same mask.
 inline void gather_store_u64x16(const std::uint64_t* in, std::uint64_t* out, __m512i idx,
                                 __mmask16 m) {
-  const __m256i lo = _mm512_castsi512_si256(idx);
-  const __m256i hi = _mm512_extracti64x4_epi64(idx, 1);
+  const __m256i lo = _mm512_maskz_extracti64x4_epi64(0xF, idx, 0);
+  const __m256i hi = _mm512_maskz_extracti64x4_epi64(0xF, idx, 1);
   const auto mlo = static_cast<__mmask8>(m & 0xff);
   const auto mhi = static_cast<__mmask8>(m >> 8);
   if (m == 0xffff) {
-    _mm512_storeu_si512(out, _mm512_i32gather_epi64(lo, in, 8));
-    _mm512_storeu_si512(out + 8, _mm512_i32gather_epi64(hi, in, 8));
+    _mm512_storeu_si512(out, gather_u64x8(in, lo));
+    _mm512_storeu_si512(out + 8, gather_u64x8(in, hi));
     return;
   }
   _mm512_mask_storeu_epi64(
@@ -91,7 +110,7 @@ void band_sweep_u32(const void* const* srcs, void* const* dsts, std::uint64_t la
         for (std::uint64_t l = 0; l < lanes; ++l) {
           const auto* in = static_cast<const std::uint32_t*>(srcs[l]) + r0 * cols;
           auto* out = static_cast<std::uint32_t*>(dsts[l]) + c * rows + r0;
-          _mm512_storeu_si512(out, _mm512_i32gather_epi32(idx, in, 4));
+          _mm512_storeu_si512(out, gather_u32x16(in, idx));
         }
       } else {
         const __m512i idx =
@@ -144,7 +163,7 @@ void row_sweep_u32(const void* const* srcs, void* const* dsts, std::uint64_t lan
         const auto* in = static_cast<const std::uint32_t*>(srcs[l]) + r * cols;
         auto* out = static_cast<std::uint32_t*>(dsts[l]) + r * cols + k;
         if (full) {
-          _mm512_storeu_si512(out, _mm512_i32gather_epi32(idx, in, 4));
+          _mm512_storeu_si512(out, gather_u32x16(in, idx));
         } else {
           _mm512_mask_storeu_epi32(
               out, m, _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), m, idx, in, 4));
@@ -181,7 +200,7 @@ void gather_u32(const void* a, void* b, const std::uint32_t* idx,
   std::uint64_t i = lo;
   for (; i + 16 <= hi; i += 16) {
     const __m512i vi = _mm512_loadu_si512(idx + i);
-    _mm512_storeu_si512(dst + i, _mm512_i32gather_epi32(vi, src, 4));
+    _mm512_storeu_si512(dst + i, gather_u32x16(src, vi));
   }
   if (i < hi) {
     const __mmask16 m = static_cast<__mmask16>((1u << (hi - i)) - 1u);
@@ -199,7 +218,7 @@ void gather_u64(const void* a, void* b, const std::uint32_t* idx,
   std::uint64_t i = lo;
   for (; i + 8 <= hi; i += 8) {
     const __m256i vi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-    _mm512_storeu_si512(dst + i, _mm512_i32gather_epi64(vi, src, 8));
+    _mm512_storeu_si512(dst + i, gather_u64x8(src, vi));
   }
   if (i < hi) {
     const __mmask8 m = static_cast<__mmask8>((1u << (hi - i)) - 1u);

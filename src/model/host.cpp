@@ -166,11 +166,11 @@ double conventional_ns(const GatherMisses& misses, std::uint64_t source_bytes,
          static_cast<double>(misses.aliased) * host.alias_ns + host.forkjoin_ns;
 }
 
-double scheduled_ns(std::uint64_t n, std::size_t elem_bytes, const HostParams& host) noexcept {
-  // Bytes per element over the three sweeps: 3 x (read e + read one
-  // u16 + write e) = 6e + 6; 30 at e = 4.
-  const double scale = (6.0 * static_cast<double>(elem_bytes) + 6.0) / 30.0;
-  return static_cast<double>(n) * host.sched_ns * scale + 3.0 * host.forkjoin_ns;
+double bucketed_ns(std::uint64_t n, std::size_t elem_bytes, const HostParams& host) noexcept {
+  // Bytes per element over the two passes: (read e + read a u16 +
+  // write e) + (read e + read a u32 + write e) = 4e + 6; 22 at e = 4.
+  const double scale = (4.0 * static_cast<double>(elem_bytes) + 6.0) / 22.0;
+  return static_cast<double>(n) * host.bucket_ns * scale + 2.0 * host.forkjoin_ns;
 }
 
 }  // namespace hmm::model

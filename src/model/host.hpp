@@ -1,7 +1,7 @@
 #pragma once
 /// \file host.hpp
 /// \brief The HMM instantiated for the host CPU: what a conventional
-///        gather and the scheduled kernel cost on this machine.
+///        gather and the bucketed kernel cost on this machine.
 ///
 /// The paper charges the casual round of S-designated d_w(P⁻¹)
 /// pipeline stages, where w is the UMM's address-group width. On a CPU
@@ -10,7 +10,8 @@
 /// little as a coalesced access. So the host's distribution is the
 /// number of source lines the gather *misses* in L2: `gather_l2_misses`
 /// replays each worker's contiguous chunk of the gather through an LRU
-/// model of that worker's L2. Two permutations with d_w = n (random
+/// model of the share of that worker's L2 the source keeps
+/// (`HostParams::source_share`). Two permutations with d_w = n (random
 /// and transpose at 1M) then separate: random re-touches lines that
 /// are still resident, while transpose's power-of-two column stride
 /// thrashes a handful of sets and misses on every element.
@@ -23,10 +24,12 @@
 /// into one L1 set, and the same power-of-two stride collides in the
 /// sets behind it.
 ///
-/// The scheduled algorithm's cost is permutation-independent
-/// (Theorem 9), so it is one measured rate per element. Both sides pay
-/// the pool's fork-join: once for the gather, three times for the
-/// scheduled kernel's three sweeps.
+/// The bucketed kernel (core/bucketed.hpp) is modeled by one measured
+/// rate per element: its pack reads inside an L2-resident band and its
+/// merge reads one in-order stream per band, so neither pass misses
+/// with the permutation the way the gather does. Both sides pay the
+/// pool's fork-join: once for the gather, twice for the bucketed
+/// kernel's two passes.
 ///
 /// `HostParams` carries both the geometry (read from sysconf/sysfs)
 /// and the measured costs; `core::host_params` fills the costs with a
@@ -51,15 +54,27 @@ struct HostParams {
   std::uint32_t workers = 1;             ///< chunks a gather is split into (pool size)
 
   // Costs (ns of wall time; zero until probed).
-  double sched_ns = 0;      ///< scheduled kernel, per 4-byte element, all three sweeps
+  double bucket_ns = 0;     ///< bucketed kernel, per 4-byte element, both passes
   double miss_ns_llc = 0;   ///< gather, per L2-missed line, source within the LLC share
   double miss_ns_dram = 0;  ///< gather, per L2-missed line, source past the LLC share
   double alias_ns = 0;      ///< extra per miss a whole number of pages from the last access
   double forkjoin_ns = 0;   ///< one pool fork-join
 
-  /// True when a `source_bytes` source fits one core's L2.
-  [[nodiscard]] bool fits_l2(std::uint64_t source_bytes) const noexcept {
-    return source_bytes <= l2_bytes;
+  /// True when a `source_bytes` source fits its share of one core's L2
+  /// (`source_share`): a gather over it then misses each line about
+  /// once, whatever the order.
+  [[nodiscard]] bool fits_half_l2(std::uint64_t source_bytes) const noexcept {
+    return 2 * source_bytes <= l2_bytes;
+  }
+  /// The L2 a gather's source keeps: half the ways of the same sets. The
+  /// gather's index and output streams and the hardware prefetcher hold
+  /// the rest, so a source as large as the L2 thrashes it where an LRU
+  /// model of the whole L2 sees only cold misses (transpose at 512K u32).
+  [[nodiscard]] HostParams source_share() const noexcept {
+    HostParams share = *this;
+    share.l2_bytes /= 2;
+    share.l2_ways = l2_ways > 1 ? l2_ways / 2 : 1;
+    return share;
   }
   /// True when a `source_bytes` source is past the LLC share (the DRAM level).
   [[nodiscard]] bool past_llc(std::uint64_t source_bytes) const noexcept {
@@ -96,13 +111,13 @@ GatherMisses gather_l2_misses(std::span<const std::uint32_t> pinv, std::size_t e
 double conventional_ns(const GatherMisses& misses, std::uint64_t source_bytes,
                        const HostParams& host) noexcept;
 
-/// Predicted wall ns of the scheduled kernel on n `elem_bytes`-byte
-/// elements: the probed rate scaled by the bytes the three sweeps move
-/// per element (each reads the data and one u16 table entry and writes
-/// the data), plus three fork-joins.
-double scheduled_ns(std::uint64_t n, std::size_t elem_bytes, const HostParams& host) noexcept;
+/// Predicted wall ns of the bucketed kernel on n `elem_bytes`-byte
+/// elements: the probed rate scaled by the bytes its two passes move
+/// per element (each reads and writes the data; the pack reads a u16
+/// entry, the merge a u32), plus two fork-joins.
+double bucketed_ns(std::uint64_t n, std::size_t elem_bytes, const HostParams& host) noexcept;
 
-/// kAuto leaves the scheduled kernel only when the gather is predicted
+/// kAuto leaves the bucketed kernel only when the gather is predicted
 /// faster by more than this factor: the largest factor by which the
 /// model underpredicted the gather on the `bench_table2 --extended`
 /// grid (DESIGN.md §2.2).

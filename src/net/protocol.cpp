@@ -711,10 +711,13 @@ StatusOr<ExecuteProgramRequestView> ExecuteProgramRequestView::decode(
 }
 
 std::vector<std::uint8_t> ErrorResponse::encode() const {
-  ByteWriter w;
-  w.put_u32(code);
-  w.put_string(message);
-  return w.take();
+  // Sized up front: the code and the message are all the payload.
+  std::vector<std::uint8_t> out(sizeof(std::uint32_t) + message.size());
+  for (std::size_t i = 0; i < sizeof(std::uint32_t); ++i) {
+    out[i] = static_cast<std::uint8_t>(code >> (8 * i));
+  }
+  std::copy(message.begin(), message.end(), out.begin() + sizeof(std::uint32_t));
+  return out;
 }
 
 StatusOr<ErrorResponse> ErrorResponse::decode(std::span<const std::uint8_t> payload) {

@@ -3,7 +3,7 @@
 #include <string>
 #include <utility>
 
-#include "util/thread_pool.hpp"
+#include "core/bucketed.hpp"
 
 namespace hmm::runtime {
 
@@ -88,73 +88,27 @@ StatusOr<std::vector<BandExchange>> BandExchange::compile(const perm::Permutatio
                   "band exchange: permutation size does not match the band split");
   }
   const std::uint32_t shards = bands.shards();
-  util::ThreadPool& pool = util::ThreadPool::global();
-  const auto band_end = [&](std::uint32_t s) {
-    return bands.band_offset(s) + bands.band_elements(s);
-  };
+  std::vector<std::uint64_t> bounds(shards + 1, n);
+  for (std::uint32_t s = 0; s < shards; ++s) bounds[s] = bands.band_offset(s);
 
-  // Pass 1: for every destination j, the element that lands there and
-  // the shard it comes from. p is a bijection, so chunks of sources
-  // write disjoint destinations.
-  Table pinv(n);
-  std::vector<std::uint8_t> source(n);
-  pool.parallel_for_chunks(0, n, [&](std::uint64_t lo, std::uint64_t hi) {
-    std::uint32_t s = 0;
-    while (lo >= band_end(s)) ++s;
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      if (i == band_end(s)) ++s;
-      const std::uint32_t j = p(i);
-      pinv[j] = static_cast<std::uint32_t>(i);
-      source[j] = static_cast<std::uint8_t>(s);
-    }
-  });
+  // The host's bucketed compile with the row bands as both the source
+  // bands and the destination chunks, and no skew: band s's packed
+  // region is its band, and chunk d's received buffer is shard d's.
+  Table pack(n), merge(n);
+  const core::GroupCounts recv = core::group_tables<std::uint32_t>(
+      p, bounds, bounds, 0, core::MergeInto::kReceived, std::span<std::uint32_t>(pack),
+      std::span<std::uint32_t>(merge));
 
-  // Pass 2, one task per destination band d: recv[d][s] = positions of
-  // band d fed from band s, which is also the length of the block s
-  // sends d.
-  std::vector<Counts> recv(shards, Counts(shards, 0));
-  pool.parallel_for(0, shards, [&](std::uint64_t task) {
-    const auto d = static_cast<std::uint32_t>(task);
-    for (std::uint64_t j = bands.band_offset(d); j < band_end(d); ++j) ++recv[d][source[j]];
-  });
-
-  // Pass 3, one task per destination band d, in destination order. Each
-  // source's group for d starts after its groups for the bands before
-  // d and fills in destination order — exactly the order its block for
-  // d arrives in — and each merge entry is the next unread slot of its
-  // source's block.
-  std::vector<Table> pack(shards);
-  std::vector<Table> merge(shards);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    pack[s].resize(bands.band_elements(s));
-    merge[s].resize(bands.band_elements(s));
-  }
-  std::vector<Counts> group(shards, Counts(shards, 0));  // group[d][s]: s's group for d
-  for (std::uint32_t d = 1; d < shards; ++d) {
-    for (std::uint32_t s = 0; s < shards; ++s) group[d][s] = group[d - 1][s] + recv[d - 1][s];
-  }
-  pool.parallel_for(0, shards, [&](std::uint64_t task) {
-    const auto d = static_cast<std::uint32_t>(task);
-    Counts next = offsets(recv[d]);
-    Counts& at = group[d];
-    const std::uint64_t lo = bands.band_offset(d);
-    std::uint32_t* out = merge[d].data();
-    for (std::uint64_t j = lo; j < band_end(d); ++j) {
-      const std::uint8_t s = source[j];
-      pack[s][at[s]++] = pinv[j] - static_cast<std::uint32_t>(bands.band_offset(s));
-      out[j - lo] = static_cast<std::uint32_t>(next[s]++);
-    }
-  });
-
-  std::vector<Counts> send(shards, Counts(shards));
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    for (std::uint32_t d = 0; d < shards; ++d) send[s][d] = recv[d][s];
-  }
   std::vector<BandExchange> result;
   result.reserve(shards);
   for (std::uint32_t s = 0; s < shards; ++s) {
-    result.push_back(BandExchange(bands, s, std::move(send[s]), std::move(recv[s]),
-                                  std::move(pack[s]), std::move(merge[s])));
+    Counts send(shards);
+    for (std::uint32_t d = 0; d < shards; ++d) send[d] = recv[d][s];
+    const auto band = [&](const Table& t) {
+      return Table(t.begin() + static_cast<std::ptrdiff_t>(bounds[s]),
+                   t.begin() + static_cast<std::ptrdiff_t>(bounds[s + 1]));
+    };
+    result.push_back(BandExchange(bands, s, std::move(send), recv[s], band(pack), band(merge)));
   }
   return result;
 }

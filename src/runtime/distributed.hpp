@@ -16,7 +16,10 @@
 ///  3. **merge** — gather the received blocks into the output band:
 ///     `out[j] = recv[merge[j]]`.
 ///
-/// Both local steps are the single-node `cpu::gather`. The paper makes
+/// Both local steps are the single-node `cpu::gather`. On one node the
+/// exchange is a no-op and the two gathers are the host's bucketed
+/// kernel (core/bucketed.hpp), which runs on bands that fit a core's L2
+/// instead of one band per shard. The paper makes
 /// every round through global memory coalesced and touches each element
 /// a constant number of times; one level up, every network message is
 /// one contiguous block and each element crosses the network at most
@@ -25,7 +28,9 @@
 ///
 /// `BandExchange` holds one shard's tables: pack and merge (u32, 8 bytes
 /// per band element) and the block lengths it sends and receives.
-/// `compile` builds every shard's tables from p in O(n); a shard that
+/// `compile` builds every shard's tables from p in O(n) with the
+/// bucketed kernel's counting compile (`core::group_tables`, no skew,
+/// the row bands as both source bands and destination chunks); a shard that
 /// receives its tables from a coordinator adopts them through
 /// `from_tables`, which validates them first.
 
@@ -96,7 +101,7 @@ class BandExchange {
   using Counts = std::vector<std::uint64_t>;
 
   /// Every shard's tables for `p` under `bands` (entry s is shard s),
-  /// in three linear passes on the global pool. Fails
+  /// from `core::group_tables`' three linear passes on the global pool. Fails
   /// (kInvalidArgument) when p does not have rows x cols elements.
   [[nodiscard]] static StatusOr<std::vector<BandExchange>> compile(const perm::Permutation& p,
                                                                    const BandPlan& bands);

@@ -85,6 +85,9 @@ void ServiceMetrics::record_plan_strategy(core::Strategy strategy) noexcept {
     case core::Strategy::kDDesignated:
       plans_d_designated_.fetch_add(1, std::memory_order_relaxed);
       break;
+    case core::Strategy::kBucketed:
+      plans_bucketed_.fetch_add(1, std::memory_order_relaxed);
+      break;
     case core::Strategy::kAuto:
       break;
   }
@@ -108,6 +111,7 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
   s.plans_scheduled = plans_scheduled_.load(std::memory_order_relaxed);
   s.plans_s_designated = plans_s_designated_.load(std::memory_order_relaxed);
   s.plans_d_designated = plans_d_designated_.load(std::memory_order_relaxed);
+  s.plans_bucketed = plans_bucketed_.load(std::memory_order_relaxed);
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
@@ -162,6 +166,7 @@ void ServiceMetrics::reset() {
   plans_scheduled_.store(0, std::memory_order_relaxed);
   plans_s_designated_.store(0, std::memory_order_relaxed);
   plans_d_designated_.store(0, std::memory_order_relaxed);
+  plans_bucketed_.store(0, std::memory_order_relaxed);
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
   evictions_.store(0, std::memory_order_relaxed);
@@ -202,7 +207,8 @@ std::string MetricsSnapshot::to_json() const {
      << ",\"plan_build_ns_max\":" << plan_build_ns_max
      << ",\"plans_by_strategy\":{\"scheduled\":" << plans_scheduled
      << ",\"s-designated\":" << plans_s_designated
-     << ",\"d-designated\":" << plans_d_designated << "}},"
+     << ",\"d-designated\":" << plans_d_designated
+     << ",\"bucketed\":" << plans_bucketed << "}},"
      << "\"executor\":{"
      << "\"submitted\":" << submitted << ",\"completed\":" << completed
      << ",\"failed\":" << failed << ",\"queue_high_water\":" << queue_high_water
@@ -231,7 +237,7 @@ std::string MetricsSnapshot::to_json() const {
      << "\"line_bytes\":" << host.line_bytes << ",\"page_bytes\":" << host.page_bytes
      << ",\"l2_bytes\":" << host.l2_bytes << ",\"l2_ways\":" << host.l2_ways
      << ",\"llc_bytes\":" << host.llc_bytes << ",\"workers\":" << host.workers
-     << ",\"sched_ns\":" << util::format_double(host.sched_ns, 4)
+     << ",\"bucket_ns\":" << util::format_double(host.bucket_ns, 4)
      << ",\"miss_ns_llc\":" << util::format_double(host.miss_ns_llc, 4)
      << ",\"miss_ns_dram\":" << util::format_double(host.miss_ns_dram, 4)
      << ",\"alias_ns\":" << util::format_double(host.alias_ns, 4)
@@ -272,9 +278,10 @@ util::Table MetricsSnapshot::to_table() const {
   t.add_row({"plan builds", util::format_count(plan_builds)});
   t.add_row({"plan build total", format_ns(plan_build_ns_total)});
   t.add_row({"plan build max", format_ns(plan_build_ns_max)});
-  t.add_row({"plans sched / S-des / D-des", util::format_count(plans_scheduled) + " / " +
-                                                util::format_count(plans_s_designated) + " / " +
-                                                util::format_count(plans_d_designated)});
+  t.add_row({"plans sched / S-des / D-des / bucketed",
+             util::format_count(plans_scheduled) + " / " + util::format_count(plans_s_designated) +
+                 " / " + util::format_count(plans_d_designated) + " / " +
+                 util::format_count(plans_bucketed)});
   t.add_separator();
   t.add_row({"requests submitted", util::format_count(submitted)});
   t.add_row({"requests completed", util::format_count(completed)});
@@ -341,7 +348,8 @@ std::string MetricsSnapshot::to_prometheus() const {
      << "# TYPE hmm_plans_total counter\n"
      << "hmm_plans_total{strategy=\"scheduled\"} " << plans_scheduled << "\n"
      << "hmm_plans_total{strategy=\"s-designated\"} " << plans_s_designated << "\n"
-     << "hmm_plans_total{strategy=\"d-designated\"} " << plans_d_designated << "\n";
+     << "hmm_plans_total{strategy=\"d-designated\"} " << plans_d_designated << "\n"
+     << "hmm_plans_total{strategy=\"bucketed\"} " << plans_bucketed << "\n";
   counter("hmm_requests_submitted_total", "Requests admitted to the executor.", submitted);
   counter("hmm_requests_completed_total", "Requests executed successfully.", completed);
   counter("hmm_requests_failed_total", "Requests that executed and failed.", failed);
@@ -400,8 +408,8 @@ std::string MetricsSnapshot::to_prometheus() const {
        << "# TYPE " << name << " gauge\n"
        << name << " " << util::format_double(value, 4) << "\n";
   };
-  ns_gauge("hmm_host_sched_ns_per_element",
-           "Probed scheduled-kernel cost per 4-byte element, all three sweeps.", host.sched_ns);
+  ns_gauge("hmm_host_bucket_ns_per_element",
+           "Probed bucketed-kernel cost per 4-byte element, both passes.", host.bucket_ns);
   os << "# HELP hmm_host_miss_ns Probed gather cost per L2-missed line.\n"
      << "# TYPE hmm_host_miss_ns gauge\n"
      << "hmm_host_miss_ns{level=\"llc\"} " << util::format_double(host.miss_ns_llc, 4) << "\n"

@@ -81,6 +81,7 @@ struct MetricsSnapshot {
   std::uint64_t plans_scheduled = 0;
   std::uint64_t plans_s_designated = 0;
   std::uint64_t plans_d_designated = 0;
+  std::uint64_t plans_bucketed = 0;
   // Executor. `completed` and `failed` are disjoint: a request counts
   // in exactly one of them (completed = executed and succeeded), so
   // completed + failed = requests that ran to an outcome.
@@ -263,6 +264,7 @@ class ServiceMetrics {
   std::atomic<std::uint64_t> plans_scheduled_{0};
   std::atomic<std::uint64_t> plans_s_designated_{0};
   std::atomic<std::uint64_t> plans_d_designated_{0};
+  std::atomic<std::uint64_t> plans_bucketed_{0};
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> queue_high_water_{0};
   std::atomic<std::uint64_t> completed_{0};

@@ -9,8 +9,11 @@
 /// single kernel of the conventional one). The host fuses each
 /// transpose into the row pass before it, so a scheduled request
 /// records three kernel phases: `row_pass_1` (row pass 1 + transpose
-/// 1), `row_pass_2` (row pass 2 + transpose 2) and `row_pass_3`. The
-/// serving layer inherits
+/// 1), `row_pass_2` (row pass 2 + transpose 2) and `row_pass_3`. A
+/// bucketed request records two: its pack under `row_pass_1` and its
+/// merge under `conventional_kernel` (pack and merge labels of their
+/// own wait for the end-to-end benchmark's next revision, which indexes
+/// these kernel names). The serving layer inherits
 /// that structure and adds its own: a request's wall time is admission
 /// wait + queue wait + plan-cache lookup (+ build on a miss) + the
 /// kernel passes + response serialization. This header names those
@@ -40,12 +43,12 @@ enum class Phase : std::uint8_t {
   kQueueWait,           ///< enqueue -> dequeue on the pool
   kPlanLookup,          ///< plan-cache index probe (hit or miss)
   kPlanBuild,           ///< offline plan compile (or wait on the builder)
-  kKernelRowPass1,      ///< scheduled sweep 1: row pass 1 fused with transpose 1
+  kKernelRowPass1,      ///< scheduled sweep 1 (row pass 1 fused with transpose 1); bucketed pack
   kKernelTranspose1,    ///< retired: fused into row_pass_1, never recorded
   kKernelRowPass2,      ///< scheduled sweep 2: row pass 2 fused with transpose 2
   kKernelTranspose2,    ///< retired: fused into row_pass_2, never recorded
   kKernelRowPass3,      ///< scheduled sweep 3: row pass 3
-  kKernelConventional,  ///< single conventional kernel (chosen or degraded)
+  kKernelConventional,  ///< single conventional kernel (chosen or degraded); bucketed merge
   kSerialize,           ///< response encode + socket write
   kProgramCompile,      ///< program resolve + fuse (compose/inverse/generators)
 };
@@ -61,7 +64,9 @@ inline constexpr std::size_t kPhaseCount = 12;
 
 /// Map a kernel index reported by `core::OfflinePermuter::permute_timed`
 /// (0, 2, 4 = the scheduled plan's three sweeps, `core::
-/// kConventionalKernel` = the single conventional kernel) to its Phase.
+/// kConventionalKernel` = the single conventional kernel; the bucketed
+/// plan reports 0 for its pack and `kConventionalKernel` for its merge)
+/// to its Phase.
 [[nodiscard]] Phase phase_for_kernel(unsigned kernel) noexcept;
 
 /// Per-request phase accumulator. Not thread-safe by design: exactly

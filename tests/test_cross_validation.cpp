@@ -91,7 +91,8 @@ TEST(CrossValidation, MultiRoundClockAgreement) {
   std::vector<std::uint64_t> addrs(64);
   for (int round = 0; round < 8; ++round) {
     for (auto& a : addrs) a = rng.bounded(1 << 12);
-    sim.global_round("r" + std::to_string(round), addrs, Dir::kRead, AccessClass::kCasual);
+    sim.global_round(std::string("r").append(std::to_string(round)), addrs, Dir::kRead,
+                     AccessClass::kCasual);
     engine.run_round(addrs);
     EXPECT_EQ(sim.now(), engine.now()) << "after round " << round;
   }

@@ -87,11 +87,11 @@ TEST(Diagnose, ReportsTheHostPickBesideTheGpuRecommendation) {
 
   // Past L2, the pick comes with simulated misses and predicted times.
   const std::uint64_t n = 1 << 20;
-  if (model::host_geometry(1).fits_l2(n * sizeof(float))) GTEST_SKIP() << "L2 holds 4 MiB";
+  if (model::host_geometry(1).fits_half_l2(n * sizeof(float))) GTEST_SKIP() << "L2 holds 8 MiB";
   const Diagnosis big = diagnose(perm::by_name("transpose", n, 1), mp);
   EXPECT_GT(big.host_misses.lines, 0u);
   EXPECT_GT(big.host_conventional_ms, 0.0);
-  EXPECT_GT(big.host_scheduled_ms, 0.0);
+  EXPECT_GT(big.host_bucketed_ms, 0.0);
   os.str("");
   print_diagnosis(os, big);
   EXPECT_NE(os.str().find("predicted host ms"), std::string::npos);

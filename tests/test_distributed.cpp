@@ -205,7 +205,9 @@ TEST(ShardCodec, ExecRejectsHostileInputs) {
   const auto expect_reject = [&](std::vector<std::uint8_t> bytes, const char* what) {
     auto r = net::ShardExecRequest::decode(bytes, 1 << 20);
     EXPECT_FALSE(r.ok()) << what;
-    if (!r.ok()) EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << what;
+    if (!r.ok()) {
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << what;
+    }
     auto v = net::ShardExecRequestView::decode(bytes, 1 << 20);
     EXPECT_FALSE(v.ok()) << what << " (view)";
   };
@@ -700,9 +702,53 @@ TEST_P(ShardCounts, LocalAndLoopbackMatchTheOracle) {
   }
 }
 
+/// Every shard's tables, built the slow way: pack lists the band's
+/// elements grouped by destination band and in destination order within
+/// a group; merge names, for each destination, the next unread slot of
+/// its source's block in the receive buffer (the blocks in source order).
+TEST_P(ShardCounts, CompiledTablesMatchTheReferenceLayout) {
+  const std::uint32_t shards = GetParam();
+  for (const OracleCase& c : oracle_cases(shards)) {
+    const BandPlan bands = word_bands(c.p.size(), shards);
+    auto compiled = BandExchange::compile(c.p, bands);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+    const perm::Permutation pinv = c.p.inverse();
+    const auto band_of = [&](std::uint64_t i) {
+      std::uint32_t s = 0;
+      while (i >= bands.band_offset(s) + bands.band_elements(s)) ++s;
+      return s;
+    };
+    std::vector<std::vector<std::uint32_t>> pack(shards), merge(shards);
+    std::vector<std::vector<std::uint64_t>> recv(shards, std::vector<std::uint64_t>(shards, 0));
+    for (std::uint64_t j = 0; j < c.p.size(); ++j) ++recv[band_of(j)][band_of(pinv(j))];
+    for (std::uint32_t d = 0; d < shards; ++d) {
+      std::vector<std::uint64_t> next(shards, 0);
+      for (std::uint32_t s = 1; s < shards; ++s) next[s] = next[s - 1] + recv[d][s - 1];
+      for (std::uint64_t j = bands.band_offset(d); j < bands.band_offset(d) + bands.band_elements(d);
+           ++j) {
+        const std::uint32_t s = band_of(pinv(j));
+        pack[s].push_back(static_cast<std::uint32_t>(pinv(j) - bands.band_offset(s)));
+        merge[d].push_back(static_cast<std::uint32_t>(next[s]++));
+      }
+    }
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      const BandExchange& x = compiled.value()[s];
+      EXPECT_TRUE(std::equal(x.pack().begin(), x.pack().end(), pack[s].begin(), pack[s].end()))
+          << c.name << " shard " << s;
+      EXPECT_TRUE(std::equal(x.merge().begin(), x.merge().end(), merge[s].begin(),
+                             merge[s].end()))
+          << c.name << " shard " << s;
+      for (std::uint32_t d = 0; d < shards; ++d) {
+        EXPECT_EQ(x.recv()[d], recv[s][d]) << c.name;
+        EXPECT_EQ(x.send()[d], recv[d][s]) << c.name;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(DistributedOracle, ShardCounts, ::testing::Range(1u, 9u),
                          [](const ::testing::TestParamInfo<std::uint32_t>& shard_count) {
-                           return "s" + std::to_string(shard_count.param);
+                           return std::string("s").append(std::to_string(shard_count.param));
                          });
 
 // ------------------------------------------------------- end-to-end wire

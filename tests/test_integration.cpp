@@ -73,10 +73,11 @@ std::vector<Case> end_to_end_cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, EndToEnd, ::testing::ValuesIn(end_to_end_cases()),
-                         [](const ::testing::TestParamInfo<Case>& info) {
-                           std::string name = "m" + std::to_string(info.param.machine) + "_n" +
-                                              std::to_string(info.param.n) + "_" +
-                                              info.param.family;
+                         [](const ::testing::TestParamInfo<Case>& param_info) {
+                           const Case& c = param_info.param;
+                           std::string name = "m";
+                           name += std::to_string(c.machine) + "_n" + std::to_string(c.n) + "_" +
+                                   c.family;
                            for (char& ch : name) {
                              if (ch == '-') ch = '_';
                            }

@@ -71,8 +71,8 @@ TEST(Permuter, ForcedStrategiesAllCorrect) {
   const std::uint64_t n = 1 << 12;
   const MachineParams mp = MachineParams::tiny(4, 50, 2);
   const perm::Permutation p = perm::by_name("random", n, 9);
-  for (Strategy s :
-       {Strategy::kScheduled, Strategy::kSDesignated, Strategy::kDDesignated}) {
+  for (Strategy s : {Strategy::kScheduled, Strategy::kSDesignated, Strategy::kDDesignated,
+                     Strategy::kBucketed}) {
     OfflinePermuter<double> op(p, mp, s);
     EXPECT_EQ(op.strategy(), s);
     check(op, n);
@@ -98,16 +98,48 @@ TEST(Permuter, ScheduledRunsPastTheMachinesSharedMemory) {
   check(op, n);
 }
 
-// 2^23 doubles: a 2048 x 4096 plan whose 4096-double rows need 80 KiB
-// of GPU shared memory, past the GTX-680's 48 KiB. kAuto may pick
-// either strategy here; whichever it picks must construct and run.
+// 2^23 doubles, a 64 MiB source. kAuto may pick either of its
+// strategies here; whichever it picks must construct and run.
 TEST(Permuter, AutoOnLargeDoublePlanRuns) {
   const std::uint64_t n = 1ull << 23;
   OfflinePermuter<double> op(perm::by_name("random", n, 23));
-  EXPECT_TRUE(op.strategy() == Strategy::kScheduled ||
+  EXPECT_TRUE(op.strategy() == Strategy::kBucketed ||
               op.strategy() == Strategy::kSDesignated)
       << to_string(op.strategy());
   check(op, n);
+}
+
+// The bucketed strategy has no power-of-two condition, and its scratch
+// is the padded packed array.
+TEST(Permuter, BucketedRunsAtAnySize) {
+  for (const std::uint64_t n : {std::uint64_t{1}, std::uint64_t{1000}, std::uint64_t{1000003}}) {
+    OfflinePermuter<float> op(perm::by_name("random", n, 3), MachineParams::gtx680(),
+                              Strategy::kBucketed);
+    ASSERT_NE(op.buckets(), nullptr);
+    EXPECT_EQ(op.plan(), nullptr);
+    EXPECT_EQ(op.scratch_elements(), op.buckets()->packed_size());
+    EXPECT_GE(op.scratch_elements(), n);
+    EXPECT_EQ(op.compiled_bytes(), n * 4 + op.buckets()->table_bytes() + op.scratch_elements() * 4);
+    check(op, n);
+  }
+}
+
+// The paper's model of the bucketed kernel: Lemma 4 on each of its two
+// gathers, which is what the simulator clocks for two S-designated runs.
+TEST(Permuter, BucketedPredictedTimeIsTwoSDesignatedRuns) {
+  const std::uint64_t n = 1 << 14;
+  for (const MachineParams& mp : test::machines()) {
+    for (const char* family : {"random", "bit-reversal", "identical"}) {
+      const OfflinePermuter<float> op(perm::by_name(family, n, 2), mp, Strategy::kBucketed);
+      std::uint64_t clock = 0;
+      for (const perm::Permutation& gather : op.buckets()->gathers()) {
+        sim::HmmSim sim(mp);
+        clock += s_designated_sim_rounds(sim, gather);
+      }
+      EXPECT_EQ(op.predicted_time_units(), clock) << family << " w=" << mp.width;
+      EXPECT_EQ(op.predicted_time_units(), bucketed_time(*op.buckets(), mp));
+    }
+  }
 }
 
 TEST(Permuter, ReusableAcrossManyArrays) {
@@ -163,7 +195,7 @@ model::HostParams literal_host() {
   host.l2_ways = 16;
   host.llc_bytes = 26ull << 20;
   host.workers = 4;
-  host.sched_ns = 3.1;
+  host.bucket_ns = 0.9;
   host.miss_ns_llc = 2.5;
   host.miss_ns_dram = 5.0;
   host.alias_ns = 2.0;
@@ -187,18 +219,40 @@ TEST(HostModel, L2ResidentSourceGoesToSDesignatedForEveryFamily) {
 }
 
 TEST(HostModel, OneMegaElementMissRatesSeparateRandomFromPowerOfTwoStrides) {
-  // d_w(P^-1) is n for all three at w = 16; only the L2 misses differ.
+  // d_w(P^-1) is n for all three at w = 16; only the L2 misses differ,
+  // on the 1 MiB the 4 MiB source keeps of the L2 (random re-touches
+  // about a quarter of its lines there). Each is dearer gathered than
+  // through the bucketed kernel's two passes, random least so.
   const model::HostParams host = literal_host();
   const std::uint64_t n = 1 << 20;
-  EXPECT_EQ(pick_for("random", n, 4, host), Strategy::kSDesignated);
-  EXPECT_EQ(pick_for("bit-reversal", n, 4, host), Strategy::kScheduled);
-  EXPECT_EQ(pick_for("transpose", n, 4, host), Strategy::kScheduled);
+  EXPECT_EQ(pick_for("random", n, 4, host), Strategy::kBucketed);
+  EXPECT_EQ(pick_for("bit-reversal", n, 4, host), Strategy::kBucketed);
+  EXPECT_EQ(pick_for("transpose", n, 4, host), Strategy::kBucketed);
   const HostPick random = host_pick(perm::by_name("random", n, 42).inverse(), 4, host);
-  EXPECT_NEAR(static_cast<double>(random.misses.lines) / n, 0.56, 0.02);
+  EXPECT_NEAR(static_cast<double>(random.misses.lines) / n, 0.77, 0.02);
   EXPECT_LT(random.misses.aliased, n / 500);  // chance page-offset matches only
   const HostPick transpose = host_pick(perm::by_name("transpose", n, 42).inverse(), 4, host);
   EXPECT_GT(static_cast<double>(transpose.misses.lines) / n, 0.99);
   EXPECT_GT(static_cast<double>(transpose.misses.aliased) / n, 0.99);
+  EXPECT_LT(random.conventional_ms, transpose.conventional_ms);
+  EXPECT_EQ(random.bucketed_ms, transpose.bucketed_ms);  // permutation-independent
+}
+
+TEST(HostModel, SourceAsLargeAsTheL2IsSimulated) {
+  // 512K u32 fill the 2 MiB L2, past the half that skips the simulation
+  // and twice the share the source keeps. The power-of-two strides
+  // thrash that share: every access misses, page-aliased, and the
+  // bucketed kernel wins. (An LRU model of the whole L2 sees only cold
+  // misses for transpose here, where the gather runs twice as long.)
+  const model::HostParams host = literal_host();
+  const std::uint64_t n = 512 << 10;
+  EXPECT_GT(host_pick(perm::by_name("random", n, 42).inverse(), 4, host).misses.lines, 0u);
+  for (const char* family : {"bit-reversal", "transpose"}) {
+    const HostPick pick = host_pick(perm::by_name(family, n, 42).inverse(), 4, host);
+    EXPECT_GT(static_cast<double>(pick.misses.lines) / n, 0.99) << family;
+    EXPECT_GT(static_cast<double>(pick.misses.aliased) / n, 0.99) << family;
+    EXPECT_EQ(pick.strategy, Strategy::kBucketed) << family;
+  }
 }
 
 TEST(HostModel, IdentityAndShuffleStayConventionalAtEverySize) {
@@ -210,7 +264,7 @@ TEST(HostModel, IdentityAndShuffleStayConventionalAtEverySize) {
   }
 }
 
-TEST(HostModel, DramLevelWithEveryAccessMissingGoesScheduled) {
+TEST(HostModel, DramLevelWithEveryAccessMissingGoesBucketed) {
   // A 256 KiB L2 makes a 1M random gather miss on ~all accesses, and a
   // 1 MiB LLC share puts its 4 MiB source at the DRAM level.
   model::HostParams host = literal_host();
@@ -219,10 +273,10 @@ TEST(HostModel, DramLevelWithEveryAccessMissingGoesScheduled) {
   const std::uint64_t n = 1 << 20;
   const HostPick pick = host_pick(perm::by_name("random", n, 42).inverse(), 4, host);
   EXPECT_GT(static_cast<double>(pick.misses.lines) / n, 0.9);
-  EXPECT_EQ(pick.strategy, Strategy::kScheduled);
-  // The same misses at the LLC level would not pay for three sweeps.
+  EXPECT_EQ(pick.strategy, Strategy::kBucketed);
+  // The same misses at a cheap enough LLC level would not pay for two passes.
   host.llc_bytes = 64 << 20;
-  host.miss_ns_llc = 1.0;
+  host.miss_ns_llc = 0.5;
   EXPECT_EQ(host_pick(perm::by_name("random", n, 42).inverse(), 4, host).strategy,
             Strategy::kSDesignated);
 }
@@ -288,7 +342,7 @@ TEST(HostModel, GeometryIsSaneAndTheProbeRunsOnce) {
 
   // A source that fits L2 needs no costs, so nothing is probed for it.
   const model::HostParams small = host_params(1024);
-  EXPECT_EQ(small.sched_ns, 0.0);
+  EXPECT_EQ(small.bucket_ns, 0.0);
   // First use from several threads at once, with a STATS-style reader
   // polling beside them: one probe, one answer.
   const std::uint64_t big = 2 * small.l2_bytes;
@@ -299,15 +353,15 @@ TEST(HostModel, GeometryIsSaneAndTheProbeRunsOnce) {
   }
   for (int i = 0; i < 100; ++i) (void)host_params_so_far();
   for (std::thread& t : callers) t.join();
-  EXPECT_GT(seen[0].sched_ns, 0.0);
+  EXPECT_GT(seen[0].bucket_ns, 0.0);
   EXPECT_GT(seen[0].miss_ns_llc, 0.0);
   EXPECT_GT(seen[0].forkjoin_ns, 0.0);
   for (const model::HostParams& other : seen) {
-    EXPECT_EQ(other.sched_ns, seen[0].sched_ns);
+    EXPECT_EQ(other.bucket_ns, seen[0].bucket_ns);
     EXPECT_EQ(other.miss_ns_llc, seen[0].miss_ns_llc);
     EXPECT_EQ(other.alias_ns, seen[0].alias_ns);
   }
-  EXPECT_EQ(host_params_so_far().sched_ns, seen[0].sched_ns);
+  EXPECT_EQ(host_params_so_far().bucket_ns, seen[0].bucket_ns);
 }
 
 }  // namespace

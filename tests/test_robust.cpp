@@ -207,6 +207,23 @@ TEST(FaultInjector, MaybeThrowCarriesTheStatusCode) {
 /// gate: requests submitted behind the gate stay *queued*
 /// deterministically until release() — the scaffolding for the
 /// dequeue-time deadline/cancel tests.
+/// Submit options carrying only a deadline and a cancel token.
+runtime::Executor::SubmitOptions submit_options(std::chrono::steady_clock::time_point deadline,
+                                                runtime::CancelToken cancel = {}) {
+  runtime::Executor::SubmitOptions opts;
+  opts.deadline = deadline;
+  opts.cancel = std::move(cancel);
+  return opts;
+}
+
+/// An executor config admitting one request at a time under `admission`.
+runtime::Executor::Config one_in_flight(runtime::Executor::Admission admission) {
+  runtime::Executor::Config config;
+  config.max_in_flight = 1;
+  config.admission = admission;
+  return config;
+}
+
 struct BlockedExecutor {
   explicit BlockedExecutor(runtime::Executor::Config config = {})
       : pool(1), executor(pool, &metrics, config) {
@@ -245,7 +262,7 @@ TEST(ExecutorRobust, CancelledWhileQueuedNeverExecutes) {
   runtime::CancelSource cancel;
   auto submitted = ctx.executor.try_submit<float>(
       h, std::span<const float>(a.data(), n), std::span<float>(b.data(), n),
-      {runtime::Executor::kNoDeadline, cancel.token()});
+      submit_options(runtime::Executor::kNoDeadline, cancel.token()));
   ASSERT_TRUE(submitted.ok());
   cancel.request_cancel();  // request is still queued behind the blocker
   ctx.release_worker();
@@ -270,7 +287,7 @@ TEST(ExecutorRobust, DeadlineExpiredInQueueRejectsWithoutExecuting) {
 
   auto submitted = ctx.executor.try_submit<float>(
       h, std::span<const float>(a.data(), n), std::span<float>(b.data(), n),
-      {std::chrono::steady_clock::now() + 20ms, runtime::CancelToken{}});
+      submit_options(std::chrono::steady_clock::now() + 20ms));
   ASSERT_TRUE(submitted.ok());
   std::this_thread::sleep_for(60ms);  // let the deadline pass while queued
   ctx.release_worker();
@@ -294,7 +311,7 @@ TEST(ExecutorRobust, PreExpiredDeadlineIsRefusedSynchronously) {
 
   auto submitted = executor.try_submit<float>(
       h, std::span<const float>(a.data(), n), std::span<float>(b.data(), n),
-      {std::chrono::steady_clock::now() - 1ms, runtime::CancelToken{}});
+      submit_options(std::chrono::steady_clock::now() - 1ms));
   ASSERT_FALSE(submitted.ok());
   EXPECT_EQ(submitted.status().code(), StatusCode::kDeadlineExceeded);
   const runtime::MetricsSnapshot snap = metrics.snapshot();
@@ -322,7 +339,7 @@ TEST(ExecutorRobust, InvalidRequestsAreRefusedTyped) {
 }
 
 TEST(ExecutorRobust, AdmissionRejectFailsFastAtTheBound) {
-  BlockedExecutor ctx({.max_in_flight = 1, .admission = runtime::Executor::Admission::kReject});
+  BlockedExecutor ctx(one_in_flight(runtime::Executor::Admission::kReject));
   const std::uint64_t n = 1024;
   auto h = make_permuter(n);
   const auto a = test::iota_data<float>(n);
@@ -345,7 +362,7 @@ TEST(ExecutorRobust, AdmissionRejectFailsFastAtTheBound) {
 }
 
 TEST(ExecutorRobust, AdmissionBlockHonorsTheDeadline) {
-  BlockedExecutor ctx({.max_in_flight = 1, .admission = runtime::Executor::Admission::kBlock});
+  BlockedExecutor ctx(one_in_flight(runtime::Executor::Admission::kBlock));
   const std::uint64_t n = 1024;
   auto h = make_permuter(n);
   const auto a = test::iota_data<float>(n);
@@ -357,7 +374,7 @@ TEST(ExecutorRobust, AdmissionBlockHonorsTheDeadline) {
   // The slot is held; blocking admission must give up at the deadline.
   auto second = ctx.executor.try_submit<float>(
       h, std::span<const float>(a.data(), n), std::span<float>(b2.data(), n),
-      {std::chrono::steady_clock::now() + 50ms, runtime::CancelToken{}});
+      submit_options(std::chrono::steady_clock::now() + 50ms));
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kDeadlineExceeded);
 

@@ -627,22 +627,25 @@ TEST(Metrics, CompiledPlansCountedByResolvedStrategy) {
   (void)cache.acquire<float>(perm::bit_reversal(n), mp);
   (void)cache.acquire<float>(perm::bit_reversal(n), mp, core::Strategy::kScheduled);
   (void)cache.acquire<float>(perm::shuffle(n), mp, core::Strategy::kDDesignated);
+  (void)cache.acquire<float>(perm::identical(n), mp, core::Strategy::kBucketed);
 
   const auto snap = metrics.snapshot();
   EXPECT_EQ(snap.plans_scheduled, 1u);
   EXPECT_EQ(snap.plans_s_designated, 1u);
   EXPECT_EQ(snap.plans_d_designated, 1u);
-  EXPECT_EQ(snap.plan_builds, 3u);
+  EXPECT_EQ(snap.plans_bucketed, 1u);
+  EXPECT_EQ(snap.plan_builds, 4u);
   EXPECT_GT(snap.host.l2_bytes, 0u);
 
   const std::string json = snap.to_json();
   EXPECT_NE(json.find("\"plans_by_strategy\":{\"scheduled\":1,\"s-designated\":1,"
-                      "\"d-designated\":1}"),
+                      "\"d-designated\":1,\"bucketed\":1}"),
             std::string::npos);
   EXPECT_NE(json.find("\"host\":{\"line_bytes\":"), std::string::npos);
   const std::string prom = snap.to_prometheus();
   EXPECT_NE(prom.find("hmm_plans_total{strategy=\"scheduled\"} 1\n"), std::string::npos);
   EXPECT_NE(prom.find("hmm_plans_total{strategy=\"s-designated\"} 1\n"), std::string::npos);
+  EXPECT_NE(prom.find("hmm_plans_total{strategy=\"bucketed\"} 1\n"), std::string::npos);
   EXPECT_NE(prom.find("hmm_host_miss_ns{level=\"llc\"}"), std::string::npos);
 }
 
@@ -794,6 +797,41 @@ TEST(Executor, ScheduledRequestRecordsEveryKernelPhase) {
   EXPECT_EQ(snap.phase(Phase::kKernelTranspose2).count, 0u);
   EXPECT_EQ(snap.phase(Phase::kKernelConventional).count, 0u);
   EXPECT_EQ(snap.phase(Phase::kSerialize).count, 0u);
+}
+
+TEST(Executor, BucketedRequestRecordsItsTwoPasses) {
+  // The bucketed plan's pack reports as row_pass_1 and its merge as
+  // conventional_kernel: one sample in each, none in the other sweeps.
+  using runtime::Phase;
+  const std::uint64_t n = 1 << 16;
+  runtime::ServiceMetrics metrics;
+  runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
+  runtime::Executor executor(util::ThreadPool::global(), &metrics);
+
+  auto phases = std::make_shared<runtime::PhaseBreakdown>();
+  auto h = cache.acquire<float>(perm::bit_reversal(n), MachineParams::gtx680(),
+                                core::Strategy::kBucketed, phases.get());
+  ASSERT_EQ(h->strategy(), core::Strategy::kBucketed);
+  const auto a = test::iota_data<float>(n);
+  util::aligned_vector<float> b(n);
+
+  runtime::Executor::SubmitOptions opts;
+  opts.phases = phases;
+  auto submitted = executor.try_submit<float>(h, std::span<const float>(a.data(), n),
+                                              std::span<float>(b.data(), n), opts);
+  ASSERT_TRUE(submitted.ok()) << submitted.status().to_string();
+  const auto status = std::move(submitted).value().get();
+  ASSERT_TRUE(status.is_ok()) << status.to_string();
+  executor.wait_idle();
+  for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(b[h->permutation()(i)], a[i]) << i;
+
+  const auto snap = metrics.snapshot();
+  EXPECT_EQ(snap.phase(Phase::kKernelRowPass1).count, 1u);
+  EXPECT_EQ(snap.phase(Phase::kKernelConventional).count, 1u);
+  for (Phase phase : {Phase::kKernelTranspose1, Phase::kKernelRowPass2,
+                      Phase::kKernelTranspose2, Phase::kKernelRowPass3}) {
+    EXPECT_EQ(snap.phase(phase).count, 0u) << runtime::to_string(phase);
+  }
 }
 
 TEST(Executor, ConventionalRequestRecordsTheConventionalPhase) {

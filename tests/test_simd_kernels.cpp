@@ -7,6 +7,9 @@
 /// Shapes deliberately include odd tails (cols not a multiple of any
 /// lane width, rows not a multiple of the 16-row band), single
 /// rows/columns, and 1..5 lanes per call, as the serving path batches.
+/// The bucketed permutation (core/bucketed.hpp) is checked here too,
+/// against b[p[i]] = a[i], so the sanitizer run covers its ragged last
+/// band and its padded scratch.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/bucketed.hpp"
 #include "cpu/dispatch.hpp"
 #include "cpu/kernels.hpp"
 #include "perm/generators.hpp"
@@ -300,10 +304,113 @@ TEST(KernelDispatch, ScalarGatherScatterMatchOracleAtInlineCutoff) {
   });
 }
 
+// ---- bucketed permutation ---------------------------------------------
+
+/// The bucketed kernel on `p` with bands of `band` elements under the
+/// installed variant: b[p[i]] == a[i], bit for bit, with the scratch
+/// exactly `packed_size()` long (ASan catches a read or write past it).
+template <class T>
+void expect_bucketed_oracle(const perm::Permutation& p, std::uint64_t band,
+                            const std::string& what) {
+  const std::uint64_t n = p.size();
+  const core::BucketedPlan plan =
+      core::BucketedPlan::build(p, band, core::BucketedPlan::skew_for(sizeof(T)));
+  const auto a = random_bits<T>(n, n + band);
+  util::aligned_vector<T> want(n), got(n), packed(plan.packed_size());
+  for (std::uint64_t i = 0; i < n; ++i) want[p(i)] = a[i];
+  ASSERT_TRUE(core::bucketed_cpu<T>(util::ThreadPool::global(), plan, a, got, packed));
+  expect_bit_identical(got, want, what.c_str());
+}
+
+/// Band of the serving types on a host with a 2 MiB L2 (16K u32).
+template <class T>
+std::uint64_t serving_band(std::uint64_t n) {
+  return core::BucketedPlan::band_for(n, sizeof(T), 2u << 20);
+}
+
+/// The five paper families at 2^20, in every 4- and 8-byte serving type.
+void run_bucketed_families() {
+  const std::uint64_t n = 1 << 20;
+  for (const char* family : {"random", "bit-reversal", "transpose", "identical", "shuffle"}) {
+    const perm::Permutation p = perm::by_name(family, n, 11);
+    expect_bucketed_oracle<std::uint32_t>(p, serving_band<std::uint32_t>(n),
+                                          std::string(family) + " u32");
+    expect_bucketed_oracle<std::uint64_t>(p, serving_band<std::uint64_t>(n),
+                                          std::string(family) + " u64");
+    expect_bucketed_oracle<float>(p, serving_band<float>(n), std::string(family) + " float");
+    expect_bucketed_oracle<double>(p, serving_band<double>(n), std::string(family) + " double");
+  }
+}
+
+/// Sizes that are no power of two, one band or a sliver past one, in
+/// every element type (16-byte complex runs scalar in every tier).
+template <class T>
+void run_bucketed_ragged() {
+  util::Xoshiro256 rng(5);
+  const std::uint64_t band = 4096;
+  for (const std::uint64_t n : {std::uint64_t{1000000}, std::uint64_t{3} * (1 << 18) + 7}) {
+    expect_bucketed_oracle<T>(perm::random(n, rng), serving_band<T>(n), "random " + std::to_string(n));
+  }
+  expect_bucketed_oracle<T>(perm::transpose(1000, 1000), serving_band<T>(1000000),
+                            "transpose 1000x1000");
+  for (const std::uint64_t n : {band - 1, band + 1, band / 3, std::uint64_t{1}}) {
+    expect_bucketed_oracle<T>(perm::random(n, rng), band, "random " + std::to_string(n));
+    expect_bucketed_oracle<T>(perm::identical(n), band, "identical " + std::to_string(n));
+  }
+}
+
+void run_bucketed_ragged_all_types() {
+  run_bucketed_ragged<std::uint32_t>();
+  run_bucketed_ragged<std::uint64_t>();
+  run_bucketed_ragged<float>();
+  run_bucketed_ragged<double>();
+  run_bucketed_ragged<std::complex<double>>();
+}
+
+TEST_P(SimdVariantTest, BucketedMatchesOracleOnEveryFamily) { run_bucketed_families(); }
+TEST_P(SimdVariantTest, BucketedMatchesOracleOnRaggedSizes) { run_bucketed_ragged_all_types(); }
+
+TEST(KernelDispatch, ScalarBucketedMatchesOracle) {
+  with_variant(KernelVariant::kScalar, [] {
+    run_bucketed_families();
+    run_bucketed_ragged_all_types();
+  });
+}
+
+TEST(KernelDispatch, BucketedRefusesShortScratch) {
+  const perm::Permutation p = perm::by_name("random", 1 << 12, 3);
+  const core::BucketedPlan plan = core::BucketedPlan::build(p, 1024, 16);
+  EXPECT_EQ(plan.packed_size(), (1u << 12) + 3 * 16);
+  util::aligned_vector<std::uint32_t> a(p.size()), b(p.size()), packed(plan.packed_size() - 1);
+  EXPECT_DEATH((void)core::bucketed_cpu<std::uint32_t>(util::ThreadPool::global(), plan, a, b,
+                                                       packed),
+               "scratch is too short");
+}
+
+TEST(KernelDispatch, BucketedGateStopsBetweenThePasses) {
+  const perm::Permutation p = perm::by_name("random", 1 << 14, 4);
+  const core::BucketedPlan plan = core::BucketedPlan::build(p, 1024, 16);
+  util::aligned_vector<std::uint32_t> a(p.size(), 7), b(p.size(), 0), packed(plan.packed_size(), 0);
+  std::vector<unsigned> kernels;
+  int gates = 0;
+  const bool ran = core::bucketed_cpu<std::uint32_t>(
+      util::ThreadPool::global(), plan, a, b, packed,
+      [&] {
+        ++gates;
+        return false;
+      },
+      [&](unsigned kernel, std::uint64_t) { kernels.push_back(kernel); });
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(gates, 1);
+  EXPECT_EQ(kernels, std::vector<unsigned>{0});  // the pack ran, the merge did not
+  EXPECT_EQ(packed[0], 7u);
+  EXPECT_EQ(std::count(b.begin(), b.end(), 0u), static_cast<std::ptrdiff_t>(p.size()));
+}
+
 INSTANTIATE_TEST_SUITE_P(SimdKernels, SimdVariantTest,
                          ::testing::Values(KernelVariant::kAvx2, KernelVariant::kAvx512),
-                         [](const ::testing::TestParamInfo<KernelVariant>& info) {
-                           return std::string(to_string(info.param));
+                         [](const ::testing::TestParamInfo<KernelVariant>& param_info) {
+                           return std::string(to_string(param_info.param));
                          });
 
 // ---- dispatcher behavior ---------------------------------------------

@@ -66,7 +66,7 @@ namespace {
 /// enough for the snapshots this tool itself requested.
 bool scrape_u64(const std::string& json, std::string_view key, std::uint64_t& out,
                 std::size_t from = 0) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  const std::string needle = std::string("\"").append(key).append("\":");
   const std::size_t at = json.find(needle, from);
   if (at == std::string::npos) return false;
   const char* p = json.c_str() + at + needle.size();
@@ -78,7 +78,7 @@ bool scrape_u64(const std::string& json, std::string_view key, std::uint64_t& ou
 /// Pull `"key":"<string>"` out of a JSON dump starting at `from`.
 bool scrape_string(const std::string& json, std::string_view key, std::string& out,
                    std::size_t from = 0) {
-  const std::string needle = "\"" + std::string(key) + "\":\"";
+  const std::string needle = std::string("\"").append(key).append("\":\"");
   const std::size_t at = json.find(needle, from);
   if (at == std::string::npos) return false;
   const std::size_t begin = at + needle.size();
@@ -90,7 +90,7 @@ bool scrape_string(const std::string& json, std::string_view key, std::string& o
 
 bool scrape_bool(const std::string& json, std::string_view key, bool& out,
                  std::size_t from = 0) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  const std::string needle = std::string("\"").append(key).append("\":");
   const std::size_t at = json.find(needle, from);
   if (at == std::string::npos) return false;
   out = json.compare(at + needle.size(), 4, "true") == 0;

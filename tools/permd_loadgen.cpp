@@ -158,7 +158,7 @@ struct Tally {
 /// Pull `"key":<u64>` out of a flat JSON dump. Good enough for the
 /// metrics snapshot this tool itself requested; not a JSON parser.
 bool scrape_u64(const std::string& json, std::string_view key, std::uint64_t& out) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  const std::string needle = std::string("\"").append(key).append("\":");
   const std::size_t at = json.find(needle);
   if (at == std::string::npos) return false;
   const char* p = json.c_str() + at + needle.size();

@@ -23,7 +23,7 @@
 ///               [--metrics-json <path>] [--json]
 ///               [--prom-file <path>] [--slow-ms 0]
 ///               [--batch-max 1] [--batch-delay-us 200]
-///               [--strategy auto|scheduled|s-designated|d-designated]
+///               [--strategy auto|scheduled|s-designated|d-designated|bucketed]
 ///               [--fault-rate 0.0] [--fault-seed 1]
 ///               [--fault-sites plan_cache.build] [--fault-stall-ms 50]
 ///
@@ -118,8 +118,8 @@ int main(int argc, char** argv) {
   const std::optional<core::Strategy> strategy =
       core::strategy_from_string(cli.get("strategy", "auto"));
   if (!strategy) {
-    std::cerr << "permd_serve: --strategy must be auto, scheduled, s-designated or "
-                 "d-designated\n";
+    std::cerr << "permd_serve: --strategy must be auto, scheduled, s-designated, "
+                 "d-designated or bucketed\n";
     return 2;
   }
   const double fault_rate = cli.get_double("fault-rate", 0.0);
