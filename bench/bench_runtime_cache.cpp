@@ -82,15 +82,29 @@ int main(int argc, char** argv) {
       });
 
       runtime::Executor executor(pool, &metrics);
+      runtime::Status failure = runtime::Status::ok();
       const double batched_ms = bench::time_ms([&] {
-        std::vector<std::future<void>> futs;
+        std::vector<std::future<runtime::Status>> futs;
         futs.reserve(batch);
         for (std::uint64_t r = 0; r < batch; ++r) {
-          futs.push_back(executor.submit<float>(h, std::span<const float>(a.data(), n),
-                                                std::span<float>(outs[r].data(), n)));
+          auto submitted = executor.try_submit<float>(h, std::span<const float>(a.data(), n),
+                                                      std::span<float>(outs[r].data(), n));
+          if (!submitted.ok()) {
+            failure = submitted.status();
+            continue;
+          }
+          futs.push_back(std::move(submitted).value());
         }
-        for (auto& f : futs) f.get();
+        for (auto& f : futs) {
+          const runtime::Status st = f.get();
+          if (!st.is_ok()) failure = st;
+        }
       });
+      if (!failure.is_ok()) {
+        std::cerr << "bench_runtime_cache: executor request failed: " << failure.to_string()
+                  << "\n";
+        return 1;
+      }
 
       const runtime::MetricsSnapshot snap = metrics.snapshot();
       table.add_row({bench::size_label(n), util::format_ms(cold_ms),

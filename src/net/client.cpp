@@ -219,7 +219,7 @@ Status Client::permute(std::uint64_t plan_id, std::span<const std::uint32_t> dat
 
 Status Client::execute_program(std::span<const runtime::ProgramOp> ops,
                                std::span<const std::uint32_t> data, std::span<std::uint32_t> out,
-                               std::chrono::milliseconds deadline, bool staged) {
+                               std::chrono::milliseconds deadline) {
   if (out.size() != data.size()) {
     return Status(StatusCode::kInvalidArgument, "output span size does not match input");
   }
@@ -234,7 +234,7 @@ Status Client::execute_program(std::span<const runtime::ProgramOp> ops,
   std::array<std::uint8_t, 16 + 16 * runtime::kMaxProgramOps + 8> prefix{};
   std::uint8_t* at = put_le(prefix.data(), PermuteRequest::clamp_deadline(deadline), 4);
   at = put_le(at, kElemBytes, 4);
-  at = put_le(at, staged ? kProgramFlagStaged : 0, 4);
+  at = put_le(at, 0, 4);  // flags: all reserved
   at = put_le(at, ops.size(), 4);
   for (const runtime::ProgramOp& op : ops) {
     at = put_le(at, static_cast<std::uint32_t>(op.op), 4);

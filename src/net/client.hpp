@@ -108,14 +108,12 @@ class Client {
   /// Execute an op chain in one round trip: `ops` apply to `data` in
   /// list order (see runtime/program.hpp for the opcode vocabulary —
   /// PERMUTE/INVERSE reference plan ids from submit_plan(), the rest
-  /// are parametric generators). Set `staged` to force the server's
-  /// staged fallback instead of plan fusion (wire flag bit0); results
-  /// are bit-identical either way. `out` must be exactly data.size()
+  /// are parametric generators). `out` must be exactly data.size()
   /// elements.
   runtime::Status execute_program(
       std::span<const runtime::ProgramOp> ops, std::span<const std::uint32_t> data,
       std::span<std::uint32_t> out,
-      std::chrono::milliseconds deadline = std::chrono::milliseconds{0}, bool staged = false);
+      std::chrono::milliseconds deadline = std::chrono::milliseconds{0});
 
   /// The server's ServiceMetrics snapshot as JSON.
   runtime::StatusOr<std::string> stats_json();

@@ -18,8 +18,7 @@
 ///                    inverses, and parametric generators — see
 ///                    runtime/program.hpp) to a payload in one round
 ///                    trip; the server fuses the chain into a single
-///                    composite plan unless flag bit0 forces the staged
-///                    path
+///                    composite plan
 ///   STATS            fetch the server's ServiceMetrics snapshot as JSON
 ///   SHARD_EXEC       coordinator -> shard: execute one row band of a
 ///                    distributed PERMUTE (pack, one peer-to-peer
@@ -50,7 +49,7 @@
 ///   PERMUTE_OK   resp: u64 count, u8 data[count * elem_bytes]
 ///   EXECUTE_PROGRAM
 ///                req:  u32 deadline_ms (0 = none), u32 elem_bytes (4),
-///                      u32 flags (bit0 = force staged; rest must be 0),
+///                      u32 flags (all bits reserved; must be 0),
 ///                      u32 op_count (1..kMaxProgramOps),
 ///                      op_count x { u32 opcode, u32 reserved (0),
 ///                                   u64 arg },
@@ -380,14 +379,13 @@ struct WordsResponseView {
 
 /// Wire flags for EXECUTE_PROGRAM. Bits outside the mask are reserved
 /// and must be zero (strictly rejected, so they stay available for
-/// future revs).
-inline constexpr std::uint32_t kProgramFlagStaged = 0x1;  ///< force the staged path
-inline constexpr std::uint32_t kProgramFlagsMask = kProgramFlagStaged;
+/// future revs). Every bit is reserved today.
+inline constexpr std::uint32_t kProgramFlagsMask = 0;
 
 /// Owning EXECUTE_PROGRAM request (client-side encode + strict decode).
 struct ExecuteProgramRequest {
   std::uint32_t deadline_ms = 0;  ///< relative; 0 = no deadline
-  std::uint32_t flags = 0;        ///< kProgramFlag* bits
+  std::uint32_t flags = 0;        ///< reserved (see kProgramFlagsMask)
   std::vector<runtime::ProgramOp> ops;
   std::vector<std::uint32_t> data;
 
@@ -407,10 +405,6 @@ struct ExecuteProgramRequestView {
   std::uint32_t flags = 0;
   std::vector<runtime::ProgramOp> ops;
   WordsView data;
-
-  [[nodiscard]] bool force_staged() const noexcept {
-    return (flags & kProgramFlagStaged) != 0;
-  }
 
   [[nodiscard]] static runtime::StatusOr<ExecuteProgramRequestView> decode(
       std::span<const std::uint8_t> payload, std::uint64_t max_elements);

@@ -719,13 +719,12 @@ OutboundFrame Server::handle_program(const FrameView& request) {
   const ExecuteProgramRequestView& program_req = req.value();
   const std::uint64_t count = program_req.data.count;
 
-  runtime::ProgramRequestOptions opts;
+  runtime::RequestOptions opts;
   if (program_req.deadline_ms > 0) {
     opts.deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(program_req.deadline_ms);
   }
   opts.trace_id = request.request_id;
-  opts.force_staged = program_req.force_staged();
 
   // The wire plan id is the mapping fingerprint, so the registry *is*
   // the resolver. The lambda takes the lock per lookup — an op chain

@@ -275,8 +275,7 @@ class Server {
 
   /// EXECUTE_PROGRAM: same pooled/scatter-gather shape as PERMUTE, with
   /// the op chain resolved against the SUBMIT_PLAN registry and handed
-  /// to the service's program path (fused unless wire flag bit0 forces
-  /// staged).
+  /// to the service's program path.
   OutboundFrame handle_program(const FrameView& request);
 
   /// SHARD_EXEC: run this shard's row band of a distributed PERMUTE —

@@ -184,10 +184,4 @@ Status Executor::admit(std::chrono::steady_clock::time_point deadline,
   return Status::ok();
 }
 
-std::uint64_t Executor::admit_blocking() {
-  std::unique_lock lock(idle_mutex_);
-  idle_cv_.wait(lock, [this] { return has_slot_locked(); });
-  return in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-}
-
 }  // namespace hmm::runtime

@@ -5,21 +5,19 @@
 ///        deadlines, cooperative cancellation, pooled scratch, and
 ///        optional same-plan request batching.
 ///
-/// `submit(permuter, a, b)` enqueues one permutation request and
-/// returns a `std::future<void>` that becomes ready when `b` holds the
-/// permuted data (or carries the exception that aborted the request).
-/// `try_submit(permuter, a, b, opts)` is the serving-path variant: it
-/// never throws request-level failures, reporting them as a typed
-/// `Status` instead — synchronously when the request is refused
-/// (admission bound hit, deadline already expired, cancelled before
-/// enqueue) and through the returned `std::future<Status>` after that.
+/// `try_submit(permuter, a, b, opts)` is the one request entry point:
+/// it enqueues b[P(i)] = a[i] and never throws request-level failures,
+/// reporting them as a typed `Status` instead — synchronously when the
+/// request is refused (admission bound hit, deadline already expired,
+/// cancelled before enqueue) and through the returned
+/// `std::future<Status>` after that.
 ///
 /// Request lifecycle controls:
 ///  - **Admission**: `Config::max_in_flight` bounds the number of
 ///    admitted-but-unfinished requests. At the bound, `try_submit`
 ///    either rejects with `kResourceExhausted` (Admission::kReject) or
 ///    blocks the submitter until a slot frees or the request deadline
-///    passes (Admission::kBlock). The legacy `submit` always blocks.
+///    passes (Admission::kBlock).
 ///  - **Deadlines**: checked before admission, at dequeue (a request
 ///    that waited out its deadline in the queue resolves
 ///    `kDeadlineExceeded` without executing), and between the kernel
@@ -179,51 +177,9 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Enqueue b[P(i)] = a[i] under the compiled permuter `h`. Failures
-  /// surface as exceptions through the future. Blocks for a slot when
-  /// the in-flight bound is hit (regardless of the admission policy —
-  /// this legacy entry point has no way to report a rejection).
-  template <class T>
-  std::future<void> submit(std::shared_ptr<const core::OfflinePermuter<T>> h,
-                           std::span<const T> a, std::span<T> b) {
-    HMM_CHECK(h != nullptr);
-    const std::uint64_t depth = admit_blocking();
-    std::future<void> fut;
-    try {
-      fut = pool_.submit_task([this, h = std::move(h), a, b] {
-        Completion done(*this);  // decrements in_flight_ even on throw
-        util::Stopwatch clock;
-        bool ok = false;
-        try {
-          FaultInjector::instance().maybe_stall(fault_sites::kExecutorStall);
-          FaultInjector::instance().maybe_throw(fault_sites::kExecutorAlloc,
-                                                StatusCode::kResourceExhausted,
-                                                "scratch allocation failure");
-          const std::uint64_t scratch_elems = h->scratch_elements();
-          util::PooledBuffer scratch = buffer_pool_->acquire(scratch_elems * sizeof(T));
-          h->permute(a, b, scratch.as_span<T>(scratch_elems));
-          ok = true;
-        } catch (...) {
-          if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-          throw;  // delivered through the future
-        }
-        if (metrics_ && ok) {
-          metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), true);
-        }
-      });
-    } catch (...) {
-      // Enqueue failed (packaged_task / queue allocation): the task
-      // will never run, so its Completion never fires — roll the count
-      // back or wait_idle() and the destructor would block forever.
-      finish_one();
-      throw;
-    }
-    if (metrics_) metrics_->record_submit(depth);
-    return fut;
-  }
-
-  /// Serving-path submit: admission control + deadline + cancellation,
-  /// all failures as typed Status. A synchronous error means the
+  /// Enqueue b[P(i)] = a[i] under the compiled permuter `h`, with
+  /// admission control, deadline and cancellation; all failures as
+  /// typed Status. A synchronous error means the
   /// request was refused before enqueue and will never execute; an OK
   /// result carries the future that resolves with the request outcome.
   template <class T>
@@ -279,73 +235,6 @@ class Executor {
       fut = pool_.submit_task([this, h = std::move(h), a, b, opts, enqueued_at]() -> Status {
         return run_request<T>(*h, a, b, opts, enqueued_at);
       });
-    } catch (...) {
-      finish_one();
-      throw;  // enqueue alloc failure: a process-level problem, not a request outcome
-    }
-    if (metrics_) metrics_->record_submit(depth);
-    return fut;
-  }
-
-  /// Staged program execution: run a validated chain of same-size
-  /// permuters back-to-back as ONE admitted request (one in-flight
-  /// slot, one future), ping-ponging through pooled intermediate
-  /// buffers so a depth-k chain performs zero per-request heap
-  /// allocations and intermediates never leave the process. The
-  /// deadline/cancel pair is re-checked at every stage boundary (and
-  /// between kernels inside each stage via the phase gate); the
-  /// `program.stage` fault site injects a failure at exactly those
-  /// boundaries. Pooled buffers are RAII handles, so every early exit
-  /// (cancel, deadline, fault, pool exhaustion) releases them.
-  ///
-  /// This is the *staged fallback* of the program subsystem — the fused
-  /// path compiles the composite permutation and goes through plain
-  /// try_submit. Stage semantics: stage 0 reads `a`; the last stage
-  /// writes `b`; a request stopped early leaves `b` garbage.
-  template <class T>
-  StatusOr<std::future<Status>> submit_program(
-      std::vector<std::shared_ptr<const core::OfflinePermuter<T>>> stages,
-      std::span<const T> a, std::span<T> b, SubmitOptions opts = {}) {
-    if (stages.empty()) {
-      return Status(StatusCode::kInvalidArgument, "program has no stages");
-    }
-    for (const auto& stage : stages) {
-      if (stage == nullptr) {
-        return Status(StatusCode::kInvalidArgument, "null permuter handle in program");
-      }
-      if (a.size() != stage->size() || b.size() != stage->size()) {
-        return Status(StatusCode::kInvalidArgument,
-                      "span sizes do not match the program stages");
-      }
-    }
-    if (!opts.phases) opts.phases = std::make_shared<PhaseBreakdown>();
-    if (opts.cancel.cancelled()) {
-      if (metrics_) metrics_->record_cancelled();
-      finalize_request(opts);
-      return Status(StatusCode::kCancelled, "cancelled before admission");
-    }
-    if (expired(opts.deadline)) {
-      if (metrics_) metrics_->record_deadline_exceeded();
-      finalize_request(opts);
-      return Status(StatusCode::kDeadlineExceeded, "deadline expired before admission");
-    }
-
-    util::Stopwatch admit_clock;
-    std::uint64_t depth = 0;
-    Status admitted = admit(opts.deadline, depth);
-    opts.phases->add(Phase::kAdmissionWait, static_cast<std::uint64_t>(admit_clock.nanos()));
-    if (!admitted.is_ok()) {
-      finalize_request(opts);
-      return admitted;
-    }
-
-    std::future<Status> fut;
-    const auto enqueued_at = std::chrono::steady_clock::now();
-    try {
-      fut = pool_.submit_task(
-          [this, stages = std::move(stages), a, b, opts, enqueued_at]() -> Status {
-            return run_program<T>(stages, a, b, opts, enqueued_at);
-          });
     } catch (...) {
       finish_one();
       throw;  // enqueue alloc failure: a process-level problem, not a request outcome
@@ -719,127 +608,6 @@ class Executor {
     }
   }
 
-  /// The staged-program task body (mirrors run_request): queue-wait
-  /// attribution, then the gated multi-stage execute; flushes the phase
-  /// breakdown exactly once.
-  template <class T>
-  Status run_program(const std::vector<std::shared_ptr<const core::OfflinePermuter<T>>>& stages,
-                     std::span<const T> a, std::span<T> b, const SubmitOptions& opts,
-                     std::chrono::steady_clock::time_point enqueued_at) {
-    Completion done(*this);
-    PhaseBreakdown* phases = opts.phases.get();
-    if (phases) {
-      const auto waited = std::chrono::steady_clock::now() - enqueued_at;
-      phases->add(Phase::kQueueWait,
-                  static_cast<std::uint64_t>(
-                      std::chrono::duration_cast<std::chrono::nanoseconds>(waited).count()));
-    }
-    const Status st = run_program_body(stages, a, b, opts, phases);
-    finalize_request(opts);
-    return st;
-  }
-
-  template <class T>
-  Status run_program_body(
-      const std::vector<std::shared_ptr<const core::OfflinePermuter<T>>>& stages,
-      std::span<const T> a, std::span<T> b, const SubmitOptions& opts,
-      PhaseBreakdown* phases) {
-    if (opts.cancel.cancelled()) {
-      if (metrics_) metrics_->record_cancelled();
-      return Status(StatusCode::kCancelled, "cancelled while queued");
-    }
-    if (expired(opts.deadline)) {
-      if (metrics_) metrics_->record_deadline_exceeded();
-      return Status(StatusCode::kDeadlineExceeded, "queued past the request deadline");
-    }
-    core::KernelObserver observer;
-    if (phases) {
-      observer = [phases](unsigned kernel, std::uint64_t ns) {
-        phases->add(phase_for_kernel(kernel), ns);
-      };
-    }
-    util::Stopwatch clock;
-    try {
-      FaultInjector::instance().maybe_stall(fault_sites::kExecutorStall);
-      FaultInjector::instance().maybe_throw(fault_sites::kExecutorAlloc,
-                                            StatusCode::kResourceExhausted,
-                                            "scratch allocation failure");
-      FaultInjector::instance().maybe_throw(fault_sites::kPoolExhausted,
-                                            StatusCode::kResourceExhausted,
-                                            "buffer pool exhausted");
-      const std::uint64_t n = a.size();
-      const std::size_t k = stages.size();
-      // One scratch block sized for the hungriest stage; each stage
-      // views exactly its own scratch_elements() of it.
-      std::uint64_t scratch_elems = 0;
-      for (const auto& stage : stages) {
-        scratch_elems = std::max(scratch_elems, stage->scratch_elements());
-      }
-      util::PooledBuffer scratch = buffer_pool_->try_acquire(scratch_elems * sizeof(T));
-      // Ping-pong intermediates: none for k = 1 (straight a -> b), one
-      // for k = 2, two for k >= 3. RAII handles: every exit path below
-      // — including the typed failures and the catch blocks — releases
-      // them back to the pool.
-      util::PooledBuffer ping =
-          k >= 2 ? buffer_pool_->try_acquire(n * sizeof(T)) : util::PooledBuffer{};
-      util::PooledBuffer pong =
-          k >= 3 ? buffer_pool_->try_acquire(n * sizeof(T)) : util::PooledBuffer{};
-      if (!scratch.valid() || (k >= 2 && !ping.valid()) || (k >= 3 && !pong.valid())) {
-        if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-        return Status(StatusCode::kResourceExhausted, "buffer pool cap exceeded");
-      }
-      std::span<const T> src = a;
-      for (std::size_t i = 0; i < k; ++i) {
-        if (i > 0) {
-          // The between-stage gate: a chain must not ride through its
-          // deadline on the back of stages that already ran.
-          if (opts.cancel.cancelled()) {
-            if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-            if (metrics_) metrics_->record_cancelled();
-            return Status(StatusCode::kCancelled, "cancelled between program stages");
-          }
-          if (expired(opts.deadline)) {
-            if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-            if (metrics_) metrics_->record_deadline_exceeded();
-            return Status(StatusCode::kDeadlineExceeded,
-                          "deadline exceeded between program stages");
-          }
-        }
-        FaultInjector::instance().maybe_throw(fault_sites::kProgramStage,
-                                              StatusCode::kUnavailable,
-                                              "injected program stage failure");
-        const std::span<T> dst = (i + 1 == k)
-                                     ? b
-                                     : (i % 2 == 0 ? ping.template as_span<T>(n)
-                                                   : pong.template as_span<T>(n));
-        const bool ran = stages[i]->permute_timed(
-            src, dst, scratch.template as_span<T>(stages[i]->scratch_elements()),
-            [&opts] { return !opts.cancel.cancelled() && !expired(opts.deadline); }, observer);
-        if (!ran) {
-          if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-          if (opts.cancel.cancelled()) {
-            if (metrics_) metrics_->record_cancelled();
-            return Status(StatusCode::kCancelled, "cancelled between kernel phases");
-          }
-          if (metrics_) metrics_->record_deadline_exceeded();
-          return Status(StatusCode::kDeadlineExceeded, "deadline exceeded between kernel phases");
-        }
-        src = dst;
-      }
-      if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), true);
-      return Status::ok();
-    } catch (const FaultInjectedError& e) {
-      if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-      return Status(e.code, e.what());
-    } catch (const std::bad_alloc&) {
-      if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-      return Status(StatusCode::kResourceExhausted, "allocation failed during execute");
-    } catch (const std::exception& e) {
-      if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-      return Status(StatusCode::kUnavailable, e.what());
-    }
-  }
-
   /// Flush a request's phase breakdown into the per-phase histograms
   /// and, when armed and over threshold, the rate-limited slow log.
   void finalize_request(const SubmitOptions& opts) noexcept;
@@ -848,9 +616,6 @@ class Executor {
   /// success `depth_out` holds the in-flight count including this
   /// request (the queue-depth sample for metrics).
   Status admit(std::chrono::steady_clock::time_point deadline, std::uint64_t& depth_out);
-
-  /// Legacy-path admission: block unconditionally for a slot.
-  std::uint64_t admit_blocking();
 
   void finish_one() noexcept {
     std::lock_guard lock(idle_mutex_);

@@ -40,7 +40,6 @@ inline constexpr std::string_view kExecutorAlloc = "executor.alloc";      ///< s
 inline constexpr std::string_view kExecutorStall = "executor.stall";      ///< worker stall before execute
 inline constexpr std::string_view kPlanRead = "plan_io.read";             ///< corrupt plan-file bytes
 inline constexpr std::string_view kPoolExhausted = "pool.exhausted";      ///< buffer-pool pressure
-inline constexpr std::string_view kProgramStage = "program.stage";        ///< fail between program stages
 }  // namespace fault_sites
 
 /// The exception an armed `maybe_throw` site raises. Carries the

@@ -132,7 +132,6 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
   s.batch_size_max = batch_size_.max();
   s.programs_executed = programs_executed_.load(std::memory_order_relaxed);
   s.programs_fused = programs_fused_.load(std::memory_order_relaxed);
-  s.programs_staged = programs_staged_.load(std::memory_order_relaxed);
   s.programs_identity = programs_identity_.load(std::memory_order_relaxed);
   s.program_stages_p50 = program_stages_.quantile(0.50);
   s.program_stages_max = program_stages_.max();
@@ -187,7 +186,6 @@ void ServiceMetrics::reset() {
   batched_requests_.store(0, std::memory_order_relaxed);
   programs_executed_.store(0, std::memory_order_relaxed);
   programs_fused_.store(0, std::memory_order_relaxed);
-  programs_staged_.store(0, std::memory_order_relaxed);
   programs_identity_.store(0, std::memory_order_relaxed);
   program_stages_.reset();
   batch_size_.reset();
@@ -227,7 +225,7 @@ std::string MetricsSnapshot::to_json() const {
      << ",\"batch_size_max\":" << batch_size_max << "},"
      << "\"programs\":{"
      << "\"executed\":" << programs_executed << ",\"fused\":" << programs_fused
-     << ",\"staged\":" << programs_staged << ",\"identity\":" << programs_identity
+     << ",\"identity\":" << programs_identity
      << ",\"stages_p50\":" << program_stages_p50
      << ",\"stages_max\":" << program_stages_max << "},"
      << "\"runtime\":{"
@@ -306,7 +304,6 @@ util::Table MetricsSnapshot::to_table() const {
   t.add_row({"programs executed", util::format_count(programs_executed)});
   if (programs_executed > 0) {
     t.add_row({"programs fused", util::format_count(programs_fused)});
-    t.add_row({"programs staged", util::format_count(programs_staged)});
     t.add_row({"programs identity", util::format_count(programs_identity)});
     t.add_row({"program stages p50/max", util::format_count(program_stages_p50) + " / " +
                                              util::format_count(program_stages_max)});
@@ -365,7 +362,6 @@ std::string MetricsSnapshot::to_prometheus() const {
   counter("hmm_programs_executed_total", "EXECUTE_PROGRAM requests accepted.", programs_executed);
   counter("hmm_programs_fused_total", "Programs served as one fused composite plan.",
           programs_fused);
-  counter("hmm_programs_staged_total", "Programs served stage-by-stage.", programs_staged);
   counter("hmm_programs_identity_total", "Programs whose composite folded to the identity.",
           programs_identity);
   counter("hmm_pool_hits_total", "Buffer-pool acquisitions served from the free lists.",

@@ -109,12 +109,11 @@ struct MetricsSnapshot {
   std::uint64_t batch_size_p50 = 0;
   std::uint64_t batch_size_max = 0;
   // Programs (see runtime/program.hpp). `programs_executed` counts every
-  // accepted EXECUTE_PROGRAM/submit_program; each is additionally one of
-  // fused (one composite plan), staged (back-to-back stages), or
-  // identity (composite folded to P(i) = i; echoed without kernels).
+  // accepted EXECUTE_PROGRAM/submit_program; each is additionally either
+  // fused (one composite plan) or identity (composite folded to
+  // P(i) = i; echoed without kernels).
   std::uint64_t programs_executed = 0;
   std::uint64_t programs_fused = 0;
-  std::uint64_t programs_staged = 0;
   std::uint64_t programs_identity = 0;
   std::uint64_t program_stages_p50 = 0;
   std::uint64_t program_stages_max = 0;
@@ -212,7 +211,7 @@ class ServiceMetrics {
   }
 
   /// How an accepted program was served (see runtime/program.hpp).
-  enum class ProgramPath { kFused, kStaged, kIdentity };
+  enum class ProgramPath { kFused, kIdentity };
 
   /// One program accepted for execution: its stage count (the chain
   /// depth) and the path the fusion decision took.
@@ -221,9 +220,6 @@ class ServiceMetrics {
     switch (path) {
       case ProgramPath::kFused:
         programs_fused_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case ProgramPath::kStaged:
-        programs_staged_.fetch_add(1, std::memory_order_relaxed);
         break;
       case ProgramPath::kIdentity:
         programs_identity_.fetch_add(1, std::memory_order_relaxed);
@@ -278,7 +274,6 @@ class ServiceMetrics {
   std::atomic<std::uint64_t> batched_requests_{0};
   std::atomic<std::uint64_t> programs_executed_{0};
   std::atomic<std::uint64_t> programs_fused_{0};
-  std::atomic<std::uint64_t> programs_staged_{0};
   std::atomic<std::uint64_t> programs_identity_{0};
   LogHistogram program_stages_;
   LogHistogram batch_size_;

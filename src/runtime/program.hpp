@@ -1,8 +1,7 @@
 #pragma once
 /// \file program.hpp
 /// \brief The PROGRAM subsystem: a validated op-chain IR over
-///        registered permutations, a fusion compiler, and the staged
-///        fallback contract.
+///        registered permutations and a fusion compiler.
 ///
 /// The paper's optimality result is per-permutation: any offline
 /// permutation costs three passes on the HMM. A *chain* of k
@@ -30,7 +29,7 @@
 /// an HMM_CHECK process abort (an invariant backstop, not an input
 /// validator). A hostile program must never reach it.
 ///
-/// Execution semantics (fixed, and what the fused/staged differential
+/// Execution semantics (fixed, and what the fused-against-sequential
 /// tests pin down): ops apply in list order. Stage 1 moves the element
 /// at index i to P1(i), stage 2 moves it on to P2(P1(i)), so the
 /// composite is C = Pk ∘ … ∘ P1 — built here as a left fold
@@ -118,7 +117,7 @@ using PlanResolver =
 
 /// A validated program: every op resolved to a concrete n-element
 /// permutation (INVERSE ops already inverted, generator ops already
-/// generated), ready to compose or to run staged.
+/// generated), ready to compose.
 struct ResolvedProgram {
   std::vector<std::shared_ptr<const perm::Permutation>> stages;
   Fingerprint fingerprint;  ///< program_fingerprint(ops, n)
@@ -139,8 +138,8 @@ struct ResolvedProgram {
                                                         const PlanResolver& resolver);
 
 /// Fuse a resolved chain into its composite permutation
-/// (C = stage_k ∘ … ∘ stage_1, so C moves index i wherever the staged
-/// run would). Stages must all share one size — guaranteed by
+/// (C = stage_k ∘ … ∘ stage_1, so C moves index i wherever applying
+/// the stages one after another would). Stages must all share one size — guaranteed by
 /// resolve_program, re-verified here (typed, not aborted) because this
 /// is the last gate before compose(). kResourceExhausted on allocation
 /// failure.

@@ -1,34 +1,38 @@
 #pragma once
 /// \file service.hpp
 /// \brief `RobustPermuteService` — the hardened serving facade, and the
-///        degradation ladder it implements.
+///        one plan-resolution ladder every request takes.
 ///
-/// The paper proves the scheduled algorithm (König coloring + row
-/// schedules) optimal, but it also leaves us a safety net: the
-/// conventional D-/S-designated algorithms (Section IV) compute the
-/// *same* permutation with no offline phase at all, just more memory
-/// rounds. The service exploits exactly that structure as a
-/// degradation ladder:
+/// The paper's conventional D-/S-designated algorithms (Section IV)
+/// compute the *same* permutation as any compiled plan with no offline
+/// phase at all, just more memory rounds. The service uses exactly that
+/// structure as a degradation ladder, resolved by one private function
+/// (`resolve`) for plain requests and programs alike:
 ///
-///   1. **Scheduled / cached** — PlanCache hit or successful build;
-///      the optimal path.
+///   1. **Cached / built** — a PlanCache hit or a successful build of
+///      the request's strategy: under kAuto the host cost model's pick
+///      (the bucketed kernel or S-designated), or whatever strategy the
+///      request or `Config::strategy` forces.
 ///   2. **Retry** — transient build failures (kPlanBuildFailed,
 ///      kUnavailable, kResourceExhausted) are retried up to
 ///      `max_build_retries` times with deterministic jittered
 ///      exponential backoff.
 ///   3. **Conventional fallback** — if retries are exhausted, or the
-///      request's deadline budget is too tight to risk an offline
-///      build, the request is served by the D-designated conventional
-///      permuter (correct, slower, zero offline phase) and counted in
-///      `degraded_executions`.
+///      request's deadline is tighter than the slowest build observed
+///      so far and its plan is not cached, the request is served by the
+///      D-designated conventional permuter (correct, slower, zero
+///      offline phase) and counted in `degraded_executions`.
 ///   4. **Reject** — non-transient errors (kInvalidArgument), expired
 ///      deadlines, cancellation, and admission-bound rejections fail
 ///      fast with a typed Status. The process never aborts on a
 ///      request-level failure.
 ///
-/// The facade owns the metrics + cache + executor stack; `submit`
-/// validates the request, resolves the ladder, and hands the request
-/// to the executor with its deadline and cancel token attached.
+/// Every request takes one path: validate, resolve a permuter through
+/// the ladder, hand it to `Executor::try_submit` with its deadline and
+/// cancel token attached. A program request first compiles its op
+/// chain into one composite permutation; that composite either folds to
+/// the identity (answered with a memcpy) or rides the same ladder
+/// (fused).
 
 #include <chrono>
 #include <cstdint>
@@ -68,17 +72,6 @@ struct RequestOptions {
   std::uint64_t trace_id = 0;
 };
 
-/// Program-request controls: everything a plain request has, plus the
-/// fusion override.
-struct ProgramRequestOptions : RequestOptions {
-  /// Force the staged fallback — run the chain back-to-back through
-  /// pooled intermediates instead of compiling one composite plan.
-  /// Wire flag bit0 maps here; differential tests and chaos drills
-  /// (the `program.stage` fault site only exists on this path) are the
-  /// other users. Default: let the service fuse.
-  bool force_staged = false;
-};
-
 class RobustPermuteService {
  public:
   struct Config {
@@ -97,22 +90,20 @@ class RobustPermuteService {
     /// Backoff before retry k is `base << k` plus a deterministic
     /// jitter of up to the same amount (seeded: chaos runs replay).
     std::chrono::microseconds retry_backoff_base{200};
-    std::uint64_t retry_jitter_seed = 0x5eed5eed5eed5eedull;
-    /// Serve via the conventional D-designated permuter when the
-    /// scheduled plan is unavailable. Off = surface the build error.
-    bool allow_degraded = true;
-    /// LRU bound on memoized composite permutations (program
-    /// fingerprint -> fused mapping). This caches the *composition*
-    /// (O(k*n) table walks); the compiled composite plan is separately
-    /// content-addressed by PlanCache. 0 disables memoization.
-    std::uint64_t max_cached_composites = 64;
   };
+
+  /// Seed of the retry-backoff jitter.
+  static constexpr std::uint64_t kRetryJitterSeed = 0x5eed5eed5eed5eedull;
+  /// LRU bound on memoized composite permutations (program fingerprint
+  /// -> fused mapping). This caches the *composition* (O(k*n) table
+  /// walks); the compiled composite plan is separately content-addressed
+  /// by PlanCache.
+  static constexpr std::size_t kMaxCachedComposites = 64;
 
   explicit RobustPermuteService(util::ThreadPool& pool)
       : RobustPermuteService(pool, Config{}) {}
   RobustPermuteService(util::ThreadPool& pool, Config config)
-      : pool_(pool),
-        config_(config),
+      : config_(config),
         cache_(config.cache, &metrics_),
         executor_(pool, &metrics_, config.executor) {}
 
@@ -123,70 +114,14 @@ class RobustPermuteService {
   template <class T>
   StatusOr<std::future<Status>> submit(const perm::Permutation& p, std::span<const T> a,
                                        std::span<T> b, RequestOptions opts = {}) {
-    if (p.size() == 0) return Status(StatusCode::kInvalidArgument, "empty permutation");
-    if (a.size() != p.size() || b.size() != p.size()) {
-      return Status(StatusCode::kInvalidArgument, "array sizes do not match the permutation");
-    }
-    if (a.data() == b.data()) {
-      return Status(StatusCode::kInvalidArgument, "in-place permutation is not supported");
-    }
-    if (opts.cancel.cancelled()) {
-      metrics_.record_cancelled();
-      return Status(StatusCode::kCancelled, "cancelled before submission");
-    }
-    if (deadline_expired(opts.deadline)) {
-      metrics_.record_deadline_exceeded();
-      return Status(StatusCode::kDeadlineExceeded, "deadline already expired at submission");
-    }
-
+    Status refused = refuse_early<T>(p.size(), a, b, opts);
+    if (!refused.is_ok()) return refused;
     // The request's phase breakdown starts here: the plan tier fills
     // in lookup/build time, the executor adds admission/queue/kernel
-    // spans and owns the final flush. Requests refused before reaching
-    // the executor flush whatever they accumulated on the way out.
+    // spans and owns the final flush.
     auto phases = std::make_shared<PhaseBreakdown>();
-    std::shared_ptr<const core::OfflinePermuter<T>> permuter;
-    bool degraded = false;
-    if (should_skip_build_for_deadline<T>(p, opts)) {
-      // Deadline pressure: an offline build would likely eat the whole
-      // budget; go straight to the conventional tier.
-      degraded = true;
-    } else {
-      StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> acquired =
-          acquire_with_retry<T>(p, opts, phases.get());
-      if (acquired.ok()) {
-        permuter = std::move(acquired).value();
-      } else if (config_.allow_degraded && is_transient(acquired.status().code())) {
-        degraded = true;
-      } else {
-        metrics_.record_phases(*phases);
-        return acquired.status();
-      }
-    }
-
-    if (degraded) {
-      // The fallback's (cheap) construction is still plan-build time:
-      // the degraded tier trades the offline phase for extra memory
-      // rounds, and the breakdown should show that trade.
-      util::Stopwatch build_clock;
-      StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> fallback =
-          build_conventional<T>(p);
-      phases->add(Phase::kPlanBuild, static_cast<std::uint64_t>(build_clock.nanos()));
-      if (!fallback.ok()) {
-        metrics_.record_phases(*phases);
-        return fallback.status();
-      }
-      permuter = std::move(fallback).value();
-    }
-
-    Executor::SubmitOptions submit_opts;
-    submit_opts.deadline = opts.deadline;
-    submit_opts.cancel = opts.cancel;
-    submit_opts.trace_id = opts.trace_id;
-    submit_opts.phases = std::move(phases);
-    StatusOr<std::future<Status>> submitted =
-        executor_.try_submit<T>(std::move(permuter), a, b, std::move(submit_opts));
-    if (submitted.ok() && degraded) metrics_.record_degraded();
-    return submitted;
+    StatusOr<Resolved<T>> resolved = resolve<T>(p, opts, *phases);
+    return hand_off<T>(std::move(resolved), a, b, opts, std::move(phases));
   }
 
   /// Execute a permutation *program* — a validated op chain over
@@ -196,18 +131,11 @@ class RobustPermuteService {
   /// the `program_compile` phase and cached under the program's
   /// order-sensitive fingerprint, so repeats skip both resolution and
   /// composition; the composite *plan* is additionally content-addressed
-  /// by PlanCache, which single-flights concurrent first builds). The
-  /// fused composite then rides the normal degradation ladder. Two
-  /// shortcuts bracket it:
-  ///
-  ///  - **Identity**: a chain that folds to P(i) = i (e.g. P then
-  ///    INVERSE P) is answered with one memcpy — no plan, no kernels —
-  ///    and counted in `programs_identity`.
-  ///  - **Staged** (`opts.force_staged`): each stage acquires its own
-  ///    permuter and the executor runs them back-to-back through pooled
-  ///    ping-pong intermediates (`Executor::submit_program`). Bitwise
-  ///    identical to the fused path; used by differential tests, chaos
-  ///    drills, and wire flag bit0.
+  /// by PlanCache, which single-flights concurrent first builds). A
+  /// composite that folds to P(i) = i (e.g. P then INVERSE P) is
+  /// answered with one memcpy — no plan, no kernels — and counted in
+  /// `programs_identity`; any other rides the ladder like a plain
+  /// request and is counted in `programs_fused`.
   ///
   /// All validation failures (unknown opcode, unregistered fingerprint,
   /// stage-size mismatch, generator preconditions) surface as typed
@@ -217,102 +145,24 @@ class RobustPermuteService {
   StatusOr<std::future<Status>> submit_program(const Program& program,
                                                const PlanResolver& resolver,
                                                std::span<const T> a, std::span<T> b,
-                                               ProgramRequestOptions opts = {}) {
-    if (a.size() == 0) return Status(StatusCode::kInvalidArgument, "empty program input");
-    if (a.size() != b.size()) {
-      return Status(StatusCode::kInvalidArgument, "program input/output sizes differ");
-    }
-    if (a.data() == b.data()) {
-      return Status(StatusCode::kInvalidArgument, "in-place permutation is not supported");
-    }
-    if (opts.cancel.cancelled()) {
-      metrics_.record_cancelled();
-      return Status(StatusCode::kCancelled, "cancelled before submission");
-    }
-    if (deadline_expired(opts.deadline)) {
-      metrics_.record_deadline_exceeded();
-      return Status(StatusCode::kDeadlineExceeded, "deadline already expired at submission");
-    }
-
-    const std::uint64_t n = a.size();
+                                               RequestOptions opts = {}) {
+    Status refused = refuse_early<T>(a.size(), a, b, opts);
+    if (!refused.is_ok()) return refused;
     const std::uint64_t chain_depth = program.ops.size();
     auto phases = std::make_shared<PhaseBreakdown>();
 
-    // --- Compile: resolve + fuse, under the program_compile phase. ---
     util::Stopwatch compile_clock;
-    const Fingerprint fp = program_fingerprint(program.ops, n);
-    std::shared_ptr<const perm::Permutation> composite;
-    ResolvedProgram resolved;
-    if (!opts.force_staged) composite = cached_composite(fp.value);
-    if (!composite) {
-      StatusOr<ResolvedProgram> r = resolve_program(program, n, resolver);
-      if (!r.ok()) {
-        phases->add(Phase::kProgramCompile, static_cast<std::uint64_t>(compile_clock.nanos()));
-        metrics_.record_phases(*phases);
-        return r.status();
-      }
-      resolved = std::move(r).value();
-      if (!opts.force_staged) {
-        StatusOr<perm::Permutation> fused = fuse_program(resolved);
-        if (!fused.ok()) {
-          phases->add(Phase::kProgramCompile, static_cast<std::uint64_t>(compile_clock.nanos()));
-          metrics_.record_phases(*phases);
-          return fused.status();
-        }
-        composite = std::make_shared<const perm::Permutation>(std::move(fused).value());
-        cache_composite(fp.value, composite);
-      }
-    }
+    StatusOr<std::shared_ptr<const perm::Permutation>> compiled =
+        compile_program(program, a.size(), resolver);
     phases->add(Phase::kProgramCompile, static_cast<std::uint64_t>(compile_clock.nanos()));
-
-    // --- Staged fallback: per-stage permuters, one executor request. ---
-    if (opts.force_staged) {
-      std::vector<std::shared_ptr<const core::OfflinePermuter<T>>> stages;
-      stages.reserve(resolved.stages.size());
-      bool degraded = false;
-      for (const auto& stage_perm : resolved.stages) {
-        std::shared_ptr<const core::OfflinePermuter<T>> permuter;
-        if (!should_skip_build_for_deadline<T>(*stage_perm, opts)) {
-          StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> acquired =
-              acquire_with_retry<T>(*stage_perm, opts, phases.get());
-          if (acquired.ok()) {
-            permuter = std::move(acquired).value();
-          } else if (!config_.allow_degraded || !is_transient(acquired.status().code())) {
-            metrics_.record_phases(*phases);
-            return acquired.status();
-          }
-        }
-        if (!permuter) {
-          util::Stopwatch build_clock;
-          StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> fallback =
-              build_conventional<T>(*stage_perm);
-          phases->add(Phase::kPlanBuild, static_cast<std::uint64_t>(build_clock.nanos()));
-          if (!fallback.ok()) {
-            metrics_.record_phases(*phases);
-            return fallback.status();
-          }
-          permuter = std::move(fallback).value();
-          degraded = true;
-        }
-        stages.push_back(std::move(permuter));
-      }
-      Executor::SubmitOptions submit_opts;
-      submit_opts.deadline = opts.deadline;
-      submit_opts.cancel = opts.cancel;
-      submit_opts.trace_id = opts.trace_id;
-      submit_opts.phases = std::move(phases);
-      StatusOr<std::future<Status>> submitted =
-          executor_.submit_program<T>(std::move(stages), a, b, std::move(submit_opts));
-      if (submitted.ok()) {
-        metrics_.record_program(chain_depth, ServiceMetrics::ProgramPath::kStaged);
-        if (degraded) metrics_.record_degraded();
-      }
-      return submitted;
+    if (!compiled.ok()) {
+      metrics_.record_phases(*phases);
+      return compiled.status();
     }
+    const std::shared_ptr<const perm::Permutation> composite = std::move(compiled).value();
 
-    // --- Identity fast-path: the chain folded to P(i) = i. ---
     if (composite->is_identity()) {
-      std::memcpy(b.data(), a.data(), n * sizeof(T));
+      std::memcpy(b.data(), a.data(), a.size() * sizeof(T));
       metrics_.record_program(chain_depth, ServiceMetrics::ProgramPath::kIdentity);
       metrics_.record_phases(*phases);
       std::promise<Status> done;
@@ -320,44 +170,11 @@ class RobustPermuteService {
       return done.get_future();
     }
 
-    // --- Fused: the composite rides the normal degradation ladder. ---
-    std::shared_ptr<const core::OfflinePermuter<T>> permuter;
-    bool degraded = false;
-    if (should_skip_build_for_deadline<T>(*composite, opts)) {
-      degraded = true;
-    } else {
-      StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> acquired =
-          acquire_with_retry<T>(*composite, opts, phases.get());
-      if (acquired.ok()) {
-        permuter = std::move(acquired).value();
-      } else if (config_.allow_degraded && is_transient(acquired.status().code())) {
-        degraded = true;
-      } else {
-        metrics_.record_phases(*phases);
-        return acquired.status();
-      }
-    }
-    if (degraded) {
-      util::Stopwatch build_clock;
-      StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> fallback =
-          build_conventional<T>(*composite);
-      phases->add(Phase::kPlanBuild, static_cast<std::uint64_t>(build_clock.nanos()));
-      if (!fallback.ok()) {
-        metrics_.record_phases(*phases);
-        return fallback.status();
-      }
-      permuter = std::move(fallback).value();
-    }
-    Executor::SubmitOptions submit_opts;
-    submit_opts.deadline = opts.deadline;
-    submit_opts.cancel = opts.cancel;
-    submit_opts.trace_id = opts.trace_id;
-    submit_opts.phases = std::move(phases);
+    StatusOr<Resolved<T>> resolved = resolve<T>(*composite, opts, *phases);
     StatusOr<std::future<Status>> submitted =
-        executor_.try_submit<T>(std::move(permuter), a, b, std::move(submit_opts));
+        hand_off<T>(std::move(resolved), a, b, opts, std::move(phases));
     if (submitted.ok()) {
       metrics_.record_program(chain_depth, ServiceMetrics::ProgramPath::kFused);
-      if (degraded) metrics_.record_degraded();
     }
     return submitted;
   }
@@ -374,8 +191,88 @@ class RobustPermuteService {
   }
 
  private:
+  /// A permuter the ladder resolved, and whether it came from the
+  /// conventional fallback.
+  template <class T>
+  struct Resolved {
+    std::shared_ptr<const core::OfflinePermuter<T>> permuter;
+    bool degraded = false;
+  };
+
   static bool deadline_expired(std::chrono::steady_clock::time_point deadline) noexcept {
     return deadline != Executor::kNoDeadline && std::chrono::steady_clock::now() >= deadline;
+  }
+
+  /// The refusals both entry points make before any plan work: empty
+  /// input, arrays that do not match the request's `n` elements, in-place
+  /// requests, and requests already cancelled or past their deadline.
+  template <class T>
+  Status refuse_early(std::uint64_t n, std::span<const T> a, std::span<T> b,
+                      const RequestOptions& opts) {
+    if (n == 0) return Status(StatusCode::kInvalidArgument, "empty request");
+    if (a.size() != n || b.size() != n) {
+      return Status(StatusCode::kInvalidArgument, "array sizes do not match the request");
+    }
+    if (a.data() == b.data()) {
+      return Status(StatusCode::kInvalidArgument, "in-place permutation is not supported");
+    }
+    if (opts.cancel.cancelled()) {
+      metrics_.record_cancelled();
+      return Status(StatusCode::kCancelled, "cancelled before submission");
+    }
+    if (deadline_expired(opts.deadline)) {
+      metrics_.record_deadline_exceeded();
+      return Status(StatusCode::kDeadlineExceeded, "deadline already expired at submission");
+    }
+    return Status::ok();
+  }
+
+  /// The ladder: the deadline skip, then the cache (with retries), then
+  /// the conventional fallback for transient failures. Plan lookup and
+  /// build time land in `phases`.
+  template <class T>
+  StatusOr<Resolved<T>> resolve(const perm::Permutation& p, const RequestOptions& opts,
+                                PhaseBreakdown& phases) {
+    // Under deadline pressure an offline build would likely eat the
+    // whole budget: go straight to the conventional tier.
+    if (!should_skip_build_for_deadline<T>(p, opts)) {
+      StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> acquired =
+          acquire_with_retry<T>(p, opts, &phases);
+      if (acquired.ok()) return Resolved<T>{std::move(acquired).value(), false};
+      if (!is_transient(acquired.status().code())) return acquired.status();
+    }
+    // The fallback's (cheap) construction is still plan-build time: the
+    // degraded tier trades the offline phase for extra memory rounds,
+    // and the breakdown should show that trade.
+    util::Stopwatch build_clock;
+    StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> fallback =
+        build_conventional<T>(p);
+    phases.add(Phase::kPlanBuild, static_cast<std::uint64_t>(build_clock.nanos()));
+    if (!fallback.ok()) return fallback.status();
+    return Resolved<T>{std::move(fallback).value(), true};
+  }
+
+  /// Hand a resolved permuter to the executor, which from then on owns
+  /// flushing `phases`; a request the ladder refused flushes what it
+  /// accumulated here. A degraded execution counts only once accepted.
+  template <class T>
+  StatusOr<std::future<Status>> hand_off(StatusOr<Resolved<T>> resolved, std::span<const T> a,
+                                         std::span<T> b, const RequestOptions& opts,
+                                         std::shared_ptr<PhaseBreakdown> phases) {
+    if (!resolved.ok()) {
+      metrics_.record_phases(*phases);
+      return resolved.status();
+    }
+    Executor::SubmitOptions submit_opts;
+    submit_opts.deadline = opts.deadline;
+    submit_opts.cancel = opts.cancel;
+    submit_opts.trace_id = opts.trace_id;
+    submit_opts.phases = std::move(phases);
+    const bool degraded = resolved.value().degraded;
+    StatusOr<std::future<Status>> submitted = executor_.try_submit<T>(
+        std::move(resolved).value().permuter, a, b, std::move(submit_opts));
+    if (submitted.ok() && degraded) metrics_.record_degraded();
+    return submitted;
   }
 
   /// The request's strategy, or the service default when it says kAuto
@@ -396,7 +293,7 @@ class RobustPermuteService {
   /// -> no estimate -> try the build).
   template <class T>
   bool should_skip_build_for_deadline(const perm::Permutation& p, const RequestOptions& opts) {
-    if (!config_.allow_degraded || opts.deadline == Executor::kNoDeadline) return false;
+    if (opts.deadline == Executor::kNoDeadline) return false;
     if (cache_.contains(PlanCache::plan_key<T>(p, config_.machine, strategy_for(p, opts)))) {
       return false;
     }
@@ -431,7 +328,7 @@ class RobustPermuteService {
   [[nodiscard]] std::chrono::microseconds backoff_with_jitter(int attempt) const {
     const std::uint64_t base_us =
         static_cast<std::uint64_t>(config_.retry_backoff_base.count()) << attempt;
-    std::uint64_t x = config_.retry_jitter_seed ^ (0x9e3779b97f4a7c15ull * (attempt + 1));
+    std::uint64_t x = kRetryJitterSeed ^ (0x9e3779b97f4a7c15ull * (attempt + 1));
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
     const std::uint64_t jitter_us = base_us == 0 ? 0 : (x ^ (x >> 31)) % base_us;
@@ -457,35 +354,18 @@ class RobustPermuteService {
     }
   }
 
-  /// Composite-permutation memo lookup (program fingerprint keyed);
-  /// a hit refreshes LRU order. nullptr on miss or when disabled.
-  [[nodiscard]] std::shared_ptr<const perm::Permutation> cached_composite(std::uint64_t key) {
-    std::lock_guard lock(composites_mutex_);
-    const auto it = composites_.find(key);
-    if (it == composites_.end()) return nullptr;
-    composites_lru_.splice(composites_lru_.begin(), composites_lru_, it->second.second);
-    return it->second.first;
-  }
+  /// Resolve and fuse `program` over n elements into its composite
+  /// permutation, through the composite memo (a hit refreshes its LRU
+  /// order and skips both resolution and composition).
+  StatusOr<std::shared_ptr<const perm::Permutation>> compile_program(
+      const Program& program, std::uint64_t n, const PlanResolver& resolver);
 
-  void cache_composite(std::uint64_t key, std::shared_ptr<const perm::Permutation> composite) {
-    if (config_.max_cached_composites == 0) return;
-    std::lock_guard lock(composites_mutex_);
-    if (composites_.count(key) != 0) return;  // racing first submissions: keep the incumbent
-    composites_lru_.push_front(key);
-    composites_.emplace(key, std::make_pair(std::move(composite), composites_lru_.begin()));
-    while (composites_.size() > config_.max_cached_composites) {
-      composites_.erase(composites_lru_.back());
-      composites_lru_.pop_back();
-    }
-  }
-
-  util::ThreadPool& pool_;
   Config config_;
   ServiceMetrics metrics_;
   PlanCache cache_;
   Executor executor_;
 
-  // Composite-permutation memo (see Config::max_cached_composites).
+  // Composite-permutation memo (see kMaxCachedComposites).
   std::mutex composites_mutex_;
   std::list<std::uint64_t> composites_lru_;
   std::unordered_map<std::uint64_t,

@@ -1,10 +1,9 @@
 /// Tests for the PROGRAM subsystem: the op-chain IR and its validating
 /// resolver (every hostile shape is a typed rejection, never an abort),
-/// the fusion compiler's algebra (fused == staged == sequential,
-/// inverse chains fold to the identity, composition associates), the
-/// service-level paths (identity fast-path, composite-cache repeats,
-/// single-flight first submissions, pooled-buffer release under
-/// injected stage faults), and the EXECUTE_PROGRAM loopback surface —
+/// the fusion compiler's algebra (fused == sequential, inverse chains
+/// fold to the identity, composition associates), the service-level
+/// paths (identity fast-path, composite-cache repeats, single-flight
+/// first submissions), and the EXECUTE_PROGRAM loopback surface —
 /// including a hostile-frame battery proving a malformed program can
 /// never take the server down.
 
@@ -28,13 +27,11 @@
 #include "net/wire.hpp"
 #include "perm/generators.hpp"
 #include "perm/permutation.hpp"
-#include "runtime/fault_injector.hpp"
 #include "runtime/fingerprint.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/program.hpp"
 #include "runtime/service.hpp"
 #include "runtime/status.hpp"
-#include "util/buffer_pool.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -261,8 +258,8 @@ runtime::RobustPermuteService::Config quiet_config() {
 }
 
 template <class T>
-void expect_fused_staged_sequential_identical(std::uint64_t n, std::uint64_t depth,
-                                              std::uint64_t seed) {
+void expect_fused_sequential_identical(std::uint64_t n, std::uint64_t depth,
+                                       std::uint64_t seed) {
   runtime::RobustPermuteService service(util::ThreadPool::global(), quiet_config());
   Registry reg;
   Program program;
@@ -282,38 +279,27 @@ void expect_fused_staged_sequential_identical(std::uint64_t n, std::uint64_t dep
   ASSERT_TRUE(fused.ok()) << fused.status().to_string();
   ASSERT_TRUE(fused.value().get().is_ok());
 
-  std::vector<T> staged_out(n);
-  runtime::ProgramRequestOptions staged_opts;
-  staged_opts.force_staged = true;
-  auto staged = service.submit_program<T>(program, reg.resolver(), {input.data(), n},
-                                          {staged_out.data(), n}, staged_opts);
-  ASSERT_TRUE(staged.ok()) << staged.status().to_string();
-  ASSERT_TRUE(staged.value().get().is_ok());
-
-  // Bit-identical across all three: sequential ground truth, the fused
-  // composite, and the staged ping-pong run.
+  // Bit-identical to the sequential ground truth.
   EXPECT_EQ(fused_out, expect);
-  EXPECT_EQ(staged_out, expect);
 
   const runtime::MetricsSnapshot snap = service.metrics().snapshot();
-  EXPECT_EQ(snap.programs_executed, 2u);
+  EXPECT_EQ(snap.programs_executed, 1u);
   EXPECT_EQ(snap.programs_fused, 1u);
-  EXPECT_EQ(snap.programs_staged, 1u);
   EXPECT_EQ(snap.program_stages_max, depth);
 }
 
-TEST(ServiceProgram, FusedStagedSequentialIdenticalU32) {
+TEST(ServiceProgram, FusedSequentialIdenticalU32) {
   for (std::uint64_t depth = 2; depth <= 6; ++depth) {
-    expect_fused_staged_sequential_identical<std::uint32_t>(1 << 10, depth, 40 + depth);
+    expect_fused_sequential_identical<std::uint32_t>(1 << 10, depth, 40 + depth);
   }
 }
 
-TEST(ServiceProgram, FusedStagedSequentialIdenticalFloat) {
-  expect_fused_staged_sequential_identical<float>(1 << 10, 3, 77);
+TEST(ServiceProgram, FusedSequentialIdenticalFloat) {
+  expect_fused_sequential_identical<float>(1 << 10, 3, 77);
 }
 
-TEST(ServiceProgram, FusedStagedSequentialIdenticalDouble) {
-  expect_fused_staged_sequential_identical<double>(1 << 10, 4, 78);
+TEST(ServiceProgram, FusedSequentialIdenticalDouble) {
+  expect_fused_sequential_identical<double>(1 << 10, 4, 78);
 }
 
 TEST(ServiceProgram, IdentityFastPathSkipsThePlanTier) {
@@ -429,51 +415,6 @@ TEST(ServiceProgram, MismatchedChainRejectedSynchronouslyTyped) {
   EXPECT_EQ(service.metrics().snapshot().programs_executed, 0u);
 }
 
-TEST(ServiceProgram, StagedStageFaultReleasesPooledBuffers) {
-  // Arm the program.stage site at rate 1.0: the staged run fails at the
-  // first stage boundary. The request must resolve typed (the injected
-  // kUnavailable), and every pooled intermediate must go back to the
-  // pool — outstanding bytes return to baseline (ASan covers the leak
-  // half; this covers the pool-accounting half).
-  const std::uint64_t n = 1 << 10;
-  runtime::RobustPermuteService service(util::ThreadPool::global(), quiet_config());
-  Registry reg;
-  Program program;
-  util::Xoshiro256 rng(555);
-  for (int d = 0; d < 3; ++d) {
-    program.ops.push_back({ProgramOpCode::kPermute, reg.add(perm::random(n, rng))});
-  }
-  const std::vector<std::uint32_t> input = make_input<std::uint32_t>(n);
-  std::vector<std::uint32_t> out(n);
-
-  const std::uint64_t baseline =
-      util::BufferPool::global().stats().outstanding_bytes;
-  Status outcome = Status::ok();
-  {
-    runtime::FaultInjector::Config fault;
-    fault.enabled = true;
-    fault.seed = 1;
-    fault.rate = 1.0;
-    fault.sites = std::string(runtime::fault_sites::kProgramStage);
-    runtime::ScopedFaultInjection armed(fault);
-
-    runtime::ProgramRequestOptions opts;
-    opts.force_staged = true;
-    auto submitted = service.submit_program<std::uint32_t>(
-        program, reg.resolver(), {input.data(), n}, {out.data(), n}, opts);
-    ASSERT_TRUE(submitted.ok()) << submitted.status().to_string();
-    outcome = submitted.value().get();
-  }
-  EXPECT_EQ(outcome.code(), StatusCode::kUnavailable) << outcome.to_string();
-  EXPECT_EQ(util::BufferPool::global().stats().outstanding_bytes, baseline);
-
-  // The service stays healthy: the same program succeeds once disarmed.
-  auto retry = service.submit_program<std::uint32_t>(program, reg.resolver(),
-                                                     {input.data(), n}, {out.data(), n});
-  ASSERT_TRUE(retry.ok());
-  EXPECT_TRUE(retry.value().get().is_ok());
-}
-
 // ---------------------------------------------------------- loopback
 
 struct Loopback {
@@ -512,20 +453,14 @@ TEST(NetProgram, ExecuteProgramEndToEnd) {
   const std::vector<std::uint32_t> input = make_input<std::uint32_t>(n);
   const std::vector<std::uint32_t> expect = apply_chain(chain, input);
 
-  std::vector<std::uint32_t> fused_out(n), staged_out(n);
-  Status s = client.execute_program({ops.data(), ops.size()}, {input.data(), n},
-                                    {fused_out.data(), n});
+  std::vector<std::uint32_t> fused_out(n);
+  const Status s = client.execute_program({ops.data(), ops.size()}, {input.data(), n},
+                                          {fused_out.data(), n});
   ASSERT_TRUE(s.is_ok()) << s.to_string();
-  s = client.execute_program({ops.data(), ops.size()}, {input.data(), n},
-                             {staged_out.data(), n}, 0ms, /*staged=*/true);
-  ASSERT_TRUE(s.is_ok()) << s.to_string();
-
   EXPECT_EQ(fused_out, expect);
-  EXPECT_EQ(staged_out, expect);
 
   const runtime::MetricsSnapshot snap = loop.service.metrics().snapshot();
   EXPECT_EQ(snap.programs_fused, 1u);
-  EXPECT_EQ(snap.programs_staged, 1u);
   EXPECT_GT(snap.phase(runtime::Phase::kProgramCompile).count, 0u);
 }
 
@@ -611,6 +546,8 @@ TEST(NetProgram, HostileProgramsRejectedTypedAndServerSurvives) {
                           "unknown opcode");
   expect_program_rejected(stream, encode(0x2, {{ProgramOpCode::kRotate, 1}}),
                           "unknown flag bits");
+  expect_program_rejected(stream, encode(0x1, {{ProgramOpCode::kRotate, 1}}),
+                          "reserved flag bit 0");
   expect_program_rejected(stream, encode(0, {{ProgramOpCode::kShuffle, 5}}),
                           "nonzero generator arg");
   expect_program_rejected(stream,
@@ -694,7 +631,7 @@ TEST(NetProgram, HostileProgramsRejectedTypedAndServerSurvives) {
 TEST(NetProgram, WireCodecRoundTrip) {
   net::ExecuteProgramRequest req;
   req.deadline_ms = 1234;
-  req.flags = net::kProgramFlagStaged;
+  req.flags = 0;
   req.ops = {{ProgramOpCode::kPermute, 0xfeedfacecafeull},
              {ProgramOpCode::kInverse, 0x1ull},
              {ProgramOpCode::kRotate, 42}};
@@ -714,7 +651,7 @@ TEST(NetProgram, WireCodecRoundTrip) {
 
   const auto view = net::ExecuteProgramRequestView::decode(bytes, 1 << 20);
   ASSERT_TRUE(view.ok());
-  EXPECT_TRUE(view.value().force_staged());
+  EXPECT_EQ(view.value().flags, 0u);
   EXPECT_EQ(view.value().ops, req.ops);
   EXPECT_EQ(view.value().data.count, req.data.size());
 }

@@ -1,9 +1,9 @@
 /// Tests for the serving-layer robustness stack: the Status/StatusOr
 /// error taxonomy, cooperative cancellation, the deterministic fault
 /// injector, request deadlines + admission control on the executor, and
-/// the RobustPermuteService degradation ladder (including the chaos
-/// acceptance scenario: 30% plan-build failures, zero incorrect
-/// responses, zero aborts).
+/// the RobustPermuteService degradation ladder, driven through both
+/// entry points (including the chaos acceptance scenario: 30% plan-build
+/// failures, zero incorrect responses, zero aborts).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,8 +24,10 @@
 #include "runtime/cancel.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/fault_injector.hpp"
+#include "runtime/fingerprint.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/plan_cache.hpp"
+#include "runtime/program.hpp"
 #include "runtime/service.hpp"
 #include "runtime/status.hpp"
 #include "test_helpers.hpp"
@@ -473,7 +476,63 @@ TEST(RobustService, HappyPathServesAndCaches) {
   EXPECT_EQ(snap.degraded_executions, 0u);
 }
 
-TEST(RobustService, TransientBuildFailureIsRetriedThenServedOptimally) {
+TEST(RobustService, ScheduledDefaultAppliesWherePlansSupportIt) {
+  runtime::RobustPermuteService::Config config;
+  config.strategy = core::Strategy::kScheduled;
+  ServiceFixture fx(config);
+  const model::MachineParams mp = config.machine;
+  // 4096 elements: the default forces the scheduled plan (kAuto would
+  // gather an L2-resident source). 1000 elements: no scheduled plan
+  // exists, so the default falls back to kAuto instead of aborting.
+  for (const std::uint64_t n : {std::uint64_t{4096}, std::uint64_t{1000}}) {
+    const perm::Permutation p = perm::by_name("random", n, 3);
+    const auto a = test::iota_data<float>(n);
+    util::aligned_vector<float> b(n);
+    auto submitted = fx.service.submit<float>(p, std::span<const float>(a.data(), n),
+                                              std::span<float>(b.data(), n));
+    ASSERT_TRUE(submitted.ok()) << submitted.status().to_string();
+    ASSERT_TRUE(std::move(submitted).value().get().is_ok());
+    for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(b[p(i)], a[i]) << n << " at " << i;
+  }
+  EXPECT_TRUE(fx.service.cache().contains(
+      runtime::PlanCache::plan_key<float>(perm::by_name("random", 4096, 3), mp,
+                                          core::Strategy::kScheduled)));
+  const runtime::MetricsSnapshot snap = fx.service.metrics().snapshot();
+  EXPECT_EQ(snap.plans_scheduled, 1u);
+  EXPECT_EQ(snap.plans_s_designated, 1u);
+}
+
+// ------------------------------------------------------- service: the ladder
+
+/// The service entry point a ladder test drives: plain `submit`, or a
+/// one-op `submit_program` ({kPermute, fingerprint}) whose composite is
+/// the same permutation. Both must resolve through the same ladder.
+enum class Entry { kSubmit, kProgram };
+
+class Ladder : public testing::TestWithParam<Entry> {
+ protected:
+  /// Submit b[p(i)] = a[i] through the entry point under test.
+  StatusOr<std::future<Status>> submit(runtime::RobustPermuteService& service,
+                                       const perm::Permutation& p,
+                                       const util::aligned_vector<float>& a,
+                                       util::aligned_vector<float>& b,
+                                       runtime::RequestOptions opts = {}) {
+    const std::span<const float> in(a.data(), a.size());
+    const std::span<float> out(b.data(), b.size());
+    if (GetParam() == Entry::kSubmit) return service.submit<float>(p, in, out, opts);
+    auto plan = std::make_shared<const perm::Permutation>(p);
+    const std::uint64_t id = runtime::fingerprint_permutation(*plan).value;
+    const runtime::PlanResolver resolver =
+        [plan, id](std::uint64_t fp) -> std::shared_ptr<const perm::Permutation> {
+      return fp == id ? plan : nullptr;
+    };
+    runtime::Program program;
+    program.ops = {{runtime::ProgramOpCode::kPermute, id}};
+    return service.submit_program<float>(program, resolver, in, out, opts);
+  }
+};
+
+TEST_P(Ladder, TransientBuildFailureIsRetriedThenServedOptimally) {
   // Find a seed whose plan_cache.build stream goes [fire, pass]: the
   // first build attempt fails, the single retry succeeds.
   std::uint64_t seed = 0;
@@ -501,8 +560,7 @@ TEST(RobustService, TransientBuildFailureIsRetriedThenServedOptimally) {
 
   runtime::ScopedFaultInjection chaos(
       {.seed = seed, .rate = 0.5, .sites = std::string(runtime::fault_sites::kPlanBuild)});
-  auto submitted = fx.service.submit<float>(p, std::span<const float>(a.data(), n),
-                                            std::span<float>(b.data(), n));
+  auto submitted = submit(fx.service, p, a, b);
   ASSERT_TRUE(submitted.ok());
   EXPECT_TRUE(std::move(submitted).value().get().is_ok());
   for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(b[p(i)], a[i]);
@@ -510,36 +568,10 @@ TEST(RobustService, TransientBuildFailureIsRetriedThenServedOptimally) {
   const runtime::MetricsSnapshot snap = fx.service.metrics().snapshot();
   EXPECT_EQ(snap.build_retries, 1u);
   EXPECT_EQ(snap.plan_builds, 1u);        // the retry built the real plan
-  EXPECT_EQ(snap.degraded_executions, 0u);  // never fell off the optimal tier
+  EXPECT_EQ(snap.degraded_executions, 0u);  // never fell off the first tier
 }
 
-TEST(RobustService, ScheduledDefaultAppliesWherePlansSupportIt) {
-  runtime::RobustPermuteService::Config config;
-  config.strategy = core::Strategy::kScheduled;
-  ServiceFixture fx(config);
-  const model::MachineParams mp = config.machine;
-  // 4096 elements: the default forces the scheduled plan (kAuto would
-  // gather an L2-resident source). 1000 elements: no scheduled plan
-  // exists, so the default falls back to kAuto instead of aborting.
-  for (const std::uint64_t n : {std::uint64_t{4096}, std::uint64_t{1000}}) {
-    const perm::Permutation p = perm::by_name("random", n, 3);
-    const auto a = test::iota_data<float>(n);
-    util::aligned_vector<float> b(n);
-    auto submitted = fx.service.submit<float>(p, std::span<const float>(a.data(), n),
-                                              std::span<float>(b.data(), n));
-    ASSERT_TRUE(submitted.ok()) << submitted.status().to_string();
-    ASSERT_TRUE(std::move(submitted).value().get().is_ok());
-    for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(b[p(i)], a[i]) << n << " at " << i;
-  }
-  EXPECT_TRUE(fx.service.cache().contains(
-      runtime::PlanCache::plan_key<float>(perm::by_name("random", 4096, 3), mp,
-                                          core::Strategy::kScheduled)));
-  const runtime::MetricsSnapshot snap = fx.service.metrics().snapshot();
-  EXPECT_EQ(snap.plans_scheduled, 1u);
-  EXPECT_EQ(snap.plans_s_designated, 1u);
-}
-
-TEST(RobustService, ExhaustedRetriesDegradeToConventionalAndStayCorrect) {
+TEST_P(Ladder, ExhaustedRetriesDegradeToConventionalAndStayCorrect) {
   runtime::RobustPermuteService::Config config;
   config.max_build_retries = 1;
   config.retry_backoff_base = std::chrono::microseconds(10);
@@ -551,8 +583,7 @@ TEST(RobustService, ExhaustedRetriesDegradeToConventionalAndStayCorrect) {
 
   runtime::ScopedFaultInjection chaos(
       {.seed = 2, .rate = 1.0, .sites = std::string(runtime::fault_sites::kPlanBuild)});
-  auto submitted = fx.service.submit<float>(p, std::span<const float>(a.data(), n),
-                                            std::span<float>(b.data(), n));
+  auto submitted = submit(fx.service, p, a, b);
   ASSERT_TRUE(submitted.ok());
   EXPECT_TRUE(std::move(submitted).value().get().is_ok());
   for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(b[p(i)], a[i]);
@@ -560,33 +591,62 @@ TEST(RobustService, ExhaustedRetriesDegradeToConventionalAndStayCorrect) {
   const runtime::MetricsSnapshot snap = fx.service.metrics().snapshot();
   EXPECT_EQ(snap.degraded_executions, 1u);
   EXPECT_EQ(snap.build_retries, 1u);
-  EXPECT_EQ(snap.plan_builds, 0u);  // every scheduled build failed
+  EXPECT_EQ(snap.plan_builds, 0u);  // every build failed
 }
 
-TEST(RobustService, DegradationOffSurfacesTheBuildError) {
-  runtime::RobustPermuteService::Config config;
-  config.allow_degraded = false;
-  config.max_build_retries = 0;
-  ServiceFixture fx(config);
+TEST_P(Ladder, DeadlineTighterThanTheSlowestBuildSkipsStraightToConventional) {
+  ServiceFixture fx;
   const std::uint64_t n = 1024;
-  const perm::Permutation p = perm::bit_reversal(n);
+  const perm::Permutation warm = perm::by_name("random", n, 21);
+  const perm::Permutation cold = perm::by_name("random", n, 22);
   const auto a = test::iota_data<float>(n);
   util::aligned_vector<float> b(n);
 
-  runtime::ScopedFaultInjection chaos(
-      {.seed = 2, .rate = 1.0, .sites = std::string(runtime::fault_sites::kPlanBuild)});
-  auto submitted = fx.service.submit<float>(p, std::span<const float>(a.data(), n),
-                                            std::span<float>(b.data(), n));
-  ASSERT_FALSE(submitted.ok());
-  EXPECT_EQ(submitted.status().code(), StatusCode::kPlanBuildFailed);
-  EXPECT_EQ(fx.service.metrics().snapshot().submitted, 0u);
+  // One slow observed build: the builder stalls 400 ms inside the timed
+  // region, so the service's worst-build estimate is at least that.
+  constexpr auto kStall = 400ms;
+  {
+    runtime::ScopedFaultInjection stall(
+        {.seed = 1,
+         .rate = 1.0,
+         .stall_ms = static_cast<std::uint32_t>(kStall.count()),
+         .sites = std::string(runtime::fault_sites::kPlanBuildStall)});
+    auto submitted = submit(fx.service, warm, a, b);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().to_string();
+    ASSERT_TRUE(std::move(submitted).value().get().is_ok());
+  }
+  ASSERT_GE(fx.service.metrics().snapshot().plan_build_ns_max,
+            static_cast<std::uint64_t>(std::chrono::nanoseconds(kStall).count()));
+
+  // A cold key whose deadline is tighter than that build: no build is
+  // attempted, and the conventional tier serves it correctly.
+  runtime::RequestOptions tight;
+  tight.deadline = std::chrono::steady_clock::now() + kStall / 2;
+  auto cold_req = submit(fx.service, cold, a, b, tight);
+  ASSERT_TRUE(cold_req.ok()) << cold_req.status().to_string();
+  ASSERT_TRUE(std::move(cold_req).value().get().is_ok());
+  for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(b[cold(i)], a[i]) << "cold at " << i;
+  runtime::MetricsSnapshot snap = fx.service.metrics().snapshot();
+  EXPECT_EQ(snap.degraded_executions, 1u);
+  EXPECT_EQ(snap.plan_builds, 1u);  // only the warm key's build
+
+  // A cached key under the same deadline rides its compiled plan.
+  tight.deadline = std::chrono::steady_clock::now() + kStall / 2;
+  auto warm_req = submit(fx.service, warm, a, b, tight);
+  ASSERT_TRUE(warm_req.ok()) << warm_req.status().to_string();
+  ASSERT_TRUE(std::move(warm_req).value().get().is_ok());
+  for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(b[warm(i)], a[i]) << "warm at " << i;
+  snap = fx.service.metrics().snapshot();
+  EXPECT_EQ(snap.degraded_executions, 1u);
+  EXPECT_EQ(snap.plan_builds, 1u);
+  EXPECT_EQ(snap.hits, 1u);
 }
 
-// The ISSUE acceptance scenario: 30% plan-build fault rate, every
+// The chaos acceptance scenario: 30% plan-build fault rate, every
 // accepted request still resolves OK with a fully correct output, the
 // process never aborts, and the degraded/retry counters expose what the
 // ladder absorbed.
-TEST(RobustService, ChaosThirtyPercentBuildFailureServesEveryAcceptedRequest) {
+TEST_P(Ladder, ChaosThirtyPercentBuildFailureServesEveryAcceptedRequest) {
   runtime::RobustPermuteService::Config config;
   config.max_build_retries = 1;
   config.retry_backoff_base = std::chrono::microseconds(10);
@@ -614,9 +674,7 @@ TEST(RobustService, ChaosThirtyPercentBuildFailureServesEveryAcceptedRequest) {
       Request req;
       req.rank = r;
       req.b.assign(n, -1.0f);
-      auto submitted = fx.service.submit<float>(population[r],
-                                                std::span<const float>(a.data(), n),
-                                                std::span<float>(req.b.data(), n));
+      auto submitted = submit(fx.service, population[r], a, req.b);
       ASSERT_TRUE(submitted.ok()) << submitted.status().to_string();
       req.done = std::move(submitted).value();
       requests.push_back(std::move(req));
@@ -643,10 +701,17 @@ TEST(RobustService, ChaosThirtyPercentBuildFailureServesEveryAcceptedRequest) {
   EXPECT_EQ(snap.failed, 0u);
   EXPECT_GT(snap.degraded_executions, 0u);  // seed 7 exhausts retries at least once
   EXPECT_GT(snap.build_retries, 0u);
-  // Every request was served by *some* tier: the optimal one (built or
-  // cached) or the conventional fallback.
+  // Every request was served by *some* tier: a cached or built plan, or
+  // the conventional fallback.
   EXPECT_EQ(snap.submitted, requests.size());
 }
+
+// Instantiated as "RobustService" so the ladder runs wherever the
+// RobustService tests do (the sanitizer legs select by that prefix).
+INSTANTIATE_TEST_SUITE_P(RobustService, Ladder, testing::Values(Entry::kSubmit, Entry::kProgram),
+                         [](const ::testing::TestParamInfo<Entry>& entry) {
+                           return entry.param == Entry::kSubmit ? "Submit" : "Program";
+                         });
 
 // ----------------------------------------------------------- plan_io status
 

@@ -425,6 +425,22 @@ TEST(PlanCache, ConcurrentAcquiresBuildOnce) {
 
 // ------------------------------------------------------------------ executor
 
+/// Submit one float request, asserting the executor accepted it.
+std::future<runtime::Status> submit_accepted(
+    runtime::Executor& executor, std::shared_ptr<const core::OfflinePermuter<float>> h,
+    const util::aligned_vector<float>& a, util::aligned_vector<float>& b) {
+  auto submitted = executor.try_submit<float>(std::move(h),
+                                              std::span<const float>(a.data(), a.size()),
+                                              std::span<float>(b.data(), b.size()));
+  EXPECT_TRUE(submitted.ok()) << submitted.status().to_string();
+  if (!submitted.ok()) {
+    std::promise<runtime::Status> refused;
+    refused.set_value(submitted.status());
+    return refused.get_future();
+  }
+  return std::move(submitted).value();
+}
+
 TEST(Executor, ConcurrentSubmitsMatchSerialPermute) {
   const std::uint64_t n = 1 << 13;
   const MachineParams mp = MachineParams::gtx680();
@@ -456,13 +472,12 @@ TEST(Executor, ConcurrentSubmitsMatchSerialPermute) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      std::vector<std::future<void>> futs;
+      std::vector<std::future<runtime::Status>> futs;
       for (int r = 0; r < kPerThread; ++r) {
         auto& h = (t + r) % 2 == 0 ? h1 : h2;
-        futs.push_back(executor.submit<float>(h, std::span<const float>(a.data(), n),
-                                              std::span<float>(outs[t * kPerThread + r].data(), n)));
+        futs.push_back(submit_accepted(executor, h, a, outs[t * kPerThread + r]));
       }
-      for (auto& f : futs) f.get();
+      for (auto& f : futs) EXPECT_TRUE(f.get().is_ok());
     });
   }
   for (auto& th : threads) th.join();
@@ -497,18 +512,14 @@ TEST(Executor, FutureDeliversResultPerRequest) {
 
   const auto a = test::iota_data<float>(n);
   util::aligned_vector<float> b(n);
-  auto fut = executor.submit<float>(h, std::span<const float>(a.data(), n),
-                                    std::span<float>(b.data(), n));
-  fut.get();
+  EXPECT_TRUE(submit_accepted(executor, h, a, b).get().is_ok());
   for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(b[p(i)], a[i]);
 }
 
-TEST(Executor, ThrowingRequestDeliversExceptionAndReleasesItsSlot) {
-  // The legacy submit path: a failed request must surface its exception
-  // through the future, decrement in_flight_, and count as failed in
-  // the metrics — a wedged slot would hang wait_idle() and teardown.
-  // Regression (PR 4): a failed request used to count as completed AND
-  // failed; the counters are disjoint now.
+TEST(Executor, FailingRequestResolvesTypedAndReleasesItsSlot) {
+  // A failed request must resolve its future with the typed failure,
+  // decrement in_flight_, and count as failed — not completed — in the
+  // metrics: a wedged slot would hang wait_idle() and teardown.
   const std::uint64_t n = 1 << 12;
   runtime::ServiceMetrics metrics;
   runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
@@ -519,9 +530,8 @@ TEST(Executor, ThrowingRequestDeliversExceptionAndReleasesItsSlot) {
 
   runtime::ScopedFaultInjection chaos(
       {.seed = 4, .rate = 1.0, .sites = std::string(runtime::fault_sites::kExecutorAlloc)});
-  auto fut = executor.submit<float>(h, std::span<const float>(a.data(), n),
-                                    std::span<float>(b.data(), n));
-  EXPECT_THROW(fut.get(), runtime::FaultInjectedError);
+  EXPECT_EQ(submit_accepted(executor, h, a, b).get().code(),
+            runtime::StatusCode::kResourceExhausted);
   executor.wait_idle();
   EXPECT_EQ(executor.in_flight(), 0u);
 
@@ -544,12 +554,9 @@ TEST(Executor, RepeatedFailuresDoNotWedgeTheExecutor) {
   {
     runtime::ScopedFaultInjection chaos(
         {.seed = 4, .rate = 1.0, .sites = std::string(runtime::fault_sites::kExecutorAlloc)});
-    std::vector<std::future<void>> futs;
-    for (int r = 0; r < kRequests; ++r) {
-      futs.push_back(executor.submit<float>(h, std::span<const float>(a.data(), n),
-                                            std::span<float>(b.data(), n)));
-    }
-    for (auto& f : futs) EXPECT_THROW(f.get(), runtime::FaultInjectedError);
+    std::vector<std::future<runtime::Status>> futs;
+    for (int r = 0; r < kRequests; ++r) futs.push_back(submit_accepted(executor, h, a, b));
+    for (auto& f : futs) EXPECT_EQ(f.get().code(), runtime::StatusCode::kResourceExhausted);
     executor.wait_idle();  // must return despite every request failing
   }
   EXPECT_EQ(executor.in_flight(), 0u);
@@ -557,9 +564,7 @@ TEST(Executor, RepeatedFailuresDoNotWedgeTheExecutor) {
   EXPECT_EQ(snap.failed, static_cast<std::uint64_t>(kRequests));
 
   // The executor still serves healthy requests afterwards.
-  auto fut = executor.submit<float>(h, std::span<const float>(a.data(), n),
-                                    std::span<float>(b.data(), n));
-  fut.get();
+  EXPECT_TRUE(submit_accepted(executor, h, a, b).get().is_ok());
   const perm::Permutation p = perm::bit_reversal(n);
   for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(b[p(i)], a[i]);
 }
@@ -575,7 +580,6 @@ TEST(Executor, WaitIdleForReportsStalledDrainThenRecovers) {
   // Idle executor: any timeout (even zero) reports idle immediately.
   EXPECT_TRUE(executor.wait_idle_for(std::chrono::nanoseconds(0)));
 
-  std::future<void> fut;
   {
     // Stall the worker long enough that a short wait_idle_for times out.
     runtime::ScopedFaultInjection chaos(
@@ -583,11 +587,10 @@ TEST(Executor, WaitIdleForReportsStalledDrainThenRecovers) {
          .rate = 1.0,
          .stall_ms = 300,
          .sites = std::string(runtime::fault_sites::kExecutorStall)});
-    fut = executor.submit<float>(h, std::span<const float>(a.data(), n),
-                                 std::span<float>(b.data(), n));
+    std::future<runtime::Status> fut = submit_accepted(executor, h, a, b);
     EXPECT_FALSE(executor.wait_idle_for(std::chrono::milliseconds(10)));
     EXPECT_GE(executor.in_flight(), 1u);
-    fut.get();  // the stalled request still completes
+    EXPECT_TRUE(fut.get().is_ok());  // the stalled request still completes
   }
   EXPECT_TRUE(executor.wait_idle_for(std::chrono::seconds(30)));
   EXPECT_EQ(executor.in_flight(), 0u);

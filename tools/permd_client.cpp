@@ -21,8 +21,6 @@
 ///               inverse:<family>  SUBMIT_PLAN the family, then INVERSE it
 ///               transpose | reverse | shuffle | unshuffle | bit-reversal
 ///               rotate:<shift>
-///             `--staged true` forces the server's staged path (results
-///             must be bit-identical to fused).
 ///   dpermute  distributed permute smoke against a permd_router: one
 ///             verified permute round-trip sized for the router's
 ///             --distributed-max-bytes threshold, then a before/after
@@ -35,7 +33,7 @@
 ///                [--host 127.0.0.1] [--n 64K] [--family bit-reversal]
 ///                [--seed 42] [--count 4] [--deadline-ms 0]
 ///                [--timeout-ms 30000] [--ops plan:random,bit-reversal]
-///                [--staged false] [--json false]
+///                [--json false]
 ///                [--require-distributed false] [--max-payload-mb 64]
 ///
 /// Exit code: 0 on success, 1 on any typed error or verification
@@ -150,7 +148,7 @@ int main(int argc, char** argv) {
 
   util::Cli cli(argc, argv);
   if (!cli.expect_flags({"host", "port", "n", "family", "seed", "count", "deadline-ms",
-                         "timeout-ms", "ops", "staged", "json", "require-distributed",
+                         "timeout-ms", "ops", "json", "require-distributed",
                          "max-payload-mb"},
                         std::cerr)) {
     return 2;
@@ -290,7 +288,6 @@ int main(int argc, char** argv) {
     const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
     const std::int64_t count = cli.get_int("count", 1);
     const std::int64_t deadline_ms = cli.get_int("deadline-ms", 0);
-    const bool staged = cli.get_bool("staged", false);
     const std::string ops_spec = cli.get("ops", "plan:random,bit-reversal");
 
     // Parse the chain, registering plan:/inverse: families as we go and
@@ -371,13 +368,12 @@ int main(int argc, char** argv) {
       expect.swap(tmp);
     }
 
-    std::cout << "program depth=" << ops.size() << " n=" << n
-              << (staged ? " (staged)" : " (fused)") << "\n";
+    std::cout << "program depth=" << ops.size() << " n=" << n << "\n";
     for (std::int64_t r = 0; r < count; ++r) {
       util::Stopwatch sw;
       const runtime::Status s =
           client.execute_program({ops.data(), ops.size()}, {a.data(), n}, {b.data(), n},
-                                 std::chrono::milliseconds(deadline_ms), staged);
+                                 std::chrono::milliseconds(deadline_ms));
       if (!s.is_ok()) {
         std::cerr << "permd_client: program " << r << " failed: " << s.to_string() << "\n";
         return 1;

@@ -19,7 +19,7 @@
 ///                 [--perms 12] [--zipf 1.0] [--seed 42]
 ///                 [--deadline-ms 0] [--timeout-ms 30000] [--json]
 ///                 [--require-batching] [--program-depth 0]
-///                 [--program-staged false] [--retry-later-max 0]
+///                 [--retry-later-max 0]
 ///                 [--router] [--distributed] [--max-payload-mb 64]
 ///
 /// `--retry-later-max k` (k > 0) resends a request that came back
@@ -40,8 +40,7 @@
 /// plans — one round trip does k permutations' work. Responses are
 /// spot-verified against the chained ground truth (index-chasing
 /// through each stage mapping: O(1) per checked index, no composed
-/// table on the client). `--program-staged true` forces the server's
-/// staged path.
+/// table on the client).
 ///
 /// `--requests` is per connection; `--duration-s` (if > 0) stops the
 /// run early. The final report includes the server's own
@@ -173,8 +172,8 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   if (!cli.expect_flags({"host", "port", "connections", "requests", "duration-s", "n", "perms",
                          "zipf", "seed", "deadline-ms", "timeout-ms", "json",
-                         "require-batching", "program-depth", "program-staged",
-                         "retry-later-max", "router", "distributed", "max-payload-mb"},
+                         "require-batching", "program-depth", "retry-later-max", "router",
+                         "distributed", "max-payload-mb"},
                         std::cerr)) {
     return 2;
   }
@@ -198,7 +197,6 @@ int main(int argc, char** argv) {
   const bool require_batching = cli.get_bool("require-batching");
   const std::uint64_t program_depth =
       static_cast<std::uint64_t>(cli.get_int("program-depth", 0));
-  const bool program_staged = cli.get_bool("program-staged");
   const std::int64_t retry_later_max = cli.get_int("retry-later-max", 0);
   const bool distributed = cli.get_bool("distributed");
   const bool router_mode = cli.get_bool("router") || distributed;
@@ -251,9 +249,7 @@ int main(int argc, char** argv) {
             << " requests/conn=" << requests_per_conn << " n=" << n << " perms=" << num_perms
             << " zipf=" << zipf_s;
   if (deadline_ms > 0) std::cout << " deadline=" << deadline_ms << "ms";
-  if (program_depth > 0) {
-    std::cout << " program-depth=" << program_depth << (program_staged ? " (staged)" : " (fused)");
-  }
+  if (program_depth > 0) std::cout << " program-depth=" << program_depth;
   std::cout << "\n";
 
   Tally tally;
@@ -296,7 +292,7 @@ int main(int argc, char** argv) {
       for (std::int64_t attempt = 0;; ++attempt) {
         if (program_depth > 0) {
           s = client.execute_program({ops.data(), ops.size()}, {a.data(), n}, {b.data(), n},
-                                     std::chrono::milliseconds(deadline_ms), program_staged);
+                                     std::chrono::milliseconds(deadline_ms));
         } else {
           s = client.permute(plan_ids[rank], {a.data(), n}, {b.data(), n},
                              std::chrono::milliseconds(deadline_ms));
