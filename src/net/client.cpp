@@ -19,12 +19,6 @@ bool is_error(const FrameView& frame) {
   return static_cast<MsgKind>(frame.kind) == MsgKind::kError;
 }
 
-Status decode_error(const FrameView& frame) {
-  StatusOr<ErrorResponse> err = ErrorResponse::decode(frame.payload);
-  return err.ok() ? err.value().to_status()
-                  : Status(StatusCode::kUnavailable, "malformed ERROR frame");
-}
-
 /// The wire (little-endian) bytes of `words`: the caller's memory
 /// itself on a little-endian host, else a converted copy in `staging`.
 std::span<const std::uint8_t> wire_words(std::span<const std::uint32_t> words,
@@ -88,7 +82,7 @@ StatusOr<FrameView> Client::roundtrip_once(MsgKind kind, std::span<const ConstBu
       // then closes). Surface the typed code — usually RETRY_LATER from
       // the connection cap — so the retry loop backs off instead of
       // treating this as a protocol violation.
-      return decode_error(frame);
+      return error_status(frame.payload);
     }
     return Status(StatusCode::kUnavailable, "response id does not match the request");
   }
@@ -163,7 +157,7 @@ Status Client::ping() {
   StatusOr<FrameView> response = roundtrip(MsgKind::kPing, parts);
   if (!response.ok()) return response.status();
   const FrameView& frame = response.value();
-  if (is_error(frame)) return decode_error(frame);
+  if (is_error(frame)) return error_status(frame.payload);
   if (!std::equal(frame.payload.begin(), frame.payload.end(), std::begin(kProbe),
                   std::end(kProbe))) {
     return Status(StatusCode::kUnavailable, "PING echo mismatch");
@@ -179,7 +173,7 @@ StatusOr<std::uint64_t> Client::submit_plan(const perm::Permutation& p) {
   StatusOr<FrameView> response = roundtrip(MsgKind::kSubmitPlan, parts);
   if (!response.ok()) return response.status();
   const FrameView& frame = response.value();
-  if (is_error(frame)) return decode_error(frame);
+  if (is_error(frame)) return error_status(frame.payload);
   ByteReader r(frame.payload);
   std::uint64_t plan_id = 0;
   if (!r.get_u64(plan_id) || !r.exhausted()) {
@@ -207,7 +201,7 @@ Status Client::permute(std::uint64_t plan_id, std::span<const std::uint32_t> dat
   StatusOr<FrameView> response = roundtrip(MsgKind::kPermute, parts);
   if (!response.ok()) return response.status();
   const FrameView& frame = response.value();
-  if (is_error(frame)) return decode_error(frame);
+  if (is_error(frame)) return error_status(frame.payload);
   // decode_into writes the elements straight into the caller's span.
   if (Status s = PermuteResponse::decode_into(frame.payload, out); !s.is_ok()) {
     // The server's response payload is malformed: a protocol breach,
@@ -250,7 +244,7 @@ Status Client::execute_program(std::span<const runtime::ProgramOp> ops,
   StatusOr<FrameView> response = roundtrip(MsgKind::kExecuteProgram, parts);
   if (!response.ok()) return response.status();
   const FrameView& frame = response.value();
-  if (is_error(frame)) return decode_error(frame);
+  if (is_error(frame)) return error_status(frame.payload);
   // PROGRAM_OK carries the PERMUTE_OK layout; decode straight into the
   // caller's span.
   if (Status s = PermuteResponse::decode_into(frame.payload, out); !s.is_ok()) {
@@ -263,7 +257,7 @@ StatusOr<std::string> Client::stats_json() {
   StatusOr<FrameView> response = roundtrip(MsgKind::kStats, {});
   if (!response.ok()) return response.status();
   const FrameView& frame = response.value();
-  if (is_error(frame)) return decode_error(frame);
+  if (is_error(frame)) return error_status(frame.payload);
   ByteReader r(frame.payload);
   return r.rest_as_string();
 }

@@ -1,6 +1,5 @@
 #include "net/distributed.hpp"
 
-#include <thread>
 #include <utility>
 
 #include "core/layout.hpp"
@@ -18,54 +17,49 @@ using runtime::StatusOr;
 
 namespace {
 
-/// Outcome slot of one shard thread. Written by exactly one thread,
-/// read after the join barrier — no locking needed.
+/// Outcome of one shard.
 struct ShardOutcome {
   Status status = Status::ok();
   bool transport = false;  ///< connect/send/recv failure vs typed answer
+  TcpStream stream;        ///< open while the shard's answer is awaited
   DistributedPermuter::Band band;
+
+  void transport_fail(Status why) {
+    status = std::move(why);
+    transport = true;
+    stream.close();
+  }
 };
 
-/// Run one shard end to end: connect, ship the band, block until the
-/// shard finished its exchange (the response *is* the completion
-/// signal), gather the band response into pooled storage.
-void run_shard(const DistributedPermuter::Config& config, std::uint64_t session_id,
-               std::uint64_t plan_id, std::uint32_t deadline_ms, std::uint64_t rows,
-               std::uint64_t cols, const std::vector<ShardPeer>& peers, std::uint32_t shard,
-               std::span<const std::uint8_t> band_bytes, std::uint64_t band_elems,
-               ShardOutcome& out) {
-  const auto transport_fail = [&](Status why) {
-    out.status = std::move(why);
-    out.transport = true;
-  };
+/// Connect to shard `shard` and ship its band as SHARD_EXEC.
+void send_shard(const DistributedPermuter::Config& config, const ShardExecRequest& header,
+                const ShardPeer& peer, std::span<const std::uint8_t> band_bytes,
+                std::uint64_t band_elems, ShardOutcome& out) {
+  StatusOr<TcpStream> conn = tcp_connect(peer.host, peer.port, config.connect_timeout);
+  if (!conn.ok()) return out.transport_fail(conn.status());
+  out.stream = std::move(conn).value();
+  (void)out.stream.set_io_timeout(config.io_timeout, config.io_timeout);
 
-  StatusOr<TcpStream> conn =
-      tcp_connect(peers[shard].host, peers[shard].port, config.connect_timeout);
-  if (!conn.ok()) return transport_fail(conn.status());
-  TcpStream stream = std::move(conn).value();
-  (void)stream.set_io_timeout(config.io_timeout, config.io_timeout);
-
-  ShardExecRequest req;
-  req.session_id = session_id;
-  req.plan_id = plan_id;
-  req.deadline_ms = deadline_ms;
-  req.shard_index = shard;
-  req.rows = rows;
-  req.cols = cols;
-  req.peers = peers;
-  const std::vector<std::uint8_t> prefix = req.encode_prefix(band_elems);
+  const std::vector<std::uint8_t> prefix = header.encode_prefix(band_elems);
   const ConstBuffer parts[] = {{prefix.data(), prefix.size()},
                                {band_bytes.data(), band_bytes.size()}};
-  if (Status sent = write_frame_parts(stream, static_cast<std::uint16_t>(MsgKind::kShardExec),
-                                      session_id, parts);
+  if (Status sent = write_frame_parts(out.stream,
+                                      static_cast<std::uint16_t>(MsgKind::kShardExec),
+                                      header.session_id, parts);
       !sent.is_ok()) {
-    return transport_fail(std::move(sent));
+    out.transport_fail(std::move(sent));
   }
+}
 
+/// Read shard's answer — it comes once the shard finished its exchange
+/// — into pooled storage.
+void receive_shard(const DistributedPermuter::Config& config, std::uint64_t session_id,
+                   std::uint64_t band_elems, ShardOutcome& out) {
   util::BufferPool& pool = util::BufferPool::global();
   StatusOr<FrameView> response =
-      read_frame_view(stream, pool, out.band.storage, config.max_payload_bytes);
-  if (!response.ok()) return transport_fail(response.status());
+      read_frame_view(out.stream, pool, out.band.storage, config.max_payload_bytes);
+  out.stream.close();
+  if (!response.ok()) return out.transport_fail(response.status());
   const FrameView& frame = response.value();
   if (static_cast<MsgKind>(frame.kind) == MsgKind::kError) {
     StatusOr<ErrorResponse> err = ErrorResponse::decode(frame.payload);
@@ -77,15 +71,15 @@ void run_shard(const DistributedPermuter::Config& config, std::uint64_t session_
   }
   if (static_cast<MsgKind>(frame.kind) != MsgKind::kShardExecOk ||
       frame.request_id != session_id) {
-    return transport_fail(
+    return out.transport_fail(
         Status(StatusCode::kUnavailable, "shard response does not answer SHARD_EXEC"));
   }
   StatusOr<WordsResponseView> band =
       WordsResponseView::decode(frame.payload, config.max_payload_bytes / kElemBytes);
-  if (!band.ok()) return transport_fail(band.status());
+  if (!band.ok()) return out.transport_fail(band.status());
   if (band.value().data.count != band_elems) {
-    return transport_fail(Status(StatusCode::kUnavailable,
-                                 "shard returned a band of the wrong size"));
+    return out.transport_fail(
+        Status(StatusCode::kUnavailable, "shard returned a band of the wrong size"));
   }
   out.band.bytes = band.value().data.bytes;
   out.band.elements = band_elems;
@@ -131,28 +125,32 @@ StatusOr<DistributedPermuter::Result> DistributedPermuter::execute(
                   "distributed permute: element count does not match the matrix shape");
   }
 
-  std::vector<ShardPeer> peers;
-  peers.reserve(shards);
-  for (const ShardTarget& t : targets) peers.push_back(ShardPeer{t.host, t.port});
+  ShardExecRequest header;
+  header.session_id = session_id;
+  header.plan_id = plan_id;
+  header.deadline_ms = deadline_ms;
+  header.rows = rows;
+  header.cols = cols;
+  header.peers.reserve(shards);
+  for (const ShardTarget& t : targets) header.peers.push_back(ShardPeer{t.host, t.port});
 
-  // One thread per shard: every SHARD_EXEC must be in flight
-  // concurrently — the shards rendezvous with each other mid-request,
-  // so shipping the bands serially would deadlock on the exchange.
+  // Every SHARD_EXEC is written before any answer is read: the shards
+  // rendezvous with each other mid-request, so each must hold its band
+  // before the first answer can come. No shard's progress waits on
+  // these reads, so reading the answers in shard order cannot deadlock.
   std::vector<ShardOutcome> outcomes(shards);
-  std::vector<std::thread> threads;
-  threads.reserve(shards);
   for (std::uint32_t s = 0; s < shards; ++s) {
-    const std::uint64_t offset_bytes = bands.band_offset(s) * kElemBytes;
+    header.shard_index = s;
     const std::uint64_t band_elems = bands.band_elements(s);
-    const std::span<const std::uint8_t> band_bytes =
-        data_bytes.subspan(offset_bytes, band_elems * kElemBytes);
-    threads.emplace_back([&config, session_id, plan_id, deadline_ms, rows, cols, &peers, s,
-                          band_bytes, band_elems, &outcomes] {
-      run_shard(config, session_id, plan_id, deadline_ms, rows, cols, peers, s, band_bytes,
-                band_elems, outcomes[s]);
-    });
+    send_shard(config, header, header.peers[s],
+               data_bytes.subspan(bands.band_offset(s) * kElemBytes, band_elems * kElemBytes),
+               band_elems, outcomes[s]);
   }
-  for (std::thread& t : threads) t.join();
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    if (outcomes[s].status.is_ok()) {
+      receive_shard(config, session_id, bands.band_elements(s), outcomes[s]);
+    }
+  }
 
   // Prefer a typed shard answer over transport noise: when one shard
   // dies, its peers' timeouts are a *consequence* — the root cause is

@@ -93,9 +93,9 @@ class DistributedPermuter {
   /// borrowed subspan, never copied. `deadline_ms` (0 = none) rides to
   /// every shard. `on_transport_failure(i)` fires for each target whose
   /// failure was transport-level (connect/send/recv), not a typed
-  /// answer. Blocks until every shard thread finished; on error the
-  /// first failure (typed answers preferred over transport noise) is
-  /// returned.
+  /// answer. Runs on the calling thread: writes every SHARD_EXEC, then
+  /// reads every answer. On error the first failure (typed answers
+  /// preferred over transport noise) is returned.
   [[nodiscard]] static runtime::StatusOr<Result> execute(
       const Config& config, std::uint64_t session_id, std::uint64_t plan_id,
       std::uint32_t deadline_ms, std::uint64_t rows, std::uint64_t cols,

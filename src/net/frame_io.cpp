@@ -4,6 +4,8 @@
 #include <cstring>
 #include <string>
 
+#include "net/protocol.hpp"
+
 namespace hmm::net {
 
 using runtime::Status;
@@ -180,19 +182,19 @@ void FrameReader::consume() noexcept {
 
 StatusOr<OutboundFrame> make_outbound_frame(std::uint16_t kind, std::uint64_t request_id,
                                             std::span<const std::uint8_t> inline_payload,
-                                            util::PooledBuffer pooled,
-                                            std::size_t pooled_len,
-                                            std::vector<std::uint8_t> owned,
-                                            std::uint8_t tag) {
+                                            std::vector<OutboundFrame::Segment> segments,
+                                            std::vector<std::uint8_t> owned) {
   OutboundFrame frame;
   if (inline_payload.size() > frame.prefix.size() - kHeaderBytes) {
     return Status(StatusCode::kInvalidArgument, "inline payload exceeds the prefix slot");
   }
-  const ConstBuffer parts[] = {
-      {inline_payload.data(), inline_payload.size()},
-      {pooled.valid() ? pooled.data() : nullptr, pooled_len},
-      {owned.data(), owned.size()},
-  };
+  std::vector<ConstBuffer> parts;
+  parts.reserve(segments.size() + 2);
+  parts.push_back({inline_payload.data(), inline_payload.size()});
+  for (const OutboundFrame::Segment& segment : segments) {
+    parts.push_back({segment.buffer.data() + segment.offset, segment.len});
+  }
+  parts.push_back({owned.data(), owned.size()});
   StatusOr<FrameHeader> header = header_over(kind, request_id, parts);
   if (!header.ok()) return header.status();
   encode_header(header.value(), std::span(frame.prefix).first<kHeaderBytes>());
@@ -201,19 +203,21 @@ StatusOr<OutboundFrame> make_outbound_frame(std::uint16_t kind, std::uint64_t re
                 inline_payload.size());
   }
   frame.prefix_len = kHeaderBytes + inline_payload.size();
-  frame.pooled = std::move(pooled);
-  frame.pooled_len = pooled_len;
+  frame.size = frame.prefix_len + header.value().payload_len - inline_payload.size();
+  frame.segments = std::move(segments);
   frame.owned = std::move(owned);
-  frame.tag = tag;
+  frame.tag = static_cast<MsgKind>(kind) == MsgKind::kError ? OutboundFrame::kTagError
+                                                             : OutboundFrame::kTagOk;
   return frame;
 }
 
 StatusOr<bool> FrameWriter::flush(TcpStream& stream, CompletionFn on_complete, void* ctx) {
   while (!queue_.empty()) {
     OutboundFrame& frame = queue_.front();
-    // Rebuild the remaining parts from the offset each round: three
+    // Rebuild the remaining parts from the offset each round: a few
     // subtractions against one syscall, and no iovec state to persist.
-    ConstBuffer parts[3];
+    // Parts past the socket layer's iovec cap go out in a later round.
+    std::array<ConstBuffer, 16> parts;
     std::size_t count = 0;
     std::size_t skip = frame.offset;
     const auto remainder = [&](const std::uint8_t* data, std::size_t len) {
@@ -221,19 +225,20 @@ StatusOr<bool> FrameWriter::flush(TcpStream& stream, CompletionFn on_complete, v
         skip -= len;
         return;
       }
-      parts[count++] = ConstBuffer{data + skip, len - skip};
+      if (count < parts.size()) parts[count++] = ConstBuffer{data + skip, len - skip};
       skip = 0;
     };
     remainder(frame.prefix.data(), frame.prefix_len);
-    remainder(frame.pooled.valid() ? frame.pooled.data() : nullptr, frame.pooled_len);
+    for (const OutboundFrame::Segment& segment : frame.segments) {
+      remainder(segment.buffer.data() + segment.offset, segment.len);
+    }
     remainder(frame.owned.data(), frame.owned.size());
 
     if (count > 0) {
-      StatusOr<std::size_t> n = stream.send_some({parts, count});
+      StatusOr<std::size_t> n = stream.send_some({parts.data(), count});
       if (!n.ok()) return n.status();
       if (n.value() == 0) return false;
       frame.offset += n.value();
-      pending_bytes_ -= n.value();
     }
     if (frame.offset < frame.total()) continue;  // partial — try the socket again
     if (on_complete != nullptr) on_complete(ctx, frame);

@@ -116,31 +116,42 @@ class FrameReader {
 
 /// One queued outbound frame: the 28-byte wire header plus a small
 /// inline payload head (e.g. PERMUTE_OK's 8-byte count header) live in
-/// `prefix`; the bulk payload rides as a pooled buffer and/or an owned
-/// vector, never copied. `tag` is an opaque caller label reported back
-/// on completion (the server uses it to split ok/error counters at the
-/// moment the frame actually reaches the wire).
+/// `prefix`; the bulk payload rides as slices of pooled buffers and/or
+/// an owned vector, never copied — a relayed response keeps the buffer
+/// it was read into, and a gathered distributed response keeps one per
+/// band. `tag` says what the frame answers, so the reactor can count ok
+/// and error responses at the moment they actually reach the wire.
 struct OutboundFrame {
+  static constexpr std::uint8_t kTagNone = 0;  ///< pre-frame rejection: uncounted
+  static constexpr std::uint8_t kTagOk = 1;
+  static constexpr std::uint8_t kTagError = 2;
+
+  /// `len` bytes of `buffer` from `offset`, owned by the frame.
+  struct Segment {
+    util::PooledBuffer buffer;
+    std::size_t offset = 0;
+    std::size_t len = 0;
+  };
+
   std::array<std::uint8_t, kHeaderBytes + 24> prefix{};
   std::size_t prefix_len = 0;
-  util::PooledBuffer pooled;
-  std::size_t pooled_len = 0;
+  std::vector<Segment> segments;
   std::vector<std::uint8_t> owned;
+  std::size_t size = 0;    // prefix + segments + owned
   std::size_t offset = 0;  // flush progress across the concatenation
   std::uint8_t tag = 0;
 
-  [[nodiscard]] std::size_t total() const noexcept {
-    return prefix_len + pooled_len + owned.size();
-  }
+  [[nodiscard]] std::size_t total() const noexcept { return size; }
 };
 
-/// Build an OutboundFrame. Payload = inline_payload ∥ pooled[0,
-/// pooled_len) ∥ owned; the checksum is streamed across all three.
-/// `inline_payload.size()` must fit the prefix tail (≤ 24 bytes).
+/// Build an OutboundFrame, tagged ok or error by `kind`. Payload =
+/// inline_payload ∥ segments ∥ owned; the checksum is streamed across
+/// all of them. `inline_payload.size()` must fit the prefix tail
+/// (≤ 24 bytes).
 runtime::StatusOr<OutboundFrame> make_outbound_frame(
     std::uint16_t kind, std::uint64_t request_id,
-    std::span<const std::uint8_t> inline_payload, util::PooledBuffer pooled,
-    std::size_t pooled_len, std::vector<std::uint8_t> owned, std::uint8_t tag = 0);
+    std::span<const std::uint8_t> inline_payload,
+    std::vector<OutboundFrame::Segment> segments, std::vector<std::uint8_t> owned);
 
 /// Incremental scatter-gather flusher for a nonblocking stream: a FIFO
 /// of OutboundFrames drained with at most one sendmsg per pump round,
@@ -151,13 +162,9 @@ runtime::StatusOr<OutboundFrame> make_outbound_frame(
 /// accepted by the kernel.
 class FrameWriter {
  public:
-  void enqueue(OutboundFrame frame) {
-    pending_bytes_ += frame.total();
-    queue_.push_back(std::move(frame));
-  }
+  void enqueue(OutboundFrame frame) { queue_.push_back(std::move(frame)); }
 
   [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
-  [[nodiscard]] std::size_t pending_bytes() const noexcept { return pending_bytes_; }
 
   using CompletionFn = void (*)(void* ctx, const OutboundFrame& frame);
   runtime::StatusOr<bool> flush(TcpStream& stream, CompletionFn on_complete = nullptr,
@@ -165,7 +172,6 @@ class FrameWriter {
 
  private:
   std::deque<OutboundFrame> queue_;
-  std::size_t pending_bytes_ = 0;
 };
 
 }  // namespace hmm::net

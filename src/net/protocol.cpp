@@ -89,34 +89,10 @@ StatusCode from_wire(std::uint32_t code) noexcept {
 
 namespace {
 
-/// Shared tail decoder for "u64 count + count u32 words" payloads.
-/// `max_elements` bounds allocation before it happens — a hostile
-/// header cannot make the receiver reserve count*4 bytes blindly.
-StatusOr<std::vector<std::uint32_t>> decode_words(ByteReader& r, std::uint64_t count,
-                                                  std::uint64_t max_elements,
-                                                  std::string_view what) {
-  if (count == 0) {
-    return Status(StatusCode::kInvalidArgument, std::string(what) + ": empty element array");
-  }
-  if (count > max_elements) {
-    return Status(StatusCode::kInvalidArgument,
-                  std::string(what) + ": element count exceeds the receiver's limit");
-  }
-  if (r.remaining() != count * kElemBytes) {
-    return Status(StatusCode::kInvalidArgument,
-                  std::string(what) + ": payload length does not match element count");
-  }
-  std::vector<std::uint32_t> words(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (!r.get_u32(words[i])) {
-      return Status(StatusCode::kInvalidArgument, std::string(what) + ": truncated elements");
-    }
-  }
-  return words;
-}
-
-/// View-form of decode_words: identical validation, but the element
-/// bytes are borrowed instead of copied into a fresh vector.
+/// Shared tail decoder for "u64 count + count u32 words" payloads; the
+/// element bytes are borrowed. `max_elements` bounds the count before
+/// any receiver sizes a buffer from it — a hostile header cannot make it
+/// reserve count*4 bytes blindly.
 StatusOr<WordsView> decode_words_view(ByteReader& r, std::uint64_t count,
                                       std::uint64_t max_elements, std::string_view what) {
   if (count == 0) {
@@ -138,10 +114,17 @@ StatusOr<WordsView> decode_words_view(ByteReader& r, std::uint64_t count,
   return view;
 }
 
+/// The owning decoders are the view decoders plus one copy.
+std::vector<std::uint32_t> to_vector(const WordsView& words) {
+  std::vector<std::uint32_t> out(words.count);
+  words.copy_to(out);
+  return out;
+}
+
 }  // namespace
 
 void WordsView::copy_to(std::span<std::uint32_t> out) const noexcept {
-  if (out.size() != count) return;  // contract violation; never partial-write
+  if (out.size() != count || count == 0) return;  // a mismatch is a contract violation
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(out.data(), bytes.data(), count * kElemBytes);
   } else {
@@ -163,16 +146,9 @@ std::vector<std::uint8_t> SubmitPlanRequest::encode() const {
 
 StatusOr<SubmitPlanRequest> SubmitPlanRequest::decode(std::span<const std::uint8_t> payload,
                                                       std::uint64_t max_elements) {
-  ByteReader r(payload);
-  std::uint64_t n = 0;
-  if (!r.get_u64(n)) {
-    return Status(StatusCode::kInvalidArgument, "SUBMIT_PLAN: truncated header");
-  }
-  StatusOr<std::vector<std::uint32_t>> words = decode_words(r, n, max_elements, "SUBMIT_PLAN");
-  if (!words.ok()) return words.status();
-  SubmitPlanRequest req;
-  req.mapping = std::move(words).value();
-  return req;
+  StatusOr<SubmitPlanRequestView> view = SubmitPlanRequestView::decode(payload, max_elements);
+  if (!view.ok()) return view.status();
+  return SubmitPlanRequest{to_vector(view.value().mapping)};
 }
 
 StatusOr<SubmitPlanRequestView> SubmitPlanRequestView::decode(
@@ -201,22 +177,10 @@ std::vector<std::uint8_t> PermuteRequest::encode() const {
 
 StatusOr<PermuteRequest> PermuteRequest::decode(std::span<const std::uint8_t> payload,
                                                 std::uint64_t max_elements) {
-  ByteReader r(payload);
-  PermuteRequest req;
-  std::uint32_t elem_bytes = 0;
-  std::uint64_t count = 0;
-  if (!r.get_u64(req.plan_id) || !r.get_u32(req.deadline_ms) || !r.get_u32(elem_bytes) ||
-      !r.get_u64(count)) {
-    return Status(StatusCode::kInvalidArgument, "PERMUTE: truncated header");
-  }
-  if (elem_bytes != kElemBytes) {
-    return Status(StatusCode::kInvalidArgument,
-                  "PERMUTE: unsupported element width (v1 speaks 4-byte elements)");
-  }
-  StatusOr<std::vector<std::uint32_t>> words = decode_words(r, count, max_elements, "PERMUTE");
-  if (!words.ok()) return words.status();
-  req.data = std::move(words).value();
-  return req;
+  StatusOr<PermuteRequestView> view = PermuteRequestView::decode(payload, max_elements);
+  if (!view.ok()) return view.status();
+  return PermuteRequest{view.value().plan_id, view.value().deadline_ms,
+                        to_vector(view.value().data)};
 }
 
 StatusOr<PermuteRequestView> PermuteRequestView::decode(std::span<const std::uint8_t> payload,
@@ -248,16 +212,9 @@ std::vector<std::uint8_t> PermuteResponse::encode() const {
 
 StatusOr<PermuteResponse> PermuteResponse::decode(std::span<const std::uint8_t> payload,
                                                   std::uint64_t max_elements) {
-  ByteReader r(payload);
-  std::uint64_t count = 0;
-  if (!r.get_u64(count)) {
-    return Status(StatusCode::kInvalidArgument, "PERMUTE_OK: truncated header");
-  }
-  StatusOr<std::vector<std::uint32_t>> words = decode_words(r, count, max_elements, "PERMUTE_OK");
-  if (!words.ok()) return words.status();
-  PermuteResponse resp;
-  resp.data = std::move(words).value();
-  return resp;
+  StatusOr<WordsResponseView> view = WordsResponseView::decode(payload, max_elements);
+  if (!view.ok()) return view.status();
+  return PermuteResponse{to_vector(view.value().data)};
 }
 
 Status PermuteResponse::decode_into(std::span<const std::uint8_t> payload,
@@ -404,17 +361,11 @@ std::vector<std::uint8_t> ShardExecRequest::encode_prefix(std::uint64_t count) c
 
 StatusOr<ShardExecRequest> ShardExecRequest::decode(std::span<const std::uint8_t> payload,
                                                     std::uint64_t max_elements) {
-  ByteReader r(payload);
-  ShardExecRequest req;
-  std::uint64_t count = 0;
-  Status prefix = decode_shard_exec_prefix(r, payload.size(), req.session_id, req.plan_id,
-                                           req.deadline_ms, req.shard_index, req.rows,
-                                           req.cols, req.peers, count);
-  if (!prefix.is_ok()) return prefix;
-  StatusOr<std::vector<std::uint32_t>> words = decode_words(r, count, max_elements, "SHARD_EXEC");
-  if (!words.ok()) return words.status();
-  req.band = std::move(words).value();
-  return req;
+  StatusOr<ShardExecRequestView> view = ShardExecRequestView::decode(payload, max_elements);
+  if (!view.ok()) return view.status();
+  const ShardExecRequestView& v = view.value();
+  return ShardExecRequest{v.session_id, v.plan_id, v.deadline_ms, v.shard_index,
+                          v.rows,       v.cols,    v.peers,       to_vector(v.band)};
 }
 
 StatusOr<ShardExecRequestView> ShardExecRequestView::decode(
@@ -479,20 +430,10 @@ Status decode_xchg_header(ByteReader& r, std::uint64_t& session_id, std::uint32_
 
 StatusOr<ShardXchgRequest> ShardXchgRequest::decode(std::span<const std::uint8_t> payload,
                                                     std::uint64_t max_elements) {
-  ByteReader r(payload);
-  ShardXchgRequest req;
-  std::uint64_t count = 0;
-  if (Status header = decode_xchg_header(r, req.session_id, req.src_shard, count);
-      !header.is_ok()) {
-    return header;
-  }
-  if (count > 0) {
-    StatusOr<std::vector<std::uint32_t>> words =
-        decode_words(r, count, max_elements, "SHARD_XCHG");
-    if (!words.ok()) return words.status();
-    req.block = std::move(words).value();
-  }
-  return req;
+  StatusOr<ShardXchgRequestView> view = ShardXchgRequestView::decode(payload, max_elements);
+  if (!view.ok()) return view.status();
+  return ShardXchgRequest{view.value().session_id, view.value().src_shard,
+                          to_vector(view.value().block)};
 }
 
 StatusOr<ShardXchgRequestView> ShardXchgRequestView::decode(
@@ -591,11 +532,14 @@ StatusOr<ShardPlanRequest> ShardPlanRequest::decode(std::span<const std::uint8_t
 
 Status shard_plan_outcome(std::uint16_t kind, std::span<const std::uint8_t> payload) {
   if (static_cast<MsgKind>(kind) == MsgKind::kShardPlanOk) return Status::ok();
-  if (static_cast<MsgKind>(kind) == MsgKind::kError) {
-    StatusOr<ErrorResponse> err = ErrorResponse::decode(payload);
-    if (err.ok()) return err.value().to_status();
-  }
+  if (static_cast<MsgKind>(kind) == MsgKind::kError) return error_status(payload);
   return Status(StatusCode::kUnavailable, "shard sent an unexpected SHARD_PLAN answer");
+}
+
+Status error_status(std::span<const std::uint8_t> payload) {
+  StatusOr<ErrorResponse> err = ErrorResponse::decode(payload);
+  return err.ok() ? err.value().to_status()
+                  : Status(StatusCode::kUnavailable, "malformed ERROR frame");
 }
 
 StatusOr<WordsResponseView> WordsResponseView::decode(std::span<const std::uint8_t> payload,
@@ -685,16 +629,11 @@ std::vector<std::uint8_t> ExecuteProgramRequest::encode() const {
 
 StatusOr<ExecuteProgramRequest> ExecuteProgramRequest::decode(
     std::span<const std::uint8_t> payload, std::uint64_t max_elements) {
-  ByteReader r(payload);
-  ExecuteProgramRequest req;
-  std::uint64_t count = 0;
-  Status prefix = decode_program_prefix(r, req.deadline_ms, req.flags, req.ops, count);
-  if (!prefix.is_ok()) return prefix;
-  StatusOr<std::vector<std::uint32_t>> words =
-      decode_words(r, count, max_elements, "EXECUTE_PROGRAM");
-  if (!words.ok()) return words.status();
-  req.data = std::move(words).value();
-  return req;
+  StatusOr<ExecuteProgramRequestView> view =
+      ExecuteProgramRequestView::decode(payload, max_elements);
+  if (!view.ok()) return view.status();
+  return ExecuteProgramRequest{view.value().deadline_ms, view.value().flags, view.value().ops,
+                               to_vector(view.value().data)};
 }
 
 StatusOr<ExecuteProgramRequestView> ExecuteProgramRequestView::decode(

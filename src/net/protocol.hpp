@@ -422,6 +422,10 @@ struct ErrorResponse {
   [[nodiscard]] runtime::Status to_status() const;
 };
 
+/// The typed status an ERROR frame's payload carries; kUnavailable
+/// when the payload is malformed.
+[[nodiscard]] runtime::Status error_status(std::span<const std::uint8_t> payload);
+
 /// Build an ERROR frame answering `request_id` from a serving Status.
 [[nodiscard]] Frame make_error_frame(std::uint64_t request_id, const runtime::Status& status);
 

@@ -24,9 +24,9 @@ using runtime::StatusCode;
 using runtime::StatusOr;
 
 /// Per-backend runtime state. Health flags are written by the health
-/// thread and read by every connection thread; the breaker is driven
-/// from the request path. Everything is atomics — no lock is ever held
-/// on the routing decision.
+/// thread and read by every handler thread; the breaker is driven
+/// from the request path. Those are atomics — no lock is ever held on
+/// the routing decision; `links_mutex` guards only the idle links.
 struct Router::Backend {
   BackendAddress addr;
   std::string label;
@@ -51,6 +51,10 @@ struct Router::Backend {
   std::atomic<std::uint64_t> breaker_opens{0};
   std::atomic<std::uint64_t> plans_synced{0};
   runtime::LogHistogram forward_ns;
+
+  /// Idle request-path links, checked out one request at a time.
+  std::mutex links_mutex;
+  std::vector<BackendLink> idle_links;
 };
 
 namespace {
@@ -74,12 +78,6 @@ std::uint64_t hash_bytes(const void* data, std::size_t len) noexcept {
   const auto* p = static_cast<const std::uint8_t*>(data);
   for (std::size_t i = 0; i < len; ++i) h.update_byte(p[i]);
   return h.digest();
-}
-
-Status decode_error_view(std::span<const std::uint8_t> payload) {
-  StatusOr<ErrorResponse> err = ErrorResponse::decode(payload);
-  return err.ok() ? err.value().to_status()
-                  : Status(StatusCode::kUnavailable, "malformed ERROR frame from backend");
 }
 
 /// Capped jittered pause before failover hop `hop` (1-based). Same
@@ -108,9 +106,27 @@ std::chrono::microseconds failover_pause(const Router::Config& config, int hop,
 
 constexpr std::uint8_t kProbePayload[] = {'h', 'm', 'm', 'p', '?'};
 
+OutboundFrame error_outbound(std::uint64_t request_id, const Status& why) {
+  return Reactor::outbound(make_error_frame(request_id, why));
+}
+
 }  // namespace
 
-Router::Router(Config config) : config_(std::move(config)) {
+Router::Router(Config config)
+    : config_(std::move(config)),
+      // The client side runs on the reactor's defaults, except for what
+      // Router::Config already names.
+      reactor_(Reactor::Config{.host = config_.host,
+                               .port = config_.port,
+                               .max_payload_bytes = config_.max_payload_bytes,
+                               .max_connections = config_.max_connections,
+                               .io_timeout = config_.io_timeout,
+                               .poll_interval = config_.poll_interval},
+               "router",
+               Reactor::Handlers{.on_request = [this](const FrameView& request,
+                                                      Reactor::Reply& reply) {
+                 reply.send(respond(request));
+               }}) {
   // Router ids double as SHARD_EXEC session ids, which shards refuse to
   // reuse: start at a random point so a restarted router does not replay
   // its predecessor's ids against the same backends.
@@ -183,154 +199,70 @@ std::uint64_t Router::plans() const {
 }
 
 Status Router::start() {
-  if (running_.load(std::memory_order_acquire)) {
-    return Status(StatusCode::kInvalidArgument, "router already running");
-  }
+  if (running()) return Status(StatusCode::kInvalidArgument, "router already running");
   if (backends_.empty()) {
     return Status(StatusCode::kInvalidArgument, "router needs at least one backend");
   }
-  StatusOr<TcpListener> bound = TcpListener::bind(config_.host, config_.port);
-  if (!bound.ok()) return bound.status();
-  listener_ = std::move(bound).value();
-  port_ = listener_.port();
+  if (Status started = reactor_.start(); !started.is_ok()) return started;
   stop_.store(false, std::memory_order_release);
-  running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { accept_loop(); });
   health_thread_ = std::thread([this] { health_loop(); });
   return Status::ok();
 }
 
 void Router::stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  if (!running()) return;
   stop_.store(true, std::memory_order_release);
-  if (accept_thread_.joinable()) accept_thread_.join();
   if (health_thread_.joinable()) health_thread_.join();
-  listener_.close();
-  std::lock_guard lock(conn_mutex_);
-  for (ConnSlot& slot : connections_) {
-    if (slot.thread.joinable()) slot.thread.join();
-  }
-  connections_.clear();
+  reactor_.stop();
 }
 
-void Router::accept_loop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    StatusOr<TcpStream> conn = listener_.accept(config_.poll_interval);
-    {
-      std::lock_guard lock(conn_mutex_);
-      reap_finished_locked();
-    }
-    if (!conn.ok()) {
-      if (conn.status().code() == StatusCode::kDeadlineExceeded) continue;  // poll slice
-      break;  // listener is gone; stop() owns cleanup
-    }
-    TcpStream stream = std::move(conn).value();
-    (void)stream.set_io_timeout(config_.io_timeout, config_.io_timeout);
+Router::Links::Links(Router& router) : router_(router), links_(router.backends_.size()) {}
 
-    if (active_connections_.load(std::memory_order_acquire) >= config_.max_connections) {
-      connections_rejected_.fetch_add(1, std::memory_order_relaxed);
-      (void)write_frame(stream, make_error_frame(
-                                    0, Status(StatusCode::kResourceExhausted,
-                                              "router at connection capacity; retry later")));
-      continue;
-    }
-
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    active_connections_.fetch_add(1, std::memory_order_acq_rel);
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    std::lock_guard lock(conn_mutex_);
-    connections_.push_back(ConnSlot{
-        std::thread([this, s = std::move(stream), done]() mutable {
-          serve_connection(std::move(s));
-          active_connections_.fetch_sub(1, std::memory_order_acq_rel);
-          done->store(true, std::memory_order_release);
-        }),
-        done});
+Router::Links::~Links() {
+  for (std::size_t idx = 0; idx < links_.size(); ++idx) {
+    if (!links_[idx] || !links_[idx]->stream.valid()) continue;
+    Backend& b = *router_.backends_[idx];
+    std::lock_guard lock(b.links_mutex);
+    b.idle_links.push_back(std::move(*links_[idx]));
   }
 }
 
-void Router::reap_finished_locked() {
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if (it->done->load(std::memory_order_acquire)) {
-      if (it->thread.joinable()) it->thread.join();
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
+Router::BackendLink& Router::Links::operator[](std::size_t idx) {
+  std::optional<BackendLink>& link = links_[idx];
+  if (!link) {
+    Backend& b = *router_.backends_[idx];
+    std::lock_guard lock(b.links_mutex);
+    if (b.idle_links.empty()) return link.emplace();
+    link.emplace(std::move(b.idle_links.back()));
+    b.idle_links.pop_back();
   }
+  return *link;
 }
 
-void Router::serve_connection(TcpStream stream) {
-  // One pooled request buffer per client connection, plus one cached
-  // link (connection + pooled response buffer) per backend, reused
-  // across requests: a steady proxied stream touches neither the
-  // allocator nor the pool's free lists, and the payload is never
-  // copied inside the router.
-  util::BufferPool& pool = util::BufferPool::global();
-  util::PooledBuffer payload_storage;
-  std::vector<BackendLink> links(backends_.size());
-  while (!stop_.load(std::memory_order_acquire)) {
-    StatusOr<bool> readable = stream.poll_readable(config_.poll_interval);
-    if (!readable.ok()) return;
-    if (!readable.value()) continue;
-
-    StatusOr<FrameView> request =
-        read_frame_view(stream, pool, payload_storage, config_.max_payload_bytes);
-    if (!request.ok()) {
-      const StatusCode code = request.status().code();
-      if (code == StatusCode::kInvalidArgument) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        (void)write_frame(stream, make_error_frame(0, request.status()));
-      } else if (code == StatusCode::kResourceExhausted) {
-        (void)write_frame(stream, make_error_frame(0, request.status()));
-      }
-      return;  // transport errors (EOF/reset/timeout) close quietly
+OutboundFrame Router::respond(const FrameView& request) {
+  // Checked back in when respond returns, before the answer is sent: the
+  // client's next request finds them idle.
+  Links links(*this);
+  switch (static_cast<MsgKind>(request.kind)) {
+    case MsgKind::kPing:
+      // Answered locally: PING through the router probes the router.
+      return Reactor::outbound(make_ok_frame(
+          request.request_id, MsgKind::kPingOk,
+          std::vector<std::uint8_t>(request.payload.begin(), request.payload.end())));
+    case MsgKind::kStats: {
+      // The router's own snapshot, not any single backend's.
+      ByteWriter w;
+      w.put_string(snapshot().to_json());
+      return Reactor::outbound(make_ok_frame(request.request_id, MsgKind::kStatsOk, w.take()));
     }
-
-    bool wrote_error = false;
-    const Status written = respond(stream, links, request.value(), wrote_error);
-    if (!written.is_ok()) return;
-  }
-}
-
-Status Router::respond(TcpStream& client, std::vector<BackendLink>& links,
-                       const FrameView& request, bool& wrote_error) {
-  try {
-    switch (static_cast<MsgKind>(request.kind)) {
-      case MsgKind::kPing: {
-        // Answered locally: PING through the router probes the router.
-        const ConstBuffer parts[] = {{request.payload.data(), request.payload.size()}};
-        return write_frame_parts(client, static_cast<std::uint16_t>(MsgKind::kPingOk),
-                                 request.request_id, parts);
-      }
-      case MsgKind::kStats: {
-        // The router's own snapshot, not any single backend's.
-        ByteWriter w;
-        w.put_string(snapshot().to_json());
-        return write_frame(client,
-                           make_ok_frame(request.request_id, MsgKind::kStatsOk, w.take()));
-      }
-      case MsgKind::kSubmitPlan:
-        return handle_submit_plan(client, links, request, wrote_error);
-      case MsgKind::kPermute:
-      case MsgKind::kExecuteProgram:
-        return route_request(client, links, request, wrote_error);
-      default:
-        wrote_error = true;
-        return write_frame(client,
-                           make_error_frame(request.request_id,
-                                            Status(StatusCode::kInvalidArgument,
-                                                   "unknown request kind")));
-    }
-  } catch (const std::bad_alloc&) {
-    wrote_error = true;
-    return write_frame(client, make_error_frame(request.request_id,
-                                                Status(StatusCode::kResourceExhausted,
-                                                       "allocation failed")));
-  } catch (const std::exception& e) {
-    wrote_error = true;
-    return write_frame(client, make_error_frame(request.request_id,
-                                                Status(StatusCode::kUnavailable, e.what())));
+    case MsgKind::kSubmitPlan:
+      return handle_submit_plan(links, request);
+    case MsgKind::kPermute:
+    case MsgKind::kExecuteProgram:
+      return route_request(links, request);
+    default:
+      return error_outbound(request.request_id,
+                            Status(StatusCode::kInvalidArgument, "unknown request kind"));
   }
 }
 
@@ -438,7 +370,7 @@ StatusOr<FrameView> Router::forward_once(std::size_t idx, BackendLink& link,
   Backend& b = *backends_[idx];
   util::BufferPool& pool = util::BufferPool::global();
   bool fresh = false;
-  // Up to one transparent reconnect-and-resend: a cached link the
+  // Up to one transparent reconnect-and-resend: a pooled link the
   // backend quietly closed between requests (idle timeout, restart)
   // shows up as a send failure or an immediate EOF. Requests are pure
   // (PERMUTE/PROGRAM compute a function of the payload; SUBMIT_PLAN is
@@ -526,7 +458,7 @@ Status Router::push_plans(std::size_t idx, BackendLink& link,
     if (!response.ok()) return response.status();
     const FrameView& frame = response.value();
     if (static_cast<MsgKind>(frame.kind) != MsgKind::kPlanOk) {
-      const Status typed = decode_error_view(frame.payload);
+      const Status typed = error_status(frame.payload);
       return typed.is_ok()
                  ? Status(StatusCode::kUnavailable, "unexpected resync response kind")
                  : typed;
@@ -627,27 +559,24 @@ Status Router::push_band(std::size_t idx, BackendLink& link, const BandKey& band
   return Status::ok();
 }
 
-Status Router::route_distributed(TcpStream& client, std::vector<BackendLink>& links,
-                                 const FrameView& request, bool& wrote_error,
-                                 bool& handled) {
-  handled = false;
+std::optional<OutboundFrame> Router::route_distributed(Links& links, const FrameView& request) {
   const std::uint64_t max_elements = config_.max_payload_bytes / kElemBytes;
   StatusOr<PermuteRequestView> req = PermuteRequestView::decode(request.payload, max_elements);
-  if (!req.ok()) return Status::ok();  // single-node path owns the rejection
+  if (!req.ok()) return std::nullopt;  // single-node path owns the rejection
   const std::uint64_t n = req.value().data.count;
   const std::uint64_t data_bytes = n * kElemBytes;
-  if (data_bytes <= config_.distributed_max_bytes) return Status::ok();
+  if (data_bytes <= config_.distributed_max_bytes) return std::nullopt;
 
   // Band-splittability gate, checked *before* any shard is touched: a
   // request the shards could not schedule must take the single-node
   // path (where the degradation ladder can still serve it).
   if (!util::is_pow2(n) || !util::is_pow2(config_.distributed_width) ||
       config_.distributed_width == 0) {
-    return Status::ok();
+    return std::nullopt;
   }
   const unsigned k = util::log2_floor(n);
   const unsigned wk = util::log2_floor(config_.distributed_width);
-  if (k - (k + 1) / 2 < wk) return Status::ok();  // rows < width: unschedulable
+  if (k - (k + 1) / 2 < wk) return std::nullopt;  // rows < width: unschedulable
   const core::MatrixShape shape = core::shape_for(n, config_.distributed_width);
 
   // The shard set: walk the plan's preference list (deterministic per
@@ -664,7 +593,7 @@ Status Router::route_distributed(TcpStream& client, std::vector<BackendLink>& li
   std::uint64_t shards = std::max<std::uint64_t>(2, want_by_size);
   shards = std::min<std::uint64_t>({shards, config_.distributed_max_shards,
                                     runtime::kMaxShards, usable.size(), shape.rows});
-  if (shards < 2) return Status::ok();  // not enough fleet: single-node path
+  if (shards < 2) return std::nullopt;  // not enough fleet: single-node path
 
   // Every shard must hold its band's rows before SHARD_EXEC arrives.
   // The router compiles the plan once per shard count and primes shard
@@ -681,11 +610,11 @@ Status Router::route_distributed(TcpStream& client, std::vector<BackendLink>& li
     return BandKey{plan_id, static_cast<std::uint32_t>(chosen.size()), s};
   };
   for (bool all_primed = false; !all_primed;) {
-    if (chosen.size() < 2) return Status::ok();  // not enough fleet: single-node path
+    if (chosen.size() < 2) return std::nullopt;  // not enough fleet: single-node path
     ShardPlansOr compiled = shard_plans(plan_id, static_cast<std::uint32_t>(chosen.size()));
     // Not in the router registry, or not schedulable: the single-node
     // path owns the answer.
-    if (!compiled.ok()) return Status::ok();
+    if (!compiled.ok()) return std::nullopt;
     plans = std::move(compiled).value();
     skipped.clear();
     all_primed = true;
@@ -703,7 +632,7 @@ Status Router::route_distributed(TcpStream& client, std::vector<BackendLink>& li
       }
       // The backend refuses the band (an old server answers SHARD_PLAN
       // as an unknown kind): the single-node path owns the answer.
-      if (pushed.code() == StatusCode::kInvalidArgument) return Status::ok();
+      if (pushed.code() == StatusCode::kInvalidArgument) return std::nullopt;
       record_backend_transport_failure(*backends_[idx], false);
       if (spare < usable.size()) {
         chosen[s] = usable[spare++];  // same band, next usable backend
@@ -716,7 +645,6 @@ Status Router::route_distributed(TcpStream& client, std::vector<BackendLink>& li
   }
   shards = chosen.size();
 
-  handled = true;
   dist_requests_.fetch_add(1, std::memory_order_relaxed);
 
   std::vector<ShardTarget> targets;
@@ -761,8 +689,7 @@ Status Router::route_distributed(TcpStream& client, std::vector<BackendLink>& li
     // No fallback once distribution was attempted: the client gets the
     // typed failure and owns the retry decision.
     dist_failures_.fetch_add(1, std::memory_order_relaxed);
-    wrote_error = true;
-    return write_frame(client, make_error_frame(request.request_id, result.status()));
+    return error_outbound(request.request_id, result.status());
   }
   for (const std::size_t idx : chosen) {
     record_backend_success(*backends_[idx]);
@@ -774,36 +701,42 @@ Status Router::route_distributed(TcpStream& client, std::vector<BackendLink>& li
   // out of each shard's pooled response buffer, in band order.
   std::uint8_t count_header[8];
   for (int i = 0; i < 8; ++i) count_header[i] = static_cast<std::uint8_t>(n >> (8 * i));
-  std::vector<ConstBuffer> parts;
-  parts.reserve(1 + result.value().bands.size());
-  parts.push_back(ConstBuffer{count_header, sizeof(count_header)});
-  for (const DistributedPermuter::Band& band : result.value().bands) {
-    parts.push_back(ConstBuffer{band.bytes.data(), band.bytes.size()});
+  std::vector<OutboundFrame::Segment> segments;
+  segments.reserve(result.value().bands.size());
+  for (DistributedPermuter::Band& band : result.value().bands) {
+    const auto offset = static_cast<std::size_t>(band.bytes.data() - band.storage.data());
+    segments.push_back({std::move(band.storage), offset, band.bytes.size()});
   }
-  return write_frame_parts(client, static_cast<std::uint16_t>(MsgKind::kPermuteOk),
-                           request.request_id, parts);
+  // n elements were a request payload, so the relayed frame is in bounds.
+  return make_outbound_frame(static_cast<std::uint16_t>(MsgKind::kPermuteOk),
+                             request.request_id, {count_header, sizeof(count_header)},
+                             std::move(segments), {})
+      .value();
 }
 
-Status Router::route_request(TcpStream& client, std::vector<BackendLink>& links,
-                             const FrameView& request, bool& wrote_error) {
+OutboundFrame Router::route_request(Links& links, const FrameView& request) {
   requests_total_.fetch_add(1, std::memory_order_relaxed);
   if (static_cast<MsgKind>(request.kind) == MsgKind::kPermute &&
       config_.distributed_max_bytes > 0) {
-    bool handled = false;
-    const Status outcome = route_distributed(client, links, request, wrote_error, handled);
-    if (handled) return outcome;
+    if (std::optional<OutboundFrame> answer = route_distributed(links, request)) {
+      return std::move(*answer);
+    }
   }
   const RouteKey rk = route_key(request);
   const std::vector<std::size_t> prefs = preference(rk.key);
   const std::size_t primary = prefs.empty() ? 0 : prefs[0];
 
-  const auto relay = [&](const FrameView& frame, std::size_t idx) -> Status {
+  // The relayed payload leaves from the pooled buffer the link read it
+  // into, which the outbound frame takes over.
+  const auto relay = [&](const FrameView& frame, std::size_t idx) {
     if (idx != primary) {
       failovers_total_.fetch_add(1, std::memory_order_relaxed);
       backends_[idx]->failovers_to.fetch_add(1, std::memory_order_relaxed);
     }
-    const ConstBuffer parts[] = {{frame.payload.data(), frame.payload.size()}};
-    return write_frame_parts(client, frame.kind, request.request_id, parts);
+    std::vector<OutboundFrame::Segment> segments;
+    segments.push_back({std::move(links[idx].storage), 0, frame.payload.size()});
+    return make_outbound_frame(frame.kind, request.request_id, {}, std::move(segments), {})
+        .value();
   };
 
   Status last(StatusCode::kUnavailable, "no routable backend");
@@ -846,7 +779,7 @@ Status Router::route_request(TcpStream& client, std::vector<BackendLink>& links,
         b.ok.fetch_add(1, std::memory_order_relaxed);
         return relay(frame, idx);
       }
-      const Status typed = decode_error_view(frame.payload);
+      const Status typed = error_status(frame.payload);
       if (typed.code() == StatusCode::kResourceExhausted) {
         // RETRY_LATER is failover-eligible: the backend is alive but
         // full, and the replica may have headroom right now.
@@ -868,26 +801,22 @@ Status Router::route_request(TcpStream& client, std::vector<BackendLink>& links,
       }
       // Any other typed error is an answer; relay it verbatim.
       b.typed_errors.fetch_add(1, std::memory_order_relaxed);
-      wrote_error = true;
       return relay(frame, idx);
     }
   }
 
   if (!attempted_any) no_backend_available_.fetch_add(1, std::memory_order_relaxed);
-  wrote_error = true;
-  return write_frame(client, make_error_frame(request.request_id, last));
+  return error_outbound(request.request_id, last);
 }
 
-Status Router::handle_submit_plan(TcpStream& client, std::vector<BackendLink>& links,
-                                  const FrameView& request, bool& wrote_error) {
+OutboundFrame Router::handle_submit_plan(Links& links, const FrameView& request) {
   requests_total_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t max_elements = config_.max_payload_bytes / kElemBytes;
   StatusOr<SubmitPlanRequestView> req =
       SubmitPlanRequestView::decode(request.payload, max_elements);
   if (!req.ok()) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    wrote_error = true;
-    return write_frame(client, make_error_frame(request.request_id, req.status()));
+    return error_outbound(request.request_id, req.status());
   }
   const WordsView& mapping = req.value().mapping;
 
@@ -901,11 +830,8 @@ Status Router::handle_submit_plan(TcpStream& client, std::vector<BackendLink>& l
     words = words_copy;
   }
   if (!perm::Permutation::is_valid(words)) {
-    wrote_error = true;
-    return write_frame(
-        client, make_error_frame(request.request_id,
-                                 Status(StatusCode::kInvalidArgument,
-                                        "SUBMIT_PLAN: mapping is not a bijection")));
+    return error_outbound(request.request_id, Status(StatusCode::kInvalidArgument,
+                                                     "SUBMIT_PLAN: mapping is not a bijection"));
   }
   const std::uint64_t fingerprint = runtime::fingerprint_mapping(words).value;
 
@@ -914,11 +840,9 @@ Status Router::handle_submit_plan(TcpStream& client, std::vector<BackendLink>& l
     const auto it = plans_.find(fingerprint);
     if (it == plans_.end()) {
       if (plans_.size() >= config_.max_plans) {
-        wrote_error = true;
-        return write_frame(
-            client, make_error_frame(request.request_id,
-                                     Status(StatusCode::kResourceExhausted,
-                                            "router plan registry full; retry later")));
+        return error_outbound(request.request_id,
+                              Status(StatusCode::kResourceExhausted,
+                                     "router plan registry full; retry later"));
       }
       plans_.emplace(fingerprint, std::make_shared<const std::vector<std::uint8_t>>(
                                       request.payload.begin(), request.payload.end()));
@@ -958,21 +882,18 @@ Status Router::handle_submit_plan(TcpStream& client, std::vector<BackendLink>& l
       ++acked;
       continue;
     }
-    const Status typed = decode_error_view(frame.payload);
+    const Status typed = error_status(frame.payload);
     (typed.code() == StatusCode::kResourceExhausted ? b.retry_later : b.typed_errors)
         .fetch_add(1, std::memory_order_relaxed);
     if (!typed.is_ok()) last = typed;
   }
 
-  if (acked == 0) {
-    wrote_error = true;
-    return write_frame(client, make_error_frame(request.request_id, last));
-  }
+  if (acked == 0) return error_outbound(request.request_id, last);
   // The PLAN_OK payload is the fingerprint we computed — identical to
   // what every backend answered.
   ByteWriter w;
   w.put_u64(fingerprint);
-  return write_frame(client, make_ok_frame(request.request_id, MsgKind::kPlanOk, w.take()));
+  return Reactor::outbound(make_ok_frame(request.request_id, MsgKind::kPlanOk, w.take()));
 }
 
 void Router::health_loop() {
@@ -985,7 +906,7 @@ void Router::health_loop() {
     if (!response.ok()) return response.status();
     const FrameView& frame = response.value();
     if (static_cast<MsgKind>(frame.kind) == MsgKind::kError) {
-      const Status typed = decode_error_view(frame.payload);
+      const Status typed = error_status(frame.payload);
       if (typed.code() == StatusCode::kResourceExhausted) {
         // At connection capacity — busy, but alive. Ejecting it would
         // only dogpile the survivors.
@@ -1059,9 +980,10 @@ Router::Snapshot Router::snapshot() const {
   s.dist_plan_pushes = dist_plan_pushes_.load(std::memory_order_relaxed);
   s.dist_plan_compiles = dist_plan_compiles_.load(std::memory_order_relaxed);
   s.plans_registered = plans_registered_.load(std::memory_order_relaxed);
-  s.connections_accepted = connections_accepted_.load(std::memory_order_relaxed);
-  s.connections_rejected = connections_rejected_.load(std::memory_order_relaxed);
-  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
+  const Reactor::Counters io = reactor_.counters();
+  s.connections_accepted = io.connections_accepted;
+  s.connections_rejected = io.connections_rejected;
+  s.protocol_errors = io.protocol_errors + protocol_errors_.load(std::memory_order_relaxed);
   s.backends.reserve(backends_.size());
   const std::int64_t now_ns = steady_now_ns();
   for (const auto& bp : backends_) {

@@ -45,27 +45,27 @@
 ///  - **The router owns the distributed offline phase.** An oversized
 ///    PERMUTE split into row bands needs every selected shard to hold
 ///    its band's gather rows. The router compiles the plan once per
-///    (fingerprint, shard count) — single-flight across connection
+///    (fingerprint, shard count) — single-flight across handler
 ///    threads, on the first request that needs it — and keeps only the
 ///    encoded SHARD_PLAN payloads (6 bytes per element over all
 ///    shards), up to `max_plans` of them. Shard s is primed with band s
 ///    by SHARD_PLAN; it never compiles the plan itself.
-///  - **Distributed shards are primed once per link.** Each cached
+///  - **Distributed shards are primed once per link.** Each pooled
 ///    backend link remembers the (fingerprint, shard count, shard)
-///    bands pushed over it, so a push stays good while that connection
-///    stays open, and a fleet that shrinks primes the bands of its new
-///    shard count. The set is cleared when the link closes (a fresh
-///    connection always follows a close), and an idle link that polls
-///    readable (EOF, or the backend's pre-frame ERROR) is closed and
-///    re-primed. If a shard still answers INVALID_ARGUMENT after a
-///    skipped push (it dropped the band), the skipped links are
-///    re-primed and the distributed execution is retried once under a
-///    fresh session id.
+///    bands pushed over it while it stays open (DESIGN.md §3.8). A
+///    shard that answers INVALID_ARGUMENT after a skipped push is
+///    re-primed and the execution retried once, under a fresh session.
+///  - **One network core, pooled backend links.** Clients are served
+///    by a `net::Reactor`, like the server's: an idle client costs a
+///    map entry, not a thread. A request runs on the handler pool and
+///    blocks there on backend I/O, over links it checks out of each
+///    backend's pool; a link is opened only when none is idle.
 ///  - **Zero payload copies.** Requests are read into pooled storage
-///    (`read_frame_view`) and proxied with scatter-gather writes
-///    (`write_frame_parts`); responses relay straight out of the
-///    per-backend pooled read buffer. The router never concatenates or
-///    re-encodes a payload it did not originate.
+///    and proxied with scatter-gather writes (`write_frame_parts`);
+///    a response relays straight out of the pooled buffer its link
+///    read it into, and a distributed response out of each shard's.
+///    The router never concatenates or re-encodes a payload it did not
+///    originate.
 ///
 /// PING and STATS are answered locally: PING probes the router itself,
 /// STATS returns the router's own snapshot (per-backend health,
@@ -76,10 +76,10 @@
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -90,6 +90,7 @@
 
 #include "net/frame_io.hpp"
 #include "net/protocol.hpp"
+#include "net/reactor.hpp"
 #include "net/socket.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/status.hpp"
@@ -142,7 +143,7 @@ class Router {
     /// Transport budgets for backend links.
     std::chrono::milliseconds connect_timeout{1'000};
     std::chrono::milliseconds io_timeout{30'000};
-    /// Stop-flag poll slice for accept/connection/health loops.
+    /// Stop-flag poll slice for the reactor and the health loop.
     std::chrono::milliseconds poll_interval{50};
     /// Distributed execution: a PERMUTE whose element bytes exceed this
     /// is split into row bands across the healthy backends (SHARD_EXEC
@@ -212,19 +213,18 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Bind + listen + start the accept and health-check loops. Error if
-  /// already running, no backends are configured, or the bind fails.
+  /// Bind + listen + start the reactor and the health-check loop.
+  /// Error if already running, no backends are configured, or the bind
+  /// fails.
   runtime::Status start();
 
   /// Graceful shutdown: stop accepting, let in-flight requests finish,
   /// join every thread. Idempotent; also called by the destructor.
   void stop();
 
-  [[nodiscard]] bool running() const noexcept {
-    return running_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] bool running() const noexcept { return reactor_.running(); }
   /// The bound port (valid after a successful start()).
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] std::uint16_t port() const noexcept { return reactor_.port(); }
 
   [[nodiscard]] Snapshot snapshot() const;
   /// Plans remembered for replication/resync.
@@ -243,8 +243,9 @@ class Router {
   /// count, shard index).
   using BandKey = std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>;
 
-  /// A cached connection to one backend plus the pooled storage its
-  /// response payloads land in. Owned by exactly one thread.
+  /// A connection to one backend plus the pooled storage its response
+  /// payloads land in. Used by one request at a time: checked out of
+  /// the backend's pool, checked back in after the request.
   struct BackendLink {
     TcpStream stream;
     util::PooledBuffer storage;
@@ -263,16 +264,28 @@ class Router {
     bool holds(const BandKey& band);
   };
 
+  /// The backend links one request uses: each checked out of its
+  /// backend's pool on first use and checked back in, if still open,
+  /// when the request is done.
+  class Links {
+   public:
+    explicit Links(Router& router);
+    ~Links();
+    Links(const Links&) = delete;
+    Links& operator=(const Links&) = delete;
+    BackendLink& operator[](std::size_t idx);
+
+   private:
+    Router& router_;
+    std::vector<std::optional<BackendLink>> links_;
+  };
+
   /// The encoded SHARD_PLAN payloads of one distributed plan; entry s
   /// primes shard s.
   using ShardPlans = std::vector<std::vector<std::uint8_t>>;
   using ShardPlansOr = runtime::StatusOr<std::shared_ptr<const ShardPlans>>;
 
   struct Backend;
-  struct ConnSlot {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
 
   struct RingPoint {
     std::uint64_t hash = 0;
@@ -280,32 +293,24 @@ class Router {
   };
 
   void build_ring();
-  void accept_loop();
   void health_loop();
-  void reap_finished_locked();
-  void serve_connection(TcpStream stream);
 
   /// Dispatch one client frame: answer PING/STATS locally, proxy the
-  /// rest. Returns the transport outcome of the client-side write.
-  runtime::Status respond(TcpStream& client, std::vector<BackendLink>& links,
-                          const FrameView& request, bool& wrote_error);
-  runtime::Status handle_submit_plan(TcpStream& client, std::vector<BackendLink>& links,
-                                     const FrameView& request, bool& wrote_error);
+  /// rest over backend links checked out for this request.
+  OutboundFrame respond(const FrameView& request);
+  OutboundFrame handle_submit_plan(Links& links, const FrameView& request);
   /// PERMUTE / EXECUTE_PROGRAM: walk the preference list with breaker
   /// gating, failover backoff, and lazy plan resync.
-  runtime::Status route_request(TcpStream& client, std::vector<BackendLink>& links,
-                                const FrameView& request, bool& wrote_error);
+  OutboundFrame route_request(Links& links, const FrameView& request);
 
   /// Oversized PERMUTE: split into row bands across the healthy
-  /// backends and gather (see net/distributed.hpp). Sets `handled` when
-  /// a response (success or typed error) was written; leaves it false
-  /// when the request should take the single-node path instead.
-  runtime::Status route_distributed(TcpStream& client, std::vector<BackendLink>& links,
-                                    const FrameView& request, bool& wrote_error,
-                                    bool& handled);
+  /// backends and gather (see net/distributed.hpp). The answer — the
+  /// gathered bands or the typed failure — or nullopt when the request
+  /// should take the single-node path instead.
+  std::optional<OutboundFrame> route_distributed(Links& links, const FrameView& request);
 
   /// One request/response exchange with backend `idx` over `link`,
-  /// reconnecting a stale cached connection once. A pre-frame ERROR
+  /// reconnecting a stale connection once. A pre-frame ERROR
   /// (request_id 0 — the backend's connection cap) is returned as a
   /// view like any typed answer.
   runtime::StatusOr<FrameView> forward_once(std::size_t idx, BackendLink& link,
@@ -366,17 +371,9 @@ class Router {
   Config config_;
   std::vector<std::unique_ptr<Backend>> backends_;
   std::vector<RingPoint> ring_;
-  TcpListener listener_;
-  std::uint16_t port_ = 0;
 
-  std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
-  std::thread accept_thread_;
   std::thread health_thread_;
-
-  mutable std::mutex conn_mutex_;
-  std::list<ConnSlot> connections_;
-  std::atomic<std::uint32_t> active_connections_{0};
 
   mutable std::mutex plans_mutex_;
   std::unordered_map<std::uint64_t, std::shared_ptr<const std::vector<std::uint8_t>>> plans_;
@@ -402,9 +399,11 @@ class Router {
   std::atomic<std::uint64_t> dist_plan_pushes_{0};
   std::atomic<std::uint64_t> dist_plan_compiles_{0};
   std::atomic<std::uint64_t> plans_registered_{0};
-  std::atomic<std::uint64_t> connections_accepted_{0};
-  std::atomic<std::uint64_t> connections_rejected_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
+  std::atomic<std::uint64_t> protocol_errors_{0};  ///< malformed SUBMIT_PLAN payloads
+
+  /// Declared last: its threads run the handlers above, so it stops
+  /// (in ~Router) and is destroyed before any state they touch.
+  Reactor reactor_;
 };
 
 }  // namespace hmm::net

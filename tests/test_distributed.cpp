@@ -120,8 +120,17 @@ TEST(ShardSession, RejectsHostileBlocks) {
   const auto band = std::make_shared<const BandExchange>(std::move(compiled.value()[1]));
   ASSERT_GT(band->recv()[0], 1u);
   ASSERT_GT(band->recv()[2], 0u);
-  net::ShardSession session(
-      band, util::BufferPool::global().try_acquire(band->elements() * sizeof(std::uint32_t)));
+  int ready = 0;
+  const net::ShardSession::Hooks hooks{
+      [&ready](const std::shared_ptr<net::ShardSession>&) { ++ready; },
+      [](net::Reactor::Reply, const Status&) {}};
+  const auto session = std::make_shared<net::ShardSession>(
+      1, band, util::BufferPool::global().try_acquire(band->elements() * sizeof(std::uint32_t)),
+      std::chrono::steady_clock::now() + 10s, hooks);
+  const auto words = [](std::span<const std::uint32_t> w) {
+    return net::WordsView{w.size(), {reinterpret_cast<const std::uint8_t*>(w.data()),
+                                     w.size_bytes()}};
+  };
 
   const auto expect_reject = [](const Status& st, const char* reason) {
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.to_string();
@@ -129,20 +138,21 @@ TEST(ShardSession, RejectsHostileBlocks) {
   };
   const std::vector<std::uint32_t> from0(band->recv()[0], 0xa0u);
   const std::vector<std::uint32_t> from2(band->recv()[2], 0xa2u);
-  expect_reject(session.accept_block(3, from0), "source shard out of range");
-  expect_reject(session.accept_block(1, from0), "own block never crosses the wire");
-  expect_reject(session.accept_block(0, std::span(from0).first(from0.size() - 1)),
+  expect_reject(session->accept_block(3, words(from0)), "source shard out of range");
+  expect_reject(session->accept_block(1, words(from0)), "own block never crosses the wire");
+  expect_reject(session->accept_block(0, words(std::span(from0).first(from0.size() - 1))),
                 "block length is not the plan's length");
-  ASSERT_TRUE(session.accept_block(0, from0).is_ok());
-  expect_reject(session.accept_block(0, from0), "duplicate block from this source");
+  ASSERT_TRUE(session->accept_block(0, words(from0)).is_ok());
+  expect_reject(session->accept_block(0, words(from0)), "duplicate block from this source");
 
-  // Shard 2's block is still missing: the wait times out transient.
-  EXPECT_EQ(session.wait_blocks(std::chrono::steady_clock::now() + 10ms).code(),
-            StatusCode::kUnavailable);
-  ASSERT_TRUE(session.accept_block(2, from2).is_ok());
-  ASSERT_TRUE(session.wait_blocks(std::chrono::steady_clock::now() + 10ms).is_ok());
+  // The exec's side is in, shard 2's block is still missing: no merge.
+  session->leave(net::Reactor::Reply{});
+  EXPECT_EQ(ready, 0);
+  ASSERT_TRUE(session->accept_block(2, words(from2)).is_ok());
+  EXPECT_EQ(ready, 1) << "the last arrival queues the merge, once";
+  session->abort(Status(StatusCode::kUnavailable, "too late"));  // merging: not failed
   // Each block landed in its source's slot of the receive buffer.
-  const std::span<std::uint32_t> recv = session.recv_span();
+  const std::span<std::uint32_t> recv = session->recv_span();
   EXPECT_EQ(recv[band->recv_offset(0)], 0xa0u);
   EXPECT_EQ(recv[band->recv_offset(0) + from0.size() - 1], 0xa0u);
   EXPECT_EQ(recv[band->recv_offset(2)], 0xa2u);
@@ -420,7 +430,8 @@ struct Shard {
 
   void start(std::chrono::milliseconds exchange_timeout = 5'000ms,
              std::uint32_t max_payload = net::kDefaultMaxPayload,
-             std::uint16_t fixed_port = 0, std::uint32_t max_plans = 4096) {
+             std::uint16_t fixed_port = 0, std::uint32_t max_plans = 4096,
+             std::uint32_t handler_threads = 0) {
     service = std::make_unique<runtime::RobustPermuteService>(
         util::ThreadPool::global(), runtime::RobustPermuteService::Config{});
     net::Server::Config config;
@@ -429,6 +440,7 @@ struct Shard {
     config.poll_interval = 10ms;
     config.shard_exchange_timeout = exchange_timeout;
     config.max_payload_bytes = max_payload;
+    config.handler_threads = handler_threads;
     server = std::make_unique<net::Server>(*service, config);
     const Status started = server->start();
     ASSERT_TRUE(started.is_ok()) << started.to_string();
@@ -1078,12 +1090,13 @@ TEST(DistributedRouter, PrimesEachShardOncePerLink) {
   EXPECT_EQ(snap.dist_requests, 20u);
   EXPECT_EQ(snap.dist_plan_pushes, 3u) << "each shard link is primed once, not per request";
 
-  // A second client connection owns its own backend links.
+  // A second, sequential client connection reuses the pooled links,
+  // which hold their bands already.
   net::Client second(fleet.client_config());
   for (std::uint32_t r = 0; r < 5; ++r) expect_bit_exact(second, plan.value(), p, 100 + r);
   snap = fleet.router->snapshot();
   EXPECT_EQ(snap.dist_requests, 25u);
-  EXPECT_EQ(snap.dist_plan_pushes, 6u);
+  EXPECT_EQ(snap.dist_plan_pushes, 3u) << "the pooled links are primed already";
   EXPECT_EQ(snap.dist_failures, 0u);
   for (const net::Router::BackendStats& b : snap.backends) {
     EXPECT_EQ(b.plans_synced, 0u) << b.backend << ": priming must not count as resync";
@@ -1136,7 +1149,7 @@ TEST(DistributedRouter, PrimedShardsHoldOnlyTheirBands) {
 
   const net::Router::Snapshot snap = fleet.router->snapshot();
   EXPECT_EQ(snap.dist_requests, 2u);
-  EXPECT_EQ(snap.dist_plan_pushes, 6u) << "each connection's links are primed once";
+  EXPECT_EQ(snap.dist_plan_pushes, 6u) << "each concurrent request's links are primed once";
   EXPECT_EQ(snap.dist_plan_compiles, 1u) << "two connections share one compile";
   EXPECT_NE(snap.to_prometheus().find("hmm_router_distributed_plan_compiles_total 1\n"),
             std::string::npos);
@@ -1248,6 +1261,72 @@ TEST(DistributedRouter, DroppedBandIsReprimedOnceThroughTheRetry) {
   EXPECT_EQ(reprimed, 3u);
   router.stop();
   for (auto& b : backends) b->stop();
+}
+
+// Deadlock freedom: more concurrent distributed PERMUTEs than any shard
+// has handler threads. No shard thread waits on a peer (an early block
+// parks its reply, the exec leaves its reply with the session), so every
+// request completes bit-exact and far inside the exchange timeout, with
+// nothing aborted and every pooled byte returned.
+TEST(DistributedRouter, MoreConcurrentRequestsThanHandlerThreads) {
+  constexpr auto kExchangeTimeout = 20'000ms;
+  constexpr int kClients = 8;
+  constexpr std::uint32_t kRequests = 5;
+  const std::uint64_t baseline = util::BufferPool::global().stats().outstanding_bytes;
+  {
+    std::vector<std::unique_ptr<Shard>> backends;
+    net::Router::Config config;
+    for (int i = 0; i < 3; ++i) {
+      backends.push_back(std::make_unique<Shard>());
+      backends.back()->start(kExchangeTimeout, net::kDefaultMaxPayload, 0, 4096,
+                             /*handler_threads=*/2);
+      config.backends.push_back(net::BackendAddress{"127.0.0.1", backends.back()->port});
+    }
+    config.distributed_max_bytes = 16 << 10;
+    config.probe_interval = 60'000ms;
+    config.eject_after = 1'000'000;
+    config.connect_timeout = 1'000ms;
+    config.io_timeout = 30'000ms;
+    config.poll_interval = 10ms;
+    net::Router router(std::move(config));
+    ASSERT_TRUE(router.start().is_ok());
+    net::Client::Config cc;
+    cc.host = "127.0.0.1";
+    cc.port = router.port();
+    cc.io_timeout = 30'000ms;
+
+    const perm::Permutation p = perm::by_name("random", 1 << 14, 79);
+    std::uint64_t plan_id = 0;
+    {
+      net::Client setup(cc);
+      auto plan = setup.submit_plan(p);
+      ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+      plan_id = plan.value();
+    }
+
+    const auto started = std::chrono::steady_clock::now();
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        net::Client client(cc);
+        for (std::uint32_t r = 0; r < kRequests; ++r) {
+          expect_bit_exact(client, plan_id, p, static_cast<std::uint32_t>(c) * 100 + r);
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    const auto elapsed = std::chrono::steady_clock::now() - started;
+    EXPECT_LT(elapsed, kExchangeTimeout / 4) << "a request waited on a stalled exchange";
+
+    const net::Router::Snapshot snap = router.snapshot();
+    EXPECT_EQ(snap.dist_requests, kClients * kRequests);
+    EXPECT_EQ(snap.dist_failures, 0u);
+    for (const auto& b : backends) EXPECT_EQ(b->server->counters().shard_aborts, 0u);
+    router.stop();
+    for (auto& b : backends) b->stop();
+  }
+  EXPECT_EQ(util::BufferPool::global().stats().outstanding_bytes, baseline)
+      << "pooled staging leaked";
 }
 
 TEST(DistributedWire, UnprimedShardsCompileRegisteredPlansLocally) {

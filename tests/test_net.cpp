@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <new>
 #include <limits>
 #include <memory>
@@ -27,6 +28,7 @@
 #include "net/client.hpp"
 #include "net/frame_io.hpp"
 #include "net/protocol.hpp"
+#include "net/router.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
@@ -45,15 +47,15 @@
 std::atomic<std::size_t> g_large_alloc_threshold{~std::size_t{0}};
 std::atomic<std::uint64_t> g_large_allocs{0};
 
-void* operator new(std::size_t size) {
+[[gnu::noinline]] void* operator new(std::size_t size) {
   if (size >= g_large_alloc_threshold.load(std::memory_order_relaxed)) {
     g_large_allocs.fetch_add(1, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-// Out of line, so the compiler never pairs an inlined free() with a
-// new-expression (-Wmismatched-new-delete).
+// All out of line, so the compiler never pairs an inlined malloc() or
+// free() with a new- or delete-expression (-Wmismatched-new-delete).
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
@@ -1190,21 +1192,87 @@ bool raise_fd_limit(rlim_t want) {
   return ::setrlimit(RLIMIT_NOFILE, &lim) == 0;
 }
 
+/// The two front-ends on the one reactor core: a server, or a router
+/// over one backend server. The reactor tests run against both, with
+/// the knobs they turn applied to the front-end under test.
+enum class Frontend { kServer, kRouter };
+
+struct FrontendLoop {
+  struct Knobs {
+    std::uint32_t max_connections = 256;
+    std::chrono::milliseconds io_timeout{30'000};
+    std::chrono::milliseconds poll_interval{50};
+  };
+
+  static net::Server::Config server_config(Frontend kind, const Knobs& knobs) {
+    net::Server::Config config;
+    if (kind == Frontend::kServer) {
+      config.max_connections = knobs.max_connections;
+      config.io_timeout = knobs.io_timeout;
+      config.poll_interval = knobs.poll_interval;
+    }
+    return config;
+  }
+
+  FrontendLoop(Frontend kind, const Knobs& knobs) : backend({}, server_config(kind, knobs)) {
+    if (kind != Frontend::kRouter) return;
+    net::Router::Config config;
+    config.backends.push_back(net::BackendAddress{"127.0.0.1", backend.server.port()});
+    config.max_connections = knobs.max_connections;
+    config.io_timeout = knobs.io_timeout;
+    config.poll_interval = knobs.poll_interval;
+    router = std::make_unique<net::Router>(std::move(config));
+    const Status started = router->start();
+    EXPECT_TRUE(started.is_ok()) << started.to_string();
+  }
+
+  [[nodiscard]] std::uint16_t port() const {
+    return router ? router->port() : backend.server.port();
+  }
+  [[nodiscard]] std::uint64_t accepted() const {
+    return router ? router->snapshot().connections_accepted
+                  : backend.server.counters().connections_accepted;
+  }
+  [[nodiscard]] std::uint64_t rejected() const {
+    return router ? router->snapshot().connections_rejected
+                  : backend.server.counters().connections_rejected;
+  }
+  [[nodiscard]] net::Client::Config client_config() const {
+    net::Client::Config c = backend.client_config();
+    c.port = port();
+    return c;
+  }
+
+  Loopback backend;
+  std::unique_ptr<net::Router> router;  // declared last: stops first
+};
+
+class NetReactorFrontends : public ::testing::TestWithParam<Frontend> {};
+
+/// The process's thread count, from /proc/self/status (0 if unreadable).
+std::uint64_t process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoull(line.substr(8));
+  }
+  return 0;
+}
+
 // The tentpole acceptance check at test scale: a thousand idle
 // connections cost the reactor a map entry each, not a thread each,
 // and a request threaded past all of them is answered promptly.
-TEST(NetReactor, ThousandIdleConnectionsAreCarriedAndServed) {
+TEST_P(NetReactorFrontends, ThousandIdleConnectionsAreCarriedAndServed) {
   constexpr std::size_t kIdle = 1000;
   if (!raise_fd_limit(4096)) GTEST_SKIP() << "fd hard limit too low for 1k connections";
 
-  net::Server::Config server_config;
-  server_config.max_connections = kIdle + 64;
-  Loopback loop({}, server_config);
+  FrontendLoop loop(GetParam(), {.max_connections = kIdle + 64});
+  const std::uint64_t threads_before = process_threads();
 
   std::vector<net::TcpStream> idle;
   idle.reserve(kIdle);
   for (std::size_t i = 0; i < kIdle; ++i) {
-    auto conn = net::tcp_connect("127.0.0.1", loop.server.port(), 2'000ms);
+    auto conn = net::tcp_connect("127.0.0.1", loop.port(), 2'000ms);
     ASSERT_TRUE(conn.ok()) << "connection " << i << ": " << conn.status().to_string();
     idle.push_back(std::move(conn).value());
   }
@@ -1217,6 +1285,7 @@ TEST(NetReactor, ThousandIdleConnectionsAreCarriedAndServed) {
   const auto elapsed = std::chrono::steady_clock::now() - started;
   EXPECT_TRUE(s.is_ok()) << s.to_string();
   EXPECT_LT(elapsed, 5s) << "ping stalled behind idle connections";
+  EXPECT_LT(process_threads(), threads_before + 64) << "idle connections cost threads";
 
   // The idle connections are still live too: a late request on one of
   // them is served like any other.
@@ -1231,7 +1300,7 @@ TEST(NetReactor, ThousandIdleConnectionsAreCarriedAndServed) {
     ASSERT_TRUE(resp.ok()) << "connection " << i << ": " << resp.status().to_string();
     EXPECT_EQ(resp.value().payload, ping.payload);
   }
-  EXPECT_GE(loop.server.counters().connections_accepted, kIdle + 1);
+  EXPECT_GE(loop.accepted(), kIdle + 1);
 }
 
 // Open/close storm: connections that vanish instantly, mid-header, or
@@ -1267,13 +1336,10 @@ TEST(NetReactor, ConnectionChurnStormLeavesTheServerServing) {
 // A slow-loris peer that trickles half a header and stalls is closed by
 // the io_timeout stall scan — the resumable decoder holds the partial
 // header, the reactor's clock bounds how long.
-TEST(NetReactor, SlowLorisPartialHeaderIsClosedByIoTimeout) {
-  net::Server::Config server_config;
-  server_config.io_timeout = 150ms;
-  server_config.poll_interval = 10ms;
-  Loopback loop({}, server_config);
+TEST_P(NetReactorFrontends, SlowLorisPartialHeaderIsClosedByIoTimeout) {
+  FrontendLoop loop(GetParam(), {.io_timeout = 150ms, .poll_interval = 10ms});
 
-  auto conn = net::tcp_connect("127.0.0.1", loop.server.port(), 2'000ms);
+  auto conn = net::tcp_connect("127.0.0.1", loop.port(), 2'000ms);
   ASSERT_TRUE(conn.ok()) << conn.status().to_string();
   net::TcpStream loris = std::move(conn).value();
   ASSERT_TRUE(loris.set_io_timeout(5'000ms, 5'000ms).is_ok());
@@ -1343,19 +1409,17 @@ TEST(NetReactor, GracefulDrainFlushesAllInFlightResponses) {
   EXPECT_FALSE(loop->server.running());
 }
 
-// Regression (PR 9): the over-cap RETRY_LATER frame used to be written
+// Regression: the over-cap RETRY_LATER frame used to be written
 // synchronously by the accept thread under the full io_timeout, so one
 // hostile over-cap peer could freeze admission for everyone. The frame
-// is now flushed by a reactor under reject_write_budget; the accept
-// thread never writes.
-TEST(NetReactor, CapRejectionIsFlushedOffTheAcceptPath) {
-  net::Server::Config server_config;
-  server_config.max_connections = 1;
-  server_config.io_timeout = 30'000ms;  // the old bug's worst-case stall, per peer
-  Loopback loop({}, server_config);
+// is now flushed by an io thread under Reactor::kRejectWriteBudget;
+// the accept thread never writes.
+TEST_P(NetReactorFrontends, CapRejectionIsFlushedOffTheAcceptPath) {
+  // 30 s io_timeout: the old bug's worst-case stall, per peer.
+  FrontendLoop loop(GetParam(), {.max_connections = 1, .io_timeout = 30'000ms});
 
   // Occupy the only slot and prove it serves.
-  auto conn = net::tcp_connect("127.0.0.1", loop.server.port(), 2'000ms);
+  auto conn = net::tcp_connect("127.0.0.1", loop.port(), 2'000ms);
   ASSERT_TRUE(conn.ok()) << conn.status().to_string();
   net::TcpStream occupant = std::move(conn).value();
   ASSERT_TRUE(occupant.set_io_timeout(5'000ms, 5'000ms).is_ok());
@@ -1370,7 +1434,7 @@ TEST(NetReactor, CapRejectionIsFlushedOffTheAcceptPath) {
   // write with the whole io_timeout as budget.
   std::vector<net::TcpStream> hostile;
   for (int i = 0; i < 3; ++i) {
-    auto h = net::tcp_connect("127.0.0.1", loop.server.port(), 2'000ms);
+    auto h = net::tcp_connect("127.0.0.1", loop.port(), 2'000ms);
     ASSERT_TRUE(h.ok()) << h.status().to_string();
     hostile.push_back(std::move(h).value());
   }
@@ -1387,12 +1451,18 @@ TEST(NetReactor, CapRejectionIsFlushedOffTheAcceptPath) {
   EXPECT_EQ(s.code(), StatusCode::kResourceExhausted)
       << "expected typed RETRY_LATER, got " << s.to_string();
   EXPECT_LT(elapsed, 2s) << "rejection was head-of-line blocked behind hostile peers";
-  EXPECT_GE(loop.server.counters().connections_rejected, 4u);
+  EXPECT_GE(loop.rejected(), 4u);
 
   // And the occupant, who owns the one real slot, is unaffected.
   ASSERT_TRUE(net::write_frame(occupant, ping).is_ok());
   EXPECT_TRUE(net::read_frame(occupant, net::kDefaultMaxPayload).ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(NetReactor, NetReactorFrontends,
+                         ::testing::Values(Frontend::kServer, Frontend::kRouter),
+                         [](const ::testing::TestParamInfo<Frontend>& tested) {
+                           return tested.param == Frontend::kServer ? "server" : "router";
+                         });
 
 // Regression (PR 9): a peer spraying SHARD_XCHG blocks at sessions that
 // never materialize used to pin each block's pooled payload for the
@@ -1425,7 +1495,7 @@ TEST(NetReactor, EarlyArrivalShardHoldsAreBoundedAndReleased) {
     frame.request_id = 1;
     frame.payload = xchg.encode();
     ASSERT_TRUE(net::write_frame(parked, frame).is_ok());
-    std::this_thread::sleep_for(50ms);  // let it reach the await
+    std::this_thread::sleep_for(50ms);  // let it park
 
     // Second orphan block: over the hold budget -> immediate typed
     // RETRY_LATER, not a second pinned payload.
