@@ -4,8 +4,8 @@
 ///        copy, random scatter/gather (the conventional algorithms'
 ///        casual round), an empty fork-join, the scheduled plan's three
 ///        gather sweeps and the bucketed plan's two passes (bytes moved
-///        and the fraction of the measured copy bandwidth per row), and
-///        the transposes.
+///        and the fraction of the measured copy bandwidth per row), the
+///        transposes, and the HMMP frame checksum.
 ///
 /// The per-element throughput gap between `StreamCopy` and
 /// `RandomScatter` is the host-side analogue of the coalesced/casual
@@ -16,11 +16,15 @@
 #include <chrono>
 #include <cstring>
 #include <map>
+#include <string>
+#include <vector>
 
+#include "cpu/dispatch.hpp"
 #include "cpu/kernels.hpp"
 #include "core/bucketed.hpp"
 #include "core/plan.hpp"
 #include "core/scheduled.hpp"
+#include "net/wire.hpp"
 #include "perm/generators.hpp"
 #include "util/aligned_vector.hpp"
 #include "util/thread_pool.hpp"
@@ -262,6 +266,19 @@ void BM_TransposeNaive(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * n * sizeof(float) * 2));
 }
 BENCHMARK(BM_TransposeNaive)->Range(1 << 14, 1 << 22);
+
+/// The HMMP frame checksum (CRC32C) over one payload, on the active
+/// tier: the three-stream `crc32` path, or the byte table under
+/// HMM_KERNEL_VARIANT=scalar. Bytes are the payload read once.
+void BM_Crc32c(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> payload(bytes);
+  for (std::size_t i = 0; i < bytes; ++i) payload[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  for (auto _ : state) benchmark::DoNotOptimize(net::checksum_bytes(payload));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes));
+  state.SetLabel(std::string(cpu::to_string(cpu::kernel_variant())));
+}
+BENCHMARK(BM_Crc32c)->Arg(8 << 10)->Arg(256 << 10)->Arg(1 << 20)->Arg(4 << 20);
 
 }  // namespace
 

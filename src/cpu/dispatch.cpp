@@ -30,9 +30,13 @@ CpuFeatures detect_features() noexcept {
   CpuFeatures f;
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   // __builtin_cpu_supports folds in the OS XSAVE state checks, so a
-  // kernel that disabled AVX-512 reports unsupported here.
-  f.avx2 = __builtin_cpu_supports("avx2") != 0;
-  f.avx512 = __builtin_cpu_supports("avx512f") != 0 &&
+  // kernel that disabled AVX-512 reports unsupported here. A SIMD tier
+  // also selects the frame checksum's `crc32` + PCLMULQDQ path
+  // (net/wire.cpp), so it requires both: a hypervisor that masks either
+  // gets the scalar tier and the table CRC, not SIGILL.
+  f.avx2 = __builtin_cpu_supports("avx2") != 0 && __builtin_cpu_supports("sse4.2") != 0 &&
+           __builtin_cpu_supports("pclmul") != 0;
+  f.avx512 = f.avx2 && __builtin_cpu_supports("avx512f") != 0 &&
              __builtin_cpu_supports("avx512bw") != 0 &&
              __builtin_cpu_supports("avx512vl") != 0 &&
              __builtin_cpu_supports("avx512dq") != 0;

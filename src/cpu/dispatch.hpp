@@ -26,7 +26,8 @@
 ///
 /// The same choice selects the HMMP frame checksum path (net/wire.cpp):
 /// `scalar` runs the table-driven CRC32C, and every SIMD tier, which
-/// implies SSE4.2, runs the `crc32` instruction.
+/// detection admits only with SSE4.2 and PCLMULQDQ, runs the `crc32`
+/// instruction.
 ///
 /// Element types dispatch by width: 4- and 8-byte elements (the
 /// uint32/uint64/float/double serving types — kernels only move bits,

@@ -26,10 +26,12 @@
 /// metrics can tell a short read from a corrupt one.
 ///
 /// The checksum is CRC32C (parameters in docs/PROTOCOL.md §2): it
-/// catches every burst error of up to 32 bits and runs at memory speed
-/// on the SSE4.2 `crc32` instruction, with a table-driven fallback
-/// under the kernels' `scalar` variant (cpu/dispatch.hpp). Version 1
-/// frames (FNV-1a checksums) are refused as `kBadVersion`.
+/// catches every burst error of up to 32 bits. Every SIMD kernel tier
+/// computes it as three interleaved SSE4.2 `crc32` streams joined by a
+/// PCLMULQDQ shift; the kernels' `scalar` variant (cpu/dispatch.hpp)
+/// uses a byte table. The two are bit-identical, so the path is not a
+/// protocol matter. Version 1 frames (FNV-1a checksums) are refused as
+/// `kBadVersion`.
 ///
 /// `ByteWriter`/`ByteReader` are the only serialization primitives the
 /// protocol layer uses; both commit to little-endian byte order

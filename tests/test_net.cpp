@@ -888,10 +888,20 @@ TEST(NetLoopback, ServerStartStopIsIdempotent) {
 // ------------------------------------------------------ zero-copy wire
 
 TEST(WireZeroCopy, ChecksumExtendMatchesChecksumOverConcatenation) {
-  std::vector<std::uint8_t> bytes(301);
-  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  // Two 24 KiB blocks (three 8 KiB streams each), three 768 B blocks
+  // (three 256 B streams each) and a 5-byte tail on the crc32 path:
+  // splits inside a stream, on a stream or block edge, and across two
+  // blocks must all compose.
+  std::vector<std::uint8_t> bytes(2 * 24576 + 3 * 768 + 5);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>((i * 2654435761u) >> 11);
+  }
   const std::uint64_t whole = net::checksum_bytes(bytes);
-  for (std::size_t split : {std::size_t{0}, std::size_t{1}, std::size_t{17}, bytes.size()}) {
+  for (std::size_t split : {std::size_t{0}, std::size_t{1}, std::size_t{17}, std::size_t{767},
+                            std::size_t{768}, std::size_t{8191}, std::size_t{8192},
+                            std::size_t{12345}, std::size_t{16385}, std::size_t{24575},
+                            std::size_t{24576}, std::size_t{24577}, std::size_t{30000},
+                            std::size_t{49152}, bytes.size() - 3, bytes.size()}) {
     std::uint64_t state = net::checksum_seed();
     state = net::checksum_extend(state, std::span<const std::uint8_t>(bytes).first(split));
     state = net::checksum_extend(state, std::span<const std::uint8_t>(bytes).subspan(split));
@@ -923,30 +933,41 @@ TEST(WireChecksum, Crc32cKnownAnswers) {
 
 TEST(WireChecksum, InstructionMatchesTableBitForBit) {
   // The kernels' scalar variant selects the table CRC; every SIMD tier
-  // implies SSE4.2 and selects the crc32 instruction.
+  // requires SSE4.2 and PCLMULQDQ and selects the three-stream crc32
+  // path: 3 x 8 KiB blocks, then 3 x 256 B blocks, then one chain.
   const cpu::KernelVariant active = cpu::kernel_variant();
   if (cpu::best_kernel_variant() == cpu::KernelVariant::kScalar) {
     GTEST_SKIP() << "no SSE4.2 crc32 path on this CPU or build";
   }
-  std::vector<std::uint8_t> bytes(1030 + 8);
+  std::vector<std::uint8_t> bytes((1u << 20) + 13 + 8);
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     bytes[i] = static_cast<std::uint8_t>((i * 2654435761u) >> 13);
   }
+  // (offset, length): every length to 4 KiB from every start modulo 8,
+  // both sides of the short and long block sizes, and a 1 MiB payload
+  // from an odd start that crosses every stage.
+  std::vector<std::pair<std::size_t, std::size_t>> cases;
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 4096; ++len) cases.emplace_back(offset, len);
+    for (std::size_t len : {767u, 768u, 769u, 24575u, 24576u, 24577u}) {
+      cases.emplace_back(offset, len);
+    }
+  }
+  cases.emplace_back(3, (1u << 20) + 13);
   std::vector<std::uint64_t> table, hardware;
   for (const bool use_table : {true, false}) {
     cpu::set_kernel_variant(use_table ? cpu::KernelVariant::kScalar
                                       : cpu::best_kernel_variant());
     std::vector<std::uint64_t>& out = use_table ? table : hardware;
-    for (std::size_t offset = 0; offset < 8; ++offset) {
-      for (std::size_t len = 0; len <= 1030; ++len) {
-        out.push_back(net::checksum_bytes(std::span<const std::uint8_t>(bytes).subspan(offset, len)));
-      }
+    for (const auto& [offset, len] : cases) {
+      out.push_back(net::checksum_bytes(std::span<const std::uint8_t>(bytes).subspan(offset, len)));
     }
   }
   cpu::set_kernel_variant(active);
   ASSERT_EQ(table.size(), hardware.size());
   for (std::size_t i = 0; i < table.size(); ++i) {
-    ASSERT_EQ(table[i], hardware[i]) << "offset " << i / 1031 << " length " << i % 1031;
+    ASSERT_EQ(table[i], hardware[i]) << "offset " << cases[i].first << " length "
+                                     << cases[i].second;
   }
 }
 
