@@ -49,7 +49,6 @@
 #include <atomic>
 #include <thread>
 
-#include "core/layout.hpp"
 #include "core/permuter.hpp"
 #include "cpu/dispatch.hpp"
 #include "net/client.hpp"
@@ -345,7 +344,7 @@ void run_program_compare(std::uint64_t n, std::uint64_t depth, std::uint64_t con
 
 /// Distributed-vs-single comparison over the same plan and data: one
 /// row drives plain PERMUTEs at a single shard, the others fan the same
-/// request out as SHARD_EXEC row bands across S in-process shards (the
+/// request out as SHARD_EXEC bands across S in-process shards (the
 /// peer-to-peer block exchange included). On one machine over loopback
 /// this measures the sharding *overhead* — the exchange's extra wire
 /// hops — not a speedup; the row exists so the trajectory catches
@@ -354,7 +353,6 @@ void run_distributed_compare(std::uint64_t n, std::uint32_t shard_count,
                              std::uint64_t requests, RunResult& single, RunResult& dist) {
   auto& pool = util::ThreadPool::global();
   const perm::Permutation p = perm::by_name("random", n, 2026);
-  const core::MatrixShape shape = core::shape_for(n, 32);
 
   std::vector<std::unique_ptr<runtime::RobustPermuteService>> services;
   std::vector<std::unique_ptr<net::Server>> servers;
@@ -400,15 +398,15 @@ void run_distributed_compare(std::uint64_t n, std::uint32_t shard_count,
     single.requests = requests;
   }
 
-  // Distributed row: same data, fanned out as row bands.
+  // Distributed row: same data, fanned out as bands.
   net::DistributedPermuter::Config config;
   config.max_payload_bytes = net::kDefaultMaxPayload;
   config.io_timeout = std::chrono::milliseconds(120'000);
   const std::span<const std::uint8_t> bytes(
       reinterpret_cast<const std::uint8_t*>(a.data()), n * sizeof(std::uint32_t));
   const auto fire = [&](std::uint64_t session) {
-    return net::DistributedPermuter::execute(config, session, plan_id, 0, shape.rows,
-                                             shape.cols, bytes, targets, [](std::size_t) {});
+    return net::DistributedPermuter::execute(config, session, plan_id, 0, n, 1, bytes, targets,
+                                             [](std::size_t) {});
   };
   if (auto warm = fire(0xbe9c0000u); !warm.ok()) {
     std::cerr << "bench_serving_hotpath: distributed warmup failed: "

@@ -2,12 +2,9 @@
 
 #include <utility>
 
-#include "core/layout.hpp"
-#include "core/permuter.hpp"
 #include "net/frame_io.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
-#include "util/bits.hpp"
 
 namespace hmm::net {
 
@@ -88,17 +85,8 @@ void receive_shard(const DistributedPermuter::Config& config, std::uint64_t sess
 }  // namespace
 
 StatusOr<std::vector<std::vector<std::uint8_t>>> DistributedPermuter::compile(
-    const perm::Permutation& p, std::uint64_t plan_id, std::uint32_t width,
-    std::uint32_t shards) {
-  model::MachineParams machine = model::MachineParams::gtx680();
-  machine.width = width;
-  if (!util::is_pow2(width) ||
-      !core::OfflinePermuter<std::uint32_t>::plan_supported(p.size(), machine)) {
-    return Status(StatusCode::kInvalidArgument,
-                  "distributed compile: plan is not schedulable at this width");
-  }
-  const core::MatrixShape shape = core::shape_for(p.size(), width);
-  StatusOr<runtime::BandPlan> bands = runtime::BandPlan::build(shape.rows, shape.cols, shards);
+    const perm::Permutation& p, std::uint64_t plan_id, std::uint32_t shards) {
+  StatusOr<runtime::BandPlan> bands = runtime::BandPlan::build(p.size(), shards);
   if (!bands.ok()) return bands.status();
   StatusOr<std::vector<runtime::BandExchange>> compiled =
       runtime::BandExchange::compile(p, bands.value());
@@ -116,21 +104,21 @@ StatusOr<DistributedPermuter::Result> DistributedPermuter::execute(
     std::uint32_t deadline_ms, std::uint64_t rows, std::uint64_t cols,
     std::span<const std::uint8_t> data_bytes, std::span<const ShardTarget> targets,
     const std::function<void(std::size_t)>& on_transport_failure) {
+  const std::uint64_t n = data_bytes.size() / kElemBytes;
+  if (data_bytes.size() % kElemBytes != 0 || cols == 0 || n % cols != 0 || rows != n / cols) {
+    return Status(StatusCode::kInvalidArgument,
+                  "distributed permute: rows x cols does not match the element count");
+  }
   const auto shards = static_cast<std::uint32_t>(targets.size());
-  StatusOr<runtime::BandPlan> bands_or = runtime::BandPlan::build(rows, cols, shards);
+  StatusOr<runtime::BandPlan> bands_or = runtime::BandPlan::build(n, shards);
   if (!bands_or.ok()) return bands_or.status();
   const runtime::BandPlan& bands = bands_or.value();
-  if (data_bytes.size() != rows * cols * kElemBytes) {
-    return Status(StatusCode::kInvalidArgument,
-                  "distributed permute: element count does not match the matrix shape");
-  }
 
   ShardExecRequest header;
   header.session_id = session_id;
   header.plan_id = plan_id;
   header.deadline_ms = deadline_ms;
-  header.rows = rows;
-  header.cols = cols;
+  header.n = n;
   header.peers.reserve(shards);
   for (const ShardTarget& t : targets) header.peers.push_back(ShardPeer{t.host, t.port});
 

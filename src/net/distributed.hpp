@@ -1,8 +1,9 @@
 #pragma once
 /// \file distributed.hpp
 /// \brief The coordinator side of a distributed PERMUTE: fan a request's
-///        element array out to shard permd instances as SHARD_EXEC row
-///        bands, and gather the band responses for a zero-copy relay.
+///        element array out to shard permd instances as SHARD_EXEC
+///        bands (an even split of n), and gather the band responses for
+///        a zero-copy relay.
 ///
 /// The engine is deliberately router-agnostic: it takes a list of shard
 /// targets (address + an opaque caller index) and the request's wire
@@ -76,26 +77,27 @@ class DistributedPermuter {
     std::uint64_t total_elements = 0;
   };
 
-  /// The distributed offline phase: split `p` into `shards` row bands
-  /// of its matrix shape at `width` (core::shape_for), compile every
-  /// band's pack and merge tables in O(n), and encode each as the
-  /// SHARD_PLAN payload for plan id `plan_id`. Entry s primes shard s.
-  /// Fails (kInvalidArgument) when `p` is not schedulable at `width`
-  /// (the shape the shards' own machine would give it) or cannot be
-  /// split `shards` ways.
+  /// The distributed offline phase: split `p`'s n elements into
+  /// `shards` bands (runtime::BandPlan), compile every band's pack and
+  /// merge tables in O(n), and encode each as the SHARD_PLAN payload for
+  /// plan id `plan_id`. Entry s primes shard s. Fails (kInvalidArgument)
+  /// when n cannot be split `shards` ways.
   [[nodiscard]] static runtime::StatusOr<std::vector<std::vector<std::uint8_t>>> compile(
-      const perm::Permutation& p, std::uint64_t plan_id, std::uint32_t width,
-      std::uint32_t shards);
+      const perm::Permutation& p, std::uint64_t plan_id, std::uint32_t shards);
 
-  /// Execute `rows x cols` (= count) elements of plan `plan_id` across
-  /// `targets.size()` shards. `data_bytes` is the request's element
-  /// region in wire order (count * 4 bytes); band `s` is shipped as a
-  /// borrowed subspan, never copied. `deadline_ms` (0 = none) rides to
-  /// every shard. `on_transport_failure(i)` fires for each target whose
-  /// failure was transport-level (connect/send/recv), not a typed
-  /// answer. Runs on the calling thread: writes every SHARD_EXEC, then
-  /// reads every answer. On error the first failure (typed answers
-  /// preferred over transport noise) is returned.
+  /// Execute the n = `data_bytes.size() / 4` elements of plan `plan_id`
+  /// across `targets.size()` shards. `data_bytes` is the request's
+  /// element region in wire order; band `s` is shipped as a borrowed
+  /// subspan, never copied. `rows x cols` must equal n and is checked
+  /// for nothing else: the split is of n, and the router passes (n, 1).
+  /// The pair stays only because the end-to-end probe (bench/e2e)
+  /// passes a matrix shape; the next revision of that benchmark drops
+  /// it. `deadline_ms` (0 = none) rides to every shard.
+  /// `on_transport_failure(i)` fires for each target whose failure was
+  /// transport-level (connect/send/recv), not a typed answer. Runs on
+  /// the calling thread: writes every SHARD_EXEC, then reads every
+  /// answer. On error the first failure (typed answers preferred over
+  /// transport noise) is returned.
   [[nodiscard]] static runtime::StatusOr<Result> execute(
       const Config& config, std::uint64_t session_id, std::uint64_t plan_id,
       std::uint32_t deadline_ms, std::uint64_t rows, std::uint64_t cols,

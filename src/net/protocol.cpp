@@ -236,6 +236,19 @@ Status PermuteResponse::decode_into(std::span<const std::uint8_t> payload,
 
 namespace {
 
+/// The element count of a SHARD_EXEC or SHARD_PLAN: every band needs an
+/// element, and band tables hold u32 indexes. Each refusal is a
+/// distinct kInvalidArgument.
+Status check_elements(const char* kind, std::uint64_t n, std::uint32_t shard_count) {
+  const auto invalid = [kind](const char* why) {
+    return Status(StatusCode::kInvalidArgument, std::string(kind) + ": " + why);
+  };
+  if (n == 0) return invalid("zero elements");
+  if (n < shard_count) return invalid("fewer elements than shards");
+  if (n > (1ull << 32)) return invalid("element count exceeds the 32-bit element index");
+  return Status::ok();
+}
+
 /// Shared SHARD_EXEC prefix decoder: fixed header, peer table, and the
 /// zero padding that puts the band on an 8-byte payload offset. On
 /// success `count_out` holds the band element count and `r` sits at the
@@ -244,16 +257,15 @@ namespace {
 Status decode_shard_exec_prefix(ByteReader& r, std::size_t payload_len,
                                 std::uint64_t& session_id, std::uint64_t& plan_id,
                                 std::uint32_t& deadline_ms, std::uint32_t& shard_index,
-                                std::uint64_t& rows, std::uint64_t& cols,
-                                std::vector<ShardPeer>& peers, std::uint64_t& count_out) {
+                                std::uint64_t& n, std::vector<ShardPeer>& peers,
+                                std::uint64_t& count_out) {
   std::uint32_t version = 0;
   std::uint32_t elem_bytes = 0;
   std::uint32_t shard_count = 0;
   std::uint32_t reserved = 0;
   if (!r.get_u32(version) || !r.get_u32(elem_bytes) || !r.get_u64(session_id) ||
       !r.get_u64(plan_id) || !r.get_u32(deadline_ms) || !r.get_u32(shard_index) ||
-      !r.get_u32(shard_count) || !r.get_u32(reserved) || !r.get_u64(rows) ||
-      !r.get_u64(cols)) {
+      !r.get_u32(shard_count) || !r.get_u32(reserved) || !r.get_u64(n)) {
     return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: truncated header");
   }
   if (version != kShardProtocolVersion) {
@@ -267,15 +279,15 @@ Status decode_shard_exec_prefix(ByteReader& r, std::size_t payload_len,
   if (reserved != 0) {
     return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: reserved field must be zero");
   }
-  if (shard_count == 0 || shard_count > kMaxWireShards) {
+  if (shard_count == 0 || shard_count > runtime::kMaxShards) {
     return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: shard count out of range");
   }
   if (shard_index >= shard_count) {
     return Status(StatusCode::kInvalidArgument,
                   "SHARD_EXEC: shard index out of range for the shard count");
   }
-  if (rows == 0 || cols == 0 || rows > (1ull << 32) || cols > (1ull << 32)) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: matrix shape out of range");
+  if (Status elements = check_elements("SHARD_EXEC", n, shard_count); !elements.is_ok()) {
+    return elements;
   }
   peers.clear();
   peers.reserve(shard_count);
@@ -317,8 +329,8 @@ Status decode_shard_exec_prefix(ByteReader& r, std::size_t payload_len,
 /// Everything of a SHARD_EXEC frame before the band bytes.
 std::vector<std::uint8_t> encode_shard_exec_prefix(
     std::uint64_t session_id, std::uint64_t plan_id, std::uint32_t deadline_ms,
-    std::uint32_t shard_index, std::uint64_t rows, std::uint64_t cols,
-    std::span<const ShardPeer> peers, std::uint64_t count) {
+    std::uint32_t shard_index, std::uint64_t n, std::span<const ShardPeer> peers,
+    std::uint64_t count) {
   ByteWriter w;
   w.put_u32(kShardProtocolVersion);
   w.put_u32(kElemBytes);
@@ -328,9 +340,8 @@ std::vector<std::uint8_t> encode_shard_exec_prefix(
   w.put_u32(shard_index);
   w.put_u32(static_cast<std::uint32_t>(peers.size()));
   w.put_u32(0);  // reserved
-  w.put_u64(rows);
-  w.put_u64(cols);
-  std::size_t offset = 56;
+  w.put_u64(n);
+  std::size_t offset = 48;
   for (const ShardPeer& peer : peers) {
     w.put_u16(peer.port);
     w.put_u16(static_cast<std::uint16_t>(peer.host.size()));
@@ -355,8 +366,8 @@ std::vector<std::uint8_t> ShardExecRequest::encode() const {
 }
 
 std::vector<std::uint8_t> ShardExecRequest::encode_prefix(std::uint64_t count) const {
-  return encode_shard_exec_prefix(session_id, plan_id, deadline_ms, shard_index, rows, cols,
-                                  peers, count);
+  return encode_shard_exec_prefix(session_id, plan_id, deadline_ms, shard_index, n, peers,
+                                  count);
 }
 
 StatusOr<ShardExecRequest> ShardExecRequest::decode(std::span<const std::uint8_t> payload,
@@ -365,7 +376,7 @@ StatusOr<ShardExecRequest> ShardExecRequest::decode(std::span<const std::uint8_t
   if (!view.ok()) return view.status();
   const ShardExecRequestView& v = view.value();
   return ShardExecRequest{v.session_id, v.plan_id, v.deadline_ms, v.shard_index,
-                          v.rows,       v.cols,    v.peers,       to_vector(v.band)};
+                          v.n,          v.peers,   to_vector(v.band)};
 }
 
 StatusOr<ShardExecRequestView> ShardExecRequestView::decode(
@@ -374,8 +385,8 @@ StatusOr<ShardExecRequestView> ShardExecRequestView::decode(
   ShardExecRequestView view;
   std::uint64_t count = 0;
   Status prefix = decode_shard_exec_prefix(r, payload.size(), view.session_id, view.plan_id,
-                                           view.deadline_ms, view.shard_index, view.rows,
-                                           view.cols, view.peers, count);
+                                           view.deadline_ms, view.shard_index, view.n,
+                                           view.peers, count);
   if (!prefix.is_ok()) return prefix;
   StatusOr<WordsView> words = decode_words_view(r, count, max_elements, "SHARD_EXEC");
   if (!words.ok()) return words.status();
@@ -417,7 +428,7 @@ Status decode_xchg_header(ByteReader& r, std::uint64_t& session_id, std::uint32_
   if (reserved != 0) {
     return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: reserved field must be zero");
   }
-  if (src_shard >= kMaxWireShards) {
+  if (src_shard >= runtime::kMaxShards) {
     return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: source shard out of range");
   }
   if (count == 0 && r.remaining() != 0) {
@@ -459,8 +470,7 @@ std::vector<std::uint8_t> ShardPlanRequest::encode() const {
   w.put_u64(plan_id);
   w.put_u32(band.shard());
   w.put_u32(bands.shards());
-  w.put_u64(bands.rows());
-  w.put_u64(bands.cols());
+  w.put_u64(bands.elements());
   for (const std::uint64_t c : band.send()) w.put_u64(c);
   for (const std::uint64_t c : band.recv()) w.put_u64(c);
   w.put_u32_span(band.pack());
@@ -473,28 +483,22 @@ StatusOr<ShardPlanRequest> ShardPlanRequest::decode(std::span<const std::uint8_t
   std::uint64_t plan_id = 0;
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 0;
-  std::uint64_t rows = 0;
-  std::uint64_t cols = 0;
+  std::uint64_t n = 0;
   if (!r.get_u64(plan_id) || !r.get_u32(shard_index) || !r.get_u32(shard_count) ||
-      !r.get_u64(rows) || !r.get_u64(cols)) {
+      !r.get_u64(n)) {
     return Status(StatusCode::kInvalidArgument, "SHARD_PLAN: truncated header");
   }
-  if (shard_count == 0 || shard_count > kMaxWireShards) {
+  if (shard_count == 0 || shard_count > runtime::kMaxShards) {
     return Status(StatusCode::kInvalidArgument, "SHARD_PLAN: shard count out of range");
   }
   if (shard_index >= shard_count) {
     return Status(StatusCode::kInvalidArgument,
                   "SHARD_PLAN: shard index out of range for the shard count");
   }
-  if (rows == 0 || cols == 0) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_PLAN: empty matrix shape");
+  if (Status elements = check_elements("SHARD_PLAN", n, shard_count); !elements.is_ok()) {
+    return elements;
   }
-  // Table entries are u32 element indexes within a band.
-  if (cols > (1ull << 32) / rows) {
-    return Status(StatusCode::kInvalidArgument,
-                  "SHARD_PLAN: matrix exceeds the 32-bit element index");
-  }
-  StatusOr<runtime::BandPlan> bands = runtime::BandPlan::build(rows, cols, shard_count);
+  StatusOr<runtime::BandPlan> bands = runtime::BandPlan::build(n, shard_count);
   if (!bands.ok()) return bands.status();
   runtime::BandExchange::Counts send(shard_count);
   runtime::BandExchange::Counts recv(shard_count);

@@ -20,7 +20,7 @@
 ///                    trip; the server fuses the chain into a single
 ///                    composite plan
 ///   STATS            fetch the server's ServiceMetrics snapshot as JSON
-///   SHARD_EXEC       coordinator -> shard: execute one row band of a
+///   SHARD_EXEC       coordinator -> shard: execute one band of a
 ///                    distributed PERMUTE (pack, one peer-to-peer
 ///                    exchange, merge)
 ///   SHARD_XCHG       shard -> shard: the one block a shard sends a peer
@@ -60,10 +60,10 @@
 ///   PROGRAM_OK   resp: u64 count, u8 data[count * elem_bytes]
 ///                      (identical layout to PERMUTE_OK)
 ///   STATS_OK     resp: UTF-8 JSON bytes
-///   SHARD_EXEC   req:  u32 version (2), u32 elem_bytes (4),
+///   SHARD_EXEC   req:  u32 version (3), u32 elem_bytes (4),
 ///                      u64 session_id, u64 plan_id, u32 deadline_ms,
 ///                      u32 shard_index, u32 shard_count (1..64),
-///                      u32 reserved (0), u64 rows, u64 cols,
+///                      u32 reserved (0), u64 n (shard_count..2^32),
 ///                      shard_count x { u16 port, u16 host_len (1..255),
 ///                                      u8 host[host_len] },
 ///                      u8 pad[] (zeros, to an 8-byte boundary),
@@ -79,11 +79,11 @@
 ///   SHARD_XCHG_OK
 ///                resp: empty
 ///   SHARD_PLAN   req:  u64 plan_id, u32 shard_index,
-///                      u32 shard_count (1..64), u64 rows, u64 cols,
+///                      u32 shard_count (1..64), u64 n (shard_count..2^32),
 ///                      u64 send[shard_count], u64 recv[shard_count],
 ///                      u32 pack[band], u32 merge[band]
-///                      (band = the shard's rows x cols; both tables
-///                      start on 8-byte offsets)
+///                      (band = the shard's band of the even split of n;
+///                      both tables start on 8-byte offsets)
 ///   SHARD_PLAN_OK
 ///                resp: empty
 ///   ERROR        resp: u32 code, UTF-8 message bytes
@@ -252,18 +252,17 @@ struct PermuteRequestView {
 
 // --- SHARD_EXEC / SHARD_XCHG -----------------------------------------
 // Distributed permutation (docs/PROTOCOL.md §3.8): the coordinator
-// splits a PERMUTE into row bands and sends each shard its band via
-// SHARD_EXEC; each shard packs its band, pushes one SHARD_XCHG block to
-// every peer (keyed by session_id), and merges the blocks it receives.
+// splits a PERMUTE's n elements into bands and sends each shard its
+// band via SHARD_EXEC; each shard packs its band, pushes one SHARD_XCHG
+// block to every peer (keyed by session_id), and merges the blocks it
+// receives.
 
 /// SHARD_EXEC wire revision. Bumped only for incompatible changes to
 /// the exchange; a shard strictly rejects versions it does not speak.
-/// Revision 2 is the single-exchange execution (revision 1 ran three
+/// Revision 3 carries n where revision 2 carried the matrix's rows and
+/// cols; revision 2 introduced the single exchange (revision 1 ran three
 /// passes and two transpose rounds).
-inline constexpr std::uint32_t kShardProtocolVersion = 2;
-
-/// Wire bound on the shard count (mirrors runtime::kMaxShards).
-inline constexpr std::uint32_t kMaxWireShards = 64;
+inline constexpr std::uint32_t kShardProtocolVersion = 3;
 
 /// Bound on a peer hostname in the SHARD_EXEC peer table.
 inline constexpr std::size_t kMaxShardHostLen = 255;
@@ -283,8 +282,7 @@ struct ShardExecRequest {
   std::uint64_t plan_id = 0;
   std::uint32_t deadline_ms = 0;  ///< relative; 0 = none
   std::uint32_t shard_index = 0;
-  std::uint64_t rows = 0;  ///< matrix rows of the full plan's shape
-  std::uint64_t cols = 0;  ///< matrix cols of the full plan's shape
+  std::uint64_t n = 0;            ///< elements of the full plan
   std::vector<ShardPeer> peers;  ///< size = shard_count, band order
   std::vector<std::uint32_t> band;
 
@@ -304,8 +302,7 @@ struct ShardExecRequestView {
   std::uint64_t plan_id = 0;
   std::uint32_t deadline_ms = 0;
   std::uint32_t shard_index = 0;
-  std::uint64_t rows = 0;
-  std::uint64_t cols = 0;
+  std::uint64_t n = 0;
   std::vector<ShardPeer> peers;
   WordsView band;
 

@@ -8,12 +8,10 @@
 #include <thread>
 #include <utility>
 
-#include "core/layout.hpp"
 #include "net/distributed.hpp"
 #include "perm/permutation.hpp"
 #include "runtime/fingerprint.hpp"
 #include "runtime/program.hpp"
-#include "util/bits.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
@@ -58,6 +56,9 @@ struct Router::Backend {
 };
 
 namespace {
+
+/// Cap on the shard fan-out of one distributed request.
+constexpr std::uint64_t kMaxDistributedShards = 8;
 
 std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -535,8 +536,7 @@ Router::ShardPlansOr Router::compile_shard_plans(std::uint64_t fingerprint,
   req.value().mapping.copy_to({words.data(), words.size()});
   const perm::Permutation p(std::move(words));
 
-  StatusOr<ShardPlans> compiled =
-      DistributedPermuter::compile(p, fingerprint, config_.distributed_width, shards);
+  StatusOr<ShardPlans> compiled = DistributedPermuter::compile(p, fingerprint, shards);
   if (!compiled.ok()) return compiled.status();
   dist_plan_compiles_.fetch_add(1, std::memory_order_relaxed);
   return std::make_shared<const ShardPlans>(std::move(compiled).value());
@@ -567,18 +567,6 @@ std::optional<OutboundFrame> Router::route_distributed(Links& links, const Frame
   const std::uint64_t data_bytes = n * kElemBytes;
   if (data_bytes <= config_.distributed_max_bytes) return std::nullopt;
 
-  // Band-splittability gate, checked *before* any shard is touched: a
-  // request the shards could not schedule must take the single-node
-  // path (where the degradation ladder can still serve it).
-  if (!util::is_pow2(n) || !util::is_pow2(config_.distributed_width) ||
-      config_.distributed_width == 0) {
-    return std::nullopt;
-  }
-  const unsigned k = util::log2_floor(n);
-  const unsigned wk = util::log2_floor(config_.distributed_width);
-  if (k - (k + 1) / 2 < wk) return std::nullopt;  // rows < width: unschedulable
-  const core::MatrixShape shape = core::shape_for(n, config_.distributed_width);
-
   // The shard set: walk the plan's preference list (deterministic per
   // plan, same order failover uses) keeping backends that are healthy
   // with a closed breaker. Read-only checks — the half-open trial slot
@@ -591,11 +579,10 @@ std::optional<OutboundFrame> Router::route_distributed(Links& links, const Frame
   const std::uint64_t want_by_size =
       (data_bytes + config_.distributed_max_bytes - 1) / config_.distributed_max_bytes;
   std::uint64_t shards = std::max<std::uint64_t>(2, want_by_size);
-  shards = std::min<std::uint64_t>({shards, config_.distributed_max_shards,
-                                    runtime::kMaxShards, usable.size(), shape.rows});
+  shards = std::min<std::uint64_t>({shards, kMaxDistributedShards, usable.size(), n});
   if (shards < 2) return std::nullopt;  // not enough fleet: single-node path
 
-  // Every shard must hold its band's rows before SHARD_EXEC arrives.
+  // Every shard must hold its band's tables before SHARD_EXEC arrives.
   // The router compiles the plan once per shard count and primes shard
   // s with band s; a link that already pushed that band, and is still
   // open, is skipped. A backend that cannot be primed is replaced by
@@ -612,8 +599,7 @@ std::optional<OutboundFrame> Router::route_distributed(Links& links, const Frame
   for (bool all_primed = false; !all_primed;) {
     if (chosen.size() < 2) return std::nullopt;  // not enough fleet: single-node path
     ShardPlansOr compiled = shard_plans(plan_id, static_cast<std::uint32_t>(chosen.size()));
-    // Not in the router registry, or not schedulable: the single-node
-    // path owns the answer.
+    // Not in the router registry: the single-node path owns the answer.
     if (!compiled.ok()) return std::nullopt;
     plans = std::move(compiled).value();
     skipped.clear();
@@ -659,8 +645,8 @@ std::optional<OutboundFrame> Router::route_distributed(Links& links, const Frame
   dconfig.io_timeout = config_.io_timeout;
   const auto execute = [&] {
     return DistributedPermuter::execute(
-        dconfig, next_router_request_id(), plan_id, req.value().deadline_ms, shape.rows,
-        shape.cols, req.value().data.bytes, targets, [this](std::size_t idx) {
+        dconfig, next_router_request_id(), plan_id, req.value().deadline_ms, n, 1,
+        req.value().data.bytes, targets, [this](std::size_t idx) {
           record_backend_transport_failure(*backends_[idx], false);
         });
   };

@@ -43,8 +43,9 @@
 ///    as-is. When every replica is exhausted the client gets the last
 ///    typed error (or UNAVAILABLE "no routable backend").
 ///  - **The router owns the distributed offline phase.** An oversized
-///    PERMUTE split into row bands needs every selected shard to hold
-///    its band's gather rows. The router compiles the plan once per
+///    PERMUTE split into bands (an even split of its n elements, any
+///    n) needs every selected shard to hold its band's gather tables.
+///    The router compiles the plan once per
 ///    (fingerprint, shard count) — single-flight across handler
 ///    threads, on the first request that needs it — and keeps only the
 ///    encoded SHARD_PLAN payloads (6 bytes per element over all
@@ -146,19 +147,13 @@ class Router {
     /// Stop-flag poll slice for the reactor and the health loop.
     std::chrono::milliseconds poll_interval{50};
     /// Distributed execution: a PERMUTE whose element bytes exceed this
-    /// is split into row bands across the healthy backends (SHARD_EXEC
-    /// + peer-to-peer SHARD_XCHG) instead of forwarded whole. 0 =
-    /// disabled. Requests that are not band-splittable (non-power-of-
-    /// two size, unschedulable plan, fewer than two usable backends)
-    /// fall back to single-node routing *before* any shard is touched;
+    /// is split into bands of its n elements, one per healthy backend
+    /// up to 8 (SHARD_EXEC + peer-to-peer SHARD_XCHG), instead of
+    /// forwarded whole. 0 = disabled. A request that cannot be split
+    /// (plan not registered here, fewer than two usable backends)
+    /// falls back to single-node routing *before* any shard is touched;
     /// once distribution starts there is no fallback.
     std::uint64_t distributed_max_bytes = 0;
-    /// Cap on the shard fan-out of one distributed request.
-    std::uint32_t distributed_max_shards = 8;
-    /// Machine width the shards schedule against (permd's default
-    /// machine model). The coordinator derives the matrix shape from
-    /// it, and the shards reject a shape mismatch typed.
-    std::uint32_t distributed_width = 32;
   };
 
   /// Point-in-time per-backend view (plain integers, safe to format).
@@ -303,7 +298,7 @@ class Router {
   /// gating, failover backoff, and lazy plan resync.
   OutboundFrame route_request(Links& links, const FrameView& request);
 
-  /// Oversized PERMUTE: split into row bands across the healthy
+  /// Oversized PERMUTE: split into bands across the healthy
   /// backends and gather (see net/distributed.hpp). The answer — the
   /// gathered bands or the typed failure — or nullopt when the request
   /// should take the single-node path instead.

@@ -545,9 +545,9 @@ StatusOr<std::shared_ptr<const runtime::BandExchange>> Server::band_for(
     }
   }
   if (band != nullptr) {
-    if (band->bands().rows() != exec.rows || band->bands().cols() != exec.cols) {
+    if (band->bands().elements() != exec.n) {
       return Status(StatusCode::kInvalidArgument,
-                    "SHARD_EXEC: matrix shape does not match the primed band");
+                    "SHARD_EXEC: element count does not match the primed band");
     }
     return band;
   }
@@ -564,12 +564,11 @@ StatusOr<std::shared_ptr<const runtime::BandExchange>> Server::band_for(
     return Status(StatusCode::kInvalidArgument,
                   "SHARD_EXEC: unknown plan id (SHARD_PLAN or SUBMIT_PLAN it first)");
   }
-  if (plan->size() != exec.rows * exec.cols) {
+  if (plan->size() != exec.n) {
     return Status(StatusCode::kInvalidArgument,
-                  "SHARD_EXEC: matrix shape does not match the plan size");
+                  "SHARD_EXEC: element count does not match the plan size");
   }
-  StatusOr<runtime::BandPlan> bands =
-      runtime::BandPlan::build(exec.rows, exec.cols, exec.shard_count());
+  StatusOr<runtime::BandPlan> bands = runtime::BandPlan::build(exec.n, exec.shard_count());
   if (!bands.ok()) return bands.status();
   StatusOr<std::vector<runtime::BandExchange>> compiled =
       runtime::BandExchange::compile(*plan, bands.value());

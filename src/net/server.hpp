@@ -134,7 +134,7 @@ class Server {
   OutboundFrame run_elements(std::uint64_t request_id, MsgKind kind, const WordsView& data,
                              const Submit& submit);
 
-  /// SHARD_EXEC: this shard's row band of a distributed PERMUTE —
+  /// SHARD_EXEC: this shard's band of a distributed PERMUTE —
   /// create the session, pack, copy the self block, push one block at
   /// every peer, and leave `reply` with the session for the merge.
   /// Every failure aborts and erases the session (buffers released)

@@ -10,9 +10,6 @@ using runtime::Status;
 using runtime::StatusCode;
 using runtime::StatusOr;
 
-static_assert(runtime::kMaxShards == kMaxWireShards,
-              "wire shard bound must mirror the band-plan bound");
-
 namespace {
 
 Status no_such_session() {

@@ -9,21 +9,6 @@ namespace hmm::runtime {
 
 namespace {
 
-/// Even split of `total` rows into `parts` contiguous bands; the first
-/// `total % parts` bands take one extra row.
-std::vector<BandRange> split(std::uint64_t total, std::uint32_t parts) {
-  std::vector<BandRange> bands(parts);
-  const std::uint64_t base = total / parts;
-  const std::uint64_t rem = total % parts;
-  std::uint64_t at = 0;
-  for (std::uint32_t s = 0; s < parts; ++s) {
-    const std::uint64_t take = base + (s < rem ? 1 : 0);
-    bands[s] = BandRange{at, at + take};
-    at += take;
-  }
-  return bands;
-}
-
 /// Exclusive prefix sums of `counts`.
 BandExchange::Counts offsets(const BandExchange::Counts& counts) {
   BandExchange::Counts out(counts.size());
@@ -47,26 +32,18 @@ bool sums_to(const BandExchange::Counts& counts, std::uint64_t total) {
 
 }  // namespace
 
-StatusOr<BandPlan> BandPlan::build(std::uint64_t rows, std::uint64_t cols,
-                                   std::uint32_t shards) {
+StatusOr<BandPlan> BandPlan::build(std::uint64_t n, std::uint32_t shards) {
   if (shards == 0 || shards > kMaxShards) {
     return Status(StatusCode::kInvalidArgument,
                   "band plan: shard count must be in [1, " +
                       std::to_string(kMaxShards) + "]");
   }
-  if (rows == 0 || cols == 0) {
-    return Status(StatusCode::kInvalidArgument, "band plan: empty matrix");
-  }
-  if (shards > rows) {
+  if (shards > n) {
     return Status(StatusCode::kInvalidArgument,
                   "band plan: more shards (" + std::to_string(shards) +
-                      ") than matrix rows (" + std::to_string(rows) + ")");
+                      ") than elements (" + std::to_string(n) + ")");
   }
-  BandPlan plan;
-  plan.rows_ = rows;
-  plan.cols_ = cols;
-  plan.row_bands_ = split(rows, shards);
-  return plan;
+  return BandPlan(n, shards);
 }
 
 BandExchange::BandExchange(BandPlan bands, std::uint32_t shard, Counts send, Counts recv,
@@ -82,7 +59,7 @@ BandExchange::BandExchange(BandPlan bands, std::uint32_t shard, Counts send, Cou
 
 StatusOr<std::vector<BandExchange>> BandExchange::compile(const perm::Permutation& p,
                                                           const BandPlan& bands) {
-  const std::uint64_t n = bands.rows() * bands.cols();
+  const std::uint64_t n = bands.elements();
   if (p.size() != n) {
     return Status(StatusCode::kInvalidArgument,
                   "band exchange: permutation size does not match the band split");
@@ -91,7 +68,7 @@ StatusOr<std::vector<BandExchange>> BandExchange::compile(const perm::Permutatio
   std::vector<std::uint64_t> bounds(shards + 1, n);
   for (std::uint32_t s = 0; s < shards; ++s) bounds[s] = bands.band_offset(s);
 
-  // The host's bucketed compile with the row bands as both the source
+  // The host's bucketed compile with the bands as both the source
   // bands and the destination chunks, and no skew: band s's packed
   // region is its band, and chunk d's received buffer is shard d's.
   Table pack(n), merge(n);

@@ -2,10 +2,12 @@
 /// \file distributed.hpp
 /// \brief A permutation across shards as pack -> one exchange -> merge.
 ///
-/// The distributed path splits the n = rows x cols array into
-/// contiguous *row bands*, one per shard (`BandPlan`). Element i starts
-/// in band(i) and must end in band(p(i)); it crosses the network once,
-/// and only when the two bands differ. Each shard runs three steps:
+/// The distributed path splits the n-element array into contiguous
+/// *bands*, one per shard (`BandPlan`). The split is of n alone: the
+/// exchange never looks at the paper's matrix, so any n >= the shard
+/// count splits. Element i starts in band(i) and must end in
+/// band(p(i)); it crosses the network once, and only when the two bands
+/// differ. Each shard runs three steps:
 ///
 ///  1. **pack** — gather its band so that elements leave grouped by
 ///     destination shard, in destination-position order within a group:
@@ -30,10 +32,11 @@
 /// per band element) and the block lengths it sends and receives.
 /// `compile` builds every shard's tables from p in O(n) with the
 /// bucketed kernel's counting compile (`core::group_tables`, no skew,
-/// the row bands as both source bands and destination chunks); a shard that
+/// the bands as both source bands and destination chunks); a shard that
 /// receives its tables from a coordinator adopts them through
 /// `from_tables`, which validates them first.
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -48,48 +51,33 @@ namespace hmm::runtime {
 /// coordinators typically use far fewer).
 inline constexpr std::uint32_t kMaxShards = 64;
 
-/// Half-open row range [begin, end).
-struct BandRange {
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
-
-  [[nodiscard]] std::uint64_t rows() const noexcept { return end - begin; }
-};
-
-/// A rows x cols array split into `shards` contiguous row bands, the
-/// first `rows % shards` one row longer. Value type, O(shards).
+/// n elements split into `shards` contiguous bands, the first
+/// `n % shards` one element longer. Value type; every query is closed
+/// form.
 class BandPlan {
  public:
   /// Build the split. Fails (kInvalidArgument) when `shards` is 0,
-  /// exceeds `kMaxShards`, or exceeds rows (every band needs a row).
-  [[nodiscard]] static StatusOr<BandPlan> build(std::uint64_t rows, std::uint64_t cols,
-                                                std::uint32_t shards);
+  /// exceeds `kMaxShards`, or exceeds n (every band needs an element).
+  [[nodiscard]] static StatusOr<BandPlan> build(std::uint64_t n, std::uint32_t shards);
 
-  [[nodiscard]] std::uint64_t rows() const noexcept { return rows_; }
-  [[nodiscard]] std::uint64_t cols() const noexcept { return cols_; }
-  [[nodiscard]] std::uint32_t shards() const noexcept {
-    return static_cast<std::uint32_t>(row_bands_.size());
-  }
-  [[nodiscard]] const BandRange& row_band(std::uint32_t s) const noexcept {
-    return row_bands_[s];
-  }
+  [[nodiscard]] std::uint64_t elements() const noexcept { return n_; }
+  [[nodiscard]] std::uint32_t shards() const noexcept { return shards_; }
 
   /// Element offset / length of shard s's band in the flat n-array
   /// (bands are contiguous, in shard order — the coordinator slices the
   /// input and concatenates the outputs with no reshuffling).
   [[nodiscard]] std::uint64_t band_offset(std::uint32_t s) const noexcept {
-    return row_bands_[s].begin * cols_;
+    return s * (n_ / shards_) + std::min<std::uint64_t>(s, n_ % shards_);
   }
   [[nodiscard]] std::uint64_t band_elements(std::uint32_t s) const noexcept {
-    return row_bands_[s].rows() * cols_;
+    return n_ / shards_ + (s < n_ % shards_ ? 1 : 0);
   }
 
  private:
-  BandPlan() = default;
+  BandPlan(std::uint64_t n, std::uint32_t shards) : n_(n), shards_(shards) {}
 
-  std::uint64_t rows_ = 0;
-  std::uint64_t cols_ = 0;
-  std::vector<BandRange> row_bands_;
+  std::uint64_t n_ = 0;
+  std::uint32_t shards_ = 1;
 };
 
 /// One shard's part of a distributed permutation: its pack and merge
@@ -102,7 +90,7 @@ class BandExchange {
 
   /// Every shard's tables for `p` under `bands` (entry s is shard s),
   /// from `core::group_tables`' three linear passes on the global pool. Fails
-  /// (kInvalidArgument) when p does not have rows x cols elements.
+  /// (kInvalidArgument) when p does not have the split's n elements.
   [[nodiscard]] static StatusOr<std::vector<BandExchange>> compile(const perm::Permutation& p,
                                                                    const BandPlan& bands);
 

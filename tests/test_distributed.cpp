@@ -2,7 +2,7 @@
 /// (`runtime::BandPlan`), the O(n) pack/merge compile
 /// (`runtime::BandExchange`), the shard session's receive side, the
 /// SHARD_EXEC / SHARD_XCHG / SHARD_PLAN wire codecs, and the full
-/// networked path — `net::DistributedPermuter` fanning row bands out to
+/// networked path — `net::DistributedPermuter` fanning bands out to
 /// real in-process `net::Server` shards that exchange one block per
 /// peer, and the router's `--distributed-max-bytes` path on top of it.
 ///
@@ -10,11 +10,12 @@
 /// oracle): a distributed result must be bit-identical to single-node,
 /// for uint32 data and for float/double carried as 32-bit words, at
 /// every shard count from 1 to 8, simulated in process and over
-/// loopback. Failure discipline is tested too: a shard that is dead at
-/// fan-out fails the whole request typed (kUnavailable) and every
-/// surviving shard releases its pooled buffers (verified via pool-stats
-/// deltas); a shard that refuses its session fails the request typed
-/// within milliseconds, not after the exchange timeout. The router
+/// loopback, at powers of two and at n that is not one. Failure
+/// discipline is tested too: a shard that is dead at fan-out fails the
+/// whole request typed (kUnavailable) and every surviving shard
+/// releases its pooled buffers (verified via pool-stats deltas); a
+/// shard that refuses its session fails the request typed within
+/// milliseconds, not after the exchange timeout. The router
 /// compiles each distributed plan once and primes every shard with only
 /// its band's tables (SHARD_PLAN), once per backend link; it re-primes
 /// only a restarted shard or a dropped band.
@@ -64,47 +65,58 @@ using runtime::StatusCode;
 // ------------------------------------------------------------- geometry
 
 TEST(BandPlan, EvenSplitCoversEverythingOnce) {
-  auto plan = BandPlan::build(64, 128, 4);
+  auto plan = BandPlan::build(64 * 128, 4);
   ASSERT_TRUE(plan.ok()) << plan.status().to_string();
   const BandPlan& bp = plan.value();
-  EXPECT_EQ(bp.rows(), 64u);
-  EXPECT_EQ(bp.cols(), 128u);
+  EXPECT_EQ(bp.elements(), 64u * 128u);
   EXPECT_EQ(bp.shards(), 4u);
 
-  // Row bands tile [0, rows) contiguously, and so do their elements.
-  std::uint64_t next_row = 0, total = 0;
+  // Bands tile [0, n) contiguously, in shard order.
+  std::uint64_t total = 0;
   for (std::uint32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(bp.row_band(s).begin, next_row);
-    EXPECT_GE(bp.row_band(s).rows(), 1u);
-    next_row = bp.row_band(s).end;
     EXPECT_EQ(bp.band_offset(s), total);
+    EXPECT_EQ(bp.band_elements(s), 64u * 128u / 4);
     total += bp.band_elements(s);
   }
-  EXPECT_EQ(next_row, 64u);
   EXPECT_EQ(total, 64u * 128u);
 }
 
-TEST(BandPlan, UnevenSplitBalancesWithinOneRow) {
-  auto plan = BandPlan::build(64, 64, 5);
+TEST(BandPlan, UnevenSplitBalancesWithinOneElement) {
+  // 10007 = 5 * 2001 + 2: the first two bands take the extra elements.
+  auto plan = BandPlan::build(10007, 5);
   ASSERT_TRUE(plan.ok()) << plan.status().to_string();
   const BandPlan& bp = plan.value();
-  std::uint64_t min_rows = ~0ull, max_rows = 0;
+  const std::uint64_t want[] = {2002, 2002, 2001, 2001, 2001};
   std::uint64_t covered = 0;
   for (std::uint32_t s = 0; s < 5; ++s) {
-    const std::uint64_t r = bp.row_band(s).rows();
-    min_rows = std::min(min_rows, r);
-    max_rows = std::max(max_rows, r);
-    covered += r;
+    EXPECT_EQ(bp.band_offset(s), covered) << "band " << s;
+    EXPECT_EQ(bp.band_elements(s), want[s]) << "band " << s;
+    covered += bp.band_elements(s);
   }
-  EXPECT_EQ(covered, 64u);
-  EXPECT_LE(max_rows - min_rows, 1u);
+  EXPECT_EQ(covered, 10007u);
+
+  // One element per shard is the finest split.
+  auto finest = BandPlan::build(8, 8);
+  ASSERT_TRUE(finest.ok()) << finest.status().to_string();
+  for (std::uint32_t s = 0; s < 8; ++s) {
+    EXPECT_EQ(finest.value().band_offset(s), s);
+    EXPECT_EQ(finest.value().band_elements(s), 1u);
+  }
 }
 
 TEST(BandPlan, RejectsInfeasibleSplits) {
-  EXPECT_FALSE(BandPlan::build(64, 64, 0).ok());
-  EXPECT_FALSE(BandPlan::build(64, 64, 65).ok());  // > kMaxShards
-  EXPECT_FALSE(BandPlan::build(4, 64, 8).ok());    // shards > rows
-  EXPECT_TRUE(BandPlan::build(4, 64, 4).ok());
+  const auto expect_reject = [](std::uint64_t n, std::uint32_t shards, const char* reason) {
+    auto plan = BandPlan::build(n, shards);
+    ASSERT_FALSE(plan.ok()) << n << " over " << shards;
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(plan.status().message().find(reason), std::string::npos)
+        << plan.status().to_string();
+  };
+  expect_reject(4096, 0, "shard count must be in");
+  expect_reject(4096, 65, "shard count must be in");  // > kMaxShards
+  expect_reject(7, 8, "more shards");                 // shards > n
+  expect_reject(0, 1, "more shards");
+  EXPECT_TRUE(BandPlan::build(8, 8).ok());
 }
 
 // ------------------------------------------------------- shard session
@@ -113,7 +125,7 @@ TEST(ShardSession, RejectsHostileBlocks) {
   // Shard 1 of 3 over a random plan expects one block from shard 0 and
   // one from shard 2, each exactly as long as its recv entry.
   const perm::Permutation p = perm::by_name("random", 1 << 12, 5);
-  auto bands = BandPlan::build(64, 64, 3);
+  auto bands = BandPlan::build(1 << 12, 3);
   ASSERT_TRUE(bands.ok());
   auto compiled = BandExchange::compile(p, bands.value());
   ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
@@ -167,8 +179,7 @@ net::ShardExecRequest sample_exec() {
   req.plan_id = 0xdeadbeefcafef00dull;
   req.deadline_ms = 1500;
   req.shard_index = 1;
-  req.rows = 64;
-  req.cols = 128;
+  req.n = 10007;
   req.peers = {{"127.0.0.1", 7001}, {"10.0.0.2", 7002}, {"shard-3.local", 7003}};
   req.band.resize(256);
   for (std::size_t i = 0; i < req.band.size(); ++i) {
@@ -187,8 +198,7 @@ TEST(ShardCodec, ExecRoundTripsOwningAndView) {
   EXPECT_EQ(owned.value().plan_id, req.plan_id);
   EXPECT_EQ(owned.value().deadline_ms, req.deadline_ms);
   EXPECT_EQ(owned.value().shard_index, req.shard_index);
-  EXPECT_EQ(owned.value().rows, req.rows);
-  EXPECT_EQ(owned.value().cols, req.cols);
+  EXPECT_EQ(owned.value().n, req.n);
   ASSERT_EQ(owned.value().peers.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(owned.value().peers[i].host, req.peers[i].host);
@@ -199,6 +209,7 @@ TEST(ShardCodec, ExecRoundTripsOwningAndView) {
   auto view = net::ShardExecRequestView::decode(bytes, 1 << 20);
   ASSERT_TRUE(view.ok()) << view.status().to_string();
   EXPECT_EQ(view.value().shard_count(), 3u);
+  EXPECT_EQ(view.value().n, req.n);
   ASSERT_EQ(view.value().band.count, req.band.size());
   // The band lands on an 8-byte payload offset by construction, so the
   // borrowing decode can read it in place on little-endian hosts.
@@ -212,11 +223,14 @@ TEST(ShardCodec, ExecRejectsHostileInputs) {
   const std::vector<std::uint8_t> good = req.encode();
   ASSERT_TRUE(net::ShardExecRequest::decode(good, 1 << 20).ok());
 
-  const auto expect_reject = [&](std::vector<std::uint8_t> bytes, const char* what) {
+  const auto expect_reject = [&](std::vector<std::uint8_t> bytes, const char* what,
+                                 const char* reason = "") {
     auto r = net::ShardExecRequest::decode(bytes, 1 << 20);
     EXPECT_FALSE(r.ok()) << what;
     if (!r.ok()) {
       EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << what;
+      EXPECT_NE(r.status().message().find(reason), std::string::npos)
+          << what << ": " << r.status().to_string();
     }
     auto v = net::ShardExecRequestView::decode(bytes, 1 << 20);
     EXPECT_FALSE(v.ok()) << what << " (view)";
@@ -240,7 +254,20 @@ TEST(ShardCodec, ExecRejectsHostileInputs) {
   tamper(32, 65, "shard count over wire cap");
   tamper(28, 7, "shard index >= count");
   tamper(36, 1, "nonzero reserved");
-  tamper(40, 0, "zero rows");
+
+  // The element count n (u64 at offset 40): every band needs an
+  // element, and band tables index it in 32 bits.
+  const auto with_n = [&](std::uint64_t n) {
+    std::vector<std::uint8_t> bad = good;
+    for (int i = 0; i < 8; ++i) bad[40 + i] = static_cast<std::uint8_t>(n >> (8 * i));
+    return bad;
+  };
+  ASSERT_TRUE(net::ShardExecRequest::decode(with_n(3), 1 << 20).ok()) << "one per shard";
+  ASSERT_TRUE(net::ShardExecRequest::decode(with_n(1ull << 32), 1 << 20).ok());
+  expect_reject(with_n(0), "zero n", "SHARD_EXEC: zero elements");
+  expect_reject(with_n(2), "n below the shard count", "SHARD_EXEC: fewer elements than shards");
+  expect_reject(with_n((1ull << 32) + 1), "n past 2^32",
+                "SHARD_EXEC: element count exceeds the 32-bit element index");
 
   // Element-count cap: the same frame must be refused when the reader's
   // budget is below the band size.
@@ -297,18 +324,18 @@ TEST(ShardCodec, XchgRoundTripsAndRejectsHostileInputs) {
   EXPECT_FALSE(net::ShardXchgRequestView::decode(empty_bytes, 1 << 20).ok());
 }
 
-/// SHARD_PLAN payload of band `shard` of 3 of a 2^12 plan (64 x 64):
-/// rows 22 / 21 / 21, so band 1 holds 1344 elements.
+/// SHARD_PLAN payload of band `shard` of 3 of a 2^12 plan: bands of
+/// 1366 / 1365 / 1365 elements.
 std::vector<std::uint8_t> sample_shard_plan(const perm::Permutation& p, std::uint32_t shard) {
   auto payloads = net::DistributedPermuter::compile(
-      p, runtime::fingerprint_permutation(p).value, /*width=*/32, /*shards=*/3);
+      p, runtime::fingerprint_permutation(p).value, /*shards=*/3);
   EXPECT_TRUE(payloads.ok()) << payloads.status().to_string();
   return std::move(payloads.value()[shard]);
 }
 
 TEST(ShardCodec, PlanRoundTrips) {
   const perm::Permutation p = perm::by_name("random", 1 << 12, 13);
-  auto bands = BandPlan::build(64, 64, 3);
+  auto bands = BandPlan::build(1 << 12, 3);
   ASSERT_TRUE(bands.ok());
   auto compiled = BandExchange::compile(p, bands.value());
   ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
@@ -316,8 +343,8 @@ TEST(ShardCodec, PlanRoundTrips) {
     const BandExchange& want = compiled.value()[s];
     const std::vector<std::uint8_t> bytes =
         net::ShardPlanRequest{0xabcdef0123456789ull, want}.encode();
-    // 32-byte header, two u64 lengths per shard, 8 bytes per element.
-    EXPECT_EQ(bytes.size(), 32 + 16 * 3 + 8 * bands.value().band_elements(s));
+    // 24-byte header, two u64 lengths per shard, 8 bytes per element.
+    EXPECT_EQ(bytes.size(), 24 + 16 * 3 + 8 * bands.value().band_elements(s));
     // The router's compile encodes the same band (past the plan id).
     const std::vector<std::uint8_t> routed = sample_shard_plan(p, s);
     EXPECT_TRUE(std::ranges::equal(std::span(bytes).subspan(8), std::span(routed).subspan(8)));
@@ -328,8 +355,7 @@ TEST(ShardCodec, PlanRoundTrips) {
     const BandExchange& band = got.value().band;
     EXPECT_EQ(band.shard(), s);
     EXPECT_EQ(band.bands().shards(), 3u);
-    EXPECT_EQ(band.bands().rows(), 64u);
-    EXPECT_EQ(band.bands().cols(), 64u);
+    EXPECT_EQ(band.bands().elements(), 1u << 12);
     EXPECT_EQ(band.table_bytes(), 8 * bands.value().band_elements(s));
     EXPECT_TRUE(std::ranges::equal(band.send(), want.send()));
     EXPECT_TRUE(std::ranges::equal(band.recv(), want.recv()));
@@ -342,10 +368,11 @@ TEST(ShardCodec, PlanRejectsHostileInputs) {
   const perm::Permutation p = perm::by_name("random", 1 << 12, 13);
   const std::vector<std::uint8_t> good = sample_shard_plan(p, 1);
   ASSERT_TRUE(net::ShardPlanRequest::decode(good).ok());
-  // Layout of band 1 of 3: header [0, 32), send [32, 56), recv [56, 80),
-  // pack [80, 80 + 4 * 1344), merge after it.
-  constexpr std::size_t kSend = 32, kRecv = 56, kPack = 80, kMerge = 80 + 4 * 1344;
-  ASSERT_EQ(good.size(), kMerge + 4 * 1344);
+  // Layout of band 1 of 3: header [0, 24) with n at 16, send [24, 48),
+  // recv [48, 72), pack [72, 72 + 4 * 1365), merge after it.
+  constexpr std::size_t kBand = 1365;
+  constexpr std::size_t kSend = 24, kRecv = 48, kPack = 72, kMerge = 72 + 4 * kBand;
+  ASSERT_EQ(good.size(), kMerge + 4 * kBand);
 
   // Each hostile input fails typed, with its own reason.
   std::vector<std::string> reasons;
@@ -382,19 +409,17 @@ TEST(ShardCodec, PlanRejectsHostileInputs) {
   // Entry k of the table at `table` repeats entry 0.
   const auto repeat_first = [&](std::size_t table) {
     std::vector<std::uint8_t> bad = good;
-    std::copy_n(bad.begin() + table, 4, bad.begin() + table + 4 * 1343);
+    std::copy_n(bad.begin() + table, 4, bad.begin() + table + 4 * (kBand - 1));
     return bad;
   };
 
   expect_reject({good.begin(), good.begin() + 20}, "truncated frame", "truncated header");
   expect_reject(with_u32(12, 0), "zero shards", "shard count out of range");
   expect_reject(with_u32(8, 3), "shard_index >= shard_count", "shard index out of range");
-  {
-    std::vector<std::uint8_t> bad = with_u64(16, 1ull << 17);
-    put_u64(bad, 24, 1ull << 17);
-    expect_reject(bad, "rows * cols past 2^32", "32-bit element index");
-  }
-  expect_reject(with_u64(16, 2), "three shards over two rows", "more shards");
+  expect_reject(with_u64(16, 0), "zero n", "zero elements");
+  expect_reject(with_u64(16, 2), "three shards over two elements",
+                "fewer elements than shards");
+  expect_reject(with_u64(16, (1ull << 32) + 1), "n past 2^32", "32-bit element index");
   expect_reject({good.begin(), good.begin() + kRecv + 4}, "truncated counts",
                 "truncated block lengths");
   expect_reject({good.begin(), good.end() - 4}, "tables short by one entry",
@@ -500,7 +525,6 @@ runtime::StatusOr<std::vector<std::uint32_t>> run_distributed(
     std::span<const std::uint32_t> data, std::vector<std::size_t>* transport_failures = nullptr,
     std::uint32_t max_payload = net::kDefaultMaxPayload,
     std::chrono::milliseconds io_timeout = 60'000ms) {
-  const core::MatrixShape shape = core::shape_for(p.size(), 32);
   const std::uint64_t plan_id = runtime::fingerprint_permutation(p).value;
 
   std::vector<net::ShardTarget> targets;
@@ -508,8 +532,8 @@ runtime::StatusOr<std::vector<std::uint32_t>> run_distributed(
     targets.push_back(net::ShardTarget{"127.0.0.1", shards[i]->port, i});
   }
 
-  auto bands = net::DistributedPermuter::compile(p, plan_id, 32,
-                                                 static_cast<std::uint32_t>(shards.size()));
+  auto bands =
+      net::DistributedPermuter::compile(p, plan_id, static_cast<std::uint32_t>(shards.size()));
   if (!bands.ok()) return bands.status();
   for (std::size_t i = 0; i < shards.size(); ++i) {
     if (!shards[i]->server) continue;
@@ -523,7 +547,7 @@ runtime::StatusOr<std::vector<std::uint32_t>> run_distributed(
   config.io_timeout = io_timeout;
   static std::atomic<std::uint64_t> next_session{0x5e55'0000};
   auto result = net::DistributedPermuter::execute(
-      config, next_session++, plan_id, /*deadline_ms=*/0, shape.rows, shape.cols,
+      config, next_session++, plan_id, /*deadline_ms=*/0, p.size(), 1,
       std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(data.data()),
                                     data.size_bytes()),
       targets, [&](std::size_t idx) {
@@ -601,16 +625,16 @@ OracleCase make_case(std::string name, const perm::Permutation& p) {
                     as_words(b)};
 }
 
-/// The row bands a coordinator splits `words` words into.
+/// The bands a coordinator splits `words` words into.
 BandPlan word_bands(std::uint64_t words, std::uint32_t shards) {
-  const core::MatrixShape shape = core::shape_for(words, 32);
-  auto bands = BandPlan::build(shape.rows, shape.cols, shards);
+  auto bands = BandPlan::build(words, shards);
   EXPECT_TRUE(bands.ok()) << bands.status().to_string();
   return std::move(bands).value();
 }
 
-/// Every family at n = 2^12 as uint32, float and double, plus the
-/// inputs of the two oracle tests this one replaced.
+/// Every family at n = 2^12 as uint32, float and double, random at two
+/// n that are not powers of two, plus the inputs of the two oracle
+/// tests this one replaced.
 std::vector<OracleCase> oracle_cases(std::uint32_t shards) {
   const std::uint64_t n = 1 << 12;
   std::vector<OracleCase> cases;
@@ -629,6 +653,12 @@ std::vector<OracleCase> oracle_cases(std::uint32_t shards) {
   add_all_types("band-shift", [&](std::uint64_t w) {
     return perm::rotation(n, word_bands(n * w, shards).band_elements(0) / w);
   });
+  for (const std::uint64_t odd_n : {10007ull, 3ull * (1 << 12) + 7}) {
+    const perm::Permutation p = perm::by_name("random", odd_n, 37);
+    const std::string name = "random-" + std::to_string(odd_n);
+    cases.push_back(make_case<std::uint32_t>(name + "/u32", p));
+    cases.push_back(make_case<double>(name + "/double", p));
+  }
   cases.push_back(make_case<std::uint32_t>("random-2^12-seed17/u32",
                                            perm::by_name("random", n, 17)));
   cases.push_back(make_case<std::uint32_t>("random-2^14-seed23/u32",
@@ -780,7 +810,7 @@ TEST(DistributedWire, FloatAndDoubleRideAsWordsBitIdentical) {
 }
 
 TEST(DistributedWire, PeerTrafficIsOneCrossingPerMovedElement) {
-  // Three shards over 128 x 128 (bands of 43 / 43 / 42 rows). Identity
+  // Three shards over 2^14 elements (bands of 5462 / 5461 / 5461). Identity
   // keeps every element home; random moves about (s-1)/s of each band,
   // once — the two-round exchange moved 2(s-1)/s.
   const std::uint64_t n = 1 << 14;
@@ -822,36 +852,40 @@ TEST(DistributedWire, PeerTrafficIsOneCrossingPerMovedElement) {
 }
 
 TEST(DistributedWire, RevisionOneShardExecIsRefusedTyped) {
-  std::vector<std::uint8_t> v1 = sample_exec().encode();
-  v1[0] = 1;
-  auto decoded = net::ShardExecRequestView::decode(v1, 1 << 20);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(decoded.status().message().find("unsupported shard protocol version"),
-            std::string::npos)
-      << decoded.status().to_string();
-
-  // A shard answers it at once with the typed refusal, so a mixed fleet
-  // fails cleanly instead of waiting out an exchange.
+  // Revisions 1 and 2 (three passes; the rows x cols layout) are both
+  // refused, in decode and by a live shard.
   Shard shard;
   shard.start();
-  auto conn = net::tcp_connect("127.0.0.1", shard.port, 1'000ms);
-  ASSERT_TRUE(conn.ok()) << conn.status().to_string();
-  net::TcpStream stream = std::move(conn).value();
-  ASSERT_TRUE(stream.set_io_timeout(5'000ms, 5'000ms).is_ok());
-  net::Frame frame;
-  frame.kind = static_cast<std::uint16_t>(net::MsgKind::kShardExec);
-  frame.request_id = 11;
-  frame.payload = v1;
-  ASSERT_TRUE(net::write_frame(stream, frame).is_ok());
-  auto answer = net::read_frame(stream, net::kDefaultMaxPayload);
-  ASSERT_TRUE(answer.ok()) << answer.status().to_string();
-  ASSERT_EQ(static_cast<net::MsgKind>(answer.value().kind), net::MsgKind::kError);
-  auto err = net::ErrorResponse::decode(answer.value().payload);
-  ASSERT_TRUE(err.ok());
-  EXPECT_EQ(err.value().to_status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(err.value().to_status().message().find("unsupported shard protocol version"),
-            std::string::npos);
+  for (const std::uint8_t revision : {1, 2}) {
+    std::vector<std::uint8_t> old = sample_exec().encode();
+    old[0] = revision;
+    auto decoded = net::ShardExecRequestView::decode(old, 1 << 20);
+    ASSERT_FALSE(decoded.ok()) << "revision " << int{revision};
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(decoded.status().message().find("unsupported shard protocol version"),
+              std::string::npos)
+        << decoded.status().to_string();
+
+    // A shard answers it at once with the typed refusal, so a mixed
+    // fleet fails cleanly instead of waiting out an exchange.
+    auto conn = net::tcp_connect("127.0.0.1", shard.port, 1'000ms);
+    ASSERT_TRUE(conn.ok()) << conn.status().to_string();
+    net::TcpStream stream = std::move(conn).value();
+    ASSERT_TRUE(stream.set_io_timeout(5'000ms, 5'000ms).is_ok());
+    net::Frame frame;
+    frame.kind = static_cast<std::uint16_t>(net::MsgKind::kShardExec);
+    frame.request_id = 11;
+    frame.payload = old;
+    ASSERT_TRUE(net::write_frame(stream, frame).is_ok());
+    auto answer = net::read_frame(stream, net::kDefaultMaxPayload);
+    ASSERT_TRUE(answer.ok()) << answer.status().to_string();
+    ASSERT_EQ(static_cast<net::MsgKind>(answer.value().kind), net::MsgKind::kError);
+    auto err = net::ErrorResponse::decode(answer.value().payload);
+    ASSERT_TRUE(err.ok());
+    EXPECT_EQ(err.value().to_status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(err.value().to_status().message().find("unsupported shard protocol version"),
+              std::string::npos);
+  }
   shard.stop();
 }
 
@@ -921,14 +955,13 @@ TEST(DistributedWire, RefusedSessionFailsFastAndLeaksNothing) {
   const std::uint64_t plan_id = shards[0]->submit(p);
   ASSERT_EQ(shards[1]->submit(p), plan_id);
 
-  const core::MatrixShape shape = core::shape_for(n, 32);
   const auto execute = [&](std::uint64_t session_id, std::span<const net::ShardTarget> on) {
     net::DistributedPermuter::Config config;
     config.max_payload_bytes = net::kDefaultMaxPayload;
     config.connect_timeout = 1'000ms;
     config.io_timeout = 30'000ms;
     return net::DistributedPermuter::execute(
-        config, session_id, plan_id, /*deadline_ms=*/0, shape.rows, shape.cols,
+        config, session_id, plan_id, /*deadline_ms=*/0, n, 1,
         std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(in.data()),
                                       n * sizeof(std::uint32_t)),
         on, [](std::size_t) {});
@@ -1103,6 +1136,26 @@ TEST(DistributedRouter, PrimesEachShardOncePerLink) {
   }
 }
 
+TEST(DistributedRouter, NonPowerOfTwoPermuteIsDistributed) {
+  // 10007 elements (39 KiB) split into bands of 3336 / 3336 / 3335: the
+  // split is of n, so no matrix shape gates it.
+  DistFleet fleet;
+  const std::uint64_t n = 10007;
+  const perm::Permutation p = perm::by_name("random", n, 83);
+  net::Client client(fleet.client_config());
+  auto plan = client.submit_plan(p);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  expect_bit_exact(client, plan.value(), p, 0);
+
+  const net::Router::Snapshot snap = fleet.router->snapshot();
+  EXPECT_EQ(snap.dist_requests, 1u) << "a non-power-of-two PERMUTE must shard";
+  EXPECT_EQ(snap.dist_failures, 0u);
+  EXPECT_EQ(snap.dist_bytes, n * 4);
+  for (const auto& backend : fleet.backends) {
+    EXPECT_EQ(backend->server->counters().shard_execs, 1u);
+  }
+}
+
 TEST(DistributedRouter, RestartedShardIsReprimedExactlyOnce) {
   DistFleet fleet;
   const perm::Permutation p = perm::by_name("random", 1 << 14, 59);
@@ -1135,7 +1188,7 @@ TEST(DistributedRouter, RestartedShardIsReprimedExactlyOnce) {
 
 TEST(DistributedRouter, PrimedShardsHoldOnlyTheirBands) {
   DistFleet fleet;
-  const std::uint64_t n = 1 << 14;  // 128 x 128: every band's tables are 8 B per element
+  const std::uint64_t n = 1 << 14;  // every band's tables are 8 B per element
   const perm::Permutation p = perm::by_name("random", n, 61);
   net::Client first(fleet.client_config());
   auto plan = first.submit_plan(p);
@@ -1156,8 +1209,7 @@ TEST(DistributedRouter, PrimedShardsHoldOnlyTheirBands) {
   EXPECT_NE(snap.to_json().find("\"distributed_plan_compiles\":1,"), std::string::npos);
 
   // With every backend usable, band s sits on the plan's s-th preference.
-  const core::MatrixShape shape = core::shape_for(n, 32);
-  auto bands = BandPlan::build(shape.rows, shape.cols, 3);
+  auto bands = BandPlan::build(n, 3);
   ASSERT_TRUE(bands.ok());
   const std::vector<std::size_t> order = fleet.router->preference(plan.value());
   for (std::uint32_t s = 0; s < 3; ++s) {
@@ -1240,8 +1292,8 @@ TEST(DistributedRouter, DroppedBandIsReprimedOnceThroughTheRetry) {
   ASSERT_EQ(router.snapshot().dist_plan_pushes, 3u);
 
   const perm::Permutation other = perm::by_name("bit-reversal", 1 << 14, 1);
-  auto other_bands = net::DistributedPermuter::compile(
-      other, runtime::fingerprint_permutation(other).value, 32, 3);
+  const std::uint64_t other_id = runtime::fingerprint_permutation(other).value;
+  auto other_bands = net::DistributedPermuter::compile(other, other_id, 3);
   ASSERT_TRUE(other_bands.ok());
   for (std::uint32_t s = 0; s < 3; ++s) {
     ASSERT_TRUE(prime_shard(backends[s]->port, other_bands.value()[s]).is_ok());
@@ -1332,7 +1384,9 @@ TEST(DistributedRouter, MoreConcurrentRequestsThanHandlerThreads) {
 TEST(DistributedWire, UnprimedShardsCompileRegisteredPlansLocally) {
   // A direct DistributedPermuter caller that registered the plan with
   // SUBMIT_PLAN but never primed bands: each shard compiles its band
-  // once, keeps it, and the result is the oracle's.
+  // once, keeps it, and the result is the oracle's. The caller passes a
+  // matrix shape, as the end-to-end probe does; only its product is
+  // checked.
   const std::uint64_t n = 1 << 14;
   const perm::Permutation p = perm::by_name("random", n, 73);
   std::vector<std::uint32_t> in(n), expect(n);
@@ -1351,12 +1405,18 @@ TEST(DistributedWire, UnprimedShardsCompileRegisteredPlansLocally) {
   const core::MatrixShape shape = core::shape_for(n, 32);
   net::DistributedPermuter::Config config;
   config.max_payload_bytes = net::kDefaultMaxPayload;
-  for (std::uint64_t session : {0x10ca'1000u, 0x10ca'1001u}) {
-    auto result = net::DistributedPermuter::execute(
-        config, session, plan_id, /*deadline_ms=*/0, shape.rows, shape.cols,
+  const auto execute = [&](std::uint64_t session, std::uint64_t rows) {
+    return net::DistributedPermuter::execute(
+        config, session, plan_id, /*deadline_ms=*/0, rows, shape.cols,
         std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(in.data()),
                                       n * sizeof(std::uint32_t)),
         targets, [](std::size_t) {});
+  };
+  auto mismatched = execute(0x10ca'0fffu, shape.rows + 1);
+  ASSERT_FALSE(mismatched.ok()) << "rows x cols must be the element count";
+  EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
+  for (std::uint64_t session : {0x10ca'1000u, 0x10ca'1001u}) {
+    auto result = execute(session, shape.rows);
     ASSERT_TRUE(result.ok()) << result.status().to_string();
     std::vector<std::uint32_t> out;
     for (const net::DistributedPermuter::Band& band : result.value().bands) {
@@ -1368,6 +1428,7 @@ TEST(DistributedWire, UnprimedShardsCompileRegisteredPlansLocally) {
   }
   for (auto& s : shards) {
     EXPECT_EQ(s->server->counters().shard_compiles, 1u) << "compiled once, then reused";
+    EXPECT_EQ(s->server->counters().shard_aborts, 0u) << "the mismatched call sent nothing";
     EXPECT_EQ(s->server->shard_plans(), 1u);
     s->stop();
   }
@@ -1378,8 +1439,8 @@ TEST(DistributedWire, MalformedShardPlanLeavesNoBand) {
   shard.start();
   const perm::Permutation p = perm::by_name("random", 1 << 12, 13);
   std::vector<std::uint8_t> payload = sample_shard_plan(p, 2);
-  // The last merge entry repeats the first (band 2 holds 21 x 64).
-  const std::size_t merge = payload.size() - 4 * 21 * 64;
+  // The last merge entry repeats the first (band 2 holds 1365).
+  const std::size_t merge = payload.size() - 4 * 1365;
   std::copy_n(payload.begin() + merge, 4, payload.end() - 4);
 
   const Status primed = prime_shard(shard.port, payload);
@@ -1387,6 +1448,32 @@ TEST(DistributedWire, MalformedShardPlanLeavesNoBand) {
   EXPECT_EQ(primed.code(), StatusCode::kInvalidArgument) << primed.to_string();
   EXPECT_NE(primed.message().find("not a permutation"), std::string::npos)
       << primed.to_string();
+  EXPECT_EQ(shard.server->shard_plans(), 0u);
+  EXPECT_EQ(shard.server->shard_plan_bytes(), 0u);
+
+  // A revision-2 coordinator's SHARD_PLAN for band 2 of 3 of the
+  // identity at 2^12: rows and cols (64 x 64) where n now sits, and
+  // identity tables over its row band of 21 x 64 elements.
+  std::vector<std::uint8_t> old;
+  const auto put = [&old](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) old.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  const std::uint64_t old_band = 21 * 64;
+  put(0x01d0'1a70'0000'0001ull, 8);  // plan id
+  put(2, 4);                         // shard index
+  put(3, 4);                         // shard count
+  put(64, 8);                        // rows
+  put(64, 8);                        // cols
+  const std::uint64_t lengths[] = {0, 0, old_band, 0, 0, old_band};  // send, recv
+  for (const std::uint64_t c : lengths) put(c, 8);
+  for (int table = 0; table < 2; ++table) {
+    for (std::uint64_t j = 0; j < old_band; ++j) put(j, 4);
+  }
+  auto decoded = net::ShardPlanRequest::decode(old);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  const Status refused = prime_shard(shard.port, old);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << refused.to_string();
   EXPECT_EQ(shard.server->shard_plans(), 0u);
   EXPECT_EQ(shard.server->shard_plan_bytes(), 0u);
 

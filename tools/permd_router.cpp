@@ -20,16 +20,14 @@
 ///                [--max-connections 256] [--max-payload-mb 64]
 ///                [--max-plans 4096]
 ///                [--connect-timeout-ms 1000] [--io-timeout-ms 30000]
-///                [--distributed-max-bytes 0] [--distributed-max-shards 8]
-///                [--distributed-width 32]
+///                [--distributed-max-bytes 0]
 ///                [--duration-s 0] [--metrics-json <path>] [--json]
 ///                [--prom-file <path>]
 ///
 /// `--distributed-max-bytes B` (B > 0) enables distributed permutation:
-/// a PERMUTE whose element bytes exceed B is split into row bands
-/// across the healthy backends (SHARD_EXEC + peer-to-peer SHARD_XCHG)
-/// instead of forwarded to a single backend. `--distributed-width` must
-/// match the shards' machine width (permd_serve's default model).
+/// a PERMUTE whose element bytes exceed B is split into bands of its n
+/// elements, any n, across up to 8 healthy backends (SHARD_EXEC +
+/// peer-to-peer SHARD_XCHG) instead of forwarded to a single backend.
 ///
 /// `--prom-file` rewrites the Prometheus text exposition roughly once
 /// per second while serving (textfile-collector style, atomic rename)
@@ -97,8 +95,7 @@ int main(int argc, char** argv) {
                          "failover-backoff-ms", "failover-backoff-cap-ms",
                          "max-connections", "max-payload-mb", "max-plans",
                          "connect-timeout-ms", "io-timeout-ms", "distributed-max-bytes",
-                         "distributed-max-shards", "distributed-width", "duration-s",
-                         "metrics-json", "json", "prom-file"},
+                         "duration-s", "metrics-json", "json", "prom-file"},
                         std::cerr)) {
     return 2;
   }
@@ -129,10 +126,6 @@ int main(int argc, char** argv) {
   config.io_timeout = std::chrono::milliseconds(cli.get_int("io-timeout-ms", 30'000));
   config.distributed_max_bytes =
       static_cast<std::uint64_t>(cli.get_int("distributed-max-bytes", 0));
-  config.distributed_max_shards =
-      static_cast<std::uint32_t>(cli.get_int("distributed-max-shards", 8));
-  config.distributed_width =
-      static_cast<std::uint32_t>(cli.get_int("distributed-width", 32));
   const std::int64_t duration_s = cli.get_int("duration-s", 0);
   const std::string port_file = cli.get("port-file");
   const std::string metrics_json = cli.get("metrics-json");
