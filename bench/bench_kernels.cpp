@@ -5,7 +5,7 @@
 ///        casual round), an empty fork-join, the scheduled plan's three
 ///        gather sweeps and the bucketed plan's two passes (bytes moved
 ///        and the fraction of the measured copy bandwidth per row), the
-///        transposes, and the HMMP frame checksum.
+///        cold kAuto compile, the transposes, and the HMMP frame checksum.
 ///
 /// The per-element throughput gap between `StreamCopy` and
 /// `RandomScatter` is the host-side analogue of the coalesced/casual
@@ -22,6 +22,7 @@
 #include "cpu/dispatch.hpp"
 #include "cpu/kernels.hpp"
 #include "core/bucketed.hpp"
+#include "core/permuter.hpp"
 #include "core/plan.hpp"
 #include "core/scheduled.hpp"
 #include "net/wire.hpp"
@@ -239,6 +240,37 @@ BENCHMARK(BM_BucketedMerge)->ArgsProduct({{1 << 20, 1 << 22, 1 << 24}, {0}, {0}}
 // The family spread at the default band, and the band sweep that fixed it.
 BENCHMARK(BM_Bucketed)
     ->ArgsProduct({{1 << 20, 1 << 22, 1 << 24}, {0, 1, 2}, {0, 32768, 65536}})
+    ->UseRealTime();
+
+// A cold kAuto compile of `OfflinePermuter<u32>`: P⁻¹, the host pick
+// and the picked strategy's tables, labelled with the pick. The host
+// probe, which a process pays once, is warmed outside the timing, and
+// so are the copy of the permutation and the destructor. Arguments: n
+// and the family (0 random, 1 bit-reversal, 2 transpose).
+void BM_Compile(benchmark::State& state) {
+  static const char* const kFamilies[] = {"random", "bit-reversal", "transpose"};
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  const char* family = kFamilies[state.range(1)];
+  const perm::Permutation p = perm::by_name(family, n, 9);
+  (void)core::host_params(n * sizeof(std::uint32_t));
+  core::Strategy picked = core::Strategy::kAuto;
+  for (auto _ : state) {
+    state.PauseTiming();
+    perm::Permutation copy = p;
+    state.ResumeTiming();
+    {
+      const core::OfflinePermuter<std::uint32_t> op(std::move(copy));
+      benchmark::DoNotOptimize(&op);
+      picked = op.strategy();
+      state.PauseTiming();
+    }
+    state.ResumeTiming();
+  }
+  state.SetLabel(std::string(family) + " " + std::string(core::to_string(picked)));
+}
+BENCHMARK(BM_Compile)
+    ->ArgsProduct({{1 << 20, 1 << 22, 1 << 24}, {0, 1, 2}})
+    ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 void BM_TransposeBlocked(benchmark::State& state) {

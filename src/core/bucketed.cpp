@@ -29,36 +29,34 @@ template <class PackIndex>
 GroupCounts group_tables(const perm::Permutation& p, std::span<const std::uint64_t> bands,
                          std::span<const std::uint64_t> chunks, std::uint64_t skew,
                          MergeInto into, std::span<PackIndex> pack,
-                         std::span<std::uint32_t> merge) {
+                         std::span<std::uint32_t> merge, const perm::Permutation* pinv) {
   const std::uint64_t n = p.size();
   HMM_CHECK(is_bounds(bands, n) && is_bounds(chunks, n));
   HMM_CHECK(bands.size() - 1 <= kMaxBands);
   HMM_CHECK(pack.size() == n && merge.size() == n);
+  const std::optional<perm::Permutation> own = pinv ? std::nullopt : std::optional(p.inverse());
+  const std::span<const std::uint32_t> inv = (pinv ? *pinv : *own).data();
+  HMM_CHECK(inv.size() == n);
   const std::size_t band_count = bands.size() - 1;
   const std::size_t chunk_count = chunks.size() - 1;
   util::ThreadPool& pool = util::ThreadPool::global();
 
-  // Pass 1: for every destination j, the element that lands there and
-  // the band it comes from. p is a bijection, so chunks of sources
-  // write disjoint destinations.
-  util::aligned_vector<std::uint32_t> pinv(n);
-  util::aligned_vector<std::uint16_t> source(n);
-  pool.parallel_for_chunks(0, n, [&](std::uint64_t lo, std::uint64_t hi) {
-    std::size_t s = static_cast<std::size_t>(
-        std::upper_bound(bands.begin(), bands.end(), lo) - bands.begin() - 1);
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      while (i >= bands[s + 1]) ++s;
-      const std::uint32_t j = p(i);
-      pinv[j] = static_cast<std::uint32_t>(i);
-      source[j] = static_cast<std::uint16_t>(s);
-    }
-  });
+  // Source i's band: a division when all bands but a shorter last one
+  // are `width` long (the plan's), else a search (a shard split's few).
+  const std::uint64_t width = bands[1];
+  bool uniform = n <= band_count * width;
+  for (std::size_t s = 0; s < band_count; ++s) uniform &= bands[s] == s * width;
+  const auto band_of = [&](std::uint64_t i) -> std::size_t {
+    if (uniform) return i / width;
+    return static_cast<std::size_t>(std::upper_bound(bands.begin(), bands.end(), i) -
+                                    bands.begin() - 1);
+  };
 
-  // Pass 2, one task per chunk: how many of each band's elements land in it.
+  // Pass 1, one task per chunk: how many of each band's elements land in it.
   GroupCounts counts(chunk_count, std::vector<std::uint64_t>(band_count, 0));
   pool.parallel_for(0, chunk_count, [&](std::uint64_t c) {
     std::vector<std::uint64_t>& row = counts[c];
-    for (std::uint64_t j = chunks[c]; j < chunks[c + 1]; ++j) ++row[source[j]];
+    for (std::uint64_t j = chunks[c]; j < chunks[c + 1]; ++j) ++row[band_of(inv[j])];
   });
 
   // Where each band's group for each chunk starts in its packed region:
@@ -72,7 +70,7 @@ GroupCounts group_tables(const perm::Permutation& p, std::span<const std::uint64
     }
   }
 
-  // Pass 3, one task per chunk, in destination order: each group fills
+  // Pass 2, one task per chunk, in destination order: each group fills
   // in destination order, and each merge entry names the next slot of
   // its band's group.
   pool.parallel_for(0, chunk_count, [&](std::uint64_t c) {
@@ -84,9 +82,10 @@ GroupCounts group_tables(const perm::Permutation& p, std::span<const std::uint64
       offset += counts[c][s];
     }
     for (std::uint64_t j = chunks[c]; j < chunks[c + 1]; ++j) {
-      const std::uint16_t s = source[j];
+      const std::uint32_t i = inv[j];
+      const std::size_t s = band_of(i);
       const std::uint64_t k = next[s]++;
-      pack[k] = static_cast<PackIndex>(pinv[j] - bands[s]);
+      pack[k] = static_cast<PackIndex>(i - bands[s]);
       merge[j] = static_cast<std::uint32_t>(into == MergeInto::kPacked ? k + s * skew
                                                                        : received[s]++);
     }
@@ -98,12 +97,14 @@ template GroupCounts group_tables<std::uint16_t>(const perm::Permutation&,
                                                  std::span<const std::uint64_t>,
                                                  std::span<const std::uint64_t>, std::uint64_t,
                                                  MergeInto, std::span<std::uint16_t>,
-                                                 std::span<std::uint32_t>);
+                                                 std::span<std::uint32_t>,
+                                                 const perm::Permutation*);
 template GroupCounts group_tables<std::uint32_t>(const perm::Permutation&,
                                                  std::span<const std::uint64_t>,
                                                  std::span<const std::uint64_t>, std::uint64_t,
                                                  MergeInto, std::span<std::uint32_t>,
-                                                 std::span<std::uint32_t>);
+                                                 std::span<std::uint32_t>,
+                                                 const perm::Permutation*);
 
 std::uint64_t BucketedPlan::band_for(std::uint64_t n, std::size_t elem_bytes,
                                      std::uint64_t l2_bytes) {
@@ -113,7 +114,7 @@ std::uint64_t BucketedPlan::band_for(std::uint64_t n, std::size_t elem_bytes,
 }
 
 BucketedPlan BucketedPlan::build(const perm::Permutation& p, std::uint64_t band,
-                                 std::uint64_t skew) {
+                                 std::uint64_t skew, const perm::Permutation* pinv) {
   const std::uint64_t n = p.size();
   HMM_CHECK_MSG(band >= 1 && band <= 65536, "bucketed band must be 1..65536 elements");
   const std::uint64_t band_count = std::max<std::uint64_t>(1, (n + band - 1) / band);
@@ -132,7 +133,7 @@ BucketedPlan BucketedPlan::build(const perm::Permutation& p, std::uint64_t band,
       std::min<std::uint64_t>(band_count, 4 * util::ThreadPool::global().size());
   (void)group_tables<std::uint16_t>(p, bands, even_bounds(n, chunks), skew, MergeInto::kPacked,
                                     std::span<std::uint16_t>(plan.pack_.data(), n),
-                                    std::span<std::uint32_t>(plan.merge_.data(), n));
+                                    std::span<std::uint32_t>(plan.merge_.data(), n), pinv);
   return plan;
 }
 

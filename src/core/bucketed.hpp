@@ -38,7 +38,7 @@
 
 namespace hmm::core {
 
-/// Most bands `group_tables` takes: source bands are numbered in u16.
+/// Most bands `group_tables` takes: it keeps a count per band per chunk.
 inline constexpr std::uint64_t kMaxBands = std::uint64_t{1} << 16;
 
 /// What `group_tables` makes a merge entry index.
@@ -50,20 +50,21 @@ enum class MergeInto {
 /// counts[c][s]: how many elements of source band s land in destination chunk c.
 using GroupCounts = std::vector<std::vector<std::uint64_t>>;
 
-/// The counting compile of the two gathers for `p`: three linear passes
-/// on the global pool. `bands` (at most kMaxBands) and `chunks` are
-/// boundary lists over [0, n), first 0 and last n: the source bands,
-/// and the destination chunks that split the work and the counts. Band
-/// s's packed region holds its elements in destination order, one group
-/// per chunk. `pack[bands[s] + k]` is the index inside band s of the
-/// region's k-th element; `merge[j]` is where the element landing at j
-/// sits, in the space `into` names (with kReceived, chunk c's buffer
-/// holds band 0's group for c, then band 1's, ...).
+/// The counting compile of the two gathers for `p`: two linear passes
+/// over `pinv` = P⁻¹ (`p.inverse()` when null) on the global pool. `bands`
+/// (at most kMaxBands) and `chunks` are boundary lists over [0, n), first
+/// 0 and last n: the source bands, and the destination chunks that split
+/// the work and the counts. Band s's packed region holds its elements in
+/// destination order, one group per chunk. `pack[bands[s] + k]` is the
+/// index inside band s of the region's k-th element; `merge[j]` is where
+/// the element landing at j sits, in the space `into` names (with
+/// kReceived, chunk c's buffer holds band 0's group for c, then band 1's, ...).
 template <class PackIndex>
 GroupCounts group_tables(const perm::Permutation& p, std::span<const std::uint64_t> bands,
                          std::span<const std::uint64_t> chunks, std::uint64_t skew,
                          MergeInto into, std::span<PackIndex> pack,
-                         std::span<std::uint32_t> merge);
+                         std::span<std::uint32_t> merge,
+                         const perm::Permutation* pinv = nullptr);
 
 /// A compiled bucketed permutation: the band length, the skew, and the
 /// two gather tables.
@@ -84,7 +85,8 @@ class BucketedPlan {
   /// Compile `p` with bands of `band` elements (at most 65536, and at
   /// most kMaxBands bands) and `skew` elements between regions.
   [[nodiscard]] static BucketedPlan build(const perm::Permutation& p, std::uint64_t band,
-                                          std::uint64_t skew);
+                                          std::uint64_t skew,
+                                          const perm::Permutation* pinv = nullptr);
 
   [[nodiscard]] std::uint64_t size() const noexcept { return merge_.size(); }
   [[nodiscard]] std::uint64_t band() const noexcept { return band_; }

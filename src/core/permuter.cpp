@@ -166,15 +166,6 @@ model::HostParams probe_host(const model::HostParams& geometry) {
   return host;
 }
 
-}  // namespace
-
-namespace {
-
-const model::HostParams& geometry() {
-  static const model::HostParams host = model::host_geometry(util::ThreadPool::global().size());
-  return host;
-}
-
 // Each probe publishes its result with a release store of its flag, so
 // host_params_so_far can read without joining the once_flag.
 std::once_flag g_probed, g_dram_probed;
@@ -185,9 +176,9 @@ std::atomic<bool> g_costs_ready{false}, g_dram_ready{false};
 }  // namespace
 
 model::HostParams host_params(std::uint64_t source_bytes) {
-  if (geometry().fits_half_l2(source_bytes)) return geometry();
+  if (model::pool_geometry().fits_half_l2(source_bytes)) return model::pool_geometry();
   std::call_once(g_probed, [] {
-    g_costs = probe_host(geometry());
+    g_costs = probe_host(model::pool_geometry());
     g_costs_ready.store(true, std::memory_order_release);
   });
   model::HostParams host = g_costs;
@@ -202,7 +193,7 @@ model::HostParams host_params(std::uint64_t source_bytes) {
 }
 
 model::HostParams host_params_so_far() {
-  if (!g_costs_ready.load(std::memory_order_acquire)) return geometry();
+  if (!g_costs_ready.load(std::memory_order_acquire)) return model::pool_geometry();
   model::HostParams host = g_costs;
   if (g_dram_ready.load(std::memory_order_acquire)) host.miss_ns_dram = g_dram_ns;
   return host;

@@ -95,7 +95,6 @@ class OfflinePermuter {
     if (strategy == Strategy::kAuto) {
       inverse_.emplace(perm_.inverse());
       chosen_ = host_pick(*inverse_, sizeof(T), host_params(n * sizeof(T))).strategy;
-      if (chosen_ != Strategy::kSDesignated) inverse_.reset();
     }
     HMM_CHECK_MSG(chosen_ != Strategy::kScheduled || plan_supported(n, machine_),
                   "scheduled strategy requires power-of-two n, width^2 <= n < 2^32");
@@ -103,15 +102,14 @@ class OfflinePermuter {
     switch (chosen_) {
       case Strategy::kScheduled:
         plan_.emplace(ScheduledPlan::build(perm_, machine_));
-        scratch_.resize(n);
         break;
       case Strategy::kBucketed:
         // host_params(0) is the geometry alone: an empty source fits
         // L2, so nothing is probed.
         buckets_.emplace(BucketedPlan::build(
             perm_, BucketedPlan::band_for(n, sizeof(T), host_params(0).l2_bytes),
-            BucketedPlan::skew_for(sizeof(T))));
-        scratch_.resize(buckets_->packed_size());
+            BucketedPlan::skew_for(sizeof(T)), inverse_ ? &*inverse_ : nullptr));
+        inverse_.reset();
         break;
       case Strategy::kSDesignated:
         if (!inverse_) inverse_.emplace(perm_.inverse());
@@ -147,15 +145,13 @@ class OfflinePermuter {
 
   /// Approximate resident bytes of the compiled artifact: the owned
   /// permutation, plus the strategy's precomputed state (the gather
-  /// tables, or the inverse mapping) and the internal scratch buffer.
-  /// Used for byte-bounded cache accounting.
+  /// tables, or the inverse mapping). Used for byte-bounded cache accounting.
   [[nodiscard]] std::uint64_t compiled_bytes() const noexcept {
     const std::uint64_t n = size();
     std::uint64_t bytes = n * sizeof(std::uint32_t);  // perm_
     if (plan_) bytes += plan_->gather_bytes();
     if (buckets_) bytes += buckets_->table_bytes();
     if (inverse_) bytes += n * sizeof(std::uint32_t);
-    bytes += scratch_.size() * sizeof(T);
     return bytes;
   }
 
@@ -238,10 +234,11 @@ class OfflinePermuter {
   }
 
   /// Online phase: b[P(i)] = a[i]. Reusable; `a` and `b` must not
-  /// alias. Uses the permuter's own scratch buffer, so calls on the
-  /// same object must be serialized — use the const overload above for
-  /// concurrent execution.
+  /// alias. Uses the permuter's own scratch buffer, allocated on the
+  /// first call, so calls on the same object must be serialized — use
+  /// the const overload above for concurrent execution.
   void permute(std::span<const T> a, std::span<T> b) {
+    scratch_.resize(scratch_elements());
     permute(a, b, std::span<T>(scratch_.data(), scratch_.size()));
   }
 

@@ -125,6 +125,11 @@ HostParams host_geometry(std::uint32_t workers) {
   return host;
 }
 
+const HostParams& pool_geometry() {
+  static const HostParams host = host_geometry(util::ThreadPool::global().size());
+  return host;
+}
+
 GatherMisses gather_l2_misses(std::span<const std::uint32_t> pinv, std::size_t elem_bytes,
                               const HostParams& host, util::ThreadPool& pool) {
   const std::uint64_t n = pinv.size();

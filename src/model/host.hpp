@@ -91,6 +91,9 @@ struct HostParams {
 /// `llc_bytes` is the LLC's size over the CPUs that share it.
 HostParams host_geometry(std::uint32_t workers);
 
+/// `host_geometry` with the global pool's workers, read once per process.
+const HostParams& pool_geometry();
+
 /// What the gather's source stream does to one core's L2.
 struct GatherMisses {
   std::uint64_t lines = 0;    ///< L2 misses

@@ -196,12 +196,13 @@ Frame Server::handle_submit_plan(const FrameView& request) {
   // into aligned words — two traversals of the mapping per SUBMIT_PLAN.)
   util::aligned_vector<std::uint32_t> words(mapping.count);
   mapping.copy_to({words.data(), words.size()});
-  if (!perm::Permutation::is_valid({words.data(), words.size()})) {
+  auto adopted = perm::Permutation::adopt(std::move(words));
+  if (!adopted) {
     return make_error_frame(
         request.request_id,
         Status(StatusCode::kInvalidArgument, "SUBMIT_PLAN: mapping is not a bijection"));
   }
-  auto plan = std::make_shared<const perm::Permutation>(std::move(words));
+  auto plan = std::make_shared<const perm::Permutation>(std::move(*adopted));
   const std::uint64_t plan_id = runtime::fingerprint_permutation(*plan).value;
 
   {

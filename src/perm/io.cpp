@@ -35,8 +35,7 @@ std::optional<Permutation> load(std::istream& is) {
                static_cast<std::streamsize>(n * sizeof(std::uint32_t)))) {
     return std::nullopt;
   }
-  if (!Permutation::is_valid({map.data(), map.size()})) return std::nullopt;
-  return Permutation(std::move(map));
+  return Permutation::adopt(std::move(map));
 }
 
 bool save_file(const std::string& path, const Permutation& p) {

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "util/aligned_vector.hpp"
@@ -23,6 +24,9 @@ class Permutation {
 
   /// Adopt a mapping; aborts unless it is a bijection on [0, size).
   explicit Permutation(util::aligned_vector<std::uint32_t> mapping);
+
+  /// The constructor's one validation, with nullopt in place of the abort.
+  static std::optional<Permutation> adopt(util::aligned_vector<std::uint32_t> mapping);
 
   /// Copies carry the fingerprint memo; a move takes it and clears the
   /// source's, whose mapping is gone.
@@ -55,7 +59,9 @@ class Permutation {
     fingerprint_.store(fingerprint, std::memory_order_relaxed);
   }
 
-  /// P^-1 (P^-1(P(i)) == i).
+  /// P^-1 (P^-1(P(i)) == i). Past half a core's L2 (model::pool_geometry)
+  /// it is scattered through L2-sized windows on the global pool, with
+  /// 8 B per element of scratch, freed before returning.
   [[nodiscard]] Permutation inverse() const;
 
   /// (this ∘ other)(i) = this(other(i)).
@@ -79,6 +85,10 @@ class Permutation {
   }
 
  private:
+  struct Unchecked {};
+  Permutation(Unchecked, util::aligned_vector<std::uint32_t> mapping)
+      : map_(std::move(mapping)) {}
+
   util::aligned_vector<std::uint32_t> map_;
   mutable std::atomic<std::uint64_t> fingerprint_{0};
 };

@@ -335,17 +335,17 @@ class RobustPermuteService {
     return std::chrono::microseconds(base_us + jitter_us);
   }
 
-  /// The conventional tier: a D-designated permuter has no offline
-  /// phase beyond copying the mapping, so it cannot hit the plan-build
-  /// fault domain. Built outside the cache on purpose — degraded
-  /// service must not evict healthy compiled plans.
+  /// The conventional tier: an S-designated permuter, whose offline
+  /// phase is one `inverse()` and no plan build, so it cannot hit the
+  /// plan-build fault domain. Built outside the cache on purpose —
+  /// degraded service must not evict healthy compiled plans.
   template <class T>
   StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> build_conventional(
       const perm::Permutation& p) {
     try {
       return std::shared_ptr<const core::OfflinePermuter<T>>(
           std::make_shared<const core::OfflinePermuter<T>>(p, config_.machine,
-                                                           core::Strategy::kDDesignated));
+                                                           core::Strategy::kSDesignated));
     } catch (const std::bad_alloc&) {
       return Status(StatusCode::kResourceExhausted, "allocation failed building fallback");
     } catch (const std::exception& e) {

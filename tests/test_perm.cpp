@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <numeric>
+#include <string>
+
+#include "model/host.hpp"
 #include "perm/distribution.hpp"
 #include "perm/generators.hpp"
 #include "perm/permutation.hpp"
@@ -31,6 +37,63 @@ TEST(Permutation, InverseRoundTrip) {
   }
   EXPECT_TRUE(p.compose(inv).is_identity());
   EXPECT_TRUE(inv.compose(p).is_identity());
+}
+
+/// The serial scatter inv[p[i]] = i that `inverse` replaces past the gate.
+std::vector<std::uint32_t> serial_inverse(const Permutation& p) {
+  std::vector<std::uint32_t> inv(p.size());
+  for (std::uint64_t i = 0; i < p.size(); ++i) inv[p(i)] = static_cast<std::uint32_t>(i);
+  return inv;
+}
+
+void expect_serial_inverse(const Permutation& p, const std::string& what) {
+  const Permutation inv = p.inverse();
+  const std::vector<std::uint32_t> expect = serial_inverse(p);
+  EXPECT_TRUE(std::equal(expect.begin(), expect.end(), inv.data().begin(), inv.data().end()))
+      << what << " n=" << p.size();
+}
+
+// The split inverse runs when the 4n-byte inverse does not fit half a
+// core's L2. Either side of that gate, and past it at sizes that are
+// neither powers of two nor multiples of the bucket, it equals the
+// serial scatter.
+TEST(Permutation, SplitInverseMatchesTheSerialScatter) {
+  const std::uint64_t gate = model::pool_geometry().l2_bytes / 2 / sizeof(std::uint32_t);
+  ASSERT_TRUE(model::pool_geometry().fits_half_l2(gate * sizeof(std::uint32_t)));
+  ASSERT_FALSE(model::pool_geometry().fits_half_l2((gate + 1) * sizeof(std::uint32_t)));
+  for (const std::uint64_t n : {std::bit_floor(gate), 2 * std::bit_floor(gate)}) {
+    for (const std::string& family : family_names()) {
+      // The butterfly exists only at even powers of two.
+      if (family == "butterfly" && util::log2_floor(n) % 2 != 0) continue;
+      expect_serial_inverse(by_name(family, n, 7), family);
+    }
+  }
+  // The families defined at any n, just past the gate and at 3·2^18 + 7.
+  for (const std::uint64_t n : {gate + 1, gate + 4097, (std::uint64_t{3} << 18) + 7}) {
+    for (const char* family : {"identical", "random", "rotation", "stride", "involution"}) {
+      if (family == std::string("stride") && std::gcd(n, std::uint64_t{33}) != 1) continue;
+      expect_serial_inverse(by_name(family, n, 7), family);
+    }
+    expect_serial_inverse(transpose(3, n / 3), "transpose 3 x n/3");
+  }
+}
+
+TEST(Permutation, AdoptValidatesWithoutAborting) {
+  EXPECT_FALSE(Permutation::adopt(util::aligned_vector<std::uint32_t>{0, 0, 2}).has_value());
+  EXPECT_FALSE(Permutation::adopt(util::aligned_vector<std::uint32_t>{0, 3, 1}).has_value());
+  EXPECT_FALSE(Permutation::adopt(util::aligned_vector<std::uint32_t>{}).has_value());
+  const std::optional<Permutation> p =
+      Permutation::adopt(util::aligned_vector<std::uint32_t>{2, 0, 1});
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(*p, Permutation(util::aligned_vector<std::uint32_t>{2, 0, 1}));
+  // A repeat and an out-of-range value past the first word of the bitset.
+  util::aligned_vector<std::uint32_t> wide(200);
+  std::iota(wide.begin(), wide.end(), 0u);
+  EXPECT_TRUE(Permutation::is_valid(wide));
+  wide[150] = 64;
+  EXPECT_FALSE(Permutation::adopt(wide).has_value());
+  wide[150] = 200;
+  EXPECT_FALSE(Permutation::adopt(wide).has_value());
 }
 
 TEST(Permutation, ComposeAssociative) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/permuter.hpp"
@@ -110,7 +112,9 @@ TEST(Permuter, AutoOnLargeDoublePlanRuns) {
 }
 
 // The bucketed strategy has no power-of-two condition, and its scratch
-// is the padded packed array.
+// is the padded packed array. The compile allocates none of it: the
+// stateful permute makes its own on first use, and compiled_bytes
+// counts only the tables and the mapping, before and after.
 TEST(Permuter, BucketedRunsAtAnySize) {
   for (const std::uint64_t n : {std::uint64_t{1}, std::uint64_t{1000}, std::uint64_t{1000003}}) {
     OfflinePermuter<float> op(perm::by_name("random", n, 3), MachineParams::gtx680(),
@@ -119,9 +123,42 @@ TEST(Permuter, BucketedRunsAtAnySize) {
     EXPECT_EQ(op.plan(), nullptr);
     EXPECT_EQ(op.scratch_elements(), op.buckets()->packed_size());
     EXPECT_GE(op.scratch_elements(), n);
-    EXPECT_EQ(op.compiled_bytes(), n * 4 + op.buckets()->table_bytes() + op.scratch_elements() * 4);
+    EXPECT_EQ(op.compiled_bytes(), n * 4 + op.buckets()->table_bytes());
     check(op, n);
+    EXPECT_EQ(op.compiled_bytes(), n * 4 + op.buckets()->table_bytes());
   }
+}
+
+// group_tables given P⁻¹ builds what it builds computing P⁻¹ itself:
+// on uniform bands (a division), and on uneven splits (a search),
+// including one whose last band is longer than the first.
+TEST(Bucketed, GroupTablesFromAGivenInverseMatch) {
+  const std::uint64_t n = 100003;
+  const perm::Permutation p = perm::by_name("random", n, 5);
+  const perm::Permutation pinv = p.inverse();
+  std::vector<std::uint64_t> uniform;
+  for (std::uint64_t s = 0; s < n; s += 4096) uniform.push_back(s);
+  uniform.push_back(n);
+  const std::vector<std::uint64_t> shards = {0, 33335, 66669, n};
+  const std::vector<std::uint64_t> long_tail = {0, 40000, n};
+  const std::vector<std::uint64_t> chunks = {0, 12500, 50001, 75000, n};
+  for (const auto& [bands, dest, into] :
+       {std::tuple{uniform, chunks, MergeInto::kPacked},
+        std::tuple{shards, shards, MergeInto::kReceived},
+        std::tuple{long_tail, chunks, MergeInto::kPacked}}) {
+    std::vector<std::uint32_t> pack(n), merge(n), given_pack(n), given_merge(n);
+    const GroupCounts counts = group_tables<std::uint32_t>(p, bands, dest, 16, into,
+                                                           std::span(pack), std::span(merge));
+    const GroupCounts given = group_tables<std::uint32_t>(
+        p, bands, dest, 16, into, std::span(given_pack), std::span(given_merge), &pinv);
+    EXPECT_EQ(given, counts) << bands.size() - 1 << " bands";
+    EXPECT_EQ(given_pack, pack) << bands.size() - 1 << " bands";
+    EXPECT_EQ(given_merge, merge) << bands.size() - 1 << " bands";
+  }
+  const BucketedPlan plan = BucketedPlan::build(p, 4096, 16);
+  const BucketedPlan given = BucketedPlan::build(p, 4096, 16, &pinv);
+  EXPECT_TRUE(std::ranges::equal(given.pack(), plan.pack()));
+  EXPECT_TRUE(std::ranges::equal(given.merge(), plan.merge()));
 }
 
 // The paper's model of the bucketed kernel: Lemma 4 on each of its two
@@ -279,6 +316,39 @@ TEST(HostModel, DramLevelWithEveryAccessMissingGoesBucketed) {
   host.miss_ns_llc = 0.5;
   EXPECT_EQ(host_pick(perm::by_name("random", n, 42).inverse(), 4, host).strategy,
             Strategy::kSDesignated);
+}
+
+// kAuto's pick and its simulated misses per family at 512K, 1M and 4M,
+// where inverse() takes the split path on a host with up to 4 MiB of
+// L2, pinned to what the serial inverse gave.
+TEST(HostModel, PicksAndMissesArePinnedAcrossFamiliesAndSizes) {
+  const model::HostParams host = literal_host();
+  struct Pinned {
+    const char* family;
+    std::uint64_t n, lines, aliased;
+    Strategy strategy;
+  };
+  for (const Pinned& pin : std::initializer_list<Pinned>{
+           {"identical", 512 << 10, 32768, 0, Strategy::kSDesignated},
+           {"identical", 1 << 20, 65536, 0, Strategy::kSDesignated},
+           {"identical", 4 << 20, 262144, 0, Strategy::kSDesignated},
+           {"shuffle", 512 << 10, 32768, 16384, Strategy::kSDesignated},
+           {"shuffle", 1 << 20, 65536, 32768, Strategy::kSDesignated},
+           {"shuffle", 4 << 20, 262144, 131072, Strategy::kSDesignated},
+           {"random", 512 << 10, 294920, 302, Strategy::kBucketed},
+           {"random", 1 << 20, 809872, 740, Strategy::kBucketed},
+           {"random", 4 << 20, 3949622, 3925, Strategy::kBucketed},
+           {"bit-reversal", 512 << 10, 524288, 523264, Strategy::kBucketed},
+           {"bit-reversal", 1 << 20, 1048576, 1047552, Strategy::kBucketed},
+           {"bit-reversal", 4 << 20, 4194304, 4193280, Strategy::kBucketed},
+           {"transpose", 512 << 10, 524288, 523264, Strategy::kBucketed},
+           {"transpose", 1 << 20, 1048576, 1047552, Strategy::kBucketed},
+           {"transpose", 4 << 20, 4194304, 4192256, Strategy::kBucketed}}) {
+    const HostPick pick = host_pick(perm::by_name(pin.family, pin.n, 42).inverse(), 4, host);
+    EXPECT_EQ(pick.misses, (model::GatherMisses{pin.lines, pin.aliased}))
+        << pin.family << " " << pin.n;
+    EXPECT_EQ(pick.strategy, pin.strategy) << pin.family << " " << pin.n;
+  }
 }
 
 /// Brute-force reference: one std::list LRU per set, per worker chunk.
