@@ -8,7 +8,7 @@
 /// The engine is deliberately router-agnostic: it takes a list of shard
 /// targets (address + an opaque caller index) and the request's wire
 /// bytes, and reports per-target transport failures through a callback
-/// so the caller (the router) can feed its breakers and health state.
+/// so the caller (the router) can feed its per-backend health state.
 /// The cross-shard exchange itself is peer-to-peer — the coordinator
 /// only ships each band once and reads each band back once, so its
 /// network cost is one pass over the data regardless of the shard

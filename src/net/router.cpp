@@ -21,22 +21,16 @@ using runtime::Status;
 using runtime::StatusCode;
 using runtime::StatusOr;
 
-/// Per-backend runtime state. Health flags are written by the health
-/// thread and read by every handler thread; the breaker is driven
-/// from the request path. Those are atomics — no lock is ever held on
-/// the routing decision; `links_mutex` guards only the idle links.
+/// Per-backend runtime state. The health state (`ejected` and the
+/// consecutive `failures`) is fed by the request path and the probe
+/// rounds alike. Those are atomics — no lock is ever held on the
+/// routing decision; `links_mutex` guards only the idle links.
 struct Router::Backend {
   BackendAddress addr;
   std::string label;
 
   std::atomic<bool> ejected{false};
-  std::atomic<std::uint32_t> probe_failures{0};
-
-  std::atomic<std::uint32_t> consecutive_failures{0};
-  /// steady_clock nanos the breaker stays open until; 0 = closed.
-  std::atomic<std::int64_t> breaker_open_until_ns{0};
-  /// Claimed by the single half-open trial request after the cooldown.
-  std::atomic<bool> trial_in_flight{false};
+  std::atomic<std::uint32_t> failures{0};
 
   std::atomic<std::uint64_t> requests{0};
   std::atomic<std::uint64_t> ok{0};
@@ -46,7 +40,6 @@ struct Router::Backend {
   std::atomic<std::uint64_t> failovers_to{0};
   std::atomic<std::uint64_t> ejections{0};
   std::atomic<std::uint64_t> recoveries{0};
-  std::atomic<std::uint64_t> breaker_opens{0};
   std::atomic<std::uint64_t> plans_synced{0};
   runtime::LogHistogram forward_ns;
 
@@ -60,11 +53,8 @@ namespace {
 /// Cap on the shard fan-out of one distributed request.
 constexpr std::uint64_t kMaxDistributedShards = 8;
 
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+/// Salt of the failover backoff jitter.
+constexpr std::uint64_t kFailoverJitterSeed = 0xf417'0e5e'edf4'170eull;
 
 /// splitmix64 finalizer: cheap, well-mixed 64->64 for ring points and
 /// backoff jitter.
@@ -99,7 +89,7 @@ std::chrono::microseconds failover_pause(const Router::Config& config, int hop,
           .count()));
   const int shift = std::min(hop - 1, 20);
   const std::uint64_t delay_us = std::min(base_us << shift, cap_us);
-  const std::uint64_t x = mix64(config.failover_jitter_seed ^
+  const std::uint64_t x = mix64(kFailoverJitterSeed ^
                                 (0x9e3779b97f4a7c15ull * (salt + static_cast<std::uint64_t>(hop))));
   const std::uint64_t jitter_us = delay_us == 0 ? 0 : x % delay_us;
   return std::chrono::microseconds(delay_us + jitter_us);
@@ -124,10 +114,12 @@ Router::Router(Config config)
                                .io_timeout = config_.io_timeout,
                                .poll_interval = config_.poll_interval},
                "router",
-               Reactor::Handlers{.on_request = [this](const FrameView& request,
-                                                      Reactor::Reply& reply) {
-                 reply.send(respond(request));
-               }}) {
+               Reactor::Handlers{
+                   .on_request = [this](const FrameView& request,
+                                        Reactor::Reply& reply) { reply.send(respond(request)); },
+                   .on_tick = [this](std::chrono::steady_clock::time_point now) {
+                     on_tick(now);
+                   }}) {
   // Router ids double as SHARD_EXEC session ids, which shards refuse to
   // reuse: start at a random point so a restarted router does not replay
   // its predecessor's ids against the same backends.
@@ -187,13 +179,6 @@ bool Router::backend_healthy(std::size_t idx) const {
   return idx < backends_.size() && !backends_[idx]->ejected.load(std::memory_order_acquire);
 }
 
-bool Router::backend_breaker_open(std::size_t idx) const {
-  if (idx >= backends_.size()) return false;
-  const std::int64_t until =
-      backends_[idx]->breaker_open_until_ns.load(std::memory_order_acquire);
-  return until != 0 && steady_now_ns() < until;
-}
-
 std::uint64_t Router::plans() const {
   std::lock_guard lock(plans_mutex_);
   return plans_.size();
@@ -204,17 +189,7 @@ Status Router::start() {
   if (backends_.empty()) {
     return Status(StatusCode::kInvalidArgument, "router needs at least one backend");
   }
-  if (Status started = reactor_.start(); !started.is_ok()) return started;
-  stop_.store(false, std::memory_order_release);
-  health_thread_ = std::thread([this] { health_loop(); });
-  return Status::ok();
-}
-
-void Router::stop() {
-  if (!running()) return;
-  stop_.store(true, std::memory_order_release);
-  if (health_thread_.joinable()) health_thread_.join();
-  reactor_.stop();
+  return reactor_.start();
 }
 
 Router::Links::Links(Router& router) : router_(router), links_(router.backends_.size()) {}
@@ -224,7 +199,14 @@ Router::Links::~Links() {
     if (!links_[idx] || !links_[idx]->stream.valid()) continue;
     Backend& b = *router_.backends_[idx];
     std::lock_guard lock(b.links_mutex);
-    b.idle_links.push_back(std::move(*links_[idx]));
+    // A link that holds bands is the next one checked out; one that
+    // holds none (a probe's, a plain forward's) queues behind it, so a
+    // band is not pushed again over a spare link.
+    if (links_[idx]->primed.empty()) {
+      b.idle_links.insert(b.idle_links.begin(), std::move(*links_[idx]));
+    } else {
+      b.idle_links.push_back(std::move(*links_[idx]));
+    }
   }
 }
 
@@ -270,49 +252,37 @@ OutboundFrame Router::respond(const FrameView& request) {
 Router::RouteKey Router::route_key(const FrameView& request) {
   RouteKey rk;
   const std::span<const std::uint8_t> p = request.payload;
-  const auto read_u32 = [&p](std::size_t off) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[off + i]) << (8 * i);
-    return v;
-  };
-  const auto read_u64 = [&p](std::size_t off) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[off + i]) << (8 * i);
-    return v;
-  };
+  ByteReader r(p);
   const auto kind = static_cast<MsgKind>(request.kind);
-  if (kind == MsgKind::kPermute && p.size() >= 8) {
+  if (kind == MsgKind::kPermute && r.get_u64(rk.key)) {
     // PERMUTE: [u64 plan_id | ...] — the plan id is the fingerprint.
-    rk.key = read_u64(0);
     rk.referenced.push_back(rk.key);
     return rk;
   }
-  if (kind == MsgKind::kExecuteProgram && p.size() >= 16) {
-    // EXECUTE_PROGRAM: [u32 deadline | u32 elem | u32 flags |
-    // u32 op_count | op_count x {u32 opcode, u32 reserved, u64 arg} |
-    // ...]. Route on the first registered-plan operand so a chain and
-    // the PERMUTEs it replaces land on the same shard; a chain that
-    // references several plans colocates with its *first* one and lazy
-    // resync covers the rest.
-    const std::uint32_t op_count = read_u32(12);
-    if (op_count >= 1 && op_count <= runtime::kMaxProgramOps &&
-        p.size() >= 16 + 16ull * op_count) {
-      for (std::uint32_t i = 0; i < op_count; ++i) {
-        const std::size_t off = 16 + 16ull * i;
-        const std::uint32_t opcode = read_u32(off);
-        if (opcode == static_cast<std::uint32_t>(runtime::ProgramOpCode::kPermute) ||
-            opcode == static_cast<std::uint32_t>(runtime::ProgramOpCode::kInverse)) {
-          rk.referenced.push_back(read_u64(off + 8));
-        }
+  // EXECUTE_PROGRAM: [u32 deadline | u32 elem | u32 flags | u32 op_count |
+  // op_count x {u32 opcode, u32 reserved, u64 arg} | ...]. Route on the
+  // first registered-plan operand so a chain and the PERMUTEs it replaces
+  // land on the same shard; a chain that references several plans
+  // colocates with its *first* one and lazy resync covers the rest.
+  std::uint32_t unused = 0;
+  std::uint32_t op_count = 0;
+  std::span<const std::uint8_t> ops;
+  if (kind == MsgKind::kExecuteProgram && r.get_u32(unused) && r.get_u32(unused) &&
+      r.get_u32(unused) && r.get_u32(op_count) && op_count >= 1 &&
+      op_count <= runtime::kMaxProgramOps && r.get_bytes(16ull * op_count, ops)) {
+    ByteReader op_reader(ops);
+    for (std::uint32_t i = 0; i < op_count; ++i) {
+      std::uint32_t opcode = 0;
+      std::uint64_t arg = 0;
+      (void)(op_reader.get_u32(opcode) && op_reader.get_u32(unused) && op_reader.get_u64(arg));
+      if (opcode == static_cast<std::uint32_t>(runtime::ProgramOpCode::kPermute) ||
+          opcode == static_cast<std::uint32_t>(runtime::ProgramOpCode::kInverse)) {
+        rk.referenced.push_back(arg);
       }
-      if (!rk.referenced.empty()) {
-        rk.key = rk.referenced.front();
-        return rk;
-      }
-      // Generator-only chain: stateless, so spread it by op content.
-      rk.key = hash_bytes(p.data() + 16, 16ull * op_count);
-      return rk;
     }
+    // A generator-only chain is stateless, so it spreads by op content.
+    rk.key = rk.referenced.empty() ? hash_bytes(ops.data(), ops.size()) : rk.referenced.front();
+    return rk;
   }
   // Malformed payload: still route deterministically (content hash) and
   // let the backend own the typed rejection.
@@ -320,46 +290,13 @@ Router::RouteKey Router::route_key(const FrameView& request) {
   return rk;
 }
 
-bool Router::routable(Backend& b, bool& half_open_trial) {
-  half_open_trial = false;
-  if (b.ejected.load(std::memory_order_acquire)) return false;
-  const std::int64_t until = b.breaker_open_until_ns.load(std::memory_order_acquire);
-  if (until == 0) return true;
-  if (steady_now_ns() < until) return false;  // open: shed in O(1)
-  // Cooldown elapsed: exactly one caller wins the half-open trial slot;
-  // everyone else keeps shedding until the trial reports back.
-  bool expected = false;
-  if (b.trial_in_flight.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
-    half_open_trial = true;
-    return true;
-  }
-  return false;
-}
+void Router::record_success(Backend& b) { b.failures.store(0, std::memory_order_relaxed); }
 
-void Router::record_backend_success(Backend& b) {
-  b.consecutive_failures.store(0, std::memory_order_relaxed);
-  b.breaker_open_until_ns.store(0, std::memory_order_release);
-  b.trial_in_flight.store(false, std::memory_order_release);
-}
-
-void Router::record_backend_transport_failure(Backend& b, bool half_open_trial) {
+void Router::record_failure(Backend& b) {
   b.transport_failures.fetch_add(1, std::memory_order_relaxed);
-  const auto cooldown_ns = static_cast<std::int64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(config_.breaker_cooldown).count());
-  const std::uint32_t fails = b.consecutive_failures.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (half_open_trial) {
-    // Failed trial: restart the cooldown before releasing the slot.
-    b.breaker_open_until_ns.store(steady_now_ns() + cooldown_ns, std::memory_order_release);
-    b.trial_in_flight.store(false, std::memory_order_release);
-    b.breaker_opens.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (fails >= config_.breaker_threshold) {
-    std::int64_t expected = 0;
-    if (b.breaker_open_until_ns.compare_exchange_strong(
-            expected, steady_now_ns() + cooldown_ns, std::memory_order_acq_rel)) {
-      b.breaker_opens.fetch_add(1, std::memory_order_relaxed);
-    }
+  if (b.failures.fetch_add(1, std::memory_order_acq_rel) + 1 >= config_.eject_after &&
+      !b.ejected.exchange(true, std::memory_order_acq_rel)) {
+    b.ejections.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -381,9 +318,10 @@ StatusOr<FrameView> Router::forward_once(std::size_t idx, BackendLink& link,
       StatusOr<TcpStream> conn = tcp_connect(b.addr.host, b.addr.port, connect_budget);
       if (!conn.ok()) return conn.status();
       link.stream = std::move(conn).value();
-      (void)link.stream.set_io_timeout(io_budget, io_budget);
       fresh = true;
     }
+    // Probes and requests share links but not budgets.
+    (void)link.stream.set_io_timeout(io_budget, io_budget);
     const ConstBuffer parts[] = {{payload.data(), payload.size()}};
     if (Status written = write_frame_parts(link.stream, kind, request_id, parts);
         !written.is_ok()) {
@@ -568,13 +506,11 @@ std::optional<OutboundFrame> Router::route_distributed(Links& links, const Frame
   if (data_bytes <= config_.distributed_max_bytes) return std::nullopt;
 
   // The shard set: walk the plan's preference list (deterministic per
-  // plan, same order failover uses) keeping backends that are healthy
-  // with a closed breaker. Read-only checks — the half-open trial slot
-  // stays available for the single-node path.
+  // plan, same order failover uses) keeping the healthy backends.
   const std::uint64_t plan_id = req.value().plan_id;
   std::vector<std::size_t> usable;
   for (const std::size_t idx : preference(plan_id)) {
-    if (backend_healthy(idx) && !backend_breaker_open(idx)) usable.push_back(idx);
+    if (backend_healthy(idx)) usable.push_back(idx);
   }
   const std::uint64_t want_by_size =
       (data_bytes + config_.distributed_max_bytes - 1) / config_.distributed_max_bytes;
@@ -587,7 +523,7 @@ std::optional<OutboundFrame> Router::route_distributed(Links& links, const Frame
   // s with band s; a link that already pushed that band, and is still
   // open, is skipped. A backend that cannot be primed is replaced by
   // the next usable one (or dropped, which changes the shard count and
-  // so every band), and its breaker is fed; distribution only proceeds
+  // so every band), and counts a failure; distribution only proceeds
   // while two shards remain.
   std::vector<std::size_t> chosen(usable.begin(), usable.begin() + shards);
   std::size_t spare = chosen.size();
@@ -619,7 +555,7 @@ std::optional<OutboundFrame> Router::route_distributed(Links& links, const Frame
       // The backend refuses the band (an old server answers SHARD_PLAN
       // as an unknown kind): the single-node path owns the answer.
       if (pushed.code() == StatusCode::kInvalidArgument) return std::nullopt;
-      record_backend_transport_failure(*backends_[idx], false);
+      record_failure(*backends_[idx]);
       if (spare < usable.size()) {
         chosen[s] = usable[spare++];  // same band, next usable backend
         continue;
@@ -646,9 +582,8 @@ std::optional<OutboundFrame> Router::route_distributed(Links& links, const Frame
   const auto execute = [&] {
     return DistributedPermuter::execute(
         dconfig, next_router_request_id(), plan_id, req.value().deadline_ms, n, 1,
-        req.value().data.bytes, targets, [this](std::size_t idx) {
-          record_backend_transport_failure(*backends_[idx], false);
-        });
+        req.value().data.bytes, targets,
+        [this](std::size_t idx) { record_failure(*backends_[idx]); });
   };
   StatusOr<DistributedPermuter::Result> result = execute();
   if (!result.ok() && result.status().code() == StatusCode::kInvalidArgument &&
@@ -678,7 +613,7 @@ std::optional<OutboundFrame> Router::route_distributed(Links& links, const Frame
     return error_outbound(request.request_id, result.status());
   }
   for (const std::size_t idx : chosen) {
-    record_backend_success(*backends_[idx]);
+    record_success(*backends_[idx]);
     backends_[idx]->ok.fetch_add(1, std::memory_order_relaxed);
   }
   dist_bytes_.fetch_add(data_bytes, std::memory_order_relaxed);
@@ -729,14 +664,8 @@ OutboundFrame Router::route_request(Links& links, const FrameView& request) {
   bool attempted_any = false;
   int hop = 0;
   for (const std::size_t idx : prefs) {
+    if (!backend_healthy(idx)) continue;
     Backend& b = *backends_[idx];
-    bool trial = false;
-    if (!routable(b, trial)) {
-      if (!b.ejected.load(std::memory_order_relaxed)) {
-        breaker_short_circuits_.fetch_add(1, std::memory_order_relaxed);
-      }
-      continue;
-    }
     if (attempted_any) {
       ++hop;
       const std::chrono::microseconds pause = failover_pause(config_, hop, request.request_id);
@@ -752,14 +681,13 @@ OutboundFrame Router::route_request(Links& links, const FrameView& request) {
           forward_once(idx, links[idx], request.kind, request.request_id, request.payload,
                        config_.connect_timeout, config_.io_timeout);
       if (!response.ok()) {
-        record_backend_transport_failure(b, trial);
+        record_failure(b);
         last = response.status();
         next_backend = true;
         break;
       }
       b.forward_ns.record(static_cast<std::uint64_t>(clock.nanos()));
-      record_backend_success(b);
-      trial = false;  // the trial reported back; later outcomes are ordinary
+      record_success(b);
       const FrameView& frame = response.value();
       if (static_cast<MsgKind>(frame.kind) != MsgKind::kError) {
         b.ok.fetch_add(1, std::memory_order_relaxed);
@@ -778,10 +706,10 @@ OutboundFrame Router::route_request(Links& links, const FrameView& request) {
       if (typed.code() == StatusCode::kInvalidArgument && pass == 0 &&
           !rk.referenced.empty() &&
           push_plans(idx, links[idx], rk.referenced, b.plans_synced).is_ok()) {
-        // "Unknown plan" from a backend that restarted since the health
-        // checker's last resync: replay the referenced plans on this
-        // very connection and retry once. (A genuinely malformed
-        // request re-earns the same typed error on the retry.)
+        // "Unknown plan" from a backend that restarted unnoticed by the
+        // probes: replay the referenced plans on this very connection
+        // and retry once. (A genuinely malformed request re-earns the
+        // same typed error on the retry.)
         plan_resyncs_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
@@ -837,8 +765,9 @@ OutboundFrame Router::handle_submit_plan(Links& links, const FrameView& request)
   }
 
   // Replicate to the first `replication` routable backends of the
-  // fingerprint's preference list. One ack answers the client — the
-  // health checker's resync heals any replica that missed its copy.
+  // fingerprint's preference list. One ack answers the client — lazy
+  // resync, or the registry replay on recovery, heals any replica that
+  // missed its copy.
   const std::vector<std::size_t> prefs = preference(fingerprint);
   const auto want = std::max<std::uint32_t>(
       1, std::min<std::uint32_t>(config_.replication,
@@ -847,21 +776,20 @@ OutboundFrame Router::handle_submit_plan(Links& links, const FrameView& request)
   Status last(StatusCode::kUnavailable, "no routable backend");
   for (const std::size_t idx : prefs) {
     if (acked >= want) break;
+    if (!backend_healthy(idx)) continue;
     Backend& b = *backends_[idx];
-    bool trial = false;
-    if (!routable(b, trial)) continue;
     b.requests.fetch_add(1, std::memory_order_relaxed);
     util::Stopwatch clock;
     StatusOr<FrameView> response =
         forward_once(idx, links[idx], request.kind, request.request_id, request.payload,
                      config_.connect_timeout, config_.io_timeout);
     if (!response.ok()) {
-      record_backend_transport_failure(b, trial);
+      record_failure(b);
       last = response.status();
       continue;
     }
     b.forward_ns.record(static_cast<std::uint64_t>(clock.nanos()));
-    record_backend_success(b);
+    record_success(b);
     const FrameView& frame = response.value();
     if (static_cast<MsgKind>(frame.kind) == MsgKind::kPlanOk) {
       b.ok.fetch_add(1, std::memory_order_relaxed);
@@ -882,74 +810,57 @@ OutboundFrame Router::handle_submit_plan(Links& links, const FrameView& request)
   return Reactor::outbound(make_ok_frame(request.request_id, MsgKind::kPlanOk, w.take()));
 }
 
-void Router::health_loop() {
-  std::vector<BackendLink> links(backends_.size());
+void Router::on_tick(std::chrono::steady_clock::time_point now) {
+  if (now < next_probe_ || probing_.exchange(true, std::memory_order_acq_rel)) return;
+  next_probe_ = now + config_.probe_interval;
+  reactor_.post([this] {
+    probe_round();
+    probing_.store(false, std::memory_order_release);
+  });
+}
 
-  const auto probe = [this](std::size_t idx, BackendLink& link) -> Status {
-    StatusOr<FrameView> response = forward_once(
-        idx, link, static_cast<std::uint16_t>(MsgKind::kPing), next_router_request_id(),
-        {kProbePayload, sizeof(kProbePayload)}, config_.probe_timeout, config_.probe_timeout);
-    if (!response.ok()) return response.status();
-    const FrameView& frame = response.value();
-    if (static_cast<MsgKind>(frame.kind) == MsgKind::kError) {
-      const Status typed = error_status(frame.payload);
-      if (typed.code() == StatusCode::kResourceExhausted) {
-        // At connection capacity — busy, but alive. Ejecting it would
-        // only dogpile the survivors.
-        return Status::ok();
-      }
-      return typed.is_ok() ? Status(StatusCode::kUnavailable, "probe answered with ERROR")
-                           : typed;
-    }
-    if (frame.payload.size() != sizeof(kProbePayload) ||
-        std::memcmp(frame.payload.data(), kProbePayload, sizeof(kProbePayload)) != 0) {
-      return Status(StatusCode::kUnavailable, "probe echo mismatch");
-    }
-    return Status::ok();
-  };
-
-  auto next_probe = std::chrono::steady_clock::now();
-  while (!stop_.load(std::memory_order_acquire)) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now < next_probe) {
-      // Sleep in poll slices so stop() stays prompt.
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(next_probe - now);
-      std::this_thread::sleep_for(std::min(config_.poll_interval, remaining));
-      continue;
-    }
-    next_probe = now + config_.probe_interval;
-    for (std::size_t idx = 0; idx < backends_.size(); ++idx) {
-      if (stop_.load(std::memory_order_acquire)) return;
-      Backend& b = *backends_[idx];
-      const Status outcome = probe(idx, links[idx]);
-      if (outcome.is_ok()) {
-        b.probe_failures.store(0, std::memory_order_relaxed);
-        if (b.ejected.load(std::memory_order_acquire)) {
-          // Recovery = successful probe + a full registry replay, in
-          // that order: a restarted backend rejoins the ring already
-          // holding every plan it may be asked to serve.
-          if (push_plans(idx, links[idx], {}, b.plans_synced).is_ok()) {
-            b.consecutive_failures.store(0, std::memory_order_relaxed);
-            b.breaker_open_until_ns.store(0, std::memory_order_release);
-            b.trial_in_flight.store(false, std::memory_order_release);
-            b.ejected.store(false, std::memory_order_release);
-            b.recoveries.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            links[idx].close();
-          }
-        }
-      } else {
-        links[idx].close();
-        const std::uint32_t fails =
-            b.probe_failures.fetch_add(1, std::memory_order_acq_rel) + 1;
-        if (fails >= config_.eject_after &&
-            !b.ejected.exchange(true, std::memory_order_acq_rel)) {
-          b.ejections.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
+void Router::probe_round() {
+  Links links(*this);
+  for (std::size_t idx = 0; idx < backends_.size() && running(); ++idx) {
+    Backend& b = *backends_[idx];
+    if (!probe(idx, links[idx]).is_ok()) {
+      links[idx].close();
+      record_failure(b);
+    } else if (!b.ejected.load(std::memory_order_acquire)) {
+      record_success(b);
+    } else if (push_plans(idx, links[idx], {}, b.plans_synced).is_ok()) {
+      // Recovery = successful probe + a full registry replay, in that
+      // order: a restarted backend rejoins the ring already holding
+      // every plan it may be asked to serve.
+      record_success(b);
+      b.ejected.store(false, std::memory_order_release);
+      b.recoveries.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      links[idx].close();
     }
   }
+}
+
+Status Router::probe(std::size_t idx, BackendLink& link) {
+  StatusOr<FrameView> response = forward_once(
+      idx, link, static_cast<std::uint16_t>(MsgKind::kPing), next_router_request_id(),
+      {kProbePayload, sizeof(kProbePayload)}, config_.probe_timeout, config_.probe_timeout);
+  if (!response.ok()) return response.status();
+  const FrameView& frame = response.value();
+  if (static_cast<MsgKind>(frame.kind) == MsgKind::kError) {
+    const Status typed = error_status(frame.payload);
+    if (typed.code() == StatusCode::kResourceExhausted) {
+      // At connection capacity — busy, but alive. Ejecting it would
+      // only dogpile the survivors.
+      return Status::ok();
+    }
+    return typed.is_ok() ? Status(StatusCode::kUnavailable, "probe answered with ERROR") : typed;
+  }
+  if (frame.payload.size() != sizeof(kProbePayload) ||
+      std::memcmp(frame.payload.data(), kProbePayload, sizeof(kProbePayload)) != 0) {
+    return Status(StatusCode::kUnavailable, "probe echo mismatch");
+  }
+  return Status::ok();
 }
 
 Router::Snapshot Router::snapshot() const {
@@ -957,7 +868,6 @@ Router::Snapshot Router::snapshot() const {
   s.requests_total = requests_total_.load(std::memory_order_relaxed);
   s.failovers_total = failovers_total_.load(std::memory_order_relaxed);
   s.retry_later_failovers = retry_later_failovers_.load(std::memory_order_relaxed);
-  s.breaker_short_circuits = breaker_short_circuits_.load(std::memory_order_relaxed);
   s.no_backend_available = no_backend_available_.load(std::memory_order_relaxed);
   s.plan_resyncs = plan_resyncs_.load(std::memory_order_relaxed);
   s.dist_requests = dist_requests_.load(std::memory_order_relaxed);
@@ -971,14 +881,11 @@ Router::Snapshot Router::snapshot() const {
   s.connections_rejected = io.connections_rejected;
   s.protocol_errors = io.protocol_errors + protocol_errors_.load(std::memory_order_relaxed);
   s.backends.reserve(backends_.size());
-  const std::int64_t now_ns = steady_now_ns();
   for (const auto& bp : backends_) {
     const Backend& b = *bp;
     BackendStats bs;
     bs.backend = b.label;
     bs.healthy = !b.ejected.load(std::memory_order_acquire);
-    const std::int64_t until = b.breaker_open_until_ns.load(std::memory_order_acquire);
-    bs.breaker_open = until != 0 && now_ns < until;
     bs.requests = b.requests.load(std::memory_order_relaxed);
     bs.ok = b.ok.load(std::memory_order_relaxed);
     bs.typed_errors = b.typed_errors.load(std::memory_order_relaxed);
@@ -987,7 +894,6 @@ Router::Snapshot Router::snapshot() const {
     bs.failovers_to = b.failovers_to.load(std::memory_order_relaxed);
     bs.ejections = b.ejections.load(std::memory_order_relaxed);
     bs.recoveries = b.recoveries.load(std::memory_order_relaxed);
-    bs.breaker_opens = b.breaker_opens.load(std::memory_order_relaxed);
     bs.plans_synced = b.plans_synced.load(std::memory_order_relaxed);
     bs.forward_count = b.forward_ns.count();
     bs.forward_ns_sum = b.forward_ns.sum();
@@ -1005,7 +911,6 @@ std::string Router::Snapshot::to_json() const {
   os << "\"requests_total\":" << requests_total;
   os << ",\"failovers_total\":" << failovers_total;
   os << ",\"retry_later_failovers\":" << retry_later_failovers;
-  os << ",\"breaker_short_circuits\":" << breaker_short_circuits;
   os << ",\"no_backend_available\":" << no_backend_available;
   os << ",\"plan_resyncs\":" << plan_resyncs;
   os << ",\"distributed_requests\":" << dist_requests;
@@ -1023,7 +928,6 @@ std::string Router::Snapshot::to_json() const {
     if (i > 0) os << ",";
     os << "{\"backend\":\"" << b.backend << "\"";
     os << ",\"healthy\":" << (b.healthy ? "true" : "false");
-    os << ",\"breaker_open\":" << (b.breaker_open ? "true" : "false");
     os << ",\"requests\":" << b.requests;
     os << ",\"ok\":" << b.ok;
     os << ",\"typed_errors\":" << b.typed_errors;
@@ -1032,7 +936,6 @@ std::string Router::Snapshot::to_json() const {
     os << ",\"failovers_to\":" << b.failovers_to;
     os << ",\"ejections\":" << b.ejections;
     os << ",\"recoveries\":" << b.recoveries;
-    os << ",\"breaker_opens\":" << b.breaker_opens;
     os << ",\"plans_synced\":" << b.plans_synced;
     os << ",\"forward_count\":" << b.forward_count;
     os << ",\"forward_ns_sum\":" << b.forward_ns_sum;
@@ -1058,8 +961,6 @@ std::string Router::Snapshot::to_prometheus() const {
           failovers_total);
   counter("hmm_router_retry_later_failovers_total",
           "RETRY_LATER answers treated as failover-eligible.", retry_later_failovers);
-  counter("hmm_router_breaker_short_circuits_total",
-          "Attempts skipped because a breaker was open.", breaker_short_circuits);
   counter("hmm_router_no_backend_available_total",
           "Requests with zero routable backends.", no_backend_available);
   counter("hmm_router_plan_resyncs_total", "Lazy per-request plan resyncs.", plan_resyncs);
@@ -1100,20 +1001,19 @@ std::string Router::Snapshot::to_prometheus() const {
   per_backend("hmm_router_backend_retry_later_total", "RETRY_LATER answers per backend.",
               [](const BackendStats& b) { return b.retry_later; });
   per_backend("hmm_router_backend_transport_failures_total",
-              "Transport-level forward failures per backend.",
+              "Transport-level failures per backend (requests and probes).",
               [](const BackendStats& b) { return b.transport_failures; });
   per_backend("hmm_router_backend_failovers_to_total",
               "Requests this backend absorbed off-primary.",
               [](const BackendStats& b) { return b.failovers_to; });
-  per_backend("hmm_router_backend_ejections_total", "Health-check ejections.",
+  per_backend("hmm_router_backend_ejections_total",
+              "Ejections after consecutive failures on the probe or request path.",
               [](const BackendStats& b) { return b.ejections; });
   per_backend("hmm_router_backend_recoveries_total",
               "Rejoins after a successful probe + plan resync.",
               [](const BackendStats& b) { return b.recoveries; });
-  per_backend("hmm_router_backend_breaker_opens_total", "Circuit-breaker opens.",
-              [](const BackendStats& b) { return b.breaker_opens; });
   per_backend("hmm_router_backend_plans_synced_total",
-              "SUBMIT_PLANs replayed by health or lazy resync.",
+              "SUBMIT_PLANs replayed by recovery or lazy resync.",
               [](const BackendStats& b) { return b.plans_synced; });
 
   os << "# HELP hmm_router_backend_healthy 1 while the backend is in the ring.\n"
@@ -1121,12 +1021,6 @@ std::string Router::Snapshot::to_prometheus() const {
   for (const BackendStats& b : backends) {
     os << "hmm_router_backend_healthy{backend=\"" << b.backend << "\"} "
        << (b.healthy ? 1 : 0) << "\n";
-  }
-  os << "# HELP hmm_router_backend_breaker_open 1 while the circuit breaker sheds load.\n"
-     << "# TYPE hmm_router_backend_breaker_open gauge\n";
-  for (const BackendStats& b : backends) {
-    os << "hmm_router_backend_breaker_open{backend=\"" << b.backend << "\"} "
-       << (b.breaker_open ? 1 : 0) << "\n";
   }
 
   // Forward latency as a summary per backend, quantiles from the log2

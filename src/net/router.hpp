@@ -20,22 +20,21 @@
 ///  - **Replication makes failover a hit.** SUBMIT_PLAN is forwarded to
 ///    the first `replication` routable backends of its preference list
 ///    and remembered in the router's own registry (payload bytes keyed
-///    by fingerprint). A restarted backend comes back empty; the health
-///    checker replays the registry into it *before* marking it healthy,
-///    and the request path lazily re-submits referenced plans when a
-///    backend answers "unknown plan" for a plan the router holds.
-///  - **Active health checking.** A dedicated thread PINGs every
-///    backend each `probe_interval` under `probe_timeout`;
-///    `eject_after` consecutive probe failures eject the backend from
-///    routing. Ejected backends keep being probed — the probe *is* the
-///    half-open trial — and rejoin only after a successful probe plus a
-///    full plan resync.
-///  - **Per-backend circuit breakers.** `breaker_threshold` consecutive
-///    request-path transport failures open the breaker; while open the
-///    backend is skipped with two atomic loads (a dead shard sheds load
-///    in O(1), no connect timeout burned per request). After
-///    `breaker_cooldown` the breaker goes half-open and admits a single
-///    trial request; success closes it, failure re-opens the cooldown.
+///    by fingerprint). A restarted backend comes back empty; a probe
+///    that finds it again replays the registry into it *before* it
+///    rejoins, and the request path lazily re-submits referenced plans
+///    when a backend answers "unknown plan" for a plan the router holds.
+///  - **One health state per backend.** A backend is routable or
+///    ejected. One counter of consecutive transport failures has two
+///    inputs: the request path (forwards, band pushes, shard
+///    executions) and the probes. Any success resets it; `eject_after`
+///    in a row eject the backend, which routing then skips with one
+///    atomic load (a dead shard sheds load in O(1), no connect timeout
+///    burned per request). Every `probe_interval` the reactor tick
+///    posts one probe round to the handler pool (never two at once): it
+///    PINGs each backend under `probe_timeout` over a link checked out
+///    of that backend's pool. Ejected backends keep being probed and
+///    rejoin only after a successful probe plus a full registry replay.
 ///  - **Failover, typed.** Transport failures and RETRY_LATER answers
 ///    are failover-eligible: the request is re-sent to the next backend
 ///    of its preference list after a capped, deterministically jittered
@@ -70,7 +69,7 @@
 ///
 /// PING and STATS are answered locally: PING probes the router itself,
 /// STATS returns the router's own snapshot (per-backend health,
-/// breaker state, failovers, forward-latency histograms) as JSON.
+/// failovers, forward-latency histograms) as JSON.
 
 #include <atomic>
 #include <chrono>
@@ -83,7 +82,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -127,24 +125,21 @@ class Router {
     std::uint32_t replication = 2;
     /// Ring points per backend; more points = smoother key spread.
     std::uint32_t virtual_nodes = 64;
-    /// Active health check cadence and per-probe budget.
+    /// Probe round cadence and per-probe budget.
     std::chrono::milliseconds probe_interval{250};
     std::chrono::milliseconds probe_timeout{1'000};
-    /// Consecutive failed probes before a backend is ejected.
+    /// Consecutive transport failures, of probes and requests alike,
+    /// before a backend is ejected.
     std::uint32_t eject_after = 2;
-    /// Consecutive request-path transport failures that open the
-    /// breaker, and how long it stays open before the half-open trial.
-    std::uint32_t breaker_threshold = 5;
-    std::chrono::milliseconds breaker_cooldown{1'000};
     /// Pause before failover hop k (1-based): base << (k-1), capped,
     /// plus deterministic jitter of up to the same amount.
     std::chrono::milliseconds failover_backoff_base{2};
     std::chrono::milliseconds failover_backoff_cap{50};
-    std::uint64_t failover_jitter_seed = 0xf417'0e5e'edf4'170eull;
     /// Transport budgets for backend links.
     std::chrono::milliseconds connect_timeout{1'000};
     std::chrono::milliseconds io_timeout{30'000};
-    /// Stop-flag poll slice for the reactor and the health loop.
+    /// Reactor tick: timeouts and the probe cadence are honored at
+    /// this granularity.
     std::chrono::milliseconds poll_interval{50};
     /// Distributed execution: a PERMUTE whose element bytes exceed this
     /// is split into bands of its n elements, one per healthy backend
@@ -159,18 +154,16 @@ class Router {
   /// Point-in-time per-backend view (plain integers, safe to format).
   struct BackendStats {
     std::string backend;  ///< "host:port"
-    bool healthy = true;  ///< not ejected by the health checker
-    bool breaker_open = false;
+    bool healthy = true;  ///< not ejected
     std::uint64_t requests = 0;  ///< forward attempts (incl. failures)
     std::uint64_t ok = 0;        ///< success responses relayed
     std::uint64_t typed_errors = 0;
     std::uint64_t retry_later = 0;  ///< RETRY_LATER answers (failover-eligible)
-    std::uint64_t transport_failures = 0;
+    std::uint64_t transport_failures = 0;  ///< failed exchanges, probes included
     std::uint64_t failovers_to = 0;  ///< requests served here off-primary
     std::uint64_t ejections = 0;
     std::uint64_t recoveries = 0;
-    std::uint64_t breaker_opens = 0;
-    std::uint64_t plans_synced = 0;  ///< SUBMIT_PLANs replayed by health/lazy resync
+    std::uint64_t plans_synced = 0;  ///< SUBMIT_PLANs replayed by recovery/lazy resync
     std::uint64_t forward_count = 0;
     std::uint64_t forward_ns_sum = 0;
     std::uint64_t forward_ns_p50 = 0;
@@ -183,7 +176,6 @@ class Router {
     std::uint64_t requests_total = 0;       ///< routed client requests
     std::uint64_t failovers_total = 0;      ///< served off the key's primary
     std::uint64_t retry_later_failovers = 0;
-    std::uint64_t breaker_short_circuits = 0;
     std::uint64_t no_backend_available = 0;
     std::uint64_t plan_resyncs = 0;         ///< lazy per-request resyncs
     std::uint64_t dist_requests = 0;   ///< PERMUTEs executed as shard bands
@@ -208,14 +200,15 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Bind + listen + start the reactor and the health-check loop.
-  /// Error if already running, no backends are configured, or the bind
-  /// fails.
+  /// Bind + listen + start the reactor, whose tick drives the probe
+  /// rounds. Error if already running, no backends are configured, or
+  /// the bind fails.
   runtime::Status start();
 
-  /// Graceful shutdown: stop accepting, let in-flight requests finish,
-  /// join every thread. Idempotent; also called by the destructor.
-  void stop();
+  /// Graceful shutdown: stop accepting, let in-flight requests and the
+  /// current probe finish, join every thread. Idempotent; also called by
+  /// the destructor.
+  void stop() { reactor_.stop(); }
 
   [[nodiscard]] bool running() const noexcept { return reactor_.running(); }
   /// The bound port (valid after a successful start()).
@@ -231,7 +224,6 @@ class Router {
   /// the key's primary, the tail its failover order. Ignores health.
   [[nodiscard]] std::vector<std::size_t> preference(std::uint64_t key) const;
   [[nodiscard]] bool backend_healthy(std::size_t idx) const;
-  [[nodiscard]] bool backend_breaker_open(std::size_t idx) const;
 
  private:
   /// One shard's band of a distributed plan: (fingerprint, shard
@@ -288,14 +280,22 @@ class Router {
   };
 
   void build_ring();
-  void health_loop();
+
+  /// Reactor tick: post a probe round once `probe_interval` has passed
+  /// and none is in flight.
+  void on_tick(std::chrono::steady_clock::time_point now);
+  /// PING every backend over a pooled link, feed the health state, and
+  /// readmit a recovered backend after a full registry replay. Stops
+  /// early once the reactor is stopping.
+  void probe_round();
+  runtime::Status probe(std::size_t idx, BackendLink& link);
 
   /// Dispatch one client frame: answer PING/STATS locally, proxy the
   /// rest over backend links checked out for this request.
   OutboundFrame respond(const FrameView& request);
   OutboundFrame handle_submit_plan(Links& links, const FrameView& request);
-  /// PERMUTE / EXECUTE_PROGRAM: walk the preference list with breaker
-  /// gating, failover backoff, and lazy plan resync.
+  /// PERMUTE / EXECUTE_PROGRAM: walk the preference list of routable
+  /// backends with failover backoff and lazy plan resync.
   OutboundFrame route_request(Links& links, const FrameView& request);
 
   /// Oversized PERMUTE: split into bands across the healthy
@@ -335,12 +335,11 @@ class Router {
                             std::span<const std::uint8_t> payload,
                             std::atomic<std::uint64_t>& pushed);
 
-  /// Breaker/health gate. O(1): two atomic loads on the common path.
-  /// Sets `half_open_trial` when this call claimed the single half-open
-  /// probe slot (the caller must report the outcome via record_*).
-  bool routable(Backend& b, bool& half_open_trial);
-  void record_backend_success(Backend& b);
-  void record_backend_transport_failure(Backend& b, bool half_open_trial);
+  /// The health state's two transitions on the request and probe
+  /// paths: a success resets the failure count, `eject_after` failures
+  /// in a row eject the backend. Only a probe readmits it.
+  static void record_success(Backend& b);
+  void record_failure(Backend& b);
 
   [[nodiscard]] std::uint64_t next_router_request_id() noexcept {
     return kRouterIdTag | (router_seq_.fetch_add(1, std::memory_order_relaxed) &
@@ -367,8 +366,10 @@ class Router {
   std::vector<std::unique_ptr<Backend>> backends_;
   std::vector<RingPoint> ring_;
 
-  std::atomic<bool> stop_{false};
-  std::thread health_thread_;
+  /// Written only by the reactor tick; a probe round is in flight
+  /// while `probing_` is set.
+  std::chrono::steady_clock::time_point next_probe_{};
+  std::atomic<bool> probing_{false};
 
   mutable std::mutex plans_mutex_;
   std::unordered_map<std::uint64_t, std::shared_ptr<const std::vector<std::uint8_t>>> plans_;
@@ -385,7 +386,6 @@ class Router {
   std::atomic<std::uint64_t> requests_total_{0};
   std::atomic<std::uint64_t> failovers_total_{0};
   std::atomic<std::uint64_t> retry_later_failovers_{0};
-  std::atomic<std::uint64_t> breaker_short_circuits_{0};
   std::atomic<std::uint64_t> no_backend_available_{0};
   std::atomic<std::uint64_t> plan_resyncs_{0};
   std::atomic<std::uint64_t> dist_requests_{0};

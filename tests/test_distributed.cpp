@@ -23,12 +23,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -1060,19 +1063,130 @@ TEST(DistributedRouter, LargePermuteShardsTransparently) {
   for (auto& be : backends) be->stop();
 }
 
+/// Wait until every shard answered the router's first probe round,
+/// which goes out at the reactor's first tick over pooled links. After
+/// it, with probes effectively off, no probe can hold a link a request
+/// would otherwise reuse, so the link-priming counts are exact.
+void await_first_probes(const std::vector<std::unique_ptr<Shard>>& shards) {
+  ASSERT_TRUE(eventually([&] {
+    return std::all_of(shards.begin(), shards.end(), [](const auto& shard) {
+      return shard->server->counters().requests_ok >= 1;
+    });
+  })) << "the first probe round never reached every shard";
+}
+
+/// A loopback relay in front of one shard that can hold SHARD_EXECs:
+/// while held, a connection whose first frame is a SHARD_EXEC waits at
+/// the relay before it reaches the shard. Every other connection (the
+/// router's links, peer blocks) flows through.
+class ExecGate {
+ public:
+  explicit ExecGate(std::uint16_t shard_port) : shard_port_(shard_port) {
+    auto bound = net::TcpListener::bind("127.0.0.1", 0);
+    EXPECT_TRUE(bound.ok()) << bound.status().to_string();
+    if (bound.ok()) listener_ = std::move(bound).value();
+    acceptor_ = std::thread([this] { accept_loop(); });
+  }
+  ~ExecGate() {
+    release();
+    stop_.store(true);
+    acceptor_.join();
+    for (std::thread& t : relays_) t.join();
+  }
+  ExecGate(const ExecGate&) = delete;
+  ExecGate& operator=(const ExecGate&) = delete;
+
+  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
+  void hold() {
+    std::lock_guard lock(mutex_);
+    held_ = true;
+  }
+  void release() {
+    {
+      std::lock_guard lock(mutex_);
+      held_ = false;
+    }
+    released_.notify_all();
+  }
+  /// SHARD_EXECs waiting at the gate.
+  [[nodiscard]] std::size_t waiting() {
+    std::lock_guard lock(mutex_);
+    return waiting_;
+  }
+
+ private:
+  void accept_loop() {
+    while (!stop_.load()) {
+      runtime::StatusOr<net::TcpStream> client = listener_.accept(10ms);
+      if (!client.ok()) continue;
+      relays_.emplace_back(
+          [this, c = std::move(client).value()]() mutable { relay(c); });
+    }
+  }
+
+  void relay(net::TcpStream& client) {
+    (void)client.set_io_timeout(10'000ms, 10'000ms);
+    std::array<std::uint8_t, net::kHeaderBytes> header{};
+    if (!client.recv_all(header.data(), header.size()).is_ok()) return;
+    const auto kind = static_cast<std::uint16_t>(header[6] | (header[7] << 8));
+    if (kind == static_cast<std::uint16_t>(net::MsgKind::kShardExec)) {
+      std::unique_lock lock(mutex_);
+      ++waiting_;
+      released_.wait(lock, [this] { return !held_; });
+      --waiting_;
+    }
+    runtime::StatusOr<net::TcpStream> shard = net::tcp_connect("127.0.0.1", shard_port_, 1'000ms);
+    if (!shard.ok() || !shard.value().send_all(header.data(), header.size()).is_ok()) return;
+    std::thread back([&] { pump(shard.value(), client); });
+    pump(client, shard.value());
+    back.join();
+  }
+
+  /// Copy bytes until `from` closes or the gate stops.
+  void pump(net::TcpStream& from, net::TcpStream& to) {
+    std::array<std::uint8_t, 16 << 10> buf;
+    while (!stop_.load()) {
+      runtime::StatusOr<bool> readable = from.poll_readable(10ms);
+      if (!readable.ok()) return;
+      if (!readable.value()) continue;
+      runtime::StatusOr<std::size_t> got = from.recv_some(buf.data(), buf.size());
+      if (!got.ok()) return;
+      if (got.value() > 0 && !to.send_all(buf.data(), got.value()).is_ok()) return;
+    }
+  }
+
+  std::uint16_t shard_port_;
+  net::TcpListener listener_;
+  std::atomic<bool> stop_{false};
+  std::thread acceptor_;
+  std::vector<std::thread> relays_;  ///< touched by the acceptor, then the destructor
+  std::mutex mutex_;
+  std::condition_variable released_;
+  bool held_ = false;
+  std::size_t waiting_ = 0;
+};
+
 /// Three shards behind a router that splits every PERMUTE above 16 KiB
 /// into three bands (n = 2^14 asks for four; the fleet caps it). Health
-/// probes are effectively off, so only the request path sees restarts.
+/// probes are effectively off after the first round, which the fixture
+/// waits out, so only the request path sees restarts. `gated` puts an
+/// ExecGate in front of shard 0.
 struct DistFleet {
   std::vector<std::unique_ptr<Shard>> backends;
+  std::unique_ptr<ExecGate> gate;
   std::unique_ptr<net::Router> router;
 
-  DistFleet() {
+  explicit DistFleet(bool gated = false) {
     net::Router::Config config;
     for (int i = 0; i < 3; ++i) {
       backends.push_back(std::make_unique<Shard>());
       backends.back()->start();
-      config.backends.push_back(net::BackendAddress{"127.0.0.1", backends.back()->port});
+      std::uint16_t port = backends.back()->port;
+      if (i == 0 && gated) {
+        gate = std::make_unique<ExecGate>(port);
+        port = gate->port();
+      }
+      config.backends.push_back(net::BackendAddress{"127.0.0.1", port});
     }
     config.distributed_max_bytes = 16 << 10;
     config.probe_interval = 60'000ms;
@@ -1083,6 +1197,7 @@ struct DistFleet {
     router = std::make_unique<net::Router>(std::move(config));
     const Status started = router->start();
     EXPECT_TRUE(started.is_ok()) << started.to_string();
+    await_first_probes(backends);
   }
 
   ~DistFleet() {
@@ -1187,18 +1302,25 @@ TEST(DistributedRouter, RestartedShardIsReprimedExactlyOnce) {
 }
 
 TEST(DistributedRouter, PrimedShardsHoldOnlyTheirBands) {
-  DistFleet fleet;
+  DistFleet fleet(/*gated=*/true);
   const std::uint64_t n = 1 << 14;  // every band's tables are 8 B per element
   const perm::Permutation p = perm::by_name("random", n, 61);
   net::Client first(fleet.client_config());
   auto plan = first.submit_plan(p);
   ASSERT_TRUE(plan.ok()) << plan.status().to_string();
   // Two client connections ask for the plan at once: one compiles, the
-  // other waits for that compile.
+  // other waits for that compile or finds it done. The gate holds each
+  // request's SHARD_EXEC to shard 0 until both are there, so both
+  // requests are primed and in flight at once, each over its own links.
   net::Client second(fleet.client_config());
+  fleet.gate->hold();
   std::thread racer([&] { expect_bit_exact(second, plan.value(), p, 1); });
-  expect_bit_exact(first, plan.value(), p, 0);
+  std::thread opener([&] { expect_bit_exact(first, plan.value(), p, 0); });
+  const bool overlapped = eventually([&] { return fleet.gate->waiting() == 2; });
+  fleet.gate->release();
   racer.join();
+  opener.join();
+  ASSERT_TRUE(overlapped) << "the two requests never reached the gate together";
 
   const net::Router::Snapshot snap = fleet.router->snapshot();
   EXPECT_EQ(snap.dist_requests, 2u);
@@ -1279,6 +1401,7 @@ TEST(DistributedRouter, DroppedBandIsReprimedOnceThroughTheRetry) {
   config.poll_interval = 10ms;
   net::Router router(std::move(config));
   ASSERT_TRUE(router.start().is_ok());
+  await_first_probes(backends);
   net::Client::Config cc;
   cc.host = "127.0.0.1";
   cc.port = router.port();

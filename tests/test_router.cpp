@@ -1,10 +1,13 @@
 /// Tests for `net::Router`: consistent-hash preference lists, proxied
-/// end-to-end serving, and the fault-tolerance battery the fleet story
-/// rests on — failover off a killed backend is bit-identical, an
-/// ejected backend rejoins through the half-open probe with its plan
-/// registry replayed, a restarted (plan-less) backend is healed by the
-/// lazy resync path, and a dead shard trips its circuit breaker so
-/// later requests shed it in O(1) instead of burning a connect timeout.
+/// end-to-end serving (PERMUTE and EXECUTE_PROGRAM), and the
+/// fault-tolerance battery the fleet story rests on — failover off a
+/// killed backend is bit-identical, an ejected backend rejoins through a
+/// successful probe with its plan registry replayed, a restarted
+/// (plan-less) backend is healed by the lazy resync path, and request
+/// failures eject a dead shard so later requests shed it in O(1)
+/// instead of burning a connect timeout. The probes run on the
+/// router's reactor: no thread of their own, and stop() does not wait
+/// out a hung round.
 ///
 /// Backends are real in-process `net::Server`s over real
 /// `RobustPermuteService`s on loopback; "killing" one is `stop()`, and
@@ -16,8 +19,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,6 +33,8 @@
 #include "net/socket.hpp"
 #include "perm/generators.hpp"
 #include "perm/permutation.hpp"
+#include "runtime/fingerprint.hpp"
+#include "runtime/program.hpp"
 #include "runtime/service.hpp"
 #include "runtime/status.hpp"
 #include "util/thread_pool.hpp"
@@ -35,6 +43,8 @@ namespace hmm {
 namespace {
 
 using namespace std::chrono_literals;
+using runtime::ProgramOp;
+using runtime::ProgramOpCode;
 using runtime::Status;
 using runtime::StatusCode;
 
@@ -63,8 +73,8 @@ struct Backend {
   }
 };
 
-/// N backends + a router over them, with probe/breaker knobs tuned for
-/// test time scales (override via `tune` before start).
+/// N backends + a router over them, with probe knobs tuned for test
+/// time scales (override via `tune` before start).
 struct Fleet {
   std::vector<std::unique_ptr<Backend>> backends;
   std::unique_ptr<net::Router> router;
@@ -79,8 +89,6 @@ struct Fleet {
     config.probe_interval = 50ms;
     config.probe_timeout = 500ms;
     config.eject_after = 2;
-    config.breaker_threshold = 3;
-    config.breaker_cooldown = 200ms;
     config.failover_backoff_base = 1ms;
     config.failover_backoff_cap = 5ms;
     config.connect_timeout = 500ms;
@@ -116,7 +124,39 @@ struct Fleet {
     }
     return pred();
   }
+
+  /// Wait until every backend answered the router's first probe round,
+  /// which goes out at the reactor's first tick.
+  void await_first_probes() const {
+    ASSERT_TRUE(eventually([&] {
+      return std::all_of(backends.begin(), backends.end(), [](const auto& b) {
+        return b->server->counters().requests_ok >= 1;
+      });
+    })) << "the first probe round never reached every backend";
+  }
+
+  /// A plan whose preference list starts at backend `primary`: the
+  /// first of a few random mappings that hashes there, or nullopt.
+  std::optional<perm::Permutation> plan_with_primary(std::size_t primary,
+                                                     std::uint64_t n) const {
+    for (std::uint64_t seedling = 1; seedling <= 64; ++seedling) {
+      perm::Permutation candidate = perm::by_name("random", n, seedling);
+      const std::uint64_t id = runtime::fingerprint_permutation(candidate).value;
+      if (router->preference(id)[0] == primary) return candidate;
+    }
+    return std::nullopt;
+  }
 };
+
+/// The process's thread count, from /proc/self/status (0 if unreadable).
+std::uint64_t process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoull(line.substr(8));
+  }
+  return 0;
+}
 
 // ------------------------------------------------------------- hashing
 
@@ -245,11 +285,11 @@ TEST(RouterFailover, EjectedBackendRecoversViaHalfOpenProbeAndServesAgain) {
   fleet.backends[victim]->stop();
 
   ASSERT_TRUE(Fleet::eventually([&] { return !fleet.router->backend_healthy(victim); }))
-      << "health checker never ejected the dead backend";
+      << "the probes never ejected the dead backend";
 
-  // Restart on the same port with an empty plan registry. The half-open
-  // probe must notice, replay the router's registry into it, and only
-  // then mark it healthy.
+  // Restart on the same port with an empty plan registry. A probe of
+  // the ejected backend must notice, replay the router's registry into
+  // it, and only then mark it healthy.
   fleet.backends[victim]->start(victim_port);
   ASSERT_EQ(fleet.backends[victim]->port, victim_port);
   ASSERT_TRUE(Fleet::eventually([&] { return fleet.router->backend_healthy(victim); }))
@@ -306,86 +346,280 @@ TEST(RouterFailover, QuietRestartIsHealedByLazyPlanResync) {
   EXPECT_GE(fleet.router->snapshot().plan_resyncs, 1u);
 }
 
-// ------------------------------------------------------------- breaker
+// -------------------------------------------------------------- health
 
-TEST(RouterBreaker, OpensAfterConsecutiveFailuresAndShedsInO1) {
-  // One live backend + one permanently dead address. Health checking is
-  // effectively disabled so ejection cannot mask the breaker: every
-  // request aimed at the dead shard must burn a connect failure until
-  // the breaker opens, after which it is skipped outright.
-  auto doomed = net::TcpListener::bind("127.0.0.1", 0);
-  ASSERT_TRUE(doomed.ok());
-  const std::uint16_t dead_port = doomed.value().port();
-  doomed.value().close();
+TEST(RouterHealth, RequestFailuresEjectAndShedInO1) {
+  // One live backend and one that dies after the first probe round.
+  // Probes are effectively off after that round, so only the request
+  // path can see the death: every request aimed at the dead shard burns
+  // a connect failure until `eject_after` of them eject it, after which
+  // it is skipped outright.
+  Fleet fleet(2, [](net::Router::Config& c) {
+    c.probe_interval = 60'000ms;
+    c.eject_after = 2;
+    c.failover_backoff_cap = 2ms;
+    c.connect_timeout = 250ms;
+  });
+  fleet.await_first_probes();
+  net::Client client(fleet.client_config());
 
-  std::vector<std::unique_ptr<Backend>> live;
-  live.push_back(std::make_unique<Backend>());
-  live.back()->start();
-
-  net::Router::Config config;
-  config.backends = {net::BackendAddress{"127.0.0.1", live.back()->port},
-                     net::BackendAddress{"127.0.0.1", dead_port}};
-  config.probe_interval = 60'000ms;
-  config.eject_after = 1'000'000;
-  config.breaker_threshold = 2;
-  config.breaker_cooldown = 60'000ms;
-  config.failover_backoff_base = 1ms;
-  config.failover_backoff_cap = 2ms;
-  config.connect_timeout = 250ms;
-  config.io_timeout = 5'000ms;
-  config.poll_interval = 10ms;
-  net::Router router(std::move(config));
-  ASSERT_TRUE(router.start().is_ok());
-
-  net::Client::Config cc;
-  cc.host = "127.0.0.1";
-  cc.port = router.port();
-  net::Client client(cc);
-
-  // Find a plan whose primary is the dead shard, so every permute must
-  // attempt it first (until the breaker opens).
   const std::uint64_t n = 512;
-  std::uint64_t dead_primary_id = 0;
-  perm::Permutation chosen = perm::by_name("random", n, 1);
-  for (std::uint64_t seedling = 1; seedling <= 64; ++seedling) {
-    perm::Permutation candidate = perm::by_name("random", n, seedling);
-    auto id = client.submit_plan(candidate);
-    ASSERT_TRUE(id.ok()) << id.status().to_string();
-    if (router.preference(id.value())[0] == 1) {
-      dead_primary_id = id.value();
-      chosen = std::move(candidate);
-      break;
-    }
-  }
-  ASSERT_NE(dead_primary_id, 0u) << "no sampled plan hashed to the dead shard";
+  const std::optional<perm::Permutation> p = fleet.plan_with_primary(1, n);
+  ASSERT_TRUE(p.has_value()) << "no sampled plan hashed to backend 1";
+  auto plan = client.submit_plan(*p);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  fleet.backends[1]->stop();
 
   std::vector<std::uint32_t> a(n, 9), b(n, 0), expect(n);
-  chosen.apply<std::uint32_t>({a.data(), n}, {expect.data(), n});
+  p->apply<std::uint32_t>({a.data(), n}, {expect.data(), n});
 
-  // Every attempt succeeds via failover; after breaker_threshold
-  // consecutive transport failures the dead shard's breaker opens.
-  for (int round = 0; round < 4; ++round) {
-    const Status s = client.permute(dead_primary_id, {a.data(), n}, {b.data(), n});
+  // Every request is served by failover; the second transport failure
+  // in a row ejects the dead backend.
+  for (int round = 0; round < 2; ++round) {
+    const Status s = client.permute(plan.value(), {a.data(), n}, {b.data(), n});
     ASSERT_TRUE(s.is_ok()) << "round " << round << ": " << s.to_string();
     ASSERT_EQ(b, expect);
   }
-  EXPECT_TRUE(router.backend_breaker_open(1));
+  EXPECT_FALSE(fleet.router->backend_healthy(1));
+  net::Router::Snapshot snap = fleet.router->snapshot();
+  EXPECT_FALSE(snap.backends[1].healthy);
+  EXPECT_EQ(snap.backends[1].ejections, 1u);
+  EXPECT_EQ(snap.backends[1].transport_failures, 2u);
+  const std::uint64_t requests_at_eject = snap.backends[1].requests;
 
-  net::Router::Snapshot snap = router.snapshot();
-  EXPECT_GE(snap.backends[1].breaker_opens, 1u);
-  const std::uint64_t failures_at_open = snap.backends[1].transport_failures;
-
-  // With the breaker open the dead shard is skipped without a connect:
-  // more rounds add short-circuits but no new transport failures.
+  // Ejected, the dead shard is skipped without a connect: more rounds
+  // add no transport failures and no forward attempts.
   for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE(client.permute(dead_primary_id, {a.data(), n}, {b.data(), n}).is_ok());
+    ASSERT_TRUE(client.permute(plan.value(), {a.data(), n}, {b.data(), n}).is_ok());
+    ASSERT_EQ(b, expect);
   }
-  snap = router.snapshot();
-  EXPECT_EQ(snap.backends[1].transport_failures, failures_at_open);
-  EXPECT_GE(snap.breaker_short_circuits, 3u);
+  snap = fleet.router->snapshot();
+  EXPECT_EQ(snap.backends[1].transport_failures, 2u);
+  EXPECT_EQ(snap.backends[1].requests, requests_at_eject);
+  EXPECT_EQ(snap.backends[1].ejections, 1u);
+  EXPECT_GE(snap.failovers_total, 5u);
+  EXPECT_EQ(snap.no_backend_available, 0u);
+  const std::string prom = snap.to_prometheus();
+  EXPECT_NE(prom.find("hmm_router_backend_ejections_total{backend=\"" + snap.backends[1].backend +
+                      "\"} 1\n"),
+            std::string::npos)
+      << prom;
+}
 
+TEST(RouterHealth, RequestEjectedBackendRejoinsOnlyThroughProbeAndReplay) {
+  // Probes run every second: the two failed requests that eject the
+  // dead backend land well inside one interval.
+  Fleet fleet(2, [](net::Router::Config& c) {
+    c.probe_interval = 1'000ms;
+    c.eject_after = 2;
+    c.failover_backoff_cap = 2ms;
+    c.connect_timeout = 250ms;
+  });
+  fleet.await_first_probes();
+  net::Client client(fleet.client_config());
+
+  const std::uint64_t n = 512;
+  const std::optional<perm::Permutation> p = fleet.plan_with_primary(1, n);
+  ASSERT_TRUE(p.has_value()) << "no sampled plan hashed to backend 1";
+  std::vector<std::uint64_t> ids;
+  for (const perm::Permutation& q :
+       {*p, perm::by_name("bit-reversal", n, 1), perm::by_name("shuffle", n, 1)}) {
+    auto id = client.submit_plan(q);
+    ASSERT_TRUE(id.ok()) << id.status().to_string();
+    ids.push_back(id.value());
+  }
+
+  Backend& victim = *fleet.backends[1];
+  const std::uint16_t victim_port = victim.port;
+  victim.stop();
+  std::vector<std::uint32_t> a(n, 5), b(n, 0), expect(n);
+  p->apply<std::uint32_t>({a.data(), n}, {expect.data(), n});
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_TRUE(client.permute(ids[0], {a.data(), n}, {b.data(), n}).is_ok());
+    ASSERT_EQ(b, expect);
+  }
+  ASSERT_FALSE(fleet.router->backend_healthy(1)) << "two failed forwards did not eject";
+  EXPECT_GE(fleet.router->snapshot().backends[1].transport_failures, 1u);
+
+  // Restarted with an empty registry, it rejoins through the next
+  // successful probe, which replays the registry first: at the moment
+  // it is routable again it already holds every plan.
+  victim.start(victim_port);
+  ASSERT_EQ(victim.port, victim_port);
+  ASSERT_TRUE(Fleet::eventually([&] { return fleet.router->backend_healthy(1); }))
+      << "restarted backend never rejoined";
+  EXPECT_EQ(victim.server->plans(), ids.size());
+  const net::Router::Snapshot snap = fleet.router->snapshot();
+  EXPECT_EQ(snap.backends[1].ejections, 1u);
+  EXPECT_GE(snap.backends[1].recoveries, 1u);
+  EXPECT_GE(snap.backends[1].plans_synced, ids.size());
+
+  // And it serves the plan it is primary for again, with no resync.
+  const std::uint64_t before_ok = snap.backends[1].ok;
+  ASSERT_TRUE(client.permute(ids[0], {a.data(), n}, {b.data(), n}).is_ok());
+  EXPECT_EQ(b, expect);
+  EXPECT_GT(fleet.router->snapshot().backends[1].ok, before_ok);
+  EXPECT_EQ(fleet.router->snapshot().plan_resyncs, 0u);
+}
+
+TEST(RouterHealth, StopDoesNotWaitOutAHungProbeRound) {
+  // Three backends that accept (the kernel completes the handshake) and
+  // never answer: a probe round blocks probe_timeout on each. stop()
+  // waits for the probe in flight and no more.
+  constexpr auto kProbeTimeout = 1'500ms;
+  std::vector<net::TcpListener> hung;
+  net::Router::Config config;
+  for (int i = 0; i < 3; ++i) {
+    auto bound = net::TcpListener::bind("127.0.0.1", 0);
+    ASSERT_TRUE(bound.ok()) << bound.status().to_string();
+    config.backends.push_back(net::BackendAddress{"127.0.0.1", bound.value().port()});
+    hung.push_back(std::move(bound).value());
+  }
+  config.probe_interval = 50ms;
+  config.probe_timeout = kProbeTimeout;
+  config.connect_timeout = 500ms;
+  config.poll_interval = 10ms;
+  net::Router router(std::move(config));
+  ASSERT_TRUE(router.start().is_ok());
+  std::this_thread::sleep_for(200ms);  // the first round is blocked on backend 0
+
+  const auto started = std::chrono::steady_clock::now();
   router.stop();
-  live.back()->stop();
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  EXPECT_FALSE(router.running());
+  EXPECT_LT(elapsed, kProbeTimeout + 1s) << "stop() waited for the whole probe round";
+}
+
+TEST(RouterHealth, StartAddsOnlyTheReactorThreads) {
+  std::vector<std::unique_ptr<Backend>> backends;
+  net::Router::Config config;
+  for (int i = 0; i < 2; ++i) {
+    backends.push_back(std::make_unique<Backend>());
+    backends.back()->start();
+    config.backends.push_back(net::BackendAddress{"127.0.0.1", backends.back()->port});
+  }
+  config.probe_interval = 20ms;
+  config.poll_interval = 10ms;
+  net::Router router(std::move(config));
+
+  const std::uint64_t before = process_threads();
+  ASSERT_GT(before, 0u) << "/proc/self/status has no Threads: line";
+  ASSERT_TRUE(router.start().is_ok());
+  const std::uint64_t after = process_threads();
+
+  // The reactor's own threads: one accept thread, its io threads and
+  // its handler pool (both at the Reactor::Config defaults the router
+  // keeps). The probes add none.
+  const net::Reactor::Config reactor_defaults;
+  const std::uint64_t handlers =
+      std::max(16u, 2 * std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_EQ(after - before, 1 + reactor_defaults.io_threads + handlers);
+
+  // Probe rounds keep running on those threads.
+  ASSERT_TRUE(Fleet::eventually([&] {
+    return backends[0]->server->counters().requests_ok >= 3 &&
+           backends[1]->server->counters().requests_ok >= 3;
+  })) << "probe rounds stopped after the first";
+  EXPECT_EQ(process_threads(), after);
+  router.stop();
+  for (auto& b : backends) b->stop();
+}
+
+// ------------------------------------------------------------- programs
+
+TEST(RouterProgram, ChainLandsOnItsFirstPlanOperandsPrimary) {
+  Fleet fleet(3);
+  net::Client client(fleet.client_config());
+  const std::uint64_t n = 1024;
+
+  // Two plans with different primaries; the chain opens with a
+  // generator, so its first *plan* operand is its second op.
+  const std::optional<perm::Permutation> first = fleet.plan_with_primary(0, n);
+  ASSERT_TRUE(first.has_value());
+  const std::optional<perm::Permutation> second = fleet.plan_with_primary(1, n);
+  ASSERT_TRUE(second.has_value());
+  auto first_id = client.submit_plan(*first);
+  auto second_id = client.submit_plan(*second);
+  ASSERT_TRUE(first_id.ok()) << first_id.status().to_string();
+  ASSERT_TRUE(second_id.ok()) << second_id.status().to_string();
+
+  const std::vector<ProgramOp> ops = {{ProgramOpCode::kBitReversal, 0},
+                                      {ProgramOpCode::kPermute, first_id.value()},
+                                      {ProgramOpCode::kInverse, second_id.value()}};
+  std::vector<std::uint32_t> in(n), out(n, 0), expect(n), scratch(n);
+  for (std::uint64_t i = 0; i < n; ++i) in[i] = static_cast<std::uint32_t>(i * 40503u + 7);
+  perm::by_name("bit-reversal", n, 1).apply<std::uint32_t>({in.data(), n}, {expect.data(), n});
+  first->apply<std::uint32_t>({expect.data(), n}, {scratch.data(), n});
+  second->inverse().apply<std::uint32_t>({scratch.data(), n}, {expect.data(), n});
+
+  const net::Router::Snapshot before = fleet.router->snapshot();
+  const Status s = client.execute_program({ops.data(), ops.size()}, {in.data(), n},
+                                          {out.data(), n});
+  ASSERT_TRUE(s.is_ok()) << s.to_string();
+  EXPECT_EQ(out, expect);
+
+  const net::Router::Snapshot after = fleet.router->snapshot();
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(after.backends[i].ok - before.backends[i].ok, i == 0 ? 1u : 0u)
+        << "backend " << i << " (the chain's first plan operand is primary on backend 0)";
+  }
+  EXPECT_EQ(after.failovers_total, 0u);
+}
+
+TEST(RouterProgram, GeneratorOnlyChainIsServed) {
+  Fleet fleet(3);
+  net::Client client(fleet.client_config());
+  const std::uint64_t n = 1024;
+  // Bit reversal is an involution: the chain is the identity.
+  const std::vector<ProgramOp> ops = {{ProgramOpCode::kBitReversal, 0},
+                                      {ProgramOpCode::kBitReversal, 0}};
+  std::vector<std::uint32_t> in(n), out(n, 0);
+  for (std::uint64_t i = 0; i < n; ++i) in[i] = static_cast<std::uint32_t>(i ^ 0x5a5au);
+  const Status s = client.execute_program({ops.data(), ops.size()}, {in.data(), n},
+                                          {out.data(), n});
+  ASSERT_TRUE(s.is_ok()) << s.to_string();
+  EXPECT_EQ(out, in);
+
+  const net::Router::Snapshot snap = fleet.router->snapshot();
+  EXPECT_EQ(snap.requests_total, 1u);
+  EXPECT_EQ(snap.no_backend_available, 0u);
+  EXPECT_EQ(snap.plan_resyncs, 0u);
+  std::uint64_t ok = 0;
+  for (const net::Router::BackendStats& b : snap.backends) ok += b.ok;
+  EXPECT_EQ(ok, 1u);
+}
+
+TEST(RouterProgram, QuietRestartIsHealedByLazyPlanResync) {
+  // As RouterFailover.QuietRestartIsHealedByLazyPlanResync, for a chain:
+  // the backend answers "unknown plan" and the router re-pushes it.
+  Fleet fleet(2, [](net::Router::Config& c) {
+    c.probe_interval = 60'000ms;
+    c.eject_after = 1'000'000;
+  });
+  net::Client client(fleet.client_config());
+
+  const std::uint64_t n = 1024;
+  const perm::Permutation p = perm::by_name("random", n, 17);
+  auto plan = client.submit_plan(p);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  for (auto& b : fleet.backends) {
+    const std::uint16_t port = b->port;
+    b->stop();
+    b->start(port);
+  }
+
+  const std::vector<ProgramOp> ops = {{ProgramOpCode::kPermute, plan.value()},
+                                      {ProgramOpCode::kReverse, 0}};
+  std::vector<std::uint32_t> in(n), out(n, 0), expect(n), permuted(n);
+  for (std::uint64_t i = 0; i < n; ++i) in[i] = static_cast<std::uint32_t>(5 * i + 3);
+  p.apply<std::uint32_t>({in.data(), n}, {permuted.data(), n});
+  perm::by_name("bit-complement", n, 1).apply<std::uint32_t>({permuted.data(), n}, {expect.data(), n});
+
+  const Status s = client.execute_program({ops.data(), ops.size()}, {in.data(), n},
+                                          {out.data(), n});
+  ASSERT_TRUE(s.is_ok()) << "lazy resync did not heal the restart: " << s.to_string();
+  EXPECT_EQ(out, expect);
+  EXPECT_GE(fleet.router->snapshot().plan_resyncs, 1u);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 ///   ping      liveness probe (echo round-trip)
 ///   stats     print the server's ServiceMetrics snapshot JSON; against
 ///             a permd_router the fleet snapshot is rendered as a
-///             per-backend table (state, breaker, forwards, failovers)
+///             per-backend table (state, forwards, failovers)
 ///             instead — `--json true` forces the raw JSON either way
 ///   phases    fetch the same snapshot and render the per-phase
 ///             latency breakdown as a table
@@ -100,41 +100,38 @@ bool scrape_bool(const std::string& json, std::string_view key, bool& out,
 bool print_router_stats(const std::string& json, std::ostream& os) {
   if (json.find("\"router\":{") == std::string::npos) return false;
   using hmm::util::format_count;
-  std::uint64_t routed = 0, failovers = 0, shorted = 0, dist = 0, dist_failed = 0,
-                dist_pushes = 0, dist_compiles = 0;
+  std::uint64_t routed = 0, failovers = 0, dist = 0, dist_failed = 0, dist_pushes = 0,
+                dist_compiles = 0;
   (void)scrape_u64(json, "requests_total", routed);
   (void)scrape_u64(json, "failovers_total", failovers);
-  (void)scrape_u64(json, "breaker_short_circuits", shorted);
   (void)scrape_u64(json, "distributed_requests", dist);
   (void)scrape_u64(json, "distributed_failures", dist_failed);
   (void)scrape_u64(json, "distributed_plan_pushes", dist_pushes);
   (void)scrape_u64(json, "distributed_plan_compiles", dist_compiles);
-  os << "router: " << routed << " requests routed, " << failovers << " failovers, "
-     << shorted << " breaker short-circuits";
+  os << "router: " << routed << " requests routed, " << failovers << " failovers";
   if (dist > 0 || dist_failed > 0) {
     os << ", " << dist << " distributed (" << dist_failed << " failed, " << dist_compiles
        << " plan compiles, " << dist_pushes << " plan pushes)";
   }
   os << "\n";
 
-  hmm::util::Table t({"backend", "state", "breaker", "requests", "ok", "transport-fail",
-                      "failovers-to", "plans-synced"});
+  hmm::util::Table t({"backend", "state", "requests", "ok", "transport-fail", "failovers-to",
+                      "plans-synced"});
   std::size_t at = json.find("\"backend\":\"");
   while (at != std::string::npos) {
     std::string label;
-    bool healthy = true, breaker = false;
+    bool healthy = true;
     std::uint64_t requests = 0, ok = 0, transport = 0, failovers_to = 0, synced = 0;
     (void)scrape_string(json, "backend", label, at);
     (void)scrape_bool(json, "healthy", healthy, at);
-    (void)scrape_bool(json, "breaker_open", breaker, at);
     (void)scrape_u64(json, "requests", requests, at);
     (void)scrape_u64(json, "ok", ok, at);
     (void)scrape_u64(json, "transport_failures", transport, at);
     (void)scrape_u64(json, "failovers_to", failovers_to, at);
     (void)scrape_u64(json, "plans_synced", synced, at);
-    t.add_row({label, healthy ? "healthy" : "EJECTED", breaker ? "open" : "closed",
-               format_count(requests), format_count(ok), format_count(transport),
-               format_count(failovers_to), format_count(synced)});
+    t.add_row({label, healthy ? "healthy" : "EJECTED", format_count(requests),
+               format_count(ok), format_count(transport), format_count(failovers_to),
+               format_count(synced)});
     at = json.find("\"backend\":\"", at + 1);
   }
   t.print(os);

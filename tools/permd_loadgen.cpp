@@ -32,7 +32,7 @@
 ///
 /// `--router` declares the target a permd_router, not a permd_serve:
 /// the final STATS fetch is reported as the router's fleet snapshot
-/// (failovers, breaker short-circuits, per-backend health) instead of
+/// (failovers, lazy plan resyncs, per-backend health) instead of
 /// the single-server phase breakdown.
 ///
 /// `--program-depth k` (k > 0) switches every request from PERMUTE to
@@ -400,18 +400,17 @@ int main(int argc, char** argv) {
   runtime::StatusOr<std::string> server_stats = stats_client.stats_json();
   if (server_stats.ok() && router_mode) {
     // Fleet-side half of the story: what the router did to keep the
-    // run alive (failovers, breaker trips, lazy plan resyncs).
-    std::uint64_t routed = 0, failovers = 0, shorted = 0, no_backend = 0, resyncs = 0;
+    // run alive (failovers, lazy plan resyncs).
+    std::uint64_t routed = 0, failovers = 0, no_backend = 0, resyncs = 0;
     std::uint64_t dist = 0, dist_failed = 0;
     (void)scrape_u64(server_stats.value(), "requests_total", routed);
     (void)scrape_u64(server_stats.value(), "failovers_total", failovers);
-    (void)scrape_u64(server_stats.value(), "breaker_short_circuits", shorted);
     (void)scrape_u64(server_stats.value(), "no_backend_available", no_backend);
     (void)scrape_u64(server_stats.value(), "plan_resyncs", resyncs);
     (void)scrape_u64(server_stats.value(), "distributed_requests", dist);
     (void)scrape_u64(server_stats.value(), "distributed_failures", dist_failed);
     std::cout << "\nrouter: routed " << routed << " requests, failovers " << failovers
-              << ", breaker short-circuits " << shorted << ", no-backend " << no_backend
+              << ", no-backend " << no_backend
               << ", plan resyncs " << resyncs << ", distributed " << dist << " ("
               << dist_failed << " failed)\n";
     if (json) std::cout << server_stats.value() << "\n";

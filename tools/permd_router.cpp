@@ -1,21 +1,20 @@
 /// \file permd_router.cpp
 /// \brief The permd fleet front door: `net::Router` consistent-hashing
 ///        plan fingerprints across N backend permd instances, with
-///        active health checks, replication, and typed failover.
+///        one health state per backend (fed by probes and requests),
+///        replication, and typed failover.
 ///
 /// Runs until SIGINT/SIGTERM (or `--duration-s`), then drains: the
 /// listener closes, in-flight proxied requests finish, and the final
-/// router snapshot (per-backend health, failovers, breaker state,
-/// forward latency) is printed (and written to `--metrics-json` /
-/// `--prom-file` if given).
+/// router snapshot (per-backend health, failovers, forward latency) is
+/// printed (and written to `--metrics-json` / `--prom-file` if given).
 ///
 /// Usage:
 ///   permd_router --backends 127.0.0.1:7001,127.0.0.1:7002,...
 ///                [--host 127.0.0.1] [--port 0] [--port-file <path>]
 ///                [--replication 2] [--virtual-nodes 64]
 ///                [--probe-interval-ms 250] [--probe-timeout-ms 1000]
-///                [--eject-after 2] [--breaker-threshold 5]
-///                [--breaker-cooldown-ms 1000]
+///                [--eject-after 2]
 ///                [--failover-backoff-ms 2] [--failover-backoff-cap-ms 50]
 ///                [--max-connections 256] [--max-payload-mb 64]
 ///                [--max-plans 4096]
@@ -23,6 +22,11 @@
 ///                [--distributed-max-bytes 0]
 ///                [--duration-s 0] [--metrics-json <path>] [--json]
 ///                [--prom-file <path>]
+///
+/// `--eject-after N`: N consecutive transport failures of a backend, on
+/// probes and proxied requests alike, eject it from routing. It keeps
+/// being probed every `--probe-interval-ms` and rejoins after a
+/// successful probe and a full replay of the router's plan registry.
 ///
 /// `--distributed-max-bytes B` (B > 0) enables distributed permutation:
 /// a PERMUTE whose element bytes exceed B is split into bands of its n
@@ -91,8 +95,7 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   if (!cli.expect_flags({"backends", "host", "port", "port-file", "replication",
                          "virtual-nodes", "probe-interval-ms", "probe-timeout-ms",
-                         "eject-after", "breaker-threshold", "breaker-cooldown-ms",
-                         "failover-backoff-ms", "failover-backoff-cap-ms",
+                         "eject-after", "failover-backoff-ms", "failover-backoff-cap-ms",
                          "max-connections", "max-payload-mb", "max-plans",
                          "connect-timeout-ms", "io-timeout-ms", "distributed-max-bytes",
                          "duration-s", "metrics-json", "json", "prom-file"},
@@ -109,10 +112,6 @@ int main(int argc, char** argv) {
   config.probe_interval = std::chrono::milliseconds(cli.get_int("probe-interval-ms", 250));
   config.probe_timeout = std::chrono::milliseconds(cli.get_int("probe-timeout-ms", 1'000));
   config.eject_after = static_cast<std::uint32_t>(cli.get_int("eject-after", 2));
-  config.breaker_threshold =
-      static_cast<std::uint32_t>(cli.get_int("breaker-threshold", 5));
-  config.breaker_cooldown =
-      std::chrono::milliseconds(cli.get_int("breaker-cooldown-ms", 1'000));
   config.failover_backoff_base =
       std::chrono::milliseconds(cli.get_int("failover-backoff-ms", 2));
   config.failover_backoff_cap =
@@ -188,8 +187,7 @@ int main(int argc, char** argv) {
   const net::Router::Snapshot snap = router.snapshot();
   std::cout << "\nrouted " << snap.requests_total << " requests; failovers "
             << snap.failovers_total << " (retry-later " << snap.retry_later_failovers
-            << "); breaker short-circuits " << snap.breaker_short_circuits
-            << "; no-backend " << snap.no_backend_available << "; plans "
+            << "); no-backend " << snap.no_backend_available << "; plans "
             << snap.plans_registered << " (lazy resyncs " << snap.plan_resyncs << ")\n";
   if (snap.dist_requests > 0 || snap.dist_failures > 0) {
     std::cout << "distributed: " << snap.dist_requests << " requests ("
@@ -199,7 +197,7 @@ int main(int argc, char** argv) {
   }
   for (const net::Router::BackendStats& b : snap.backends) {
     std::cout << "  " << b.backend << (b.healthy ? "  healthy" : "  EJECTED")
-              << (b.breaker_open ? " breaker-open" : "") << "  requests " << b.requests
+              << "  requests " << b.requests
               << " ok " << b.ok << " transport-failures " << b.transport_failures
               << " failovers-to " << b.failovers_to << " ejections " << b.ejections
               << " recoveries " << b.recoveries << " plans-synced " << b.plans_synced
