@@ -25,6 +25,7 @@
 #include "core/permuter.hpp"
 #include "core/plan.hpp"
 #include "core/scheduled.hpp"
+#include "net/distributed.hpp"
 #include "net/wire.hpp"
 #include "perm/generators.hpp"
 #include "util/aligned_vector.hpp"
@@ -270,6 +271,35 @@ void BM_Compile(benchmark::State& state) {
 }
 BENCHMARK(BM_Compile)
     ->ArgsProduct({{1 << 20, 1 << 22, 1 << 24}, {0, 1, 2}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// The router's distributed offline phase: `DistributedPermuter::compile`
+// of every shard's pack and merge tables into its SHARD_PLAN payload,
+// labelled with the payload bytes written. Arguments: n, the family (0
+// random, 1 bit-reversal, 2 transpose) and the shard count.
+void BM_ShardCompile(benchmark::State& state) {
+  static const char* const kFamilies[] = {"random", "bit-reversal", "transpose"};
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  const char* family = kFamilies[state.range(1)];
+  const auto shards = static_cast<std::uint32_t>(state.range(2));
+  const perm::Permutation p = perm::by_name(family, n, 9);
+  std::uint64_t bytes = 0;
+  for (auto _ : state) {
+    {
+      const auto payloads = net::DistributedPermuter::compile(p, 1, shards);
+      benchmark::DoNotOptimize(&payloads);
+      state.PauseTiming();
+      bytes = 0;
+      for (const auto& payload : payloads.value()) bytes += payload.size();
+    }
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes));
+  state.SetLabel(std::string(family) + " " + std::to_string(bytes) + " B written");
+}
+BENCHMARK(BM_ShardCompile)
+    ->ArgsProduct({{1 << 20}, {0, 1, 2}, {3, 8}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

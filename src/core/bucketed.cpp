@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "model/cost.hpp"
 #include "perm/distribution.hpp"
@@ -10,13 +11,6 @@
 namespace hmm::core {
 
 namespace {
-
-/// Boundaries of `parts` near-equal contiguous pieces of [0, n).
-std::vector<std::uint64_t> even_bounds(std::uint64_t n, std::uint64_t parts) {
-  std::vector<std::uint64_t> bounds(parts + 1);
-  for (std::uint64_t c = 0; c <= parts; ++c) bounds[c] = c * n / parts;
-  return bounds;
-}
 
 bool is_bounds(std::span<const std::uint64_t> bounds, std::uint64_t n) {
   return bounds.size() >= 2 && bounds.front() == 0 && bounds.back() == n &&
@@ -28,12 +22,12 @@ bool is_bounds(std::span<const std::uint64_t> bounds, std::uint64_t n) {
 template <class PackIndex>
 GroupCounts group_tables(const perm::Permutation& p, std::span<const std::uint64_t> bands,
                          std::span<const std::uint64_t> chunks, std::uint64_t skew,
-                         MergeInto into, std::span<PackIndex> pack,
-                         std::span<std::uint32_t> merge, const perm::Permutation* pinv) {
+                         MergeInto into, std::span<PackIndex* const> pack,
+                         std::span<std::uint32_t* const> merge, const perm::Permutation* pinv) {
   const std::uint64_t n = p.size();
   HMM_CHECK(is_bounds(bands, n) && is_bounds(chunks, n));
   HMM_CHECK(bands.size() - 1 <= kMaxBands);
-  HMM_CHECK(pack.size() == n && merge.size() == n);
+  HMM_CHECK(pack.size() == bands.size() - 1 && merge.size() == chunks.size() - 1);
   const std::optional<perm::Permutation> own = pinv ? std::nullopt : std::optional(p.inverse());
   const std::span<const std::uint32_t> inv = (pinv ? *pinv : *own).data();
   HMM_CHECK(inv.size() == n);
@@ -42,52 +36,71 @@ GroupCounts group_tables(const perm::Permutation& p, std::span<const std::uint64
   util::ThreadPool& pool = util::ThreadPool::global();
 
   // Source i's band: a division when all bands but a shorter last one
-  // are `width` long (the plan's), else a search (a shard split's few).
+  // are `width` long (the plan's), else a branchless compare chain over
+  // the bounds (a shard split's few).
   const std::uint64_t width = bands[1];
   bool uniform = n <= band_count * width;
   for (std::size_t s = 0; s < band_count; ++s) uniform &= bands[s] == s * width;
   const auto band_of = [&](std::uint64_t i) -> std::size_t {
     if (uniform) return i / width;
-    return static_cast<std::size_t>(std::upper_bound(bands.begin(), bands.end(), i) -
-                                    bands.begin() - 1);
+    std::size_t s = 0;
+    for (std::size_t b = 1; b < band_count; ++b) s += i >= bands[b];
+    return s;
   };
 
-  // Pass 1, one task per chunk: how many of each band's elements land in it.
-  GroupCounts counts(chunk_count, std::vector<std::uint64_t>(band_count, 0));
-  pool.parallel_for(0, chunk_count, [&](std::uint64_t c) {
-    std::vector<std::uint64_t>& row = counts[c];
-    for (std::uint64_t j = chunks[c]; j < chunks[c + 1]; ++j) ++row[band_of(inv[j])];
+  // Each chunk splits into `split` sub-chunks, so that the two passes
+  // have at least four tasks per worker however few the chunks are.
+  const std::uint64_t split = (4 * pool.size() + chunk_count - 1) / chunk_count;
+  const std::uint64_t subs = chunk_count * split;
+  std::vector<std::uint64_t> sub(subs + 1, n);
+  for (std::uint64_t q = 0; q < subs; ++q) {
+    const std::uint64_t c = q / split;
+    sub[q] = chunks[c] + (chunks[c + 1] - chunks[c]) * (q % split) / split;
+  }
+
+  // Pass 1, one task per sub-chunk: how many of each band's elements land in it.
+  GroupCounts at(subs, std::vector<std::uint64_t>(band_count, 0));
+  pool.parallel_for(0, subs, [&](std::uint64_t q) {
+    std::vector<std::uint64_t>& row = at[q];
+    for (std::uint64_t j = sub[q]; j < sub[q + 1]; ++j) ++row[band_of(inv[j])];
   });
 
-  // Where each band's group for each chunk starts in its packed region:
-  // after its groups for the chunks before.
-  GroupCounts at(chunk_count, std::vector<std::uint64_t>(band_count));
+  // The counts become offsets: band s's group for sub-chunk q starts at
+  // `at[q][s]` in the band's packed region, after its groups for the
+  // sub-chunks before. Adding `shift[c][s]` to a slot of band s's group
+  // for chunk c makes its merge entry: past the bands before and their
+  // skews, or into the chunk's received buffer (band 0's group for it,
+  // then band 1's, ...).
+  GroupCounts counts(chunk_count, std::vector<std::uint64_t>(band_count, 0));
   for (std::size_t s = 0; s < band_count; ++s) {
-    std::uint64_t k = bands[s];
-    for (std::size_t c = 0; c < chunk_count; ++c) {
-      at[c][s] = k;
-      k += counts[c][s];
+    for (std::uint64_t q = 0, k = 0; q < subs; ++q) {
+      counts[q / split][s] += at[q][s];
+      k += std::exchange(at[q][s], k);
+    }
+  }
+  GroupCounts shift(chunk_count, std::vector<std::uint64_t>(band_count));
+  for (std::size_t c = 0; c < chunk_count; ++c) {
+    std::uint64_t received = 0;
+    for (std::size_t s = 0; s < band_count; ++s) {
+      shift[c][s] =
+          into == MergeInto::kPacked ? bands[s] + s * skew : received - at[c * split][s];
+      received += counts[c][s];
     }
   }
 
-  // Pass 2, one task per chunk, in destination order: each group fills
-  // in destination order, and each merge entry names the next slot of
-  // its band's group.
-  pool.parallel_for(0, chunk_count, [&](std::uint64_t c) {
-    std::vector<std::uint64_t>& next = at[c];
-    std::vector<std::uint64_t> received(band_count);
-    std::uint64_t offset = 0;
-    for (std::size_t s = 0; s < band_count; ++s) {
-      received[s] = offset;
-      offset += counts[c][s];
-    }
-    for (std::uint64_t j = chunks[c]; j < chunks[c + 1]; ++j) {
+  // Pass 2, one task per sub-chunk, in destination order: each group
+  // fills in destination order, and each merge entry names the next
+  // slot of its band's group.
+  pool.parallel_for(0, subs, [&](std::uint64_t q) {
+    std::vector<std::uint64_t>& next = at[q];
+    const std::uint64_t c = q / split;
+    const std::vector<std::uint64_t>& add = shift[c];
+    for (std::uint64_t j = sub[q]; j < sub[q + 1]; ++j) {
       const std::uint32_t i = inv[j];
       const std::size_t s = band_of(i);
       const std::uint64_t k = next[s]++;
-      pack[k] = static_cast<PackIndex>(i - bands[s]);
-      merge[j] = static_cast<std::uint32_t>(into == MergeInto::kPacked ? k + s * skew
-                                                                       : received[s]++);
+      pack[s][k] = static_cast<PackIndex>(i - bands[s]);
+      merge[c][j - chunks[c]] = static_cast<std::uint32_t>(k + add[s]);
     }
   });
   return counts;
@@ -96,14 +109,14 @@ GroupCounts group_tables(const perm::Permutation& p, std::span<const std::uint64
 template GroupCounts group_tables<std::uint16_t>(const perm::Permutation&,
                                                  std::span<const std::uint64_t>,
                                                  std::span<const std::uint64_t>, std::uint64_t,
-                                                 MergeInto, std::span<std::uint16_t>,
-                                                 std::span<std::uint32_t>,
+                                                 MergeInto, std::span<std::uint16_t* const>,
+                                                 std::span<std::uint32_t* const>,
                                                  const perm::Permutation*);
 template GroupCounts group_tables<std::uint32_t>(const perm::Permutation&,
                                                  std::span<const std::uint64_t>,
                                                  std::span<const std::uint64_t>, std::uint64_t,
-                                                 MergeInto, std::span<std::uint32_t>,
-                                                 std::span<std::uint32_t>,
+                                                 MergeInto, std::span<std::uint32_t* const>,
+                                                 std::span<std::uint32_t* const>,
                                                  const perm::Permutation*);
 
 std::uint64_t BucketedPlan::band_for(std::uint64_t n, std::size_t elem_bytes,
@@ -128,10 +141,9 @@ BucketedPlan BucketedPlan::build(const perm::Permutation& p, std::uint64_t band,
   plan.merge_.resize(n);
   std::vector<std::uint64_t> bands(band_count + 1);
   for (std::uint64_t s = 0; s <= band_count; ++s) bands[s] = std::min(s * band, n);
-  // Enough chunks to balance the pool, few enough that the counts stay small.
-  const std::uint64_t chunks =
-      std::min<std::uint64_t>(band_count, 4 * util::ThreadPool::global().size());
-  (void)group_tables<std::uint16_t>(p, bands, even_bounds(n, chunks), skew, MergeInto::kPacked,
+  // One chunk: group_tables splits it to balance the pool.
+  const std::uint64_t whole[] = {0, n};
+  (void)group_tables<std::uint16_t>(p, bands, whole, skew, MergeInto::kPacked,
                                     std::span<std::uint16_t>(plan.pack_.data(), n),
                                     std::span<std::uint32_t>(plan.merge_.data(), n), pinv);
   return plan;

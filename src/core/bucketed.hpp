@@ -51,20 +51,42 @@ enum class MergeInto {
 using GroupCounts = std::vector<std::vector<std::uint64_t>>;
 
 /// The counting compile of the two gathers for `p`: two linear passes
-/// over `pinv` = P⁻¹ (`p.inverse()` when null) on the global pool. `bands`
-/// (at most kMaxBands) and `chunks` are boundary lists over [0, n), first
-/// 0 and last n: the source bands, and the destination chunks that split
-/// the work and the counts. Band s's packed region holds its elements in
-/// destination order, one group per chunk. `pack[bands[s] + k]` is the
-/// index inside band s of the region's k-th element; `merge[j]` is where
-/// the element landing at j sits, in the space `into` names (with
-/// kReceived, chunk c's buffer holds band 0's group for c, then band 1's, ...).
+/// over `pinv` = P⁻¹ (`p.inverse()` when null) on the global pool, each
+/// chunk split so that the pool has at least four tasks per worker.
+/// `bands` (at most kMaxBands) and `chunks` are boundary lists over
+/// [0, n), first 0 and last n: the source bands, and the destination
+/// chunks that split the counts. Band s's packed region holds its
+/// elements in destination order, one group per chunk. `pack[s][k]` is
+/// the index inside band s of its region's k-th element; `merge[c][j]`
+/// is where the element landing at chunks[c] + j sits, in the space
+/// `into` names (with kReceived, chunk c's buffer holds band 0's group
+/// for c, then band 1's, ...). Each table is written where the caller
+/// keeps it, so a band's tables need no copy to wherever they go next.
+template <class PackIndex>
+GroupCounts group_tables(const perm::Permutation& p, std::span<const std::uint64_t> bands,
+                         std::span<const std::uint64_t> chunks, std::uint64_t skew,
+                         MergeInto into, std::span<PackIndex* const> pack,
+                         std::span<std::uint32_t* const> merge,
+                         const perm::Permutation* pinv = nullptr);
+
+/// The same into two n-element tables: band s's region at
+/// `pack[bands[s]]`, chunk c's merge entries at `merge[chunks[c]]`.
 template <class PackIndex>
 GroupCounts group_tables(const perm::Permutation& p, std::span<const std::uint64_t> bands,
                          std::span<const std::uint64_t> chunks, std::uint64_t skew,
                          MergeInto into, std::span<PackIndex> pack,
                          std::span<std::uint32_t> merge,
-                         const perm::Permutation* pinv = nullptr);
+                         const perm::Permutation* pinv = nullptr) {
+  HMM_CHECK(pack.size() == p.size() && merge.size() == p.size() && !bands.empty() &&
+            !chunks.empty());
+  std::vector<PackIndex*> packs;
+  std::vector<std::uint32_t*> merges;
+  for (const auto b : bands.first(bands.size() - 1)) packs.push_back(pack.data() + b);
+  for (const auto c : chunks.first(chunks.size() - 1)) merges.push_back(merge.data() + c);
+  return group_tables<PackIndex>(p, bands, chunks, skew, into,
+                                 std::span<PackIndex* const>(packs),
+                                 std::span<std::uint32_t* const>(merges), pinv);
+}
 
 /// A compiled bucketed permutation: the band length, the skew, and the
 /// two gather tables.

@@ -166,10 +166,13 @@ Status Client::ping() {
 }
 
 StatusOr<std::uint64_t> Client::submit_plan(const perm::Permutation& p) {
-  SubmitPlanRequest req;
-  req.mapping.assign(p.data().begin(), p.data().end());
-  const std::vector<std::uint8_t> payload = req.encode();
-  const ConstBuffer parts[] = {{payload.data(), payload.size()}};
+  // The count on the stack, the mapping straight from the permutation's
+  // words, as permute() sends its elements.
+  std::array<std::uint8_t, 8> count{};
+  put_le(count.data(), p.size(), 8);
+  std::vector<std::uint8_t> staging;
+  const std::span<const std::uint8_t> mapping = wire_words(p.data(), staging);
+  const ConstBuffer parts[] = {{count.data(), count.size()}, {mapping.data(), mapping.size()}};
   StatusOr<FrameView> response = roundtrip(MsgKind::kSubmitPlan, parts);
   if (!response.ok()) return response.status();
   const FrameView& frame = response.value();

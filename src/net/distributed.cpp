@@ -1,5 +1,7 @@
 #include "net/distributed.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "net/frame_io.hpp"
@@ -84,17 +86,37 @@ void receive_shard(const DistributedPermuter::Config& config, std::uint64_t sess
 
 }  // namespace
 
-StatusOr<std::vector<std::vector<std::uint8_t>>> DistributedPermuter::compile(
+StatusOr<std::vector<util::uninit_vector<std::uint8_t>>> DistributedPermuter::compile(
     const perm::Permutation& p, std::uint64_t plan_id, std::uint32_t shards) {
   StatusOr<runtime::BandPlan> bands = runtime::BandPlan::build(p.size(), shards);
   if (!bands.ok()) return bands.status();
-  StatusOr<std::vector<runtime::BandExchange>> compiled =
-      runtime::BandExchange::compile(p, bands.value());
-  if (!compiled.ok()) return compiled.status();
-  std::vector<std::vector<std::uint8_t>> payloads;
-  payloads.reserve(shards);
-  for (runtime::BandExchange& band : compiled.value()) {
-    payloads.push_back(ShardPlanRequest{plan_id, std::move(band)}.encode());
+  // Each payload is sized from the band geometry; its tables are
+  // compiled straight into it, and its header written once the block
+  // lengths are known.
+  const std::size_t header = ShardPlanRequest::header_bytes(shards);
+  std::vector<util::uninit_vector<std::uint8_t>> payloads(shards);
+  std::vector<std::uint32_t*> pack(shards), merge(shards);
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    const std::uint64_t band = bands.value().band_elements(s);
+    payloads[s].resize(header + 2 * band * sizeof(std::uint32_t));
+    pack[s] = reinterpret_cast<std::uint32_t*>(payloads[s].data() + header);
+    merge[s] = pack[s] + band;
+  }
+  StatusOr<std::vector<runtime::BandExchange::Counts>> recv =
+      runtime::BandExchange::compile_into(p, bands.value(), pack, merge);
+  if (!recv.ok()) return recv.status();
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    runtime::BandExchange::Counts send(shards);
+    for (std::uint32_t d = 0; d < shards; ++d) send[d] = recv.value()[d][s];
+    const std::vector<std::uint8_t> head =
+        ShardPlanRequest::encode_header(plan_id, bands.value(), s, send, recv.value()[s]);
+    std::copy(head.begin(), head.end(), payloads[s].begin());
+    if constexpr (std::endian::native == std::endian::big) {
+      // The tables went in as host words; the wire is little-endian.
+      for (std::uint32_t& w : std::span(pack[s], 2 * bands.value().band_elements(s))) {
+        w = __builtin_bswap32(w);
+      }
+    }
   }
   return payloads;
 }

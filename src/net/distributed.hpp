@@ -15,11 +15,12 @@
 /// count.
 ///
 /// The offline phase runs here too, once per plan and shard count:
-/// `compile` builds every shard's pack and merge tables in O(n)
-/// (runtime::BandExchange::compile) and encodes each as a SHARD_PLAN
-/// payload, and a shard primed with its payload runs SHARD_EXEC with no
-/// compile of its own. (A shard that was never primed runs the same
-/// compile itself when the plan was registered with it by SUBMIT_PLAN.)
+/// `compile` builds every shard's pack and merge tables in O(n) on the
+/// pool, straight into their SHARD_PLAN payloads
+/// (runtime::BandExchange::compile_into), and a shard primed with its
+/// payload runs SHARD_EXEC with no compile of its own. (A shard that was
+/// never primed runs the same compile itself when the plan was
+/// registered with it by SUBMIT_PLAN.)
 ///
 /// Failure discipline: distribution is all-or-nothing. Once SHARD_EXEC
 /// frames are in flight there is no single-node fallback — a shard that
@@ -39,6 +40,7 @@
 #include "perm/permutation.hpp"
 #include "runtime/distributed.hpp"
 #include "runtime/status.hpp"
+#include "util/aligned_vector.hpp"
 #include "util/buffer_pool.hpp"
 
 namespace hmm::net {
@@ -78,12 +80,15 @@ class DistributedPermuter {
   };
 
   /// The distributed offline phase: split `p`'s n elements into
-  /// `shards` bands (runtime::BandPlan), compile every band's pack and
-  /// merge tables in O(n), and encode each as the SHARD_PLAN payload for
-  /// plan id `plan_id`. Entry s primes shard s. Fails (kInvalidArgument)
-  /// when n cannot be split `shards` ways.
-  [[nodiscard]] static runtime::StatusOr<std::vector<std::vector<std::uint8_t>>> compile(
-      const perm::Permutation& p, std::uint64_t plan_id, std::uint32_t shards);
+  /// `shards` bands (runtime::BandPlan), size each band's SHARD_PLAN
+  /// payload for plan id `plan_id` from the split, and compile every
+  /// band's pack and merge tables in O(n) straight into its payload
+  /// (one byte-swap pass on a big-endian host); the header follows from
+  /// the block lengths. The bytes are `ShardPlanRequest::encode()`'s.
+  /// Entry s primes shard s. Fails (kInvalidArgument) when n cannot be
+  /// split `shards` ways.
+  [[nodiscard]] static runtime::StatusOr<std::vector<util::uninit_vector<std::uint8_t>>>
+  compile(const perm::Permutation& p, std::uint64_t plan_id, std::uint32_t shards);
 
   /// Execute the n = `data_bytes.size() / 4` elements of plan `plan_id`
   /// across `targets.size()` shards. `data_bytes` is the request's

@@ -464,15 +464,24 @@ StatusOr<ShardXchgRequestView> ShardXchgRequestView::decode(
   return view;
 }
 
-std::vector<std::uint8_t> ShardPlanRequest::encode() const {
-  const runtime::BandPlan& bands = band.bands();
+std::vector<std::uint8_t> ShardPlanRequest::encode_header(std::uint64_t plan_id,
+                                                          const runtime::BandPlan& bands,
+                                                          std::uint32_t shard,
+                                                          std::span<const std::uint64_t> send,
+                                                          std::span<const std::uint64_t> recv) {
   ByteWriter w;
   w.put_u64(plan_id);
-  w.put_u32(band.shard());
+  w.put_u32(shard);
   w.put_u32(bands.shards());
   w.put_u64(bands.elements());
-  for (const std::uint64_t c : band.send()) w.put_u64(c);
-  for (const std::uint64_t c : band.recv()) w.put_u64(c);
+  for (const std::uint64_t c : send) w.put_u64(c);
+  for (const std::uint64_t c : recv) w.put_u64(c);
+  return w.take();
+}
+
+std::vector<std::uint8_t> ShardPlanRequest::encode() const {
+  ByteWriter w;
+  w.put_bytes(encode_header(plan_id, band.bands(), band.shard(), band.send(), band.recv()));
   w.put_u32_span(band.pack());
   w.put_u32_span(band.merge());
   return w.take();

@@ -351,6 +351,14 @@ struct ShardPlanRequest {
   std::uint64_t plan_id = 0;
   runtime::BandExchange band;
 
+  /// Bytes of the payload before the two tables, for `shards` shards.
+  [[nodiscard]] static constexpr std::size_t header_bytes(std::uint32_t shards) noexcept {
+    return 24 + 16 * std::size_t{shards};
+  }
+  /// Those bytes for shard `shard` of `bands`, with its block lengths.
+  [[nodiscard]] static std::vector<std::uint8_t> encode_header(
+      std::uint64_t plan_id, const runtime::BandPlan& bands, std::uint32_t shard,
+      std::span<const std::uint64_t> send, std::span<const std::uint64_t> recv);
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   [[nodiscard]] static runtime::StatusOr<ShardPlanRequest> decode(
       std::span<const std::uint8_t> payload);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -301,42 +300,46 @@ void Router::record_failure(Backend& b) {
 }
 
 StatusOr<FrameView> Router::forward_once(std::size_t idx, BackendLink& link,
-                                         std::uint16_t kind, std::uint64_t request_id,
-                                         std::span<const std::uint8_t> payload,
-                                         std::chrono::milliseconds connect_budget,
-                                         std::chrono::milliseconds io_budget) {
-  Backend& b = *backends_[idx];
-  util::BufferPool& pool = util::BufferPool::global();
-  bool fresh = false;
+                                         const Forward& request) {
+  if (Status sent = forward_send(idx, link, request); !sent.is_ok()) return sent;
+  return forward_receive(idx, link);
+}
+
+Status Router::forward_send(std::size_t idx, BackendLink& link, const Forward& request) {
+  link.sent = request;
+  link.fresh = !link.stream.valid();
+  if (link.fresh) {
+    const Backend& b = *backends_[idx];
+    StatusOr<TcpStream> conn = tcp_connect(b.addr.host, b.addr.port, request.connect_budget);
+    if (!conn.ok()) return conn.status();
+    link.stream = std::move(conn).value();
+  }
+  // Probes and requests share links but not budgets.
+  (void)link.stream.set_io_timeout(request.io_budget, request.io_budget);
+  const ConstBuffer parts[] = {{request.payload.data(), request.payload.size()}};
+  Status written = write_frame_parts(link.stream, request.kind, request.request_id, parts);
+  if (!written.is_ok()) link.close();
+  return link.fresh ? written : Status::ok();
+}
+
+StatusOr<FrameView> Router::forward_receive(std::size_t idx, BackendLink& link) {
   // Up to one transparent reconnect-and-resend: a pooled link the
   // backend quietly closed between requests (idle timeout, restart)
   // shows up as a send failure or an immediate EOF. Requests are pure
-  // (PERMUTE/PROGRAM compute a function of the payload; SUBMIT_PLAN is
-  // idempotent), so a single resend is safe.
-  for (int round = 0; round < 2; ++round) {
+  // (PERMUTE/PROGRAM compute a function of the payload; SUBMIT_PLAN and
+  // SHARD_PLAN are idempotent), so a single resend is safe.
+  for (;;) {
     if (!link.stream.valid()) {
-      StatusOr<TcpStream> conn = tcp_connect(b.addr.host, b.addr.port, connect_budget);
-      if (!conn.ok()) return conn.status();
-      link.stream = std::move(conn).value();
-      fresh = true;
+      if (Status resent = forward_send(idx, link, link.sent); !resent.is_ok()) return resent;
     }
-    // Probes and requests share links but not budgets.
-    (void)link.stream.set_io_timeout(io_budget, io_budget);
-    const ConstBuffer parts[] = {{payload.data(), payload.size()}};
-    if (Status written = write_frame_parts(link.stream, kind, request_id, parts);
-        !written.is_ok()) {
-      link.close();
-      if (fresh) return written;
-      continue;
-    }
-    StatusOr<FrameView> response =
-        read_frame_view(link.stream, pool, link.storage, config_.max_payload_bytes);
+    StatusOr<FrameView> response = read_frame_view(link.stream, util::BufferPool::global(),
+                                                   link.storage, config_.max_payload_bytes);
     if (!response.ok()) {
       link.close();
       // Only the peer-gone taxonomy is retriable here; a timeout means
       // the backend may still be working the request — resending would
       // double the load exactly when it is struggling.
-      if (fresh || response.status().code() != StatusCode::kUnavailable) {
+      if (link.fresh || response.status().code() != StatusCode::kUnavailable) {
         return response.status();
       }
       continue;
@@ -349,15 +352,14 @@ StatusOr<FrameView> Router::forward_once(std::size_t idx, BackendLink& link,
       link.close();
       return response;
     }
-    if (frame.request_id != request_id ||
+    if (frame.request_id != link.sent.request_id ||
         (static_cast<MsgKind>(frame.kind) != MsgKind::kError &&
-         frame.kind != static_cast<std::uint16_t>(kind | 0x80u))) {
+         frame.kind != static_cast<std::uint16_t>(link.sent.kind | 0x80u))) {
       link.close();
       return Status(StatusCode::kUnavailable, "backend response does not answer the request");
     }
     return response;
   }
-  return Status(StatusCode::kUnavailable, "backend connection could not be re-established");
 }
 
 bool Router::BackendLink::holds(const BandKey& band) {
@@ -371,13 +373,12 @@ bool Router::BackendLink::holds(const BandKey& band) {
 Status Router::push_plans(std::size_t idx, BackendLink& link,
                           std::span<const std::uint64_t> fingerprints,
                           std::atomic<std::uint64_t>& pushed) {
-  std::vector<std::pair<std::uint64_t, std::shared_ptr<const std::vector<std::uint8_t>>>>
-      to_sync;
+  std::vector<std::pair<std::uint64_t, std::shared_ptr<const perm::Permutation>>> to_sync;
   {
     std::lock_guard lock(plans_mutex_);
     if (fingerprints.empty()) {
       to_sync.reserve(plans_.size());
-      for (const auto& [fp, payload] : plans_) to_sync.emplace_back(fp, payload);
+      for (const auto& [fp, plan] : plans_) to_sync.emplace_back(fp, plan);
     } else {
       for (const std::uint64_t fp : fingerprints) {
         const auto it = plans_.find(fp);
@@ -389,11 +390,14 @@ Status Router::push_plans(std::size_t idx, BackendLink& link,
       }
     }
   }
-  for (const auto& [fp, payload] : to_sync) {
-    StatusOr<FrameView> response = forward_once(
-        idx, link, static_cast<std::uint16_t>(MsgKind::kSubmitPlan),
-        next_router_request_id(), {payload->data(), payload->size()},
-        config_.connect_timeout, config_.io_timeout);
+  for (const auto& [fp, plan] : to_sync) {
+    ByteWriter payload;
+    payload.put_u64(plan->size());
+    payload.put_u32_span(plan->data());
+    StatusOr<FrameView> response =
+        forward_once(idx, link,
+                     forward(static_cast<std::uint16_t>(MsgKind::kSubmitPlan),
+                             next_router_request_id(), payload.bytes()));
     if (!response.ok()) return response.status();
     const FrameView& frame = response.value();
     if (static_cast<MsgKind>(frame.kind) != MsgKind::kPlanOk) {
@@ -431,12 +435,14 @@ Router::ShardPlansOr Router::shard_plans(std::uint64_t fingerprint, std::uint32_
     // Every outcome, a throw included, is answered: waiters must not
     // hang on a promise that is never kept.
     ShardPlansOr compiled = Status(StatusCode::kResourceExhausted, "allocation failed");
+    util::Stopwatch clock;
     try {
       compiled = compile_shard_plans(fingerprint, shards);
     } catch (const std::bad_alloc&) {
     } catch (const std::exception& e) {
       compiled = Status(StatusCode::kUnavailable, e.what());
     }
+    dist_compile_ns_.record(static_cast<std::uint64_t>(clock.nanos()));
     const bool failed = !compiled.ok();
     promise.set_value(std::move(compiled));
     if (failed) {
@@ -457,44 +463,46 @@ Router::ShardPlansOr Router::shard_plans(std::uint64_t fingerprint, std::uint32_
 
 Router::ShardPlansOr Router::compile_shard_plans(std::uint64_t fingerprint,
                                                  std::uint32_t shards) {
-  std::shared_ptr<const std::vector<std::uint8_t>> submitted;
+  std::shared_ptr<const perm::Permutation> plan;
   {
     std::lock_guard lock(plans_mutex_);
-    if (const auto it = plans_.find(fingerprint); it != plans_.end()) submitted = it->second;
+    if (const auto it = plans_.find(fingerprint); it != plans_.end()) plan = it->second;
   }
-  if (submitted == nullptr) {
+  if (plan == nullptr) {
     return Status(StatusCode::kInvalidArgument, "plan is not in the router registry");
   }
-  // The registry keeps SUBMIT_PLAN payloads that were validated on the
-  // way in, so this decode cannot fail on a well-behaved router.
-  StatusOr<SubmitPlanRequestView> req =
-      SubmitPlanRequestView::decode(*submitted, std::numeric_limits<std::uint64_t>::max());
-  if (!req.ok()) return req.status();
-  util::aligned_vector<std::uint32_t> words(req.value().mapping.count);
-  req.value().mapping.copy_to({words.data(), words.size()});
-  const perm::Permutation p(std::move(words));
-
-  StatusOr<ShardPlans> compiled = DistributedPermuter::compile(p, fingerprint, shards);
+  StatusOr<ShardPlans> compiled = DistributedPermuter::compile(*plan, fingerprint, shards);
   if (!compiled.ok()) return compiled.status();
   dist_plan_compiles_.fetch_add(1, std::memory_order_relaxed);
   return std::make_shared<const ShardPlans>(std::move(compiled).value());
 }
 
-Status Router::push_band(std::size_t idx, BackendLink& link, const BandKey& band,
-                         std::span<const std::uint8_t> payload,
-                         std::atomic<std::uint64_t>& pushed) {
-  StatusOr<FrameView> response =
-      forward_once(idx, link, static_cast<std::uint16_t>(MsgKind::kShardPlan),
-                   next_router_request_id(), payload, config_.connect_timeout,
-                   config_.io_timeout);
-  if (!response.ok()) return response.status();
-  if (Status acked = shard_plan_outcome(response.value().kind, response.value().payload);
-      !acked.is_ok()) {
-    return acked;
+std::vector<Status> Router::push_bands(Links& links, std::uint64_t plan_id,
+                                       std::span<const std::size_t> chosen,
+                                       std::span<const std::uint32_t> bands,
+                                       const ShardPlans& plans, bool resync) {
+  util::Stopwatch clock;
+  std::vector<Status> acks;
+  for (const std::uint32_t s : bands) {
+    acks.push_back(forward_send(chosen[s], links[chosen[s]],
+                                forward(static_cast<std::uint16_t>(MsgKind::kShardPlan),
+                                        next_router_request_id(), plans[s])));
   }
-  link.primed.insert(band);
-  pushed.fetch_add(1, std::memory_order_relaxed);
-  return Status::ok();
+  for (std::size_t k = 0; k < bands.size(); ++k) {
+    const std::size_t idx = chosen[bands[k]];
+    if (!acks[k].is_ok()) continue;
+    StatusOr<FrameView> response = forward_receive(idx, links[idx]);
+    acks[k] = response.ok()
+                  ? shard_plan_outcome(response.value().kind, response.value().payload)
+                  : response.status();
+    if (!acks[k].is_ok()) continue;
+    links[idx].primed.insert(
+        BandKey{plan_id, static_cast<std::uint32_t>(chosen.size()), bands[k]});
+    (resync ? backends_[idx]->plans_synced : dist_plan_pushes_)
+        .fetch_add(1, std::memory_order_relaxed);
+  }
+  dist_prime_ns_.record(static_cast<std::uint64_t>(clock.nanos()));
+  return acks;
 }
 
 std::optional<OutboundFrame> Router::route_distributed(Links& links, const FrameView& request) {
@@ -521,10 +529,12 @@ std::optional<OutboundFrame> Router::route_distributed(Links& links, const Frame
   // Every shard must hold its band's tables before SHARD_EXEC arrives.
   // The router compiles the plan once per shard count and primes shard
   // s with band s; a link that already pushed that band, and is still
-  // open, is skipped. A backend that cannot be primed is replaced by
-  // the next usable one (or dropped, which changes the shard count and
-  // so every band), and counts a failure; distribution only proceeds
-  // while two shards remain.
+  // open, is skipped. Each round writes every band still to push before
+  // it reads any ack. A backend that cannot be primed counts a failure
+  // and is replaced by the next usable one, whose band goes out in the
+  // next round, or, with no spare left, dropped, which changes the
+  // shard count and so every band; distribution only proceeds while two
+  // shards remain.
   std::vector<std::size_t> chosen(usable.begin(), usable.begin() + shards);
   std::size_t spare = chosen.size();
   std::shared_ptr<const ShardPlans> plans;
@@ -539,30 +549,35 @@ std::optional<OutboundFrame> Router::route_distributed(Links& links, const Frame
     if (!compiled.ok()) return std::nullopt;
     plans = std::move(compiled).value();
     skipped.clear();
+    std::vector<std::uint32_t> unprimed;
+    for (std::uint32_t s = 0; s < chosen.size(); ++s) {
+      (links[chosen[s]].holds(band_key(s)) ? skipped : unprimed).push_back(s);
+    }
     all_primed = true;
-    for (std::uint32_t s = 0; s < chosen.size();) {
-      const std::size_t idx = chosen[s];
-      if (links[idx].holds(band_key(s))) {
-        skipped.push_back(s++);
-        continue;
+    while (!unprimed.empty() && all_primed) {
+      const std::vector<Status> acks =
+          push_bands(links, plan_id, chosen, unprimed, *plans, /*resync=*/false);
+      std::vector<std::uint32_t> dropped;
+      std::vector<std::uint32_t> replaced;
+      for (std::size_t k = 0; k < unprimed.size(); ++k) {
+        if (acks[k].is_ok()) continue;
+        // The backend refuses the band (an old server answers SHARD_PLAN
+        // as an unknown kind): the single-node path owns the answer.
+        if (acks[k].code() == StatusCode::kInvalidArgument) return std::nullopt;
+        const std::uint32_t s = unprimed[k];
+        record_failure(*backends_[chosen[s]]);
+        if (spare < usable.size()) {
+          chosen[s] = usable[spare++];  // same band, next usable backend
+          replaced.push_back(s);
+        } else {
+          dropped.push_back(s);
+        }
       }
-      const Status pushed =
-          push_band(idx, links[idx], band_key(s), (*plans)[s], dist_plan_pushes_);
-      if (pushed.is_ok()) {
-        ++s;
-        continue;
+      unprimed = std::move(replaced);
+      for (auto s = dropped.rbegin(); s != dropped.rend(); ++s) {
+        chosen.erase(chosen.begin() + *s);
       }
-      // The backend refuses the band (an old server answers SHARD_PLAN
-      // as an unknown kind): the single-node path owns the answer.
-      if (pushed.code() == StatusCode::kInvalidArgument) return std::nullopt;
-      record_failure(*backends_[idx]);
-      if (spare < usable.size()) {
-        chosen[s] = usable[spare++];  // same band, next usable backend
-        continue;
-      }
-      chosen.erase(chosen.begin() + s);
-      all_primed = false;  // new shard count: every band changes
-      break;
+      all_primed = dropped.empty();  // else a new shard count: every band changes
     }
   }
   shards = chosen.size();
@@ -593,15 +608,10 @@ std::optional<OutboundFrame> Router::route_distributed(Links& links, const Frame
     // Re-prime every skipped link and retry once under a fresh session
     // id — the distributed twin of the single-node lazy resync, sound
     // because PERMUTE is pure.
-    bool reprimed = true;
-    for (const std::uint32_t s : skipped) {
-      const std::size_t idx = chosen[s];
-      links[idx].primed.erase(band_key(s));
-      reprimed = reprimed && push_band(idx, links[idx], band_key(s), (*plans)[s],
-                                       backends_[idx]->plans_synced)
-                                 .is_ok();
-    }
-    if (reprimed) {
+    for (const std::uint32_t s : skipped) links[chosen[s]].primed.erase(band_key(s));
+    const std::vector<Status> acks =
+        push_bands(links, plan_id, chosen, skipped, *plans, /*resync=*/true);
+    if (std::ranges::all_of(acks, &Status::is_ok)) {
       plan_resyncs_.fetch_add(1, std::memory_order_relaxed);
       result = execute();
     }
@@ -677,9 +687,8 @@ OutboundFrame Router::route_request(Links& links, const FrameView& request) {
     for (int pass = 0; pass < 2 && !next_backend; ++pass) {
       b.requests.fetch_add(1, std::memory_order_relaxed);
       util::Stopwatch clock;
-      StatusOr<FrameView> response =
-          forward_once(idx, links[idx], request.kind, request.request_id, request.payload,
-                       config_.connect_timeout, config_.io_timeout);
+      StatusOr<FrameView> response = forward_once(
+          idx, links[idx], forward(request.kind, request.request_id, request.payload));
       if (!response.ok()) {
         record_failure(b);
         last = response.status();
@@ -735,19 +744,18 @@ OutboundFrame Router::handle_submit_plan(Links& links, const FrameView& request)
   const WordsView& mapping = req.value().mapping;
 
   // Validate + fingerprint before touching any backend: a mapping the
-  // fleet would reject must not be replicated or remembered.
-  std::span<const std::uint32_t> words = mapping.in_place();
-  std::vector<std::uint32_t> words_copy;
-  if (words.empty() && mapping.count > 0) {
-    words_copy.resize(mapping.count);
-    mapping.copy_to(words_copy);
-    words = words_copy;
-  }
-  if (!perm::Permutation::is_valid(words)) {
+  // fleet would reject must not be replicated or remembered. The
+  // registry keeps the validated permutation, which the distributed
+  // compile reads as it is.
+  util::aligned_vector<std::uint32_t> words(mapping.count);
+  mapping.copy_to({words.data(), words.size()});
+  std::optional<perm::Permutation> adopted = perm::Permutation::adopt(std::move(words));
+  if (!adopted) {
     return error_outbound(request.request_id, Status(StatusCode::kInvalidArgument,
                                                      "SUBMIT_PLAN: mapping is not a bijection"));
   }
-  const std::uint64_t fingerprint = runtime::fingerprint_mapping(words).value;
+  auto plan = std::make_shared<const perm::Permutation>(std::move(*adopted));
+  const std::uint64_t fingerprint = runtime::fingerprint_permutation(*plan).value;
 
   {
     std::lock_guard lock(plans_mutex_);
@@ -758,48 +766,59 @@ OutboundFrame Router::handle_submit_plan(Links& links, const FrameView& request)
                               Status(StatusCode::kResourceExhausted,
                                      "router plan registry full; retry later"));
       }
-      plans_.emplace(fingerprint, std::make_shared<const std::vector<std::uint8_t>>(
-                                      request.payload.begin(), request.payload.end()));
+      plans_.emplace(fingerprint, std::move(plan));
       plans_registered_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
   // Replicate to the first `replication` routable backends of the
-  // fingerprint's preference list. One ack answers the client — lazy
-  // resync, or the registry replay on recovery, heals any replica that
-  // missed its copy.
+  // fingerprint's preference list, writing to each before reading any
+  // ack; a replica that fails is replaced by the next routable backend.
+  // One ack answers the client — lazy resync, or the registry replay on
+  // recovery, heals any replica that missed its copy.
   const std::vector<std::size_t> prefs = preference(fingerprint);
   const auto want = std::max<std::uint32_t>(
       1, std::min<std::uint32_t>(config_.replication,
                                  static_cast<std::uint32_t>(backends_.size())));
   std::uint32_t acked = 0;
   Status last(StatusCode::kUnavailable, "no routable backend");
-  for (const std::size_t idx : prefs) {
-    if (acked >= want) break;
-    if (!backend_healthy(idx)) continue;
-    Backend& b = *backends_[idx];
-    b.requests.fetch_add(1, std::memory_order_relaxed);
-    util::Stopwatch clock;
-    StatusOr<FrameView> response =
-        forward_once(idx, links[idx], request.kind, request.request_id, request.payload,
-                     config_.connect_timeout, config_.io_timeout);
-    if (!response.ok()) {
-      record_failure(b);
-      last = response.status();
-      continue;
+  for (auto next = prefs.begin(); acked < want;) {
+    std::vector<std::pair<std::size_t, util::Stopwatch>> sent;
+    for (; next != prefs.end() && acked + sent.size() < want; ++next) {
+      if (!backend_healthy(*next)) continue;
+      backends_[*next]->requests.fetch_add(1, std::memory_order_relaxed);
+      util::Stopwatch clock;
+      if (Status s = forward_send(*next, links[*next],
+                                  forward(request.kind, request.request_id, request.payload));
+          !s.is_ok()) {
+        record_failure(*backends_[*next]);
+        last = s;
+        continue;
+      }
+      sent.emplace_back(*next, clock);
     }
-    b.forward_ns.record(static_cast<std::uint64_t>(clock.nanos()));
-    record_success(b);
-    const FrameView& frame = response.value();
-    if (static_cast<MsgKind>(frame.kind) == MsgKind::kPlanOk) {
-      b.ok.fetch_add(1, std::memory_order_relaxed);
-      ++acked;
-      continue;
+    if (sent.empty()) break;
+    for (const auto& [idx, clock] : sent) {
+      Backend& b = *backends_[idx];
+      StatusOr<FrameView> response = forward_receive(idx, links[idx]);
+      if (!response.ok()) {
+        record_failure(b);
+        last = response.status();
+        continue;
+      }
+      b.forward_ns.record(static_cast<std::uint64_t>(clock.nanos()));
+      record_success(b);
+      const FrameView& frame = response.value();
+      if (static_cast<MsgKind>(frame.kind) == MsgKind::kPlanOk) {
+        b.ok.fetch_add(1, std::memory_order_relaxed);
+        ++acked;
+        continue;
+      }
+      const Status typed = error_status(frame.payload);
+      (typed.code() == StatusCode::kResourceExhausted ? b.retry_later : b.typed_errors)
+          .fetch_add(1, std::memory_order_relaxed);
+      if (!typed.is_ok()) last = typed;
     }
-    const Status typed = error_status(frame.payload);
-    (typed.code() == StatusCode::kResourceExhausted ? b.retry_later : b.typed_errors)
-        .fetch_add(1, std::memory_order_relaxed);
-    if (!typed.is_ok()) last = typed;
   }
 
   if (acked == 0) return error_outbound(request.request_id, last);
@@ -842,9 +861,11 @@ void Router::probe_round() {
 }
 
 Status Router::probe(std::size_t idx, BackendLink& link) {
-  StatusOr<FrameView> response = forward_once(
-      idx, link, static_cast<std::uint16_t>(MsgKind::kPing), next_router_request_id(),
-      {kProbePayload, sizeof(kProbePayload)}, config_.probe_timeout, config_.probe_timeout);
+  StatusOr<FrameView> response =
+      forward_once(idx, link,
+                   {static_cast<std::uint16_t>(MsgKind::kPing), next_router_request_id(),
+                    {kProbePayload, sizeof(kProbePayload)}, config_.probe_timeout,
+                    config_.probe_timeout});
   if (!response.ok()) return response.status();
   const FrameView& frame = response.value();
   if (static_cast<MsgKind>(frame.kind) == MsgKind::kError) {
@@ -875,6 +896,8 @@ Router::Snapshot Router::snapshot() const {
   s.dist_bytes = dist_bytes_.load(std::memory_order_relaxed);
   s.dist_plan_pushes = dist_plan_pushes_.load(std::memory_order_relaxed);
   s.dist_plan_compiles = dist_plan_compiles_.load(std::memory_order_relaxed);
+  s.dist_compile = dist_compile_ns_.stats();
+  s.dist_prime = dist_prime_ns_.stats();
   s.plans_registered = plans_registered_.load(std::memory_order_relaxed);
   const Reactor::Counters io = reactor_.counters();
   s.connections_accepted = io.connections_accepted;
@@ -895,11 +918,7 @@ Router::Snapshot Router::snapshot() const {
     bs.ejections = b.ejections.load(std::memory_order_relaxed);
     bs.recoveries = b.recoveries.load(std::memory_order_relaxed);
     bs.plans_synced = b.plans_synced.load(std::memory_order_relaxed);
-    bs.forward_count = b.forward_ns.count();
-    bs.forward_ns_sum = b.forward_ns.sum();
-    bs.forward_ns_p50 = b.forward_ns.quantile(0.5);
-    bs.forward_ns_p99 = b.forward_ns.quantile(0.99);
-    bs.forward_ns_max = b.forward_ns.max();
+    bs.forward = b.forward_ns.stats();
     s.backends.push_back(std::move(bs));
   }
   return s;
@@ -918,6 +937,12 @@ std::string Router::Snapshot::to_json() const {
   os << ",\"distributed_bytes\":" << dist_bytes;
   os << ",\"distributed_plan_pushes\":" << dist_plan_pushes;
   os << ",\"distributed_plan_compiles\":" << dist_plan_compiles;
+  for (const auto& [name, phase] : {std::pair{"dist_compile_ms", &dist_compile},
+                                    std::pair{"dist_prime_ms", &dist_prime}}) {
+    os << ",\"" << name << "\":{\"count\":" << phase->count
+       << ",\"p50\":" << util::format_double(static_cast<double>(phase->p50) / 1e6, 3)
+       << ",\"max\":" << util::format_double(static_cast<double>(phase->max) / 1e6, 3) << "}";
+  }
   os << ",\"plans_registered\":" << plans_registered;
   os << ",\"connections_accepted\":" << connections_accepted;
   os << ",\"connections_rejected\":" << connections_rejected;
@@ -937,11 +962,11 @@ std::string Router::Snapshot::to_json() const {
     os << ",\"ejections\":" << b.ejections;
     os << ",\"recoveries\":" << b.recoveries;
     os << ",\"plans_synced\":" << b.plans_synced;
-    os << ",\"forward_count\":" << b.forward_count;
-    os << ",\"forward_ns_sum\":" << b.forward_ns_sum;
-    os << ",\"forward_ns_p50\":" << b.forward_ns_p50;
-    os << ",\"forward_ns_p99\":" << b.forward_ns_p99;
-    os << ",\"forward_ns_max\":" << b.forward_ns_max;
+    os << ",\"forward_count\":" << b.forward.count;
+    os << ",\"forward_ns_sum\":" << b.forward.ns_sum;
+    os << ",\"forward_ns_p50\":" << b.forward.p50;
+    os << ",\"forward_ns_p99\":" << b.forward.p99;
+    os << ",\"forward_ns_max\":" << b.forward.max;
     os << "}";
   }
   os << "]}}";
@@ -1023,22 +1048,35 @@ std::string Router::Snapshot::to_prometheus() const {
        << (b.healthy ? 1 : 0) << "\n";
   }
 
-  // Forward latency as a summary per backend, quantiles from the log2
-  // histogram (factor-of-two resolution); _sum/_count are exact.
-  os << "# HELP hmm_router_backend_forward_latency_seconds Round-trip time to the backend.\n"
-     << "# TYPE hmm_router_backend_forward_latency_seconds summary\n";
+  // Latencies as summaries, quantiles from the log2 histograms
+  // (factor-of-two resolution); _sum/_count are exact.
   const auto seconds = [](std::uint64_t ns) {
     return util::format_double(static_cast<double>(ns) / 1e9, 9);
   };
+  const auto summary = [&](std::string_view name, const std::string& label,
+                           const runtime::PhaseStats& st) {
+    const std::string tag = label.empty() ? "" : "{" + label + "}";
+    const std::string at = label.empty() ? "{" : "{" + label + ",";
+    os << name << at << "quantile=\"0.5\"} " << seconds(st.p50) << "\n"
+       << name << at << "quantile=\"0.99\"} " << seconds(st.p99) << "\n"
+       << name << "_sum" << tag << " " << seconds(st.ns_sum) << "\n"
+       << name << "_count" << tag << " " << st.count << "\n";
+  };
+  os << "# HELP hmm_router_backend_forward_latency_seconds Round-trip time to the backend.\n"
+     << "# TYPE hmm_router_backend_forward_latency_seconds summary\n";
   for (const BackendStats& b : backends) {
-    os << "hmm_router_backend_forward_latency_seconds{backend=\"" << b.backend
-       << "\",quantile=\"0.5\"} " << seconds(b.forward_ns_p50) << "\n";
-    os << "hmm_router_backend_forward_latency_seconds{backend=\"" << b.backend
-       << "\",quantile=\"0.99\"} " << seconds(b.forward_ns_p99) << "\n";
-    os << "hmm_router_backend_forward_latency_seconds_sum{backend=\"" << b.backend << "\"} "
-       << seconds(b.forward_ns_sum) << "\n";
-    os << "hmm_router_backend_forward_latency_seconds_count{backend=\"" << b.backend
-       << "\"} " << b.forward_count << "\n";
+    summary("hmm_router_backend_forward_latency_seconds", "backend=\"" + b.backend + "\"",
+            b.forward);
+  }
+  for (const auto& [name, help, phase] :
+       {std::tuple{"hmm_router_distributed_compile_seconds",
+                   "Compiles of a distributed plan into its SHARD_PLAN payloads.",
+                   &dist_compile},
+        std::tuple{"hmm_router_distributed_prime_seconds",
+                   "Rounds of SHARD_PLAN pushes, every payload sent before any ack is read.",
+                   &dist_prime}}) {
+    os << "# HELP " << name << " " << help << "\n# TYPE " << name << " summary\n";
+    summary(name, "", *phase);
   }
   return os.str();
 }

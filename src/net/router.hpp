@@ -18,12 +18,13 @@
 ///    replica that holds a plan is exactly the backend a failed request
 ///    falls over to.
 ///  - **Replication makes failover a hit.** SUBMIT_PLAN is forwarded to
-///    the first `replication` routable backends of its preference list
-///    and remembered in the router's own registry (payload bytes keyed
-///    by fingerprint). A restarted backend comes back empty; a probe
-///    that finds it again replays the registry into it *before* it
-///    rejoins, and the request path lazily re-submits referenced plans
-///    when a backend answers "unknown plan" for a plan the router holds.
+///    the first `replication` routable backends of its preference list,
+///    every replica written before any ack is read, and remembered in
+///    the router's own registry (the mapping keyed by fingerprint). A
+///    restarted backend comes back empty; a probe that finds it again
+///    replays the registry into it *before* it rejoins, and the request
+///    path lazily re-submits referenced plans when a backend answers
+///    "unknown plan" for a plan the router holds.
 ///  - **One health state per backend.** A backend is routable or
 ///    ejected. One counter of consecutive transport failures has two
 ///    inputs: the request path (forwards, band pushes, shard
@@ -46,10 +47,11 @@
 ///    n) needs every selected shard to hold its band's gather tables.
 ///    The router compiles the plan once per
 ///    (fingerprint, shard count) — single-flight across handler
-///    threads, on the first request that needs it — and keeps only the
-///    encoded SHARD_PLAN payloads (6 bytes per element over all
-///    shards), up to `max_plans` of them. Shard s is primed with band s
-///    by SHARD_PLAN; it never compiles the plan itself.
+///    threads, on the first request that needs it, on the pool straight
+///    into the SHARD_PLAN payloads — and keeps only those payloads (8
+///    bytes per element over all shards), up to `max_plans` of them.
+///    Shard s is primed with band s by SHARD_PLAN, every unprimed band
+///    written before any ack is read; it never compiles the plan itself.
 ///  - **Distributed shards are primed once per link.** Each pooled
 ///    backend link remembers the (fingerprint, shard count, shard)
 ///    bands pushed over it while it stays open (DESIGN.md §3.8). A
@@ -91,8 +93,10 @@
 #include "net/protocol.hpp"
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
+#include "perm/permutation.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/status.hpp"
+#include "util/aligned_vector.hpp"
 #include "util/buffer_pool.hpp"
 
 namespace hmm::net {
@@ -116,7 +120,7 @@ class Router {
     std::uint32_t max_payload_bytes = kDefaultMaxPayload;
     /// Client-side connection cap; excess connections get RETRY_LATER.
     std::uint32_t max_connections = 256;
-    /// Bound on remembered SUBMIT_PLAN payloads (fingerprint-deduped),
+    /// Bound on remembered plans (fingerprint-deduped),
     /// and on kept distributed plans (the oldest is dropped past it).
     std::uint32_t max_plans = 4096;
     /// How many backends of a plan's preference list receive its
@@ -164,11 +168,7 @@ class Router {
     std::uint64_t ejections = 0;
     std::uint64_t recoveries = 0;
     std::uint64_t plans_synced = 0;  ///< SUBMIT_PLANs replayed by recovery/lazy resync
-    std::uint64_t forward_count = 0;
-    std::uint64_t forward_ns_sum = 0;
-    std::uint64_t forward_ns_p50 = 0;
-    std::uint64_t forward_ns_p99 = 0;
-    std::uint64_t forward_ns_max = 0;
+    runtime::PhaseStats forward;     ///< round trips, ns
   };
 
   struct Snapshot {
@@ -183,6 +183,8 @@ class Router {
     std::uint64_t dist_bytes = 0;      ///< element bytes moved distributed
     std::uint64_t dist_plan_pushes = 0;  ///< SHARD_PLANs priming a shard link
     std::uint64_t dist_plan_compiles = 0;  ///< distributed plans compiled here
+    runtime::PhaseStats dist_compile;  ///< each single-flight distributed compile, ns
+    runtime::PhaseStats dist_prime;    ///< each round of SHARD_PLAN pushes, ns
     std::uint64_t plans_registered = 0;
     std::uint64_t connections_accepted = 0;
     std::uint64_t connections_rejected = 0;
@@ -230,6 +232,15 @@ class Router {
   /// count, shard index).
   using BandKey = std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>;
 
+  /// One request to a backend, and the budgets of its exchange.
+  struct Forward {
+    std::uint16_t kind = 0;
+    std::uint64_t request_id = 0;
+    std::span<const std::uint8_t> payload;
+    std::chrono::milliseconds connect_budget{};
+    std::chrono::milliseconds io_budget{};
+  };
+
   /// A connection to one backend plus the pooled storage its response
   /// payloads land in. Used by one request at a time: checked out of
   /// the backend's pool, checked back in after the request.
@@ -238,6 +249,11 @@ class Router {
     util::PooledBuffer storage;
     /// Shard bands acked over this connection.
     std::set<BandKey> primed;
+    /// The request awaiting its answer, and whether its exchange opened
+    /// the connection (a failure then is the backend's, not a stale
+    /// pooled connection's).
+    Forward sent;
+    bool fresh = false;
 
     /// Close the connection; what it primed is forgotten with it.
     void close() noexcept {
@@ -269,7 +285,7 @@ class Router {
 
   /// The encoded SHARD_PLAN payloads of one distributed plan; entry s
   /// primes shard s.
-  using ShardPlans = std::vector<std::vector<std::uint8_t>>;
+  using ShardPlans = std::vector<util::uninit_vector<std::uint8_t>>;
   using ShardPlansOr = runtime::StatusOr<std::shared_ptr<const ShardPlans>>;
 
   struct Backend;
@@ -304,15 +320,24 @@ class Router {
   /// should take the single-node path instead.
   std::optional<OutboundFrame> route_distributed(Links& links, const FrameView& request);
 
-  /// One request/response exchange with backend `idx` over `link`,
-  /// reconnecting a stale connection once. A pre-frame ERROR
+  /// `request` under the configured connect and I/O budgets.
+  [[nodiscard]] Forward forward(std::uint16_t kind, std::uint64_t request_id,
+                                std::span<const std::uint8_t> payload) const {
+    return {kind, request_id, payload, config_.connect_timeout, config_.io_timeout};
+  }
+  /// One request/response exchange with backend `idx` over `link`:
+  /// `forward_send`, then `forward_receive`. A caller with several
+  /// backends to ask sends to all of them before it receives any answer.
+  runtime::StatusOr<FrameView> forward_once(std::size_t idx, BackendLink& link,
+                                            const Forward& request);
+  /// Write `request`, connecting `link` first when it is closed. A
+  /// pooled connection that fails the write is left closed.
+  runtime::Status forward_send(std::size_t idx, BackendLink& link, const Forward& request);
+  /// Read the answer to `link.sent`, reconnecting and resending once
+  /// when the pooled connection turns out stale. A pre-frame ERROR
   /// (request_id 0 — the backend's connection cap) is returned as a
   /// view like any typed answer.
-  runtime::StatusOr<FrameView> forward_once(std::size_t idx, BackendLink& link,
-                                            std::uint16_t kind, std::uint64_t request_id,
-                                            std::span<const std::uint8_t> payload,
-                                            std::chrono::milliseconds connect_budget,
-                                            std::chrono::milliseconds io_budget);
+  runtime::StatusOr<FrameView> forward_receive(std::size_t idx, BackendLink& link);
 
   /// Replay SUBMIT_PLANs for `fingerprints` (empty = the whole
   /// registry) over `link`; every plan must be acked with PLAN_OK.
@@ -328,12 +353,15 @@ class Router {
   ShardPlansOr shard_plans(std::uint64_t fingerprint, std::uint32_t shards);
   ShardPlansOr compile_shard_plans(std::uint64_t fingerprint, std::uint32_t shards);
 
-  /// Push `band`'s SHARD_PLAN payload over `link` and wait for
-  /// SHARD_PLAN_OK; on success the band joins `link.primed` and
-  /// `pushed` ticks.
-  runtime::Status push_band(std::size_t idx, BackendLink& link, const BandKey& band,
-                            std::span<const std::uint8_t> payload,
-                            std::atomic<std::uint64_t>& pushed);
+  /// One priming round: band s's SHARD_PLAN to backend `chosen[s]` for
+  /// each s in `bands`, every payload written before any ack is read.
+  /// An acked band joins its link's `primed` and ticks
+  /// `dist_plan_pushes`, or with `resync` its backend's `plans_synced`.
+  /// Returns each band's outcome, in `bands` order.
+  std::vector<runtime::Status> push_bands(Links& links, std::uint64_t plan_id,
+                                          std::span<const std::size_t> chosen,
+                                          std::span<const std::uint32_t> bands,
+                                          const ShardPlans& plans, bool resync);
 
   /// The health state's two transitions on the request and probe
   /// paths: a success resets the failure count, `eject_after` failures
@@ -372,7 +400,7 @@ class Router {
   std::atomic<bool> probing_{false};
 
   mutable std::mutex plans_mutex_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const std::vector<std::uint8_t>>> plans_;
+  std::unordered_map<std::uint64_t, std::shared_ptr<const perm::Permutation>> plans_;
 
   /// Distributed plans by (fingerprint, shard count), in compile order
   /// for the `max_plans` bound. An entry is a future so that callers
@@ -393,6 +421,8 @@ class Router {
   std::atomic<std::uint64_t> dist_bytes_{0};
   std::atomic<std::uint64_t> dist_plan_pushes_{0};
   std::atomic<std::uint64_t> dist_plan_compiles_{0};
+  runtime::LogHistogram dist_compile_ns_;
+  runtime::LogHistogram dist_prime_ns_;
   std::atomic<std::uint64_t> plans_registered_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};  ///< malformed SUBMIT_PLAN payloads
 

@@ -57,8 +57,9 @@ BandExchange::BandExchange(BandPlan bands, std::uint32_t shard, Counts send, Cou
       pack_(std::move(pack)),
       merge_(std::move(merge)) {}
 
-StatusOr<std::vector<BandExchange>> BandExchange::compile(const perm::Permutation& p,
-                                                          const BandPlan& bands) {
+StatusOr<std::vector<BandExchange::Counts>> BandExchange::compile_into(
+    const perm::Permutation& p, const BandPlan& bands, std::span<std::uint32_t* const> pack,
+    std::span<std::uint32_t* const> merge) {
   const std::uint64_t n = bands.elements();
   if (p.size() != n) {
     return Status(StatusCode::kInvalidArgument,
@@ -71,21 +72,29 @@ StatusOr<std::vector<BandExchange>> BandExchange::compile(const perm::Permutatio
   // The host's bucketed compile with the bands as both the source
   // bands and the destination chunks, and no skew: band s's packed
   // region is its band, and chunk d's received buffer is shard d's.
-  Table pack(n), merge(n);
-  const core::GroupCounts recv = core::group_tables<std::uint32_t>(
-      p, bounds, bounds, 0, core::MergeInto::kReceived, std::span<std::uint32_t>(pack),
-      std::span<std::uint32_t>(merge));
+  return core::group_tables<std::uint32_t>(p, bounds, bounds, 0, core::MergeInto::kReceived,
+                                           pack, merge);
+}
 
+StatusOr<std::vector<BandExchange>> BandExchange::compile(const perm::Permutation& p,
+                                                          const BandPlan& bands) {
+  std::vector<Table> pack(bands.shards()), merge(bands.shards());
+  std::vector<std::uint32_t*> pack_at, merge_at;
+  for (std::uint32_t s = 0; s < bands.shards(); ++s) {
+    pack[s].resize(bands.band_elements(s));
+    merge[s].resize(bands.band_elements(s));
+    pack_at.push_back(pack[s].data());
+    merge_at.push_back(merge[s].data());
+  }
+  StatusOr<std::vector<Counts>> recv = compile_into(p, bands, pack_at, merge_at);
+  if (!recv.ok()) return recv.status();
   std::vector<BandExchange> result;
-  result.reserve(shards);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    Counts send(shards);
-    for (std::uint32_t d = 0; d < shards; ++d) send[d] = recv[d][s];
-    const auto band = [&](const Table& t) {
-      return Table(t.begin() + static_cast<std::ptrdiff_t>(bounds[s]),
-                   t.begin() + static_cast<std::ptrdiff_t>(bounds[s + 1]));
-    };
-    result.push_back(BandExchange(bands, s, std::move(send), recv[s], band(pack), band(merge)));
+  result.reserve(bands.shards());
+  for (std::uint32_t s = 0; s < bands.shards(); ++s) {
+    Counts send(bands.shards());
+    for (std::uint32_t d = 0; d < bands.shards(); ++d) send[d] = recv.value()[d][s];
+    result.push_back(BandExchange(bands, s, std::move(send), recv.value()[s],
+                                  std::move(pack[s]), std::move(merge[s])));
   }
   return result;
 }

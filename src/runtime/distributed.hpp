@@ -30,9 +30,11 @@
 ///
 /// `BandExchange` holds one shard's tables: pack and merge (u32, 8 bytes
 /// per band element) and the block lengths it sends and receives.
-/// `compile` builds every shard's tables from p in O(n) with the
+/// `compile_into` builds every shard's tables from p in O(n) with the
 /// bucketed kernel's counting compile (`core::group_tables`, no skew,
-/// the bands as both source bands and destination chunks); a shard that
+/// the bands as both source bands and destination chunks), straight into
+/// wherever the caller keeps them (a coordinator: its SHARD_PLAN
+/// payloads), and `compile` into tables each shard owns; a shard that
 /// receives its tables from a coordinator adopts them through
 /// `from_tables`, which validates them first.
 
@@ -88,9 +90,18 @@ class BandExchange {
   using Table = util::aligned_vector<std::uint32_t>;
   using Counts = std::vector<std::uint64_t>;
 
-  /// Every shard's tables for `p` under `bands` (entry s is shard s),
-  /// from `core::group_tables`' three linear passes on the global pool. Fails
+  /// Every shard's tables for `p` under `bands`, written where the
+  /// caller keeps them: `pack[s]` and `merge[s]` each take band s's
+  /// `band_elements(s)` entries. Runs `core::group_tables`' two linear
+  /// passes on the global pool, split to fill it. Returns the block
+  /// lengths: shard d receives `recv[d][s]` elements from shard s. Fails
   /// (kInvalidArgument) when p does not have the split's n elements.
+  [[nodiscard]] static StatusOr<std::vector<Counts>> compile_into(
+      const perm::Permutation& p, const BandPlan& bands, std::span<std::uint32_t* const> pack,
+      std::span<std::uint32_t* const> merge);
+
+  /// Every shard's tables for `p` under `bands` (entry s is shard s):
+  /// `compile_into` tables the shards own.
   [[nodiscard]] static StatusOr<std::vector<BandExchange>> compile(const perm::Permutation& p,
                                                                    const BandPlan& bands);
 

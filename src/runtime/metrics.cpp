@@ -148,15 +148,7 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
     s.pool_outstanding_bytes = pool.outstanding_bytes;
     s.pool_pooled_bytes = pool.pooled_bytes;
   }
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    const LogHistogram& h = phase_ns_[i];
-    PhaseStats& p = s.phases[i];
-    p.count = h.count();
-    p.ns_sum = h.sum();
-    p.p50 = h.quantile(0.50);
-    p.p95 = h.quantile(0.95);
-    p.max = h.max();
-  }
+  for (std::size_t i = 0; i < kPhaseCount; ++i) s.phases[i] = phase_ns_[i].stats();
   return s;
 }
 

@@ -25,6 +25,16 @@
 
 namespace hmm::runtime {
 
+/// Point-in-time digest of one per-phase latency histogram.
+struct PhaseStats {
+  std::uint64_t count = 0;
+  std::uint64_t ns_sum = 0;
+  std::uint64_t p50 = 0;
+  std::uint64_t p95 = 0;
+  std::uint64_t p99 = 0;
+  std::uint64_t max = 0;
+};
+
 /// Concurrent log2-bucketed histogram of nonnegative values (ns).
 class LogHistogram {
  public:
@@ -46,6 +56,9 @@ class LogHistogram {
   [[nodiscard]] std::uint64_t max() const noexcept {
     return max_.load(std::memory_order_relaxed);
   }
+  [[nodiscard]] PhaseStats stats() const noexcept {
+    return {count(), sum(), quantile(0.50), quantile(0.95), quantile(0.99), max()};
+  }
 
   void reset() noexcept;
 
@@ -54,15 +67,6 @@ class LogHistogram {
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> max_{0};
-};
-
-/// Point-in-time digest of one per-phase latency histogram.
-struct PhaseStats {
-  std::uint64_t count = 0;
-  std::uint64_t ns_sum = 0;
-  std::uint64_t p50 = 0;
-  std::uint64_t p95 = 0;
-  std::uint64_t max = 0;
 };
 
 /// Point-in-time copy of every counter (plain integers, safe to format).

@@ -55,4 +55,21 @@ struct AlignedAllocator {
 template <class T>
 using aligned_vector = std::vector<T, AlignedAllocator<T>>;
 
+/// An aligned vector whose `resize` leaves the new elements unwritten,
+/// for buffers a parallel pass fills in full: each page is first touched
+/// by the worker that writes it, not zeroed serially beforehand.
+template <class T>
+struct UninitAllocator : AlignedAllocator<T> {
+  template <class U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+  template <class U>
+  void construct(U* at) noexcept {
+    ::new (static_cast<void*>(at)) U;
+  }
+};
+template <class T>
+using uninit_vector = std::vector<T, UninitAllocator<T>>;
+
 }  // namespace hmm::util

@@ -47,6 +47,7 @@
 #include "net/server.hpp"
 #include "net/shard.hpp"
 #include "net/socket.hpp"
+#include "net_relay.hpp"
 #include "perm/generators.hpp"
 #include "perm/permutation.hpp"
 #include "runtime/distributed.hpp"
@@ -333,7 +334,8 @@ std::vector<std::uint8_t> sample_shard_plan(const perm::Permutation& p, std::uin
   auto payloads = net::DistributedPermuter::compile(
       p, runtime::fingerprint_permutation(p).value, /*shards=*/3);
   EXPECT_TRUE(payloads.ok()) << payloads.status().to_string();
-  return std::move(payloads.value()[shard]);
+  const auto& payload = payloads.value()[shard];
+  return {payload.begin(), payload.end()};
 }
 
 TEST(ShardCodec, PlanRoundTrips) {
@@ -751,42 +753,65 @@ TEST_P(ShardCounts, LocalAndLoopbackMatchTheOracle) {
 /// elements grouped by destination band and in destination order within
 /// a group; merge names, for each destination, the next unread slot of
 /// its source's block in the receive buffer (the blocks in source order).
+std::vector<BandExchange> reference_exchange(const perm::Permutation& p,
+                                             const BandPlan& bands) {
+  const std::uint32_t shards = bands.shards();
+  const perm::Permutation pinv = p.inverse();
+  const auto band_of = [&](std::uint64_t i) {
+    std::uint32_t s = 0;
+    while (i >= bands.band_offset(s) + bands.band_elements(s)) ++s;
+    return s;
+  };
+  std::vector<BandExchange::Table> pack(shards), merge(shards);
+  std::vector<BandExchange::Counts> recv(shards, BandExchange::Counts(shards, 0));
+  for (std::uint64_t j = 0; j < p.size(); ++j) ++recv[band_of(j)][band_of(pinv(j))];
+  for (std::uint32_t d = 0; d < shards; ++d) {
+    std::vector<std::uint64_t> next(shards, 0);
+    for (std::uint32_t s = 1; s < shards; ++s) next[s] = next[s - 1] + recv[d][s - 1];
+    const std::uint64_t end = bands.band_offset(d) + bands.band_elements(d);
+    for (std::uint64_t j = bands.band_offset(d); j < end; ++j) {
+      const std::uint32_t s = band_of(pinv(j));
+      pack[s].push_back(static_cast<std::uint32_t>(pinv(j) - bands.band_offset(s)));
+      merge[d].push_back(static_cast<std::uint32_t>(next[s]++));
+    }
+  }
+  std::vector<BandExchange> reference;
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    BandExchange::Counts send(shards);
+    for (std::uint32_t d = 0; d < shards; ++d) send[d] = recv[d][s];
+    auto band = BandExchange::from_tables(bands, s, std::move(send), recv[s],
+                                          std::move(pack[s]), std::move(merge[s]));
+    EXPECT_TRUE(band.ok()) << band.status().to_string();
+    if (band.ok()) reference.push_back(std::move(band).value());
+  }
+  return reference;
+}
+
 TEST_P(ShardCounts, CompiledTablesMatchTheReferenceLayout) {
   const std::uint32_t shards = GetParam();
-  for (const OracleCase& c : oracle_cases(shards)) {
-    const BandPlan bands = word_bands(c.p.size(), shards);
-    auto compiled = BandExchange::compile(c.p, bands);
-    ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
-    const perm::Permutation pinv = c.p.inverse();
-    const auto band_of = [&](std::uint64_t i) {
-      std::uint32_t s = 0;
-      while (i >= bands.band_offset(s) + bands.band_elements(s)) ++s;
-      return s;
-    };
-    std::vector<std::vector<std::uint32_t>> pack(shards), merge(shards);
-    std::vector<std::vector<std::uint64_t>> recv(shards, std::vector<std::uint64_t>(shards, 0));
-    for (std::uint64_t j = 0; j < c.p.size(); ++j) ++recv[band_of(j)][band_of(pinv(j))];
-    for (std::uint32_t d = 0; d < shards; ++d) {
-      std::vector<std::uint64_t> next(shards, 0);
-      for (std::uint32_t s = 1; s < shards; ++s) next[s] = next[s - 1] + recv[d][s - 1];
-      for (std::uint64_t j = bands.band_offset(d); j < bands.band_offset(d) + bands.band_elements(d);
-           ++j) {
-        const std::uint32_t s = band_of(pinv(j));
-        pack[s].push_back(static_cast<std::uint32_t>(pinv(j) - bands.band_offset(s)));
-        merge[d].push_back(static_cast<std::uint32_t>(next[s]++));
-      }
+  std::vector<std::pair<std::string, perm::Permutation>> cases;
+  for (OracleCase& c : oracle_cases(shards)) cases.emplace_back(c.name, std::move(c.p));
+  // Sizes where each of the compile's sub-chunks spans thousands of
+  // elements: 2^20 + 7 splits unevenly (the compare chain), 3 * 2^18
+  // evenly (the division).
+  if (shards == 2 || shards == 3 || shards == 8) {
+    for (const std::uint64_t n : {(std::uint64_t{1} << 20) + 7, std::uint64_t{3} << 18}) {
+      cases.emplace_back("random-" + std::to_string(n), perm::by_name("random", n, 41));
     }
+  }
+  for (const auto& [name, p] : cases) {
+    const BandPlan bands = word_bands(p.size(), shards);
+    auto compiled = BandExchange::compile(p, bands);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+    const std::vector<BandExchange> reference = reference_exchange(p, bands);
+    ASSERT_EQ(reference.size(), shards) << name;
     for (std::uint32_t s = 0; s < shards; ++s) {
       const BandExchange& x = compiled.value()[s];
-      EXPECT_TRUE(std::equal(x.pack().begin(), x.pack().end(), pack[s].begin(), pack[s].end()))
-          << c.name << " shard " << s;
-      EXPECT_TRUE(std::equal(x.merge().begin(), x.merge().end(), merge[s].begin(),
-                             merge[s].end()))
-          << c.name << " shard " << s;
-      for (std::uint32_t d = 0; d < shards; ++d) {
-        EXPECT_EQ(x.recv()[d], recv[s][d]) << c.name;
-        EXPECT_EQ(x.send()[d], recv[d][s]) << c.name;
-      }
+      const BandExchange& want = reference[s];
+      EXPECT_TRUE(std::ranges::equal(x.pack(), want.pack())) << name << " shard " << s;
+      EXPECT_TRUE(std::ranges::equal(x.merge(), want.merge())) << name << " shard " << s;
+      EXPECT_TRUE(std::ranges::equal(x.send(), want.send())) << name << " shard " << s;
+      EXPECT_TRUE(std::ranges::equal(x.recv(), want.recv())) << name << " shard " << s;
     }
   }
 }
@@ -795,6 +820,34 @@ INSTANTIATE_TEST_SUITE_P(DistributedOracle, ShardCounts, ::testing::Range(1u, 9u
                          [](const ::testing::TestParamInfo<std::uint32_t>& shard_count) {
                            return std::string("s").append(std::to_string(shard_count.param));
                          });
+
+// DistributedPermuter::compile writes each band's tables straight into
+// its SHARD_PLAN payload: every payload is ShardPlanRequest::encode() of
+// the reference tables, byte for byte.
+TEST(DistributedCompile, PayloadsEncodeTheReferenceTables) {
+  for (const std::uint64_t n : {std::uint64_t{1} << 16, std::uint64_t{1} << 20}) {
+    for (const std::uint32_t shards : {3u, 8u}) {
+      const BandPlan bands = word_bands(n, shards);
+      for (const std::string family :
+           {"random", "identical", "bit-reversal", "transpose", "band-shift"}) {
+        const perm::Permutation p = family == "band-shift"
+                                        ? perm::rotation(n, bands.band_elements(0))
+                                        : perm::by_name(family, n, 43);
+        const std::uint64_t id = runtime::fingerprint_permutation(p).value;
+        auto payloads = net::DistributedPermuter::compile(p, id, shards);
+        ASSERT_TRUE(payloads.ok()) << payloads.status().to_string();
+        const std::vector<BandExchange> reference = reference_exchange(p, bands);
+        ASSERT_EQ(payloads.value().size(), shards);
+        ASSERT_EQ(reference.size(), shards);
+        for (std::uint32_t s = 0; s < shards; ++s) {
+          const net::ShardPlanRequest want{id, reference[s]};
+          EXPECT_TRUE(std::ranges::equal(payloads.value()[s], want.encode()))
+              << family << " n=" << n << " shard " << s << " of " << shards;
+        }
+      }
+    }
+  }
+}
 
 // ------------------------------------------------------- end-to-end wire
 
@@ -1075,116 +1128,26 @@ void await_first_probes(const std::vector<std::unique_ptr<Shard>>& shards) {
   })) << "the first probe round never reached every shard";
 }
 
-/// A loopback relay in front of one shard that can hold SHARD_EXECs:
-/// while held, a connection whose first frame is a SHARD_EXEC waits at
-/// the relay before it reaches the shard. Every other connection (the
-/// router's links, peer blocks) flows through.
-class ExecGate {
- public:
-  explicit ExecGate(std::uint16_t shard_port) : shard_port_(shard_port) {
-    auto bound = net::TcpListener::bind("127.0.0.1", 0);
-    EXPECT_TRUE(bound.ok()) << bound.status().to_string();
-    if (bound.ok()) listener_ = std::move(bound).value();
-    acceptor_ = std::thread([this] { accept_loop(); });
-  }
-  ~ExecGate() {
-    release();
-    stop_.store(true);
-    acceptor_.join();
-    for (std::thread& t : relays_) t.join();
-  }
-  ExecGate(const ExecGate&) = delete;
-  ExecGate& operator=(const ExecGate&) = delete;
-
-  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
-  void hold() {
-    std::lock_guard lock(mutex_);
-    held_ = true;
-  }
-  void release() {
-    {
-      std::lock_guard lock(mutex_);
-      held_ = false;
-    }
-    released_.notify_all();
-  }
-  /// SHARD_EXECs waiting at the gate.
-  [[nodiscard]] std::size_t waiting() {
-    std::lock_guard lock(mutex_);
-    return waiting_;
-  }
-
- private:
-  void accept_loop() {
-    while (!stop_.load()) {
-      runtime::StatusOr<net::TcpStream> client = listener_.accept(10ms);
-      if (!client.ok()) continue;
-      relays_.emplace_back(
-          [this, c = std::move(client).value()]() mutable { relay(c); });
-    }
-  }
-
-  void relay(net::TcpStream& client) {
-    (void)client.set_io_timeout(10'000ms, 10'000ms);
-    std::array<std::uint8_t, net::kHeaderBytes> header{};
-    if (!client.recv_all(header.data(), header.size()).is_ok()) return;
-    const auto kind = static_cast<std::uint16_t>(header[6] | (header[7] << 8));
-    if (kind == static_cast<std::uint16_t>(net::MsgKind::kShardExec)) {
-      std::unique_lock lock(mutex_);
-      ++waiting_;
-      released_.wait(lock, [this] { return !held_; });
-      --waiting_;
-    }
-    runtime::StatusOr<net::TcpStream> shard = net::tcp_connect("127.0.0.1", shard_port_, 1'000ms);
-    if (!shard.ok() || !shard.value().send_all(header.data(), header.size()).is_ok()) return;
-    std::thread back([&] { pump(shard.value(), client); });
-    pump(client, shard.value());
-    back.join();
-  }
-
-  /// Copy bytes until `from` closes or the gate stops.
-  void pump(net::TcpStream& from, net::TcpStream& to) {
-    std::array<std::uint8_t, 16 << 10> buf;
-    while (!stop_.load()) {
-      runtime::StatusOr<bool> readable = from.poll_readable(10ms);
-      if (!readable.ok()) return;
-      if (!readable.value()) continue;
-      runtime::StatusOr<std::size_t> got = from.recv_some(buf.data(), buf.size());
-      if (!got.ok()) return;
-      if (got.value() > 0 && !to.send_all(buf.data(), got.value()).is_ok()) return;
-    }
-  }
-
-  std::uint16_t shard_port_;
-  net::TcpListener listener_;
-  std::atomic<bool> stop_{false};
-  std::thread acceptor_;
-  std::vector<std::thread> relays_;  ///< touched by the acceptor, then the destructor
-  std::mutex mutex_;
-  std::condition_variable released_;
-  bool held_ = false;
-  std::size_t waiting_ = 0;
-};
-
 /// Three shards behind a router that splits every PERMUTE above 16 KiB
 /// into three bands (n = 2^14 asks for four; the fleet caps it). Health
 /// probes are effectively off after the first round, which the fixture
-/// waits out, so only the request path sees restarts. `gated` puts an
-/// ExecGate in front of shard 0.
+/// waits out, so only the request path sees restarts. `gated` puts a
+/// test::Relay in front of shard 0; an `ack_delay` puts one in front of
+/// every shard, holding each SUBMIT_PLAN and SHARD_PLAN ack that long.
 struct DistFleet {
   std::vector<std::unique_ptr<Shard>> backends;
-  std::unique_ptr<ExecGate> gate;
+  std::vector<std::unique_ptr<test::Relay>> relays;  ///< in backend order
   std::unique_ptr<net::Router> router;
 
-  explicit DistFleet(bool gated = false) {
+  explicit DistFleet(bool gated = false, std::chrono::milliseconds ack_delay = 0ms) {
     net::Router::Config config;
     for (int i = 0; i < 3; ++i) {
       backends.push_back(std::make_unique<Shard>());
       backends.back()->start();
       std::uint16_t port = backends.back()->port;
-      if (i == 0 && gated) {
-        gate = std::make_unique<ExecGate>(port);
-        port = gate->port();
+      if ((i == 0 && gated) || ack_delay > 0ms) {
+        relays.push_back(std::make_unique<test::Relay>(port, ack_delay));
+        port = relays.back()->port();
       }
       config.backends.push_back(net::BackendAddress{"127.0.0.1", port});
     }
@@ -1313,11 +1276,11 @@ TEST(DistributedRouter, PrimedShardsHoldOnlyTheirBands) {
   // request's SHARD_EXEC to shard 0 until both are there, so both
   // requests are primed and in flight at once, each over its own links.
   net::Client second(fleet.client_config());
-  fleet.gate->hold();
+  fleet.relays[0]->hold();
   std::thread racer([&] { expect_bit_exact(second, plan.value(), p, 1); });
   std::thread opener([&] { expect_bit_exact(first, plan.value(), p, 0); });
-  const bool overlapped = eventually([&] { return fleet.gate->waiting() == 2; });
-  fleet.gate->release();
+  const bool overlapped = eventually([&] { return fleet.relays[0]->waiting() == 2; });
+  fleet.relays[0]->release();
   racer.join();
   opener.join();
   ASSERT_TRUE(overlapped) << "the two requests never reached the gate together";
@@ -1353,6 +1316,40 @@ TEST(DistributedRouter, PrimedShardsHoldOnlyTheirBands) {
     EXPECT_NE(stats.value().find("\"shard_plans\":1,"), std::string::npos) << stats.value();
     EXPECT_NE(stats.value().find("\"shard_compiles\":0,"), std::string::npos) << stats.value();
   }
+}
+
+// One priming round writes every SHARD_PLAN before it reads any ack.
+// Relays hold each ack for D: three pushes one after another would take
+// 3 D, the round takes one D on top of what a primed PERMUTE takes.
+TEST(DistributedRouter, FirstPermutePushesEveryBandBeforeReadingAnAck) {
+  constexpr auto kAckDelay = 200ms;
+  DistFleet fleet(/*gated=*/false, kAckDelay);
+  const perm::Permutation p = perm::by_name("random", 1 << 14, 89);
+  net::Client client(fleet.client_config());
+  auto plan = client.submit_plan(p);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+
+  auto started = std::chrono::steady_clock::now();
+  expect_bit_exact(client, plan.value(), p, 0);
+  const auto first = std::chrono::steady_clock::now() - started;
+  started = std::chrono::steady_clock::now();
+  expect_bit_exact(client, plan.value(), p, 1);
+  const auto primed = std::chrono::steady_clock::now() - started;
+  EXPECT_GE(first, kAckDelay);
+  EXPECT_LT(first, 2 * kAckDelay + primed) << "the SHARD_PLAN acks were awaited one by one";
+
+  const net::Router::Snapshot snap = fleet.router->snapshot();
+  EXPECT_EQ(snap.dist_requests, 2u);
+  EXPECT_EQ(snap.dist_failures, 0u);
+  EXPECT_EQ(snap.dist_plan_pushes, 3u);
+  EXPECT_EQ(snap.dist_compile.count, 1u);
+  EXPECT_EQ(snap.dist_prime.count, 1u) << "the primed PERMUTE pushes nothing";
+  EXPECT_GE(snap.dist_prime.max, std::chrono::nanoseconds(kAckDelay).count());
+  EXPECT_NE(snap.to_json().find("\"dist_prime_ms\":{\"count\":1,"), std::string::npos);
+  EXPECT_NE(snap.to_json().find("\"dist_compile_ms\":{\"count\":1,"), std::string::npos);
+  const std::string prom = snap.to_prometheus();
+  EXPECT_NE(prom.find("hmm_router_distributed_prime_seconds_count 1\n"), std::string::npos);
+  EXPECT_NE(prom.find("hmm_router_distributed_compile_seconds_count 1\n"), std::string::npos);
 }
 
 TEST(DistributedRouter, ShrunkFleetPrimesTheTwoShardBands) {

@@ -35,6 +35,7 @@
 #include "perm/generators.hpp"
 #include "perm/permutation.hpp"
 #include "runtime/fault_injector.hpp"
+#include "runtime/fingerprint.hpp"
 #include "runtime/phase.hpp"
 #include "runtime/service.hpp"
 #include "runtime/status.hpp"
@@ -809,6 +810,44 @@ TEST(NetClient, RetriesAgainstDeadPortPaceThemselves) {
   EXPECT_FALSE(s.is_ok());
   EXPECT_GE(std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count(),
             scheduled.count());
+}
+
+// submit_plan sends the count from the stack and the mapping from the
+// permutation's own words. A one-shot listener captures the payload: it
+// is SubmitPlanRequest::encode() byte for byte, and the plan id the
+// listener fingerprints from it is fingerprint_permutation's.
+TEST(NetClient, SubmitPlanWireBytesMatchTheEncoder) {
+  for (const std::uint64_t n : {std::uint64_t{1} << 12, std::uint64_t{10007}}) {
+    const perm::Permutation p = perm::by_name("random", n, 11);
+    auto bound = net::TcpListener::bind("127.0.0.1", 0);
+    ASSERT_TRUE(bound.ok()) << bound.status().to_string();
+    net::TcpListener listener = std::move(bound).value();
+    std::vector<std::uint8_t> captured;
+    std::thread listen([&] {
+      auto accepted = listener.accept(5'000ms);
+      if (!accepted.ok()) return;
+      auto frame = net::read_frame(accepted.value());
+      if (!frame.ok()) return;
+      captured = frame.value().payload;
+      auto req = net::SubmitPlanRequest::decode(captured, n);
+      net::ByteWriter id;
+      id.put_u64(req.ok() ? runtime::fingerprint_mapping(req.value().mapping).value : 0);
+      (void)net::write_frame(accepted.value(),
+                             net::Frame{static_cast<std::uint16_t>(net::MsgKind::kPlanOk),
+                                        frame.value().request_id, id.take()});
+    });
+    net::Client::Config cc;
+    cc.port = listener.port();
+    cc.max_retries = 0;
+    net::Client client(cc);
+    auto plan = client.submit_plan(p);
+    listen.join();
+    ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+    EXPECT_EQ(plan.value(), runtime::fingerprint_permutation(p).value) << n;
+    net::SubmitPlanRequest reference;
+    reference.mapping.assign(p.data().begin(), p.data().end());
+    EXPECT_EQ(captured, reference.encode()) << n;
+  }
 }
 
 TEST(NetLoopback, ClientReconnectsAfterClose) {

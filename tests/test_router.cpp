@@ -31,6 +31,7 @@
 #include "net/router.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
+#include "net_relay.hpp"
 #include "perm/generators.hpp"
 #include "perm/permutation.hpp"
 #include "runtime/fingerprint.hpp"
@@ -147,6 +148,19 @@ struct Fleet {
     return std::nullopt;
   }
 };
+
+/// A Fleet tuning that puts a test::Relay in front of every backend,
+/// holding each SUBMIT_PLAN ack for `ack_delay`. The relays land in
+/// `relays`, in backend order, which must outlive the fleet.
+std::function<void(net::Router::Config&)> relay_every_backend(
+    std::vector<std::unique_ptr<test::Relay>>& relays, std::chrono::milliseconds ack_delay) {
+  return [&relays, ack_delay](net::Router::Config& config) {
+    for (net::BackendAddress& backend : config.backends) {
+      relays.push_back(std::make_unique<test::Relay>(backend.port, ack_delay));
+      backend.port = relays.back()->port();
+    }
+  };
+}
 
 /// The process's thread count, from /proc/self/status (0 if unreadable).
 std::uint64_t process_threads() {
@@ -347,6 +361,58 @@ TEST(RouterFailover, QuietRestartIsHealedByLazyPlanResync) {
 }
 
 // -------------------------------------------------------------- health
+
+// Replication writes the SUBMIT_PLAN to every replica before it reads
+// any ack. Relays hold each ack for D: two replicas one after another
+// would take 2 D, both at once one D.
+TEST(RouterReplication, SubmitPlanWritesEveryReplicaBeforeReadingAnAck) {
+  constexpr auto kAckDelay = 200ms;
+  std::vector<std::unique_ptr<test::Relay>> relays;
+  Fleet fleet(3, relay_every_backend(relays, kAckDelay));
+  fleet.await_first_probes();
+  net::Client client(fleet.client_config());
+  const perm::Permutation p = perm::by_name("random", 4096, 3);
+
+  const auto started = std::chrono::steady_clock::now();
+  auto plan = client.submit_plan(p);
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  EXPECT_GE(elapsed, kAckDelay);
+  EXPECT_LT(elapsed, kAckDelay * 3 / 2) << "the replicas' acks were awaited one by one";
+  const std::vector<std::size_t> prefs = fleet.router->preference(plan.value());
+  EXPECT_EQ(fleet.backends[prefs[0]]->server->plans(), 1u);
+  EXPECT_EQ(fleet.backends[prefs[1]]->server->plans(), 1u);
+  EXPECT_EQ(fleet.backends[prefs[2]]->server->plans(), 0u);
+}
+
+// A replica killed after it registered the plan, before its ack reaches
+// the router, is replaced by the next backend of the preference list,
+// and the client still gets PLAN_OK.
+TEST(RouterReplication, ReplicaKilledBeforeItsAckIsReplacedByTheNextPreference) {
+  constexpr auto kAckDelay = 200ms;
+  std::vector<std::unique_ptr<test::Relay>> relays;
+  Fleet fleet(3, relay_every_backend(relays, kAckDelay));
+  fleet.await_first_probes();
+  net::Client client(fleet.client_config());
+  const perm::Permutation p = perm::by_name("random", 4096, 5);
+  const std::uint64_t id = runtime::fingerprint_permutation(p).value;
+  const std::vector<std::size_t> prefs = fleet.router->preference(id);
+
+  std::optional<runtime::StatusOr<std::uint64_t>> plan;
+  std::thread submitter([&] { plan.emplace(client.submit_plan(p)); });
+  const bool registered =
+      Fleet::eventually([&] { return fleet.backends[prefs[1]]->server->plans() == 1; });
+  relays[prefs[1]]->kill();  // drops the ack it holds
+  fleet.backends[prefs[1]]->stop();
+  submitter.join();
+  ASSERT_TRUE(registered) << "the second replica never got the plan";
+  ASSERT_TRUE(plan->ok()) << plan->status().to_string();
+  EXPECT_EQ(plan->value(), id);
+  EXPECT_EQ(fleet.backends[prefs[0]]->server->plans(), 1u);
+  EXPECT_EQ(fleet.backends[prefs[2]]->server->plans(), 1u)
+      << "the next preference took its place";
+  EXPECT_GE(fleet.router->snapshot().backends[prefs[1]].transport_failures, 1u);
+}
 
 TEST(RouterHealth, RequestFailuresEjectAndShedInO1) {
   // One live backend and one that dies after the first probe round.

@@ -6,8 +6,9 @@
 ///   ping      liveness probe (echo round-trip)
 ///   stats     print the server's ServiceMetrics snapshot JSON; against
 ///             a permd_router the fleet snapshot is rendered as a
-///             per-backend table (state, forwards, failovers)
-///             instead — `--json true` forces the raw JSON either way
+///             per-backend table (state, forwards, failovers), after
+///             the distributed compile and priming times, instead —
+///             `--json true` forces the raw JSON either way
 ///   phases    fetch the same snapshot and render the per-phase
 ///             latency breakdown as a table
 ///   permute   register a named permutation family, send `--count`
@@ -86,6 +87,16 @@ bool scrape_string(const std::string& json, std::string_view key, std::string& o
   return true;
 }
 
+/// Pull `"key":<number>` out of a JSON dump starting at `from`.
+bool scrape_double(const std::string& json, std::string_view key, double& out,
+                   std::size_t from = 0) {
+  const std::string needle = std::string("\"").append(key).append("\":");
+  const std::size_t at = json.find(needle, from);
+  if (at == std::string::npos) return false;
+  out = std::strtod(json.c_str() + at + needle.size(), nullptr);
+  return true;
+}
+
 bool scrape_bool(const std::string& json, std::string_view key, bool& out,
                  std::size_t from = 0) {
   const std::string needle = std::string("\"").append(key).append("\":");
@@ -114,6 +125,18 @@ bool print_router_stats(const std::string& json, std::ostream& os) {
        << " plan compiles, " << dist_pushes << " plan pushes)";
   }
   os << "\n";
+  // The distributed offline phase: each compile, and each priming round.
+  for (const char* phase : {"dist_compile_ms", "dist_prime_ms"}) {
+    const std::size_t from = json.find(std::string("\"").append(phase).append("\":{"));
+    std::uint64_t count = 0;
+    double p50 = 0, max = 0;
+    if (from == std::string::npos || !scrape_u64(json, "count", count, from) || count == 0) {
+      continue;
+    }
+    (void)scrape_double(json, "p50", p50, from);
+    (void)scrape_double(json, "max", max, from);
+    os << phase << ": " << count << " (p50 " << p50 << " ms, max " << max << " ms)\n";
+  }
 
   hmm::util::Table t({"backend", "state", "requests", "ok", "transport-fail", "failovers-to",
                       "plans-synced"});
