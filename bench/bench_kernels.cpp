@@ -28,6 +28,7 @@
 #include "net/distributed.hpp"
 #include "net/wire.hpp"
 #include "perm/generators.hpp"
+#include "runtime/fingerprint.hpp"
 #include "util/aligned_vector.hpp"
 #include "util/thread_pool.hpp"
 
@@ -300,6 +301,33 @@ void BM_ShardCompile(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardCompile)
     ->ArgsProduct({{1 << 20}, {0, 1, 2}, {3, 8}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// Naming a plan: the wire plan id of a random mapping (mode 0,
+// `fingerprint_mapping`), and SUBMIT_PLAN's one pass over the wire words
+// (mode 1, `Permutation::from_le_words`: copy into fresh storage,
+// validate and hash). Bytes are the mapping read once.
+void BM_PlanId(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  const bool fused = state.range(1) == 1;
+  const perm::Permutation p = perm::by_name("random", n, 9);
+  std::vector<std::uint8_t> wire(n * sizeof(std::uint32_t));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    for (int b = 0; b < 4; ++b) wire[4 * i + b] = static_cast<std::uint8_t>(p(i) >> (8 * b));
+  }
+  for (auto _ : state) {
+    if (fused) {
+      benchmark::DoNotOptimize(perm::Permutation::from_le_words(wire));
+    } else {
+      benchmark::DoNotOptimize(runtime::fingerprint_mapping(p.data()));
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * wire.size()));
+  state.SetLabel(fused ? "from_le_words" : "fingerprint_mapping");
+}
+BENCHMARK(BM_PlanId)
+    ->ArgsProduct({{1 << 20, 1 << 24}, {0, 1}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -141,11 +141,14 @@ BucketedPlan BucketedPlan::build(const perm::Permutation& p, std::uint64_t band,
   plan.merge_.resize(n);
   std::vector<std::uint64_t> bands(band_count + 1);
   for (std::uint64_t s = 0; s <= band_count; ++s) bands[s] = std::min(s * band, n);
-  // One chunk: group_tables splits it to balance the pool.
+  // One chunk: group_tables splits it to balance the pool. Band s's
+  // region starts at pack_[bands[s]].
   const std::uint64_t whole[] = {0, n};
+  std::vector<std::uint16_t*> packs;
+  for (std::uint64_t s = 0; s < band_count; ++s) packs.push_back(plan.pack_.data() + bands[s]);
+  std::uint32_t* const merge[] = {plan.merge_.data()};
   (void)group_tables<std::uint16_t>(p, bands, whole, skew, MergeInto::kPacked,
-                                    std::span<std::uint16_t>(plan.pack_.data(), n),
-                                    std::span<std::uint32_t>(plan.merge_.data(), n), pinv);
+                                    std::span<std::uint16_t* const>(packs), merge, pinv);
   return plan;
 }
 

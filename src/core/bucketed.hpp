@@ -69,25 +69,6 @@ GroupCounts group_tables(const perm::Permutation& p, std::span<const std::uint64
                          std::span<std::uint32_t* const> merge,
                          const perm::Permutation* pinv = nullptr);
 
-/// The same into two n-element tables: band s's region at
-/// `pack[bands[s]]`, chunk c's merge entries at `merge[chunks[c]]`.
-template <class PackIndex>
-GroupCounts group_tables(const perm::Permutation& p, std::span<const std::uint64_t> bands,
-                         std::span<const std::uint64_t> chunks, std::uint64_t skew,
-                         MergeInto into, std::span<PackIndex> pack,
-                         std::span<std::uint32_t> merge,
-                         const perm::Permutation* pinv = nullptr) {
-  HMM_CHECK(pack.size() == p.size() && merge.size() == p.size() && !bands.empty() &&
-            !chunks.empty());
-  std::vector<PackIndex*> packs;
-  std::vector<std::uint32_t*> merges;
-  for (const auto b : bands.first(bands.size() - 1)) packs.push_back(pack.data() + b);
-  for (const auto c : chunks.first(chunks.size() - 1)) merges.push_back(merge.data() + c);
-  return group_tables<PackIndex>(p, bands, chunks, skew, into,
-                                 std::span<PackIndex* const>(packs),
-                                 std::span<std::uint32_t* const>(merges), pinv);
-}
-
 /// A compiled bucketed permutation: the band length, the skew, and the
 /// two gather tables.
 class BucketedPlan {

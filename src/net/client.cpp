@@ -7,6 +7,8 @@
 #include <thread>
 #include <utility>
 
+#include "util/rng.hpp"
+
 namespace hmm::net {
 
 using runtime::Status;
@@ -94,25 +96,8 @@ StatusOr<FrameView> Client::roundtrip_once(MsgKind kind, std::span<const ConstBu
 }
 
 std::chrono::microseconds Client::retry_backoff(const Config& config, int attempt) noexcept {
-  if (attempt <= 0 || config.retry_backoff_base.count() <= 0) {
-    return std::chrono::microseconds{0};
-  }
-  const auto base_us = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(config.retry_backoff_base).count());
-  const auto cap_us = static_cast<std::uint64_t>(std::max<std::int64_t>(
-      0, std::chrono::duration_cast<std::chrono::microseconds>(config.retry_backoff_cap)
-             .count()));
-  const int shift = std::min(attempt - 1, 20);
-  const std::uint64_t delay_us = std::min(base_us << shift, cap_us);
-  // Deterministic jitter in [0, delay) — splitmix-style mix of the
-  // seed and attempt index, same recipe as the service's build-retry
-  // backoff so chaos runs replay exactly.
-  std::uint64_t x =
-      config.retry_jitter_seed ^ (0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(attempt));
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  const std::uint64_t jitter_us = delay_us == 0 ? 0 : (x ^ (x >> 31)) % delay_us;
-  return std::chrono::microseconds(delay_us + jitter_us);
+  return util::jittered_backoff(config.retry_backoff_base, config.retry_backoff_cap, attempt,
+                                config.retry_jitter_seed);
 }
 
 StatusOr<FrameView> Client::roundtrip(MsgKind kind, std::span<const ConstBuffer> parts) {

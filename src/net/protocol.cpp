@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "util/hash.hpp"
+
 namespace hmm::net {
 
 using runtime::Status;
@@ -128,12 +130,7 @@ void WordsView::copy_to(std::span<std::uint32_t> out) const noexcept {
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(out.data(), bytes.data(), count * kElemBytes);
   } else {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint8_t* b = bytes.data() + i * kElemBytes;
-      out[i] = static_cast<std::uint32_t>(b[0]) | (static_cast<std::uint32_t>(b[1]) << 8) |
-               (static_cast<std::uint32_t>(b[2]) << 16) |
-               (static_cast<std::uint32_t>(b[3]) << 24);
-    }
+    for (std::uint64_t i = 0; i < count; ++i) out[i] = util::load_le32(&bytes[i * kElemBytes]);
   }
 }
 

@@ -9,8 +9,9 @@
 
 #include "net/distributed.hpp"
 #include "perm/permutation.hpp"
-#include "runtime/fingerprint.hpp"
 #include "runtime/program.hpp"
+#include "util/hash.hpp"
+#include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
@@ -55,19 +56,21 @@ constexpr std::uint64_t kMaxDistributedShards = 8;
 /// Salt of the failover backoff jitter.
 constexpr std::uint64_t kFailoverJitterSeed = 0xf417'0e5e'edf4'170eull;
 
-/// splitmix64 finalizer: cheap, well-mixed 64->64 for ring points and
-/// backoff jitter.
-constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t hash_bytes(const void* data, std::size_t len) noexcept {
-  runtime::Fnv1a64 h;
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < len; ++i) h.update_byte(p[i]);
-  return h.digest();
+/// A replica's answer to a SUBMIT_PLAN of plan `id`: OK for a PLAN_OK
+/// naming `id`, else the typed error it carries. A PLAN_OK naming another
+/// id (a replica of another build) is no ack: the fleet would route under
+/// one id a plan it registered under another.
+Status plan_ok(const FrameView& frame, std::uint64_t id) {
+  if (static_cast<MsgKind>(frame.kind) == MsgKind::kPlanOk) {
+    ByteReader r(frame.payload);
+    std::uint64_t answered = 0;
+    if (r.get_u64(answered) && r.exhausted() && answered == id) return Status::ok();
+    return Status(StatusCode::kUnavailable, "replica's PLAN_OK names another plan id");
+  }
+  const Status typed = error_status(frame.payload);
+  return typed.is_ok()
+             ? Status(StatusCode::kUnavailable, "unexpected SUBMIT_PLAN response kind")
+             : typed;
 }
 
 /// Capped jittered pause before failover hop `hop` (1-based). Same
@@ -76,22 +79,8 @@ std::uint64_t hash_bytes(const void* data, std::size_t len) noexcept {
 /// deterministically.
 std::chrono::microseconds failover_pause(const Router::Config& config, int hop,
                                          std::uint64_t salt) noexcept {
-  if (hop <= 0 || config.failover_backoff_base.count() <= 0) {
-    return std::chrono::microseconds{0};
-  }
-  const auto base_us = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(config.failover_backoff_base)
-          .count());
-  const auto cap_us = static_cast<std::uint64_t>(std::max<std::int64_t>(
-      0,
-      std::chrono::duration_cast<std::chrono::microseconds>(config.failover_backoff_cap)
-          .count()));
-  const int shift = std::min(hop - 1, 20);
-  const std::uint64_t delay_us = std::min(base_us << shift, cap_us);
-  const std::uint64_t x = mix64(kFailoverJitterSeed ^
-                                (0x9e3779b97f4a7c15ull * (salt + static_cast<std::uint64_t>(hop))));
-  const std::uint64_t jitter_us = delay_us == 0 ? 0 : x % delay_us;
-  return std::chrono::microseconds(delay_us + jitter_us);
+  return util::jittered_backoff(config.failover_backoff_base, config.failover_backoff_cap, hop,
+                                kFailoverJitterSeed ^ util::mix64(salt));
 }
 
 constexpr std::uint8_t kProbePayload[] = {'h', 'm', 'm', 'p', '?'};
@@ -104,6 +93,7 @@ OutboundFrame error_outbound(std::uint64_t request_id, const Status& why) {
 
 Router::Router(Config config)
     : config_(std::move(config)),
+      plans_(config_.max_plans),
       // The client side runs on the reactor's defaults, except for what
       // Router::Config already names.
       reactor_(Reactor::Config{.host = config_.host,
@@ -143,10 +133,10 @@ void Router::build_ring() {
   for (std::uint32_t idx = 0; idx < backends_.size(); ++idx) {
     // Points are derived from the backend's *address*, not its list
     // position: reordering the --backends flag does not reshuffle keys.
-    const std::uint64_t base = hash_bytes(backends_[idx]->label.data(),
+    const std::uint64_t base = util::hash64(backends_[idx]->label.data(),
                                           backends_[idx]->label.size());
     for (std::uint32_t v = 0; v < config_.virtual_nodes; ++v) {
-      ring_.push_back(RingPoint{mix64(base ^ (0x9e3779b97f4a7c15ull * (v + 1))), idx});
+      ring_.push_back(RingPoint{util::mix64(base ^ (0x9e3779b97f4a7c15ull * (v + 1))), idx});
     }
   }
   std::sort(ring_.begin(), ring_.end(), [](const RingPoint& a, const RingPoint& b) {
@@ -159,7 +149,7 @@ std::vector<std::size_t> Router::preference(std::uint64_t key) const {
   if (ring_.empty()) return order;
   order.reserve(backends_.size());
   std::vector<bool> seen(backends_.size(), false);
-  const std::uint64_t point = mix64(key);
+  const std::uint64_t point = util::mix64(key);
   auto it = std::lower_bound(
       ring_.begin(), ring_.end(), point,
       [](const RingPoint& rp, std::uint64_t v) { return rp.hash < v; });
@@ -176,11 +166,6 @@ std::vector<std::size_t> Router::preference(std::uint64_t key) const {
 
 bool Router::backend_healthy(std::size_t idx) const {
   return idx < backends_.size() && !backends_[idx]->ejected.load(std::memory_order_acquire);
-}
-
-std::uint64_t Router::plans() const {
-  std::lock_guard lock(plans_mutex_);
-  return plans_.size();
 }
 
 Status Router::start() {
@@ -280,12 +265,13 @@ Router::RouteKey Router::route_key(const FrameView& request) {
       }
     }
     // A generator-only chain is stateless, so it spreads by op content.
-    rk.key = rk.referenced.empty() ? hash_bytes(ops.data(), ops.size()) : rk.referenced.front();
+    rk.key =
+        rk.referenced.empty() ? util::hash64(ops.data(), ops.size()) : rk.referenced.front();
     return rk;
   }
   // Malformed payload: still route deterministically (content hash) and
   // let the backend own the typed rejection.
-  rk.key = hash_bytes(p.data(), std::min<std::size_t>(p.size(), 256));
+  rk.key = util::hash64(p.data(), std::min<std::size_t>(p.size(), 256));
   return rk;
 }
 
@@ -373,22 +359,14 @@ bool Router::BackendLink::holds(const BandKey& band) {
 Status Router::push_plans(std::size_t idx, BackendLink& link,
                           std::span<const std::uint64_t> fingerprints,
                           std::atomic<std::uint64_t>& pushed) {
-  std::vector<std::pair<std::uint64_t, std::shared_ptr<const perm::Permutation>>> to_sync;
-  {
-    std::lock_guard lock(plans_mutex_);
-    if (fingerprints.empty()) {
-      to_sync.reserve(plans_.size());
-      for (const auto& [fp, plan] : plans_) to_sync.emplace_back(fp, plan);
-    } else {
-      for (const std::uint64_t fp : fingerprints) {
-        const auto it = plans_.find(fp);
-        if (it == plans_.end()) {
-          return Status(StatusCode::kInvalidArgument,
-                        "plan is not in the router registry");
-        }
-        to_sync.emplace_back(fp, it->second);
-      }
+  std::vector<std::pair<std::uint64_t, PlanRegistry::Plan>> to_sync;
+  if (fingerprints.empty()) to_sync = plans_.all();
+  for (const std::uint64_t fp : fingerprints) {
+    PlanRegistry::Plan plan = plans_.find(fp);
+    if (plan == nullptr) {
+      return Status(StatusCode::kInvalidArgument, "plan is not in the router registry");
     }
+    to_sync.emplace_back(fp, std::move(plan));
   }
   for (const auto& [fp, plan] : to_sync) {
     ByteWriter payload;
@@ -399,13 +377,7 @@ Status Router::push_plans(std::size_t idx, BackendLink& link,
                      forward(static_cast<std::uint16_t>(MsgKind::kSubmitPlan),
                              next_router_request_id(), payload.bytes()));
     if (!response.ok()) return response.status();
-    const FrameView& frame = response.value();
-    if (static_cast<MsgKind>(frame.kind) != MsgKind::kPlanOk) {
-      const Status typed = error_status(frame.payload);
-      return typed.is_ok()
-                 ? Status(StatusCode::kUnavailable, "unexpected resync response kind")
-                 : typed;
-    }
+    if (Status s = plan_ok(response.value(), fp); !s.is_ok()) return s;
     pushed.fetch_add(1, std::memory_order_relaxed);
   }
   return Status::ok();
@@ -463,11 +435,7 @@ Router::ShardPlansOr Router::shard_plans(std::uint64_t fingerprint, std::uint32_
 
 Router::ShardPlansOr Router::compile_shard_plans(std::uint64_t fingerprint,
                                                  std::uint32_t shards) {
-  std::shared_ptr<const perm::Permutation> plan;
-  {
-    std::lock_guard lock(plans_mutex_);
-    if (const auto it = plans_.find(fingerprint); it != plans_.end()) plan = it->second;
-  }
+  const PlanRegistry::Plan plan = plans_.find(fingerprint);
   if (plan == nullptr) {
     return Status(StatusCode::kInvalidArgument, "plan is not in the router registry");
   }
@@ -741,35 +709,14 @@ OutboundFrame Router::handle_submit_plan(Links& links, const FrameView& request)
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     return error_outbound(request.request_id, req.status());
   }
-  const WordsView& mapping = req.value().mapping;
 
-  // Validate + fingerprint before touching any backend: a mapping the
-  // fleet would reject must not be replicated or remembered. The
-  // registry keeps the validated permutation, which the distributed
-  // compile reads as it is.
-  util::aligned_vector<std::uint32_t> words(mapping.count);
-  mapping.copy_to({words.data(), words.size()});
-  std::optional<perm::Permutation> adopted = perm::Permutation::adopt(std::move(words));
-  if (!adopted) {
-    return error_outbound(request.request_id, Status(StatusCode::kInvalidArgument,
-                                                     "SUBMIT_PLAN: mapping is not a bijection"));
-  }
-  auto plan = std::make_shared<const perm::Permutation>(std::move(*adopted));
-  const std::uint64_t fingerprint = runtime::fingerprint_permutation(*plan).value;
-
-  {
-    std::lock_guard lock(plans_mutex_);
-    const auto it = plans_.find(fingerprint);
-    if (it == plans_.end()) {
-      if (plans_.size() >= config_.max_plans) {
-        return error_outbound(request.request_id,
-                              Status(StatusCode::kResourceExhausted,
-                                     "router plan registry full; retry later"));
-      }
-      plans_.emplace(fingerprint, std::move(plan));
-      plans_registered_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  // Register before touching any backend: a mapping the fleet would
+  // reject, or one whose id names another registered mapping, must not
+  // be replicated. The registry keeps the validated permutation, which
+  // the distributed compile reads as it is.
+  const StatusOr<std::uint64_t> registered = plans_.submit(req.value().mapping.bytes);
+  if (!registered.ok()) return error_outbound(request.request_id, registered.status());
+  const std::uint64_t fingerprint = registered.value();
 
   // Replicate to the first `replication` routable backends of the
   // fingerprint's preference list, writing to each before reading any
@@ -808,22 +755,21 @@ OutboundFrame Router::handle_submit_plan(Links& links, const FrameView& request)
       }
       b.forward_ns.record(static_cast<std::uint64_t>(clock.nanos()));
       record_success(b);
-      const FrameView& frame = response.value();
-      if (static_cast<MsgKind>(frame.kind) == MsgKind::kPlanOk) {
+      const Status answer = plan_ok(response.value(), fingerprint);
+      if (answer.is_ok()) {
         b.ok.fetch_add(1, std::memory_order_relaxed);
         ++acked;
         continue;
       }
-      const Status typed = error_status(frame.payload);
-      (typed.code() == StatusCode::kResourceExhausted ? b.retry_later : b.typed_errors)
+      (answer.code() == StatusCode::kResourceExhausted ? b.retry_later : b.typed_errors)
           .fetch_add(1, std::memory_order_relaxed);
-      if (!typed.is_ok()) last = typed;
+      last = answer;
     }
   }
 
   if (acked == 0) return error_outbound(request.request_id, last);
-  // The PLAN_OK payload is the fingerprint we computed — identical to
-  // what every backend answered.
+  // The PLAN_OK payload is the fingerprint we computed — what every
+  // replica that acked answered.
   ByteWriter w;
   w.put_u64(fingerprint);
   return Reactor::outbound(make_ok_frame(request.request_id, MsgKind::kPlanOk, w.take()));
@@ -898,7 +844,7 @@ Router::Snapshot Router::snapshot() const {
   s.dist_plan_compiles = dist_plan_compiles_.load(std::memory_order_relaxed);
   s.dist_compile = dist_compile_ns_.stats();
   s.dist_prime = dist_prime_ns_.stats();
-  s.plans_registered = plans_registered_.load(std::memory_order_relaxed);
+  s.plans_registered = plans_.size();
   const Reactor::Counters io = reactor_.counters();
   s.connections_accepted = io.connections_accepted;
   s.connections_rejected = io.connections_rejected;

@@ -85,11 +85,11 @@
 #include <set>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "net/frame_io.hpp"
+#include "net/plan_registry.hpp"
 #include "net/protocol.hpp"
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
@@ -218,7 +218,7 @@ class Router {
 
   [[nodiscard]] Snapshot snapshot() const;
   /// Plans remembered for replication/resync.
-  [[nodiscard]] std::uint64_t plans() const;
+  [[nodiscard]] std::uint64_t plans() const { return plans_.size(); }
 
   // Introspection for tests and tools (stable, cheap):
 
@@ -399,8 +399,7 @@ class Router {
   std::chrono::steady_clock::time_point next_probe_{};
   std::atomic<bool> probing_{false};
 
-  mutable std::mutex plans_mutex_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const perm::Permutation>> plans_;
+  PlanRegistry plans_;
 
   /// Distributed plans by (fingerprint, shard count), in compile order
   /// for the `max_plans` bound. An entry is a future so that callers
@@ -423,7 +422,6 @@ class Router {
   std::atomic<std::uint64_t> dist_plan_compiles_{0};
   runtime::LogHistogram dist_compile_ns_;
   runtime::LogHistogram dist_prime_ns_;
-  std::atomic<std::uint64_t> plans_registered_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};  ///< malformed SUBMIT_PLAN payloads
 
   /// Declared last: its threads run the handlers above, so it stops

@@ -10,7 +10,6 @@
 
 #include "cpu/kernels.hpp"
 #include "runtime/distributed.hpp"
-#include "runtime/fingerprint.hpp"
 #include "runtime/metrics.hpp"
 #include "util/buffer_pool.hpp"
 #include "util/stopwatch.hpp"
@@ -25,6 +24,7 @@ using runtime::StatusOr;
 Server::Server(runtime::RobustPermuteService& service, Config config)
     : service_(service),
       config_(std::move(config)),
+      plans_(config_.max_plans),
       shard_sessions_(
           ShardSessionRegistry::Config{config_.shard_exchange_timeout,
                                        config_.max_shard_hold_bytes},
@@ -65,7 +65,7 @@ void Server::stop() {
 
 Server::Counters Server::counters() const {
   Counters c{reactor_.counters()};
-  c.plans_registered = plans_registered_.load(std::memory_order_relaxed);
+  c.plans_registered = plans_.size();
   c.shard_execs = shard_execs_.load(std::memory_order_relaxed);
   c.shard_blocks = shard_sessions_.blocks();
   c.shard_xchg_bytes = shard_xchg_bytes_.load(std::memory_order_relaxed);
@@ -73,11 +73,6 @@ Server::Counters Server::counters() const {
   c.shard_hold_rejections = shard_sessions_.hold_rejections();
   c.shard_compiles = shard_compiles_.load(std::memory_order_relaxed);
   return c;
-}
-
-std::uint64_t Server::plans() const {
-  std::lock_guard lock(plans_mutex_);
-  return plans_.size();
 }
 
 std::uint64_t Server::shard_plans() const {
@@ -189,38 +184,10 @@ Frame Server::handle_submit_plan(const FrameView& request) {
   StatusOr<SubmitPlanRequestView> req =
       SubmitPlanRequestView::decode(request.payload, max_elements);
   if (!req.ok()) return make_error_frame(request.request_id, req.status());
-  const WordsView& mapping = req.value().mapping;
-
-  // One copy, wire straight into the aligned storage the Permutation
-  // keeps. (The former path decoded into a std::vector and copied that
-  // into aligned words — two traversals of the mapping per SUBMIT_PLAN.)
-  util::aligned_vector<std::uint32_t> words(mapping.count);
-  mapping.copy_to({words.data(), words.size()});
-  auto adopted = perm::Permutation::adopt(std::move(words));
-  if (!adopted) {
-    return make_error_frame(
-        request.request_id,
-        Status(StatusCode::kInvalidArgument, "SUBMIT_PLAN: mapping is not a bijection"));
-  }
-  auto plan = std::make_shared<const perm::Permutation>(std::move(*adopted));
-  const std::uint64_t plan_id = runtime::fingerprint_permutation(*plan).value;
-
-  {
-    std::lock_guard lock(plans_mutex_);
-    auto it = plans_.find(plan_id);
-    if (it == plans_.end()) {
-      if (plans_.size() >= config_.max_plans) {
-        return make_error_frame(
-            request.request_id,
-            Status(StatusCode::kResourceExhausted, "plan registry full; retry later"));
-      }
-      plans_.emplace(plan_id, std::move(plan));
-      plans_registered_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
+  const StatusOr<std::uint64_t> plan_id = plans_.submit(req.value().mapping.bytes);
+  if (!plan_id.ok()) return make_error_frame(request.request_id, plan_id.status());
   ByteWriter w;
-  w.put_u64(plan_id);
+  w.put_u64(plan_id.value());
   return make_ok_frame(request.request_id, MsgKind::kPlanOk, w.take());
 }
 
@@ -286,12 +253,7 @@ OutboundFrame Server::handle_permute(const FrameView& request) {
   if (!req.ok()) return error_outbound(request.request_id, req.status());
   const PermuteRequestView& permute = req.value();
 
-  std::shared_ptr<const perm::Permutation> plan;
-  {
-    std::lock_guard lock(plans_mutex_);
-    auto it = plans_.find(permute.plan_id);
-    if (it != plans_.end()) plan = it->second;
-  }
+  const PlanRegistry::Plan plan = plans_.find(permute.plan_id);
   if (plan == nullptr) {
     return error_outbound(request.request_id,
                           Status(StatusCode::kInvalidArgument,
@@ -317,13 +279,9 @@ OutboundFrame Server::handle_program(const FrameView& request) {
   const ExecuteProgramRequestView& program_req = req.value();
 
   // The wire plan id is the mapping fingerprint, so the registry *is*
-  // the resolver. The lambda takes the lock per lookup — an op chain
-  // has at most kMaxProgramOps of them.
-  const runtime::PlanResolver resolver =
-      [this](std::uint64_t fingerprint) -> std::shared_ptr<const perm::Permutation> {
-    std::lock_guard lock(plans_mutex_);
-    const auto it = plans_.find(fingerprint);
-    return it == plans_.end() ? nullptr : it->second;
+  // the resolver: one locked lookup per op, at most kMaxProgramOps.
+  const runtime::PlanResolver resolver = [this](std::uint64_t fingerprint) {
+    return plans_.find(fingerprint);
   };
   runtime::Program program;
   program.ops = program_req.ops;
@@ -555,12 +513,7 @@ StatusOr<std::shared_ptr<const runtime::BandExchange>> Server::band_for(
 
   // Not primed: compile here, with the router's O(n) compile, if the
   // plan was registered here.
-  std::shared_ptr<const perm::Permutation> plan;
-  {
-    std::lock_guard lock(plans_mutex_);
-    auto it = plans_.find(exec.plan_id);
-    if (it != plans_.end()) plan = it->second;
-  }
+  const PlanRegistry::Plan plan = plans_.find(exec.plan_id);
   if (plan == nullptr) {
     return Status(StatusCode::kInvalidArgument,
                   "SHARD_EXEC: unknown plan id (SHARD_PLAN or SUBMIT_PLAN it first)");

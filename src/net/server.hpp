@@ -31,9 +31,9 @@
 #include <mutex>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 
 #include "net/frame_io.hpp"
+#include "net/plan_registry.hpp"
 #include "net/protocol.hpp"
 #include "net/reactor.hpp"
 #include "net/shard.hpp"
@@ -102,7 +102,7 @@ class Server {
   /// The bound port (valid after a successful start()).
   [[nodiscard]] std::uint16_t port() const noexcept { return reactor_.port(); }
   [[nodiscard]] Counters counters() const;
-  [[nodiscard]] std::uint64_t plans() const;
+  [[nodiscard]] std::uint64_t plans() const { return plans_.size(); }
   /// Shard bands held (primed by SHARD_PLAN or compiled on a miss), and
   /// the pack and merge table bytes they occupy (8 per band element).
   [[nodiscard]] std::uint64_t shard_plans() const;
@@ -180,8 +180,7 @@ class Server {
   runtime::RobustPermuteService& service_;
   Config config_;
 
-  mutable std::mutex plans_mutex_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const perm::Permutation>> plans_;
+  PlanRegistry plans_;
 
   ShardSessionRegistry shard_sessions_;
 
@@ -196,7 +195,6 @@ class Server {
   std::map<BandKey, BandList::iterator> band_index_;
   std::uint64_t band_bytes_ = 0;
 
-  std::atomic<std::uint64_t> plans_registered_{0};
   std::atomic<std::uint64_t> shard_execs_{0};
   std::atomic<std::uint64_t> shard_xchg_bytes_{0};
   std::atomic<std::uint64_t> shard_aborts_{0};

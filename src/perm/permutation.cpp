@@ -1,16 +1,32 @@
 #include "perm/permutation.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <utility>
 
 #include "model/host.hpp"
 #include "util/bits.hpp"
+#include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hmm::perm {
 
 namespace {
+
+/// Salt of the mapping hash, the wire plan id. Bumped whenever the id's
+/// definition changes (2: util::Hash64 in place of FNV-1a).
+constexpr std::uint64_t kMappingSchemaVersion = 2;
+
+/// Marks v in `seen`, the bijection check's bit per element of [0, n)
+/// (128 KiB at 1M, which stays in L2); false when v is out of range or
+/// marked already.
+bool mark(std::vector<std::uint64_t>& seen, std::uint64_t n, std::uint32_t v) {
+  const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+  if (v >= n || (seen[v >> 6] & bit)) return false;
+  seen[v >> 6] |= bit;
+  return true;
+}
 
 /// inv[map[i]] = i on the global pool: distribute the (P(i), i)
 /// records into buckets of 2^bits destinations, then scatter each bucket
@@ -64,6 +80,39 @@ std::optional<Permutation> Permutation::adopt(util::aligned_vector<std::uint32_t
   return Permutation(Unchecked{}, std::move(mapping));
 }
 
+std::optional<Permutation> Permutation::from_le_words(std::span<const std::uint8_t> bytes) {
+  constexpr std::uint64_t kWords = util::Hash64::kBlock / sizeof(std::uint32_t);
+  const std::uint64_t n = bytes.size() / sizeof(std::uint32_t);
+  if (n == 0 || bytes.size() % sizeof(std::uint32_t) != 0) return std::nullopt;
+  util::aligned_vector<std::uint32_t> map(n);
+  std::vector<std::uint64_t> seen((n + 63) / 64);
+  util::Hash64 h(kMappingSchemaVersion);
+  // A hash block at a time: its words are checked and copied, and its
+  // bytes hashed while they are still in L1.
+  for (std::uint64_t i = 0; i < n; i += kWords) {
+    const std::uint64_t m = std::min(kWords, n - i);
+    const std::uint8_t* at = bytes.data() + i * sizeof(std::uint32_t);
+    for (std::uint64_t k = 0; k < m; ++k) {
+      map[i + k] = util::load_le32(at + k * sizeof(std::uint32_t));
+      if (!mark(seen, n, map[i + k])) return std::nullopt;
+    }
+    h.update(at, m * sizeof(std::uint32_t));
+  }
+  Permutation p(Unchecked{}, std::move(map));
+  p.set_fingerprint_memo(h.digest());
+  return p;
+}
+
+std::uint64_t Permutation::mapping_hash(std::span<const std::uint32_t> mapping) noexcept {
+  util::Hash64 h(kMappingSchemaVersion);
+  if constexpr (std::endian::native == std::endian::little) {
+    h.update(mapping.data(), mapping.size_bytes());
+  } else {
+    for (const std::uint32_t w : mapping) h.update_u32(w);
+  }
+  return h.digest();
+}
+
 Permutation::Permutation(const Permutation& other)
     : map_(other.map_), fingerprint_(other.fingerprint_memo()) {}
 
@@ -83,14 +132,10 @@ Permutation& Permutation::operator=(Permutation&& other) noexcept {
 }
 
 bool Permutation::is_valid(std::span<const std::uint32_t> mapping) {
-  if (mapping.empty()) return false;
-  // One bit per element: 128 KiB at 1M, which stays in L2.
-  std::vector<std::uint64_t> seen((mapping.size() + 63) / 64, 0);
-  for (std::uint32_t v : mapping) {
-    if (v >= mapping.size() || ((seen[v >> 6] >> (v & 63)) & 1)) return false;
-    seen[v >> 6] |= std::uint64_t{1} << (v & 63);
-  }
-  return true;
+  std::vector<std::uint64_t> seen((mapping.size() + 63) / 64);
+  return !mapping.empty() && std::ranges::all_of(mapping, [&](std::uint32_t v) {
+    return mark(seen, mapping.size(), v);
+  });
 }
 
 Permutation Permutation::inverse() const {

@@ -28,6 +28,17 @@ class Permutation {
   /// The constructor's one validation, with nullopt in place of the abort.
   static std::optional<Permutation> adopt(util::aligned_vector<std::uint32_t> mapping);
 
+  /// A mapping from its words' little-endian bytes (SUBMIT_PLAN's wire
+  /// form), in one pass that copies each word, validates it and hashes
+  /// it: nullopt unless a bijection, as `adopt`, else the fingerprint
+  /// memo already holds `mapping_hash` of the words.
+  static std::optional<Permutation> from_le_words(std::span<const std::uint8_t> bytes);
+
+  /// The mapping's 64-bit id (the wire plan id): a util::Hash64 over its
+  /// little-endian bytes, salted with the id's schema version.
+  [[nodiscard]] static std::uint64_t mapping_hash(
+      std::span<const std::uint32_t> mapping) noexcept;
+
   /// Copies carry the fingerprint memo; a move takes it and clears the
   /// source's, whose mapping is gone.
   Permutation(const Permutation& other);
@@ -48,9 +59,9 @@ class Permutation {
     return {map_.data(), map_.size()};
   }
 
-  /// Memo slot for `runtime::fingerprint_permutation`, 0 until first
-  /// use. The mapping never changes after construction, so its hash is
-  /// computed once and every later plan lookup reads it from here.
+  /// Memo slot for `mapping_hash`, 0 until first use (or filled by
+  /// `from_le_words`). The mapping never changes after construction, so
+  /// its hash is computed once and every later plan lookup reads it here.
   /// Relaxed atomics: racing first uses store the same value.
   [[nodiscard]] std::uint64_t fingerprint_memo() const noexcept {
     return fingerprint_.load(std::memory_order_relaxed);

@@ -5,24 +5,13 @@
 #include <string>
 #include <thread>
 
-#include "runtime/fingerprint.hpp"
+#include "util/hash.hpp"
 
 namespace hmm::runtime {
 namespace {
 
-/// splitmix64 finalizer: full-avalanche mix of (seed, site, counter) so
-/// adjacent checks of a site fire independently.
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t hash_site(std::string_view site) noexcept {
-  Fnv1a64 h;
-  for (const char c : site) h.update_byte(static_cast<std::uint8_t>(c));
-  return h.digest();
+  return util::hash64(site.data(), site.size());
 }
 
 /// True iff `site` appears in the comma-separated `filter`.
@@ -87,7 +76,11 @@ bool FaultInjector::should_fire(std::string_view site) {
   if (!site_enabled_locked(site)) return false;
   SiteState& state = sites_[std::string(site)];
   const std::uint64_t check_index = state.checks++;
-  const std::uint64_t roll = mix(config_.seed ^ hash_site(site) ^ (check_index * 0xd1342543de82ef95ull));
+  // A full-avalanche mix of (seed, site, counter), so that adjacent
+  // checks of a site fire independently.
+  const std::uint64_t roll = util::mix64(
+      (config_.seed ^ hash_site(site) ^ (check_index * 0xd1342543de82ef95ull)) +
+      0x9e3779b97f4a7c15ull);
   // Compare against rate scaled to the full 64-bit range (rate >= 1
   // always fires; the product is clamped by the double->u64 conversion).
   const double threshold = config_.rate * 18446744073709551616.0;  // 2^64

@@ -4,23 +4,14 @@
 ///
 /// A compiled `core::OfflinePermuter` is fully determined by
 ///   (permutation mapping, machine parameters, strategy, element width),
-/// so the plan cache keys entries by an FNV-1a hash over exactly those
-/// inputs. The mapping enters the key as its own fingerprint (the wire
-/// plan id), which `perm::Permutation` memoises: n words are hashed
-/// once per Permutation object, and every later key costs a few dozen
-/// bytes of hashing. The key is seeded with a schema-version salt (2
-/// since the key folds the mapping fingerprint instead of the words),
-/// so a change to the key schema can never silently alias keys of an
-/// older scheme. The mapping fingerprint keeps its own salt: plan ids
-/// are wire-visible and never change.
-///
-/// FNV-1a is not collision-free; the cache treats the fingerprint as an
-/// identity (no stored-key comparison) because a 64-bit hash over the
-/// handful of distinct permutations a service compiles makes accidental
-/// collision astronomically unlikely (~2^-64 per pair). The fingerprint
-/// of the *permutation words* dominates the input, so two permutations
-/// differing in a single image get unrelated keys. Frame checksums are
-/// not FNV-1a: they are CRC32C (net/wire.hpp).
+/// so the plan cache keys entries by a util::Hash64 over exactly those
+/// inputs. The mapping enters as its own fingerprint (the wire plan id,
+/// `perm::Permutation::mapping_hash`), which the Permutation memoises.
+/// Key and mapping hash each carry a schema-version salt, so a new
+/// scheme never silently aliases an older one. Plan ids are opaque and
+/// stable within one build. The cache treats its 64-bit key as an
+/// identity (~2^-64 collision odds per pair); the SUBMIT_PLAN registry
+/// compares mappings on an id hit (net/plan_registry.hpp).
 
 #include <cstdint>
 #include <span>
@@ -29,38 +20,6 @@
 #include "perm/permutation.hpp"
 
 namespace hmm::runtime {
-
-/// Streaming FNV-1a (64-bit). Deterministic across platforms for the
-/// integer-typed update helpers (values are fed little-endian).
-class Fnv1a64 {
- public:
-  static constexpr std::uint64_t kOffsetBasis = 0xcbf29ce484222325ull;
-  static constexpr std::uint64_t kPrime = 0x100000001b3ull;
-
-  constexpr Fnv1a64() = default;
-
-  constexpr Fnv1a64& update_byte(std::uint8_t b) noexcept {
-    state_ = (state_ ^ b) * kPrime;
-    return *this;
-  }
-
-  constexpr Fnv1a64& update_u32(std::uint32_t v) noexcept {
-    for (int i = 0; i < 4; ++i) update_byte(static_cast<std::uint8_t>(v >> (8 * i)));
-    return *this;
-  }
-
-  constexpr Fnv1a64& update_u64(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) update_byte(static_cast<std::uint8_t>(v >> (8 * i)));
-    return *this;
-  }
-
-  Fnv1a64& update_u32_span(std::span<const std::uint32_t> words) noexcept;
-
-  [[nodiscard]] constexpr std::uint64_t digest() const noexcept { return state_; }
-
- private:
-  std::uint64_t state_ = kOffsetBasis;
-};
 
 /// Strongly typed wrapper so a fingerprint can't be confused with a
 /// byte count or an index in an interface.
@@ -76,8 +35,8 @@ struct Fingerprint {
 
 /// Same hash over a raw mapping span (host order). This *is* the wire
 /// plan id: SUBMIT_PLAN answers it and the router consistent-hashes on
-/// it, so it must agree bit-for-bit with `fingerprint_permutation` of a
-/// Permutation built from the same words (tested as such).
+/// it, so it agrees bit-for-bit with `fingerprint_permutation` of a
+/// Permutation built from the same words, however built (tested as such).
 [[nodiscard]] Fingerprint fingerprint_mapping(std::span<const std::uint32_t> words);
 
 /// Full plan-cache key: machine parameters + strategy tag + element

@@ -40,6 +40,7 @@
 #include "runtime/fingerprint.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/status.hpp"
+#include "util/hash.hpp"
 #include "util/stopwatch.hpp"
 
 namespace hmm::runtime {
@@ -218,10 +219,7 @@ class PlanCache {
                                core::Strategy strategy) {
     const Fingerprint fp = fingerprint_plan_key(p, machine, static_cast<int>(strategy),
                                                 static_cast<std::uint32_t>(sizeof(T)));
-    Fnv1a64 h;
-    h.update_u64(fp.value);
-    h.update_u32(type_token<T>());
-    return Fingerprint{h.digest()};
+    return Fingerprint{util::Hash64(fp.value).update_u32(type_token<T>()).digest()};
   }
 
   template <class T>

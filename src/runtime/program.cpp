@@ -5,6 +5,7 @@
 
 #include "perm/generators.hpp"
 #include "util/bits.hpp"
+#include "util/hash.hpp"
 
 namespace hmm::runtime {
 
@@ -30,10 +31,9 @@ bool is_known_opcode(std::uint32_t op) noexcept {
 }
 
 Fingerprint program_fingerprint(std::span<const ProgramOp> ops, std::uint64_t n) noexcept {
-  Fnv1a64 h;
   // Version salt: a change to the identity schema must never alias
   // fingerprints minted under the old one.
-  h.update_u64(0x50524f4752414d31ull);  // "PROGRAM1"
+  util::Hash64 h(0x50524f4752414d32ull);  // "PROGRAM2"
   h.update_u64(n);
   for (const ProgramOp& op : ops) {
     h.update_u32(static_cast<std::uint32_t>(op.op));

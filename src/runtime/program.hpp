@@ -38,7 +38,7 @@
 /// composes to the identity (served by the identity fast-path without
 /// touching the plan tier).
 ///
-/// The composite *program fingerprint* is an order-sensitive FNV-1a
+/// The composite *program fingerprint* is an order-sensitive hash
 /// over (n, opcode, arg) triples. It identifies the program — the
 /// composite-permutation cache in RobustPermuteService keys off it so
 /// repeated programs skip re-resolution and re-composition — while the
@@ -102,7 +102,7 @@ struct Program {
   std::vector<ProgramOp> ops;
 };
 
-/// Order-sensitive program identity: FNV-1a over (n, then each op's
+/// Order-sensitive program identity: util::Hash64 over (n, then each op's
 /// opcode + arg in chain order). Two programs with the same ops in a
 /// different order hash differently (composition does not commute);
 /// the same ops at a different n hash differently too.

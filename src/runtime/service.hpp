@@ -57,6 +57,7 @@
 #include "runtime/plan_cache.hpp"
 #include "runtime/program.hpp"
 #include "runtime/status.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hmm::runtime {
@@ -326,13 +327,8 @@ class RobustPermuteService {
   /// Backoff for retry `attempt`: base * 2^attempt plus deterministic
   /// jitter in [0, base * 2^attempt) so synchronized failures fan out.
   [[nodiscard]] std::chrono::microseconds backoff_with_jitter(int attempt) const {
-    const std::uint64_t base_us =
-        static_cast<std::uint64_t>(config_.retry_backoff_base.count()) << attempt;
-    std::uint64_t x = kRetryJitterSeed ^ (0x9e3779b97f4a7c15ull * (attempt + 1));
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    const std::uint64_t jitter_us = base_us == 0 ? 0 : (x ^ (x >> 31)) % base_us;
-    return std::chrono::microseconds(base_us + jitter_us);
+    return util::jittered_backoff(config_.retry_backoff_base, std::chrono::microseconds::max(),
+                                  attempt + 1, kRetryJitterSeed);
   }
 
   /// The conventional tier: an S-designated permuter, whose offline

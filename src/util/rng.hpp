@@ -8,7 +8,11 @@
 /// drive `std::shuffle`-style code, but we provide our own unbiased
 /// bounded sampler to keep results identical across standard libraries.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
+
+#include "util/hash.hpp"
 
 namespace hmm::util {
 
@@ -17,12 +21,7 @@ class SplitMix64 {
  public:
   explicit constexpr SplitMix64(std::uint64_t seed) noexcept : state_(seed) {}
 
-  constexpr std::uint64_t next() noexcept {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
+  constexpr std::uint64_t next() noexcept { return mix64(state_ += 0x9e3779b97f4a7c15ull); }
 
  private:
   std::uint64_t state_;
@@ -53,5 +52,22 @@ class Xoshiro256 {
  private:
   std::uint64_t s_[4];
 };
+
+/// The pause before retry `step` (1-based): base·2^(step-1) capped at
+/// `cap`, plus a deterministic jitter below that drawn from `seed` and
+/// the step, so that synchronized failures fan out yet replay exactly.
+/// No pause at step 0 or with a zero base.
+[[nodiscard]] inline std::chrono::microseconds jittered_backoff(std::chrono::microseconds base,
+                                                                std::chrono::microseconds cap,
+                                                                int step,
+                                                                std::uint64_t seed) noexcept {
+  if (step <= 0 || base.count() <= 0) return std::chrono::microseconds{0};
+  const std::uint64_t delay_us =
+      std::min(static_cast<std::uint64_t>(base.count()) << std::min(step - 1, 20),
+               static_cast<std::uint64_t>(std::max<std::int64_t>(0, cap.count())));
+  const std::uint64_t x =
+      mix64(seed ^ (0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(step)));
+  return std::chrono::microseconds(delay_us + (delay_us == 0 ? 0 : x % delay_us));
+}
 
 }  // namespace hmm::util

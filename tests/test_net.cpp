@@ -27,6 +27,7 @@
 #include "cpu/dispatch.hpp"
 #include "net/client.hpp"
 #include "net/frame_io.hpp"
+#include "net/plan_registry.hpp"
 #include "net/protocol.hpp"
 #include "net/router.hpp"
 #include "net/server.hpp"
@@ -555,6 +556,44 @@ TEST(NetLoopback, ResubmittingAPlanDeduplicates) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first.value(), second.value());
   EXPECT_EQ(loop.server.plans(), 1u);
+}
+
+// A forged id that names a registered plan but another mapping — a
+// 64-bit collision — is refused typed. The registry keeps the first
+// plan, which still serves oracle-exact through a server.
+TEST(PlanRegistry, CollidingMappingIsRefusedAndTheFirstPlanKept) {
+  const std::uint64_t n = 1024;
+  const auto first = std::make_shared<const perm::Permutation>(perm::by_name("random", n, 4));
+  const auto other = std::make_shared<const perm::Permutation>(perm::by_name("random", n, 5));
+  const std::uint64_t id = runtime::fingerprint_permutation(*first).value;
+  net::PlanRegistry registry(2);
+  ASSERT_TRUE(registry.insert(id, first).is_ok());
+  EXPECT_TRUE(registry.insert(id, std::make_shared<const perm::Permutation>(*first)).is_ok())
+      << "the same mapping again is a duplicate, not a collision";
+  const Status collision = registry.insert(id, other);
+  EXPECT_EQ(collision.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(collision.message().find("plan id collision"), std::string::npos)
+      << collision.to_string();
+  EXPECT_EQ(registry.size(), 1u);
+  ASSERT_NE(registry.find(id), nullptr);
+  EXPECT_EQ(*registry.find(id), *first);
+  // The bound still holds: one more plan fits, a third does not.
+  EXPECT_TRUE(registry.insert(runtime::fingerprint_permutation(*other).value, other).is_ok());
+  const auto third = std::make_shared<const perm::Permutation>(perm::by_name("random", n, 6));
+  EXPECT_EQ(registry.insert(runtime::fingerprint_permutation(*third).value, third).code(),
+            StatusCode::kResourceExhausted);
+
+  Loopback loop;
+  net::Client client(loop.client_config());
+  auto plan = client.submit_plan(*registry.find(id));
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  EXPECT_EQ(plan.value(), id);
+  std::vector<std::uint32_t> a(n), b(n, 0), expect(n);
+  for (std::uint64_t i = 0; i < n; ++i) a[i] = static_cast<std::uint32_t>(i * 2654435761u);
+  first->apply<std::uint32_t>({a.data(), n}, {expect.data(), n});
+  const Status s = client.permute(plan.value(), {a.data(), n}, {b.data(), n});
+  ASSERT_TRUE(s.is_ok()) << s.to_string();
+  EXPECT_EQ(b, expect);
 }
 
 TEST(NetLoopback, UnknownPlanIsInvalidArgument) {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "model/host.hpp"
 #include "perm/distribution.hpp"
@@ -94,6 +96,48 @@ TEST(Permutation, AdoptValidatesWithoutAborting) {
   EXPECT_FALSE(Permutation::adopt(wide).has_value());
   wide[150] = 200;
   EXPECT_FALSE(Permutation::adopt(wide).has_value());
+}
+
+/// `words` as SUBMIT_PLAN carries them: little-endian, after `offset`
+/// bytes of padding (so the words can start unaligned).
+std::vector<std::uint8_t> le_bytes(std::span<const std::uint32_t> words, std::size_t offset) {
+  std::vector<std::uint8_t> out(offset + 4 * words.size());
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    for (int b = 0; b < 4; ++b) {
+      out[offset + 4 * i + b] = static_cast<std::uint8_t>(words[i] >> (8 * b));
+    }
+  }
+  return out;
+}
+
+// The wire factory refuses exactly what adopt refuses, and builds what
+// adopt builds, from aligned or unaligned words, whole blocks or not.
+TEST(Permutation, FromLeWordsMatchesAdopt) {
+  for (const std::vector<std::uint32_t>& words :
+       {std::vector<std::uint32_t>{0, 0, 2}, {0, 3, 1}, {}, {2, 0, 1}}) {
+    const std::vector<std::uint8_t> bytes = le_bytes(words, 0);
+    EXPECT_EQ(Permutation::from_le_words(bytes).has_value(), Permutation::is_valid(words));
+  }
+  for (const std::uint64_t n : {1ull, 15ull, 16ull, 17ull, 1000ull, 4096ull}) {
+    const Permutation p = by_name("random", n, 9);
+    for (const std::size_t offset : {0, 1}) {
+      const std::vector<std::uint8_t> bytes = le_bytes(p.data(), offset);
+      const std::span<const std::uint8_t> wire = std::span(bytes).subspan(offset);
+      const std::optional<Permutation> q = Permutation::from_le_words(wire);
+      ASSERT_TRUE(q.has_value()) << n;
+      EXPECT_EQ(*q, p) << n;
+      EXPECT_EQ(q->fingerprint_memo(), Permutation::mapping_hash(p.data())) << n;
+      // A repeat in the last word, one out of range, and a ragged length.
+      std::vector<std::uint32_t> bad(p.data().begin(), p.data().end());
+      if (n > 1) {
+        bad.back() = bad.front();
+        EXPECT_FALSE(Permutation::from_le_words(le_bytes(bad, 0)).has_value()) << n;
+      }
+      bad.back() = static_cast<std::uint32_t>(n);
+      EXPECT_FALSE(Permutation::from_le_words(le_bytes(bad, 0)).has_value()) << n;
+      EXPECT_FALSE(Permutation::from_le_words(wire.first(wire.size() - 1)).has_value()) << n;
+    }
+  }
 }
 
 TEST(Permutation, ComposeAssociative) {

@@ -142,15 +142,25 @@ TEST(Bucketed, GroupTablesFromAGivenInverseMatch) {
   const std::vector<std::uint64_t> shards = {0, 33335, 66669, n};
   const std::vector<std::uint64_t> long_tail = {0, 40000, n};
   const std::vector<std::uint64_t> chunks = {0, 12500, 50001, 75000, n};
+  // Band s's region at pack[bands[s]], chunk c's entries at merge[dest[c]].
+  const auto tables = [&p](const std::vector<std::uint64_t>& bands,
+                           const std::vector<std::uint64_t>& dest, MergeInto into,
+                           std::vector<std::uint32_t>& pack, std::vector<std::uint32_t>& merge,
+                           const perm::Permutation* inverse) {
+    std::vector<std::uint32_t*> packs, merges;
+    for (std::size_t s = 0; s + 1 < bands.size(); ++s) packs.push_back(pack.data() + bands[s]);
+    for (std::size_t c = 0; c + 1 < dest.size(); ++c) merges.push_back(merge.data() + dest[c]);
+    return group_tables<std::uint32_t>(p, bands, dest, 16, into,
+                                       std::span<std::uint32_t* const>(packs),
+                                       std::span<std::uint32_t* const>(merges), inverse);
+  };
   for (const auto& [bands, dest, into] :
        {std::tuple{uniform, chunks, MergeInto::kPacked},
         std::tuple{shards, shards, MergeInto::kReceived},
         std::tuple{long_tail, chunks, MergeInto::kPacked}}) {
     std::vector<std::uint32_t> pack(n), merge(n), given_pack(n), given_merge(n);
-    const GroupCounts counts = group_tables<std::uint32_t>(p, bands, dest, 16, into,
-                                                           std::span(pack), std::span(merge));
-    const GroupCounts given = group_tables<std::uint32_t>(
-        p, bands, dest, 16, into, std::span(given_pack), std::span(given_merge), &pinv);
+    const GroupCounts counts = tables(bands, dest, into, pack, merge, nullptr);
+    const GroupCounts given = tables(bands, dest, into, given_pack, given_merge, &pinv);
     EXPECT_EQ(given, counts) << bands.size() - 1 << " bands";
     EXPECT_EQ(given_pack, pack) << bands.size() - 1 << " bands";
     EXPECT_EQ(given_merge, merge) << bands.size() - 1 << " bands";

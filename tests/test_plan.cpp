@@ -5,7 +5,6 @@
 
 #include "core/plan.hpp"
 #include "perm/generators.hpp"
-#include "runtime/fingerprint.hpp"
 #include "test_helpers.hpp"
 #include "util/thread_pool.hpp"
 
@@ -131,10 +130,10 @@ TEST(Plan, BankSchedulesValidForAllFamilies) {
 /// derived p̂ and q, then the direct arrays g1..g3. Pins every schedule
 /// and direct array, the shape and the machine.
 std::uint64_t plan_digest(const ScheduledPlan& plan) {
-  runtime::Fnv1a64 h;
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64, as the digests were recorded
   const auto hash = [&h](const void* data, std::size_t size) {
     const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) h.update_byte(bytes[i]);
+    for (std::size_t i = 0; i < size; ++i) h = (h ^ bytes[i]) * 0x100000001b3ull;
   };
   const auto hash_u64 = [&hash](std::uint64_t v) { hash(&v, sizeof v); };
   const auto hash_u16s = [&hash](const util::aligned_vector<std::uint16_t>& v) {
@@ -152,7 +151,7 @@ std::uint64_t plan_digest(const ScheduledPlan& plan) {
     hash_u16s(set.q);
   }
   for (unsigned pass = 1; pass <= 3; ++pass) hash_u16s(plan.direct(pass));
-  return h.digest();
+  return h;
 }
 
 // The digests were recorded from the serial build that predates the

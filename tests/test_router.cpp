@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "net/client.hpp"
+#include "net/frame_io.hpp"
 #include "net/router.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
@@ -412,6 +414,115 @@ TEST(RouterReplication, ReplicaKilledBeforeItsAckIsReplacedByTheNextPreference) 
   EXPECT_EQ(fleet.backends[prefs[2]]->server->plans(), 1u)
       << "the next preference took its place";
   EXPECT_GE(fleet.router->snapshot().backends[prefs[1]].transport_failures, 1u);
+}
+
+/// A backend of another build: it echoes PINGs, but answers every
+/// SUBMIT_PLAN with a PLAN_OK naming an id other than the mapping's.
+class WrongIdBackend {
+ public:
+  WrongIdBackend() {
+    auto bound = net::TcpListener::bind("127.0.0.1", 0);
+    EXPECT_TRUE(bound.ok()) << bound.status().to_string();
+    if (bound.ok()) listener_ = std::move(bound).value();
+    acceptor_ = std::thread([this] {
+      while (!stop_.load()) {
+        runtime::StatusOr<net::TcpStream> conn = listener_.accept(10ms);
+        if (conn.ok()) {
+          serving_.emplace_back([this, c = std::move(conn).value()]() mutable { serve(c); });
+        }
+      }
+    });
+  }
+  ~WrongIdBackend() {
+    stop_.store(true);
+    acceptor_.join();
+    for (std::thread& t : serving_) t.join();
+  }
+  WrongIdBackend(const WrongIdBackend&) = delete;
+  WrongIdBackend& operator=(const WrongIdBackend&) = delete;
+
+  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
+
+ private:
+  void serve(net::TcpStream& conn) {
+    while (!stop_.load()) {
+      const runtime::StatusOr<bool> readable = conn.poll_readable(10ms);
+      if (!readable.ok()) return;
+      if (!readable.value()) continue;
+      runtime::StatusOr<net::Frame> request = net::read_frame(conn, net::kDefaultMaxPayload);
+      if (!request.ok()) return;
+      net::Frame answer{static_cast<std::uint16_t>(net::MsgKind::kPingOk),
+                        request.value().request_id, request.value().payload};
+      if (static_cast<net::MsgKind>(request.value().kind) == net::MsgKind::kSubmitPlan) {
+        auto plan = net::SubmitPlanRequest::decode(request.value().payload, 1 << 24);
+        net::ByteWriter id;
+        id.put_u64(plan.ok() ? runtime::fingerprint_mapping(plan.value().mapping).value + 1 : 0);
+        answer.kind = static_cast<std::uint16_t>(net::MsgKind::kPlanOk);
+        answer.payload = id.take();
+      }
+      if (!net::write_frame(conn, answer).is_ok()) return;
+    }
+  }
+
+  net::TcpListener listener_;
+  std::atomic<bool> stop_{false};
+  std::thread acceptor_;
+  std::vector<std::thread> serving_;
+};
+
+// A replica's PLAN_OK naming another id is no ack: the router counts it
+// as the replica's typed error, so a mixed-build fleet cannot register a
+// plan under one id and route it under another. With a true replica
+// beside it the client is answered; alone it fails typed.
+TEST(RouterReplication, PlanOkNamingAnotherIdIsNotAnAck) {
+  WrongIdBackend stranger;
+  const auto add_stranger = [&](net::Router::Config& c) {
+    c.backends.push_back(net::BackendAddress{"127.0.0.1", stranger.port()});
+  };
+  const perm::Permutation p = perm::by_name("random", 4096, 7);
+  const std::uint64_t id = runtime::fingerprint_permutation(p).value;
+  {
+    Fleet fleet(1, add_stranger);  // replication 2: both backends get the plan
+    net::Client client(fleet.client_config());
+    auto plan = client.submit_plan(p);
+    ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+    EXPECT_EQ(plan.value(), id);
+    const net::Router::Snapshot snap = fleet.router->snapshot();
+    EXPECT_EQ(snap.backends[0].ok, 1u);
+    EXPECT_EQ(snap.backends[1].ok, 0u);
+    EXPECT_EQ(snap.backends[1].typed_errors, 1u);
+  }
+  Fleet alone(0, add_stranger);
+  net::Client client(alone.client_config());
+  auto plan = client.submit_plan(p);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kUnavailable) << plan.status().to_string();
+  EXPECT_EQ(alone.router->snapshot().backends[0].ok, 0u);
+  EXPECT_EQ(alone.router->snapshot().backends[0].typed_errors, 1u);
+}
+
+// A mapping that is not a bijection is refused INVALID_ARGUMENT by the
+// router itself: no replica receives it and no registry keeps it.
+TEST(RouterReplication, NonBijectionIsRefusedBeforeAnyBackend) {
+  Fleet fleet(2);
+  fleet.await_first_probes();
+  auto conn = net::tcp_connect("127.0.0.1", fleet.router->port(), 2'000ms);
+  ASSERT_TRUE(conn.ok()) << conn.status().to_string();
+  net::SubmitPlanRequest bad;
+  bad.mapping = {0, 1, 2, 2};  // 2 appears twice, 3 never
+  ASSERT_TRUE(net::write_frame(conn.value(),
+                               net::Frame{static_cast<std::uint16_t>(net::MsgKind::kSubmitPlan),
+                                          5, bad.encode()})
+                  .is_ok());
+  auto response = net::read_frame(conn.value(), net::kDefaultMaxPayload);
+  ASSERT_TRUE(response.ok()) << response.status().to_string();
+  ASSERT_EQ(response.value().kind, static_cast<std::uint16_t>(net::MsgKind::kError));
+  auto err = net::ErrorResponse::decode(response.value().payload);
+  ASSERT_TRUE(err.ok());
+  EXPECT_EQ(err.value().to_status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fleet.router->plans(), 0u);
+  for (const auto& b : fleet.backends) EXPECT_EQ(b->server->plans(), 0u);
+  for (const auto& b : fleet.router->snapshot().backends) EXPECT_EQ(b.requests, 0u);
 }
 
 TEST(RouterHealth, RequestFailuresEjectAndShedInO1) {

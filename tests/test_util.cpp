@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <future>
 #include <new>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -16,6 +19,7 @@
 #include "util/bits.hpp"
 #include "util/buffer_pool.hpp"
 #include "util/cli.hpp"
+#include "util/hash.hpp"
 #include "util/numa.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -119,6 +123,103 @@ TEST(Rng, LongJumpDiverges) {
   Xoshiro256 a(9), b(9);
   b.long_jump();
   EXPECT_NE(a.next(), b.next());
+}
+
+// ---------------------------------------------------------------- hash
+
+/// Pinned so that a change to the hash is deliberate: it moves every
+/// plan id. Byte i of the input is 7i + 1.
+TEST(Hash64, KnownAnswers) {
+  std::vector<unsigned char> in(71);
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = static_cast<unsigned char>(7 * i + 1);
+  const std::uint64_t short_inputs[16] = {
+      0xa2b42b3a46976355ull, 0x0f56f67d02741b9aull, 0x65c33dfc7628d3bdull, 0xa8a62195173b7cbdull,
+      0xe23dcc53334be91bull, 0xc74fe4aea153409dull, 0xff144622121f2ae4ull, 0xa1c0268afc839e1cull,
+      0xab3d91277cc84c43ull, 0x6137358f3ad3d921ull, 0xfdcc34cec0173b88ull, 0x907816ea2d5f984cull,
+      0x9125f40e4c3f1543ull, 0x33b4d51f09cb5c97ull, 0x6031d7f7f84e328aull, 0x6593349cc5ce130eull};
+  for (std::size_t len = 0; len < 16; ++len) {
+    EXPECT_EQ(hash64(in.data(), len), short_inputs[len]) << len << " bytes";
+  }
+  EXPECT_EQ(hash64(in.data(), 64), 0x729b8ed177b60c7eull);      // one block
+  EXPECT_EQ(hash64(in.data(), 71), 0x41526263881aed01ull);      // a block and 7 bytes
+  EXPECT_EQ(hash64(in.data(), 71, 42), 0x3866204ba1427568ull);  // seeded
+}
+
+// The hash is of the little-endian byte stream, however it is fed: in
+// place, from an unaligned copy, in ragged pieces, or a word at a time
+// through update_u32 (a big-endian host's path).
+TEST(Hash64, EveryFeedOfTheSameBytesAgrees) {
+  Xoshiro256 rng(3);
+  std::vector<std::uint32_t> words(1003);  // not a whole number of blocks
+  for (std::uint32_t& w : words) w = static_cast<std::uint32_t>(rng.next());
+  std::vector<unsigned char> le(words.size() * 4 + 1);
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    for (int b = 0; b < 4; ++b) {
+      le[1 + 4 * i + b] = static_cast<unsigned char>(words[i] >> (8 * b));
+    }
+  }
+  const unsigned char* unaligned = le.data() + 1;
+  const std::size_t len = words.size() * 4;
+  const std::uint64_t expected = hash64(unaligned, len);
+
+  Hash64 by_word;
+  for (const std::uint32_t w : words) by_word.update_u32(w);
+  EXPECT_EQ(by_word.digest(), expected);
+  Hash64 ragged;
+  for (std::size_t at = 0, step = 1; at < len; at += step, step = step % 97 + 13) {
+    ragged.update(unaligned + at, std::min(step, len - at));
+    (void)ragged.digest();  // a digest mid-stream leaves the stream as it was
+  }
+  EXPECT_EQ(ragged.digest(), expected);
+  if constexpr (std::endian::native == std::endian::little) {
+    EXPECT_EQ(hash64(words.data(), len), expected);
+  }
+  EXPECT_NE(hash64(unaligned, len - 1), expected);
+}
+
+/// The ids of `count` distinct random transpositions of a random
+/// n-element mapping, plus the mapping's own. Each is hashed from the
+/// saved state before its first changed block, as the bytes before it
+/// are the mapping's.
+std::vector<std::uint64_t> transposition_ids(std::uint64_t n, std::size_t count) {
+  Xoshiro256 rng(n);
+  std::vector<std::uint32_t> map(n);
+  std::iota(map.begin(), map.end(), 0u);
+  for (std::uint64_t i = n - 1; i > 0; --i) std::swap(map[i], map[rng.bounded(i + 1)]);
+  const auto* bytes = reinterpret_cast<const unsigned char*>(map.data());
+  const std::size_t len = n * sizeof(std::uint32_t);
+  const std::size_t words = Hash64::kBlock / sizeof(std::uint32_t);
+  std::vector<Hash64> before;  // before[b]: the state after b blocks
+  Hash64 h;
+  for (std::size_t at = 0; at < len; at += Hash64::kBlock) {
+    before.push_back(h);
+    h.update(bytes + at, std::min(Hash64::kBlock, len - at));
+  }
+  std::vector<std::uint64_t> ids = {h.digest()};
+  std::set<std::pair<std::uint64_t, std::uint64_t>> drawn;
+  while (drawn.size() < count) {
+    const std::uint64_t i = rng.bounded(n), j = rng.bounded(n);
+    if (i >= j || !drawn.emplace(i, j).second) continue;
+    std::swap(map[i], map[j]);
+    Hash64 resumed = before[i / words];
+    const std::size_t from = i / words * Hash64::kBlock;
+    ids.push_back(resumed.update(bytes + from, len - from).digest());
+    std::swap(map[i], map[j]);
+  }
+  return ids;
+}
+
+// 64K transpositions give 64K + 1 distinct ids: at 64K elements, and a
+// sample at 1M (a full 64K there would rehash ~170 GB).
+TEST(Hash64, TranspositionsOfAMappingAllDiffer) {
+  for (const auto& [n, count] : {std::pair<std::uint64_t, std::size_t>{1 << 16, 1 << 16},
+                                {1 << 20, 1 << 10}}) {
+    std::vector<std::uint64_t> ids = transposition_ids(n, count);
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(std::unique(ids.begin(), ids.end()) - ids.begin(),
+              static_cast<std::ptrdiff_t>(count + 1))
+        << n;
+  }
 }
 
 TEST(AlignedVector, Alignment) {
