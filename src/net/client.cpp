@@ -51,14 +51,14 @@ Status Client::connect() {
 }
 
 StatusOr<FrameView> Client::roundtrip_once(MsgKind kind, std::span<const ConstBuffer> parts,
-                                           std::uint64_t request_id) {
+                                           std::uint64_t request_id, const PayloadSink* sink) {
   if (Status s = write_frame_parts(stream_, static_cast<std::uint16_t>(kind), request_id, parts);
       !s.is_ok()) {
     return s;
   }
 
   StatusOr<FrameView> response = read_frame_view(stream_, util::BufferPool::global(), storage_,
-                                                 config_.max_payload_bytes);
+                                                 config_.max_payload_bytes, sink);
   if (!response.ok()) {
     // The request reached the wire. A clean EOF before any response
     // byte means the server never started answering (idle close, a
@@ -100,7 +100,8 @@ std::chrono::microseconds Client::retry_backoff(const Config& config, int attemp
                                 config.retry_jitter_seed);
 }
 
-StatusOr<FrameView> Client::roundtrip(MsgKind kind, std::span<const ConstBuffer> parts) {
+StatusOr<FrameView> Client::roundtrip(MsgKind kind, std::span<const ConstBuffer> parts,
+                                      const PayloadSink* sink) {
   Status last(StatusCode::kUnavailable, "not attempted");
   for (int attempt = 0; attempt <= config_.max_retries; ++attempt) {
     if (attempt > 0) {
@@ -114,7 +115,7 @@ StatusOr<FrameView> Client::roundtrip(MsgKind kind, std::span<const ConstBuffer>
         continue;  // next attempt backs off and reconnects again
       }
     }
-    StatusOr<FrameView> response = roundtrip_once(kind, parts, next_request_id());
+    StatusOr<FrameView> response = roundtrip_once(kind, parts, next_request_id(), sink);
     if (response.ok()) return response;
     last = response.status();
     // A frame-level violation or transport failure poisons the
@@ -134,6 +135,36 @@ StatusOr<FrameView> Client::roundtrip(MsgKind kind, std::span<const ConstBuffer>
     }
   }
   return last;
+}
+
+Status Client::roundtrip_into(MsgKind kind, std::span<const ConstBuffer> parts,
+                              std::span<std::uint32_t> out) {
+  const auto ok_kind = static_cast<MsgKind>(static_cast<std::uint16_t>(kind) | 0x80u);
+  std::array<std::uint8_t, 8> count{};
+  const PayloadSink sink{static_cast<std::uint16_t>(ok_kind), count,
+                         {reinterpret_cast<std::uint8_t*>(out.data()), out.size_bytes()}};
+  // An empty `out` takes no answer the sink could hold.
+  StatusOr<FrameView> response = roundtrip(kind, parts, out.empty() ? nullptr : &sink);
+  if (!response.ok()) return response.status();
+  const FrameView& frame = response.value();
+  if (is_error(frame)) return error_status(frame.payload);
+  // The sink took a well-sized answer (the payload is then its head);
+  // a malformed one is a protocol breach, not our invalid argument.
+  ByteReader r(frame.payload);
+  std::uint64_t n = 0;
+  const char* why = !r.get_u64(n)       ? "truncated header"
+                    : n != out.size()   ? "element count does not match the request"
+                    : frame.payload.data() != count.data()
+                        ? "payload length does not match element count"
+                        : nullptr;
+  if (why != nullptr) {
+    return Status(StatusCode::kUnavailable, "malformed " + std::string(to_string(ok_kind)) +
+                                                " payload: PERMUTE_OK: " + why);
+  }
+  if constexpr (std::endian::native == std::endian::big) {
+    for (std::uint32_t& w : out) w = __builtin_bswap32(w);
+  }
+  return Status::ok();
 }
 
 Status Client::ping() {
@@ -185,18 +216,7 @@ Status Client::permute(std::uint64_t plan_id, std::span<const std::uint32_t> dat
   std::vector<std::uint8_t> staging;
   const std::span<const std::uint8_t> body = wire_words(data, staging);
   const ConstBuffer parts[] = {{prefix.data(), prefix.size()}, {body.data(), body.size()}};
-
-  StatusOr<FrameView> response = roundtrip(MsgKind::kPermute, parts);
-  if (!response.ok()) return response.status();
-  const FrameView& frame = response.value();
-  if (is_error(frame)) return error_status(frame.payload);
-  // decode_into writes the elements straight into the caller's span.
-  if (Status s = PermuteResponse::decode_into(frame.payload, out); !s.is_ok()) {
-    // The server's response payload is malformed: a protocol breach,
-    // not an invalid argument of ours.
-    return Status(StatusCode::kUnavailable, "malformed PERMUTE_OK payload: " + s.message());
-  }
-  return Status::ok();
+  return roundtrip_into(MsgKind::kPermute, parts, out);
 }
 
 Status Client::execute_program(std::span<const runtime::ProgramOp> ops,
@@ -228,17 +248,8 @@ Status Client::execute_program(std::span<const runtime::ProgramOp> ops,
   const std::span<const std::uint8_t> body = wire_words(data, staging);
   const ConstBuffer parts[] = {{prefix.data(), static_cast<std::size_t>(at - prefix.data())},
                                {body.data(), body.size()}};
-
-  StatusOr<FrameView> response = roundtrip(MsgKind::kExecuteProgram, parts);
-  if (!response.ok()) return response.status();
-  const FrameView& frame = response.value();
-  if (is_error(frame)) return error_status(frame.payload);
-  // PROGRAM_OK carries the PERMUTE_OK layout; decode straight into the
-  // caller's span.
-  if (Status s = PermuteResponse::decode_into(frame.payload, out); !s.is_ok()) {
-    return Status(StatusCode::kUnavailable, "malformed PROGRAM_OK payload: " + s.message());
-  }
-  return Status::ok();
+  // PROGRAM_OK carries the PERMUTE_OK layout.
+  return roundtrip_into(MsgKind::kExecuteProgram, parts, out);
 }
 
 StatusOr<std::string> Client::stats_json() {

@@ -25,12 +25,11 @@
 ///
 /// Borrowed storage: a PERMUTE or EXECUTE_PROGRAM sends the caller's
 /// `data` span in place (a stack-built prefix plus the span, one
-/// scatter-gather write) and reads the response into payload storage
-/// the client keeps from the process BufferPool, grown only when a
-/// larger response arrives. The span is borrowed for the duration of
-/// the call only; `out` is written once, from that storage. A steady
-/// stream of same-sized requests therefore allocates nothing of
-/// payload size on either leg.
+/// scatter-gather write), and its OK answer is received straight into
+/// `out` (any other answer into storage the client keeps from the
+/// process BufferPool, grown only when a larger response arrives). The
+/// span is borrowed for the call only; on any error `out` is
+/// unspecified. Same-sized requests allocate nothing of payload size.
 
 #include <chrono>
 #include <cstdint>
@@ -124,15 +123,22 @@ class Client {
 
  private:
   /// Send `kind` with the payload scattered over `parts`, receive the
-  /// matching response frame into `storage_`. Reconnects and resends
-  /// on transport failure (up to max_retries); returns the response
-  /// frame (kError frames included — callers map them via
+  /// matching response frame into `sink` or else `storage_`. Reconnects
+  /// and resends on transport failure (up to max_retries); returns the
+  /// response frame (kError frames included — callers map them via
   /// ErrorResponse::to_status()), valid until the next round trip.
-  runtime::StatusOr<FrameView> roundtrip(MsgKind kind, std::span<const ConstBuffer> parts);
+  runtime::StatusOr<FrameView> roundtrip(MsgKind kind, std::span<const ConstBuffer> parts,
+                                         const PayloadSink* sink = nullptr);
 
   /// One attempt on the current connection; no retry logic.
   runtime::StatusOr<FrameView> roundtrip_once(MsgKind kind, std::span<const ConstBuffer> parts,
-                                              std::uint64_t request_id);
+                                              std::uint64_t request_id,
+                                              const PayloadSink* sink);
+
+  /// `roundtrip` for a PERMUTE or EXECUTE_PROGRAM whose OK answer's
+  /// elements are received straight into `out`.
+  runtime::Status roundtrip_into(MsgKind kind, std::span<const ConstBuffer> parts,
+                                 std::span<std::uint32_t> out);
 
   /// Next wire request id: trace prefix in the high half, sequence in
   /// the low half.

@@ -20,44 +20,18 @@ namespace {
 struct ShardOutcome {
   Status status = Status::ok();
   bool transport = false;  ///< connect/send/recv failure vs typed answer
-  TcpStream stream;        ///< open while the shard's answer is awaited
   DistributedPermuter::Band band;
 
   void transport_fail(Status why) {
     status = std::move(why);
     transport = true;
-    stream.close();
   }
 };
 
-/// Connect to shard `shard` and ship its band as SHARD_EXEC.
-void send_shard(const DistributedPermuter::Config& config, const ShardExecRequest& header,
-                const ShardPeer& peer, std::span<const std::uint8_t> band_bytes,
-                std::uint64_t band_elems, ShardOutcome& out) {
-  StatusOr<TcpStream> conn = tcp_connect(peer.host, peer.port, config.connect_timeout);
-  if (!conn.ok()) return out.transport_fail(conn.status());
-  out.stream = std::move(conn).value();
-  (void)out.stream.set_io_timeout(config.io_timeout, config.io_timeout);
-
-  const std::vector<std::uint8_t> prefix = header.encode_prefix(band_elems);
-  const ConstBuffer parts[] = {{prefix.data(), prefix.size()},
-                               {band_bytes.data(), band_bytes.size()}};
-  if (Status sent = write_frame_parts(out.stream,
-                                      static_cast<std::uint16_t>(MsgKind::kShardExec),
-                                      header.session_id, parts);
-      !sent.is_ok()) {
-    out.transport_fail(std::move(sent));
-  }
-}
-
-/// Read shard's answer — it comes once the shard finished its exchange
-/// — into pooled storage.
-void receive_shard(const DistributedPermuter::Config& config, std::uint64_t session_id,
+/// Validate shard's answer — it comes once the shard finished its
+/// exchange — read into `out.band.storage`.
+void receive_shard(const StatusOr<FrameView>& response, std::uint64_t session_id,
                    std::uint64_t band_elems, ShardOutcome& out) {
-  util::BufferPool& pool = util::BufferPool::global();
-  StatusOr<FrameView> response =
-      read_frame_view(out.stream, pool, out.band.storage, config.max_payload_bytes);
-  out.stream.close();
   if (!response.ok()) return out.transport_fail(response.status());
   const FrameView& frame = response.value();
   if (static_cast<MsgKind>(frame.kind) == MsgKind::kError) {
@@ -73,15 +47,17 @@ void receive_shard(const DistributedPermuter::Config& config, std::uint64_t sess
     return out.transport_fail(
         Status(StatusCode::kUnavailable, "shard response does not answer SHARD_EXEC"));
   }
-  StatusOr<WordsResponseView> band =
-      WordsResponseView::decode(frame.payload, config.max_payload_bytes / kElemBytes);
+  StatusOr<WordsResponseView> band = WordsResponseView::decode(frame.payload, band_elems);
   if (!band.ok()) return out.transport_fail(band.status());
   if (band.value().data.count != band_elems) {
     return out.transport_fail(
         Status(StatusCode::kUnavailable, "shard returned a band of the wrong size"));
   }
+  // The verified frame checksum with the count peeled off: no re-read.
   out.band.bytes = band.value().data.bytes;
   out.band.elements = band_elems;
+  out.band.digest = checksum_combine(checksum_bytes(frame.payload.first(8)), frame.checksum,
+                                     out.band.bytes.size());
 }
 
 }  // namespace
@@ -126,6 +102,32 @@ StatusOr<DistributedPermuter::Result> DistributedPermuter::execute(
     std::uint32_t deadline_ms, std::uint64_t rows, std::uint64_t cols,
     std::span<const std::uint8_t> data_bytes, std::span<const ShardTarget> targets,
     const std::function<void(std::size_t)>& on_transport_failure) {
+  std::vector<TcpStream> streams(targets.size());
+  const Transport fresh{
+      .send = [&](std::uint32_t s, std::span<const ConstBuffer> payload) -> Status {
+        StatusOr<TcpStream> conn =
+            tcp_connect(targets[s].host, targets[s].port, config.connect_timeout);
+        if (!conn.ok()) return conn.status();
+        streams[s] = std::move(conn).value();
+        (void)streams[s].set_io_timeout(config.io_timeout, config.io_timeout);
+        return write_frame_parts(streams[s], static_cast<std::uint16_t>(MsgKind::kShardExec),
+                                 session_id, payload);
+      },
+      .receive = [&](std::uint32_t s, util::PooledBuffer& storage) {
+        StatusOr<FrameView> answer = read_frame_view(streams[s], util::BufferPool::global(),
+                                                     storage, config.max_payload_bytes);
+        streams[s].close();
+        return answer;
+      }};
+  return execute(fresh, session_id, plan_id, deadline_ms, rows, cols, data_bytes, targets,
+                 on_transport_failure);
+}
+
+StatusOr<DistributedPermuter::Result> DistributedPermuter::execute(
+    const Transport& transport, std::uint64_t session_id, std::uint64_t plan_id,
+    std::uint32_t deadline_ms, std::uint64_t rows, std::uint64_t cols,
+    std::span<const std::uint8_t> data_bytes, std::span<const ShardTarget> targets,
+    const std::function<void(std::size_t)>& on_transport_failure) {
   const std::uint64_t n = data_bytes.size() / kElemBytes;
   if (data_bytes.size() % kElemBytes != 0 || cols == 0 || n % cols != 0 || rows != n / cols) {
     return Status(StatusCode::kInvalidArgument,
@@ -152,13 +154,18 @@ StatusOr<DistributedPermuter::Result> DistributedPermuter::execute(
   for (std::uint32_t s = 0; s < shards; ++s) {
     header.shard_index = s;
     const std::uint64_t band_elems = bands.band_elements(s);
-    send_shard(config, header, header.peers[s],
-               data_bytes.subspan(bands.band_offset(s) * kElemBytes, band_elems * kElemBytes),
-               band_elems, outcomes[s]);
+    const std::vector<std::uint8_t> prefix = header.encode_prefix(band_elems);
+    const ConstBuffer payload[] = {
+        {prefix.data(), prefix.size()},
+        {data_bytes.data() + bands.band_offset(s) * kElemBytes, band_elems * kElemBytes}};
+    if (Status sent = transport.send(s, payload); !sent.is_ok()) {
+      outcomes[s].transport_fail(std::move(sent));
+    }
   }
   for (std::uint32_t s = 0; s < shards; ++s) {
     if (outcomes[s].status.is_ok()) {
-      receive_shard(config, session_id, bands.band_elements(s), outcomes[s]);
+      receive_shard(transport.receive(s, outcomes[s].band.storage), session_id,
+                    bands.band_elements(s), outcomes[s]);
     }
   }
 

@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "net/frame_io.hpp"
 #include "perm/permutation.hpp"
 #include "runtime/distributed.hpp"
 #include "runtime/status.hpp"
@@ -72,11 +73,19 @@ class DistributedPermuter {
     util::PooledBuffer storage;
     std::span<const std::uint8_t> bytes;
     std::uint64_t elements = 0;
+    std::uint64_t digest = 0;  ///< the checksum of `bytes`
   };
 
   struct Result {
     std::vector<Band> bands;  ///< shard order; concatenation = output
     std::uint64_t total_elements = 0;
+  };
+
+  /// The connections of one execution: `send(s, payload)` writes shard
+  /// s's SHARD_EXEC, `receive(s, storage)` reads its answer there.
+  struct Transport {
+    std::function<runtime::Status(std::uint32_t, std::span<const ConstBuffer>)> send;
+    std::function<runtime::StatusOr<FrameView>(std::uint32_t, util::PooledBuffer&)> receive;
   };
 
   /// The distributed offline phase: split `p`'s n elements into
@@ -100,11 +109,17 @@ class DistributedPermuter {
   /// it. `deadline_ms` (0 = none) rides to every shard.
   /// `on_transport_failure(i)` fires for each target whose failure was
   /// transport-level (connect/send/recv), not a typed answer. Runs on
-  /// the calling thread: writes every SHARD_EXEC, then reads every
-  /// answer. On error the first failure (typed answers preferred over
-  /// transport noise) is returned.
+  /// the calling thread, over one fresh connection per shard: writes
+  /// every SHARD_EXEC, then reads every answer. On error the first
+  /// failure (typed answers preferred over transport noise) is returned.
   [[nodiscard]] static runtime::StatusOr<Result> execute(
       const Config& config, std::uint64_t session_id, std::uint64_t plan_id,
+      std::uint32_t deadline_ms, std::uint64_t rows, std::uint64_t cols,
+      std::span<const std::uint8_t> data_bytes, std::span<const ShardTarget> targets,
+      const std::function<void(std::size_t)>& on_transport_failure);
+  /// The same execution over `transport`'s connections.
+  [[nodiscard]] static runtime::StatusOr<Result> execute(
+      const Transport& transport, std::uint64_t session_id, std::uint64_t plan_id,
       std::uint32_t deadline_ms, std::uint64_t rows, std::uint64_t cols,
       std::span<const std::uint8_t> data_bytes, std::span<const ShardTarget> targets,
       const std::function<void(std::size_t)>& on_transport_failure);

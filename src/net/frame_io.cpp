@@ -1,5 +1,6 @@
 #include "net/frame_io.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <string>
@@ -19,15 +20,18 @@ Status protocol_error(FrameError e) {
 }
 
 /// The header of a payload scattered over `parts`: its total length
-/// and the checksum streamed across the parts.
+/// and, unless it is `known`, the checksum streamed across the parts.
 StatusOr<FrameHeader> header_over(std::uint16_t kind, std::uint64_t request_id,
-                                  std::span<const ConstBuffer> parts) {
+                                  std::span<const ConstBuffer> parts,
+                                  std::optional<std::uint64_t> known = std::nullopt) {
   std::uint64_t payload_len = 0;
   std::uint64_t checksum = checksum_seed();
   for (const ConstBuffer& part : parts) {
     payload_len += part.len;
-    checksum = checksum_extend(
-        checksum, {static_cast<const std::uint8_t*>(part.data), part.len});
+    if (!known) {
+      checksum = checksum_extend(
+          checksum, {static_cast<const std::uint8_t*>(part.data), part.len});
+    }
   }
   if (payload_len > UINT32_MAX) {
     return Status(StatusCode::kInvalidArgument, "frame payload exceeds the u32 length field");
@@ -35,7 +39,7 @@ StatusOr<FrameHeader> header_over(std::uint16_t kind, std::uint64_t request_id,
   return FrameHeader{.kind = kind,
                      .request_id = request_id,
                      .payload_len = static_cast<std::uint32_t>(payload_len),
-                     .checksum = checksum};
+                     .checksum = known.value_or(checksum)};
 }
 
 StatusOr<FrameHeader> read_header(TcpStream& stream, std::uint32_t max_payload) {
@@ -46,6 +50,24 @@ StatusOr<FrameHeader> read_header(TcpStream& stream, std::uint32_t max_payload) 
     return protocol_error(e);
   }
   return header;
+}
+
+/// Receive the payload `h` announces into `parts`, in order, one
+/// kChecksumChunk at a time, checksumming each chunk while it is still
+/// in cache: verification ends with the last byte.
+Status recv_payload(TcpStream& stream, const FrameHeader& h,
+                    std::initializer_list<std::span<std::uint8_t>> parts) {
+  std::uint64_t crc = checksum_seed();
+  bool mid_frame = false;  // an EOF before the first payload byte reads as a close
+  for (const std::span<std::uint8_t> into : parts) {
+    for (std::size_t got = 0; got < into.size(); mid_frame = true) {
+      const std::size_t chunk = std::min(kChecksumChunk, into.size() - got);
+      if (Status s = stream.recv_all(into.data() + got, chunk, mid_frame); !s.is_ok()) return s;
+      crc = checksum_extend(crc, into.subspan(got, chunk));
+      got += chunk;
+    }
+  }
+  return crc == h.checksum ? Status::ok() : protocol_error(FrameError::kBadChecksum);
 }
 
 /// Grow-only reuse: the storage a connection hands back in keeps
@@ -92,33 +114,28 @@ StatusOr<Frame> read_frame(TcpStream& stream, std::uint32_t max_payload) {
   frame.kind = h.kind;
   frame.request_id = h.request_id;
   frame.payload.resize(h.payload_len);
-  if (h.payload_len > 0) {
-    if (Status s = stream.recv_all(frame.payload.data(), h.payload_len); !s.is_ok()) return s;
-  }
-  if (checksum_bytes(frame.payload) != h.checksum) {
-    return protocol_error(FrameError::kBadChecksum);
-  }
+  if (Status s = recv_payload(stream, h, {frame.payload}); !s.is_ok()) return s;
   return frame;
 }
 
 StatusOr<FrameView> read_frame_view(TcpStream& stream, util::BufferPool& pool,
-                                    util::PooledBuffer& storage, std::uint32_t max_payload) {
+                                    util::PooledBuffer& storage, std::uint32_t max_payload,
+                                    const PayloadSink* sink) {
   StatusOr<FrameHeader> header = read_header(stream, max_payload);
   if (!header.ok()) return header.status();
   const FrameHeader& h = header.value();
 
-  if (Status s = reserve_payload(pool, storage, h.payload_len); !s.is_ok()) return s;
-  std::span<const std::uint8_t> payload{storage.data(), h.payload_len};
-  if (h.payload_len > 0) {
-    if (Status s = stream.recv_all(storage.data(), h.payload_len); !s.is_ok()) return s;
+  const bool sunk = sink != nullptr && h.kind == sink->kind &&
+                    h.payload_len == sink->head.size() + sink->body.size();
+  if (!sunk) {
+    if (Status s = reserve_payload(pool, storage, h.payload_len); !s.is_ok()) return s;
   }
-  if (checksum_bytes(payload) != h.checksum) return protocol_error(FrameError::kBadChecksum);
-
-  FrameView view;
-  view.kind = h.kind;
-  view.request_id = h.request_id;
-  view.payload = payload;
-  return view;
+  const std::span<std::uint8_t> head =
+      sunk ? sink->head : std::span(storage.data(), h.payload_len);
+  const std::span<std::uint8_t> body = sunk ? sink->body : std::span<std::uint8_t>();
+  if (Status s = recv_payload(stream, h, {head, body}); !s.is_ok()) return s;
+  return FrameView{
+      .kind = h.kind, .request_id = h.request_id, .payload = head, .checksum = h.checksum};
 }
 
 StatusOr<bool> FrameReader::poll(TcpStream& stream) {
@@ -142,21 +159,22 @@ StatusOr<bool> FrameReader::poll(TcpStream& stream) {
           }
         }
         have_ = 0;
+        crc_ = checksum_seed();
         state_ = State::kPayload;
         break;
       }
       case State::kPayload: {
         if (have_ < frame_.payload_len) {
-          StatusOr<std::size_t> n =
-              stream.recv_some(storage_.data() + have_, frame_.payload_len - have_);
+          std::uint8_t* const at = storage_.data() + have_;
+          StatusOr<std::size_t> n = stream.recv_some(
+              at, std::min<std::size_t>(kChecksumChunk, frame_.payload_len - have_));
           if (!n.ok()) return n.status();
           if (n.value() == 0) return false;
+          crc_ = checksum_extend(crc_, {at, n.value()});
           have_ += n.value();
           if (have_ < frame_.payload_len) break;
         }
-        if (checksum_bytes(view().payload) != frame_.checksum) {
-          return protocol_error(FrameError::kBadChecksum);
-        }
+        if (crc_ != frame_.checksum) return protocol_error(FrameError::kBadChecksum);
         state_ = State::kReady;
         return true;
       }
@@ -171,6 +189,7 @@ FrameView FrameReader::view() const noexcept {
   view.kind = frame_.kind;
   view.request_id = frame_.request_id;
   view.payload = {frame_.payload_len > 0 ? storage_.data() : nullptr, frame_.payload_len};
+  view.checksum = frame_.checksum;
   return view;
 }
 
@@ -183,7 +202,8 @@ void FrameReader::consume() noexcept {
 StatusOr<OutboundFrame> make_outbound_frame(std::uint16_t kind, std::uint64_t request_id,
                                             std::span<const std::uint8_t> inline_payload,
                                             std::vector<OutboundFrame::Segment> segments,
-                                            std::vector<std::uint8_t> owned) {
+                                            std::vector<std::uint8_t> owned,
+                                            std::optional<std::uint64_t> checksum) {
   OutboundFrame frame;
   if (inline_payload.size() > frame.prefix.size() - kHeaderBytes) {
     return Status(StatusCode::kInvalidArgument, "inline payload exceeds the prefix slot");
@@ -195,7 +215,7 @@ StatusOr<OutboundFrame> make_outbound_frame(std::uint16_t kind, std::uint64_t re
     parts.push_back({segment.buffer.data() + segment.offset, segment.len});
   }
   parts.push_back({owned.data(), owned.size()});
-  StatusOr<FrameHeader> header = header_over(kind, request_id, parts);
+  StatusOr<FrameHeader> header = header_over(kind, request_id, parts, checksum);
   if (!header.ok()) return header.status();
   encode_header(header.value(), std::span(frame.prefix).first<kHeaderBytes>());
   if (!inline_payload.empty()) {

@@ -14,6 +14,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -35,6 +36,10 @@ runtime::Status write_frame_parts(TcpStream& stream, std::uint16_t kind,
                                   std::uint64_t request_id,
                                   std::span<const ConstBuffer> parts);
 
+/// Receivers checksum a payload as it lands, this many bytes at most at
+/// a time (still in cache): verification ends with the last byte.
+inline constexpr std::size_t kChecksumChunk = 256 << 10;
+
 /// Receive one full frame. Error taxonomy:
 ///  - kInvalidArgument: framing violation (bad magic/version, oversized
 ///    or corrupt payload) — close the connection;
@@ -48,16 +53,28 @@ struct FrameView {
   std::uint16_t kind = 0;
   std::uint64_t request_id = 0;
   std::span<const std::uint8_t> payload;
+  std::uint64_t checksum = 0;  ///< the payload's, verified on arrival
+};
+
+/// Caller memory an expected answer is received straight into: a frame
+/// of `kind` whose payload is exactly `head.size() + body.size()` bytes
+/// lands in `head`, then `body`, and its view's payload is `head`.
+struct PayloadSink {
+  std::uint16_t kind = 0;
+  std::span<std::uint8_t> head;
+  std::span<std::uint8_t> body;
 };
 
 /// `read_frame` into pooled, reused storage: the payload lands in
 /// `storage` (acquired from `pool` and grown only when a larger frame
 /// arrives — steady-state reads touch no allocator at all) and the view
-/// borrows it. Exactly read_frame's error taxonomy, plus
-/// kResourceExhausted when the pool refuses the payload buffer.
+/// borrows it, unless `sink` takes the frame. Exactly read_frame's
+/// error taxonomy, plus kResourceExhausted when the pool refuses the
+/// payload buffer.
 runtime::StatusOr<FrameView> read_frame_view(TcpStream& stream, util::BufferPool& pool,
                                              util::PooledBuffer& storage,
-                                             std::uint32_t max_payload = kDefaultMaxPayload);
+                                             std::uint32_t max_payload = kDefaultMaxPayload,
+                                             const PayloadSink* sink = nullptr);
 
 // ---------------------------------------------------------------------------
 // Resumable frame machines for nonblocking streams (the reactor server).
@@ -109,6 +126,7 @@ class FrameReader {
   std::uint32_t max_payload_;
   State state_ = State::kHeader;
   std::size_t have_ = 0;  // bytes assembled in the current state
+  std::uint64_t crc_ = 0;  // checksum of the payload bytes assembled so far
   std::array<std::uint8_t, kHeaderBytes> header_{};
   FrameHeader frame_;  // parsed from header_ once it is complete
   util::PooledBuffer storage_;
@@ -146,12 +164,13 @@ struct OutboundFrame {
 
 /// Build an OutboundFrame, tagged ok or error by `kind`. Payload =
 /// inline_payload ∥ segments ∥ owned; the checksum is streamed across
-/// all of them. `inline_payload.size()` must fit the prefix tail
-/// (≤ 24 bytes).
+/// all of them unless it is known already (verified on arrival, or
+/// combined). `inline_payload.size()` must fit the prefix tail (≤ 24).
 runtime::StatusOr<OutboundFrame> make_outbound_frame(
     std::uint16_t kind, std::uint64_t request_id,
     std::span<const std::uint8_t> inline_payload,
-    std::vector<OutboundFrame::Segment> segments, std::vector<std::uint8_t> owned);
+    std::vector<OutboundFrame::Segment> segments, std::vector<std::uint8_t> owned,
+    std::optional<std::uint64_t> checksum = std::nullopt);
 
 /// Incremental scatter-gather flusher for a nonblocking stream: a FIFO
 /// of OutboundFrames drained with at most one sendmsg per pump round,

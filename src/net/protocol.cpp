@@ -214,23 +214,6 @@ StatusOr<PermuteResponse> PermuteResponse::decode(std::span<const std::uint8_t> 
   return PermuteResponse{to_vector(view.value().data)};
 }
 
-Status PermuteResponse::decode_into(std::span<const std::uint8_t> payload,
-                                    std::span<std::uint32_t> out) {
-  ByteReader r(payload);
-  std::uint64_t count = 0;
-  if (!r.get_u64(count)) {
-    return Status(StatusCode::kInvalidArgument, "PERMUTE_OK: truncated header");
-  }
-  if (count != out.size()) {
-    return Status(StatusCode::kInvalidArgument,
-                  "PERMUTE_OK: element count does not match the request");
-  }
-  StatusOr<WordsView> words = decode_words_view(r, count, out.size(), "PERMUTE_OK");
-  if (!words.ok()) return words.status();
-  words.value().copy_to(out);
-  return Status::ok();
-}
-
 namespace {
 
 /// The element count of a SHARD_EXEC or SHARD_PLAN: every band needs an

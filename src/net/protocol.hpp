@@ -193,13 +193,6 @@ struct PermuteResponse {
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   [[nodiscard]] static runtime::StatusOr<PermuteResponse> decode(
       std::span<const std::uint8_t> payload, std::uint64_t max_elements);
-
-  /// Allocation-free decode for callers that already own the output
-  /// array: validates exactly like decode(), additionally requiring the
-  /// element count to equal `out.size()`, and writes the words straight
-  /// into `out`.
-  [[nodiscard]] static runtime::Status decode_into(std::span<const std::uint8_t> payload,
-                                                   std::span<std::uint32_t> out);
 };
 
 // --- Borrowing payload views ----------------------------------------

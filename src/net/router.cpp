@@ -41,6 +41,7 @@ struct Router::Backend {
   std::atomic<std::uint64_t> ejections{0};
   std::atomic<std::uint64_t> recoveries{0};
   std::atomic<std::uint64_t> plans_synced{0};
+  std::atomic<std::uint64_t> connects{0};
   runtime::LogHistogram forward_ns;
 
   /// Idle request-path links, checked out one request at a time.
@@ -295,17 +296,18 @@ Status Router::forward_send(std::size_t idx, BackendLink& link, const Forward& r
   link.sent = request;
   link.fresh = !link.stream.valid();
   if (link.fresh) {
-    const Backend& b = *backends_[idx];
+    Backend& b = *backends_[idx];
+    b.connects.fetch_add(1, std::memory_order_relaxed);
     StatusOr<TcpStream> conn = tcp_connect(b.addr.host, b.addr.port, request.connect_budget);
     if (!conn.ok()) return conn.status();
     link.stream = std::move(conn).value();
   }
   // Probes and requests share links but not budgets.
   (void)link.stream.set_io_timeout(request.io_budget, request.io_budget);
-  const ConstBuffer parts[] = {{request.payload.data(), request.payload.size()}};
-  Status written = write_frame_parts(link.stream, request.kind, request.request_id, parts);
+  Status written = write_frame_parts(link.stream, request.kind, request.request_id,
+                                     request.payload);
   if (!written.is_ok()) link.close();
-  return link.fresh ? written : Status::ok();
+  return link.fresh || !request.resend ? written : Status::ok();
 }
 
 StatusOr<FrameView> Router::forward_receive(std::size_t idx, BackendLink& link) {
@@ -325,7 +327,8 @@ StatusOr<FrameView> Router::forward_receive(std::size_t idx, BackendLink& link) 
       // Only the peer-gone taxonomy is retriable here; a timeout means
       // the backend may still be working the request — resending would
       // double the load exactly when it is struggling.
-      if (link.fresh || response.status().code() != StatusCode::kUnavailable) {
+      if (link.fresh || !link.sent.resend ||
+          response.status().code() != StatusCode::kUnavailable) {
         return response.status();
       }
       continue;
@@ -558,15 +561,24 @@ std::optional<OutboundFrame> Router::route_distributed(Links& links, const Frame
     targets.push_back(ShardTarget{backends_[idx]->addr.host, backends_[idx]->addr.port, idx});
   }
 
-  DistributedPermuter::Config dconfig;
-  dconfig.max_payload_bytes = config_.max_payload_bytes;
-  dconfig.connect_timeout = config_.connect_timeout;
-  dconfig.io_timeout = config_.io_timeout;
+  // Band s rides the link that primed it; a link that fails stays closed.
   const auto execute = [&] {
+    const std::uint64_t session = next_router_request_id();
+    const DistributedPermuter::Transport over_links{
+        .send = [&](std::uint32_t s, std::span<const ConstBuffer> payload) {
+          Forward exec = forward(static_cast<std::uint16_t>(MsgKind::kShardExec), session, {});
+          std::copy(payload.begin(), payload.end(), exec.payload.begin());
+          exec.resend = false;
+          return forward_send(chosen[s], links[chosen[s]], exec);
+        },
+        .receive = [&](std::uint32_t s, util::PooledBuffer& storage) {
+          StatusOr<FrameView> answer = forward_receive(chosen[s], links[chosen[s]]);
+          storage = std::move(links[chosen[s]].storage);
+          return answer;
+        }};
     return DistributedPermuter::execute(
-        dconfig, next_router_request_id(), plan_id, req.value().deadline_ms, n, 1,
-        req.value().data.bytes, targets,
-        [this](std::size_t idx) { record_failure(*backends_[idx]); });
+        over_links, session, plan_id, req.value().deadline_ms, n, 1, req.value().data.bytes,
+        targets, [this](std::size_t idx) { record_failure(*backends_[idx]); });
   };
   StatusOr<DistributedPermuter::Result> result = execute();
   if (!result.ok() && result.status().code() == StatusCode::kInvalidArgument &&
@@ -600,16 +612,18 @@ std::optional<OutboundFrame> Router::route_distributed(Links& links, const Frame
   // out of each shard's pooled response buffer, in band order.
   std::uint8_t count_header[8];
   for (int i = 0; i < 8; ++i) count_header[i] = static_cast<std::uint8_t>(n >> (8 * i));
+  std::uint64_t checksum = checksum_bytes(count_header);
   std::vector<OutboundFrame::Segment> segments;
   segments.reserve(result.value().bands.size());
   for (DistributedPermuter::Band& band : result.value().bands) {
+    checksum = checksum_combine(checksum, band.digest, band.bytes.size());
     const auto offset = static_cast<std::size_t>(band.bytes.data() - band.storage.data());
     segments.push_back({std::move(band.storage), offset, band.bytes.size()});
   }
   // n elements were a request payload, so the relayed frame is in bounds.
   return make_outbound_frame(static_cast<std::uint16_t>(MsgKind::kPermuteOk),
                              request.request_id, {count_header, sizeof(count_header)},
-                             std::move(segments), {})
+                             std::move(segments), {}, checksum)
       .value();
 }
 
@@ -626,7 +640,7 @@ OutboundFrame Router::route_request(Links& links, const FrameView& request) {
   const std::size_t primary = prefs.empty() ? 0 : prefs[0];
 
   // The relayed payload leaves from the pooled buffer the link read it
-  // into, which the outbound frame takes over.
+  // into, which the outbound frame takes over, checksum and all.
   const auto relay = [&](const FrameView& frame, std::size_t idx) {
     if (idx != primary) {
       failovers_total_.fetch_add(1, std::memory_order_relaxed);
@@ -634,7 +648,8 @@ OutboundFrame Router::route_request(Links& links, const FrameView& request) {
     }
     std::vector<OutboundFrame::Segment> segments;
     segments.push_back({std::move(links[idx].storage), 0, frame.payload.size()});
-    return make_outbound_frame(frame.kind, request.request_id, {}, std::move(segments), {})
+    return make_outbound_frame(frame.kind, request.request_id, {}, std::move(segments), {},
+                               frame.checksum)
         .value();
   };
 
@@ -807,11 +822,10 @@ void Router::probe_round() {
 }
 
 Status Router::probe(std::size_t idx, BackendLink& link) {
-  StatusOr<FrameView> response =
-      forward_once(idx, link,
-                   {static_cast<std::uint16_t>(MsgKind::kPing), next_router_request_id(),
-                    {kProbePayload, sizeof(kProbePayload)}, config_.probe_timeout,
-                    config_.probe_timeout});
+  Forward ping = forward(static_cast<std::uint16_t>(MsgKind::kPing), next_router_request_id(),
+                         {kProbePayload, sizeof(kProbePayload)});
+  ping.connect_budget = ping.io_budget = config_.probe_timeout;
+  StatusOr<FrameView> response = forward_once(idx, link, ping);
   if (!response.ok()) return response.status();
   const FrameView& frame = response.value();
   if (static_cast<MsgKind>(frame.kind) == MsgKind::kError) {
@@ -864,6 +878,7 @@ Router::Snapshot Router::snapshot() const {
     bs.ejections = b.ejections.load(std::memory_order_relaxed);
     bs.recoveries = b.recoveries.load(std::memory_order_relaxed);
     bs.plans_synced = b.plans_synced.load(std::memory_order_relaxed);
+    bs.connects = b.connects.load(std::memory_order_relaxed);
     bs.forward = b.forward_ns.stats();
     s.backends.push_back(std::move(bs));
   }
@@ -889,6 +904,9 @@ std::string Router::Snapshot::to_json() const {
        << ",\"p50\":" << util::format_double(static_cast<double>(phase->p50) / 1e6, 3)
        << ",\"max\":" << util::format_double(static_cast<double>(phase->max) / 1e6, 3) << "}";
   }
+  std::uint64_t connects = 0;
+  for (const BackendStats& b : backends) connects += b.connects;
+  os << ",\"backend_connects\":" << connects;
   os << ",\"plans_registered\":" << plans_registered;
   os << ",\"connections_accepted\":" << connections_accepted;
   os << ",\"connections_rejected\":" << connections_rejected;
@@ -908,6 +926,7 @@ std::string Router::Snapshot::to_json() const {
     os << ",\"ejections\":" << b.ejections;
     os << ",\"recoveries\":" << b.recoveries;
     os << ",\"plans_synced\":" << b.plans_synced;
+    os << ",\"connects\":" << b.connects;
     os << ",\"forward_count\":" << b.forward.count;
     os << ",\"forward_ns_sum\":" << b.forward.ns_sum;
     os << ",\"forward_ns_p50\":" << b.forward.p50;
@@ -986,6 +1005,8 @@ std::string Router::Snapshot::to_prometheus() const {
   per_backend("hmm_router_backend_plans_synced_total",
               "SUBMIT_PLANs replayed by recovery or lazy resync.",
               [](const BackendStats& b) { return b.plans_synced; });
+  per_backend("hmm_router_backend_connects_total", "Connections opened to the backend.",
+              [](const BackendStats& b) { return b.connects; });
 
   os << "# HELP hmm_router_backend_healthy 1 while the backend is in the ring.\n"
      << "# TYPE hmm_router_backend_healthy gauge\n";

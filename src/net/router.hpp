@@ -52,6 +52,7 @@
 ///    bytes per element over all shards), up to `max_plans` of them.
 ///    Shard s is primed with band s by SHARD_PLAN, every unprimed band
 ///    written before any ack is read; it never compiles the plan itself.
+///    Its SHARD_EXEC rides the same link, so a warm fleet connects once.
 ///  - **Distributed shards are primed once per link.** Each pooled
 ///    backend link remembers the (fingerprint, shard count, shard)
 ///    bands pushed over it while it stays open (DESIGN.md §3.8). A
@@ -67,12 +68,13 @@
 ///    a response relays straight out of the pooled buffer its link
 ///    read it into, and a distributed response out of each shard's.
 ///    The router never concatenates or re-encodes a payload it did not
-///    originate.
+///    originate, nor re-reads it for a checksum (`checksum_combine`).
 ///
 /// PING and STATS are answered locally: PING probes the router itself,
 /// STATS returns the router's own snapshot (per-backend health,
 /// failovers, forward-latency histograms) as JSON.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -168,6 +170,7 @@ class Router {
     std::uint64_t ejections = 0;
     std::uint64_t recoveries = 0;
     std::uint64_t plans_synced = 0;  ///< SUBMIT_PLANs replayed by recovery/lazy resync
+    std::uint64_t connects = 0;      ///< connections opened to it
     runtime::PhaseStats forward;     ///< round trips, ns
   };
 
@@ -236,9 +239,13 @@ class Router {
   struct Forward {
     std::uint16_t kind = 0;
     std::uint64_t request_id = 0;
-    std::span<const std::uint8_t> payload;
+    /// The payload, in up to two parts (SHARD_EXEC: header, then band).
+    std::array<ConstBuffer, 2> payload{};
     std::chrono::milliseconds connect_budget{};
     std::chrono::milliseconds io_budget{};
+    /// A stale pooled link may be reopened and the request resent (not
+    /// a SHARD_EXEC: its session would run twice).
+    bool resend = true;
   };
 
   /// A connection to one backend plus the pooled storage its response
@@ -323,7 +330,8 @@ class Router {
   /// `request` under the configured connect and I/O budgets.
   [[nodiscard]] Forward forward(std::uint16_t kind, std::uint64_t request_id,
                                 std::span<const std::uint8_t> payload) const {
-    return {kind, request_id, payload, config_.connect_timeout, config_.io_timeout};
+    return {kind, request_id, {ConstBuffer{payload.data(), payload.size()}},
+            config_.connect_timeout, config_.io_timeout};
   }
   /// One request/response exchange with backend `idx` over `link`:
   /// `forward_send`, then `forward_receive`. A caller with several
@@ -331,11 +339,12 @@ class Router {
   runtime::StatusOr<FrameView> forward_once(std::size_t idx, BackendLink& link,
                                             const Forward& request);
   /// Write `request`, connecting `link` first when it is closed. A
-  /// pooled connection that fails the write is left closed.
+  /// pooled connection that fails the write is left closed (and the
+  /// failure reported if the request may not be resent).
   runtime::Status forward_send(std::size_t idx, BackendLink& link, const Forward& request);
   /// Read the answer to `link.sent`, reconnecting and resending once
-  /// when the pooled connection turns out stale. A pre-frame ERROR
-  /// (request_id 0 — the backend's connection cap) is returned as a
+  /// when the pooled connection turns out stale (if `resend`). A
+  /// pre-frame ERROR (request_id 0 — the backend's connection cap) is returned as a
   /// view like any typed answer.
   runtime::StatusOr<FrameView> forward_receive(std::size_t idx, BackendLink& link);
 

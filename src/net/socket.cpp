@@ -162,7 +162,7 @@ Status TcpStream::send_vectored(std::span<const ConstBuffer> parts) {
   return Status::ok();
 }
 
-Status TcpStream::recv_all(void* data, std::size_t len) {
+Status TcpStream::recv_all(void* data, std::size_t len, bool mid_frame) {
   if (!valid()) return peer_gone("socket closed");
   auto* p = static_cast<std::uint8_t*>(data);
   std::size_t got = 0;
@@ -173,7 +173,7 @@ Status TcpStream::recv_all(void* data, std::size_t len) {
       continue;
     }
     if (n == 0) {
-      return got == 0 ? peer_gone("connection closed")
+      return got == 0 && !mid_frame ? peer_gone("connection closed")
                       : peer_gone("connection closed mid-frame");
     }
     if (errno == EINTR) continue;

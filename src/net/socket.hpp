@@ -100,8 +100,9 @@ class TcpStream {
 
   /// Receive exactly `len` bytes. EOF mid-buffer is kUnavailable (a
   /// torn frame); a clean EOF before the first byte is also
-  /// kUnavailable with a "closed" message callers can treat as quiet.
-  runtime::Status recv_all(void* data, std::size_t len);
+  /// kUnavailable with a "closed" message callers can treat as quiet,
+  /// unless `mid_frame` says the bytes continue a frame already begun.
+  runtime::Status recv_all(void* data, std::size_t len, bool mid_frame = false);
 
   /// Wait up to `timeout` for readability. OK(true) = data or EOF
   /// pending, OK(false) = timeout, error = the socket is dead.

@@ -44,7 +44,6 @@ std::uint32_t crc32c_table(std::uint32_t crc, std::span<const std::uint8_t> byte
   return crc;
 }
 
-#if defined(HMM_HAVE_CRC32C_INSTRUCTION)
 /// a·b mod P, both reflected: the top bit of `a` is x^0.
 constexpr std::uint32_t crc32c_mul(std::uint32_t a, std::uint32_t b) {
   std::uint32_t product = 0;
@@ -63,6 +62,7 @@ constexpr std::uint32_t crc32c_x_pow(std::size_t k) {
   return result;
 }
 
+#if defined(HMM_HAVE_CRC32C_INSTRUCTION)
 /// Three-stream block lengths, per stream (Gopal et al., "Fast CRC
 /// Computation for iSCSI Polynomial Using CRC32 Instruction", Intel
 /// 2011): long blocks amortize the join, short blocks serve the rest.
@@ -173,6 +173,13 @@ std::uint64_t checksum_extend(std::uint64_t state,
   // concatenation. The empty input's digest (0) is the seed.
   const auto crc = static_cast<std::uint32_t>(state) ^ 0xffffffffu;
   return crc32c_update(crc, bytes) ^ 0xffffffffu;
+}
+
+std::uint64_t checksum_combine(std::uint64_t a, std::uint64_t b, std::size_t len_b) noexcept {
+  // zlib's crc32_combine: a's digest times x^(8|b|) mod P, plus b's
+  // (the pre- and post-inversions cancel: both are all ones).
+  return crc32c_mul(crc32c_x_pow(8 * len_b), static_cast<std::uint32_t>(a)) ^
+         static_cast<std::uint32_t>(b);
 }
 
 void encode_header(const FrameHeader& header,

@@ -87,6 +87,13 @@ enum class FrameError {
 [[nodiscard]] std::uint64_t checksum_extend(std::uint64_t state,
                                             std::span<const std::uint8_t> bytes) noexcept;
 
+/// The checksum of a concatenation from its parts' checksums alone:
+/// `combine(crc(a), crc(b), |b|) == crc(a ++ b)`. Adding is its own
+/// inverse, so it also peels a prefix off: `combine(crc(a), crc(a ++ b),
+/// |b|) == crc(b)`.
+[[nodiscard]] std::uint64_t checksum_combine(std::uint64_t a, std::uint64_t b,
+                                             std::size_t len_b) noexcept;
+
 /// The header fields a frame carries besides magic and version, which
 /// `encode_header` writes and `parse_header` checks.
 struct FrameHeader {

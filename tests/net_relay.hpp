@@ -2,10 +2,14 @@
 /// A loopback relay in front of one permd, shared by the networked test
 /// suites. It relays every connection to the backend, and can hold
 /// SHARD_EXECs at a gate, hold every SUBMIT_PLAN and SHARD_PLAN ack for
-/// a fixed delay, and cut every connection at once.
+/// a fixed delay, corrupt a shard's band in flight, and cut every
+/// connection at once.
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -13,6 +17,7 @@
 #include <cstdint>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/protocol.hpp"
@@ -23,11 +28,14 @@ namespace hmm::test {
 
 using namespace std::chrono_literals;
 
-/// Relays every connection to the backend at `backend_port`, except:
-///  - while held (`hold()`), a connection whose first frame is a
-///    SHARD_EXEC waits at the relay before it reaches the backend;
+/// Relays every connection to the backend at `backend_port`, frame by
+/// frame, except:
+///  - while held (`hold()`), each SHARD_EXEC waits at the relay before
+///    it reaches the backend;
 ///  - each PLAN_OK and SHARD_PLAN_OK answer waits `ack_delay` before it
 ///    reaches the client (the backend has done its work by then);
+///  - after `corrupt_next_band()`, the next SHARD_EXEC_OK reaches the
+///    client with one band byte flipped;
 ///  - after `kill()` every relayed connection closes, any held answer is
 ///    dropped, and new connections are closed as soon as they arrive.
 class Relay {
@@ -68,6 +76,7 @@ class Relay {
     }
     released_.notify_all();
   }
+  void corrupt_next_band() { corrupt_.store(true); }
   /// SHARD_EXECs waiting at the gate.
   [[nodiscard]] std::size_t waiting() {
     std::lock_guard lock(mutex_);
@@ -87,23 +96,25 @@ class Relay {
   }
 
   void relay(net::TcpStream& client) {
+    if (!live()) return;
     (void)client.set_io_timeout(10'000ms, 10'000ms);
-    std::array<std::uint8_t, net::kHeaderBytes> header{};
-    if (!live() || !client.recv_all(header.data(), header.size()).is_ok()) return;
-    if (kind_of(header.data()) == net::MsgKind::kShardExec) {
-      std::unique_lock lock(mutex_);
-      ++waiting_;
-      released_.wait(lock, [this] { return !held_ || !live(); });
-      --waiting_;
-    }
     runtime::StatusOr<net::TcpStream> backend =
         net::tcp_connect("127.0.0.1", backend_port_, 1'000ms);
-    if (!backend.ok() || !backend.value().send_all(header.data(), header.size()).is_ok()) {
-      return;
-    }
+    if (!backend.ok()) return;
     (void)backend.value().set_io_timeout(10'000ms, 10'000ms);
-    std::thread back([&] { pump_answers(backend.value(), client); });
-    pump(client, backend.value());
+    net::TcpStream& server = backend.value();
+    // Either side closing ends the relayed connection: each pump shuts
+    // both sockets down as it returns, which wakes the other.
+    const auto hang_up = [&] {
+      ::shutdown(client.fd(), SHUT_RDWR);
+      ::shutdown(server.fd(), SHUT_RDWR);
+    };
+    std::thread back([&] {
+      pump(server, client, /*to_backend=*/false);
+      hang_up();
+    });
+    pump(client, server, /*to_backend=*/true);
+    hang_up();
     back.join();
   }
 
@@ -111,39 +122,51 @@ class Relay {
     return static_cast<net::MsgKind>(header[6] | (header[7] << 8));
   }
 
-  /// Copy bytes until `from` closes or the relay stops.
-  void pump(net::TcpStream& from, net::TcpStream& to) {
+  /// False when the relay stopped while a SHARD_EXEC waited at the gate.
+  bool pass_gate() {
+    std::unique_lock lock(mutex_);
+    ++waiting_;
+    released_.wait(lock, [this] { return !held_ || !live(); });
+    --waiting_;
+    return live();
+  }
+
+  /// False when the relay stopped while an ack was held.
+  bool delay_ack() {
+    std::unique_lock lock(mutex_);
+    return !released_.wait_for(lock, ack_delay_, [this] { return !live(); });
+  }
+
+  /// Copy frames from `from` to `to` until either closes or the relay
+  /// stops; a payload streams through in 16 KiB pieces.
+  void pump(net::TcpStream& from, net::TcpStream& to, bool to_backend) {
     std::array<std::uint8_t, 16 << 10> buf;
     while (live()) {
       runtime::StatusOr<bool> readable = from.poll_readable(10ms);
       if (!readable.ok()) return;
       if (!readable.value()) continue;
-      runtime::StatusOr<std::size_t> got = from.recv_some(buf.data(), buf.size());
-      if (!got.ok()) return;
-      if (got.value() > 0 && !to.send_all(buf.data(), got.value()).is_ok()) return;
-    }
-  }
-
-  /// The backend's answers, frame by frame, each ack held for the delay.
-  void pump_answers(net::TcpStream& from, net::TcpStream& to) {
-    if (ack_delay_ == 0ms) return pump(from, to);
-    std::vector<std::uint8_t> frame(net::kHeaderBytes);
-    while (live()) {
-      runtime::StatusOr<bool> readable = from.poll_readable(10ms);
-      if (!readable.ok()) return;
-      if (!readable.value()) continue;
-      frame.resize(net::kHeaderBytes);
-      if (!from.recv_all(frame.data(), frame.size()).is_ok()) return;
-      const std::uint32_t len = frame[16] | (frame[17] << 8) | (frame[18] << 16) |
-                                (static_cast<std::uint32_t>(frame[19]) << 24);
-      frame.resize(net::kHeaderBytes + len);
-      if (len > 0 && !from.recv_all(frame.data() + net::kHeaderBytes, len).is_ok()) return;
-      const net::MsgKind kind = kind_of(frame.data());
-      if (kind == net::MsgKind::kPlanOk || kind == net::MsgKind::kShardPlanOk) {
-        std::unique_lock lock(mutex_);
-        if (released_.wait_for(lock, ack_delay_, [this] { return !live(); })) return;
+      std::array<std::uint8_t, net::kHeaderBytes> header{};
+      if (!from.recv_all(header.data(), header.size()).is_ok()) return;
+      const net::MsgKind kind = kind_of(header.data());
+      if (to_backend && kind == net::MsgKind::kShardExec && !pass_gate()) return;
+      if (!to_backend && ack_delay_ > 0ms &&
+          (kind == net::MsgKind::kPlanOk || kind == net::MsgKind::kShardPlanOk) &&
+          !delay_ack()) {
+        return;
       }
-      if (!to.send_all(frame.data(), frame.size()).is_ok()) return;
+      bool corrupt =
+          !to_backend && kind == net::MsgKind::kShardExecOk && corrupt_.exchange(false);
+      if (!to.send_all(header.data(), header.size()).is_ok()) return;
+      std::size_t left = header[16] | (header[17] << 8) | (header[18] << 16) |
+                         (static_cast<std::size_t>(header[19]) << 24);
+      while (left > 0 && live()) {
+        const std::size_t n = std::min(left, buf.size());
+        if (!from.recv_all(buf.data(), n).is_ok()) return;
+        // The last byte of the first piece lies past the 8-byte count.
+        if (std::exchange(corrupt, false)) buf[n - 1] ^= 0x5a;
+        if (!to.send_all(buf.data(), n).is_ok()) return;
+        left -= n;
+      }
     }
   }
 
@@ -152,6 +175,7 @@ class Relay {
   net::TcpListener listener_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> killed_{false};
+  std::atomic<bool> corrupt_{false};
   std::thread acceptor_;
   std::vector<std::thread> relays_;  ///< touched by the acceptor, then the destructor
   std::mutex mutex_;

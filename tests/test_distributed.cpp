@@ -1214,6 +1214,169 @@ TEST(DistributedRouter, PrimesEachShardOncePerLink) {
   }
 }
 
+/// Backend connections the router opened, over every backend.
+std::uint64_t connects_of(const net::Router::Snapshot& snap) {
+  std::uint64_t total = 0;
+  for (const net::Router::BackendStats& b : snap.backends) total += b.connects;
+  return total;
+}
+
+TEST(DistributedRouter, WarmFleetOpensNoConnectionPerRequest) {
+  DistFleet fleet;
+  const perm::Permutation p = perm::by_name("random", 1 << 14, 97);
+  net::Client client(fleet.client_config());
+  auto plan = client.submit_plan(p);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  expect_bit_exact(client, plan.value(), p, 0);
+  const net::Router::Snapshot first = fleet.router->snapshot();
+  ASSERT_GE(connects_of(first), 3u);
+
+  for (std::uint32_t r = 1; r < 20; ++r) expect_bit_exact(client, plan.value(), p, r);
+  const net::Router::Snapshot snap = fleet.router->snapshot();
+  EXPECT_EQ(snap.dist_requests, 20u);
+  EXPECT_EQ(snap.dist_failures, 0u);
+  for (std::size_t i = 0; i < snap.backends.size(); ++i) {
+    EXPECT_EQ(snap.backends[i].connects, first.backends[i].connects)
+        << snap.backends[i].backend << ": SHARD_EXEC opened a connection of its own";
+  }
+  const std::string total = "\"backend_connects\":" + std::to_string(connects_of(snap));
+  EXPECT_NE(snap.to_json().find(total), std::string::npos) << snap.to_json();
+  EXPECT_NE(snap.to_prometheus().find("hmm_router_backend_connects_total{backend=\"" +
+                                      snap.backends[0].backend + "\"} " +
+                                      std::to_string(snap.backends[0].connects) + "\n"),
+            std::string::npos);
+}
+
+// The router relays a band's bytes under a checksum combined from the
+// one it verified as the band arrived: a band corrupted on the way in is
+// caught there, answered typed, and its link is dropped.
+TEST(DistributedRouter, CorruptedBandFailsTypedAndItsLinkIsNotPooled) {
+  DistFleet fleet(/*gated=*/true);
+  const std::uint64_t n = 1 << 14;
+  const perm::Permutation p = perm::by_name("random", n, 101);
+  net::Client client(fleet.client_config());
+  auto plan = client.submit_plan(p);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  expect_bit_exact(client, plan.value(), p, 0);
+  const net::Router::Snapshot before = fleet.router->snapshot();
+
+  fleet.relays[0]->corrupt_next_band();
+  std::vector<std::uint32_t> a(n, 5), b(n, 0);
+  const Status s = client.permute(plan.value(), {a.data(), n}, {b.data(), n});
+  EXPECT_EQ(s.code(), StatusCode::kUnavailable) << s.to_string();
+  EXPECT_NE(s.message().find("checksum"), std::string::npos) << s.to_string();
+  EXPECT_EQ(fleet.router->snapshot().dist_failures, 1u);
+
+  expect_bit_exact(client, plan.value(), p, 2);
+  const net::Router::Snapshot after = fleet.router->snapshot();
+  EXPECT_EQ(after.dist_requests, 3u);
+  EXPECT_EQ(after.dist_failures, 1u);
+  EXPECT_EQ(after.backends[0].connects, before.backends[0].connects + 1)
+      << "the link that carried the corrupt band went back to the pool";
+  for (std::size_t i = 1; i < after.backends.size(); ++i) {
+    EXPECT_EQ(after.backends[i].connects, before.backends[i].connects);
+  }
+  EXPECT_EQ(after.dist_plan_pushes, before.dist_plan_pushes + 1)
+      << "only the reopened link is primed again";
+}
+
+/// The bytes make_outbound_frame builds for `payload`, in wire order.
+std::vector<std::uint8_t> outbound_bytes(net::MsgKind kind, std::uint64_t request_id,
+                                         std::vector<std::uint8_t> payload) {
+  auto frame = net::make_outbound_frame(static_cast<std::uint16_t>(kind), request_id, {}, {},
+                                        std::move(payload));
+  EXPECT_TRUE(frame.ok()) << frame.status().to_string();
+  std::vector<std::uint8_t> bytes(frame.value().prefix.begin(),
+                                  frame.value().prefix.begin() + frame.value().prefix_len);
+  bytes.insert(bytes.end(), frame.value().owned.begin(), frame.value().owned.end());
+  return bytes;
+}
+
+/// One PERMUTE over a bare connection to `port`; the answer's bytes as
+/// they arrive.
+std::vector<std::uint8_t> raw_permute(std::uint16_t port, std::uint64_t request_id,
+                                      std::uint64_t plan_id, std::vector<std::uint32_t> data) {
+  auto conn = net::tcp_connect("127.0.0.1", port, 1'000ms);
+  EXPECT_TRUE(conn.ok()) << conn.status().to_string();
+  net::TcpStream stream = std::move(conn).value();
+  (void)stream.set_io_timeout(30'000ms, 30'000ms);
+  const net::PermuteRequest request{
+      .plan_id = plan_id, .deadline_ms = 0, .data = std::move(data)};
+  const net::Frame frame{.kind = static_cast<std::uint16_t>(net::MsgKind::kPermute),
+                         .request_id = request_id,
+                         .payload = request.encode()};
+  EXPECT_TRUE(net::write_frame(stream, frame).is_ok());
+  std::vector<std::uint8_t> bytes(net::kHeaderBytes);
+  if (!stream.recv_all(bytes.data(), bytes.size()).is_ok()) return {};
+  const std::size_t len = bytes[16] | (bytes[17] << 8) | (bytes[18] << 16) |
+                          (static_cast<std::size_t>(bytes[19]) << 24);
+  bytes.resize(net::kHeaderBytes + len);
+  if (!stream.recv_all(bytes.data() + net::kHeaderBytes, len).is_ok()) return {};
+  return bytes;
+}
+
+// Golden bytes: a relayed single-node answer and a gathered distributed
+// one leave the router exactly as the frame encoder builds them.
+TEST(DistributedRouter, RelayedAnswersAreTheEncodersBytes) {
+  DistFleet fleet;
+  net::Client client(fleet.client_config());
+  for (const std::uint64_t n : {std::uint64_t{1} << 10, std::uint64_t{1} << 14}) {
+    const perm::Permutation p = perm::by_name("random", n, 103);
+    auto plan = client.submit_plan(p);
+    ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+    std::vector<std::uint32_t> a(n), expect(n);
+    for (std::uint64_t i = 0; i < n; ++i) a[i] = static_cast<std::uint32_t>(i * 0x85ebca6bu);
+    p.apply<std::uint32_t>({a.data(), n}, {expect.data(), n});
+    const std::uint64_t id = 0x601d'0000u + n;
+    const net::PermuteResponse answer{std::move(expect)};
+    EXPECT_EQ(raw_permute(fleet.router->port(), id, plan.value(), std::move(a)),
+              outbound_bytes(net::MsgKind::kPermuteOk, id, answer.encode()))
+        << "n = " << n;
+  }
+  EXPECT_EQ(fleet.router->snapshot().dist_requests, 1u) << "one answer of each kind";
+}
+
+// A shard killed while its session is open: its SHARD_EXEC waits at the
+// relay when the relay cuts every connection. The request fails typed,
+// with no connection opened for it, and every pooled byte comes back.
+TEST(DistributedRouter, ShardKilledMidSessionOverPooledLinksFailsTyped) {
+  const std::uint64_t baseline = util::BufferPool::global().stats().outstanding_bytes;
+  {
+    DistFleet fleet(/*gated=*/true);
+    const std::uint64_t n = 1 << 14;
+    const perm::Permutation p = perm::by_name("random", n, 107);
+    net::Client client(fleet.client_config());
+    auto plan = client.submit_plan(p);
+    ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+    expect_bit_exact(client, plan.value(), p, 0);
+    const std::uint64_t connects = connects_of(fleet.router->snapshot());
+
+    fleet.relays[0]->hold();
+    Status failed = Status::ok();
+    std::thread request([&] {
+      std::vector<std::uint32_t> a(n, 1), b(n, 0);
+      failed = client.permute(plan.value(), {a.data(), n}, {b.data(), n});
+    });
+    const bool gated = eventually([&] { return fleet.relays[0]->waiting() == 1; });
+    fleet.relays[0]->kill();
+    request.join();
+    ASSERT_TRUE(gated) << "the SHARD_EXEC never reached the gate";
+    EXPECT_EQ(failed.code(), StatusCode::kUnavailable) << failed.to_string();
+
+    const net::Router::Snapshot snap = fleet.router->snapshot();
+    EXPECT_EQ(snap.dist_requests, 2u);
+    EXPECT_EQ(snap.dist_failures, 1u);
+    EXPECT_EQ(connects_of(snap), connects) << "the execution opened a connection";
+    for (std::size_t i = 1; i < fleet.backends.size(); ++i) {
+      EXPECT_TRUE(
+          eventually([&] { return fleet.backends[i]->server->counters().shard_aborts >= 1; }));
+    }
+  }
+  EXPECT_TRUE(eventually([&] {
+    return util::BufferPool::global().stats().outstanding_bytes <= baseline;
+  })) << "pooled bytes leaked after a shard died mid-session";
+}
+
 TEST(DistributedRouter, NonPowerOfTwoPermuteIsDistributed) {
   // 10007 elements (39 KiB) split into bands of 3336 / 3336 / 3335: the
   // split is of n, so no matrix shape gates it.

@@ -16,7 +16,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <new>
+#include <random>
 #include <limits>
 #include <memory>
 #include <string>
@@ -1049,6 +1051,205 @@ TEST(WireChecksum, InstructionMatchesTableBitForBit) {
   }
 }
 
+// ------------------------------------------------ checksums on arrival
+
+/// `len` bytes of a fixed pseudo-random stream.
+std::vector<std::uint8_t> noise(std::size_t len, std::uint64_t seed) {
+  std::vector<std::uint8_t> bytes(len);
+  std::mt19937_64 rng(seed);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng() >> 56);
+  return bytes;
+}
+
+/// The kernel tiers whose checksum paths differ: the table, and the
+/// crc32 instruction where the CPU has it.
+std::vector<cpu::KernelVariant> checksum_tiers() {
+  std::vector<cpu::KernelVariant> tiers = {cpu::KernelVariant::kScalar};
+  if (cpu::best_kernel_variant() != cpu::KernelVariant::kScalar) {
+    tiers.push_back(cpu::best_kernel_variant());
+  }
+  return tiers;
+}
+
+TEST(Wire, ChecksumCombineMatchesTheConcatenationOnEveryTier) {
+  const std::vector<std::uint8_t> bytes = noise((4u << 20) + 3, 48);
+  const std::span<const std::uint8_t> all(bytes);
+  const cpu::KernelVariant active = cpu::kernel_variant();
+  for (const cpu::KernelVariant tier : checksum_tiers()) {
+    cpu::set_kernel_variant(tier);
+    const auto check = [](std::span<const std::uint8_t> whole, std::uint64_t crc_whole,
+                          std::size_t split) {
+      const auto a = whole.first(split);
+      const auto b = whole.subspan(split);
+      EXPECT_EQ(net::checksum_combine(net::checksum_bytes(a), net::checksum_bytes(b), b.size()),
+                crc_whole)
+          << "length " << whole.size() << " split at " << split;
+    };
+    const std::uint64_t crc_all = net::checksum_bytes(all);
+    check(all, crc_all, 0);           // empty a
+    check(all, crc_all, all.size());  // empty b
+    std::mt19937_64 rng(7);
+    for (int i = 0; i < 6; ++i) check(all, crc_all, rng() % all.size());
+    for (std::size_t len = 1; len <= 15; ++len) {
+      const auto small = all.subspan(len * 31, len);
+      for (std::size_t split = 0; split <= len; ++split) {
+        check(small, net::checksum_bytes(small), split);
+      }
+    }
+  }
+  cpu::set_kernel_variant(active);
+}
+
+TEST(Wire, ChecksumCombinePeelsAKnownPrefix) {
+  const std::vector<std::uint8_t> bytes = noise((1u << 20) + 11, 49);
+  const std::span<const std::uint8_t> all(bytes);
+  const std::uint64_t crc_all = net::checksum_bytes(all);
+  for (const std::size_t prefix : {std::size_t{0}, std::size_t{1}, std::size_t{8},
+                                   std::size_t{13}, std::size_t{65536}, all.size()}) {
+    const auto b = all.subspan(prefix);
+    EXPECT_EQ(net::checksum_combine(net::checksum_bytes(all.first(prefix)), crc_all, b.size()),
+              net::checksum_bytes(b))
+        << "prefix " << prefix;
+  }
+}
+
+/// A connected loopback pair: `sender` writes, `receiver` reads.
+struct SocketPair {
+  net::TcpStream sender;
+  net::TcpStream receiver;
+
+  SocketPair() {
+    auto bound = net::TcpListener::bind("127.0.0.1", 0);
+    EXPECT_TRUE(bound.ok()) << bound.status().to_string();
+    auto connecting = net::tcp_connect("127.0.0.1", bound.value().port(), 2'000ms);
+    EXPECT_TRUE(connecting.ok()) << connecting.status().to_string();
+    sender = std::move(connecting).value();
+    auto accepted = bound.value().accept(2'000ms);
+    EXPECT_TRUE(accepted.ok()) << accepted.status().to_string();
+    receiver = std::move(accepted).value();
+    (void)receiver.set_io_timeout(10'000ms, 10'000ms);
+  }
+};
+
+/// What a reader made of one frame.
+struct ReadBack {
+  Status status = Status::ok();
+  std::uint16_t kind = 0;
+  std::uint64_t request_id = 0;
+  std::vector<std::uint8_t> payload;
+  std::uint64_t checksum = 0;
+
+  void take(const net::FrameView& view) {
+    kind = view.kind;
+    request_id = view.request_id;
+    payload.assign(view.payload.begin(), view.payload.end());
+    checksum = view.checksum;
+  }
+};
+
+/// `wire` through a FrameReader, sent in pieces of `piece()` bytes.
+ReadBack through_frame_reader(std::span<const std::uint8_t> wire,
+                              const std::function<std::size_t()>& piece) {
+  SocketPair pair;
+  EXPECT_TRUE(pair.receiver.set_nonblocking(true).is_ok());
+  std::thread feeder([&] {
+    for (std::size_t at = 0; at < wire.size();) {
+      const std::size_t n = std::min(piece(), wire.size() - at);
+      if (!pair.sender.send_all(wire.data() + at, n).is_ok()) return;
+      at += n;
+    }
+  });
+  util::BufferPool pool;
+  net::FrameReader reader(pool);
+  ReadBack out;
+  const auto deadline = std::chrono::steady_clock::now() + 20s;
+  for (;;) {
+    runtime::StatusOr<bool> ready = reader.poll(pair.receiver);
+    if (!ready.ok()) {
+      out.status = ready.status();
+      break;
+    }
+    if (ready.value()) {
+      out.take(reader.view());
+      break;
+    }
+    if (std::chrono::steady_clock::now() > deadline) {
+      out.status = Status(StatusCode::kDeadlineExceeded, "frame never completed");
+      break;
+    }
+    (void)pair.receiver.poll_readable(10ms);
+  }
+  feeder.join();
+  return out;
+}
+
+/// `wire` through read_frame_view, sent in one piece.
+ReadBack through_read_frame_view(std::span<const std::uint8_t> wire) {
+  SocketPair pair;
+  std::thread feeder([&] { (void)pair.sender.send_all(wire.data(), wire.size()); });
+  util::BufferPool pool;
+  util::PooledBuffer storage;
+  ReadBack out;
+  auto view = net::read_frame_view(pair.receiver, pool, storage);
+  if (view.ok()) {
+    out.take(view.value());
+  } else {
+    out.status = view.status();
+  }
+  feeder.join();
+  return out;
+}
+
+TEST(Wire, FrameReaderVerifiesTheSameFrameHoweverItArrives) {
+  // A small frame, fed even one byte at a time, and one that spans two
+  // checksum chunks.
+  for (const std::size_t len : {std::size_t{5000}, net::kChecksumChunk + 4097}) {
+    net::Frame frame;
+    frame.kind = static_cast<std::uint16_t>(net::MsgKind::kPermuteOk);
+    frame.request_id = 0xfeed0000u + len;
+    frame.payload = noise(len, len);
+    const std::vector<std::uint8_t> wire = net::encode_frame(frame);
+    const std::uint64_t crc = net::checksum_bytes(frame.payload);
+
+    std::mt19937 rng(static_cast<std::uint32_t>(len));
+    std::vector<ReadBack> reads;
+    reads.push_back(through_frame_reader(wire, [&] { return wire.size(); }));
+    reads.push_back(through_frame_reader(wire, [&] { return 1 + rng() % 9000; }));
+    if (len < net::kChecksumChunk) {
+      reads.push_back(through_frame_reader(wire, [] { return 1; }));
+    }
+    reads.push_back(through_read_frame_view(wire));
+    for (const ReadBack& read : reads) {
+      ASSERT_TRUE(read.status.is_ok()) << read.status.to_string();
+      EXPECT_EQ(read.kind, frame.kind);
+      EXPECT_EQ(read.request_id, frame.request_id);
+      EXPECT_EQ(read.payload, frame.payload);
+      EXPECT_EQ(read.checksum, crc);
+    }
+  }
+}
+
+TEST(Wire, FlippedByteInTheFirstOrLastChunkIsABadChecksumOnBothReaders) {
+  net::Frame frame;
+  frame.kind = static_cast<std::uint16_t>(net::MsgKind::kShardExecOk);
+  frame.request_id = 9;
+  frame.payload = noise(2 * net::kChecksumChunk + 5, 50);
+  const std::vector<std::uint8_t> clean = net::encode_frame(frame);
+  for (const std::size_t at : {std::size_t{3}, frame.payload.size() - 2}) {
+    std::vector<std::uint8_t> wire = clean;
+    wire[net::kHeaderBytes + at] ^= 0x10;
+    std::mt19937 rng(static_cast<std::uint32_t>(at));
+    for (const ReadBack& read :
+         {through_frame_reader(wire, [&] { return 1 + rng() % 70000; }),
+          through_read_frame_view(wire)}) {
+      EXPECT_EQ(read.status.code(), StatusCode::kInvalidArgument) << read.status.to_string();
+      EXPECT_NE(read.status.message().find(net::to_string(net::FrameError::kBadChecksum)),
+                std::string::npos)
+          << read.status.to_string();
+    }
+  }
+}
+
 TEST(WireZeroCopy, WriteFramePartsRoundTripsThroughReadFrame) {
   auto bound = net::TcpListener::bind("127.0.0.1", 0);
   ASSERT_TRUE(bound.ok()) << bound.status().to_string();
@@ -1168,22 +1369,6 @@ TEST(WireZeroCopy, ViewDecodersRejectMalformedPayloadsLikeOwningOnes) {
           std::span<const std::uint8_t>(plan_payload.data(), plan_payload.size() - 2), 1 << 20)
           .ok());
   EXPECT_FALSE(net::SubmitPlanRequestView::decode(plan_payload, 2).ok());
-}
-
-TEST(WireZeroCopy, PermuteResponseDecodeIntoMatchesDecode) {
-  net::PermuteResponse response;
-  response.data = {10, 20, 30, 40, 50};
-  const std::vector<std::uint8_t> payload = response.encode();
-
-  auto owning = net::PermuteResponse::decode(payload, 1 << 20);
-  ASSERT_TRUE(owning.ok());
-  std::vector<std::uint32_t> out(5);
-  ASSERT_TRUE(net::PermuteResponse::decode_into(payload, {out.data(), out.size()}).is_ok());
-  EXPECT_EQ(out, owning.value().data);
-
-  // Count mismatch with the caller's buffer is an error, not a resize.
-  std::vector<std::uint32_t> wrong(4);
-  EXPECT_FALSE(net::PermuteResponse::decode_into(payload, {wrong.data(), wrong.size()}).is_ok());
 }
 
 TEST(WireZeroCopy, MakeOkFrameMovesThePayload) {
@@ -1705,6 +1890,158 @@ TEST(NetClient, MidFrameCloseSurfacesCancelledAndIsNotRetried) {
 
   EXPECT_EQ(s.code(), StatusCode::kCancelled) << s.to_string();
   EXPECT_EQ(client.reconnects(), 0u) << "client retried a request with unknown outcome";
+}
+
+// -------------------------------------------- client answers, byte by byte
+
+/// A one-connection server that answers the first request with the
+/// bytes `answer` builds for it, then hangs up when `hang_up` is set,
+/// else waits for the client to.
+class FakeServer {
+ public:
+  using Answer = std::function<std::vector<std::uint8_t>(const net::Frame& request)>;
+
+  FakeServer(Answer answer, bool hang_up) {
+    auto bound = net::TcpListener::bind("127.0.0.1", 0);
+    EXPECT_TRUE(bound.ok()) << bound.status().to_string();
+    listener_ = std::move(bound).value();
+    thread_ = std::thread([this, answer = std::move(answer), hang_up] {
+      auto accepted = listener_.accept(5'000ms);
+      if (!accepted.ok()) return;
+      net::TcpStream conn = std::move(accepted).value();
+      auto request = net::read_frame(conn);
+      if (!request.ok()) return;
+      const std::vector<std::uint8_t> bytes = answer(request.value());
+      if (!conn.send_all(bytes.data(), bytes.size()).is_ok() || hang_up) return;
+      (void)conn.poll_readable(10'000ms);
+    });
+  }
+  ~FakeServer() { thread_.join(); }
+  FakeServer(const FakeServer&) = delete;
+  FakeServer& operator=(const FakeServer&) = delete;
+
+  /// A client that never retries, so each case sees one answer.
+  [[nodiscard]] net::Client::Config client_config() const {
+    net::Client::Config config;
+    config.host = "127.0.0.1";
+    config.port = listener_.port();
+    config.io_timeout = 5'000ms;
+    config.max_retries = 0;
+    return config;
+  }
+
+ private:
+  net::TcpListener listener_;
+  std::thread thread_;
+};
+
+/// A "u64 count + words" payload.
+std::vector<std::uint8_t> words_payload(std::uint64_t count,
+                                        std::span<const std::uint32_t> words) {
+  net::ByteWriter w;
+  w.put_u64(count);
+  w.put_u32_span(words);
+  return w.take();
+}
+
+/// A frame answering `request` with `kind` and `payload`.
+std::vector<std::uint8_t> answer_bytes(const net::Frame& request, net::MsgKind kind,
+                                       std::vector<std::uint8_t> payload) {
+  return net::encode_frame(net::Frame{.kind = static_cast<std::uint16_t>(kind),
+                                      .request_id = request.request_id,
+                                      .payload = std::move(payload)});
+}
+
+struct ClientCase {
+  const char* name;
+  FakeServer::Answer answer;
+  bool hang_up;
+  StatusCode code;
+  const char* message;  ///< a substring of the status message
+  bool stays_connected;
+};
+
+TEST(NetClient, PermuteAnswersKeepTheirStatusAndConnection) {
+  constexpr std::uint64_t n = 1000;
+  std::vector<std::uint32_t> words(n);
+  for (std::uint64_t i = 0; i < n; ++i) words[i] = static_cast<std::uint32_t>(i * 2654435761u);
+  const auto ok = [&](std::uint64_t count, std::size_t elems) {
+    return [&, count, elems](const net::Frame& request) {
+      return answer_bytes(request, net::MsgKind::kPermuteOk,
+                          words_payload(count, std::span(words).first(elems)));
+    };
+  };
+  const std::vector<ClientCase> cases = {
+      {"the answer", ok(n, n), false, StatusCode::kOk, "", true},
+      {"an ERROR", [](const net::Frame& request) {
+         return net::encode_frame(net::make_error_frame(
+             request.request_id, Status(StatusCode::kInvalidArgument, "no such plan")));
+       }, false, StatusCode::kInvalidArgument, "no such plan", true},
+      // The count check that decode_into made: a count off by one, at
+      // the expected length and at the count's own length.
+      {"a wrong count", ok(n + 1, n), false, StatusCode::kUnavailable,
+       "malformed PERMUTE_OK payload: PERMUTE_OK: element count does not match", true},
+      {"a short answer", ok(n - 1, n - 1), false, StatusCode::kUnavailable,
+       "malformed PERMUTE_OK payload: PERMUTE_OK: element count does not match", true},
+      {"a torn payload", [&](const net::Frame& request) {
+         std::vector<std::uint8_t> bytes = ok(n, n)(request);
+         bytes.resize(net::kHeaderBytes + 8 + 2 * n);
+         return bytes;
+       }, true, StatusCode::kCancelled, "mid-response", false},
+      {"a header alone", [&](const net::Frame& request) {
+         std::vector<std::uint8_t> bytes = ok(n, n)(request);
+         bytes.resize(net::kHeaderBytes);
+         return bytes;
+       }, true, StatusCode::kUnavailable, "connection closed", false},
+      {"a bad checksum", [&](const net::Frame& request) {
+         std::vector<std::uint8_t> bytes = ok(n, n)(request);
+         bytes[net::kHeaderBytes + 8 + 4 * (n / 2)] ^= 0x01;
+         return bytes;
+       }, false, StatusCode::kInvalidArgument, "payload checksum mismatch", false},
+      {"a PROGRAM_OK", [&](const net::Frame& request) {
+         return answer_bytes(request, net::MsgKind::kProgramOk, words_payload(n, words));
+       }, false, StatusCode::kUnavailable, "response kind does not answer", false},
+  };
+  for (const ClientCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    FakeServer server(c.answer, c.hang_up);
+    net::Client client(server.client_config());
+    std::vector<std::uint32_t> in(n, 1), out(n, 0);
+    const Status s = client.permute(7, in, out);
+    EXPECT_EQ(s.code(), c.code) << s.to_string();
+    EXPECT_NE(s.message().find(c.message), std::string::npos) << s.to_string();
+    EXPECT_EQ(client.connected(), c.stays_connected);
+    EXPECT_EQ(client.reconnects(), 0u);
+    if (c.code == StatusCode::kOk) {
+      EXPECT_EQ(out, words);
+    }
+  }
+}
+
+TEST(NetClient, ProgramAnswersLandInTheCallersSpan) {
+  constexpr std::uint64_t n = 4096;
+  std::vector<std::uint32_t> words(n);
+  for (std::uint64_t i = 0; i < n; ++i) words[i] = static_cast<std::uint32_t>(~i * 40503u);
+  const runtime::ProgramOp ops[] = {{runtime::ProgramOpCode::kReverse, 0}};
+  for (const std::uint64_t count : {n, n + 1}) {
+    FakeServer server(
+        [&](const net::Frame& request) {
+          return answer_bytes(request, net::MsgKind::kProgramOk, words_payload(count, words));
+        },
+        false);
+    net::Client client(server.client_config());
+    std::vector<std::uint32_t> in(n, 3), out(n, 0);
+    const Status s = client.execute_program(ops, in, out);
+    EXPECT_TRUE(client.connected());
+    if (count == n) {
+      ASSERT_TRUE(s.is_ok()) << s.to_string();
+      EXPECT_EQ(out, words);
+    } else {
+      EXPECT_EQ(s.code(), StatusCode::kUnavailable);
+      EXPECT_NE(s.message().find("malformed PROGRAM_OK payload"), std::string::npos)
+          << s.to_string();
+    }
+  }
 }
 
 }  // namespace

@@ -139,12 +139,13 @@ bool print_router_stats(const std::string& json, std::ostream& os) {
   }
 
   hmm::util::Table t({"backend", "state", "requests", "ok", "transport-fail", "failovers-to",
-                      "plans-synced"});
+                      "plans-synced", "connects"});
   std::size_t at = json.find("\"backend\":\"");
   while (at != std::string::npos) {
     std::string label;
     bool healthy = true;
-    std::uint64_t requests = 0, ok = 0, transport = 0, failovers_to = 0, synced = 0;
+    std::uint64_t requests = 0, ok = 0, transport = 0, failovers_to = 0, synced = 0,
+                  connects = 0;
     (void)scrape_string(json, "backend", label, at);
     (void)scrape_bool(json, "healthy", healthy, at);
     (void)scrape_u64(json, "requests", requests, at);
@@ -152,9 +153,10 @@ bool print_router_stats(const std::string& json, std::ostream& os) {
     (void)scrape_u64(json, "transport_failures", transport, at);
     (void)scrape_u64(json, "failovers_to", failovers_to, at);
     (void)scrape_u64(json, "plans_synced", synced, at);
+    (void)scrape_u64(json, "connects", connects, at);
     t.add_row({label, healthy ? "healthy" : "EJECTED", format_count(requests),
                format_count(ok), format_count(transport), format_count(failovers_to),
-               format_count(synced)});
+               format_count(synced), format_count(connects)});
     at = json.find("\"backend\":\"", at + 1);
   }
   t.print(os);

@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
               << " ok " << b.ok << " transport-failures " << b.transport_failures
               << " failovers-to " << b.failovers_to << " ejections " << b.ejections
               << " recoveries " << b.recoveries << " plans-synced " << b.plans_synced
-              << "\n";
+              << " connects " << b.connects << "\n";
   }
   if (json) std::cout << snap.to_json() << "\n";
   if (!metrics_json.empty()) {
