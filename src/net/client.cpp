@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -19,25 +18,6 @@ namespace {
 
 bool is_error(const FrameView& frame) {
   return static_cast<MsgKind>(frame.kind) == MsgKind::kError;
-}
-
-/// The wire (little-endian) bytes of `words`: the caller's memory
-/// itself on a little-endian host, else a converted copy in `staging`.
-std::span<const std::uint8_t> wire_words(std::span<const std::uint32_t> words,
-                                         std::vector<std::uint8_t>& staging) {
-  if constexpr (std::endian::native == std::endian::little) {
-    return {reinterpret_cast<const std::uint8_t*>(words.data()), words.size() * kElemBytes};
-  }
-  ByteWriter w;
-  w.put_u32_span(words);
-  staging = w.take();
-  return staging;
-}
-
-/// Little-endian store of the low `bytes` bytes of `v` at `at`.
-std::uint8_t* put_le(std::uint8_t* at, std::uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) *at++ = static_cast<std::uint8_t>(v >> (8 * i));
-  return at;
 }
 
 }  // namespace
@@ -148,18 +128,16 @@ Status Client::roundtrip_into(MsgKind kind, std::span<const ConstBuffer> parts,
   if (!response.ok()) return response.status();
   const FrameView& frame = response.value();
   if (is_error(frame)) return error_status(frame.payload);
-  // The sink took a well-sized answer (the payload is then its head);
-  // a malformed one is a protocol breach, not our invalid argument.
-  ByteReader r(frame.payload);
-  std::uint64_t n = 0;
-  const char* why = !r.get_u64(n)       ? "truncated header"
-                    : n != out.size()   ? "element count does not match the request"
-                    : frame.payload.data() != count.data()
-                        ? "payload length does not match element count"
-                        : nullptr;
-  if (why != nullptr) {
+  // A sink that took the answer holds its head as the payload and its
+  // words in `out`; a malformed one is a protocol breach, not our
+  // invalid argument.
+  const std::size_t payload_len = frame.payload.data() == count.data()
+                                      ? count.size() + out.size_bytes()
+                                      : frame.payload.size();
+  if (Status head = decode_words_ok_head(ok_kind, frame.payload, payload_len, out.size());
+      !head.is_ok()) {
     return Status(StatusCode::kUnavailable, "malformed " + std::string(to_string(ok_kind)) +
-                                                " payload: PERMUTE_OK: " + why);
+                                                " payload: " + head.message());
   }
   if constexpr (std::endian::native == std::endian::big) {
     for (std::uint32_t& w : out) w = __builtin_bswap32(w);
@@ -184,8 +162,7 @@ Status Client::ping() {
 StatusOr<std::uint64_t> Client::submit_plan(const perm::Permutation& p) {
   // The count on the stack, the mapping straight from the permutation's
   // words, as permute() sends its elements.
-  std::array<std::uint8_t, 8> count{};
-  put_le(count.data(), p.size(), 8);
+  const Head8 count = encode_submit_plan(p.size());
   std::vector<std::uint8_t> staging;
   const std::span<const std::uint8_t> mapping = wire_words(p.data(), staging);
   const ConstBuffer parts[] = {{count.data(), count.size()}, {mapping.data(), mapping.size()}};
@@ -193,11 +170,8 @@ StatusOr<std::uint64_t> Client::submit_plan(const perm::Permutation& p) {
   if (!response.ok()) return response.status();
   const FrameView& frame = response.value();
   if (is_error(frame)) return error_status(frame.payload);
-  ByteReader r(frame.payload);
-  std::uint64_t plan_id = 0;
-  if (!r.get_u64(plan_id) || !r.exhausted()) {
-    return Status(StatusCode::kUnavailable, "malformed PLAN_OK payload");
-  }
+  StatusOr<std::uint64_t> plan_id = decode_plan_ok(frame.payload);
+  if (!plan_id.ok()) return Status(StatusCode::kUnavailable, "malformed PLAN_OK payload");
   return plan_id;
 }
 
@@ -208,11 +182,8 @@ Status Client::permute(std::uint64_t plan_id, std::span<const std::uint32_t> dat
   }
   // The PERMUTE header on the stack, the elements straight from the
   // caller's span: nothing of payload size is staged.
-  std::array<std::uint8_t, 24> prefix{};
-  std::uint8_t* at = put_le(prefix.data(), plan_id, 8);
-  at = put_le(at, PermuteRequest::clamp_deadline(deadline), 4);
-  at = put_le(at, kElemBytes, 4);
-  put_le(at, data.size(), 8);
+  const std::array<std::uint8_t, 24> prefix =
+      encode_permute({plan_id, clamp_deadline(deadline)}, data.size());
   std::vector<std::uint8_t> staging;
   const std::span<const std::uint8_t> body = wire_words(data, staging);
   const ConstBuffer parts[] = {{prefix.data(), prefix.size()}, {body.data(), body.size()}};
@@ -225,28 +196,14 @@ Status Client::execute_program(std::span<const runtime::ProgramOp> ops,
   if (out.size() != data.size()) {
     return Status(StatusCode::kInvalidArgument, "output span size does not match input");
   }
-  if (ops.empty()) {
-    return Status(StatusCode::kInvalidArgument, "empty program");
-  }
-  if (ops.size() > runtime::kMaxProgramOps) {
-    return Status(StatusCode::kInvalidArgument, "program op count exceeds the limit");
-  }
-  // The header and op list (at most kMaxProgramOps entries) on the
-  // stack, the elements straight from the caller's span, as permute().
-  std::array<std::uint8_t, 16 + 16 * runtime::kMaxProgramOps + 8> prefix{};
-  std::uint8_t* at = put_le(prefix.data(), PermuteRequest::clamp_deadline(deadline), 4);
-  at = put_le(at, kElemBytes, 4);
-  at = put_le(at, 0, 4);  // flags: all reserved
-  at = put_le(at, ops.size(), 4);
-  for (const runtime::ProgramOp& op : ops) {
-    at = put_le(at, static_cast<std::uint32_t>(op.op), 4);
-    at = put_le(at, 0, 4);  // reserved
-    at = put_le(at, op.arg, 8);
-  }
-  at = put_le(at, data.size(), 8);
+  // The header and op list on the stack, the elements straight from the
+  // caller's span, as permute().
+  const StatusOr<ProgramPrefix> prefix =
+      encode_execute_program(clamp_deadline(deadline), ops, data.size());
+  if (!prefix.ok()) return prefix.status();
   std::vector<std::uint8_t> staging;
   const std::span<const std::uint8_t> body = wire_words(data, staging);
-  const ConstBuffer parts[] = {{prefix.data(), static_cast<std::size_t>(at - prefix.data())},
+  const ConstBuffer parts[] = {{prefix.value().data(), prefix.value().size()},
                                {body.data(), body.size()}};
   // PROGRAM_OK carries the PERMUTE_OK layout.
   return roundtrip_into(MsgKind::kExecuteProgram, parts, out);
@@ -257,8 +214,7 @@ StatusOr<std::string> Client::stats_json() {
   if (!response.ok()) return response.status();
   const FrameView& frame = response.value();
   if (is_error(frame)) return error_status(frame.payload);
-  ByteReader r(frame.payload);
-  return r.rest_as_string();
+  return std::string(frame.payload.begin(), frame.payload.end());
 }
 
 }  // namespace hmm::net

@@ -47,12 +47,9 @@ void receive_shard(const StatusOr<FrameView>& response, std::uint64_t session_id
     return out.transport_fail(
         Status(StatusCode::kUnavailable, "shard response does not answer SHARD_EXEC"));
   }
-  StatusOr<WordsResponseView> band = WordsResponseView::decode(frame.payload, band_elems);
+  StatusOr<WordsResponseView> band =
+      WordsResponseView::decode(MsgKind::kShardExecOk, frame.payload, band_elems);
   if (!band.ok()) return out.transport_fail(band.status());
-  if (band.value().data.count != band_elems) {
-    return out.transport_fail(
-        Status(StatusCode::kUnavailable, "shard returned a band of the wrong size"));
-  }
   // The verified frame checksum with the count peeled off: no re-read.
   out.band.bytes = band.value().data.bytes;
   out.band.elements = band_elems;
@@ -69,7 +66,7 @@ StatusOr<std::vector<util::uninit_vector<std::uint8_t>>> DistributedPermuter::co
   // Each payload is sized from the band geometry; its tables are
   // compiled straight into it, and its header written once the block
   // lengths are known.
-  const std::size_t header = ShardPlanRequest::header_bytes(shards);
+  const std::size_t header = shard_plan_header_bytes(shards);
   std::vector<util::uninit_vector<std::uint8_t>> payloads(shards);
   std::vector<std::uint32_t*> pack(shards), merge(shards);
   for (std::uint32_t s = 0; s < shards; ++s) {
@@ -85,7 +82,7 @@ StatusOr<std::vector<util::uninit_vector<std::uint8_t>>> DistributedPermuter::co
     runtime::BandExchange::Counts send(shards);
     for (std::uint32_t d = 0; d < shards; ++d) send[d] = recv.value()[d][s];
     const std::vector<std::uint8_t> head =
-        ShardPlanRequest::encode_header(plan_id, bands.value(), s, send, recv.value()[s]);
+        encode_shard_plan(plan_id, bands.value(), s, send, recv.value()[s]);
     std::copy(head.begin(), head.end(), payloads[s].begin());
     if constexpr (std::endian::native == std::endian::big) {
       // The tables went in as host words; the wire is little-endian.
@@ -138,11 +135,7 @@ StatusOr<DistributedPermuter::Result> DistributedPermuter::execute(
   if (!bands_or.ok()) return bands_or.status();
   const runtime::BandPlan& bands = bands_or.value();
 
-  ShardExecRequest header;
-  header.session_id = session_id;
-  header.plan_id = plan_id;
-  header.deadline_ms = deadline_ms;
-  header.n = n;
+  ShardExecHeader header{session_id, plan_id, deadline_ms, 0, n, {}};
   header.peers.reserve(shards);
   for (const ShardTarget& t : targets) header.peers.push_back(ShardPeer{t.host, t.port});
 
@@ -154,7 +147,7 @@ StatusOr<DistributedPermuter::Result> DistributedPermuter::execute(
   for (std::uint32_t s = 0; s < shards; ++s) {
     header.shard_index = s;
     const std::uint64_t band_elems = bands.band_elements(s);
-    const std::vector<std::uint8_t> prefix = header.encode_prefix(band_elems);
+    const std::vector<std::uint8_t> prefix = encode_shard_exec(header, band_elems);
     const ConstBuffer payload[] = {
         {prefix.data(), prefix.size()},
         {data_bytes.data() + bands.band_offset(s) * kElemBytes, band_elems * kElemBytes}};

@@ -93,9 +93,8 @@ class DistributedPermuter {
   /// payload for plan id `plan_id` from the split, and compile every
   /// band's pack and merge tables in O(n) straight into its payload
   /// (one byte-swap pass on a big-endian host); the header follows from
-  /// the block lengths. The bytes are `ShardPlanRequest::encode()`'s.
-  /// Entry s primes shard s. Fails (kInvalidArgument) when n cannot be
-  /// split `shards` ways.
+  /// the block lengths (`encode_shard_plan`). Entry s primes shard s.
+  /// Fails (kInvalidArgument) when n cannot be split `shards` ways.
   [[nodiscard]] static runtime::StatusOr<std::vector<util::uninit_vector<std::uint8_t>>>
   compile(const perm::Permutation& p, std::uint64_t plan_id, std::uint32_t shards);
 

@@ -91,39 +91,61 @@ StatusCode from_wire(std::uint32_t code) noexcept {
 
 namespace {
 
+/// Little-endian store of `v` at `at`; returns the byte after it.
+template <typename T>
+std::uint8_t* put_le(std::uint8_t* at, T v) noexcept {
+  for (std::size_t i = 0; i < sizeof(T); ++i) *at++ = static_cast<std::uint8_t>(v >> (8 * i));
+  return at;
+}
+
+Head8 head8(std::uint64_t v) noexcept {
+  Head8 out;
+  put_le(out.data(), v);
+  return out;
+}
+
+Status invalid(std::string_view kind, std::string_view why) {
+  return Status(StatusCode::kInvalidArgument, std::string(kind) + ": " + std::string(why));
+}
+
 /// Shared tail decoder for "u64 count + count u32 words" payloads; the
 /// element bytes are borrowed. `max_elements` bounds the count before
 /// any receiver sizes a buffer from it — a hostile header cannot make it
 /// reserve count*4 bytes blindly.
 StatusOr<WordsView> decode_words_view(ByteReader& r, std::uint64_t count,
-                                      std::uint64_t max_elements, std::string_view what) {
-  if (count == 0) {
-    return Status(StatusCode::kInvalidArgument, std::string(what) + ": empty element array");
-  }
-  if (count > max_elements) {
-    return Status(StatusCode::kInvalidArgument,
-                  std::string(what) + ": element count exceeds the receiver's limit");
-  }
+                                      std::uint64_t max_elements, std::string_view kind) {
+  if (count == 0) return invalid(kind, "empty element array");
+  if (count > max_elements) return invalid(kind, "element count exceeds the receiver's limit");
   if (r.remaining() != count * kElemBytes) {
-    return Status(StatusCode::kInvalidArgument,
-                  std::string(what) + ": payload length does not match element count");
+    return invalid(kind, "payload length does not match element count");
   }
   WordsView view;
   view.count = count;
-  if (!r.get_bytes(count * kElemBytes, view.bytes)) {
-    return Status(StatusCode::kInvalidArgument, std::string(what) + ": truncated elements");
-  }
+  if (!r.get_bytes(count * kElemBytes, view.bytes)) return invalid(kind, "truncated elements");
   return view;
 }
 
-/// The owning decoders are the view decoders plus one copy.
-std::vector<std::uint32_t> to_vector(const WordsView& words) {
-  std::vector<std::uint32_t> out(words.count);
-  words.copy_to(out);
-  return out;
+/// The element count of a SHARD_EXEC or SHARD_PLAN: every band needs an
+/// element, and band tables hold u32 indexes. Each refusal is a
+/// distinct kInvalidArgument.
+Status check_elements(std::string_view kind, std::uint64_t n, std::uint32_t shard_count) {
+  if (n == 0) return invalid(kind, "zero elements");
+  if (n < shard_count) return invalid(kind, "fewer elements than shards");
+  if (n > (1ull << 32)) return invalid(kind, "element count exceeds the 32-bit element index");
+  return Status::ok();
 }
 
 }  // namespace
+
+std::span<const std::uint8_t> wire_words(std::span<const std::uint32_t> words,
+                                         std::vector<std::uint8_t>& staging) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return {reinterpret_cast<const std::uint8_t*>(words.data()), words.size() * kElemBytes};
+  }
+  staging.resize(words.size() * kElemBytes);
+  for (std::size_t i = 0; i < words.size(); ++i) put_le(&staging[i * kElemBytes], words[i]);
+  return staging;
+}
 
 void WordsView::copy_to(std::span<std::uint32_t> out) const noexcept {
   if (out.size() != count || count == 0) return;  // a mismatch is a contract violation
@@ -134,50 +156,37 @@ void WordsView::copy_to(std::span<std::uint32_t> out) const noexcept {
   }
 }
 
-std::vector<std::uint8_t> SubmitPlanRequest::encode() const {
-  ByteWriter w;
-  w.put_u64(mapping.size());
-  w.put_u32_span(mapping);
-  return w.take();
-}
-
-StatusOr<SubmitPlanRequest> SubmitPlanRequest::decode(std::span<const std::uint8_t> payload,
-                                                      std::uint64_t max_elements) {
-  StatusOr<SubmitPlanRequestView> view = SubmitPlanRequestView::decode(payload, max_elements);
-  if (!view.ok()) return view.status();
-  return SubmitPlanRequest{to_vector(view.value().mapping)};
-}
+Head8 encode_submit_plan(std::uint64_t n) noexcept { return head8(n); }
 
 StatusOr<SubmitPlanRequestView> SubmitPlanRequestView::decode(
     std::span<const std::uint8_t> payload, std::uint64_t max_elements) {
   ByteReader r(payload);
   std::uint64_t n = 0;
-  if (!r.get_u64(n)) {
-    return Status(StatusCode::kInvalidArgument, "SUBMIT_PLAN: truncated header");
-  }
+  if (!r.get_u64(n)) return invalid("SUBMIT_PLAN", "truncated header");
   StatusOr<WordsView> words = decode_words_view(r, n, max_elements, "SUBMIT_PLAN");
   if (!words.ok()) return words.status();
-  SubmitPlanRequestView view;
-  view.mapping = words.value();
-  return view;
+  return SubmitPlanRequestView{words.value()};
 }
 
-std::vector<std::uint8_t> PermuteRequest::encode() const {
-  ByteWriter w;
-  w.put_u64(plan_id);
-  w.put_u32(deadline_ms);
-  w.put_u32(kElemBytes);
-  w.put_u64(data.size());
-  w.put_u32_span(data);
-  return w.take();
+Head8 encode_plan_ok(std::uint64_t plan_id) noexcept { return head8(plan_id); }
+
+StatusOr<std::uint64_t> decode_plan_ok(std::span<const std::uint8_t> payload) {
+  ByteReader r(payload);
+  std::uint64_t plan_id = 0;
+  if (!r.get_u64(plan_id) || !r.exhausted()) {
+    return invalid("PLAN_OK", "payload is not one u64 plan id");
+  }
+  return plan_id;
 }
 
-StatusOr<PermuteRequest> PermuteRequest::decode(std::span<const std::uint8_t> payload,
-                                                std::uint64_t max_elements) {
-  StatusOr<PermuteRequestView> view = PermuteRequestView::decode(payload, max_elements);
-  if (!view.ok()) return view.status();
-  return PermuteRequest{view.value().plan_id, view.value().deadline_ms,
-                        to_vector(view.value().data)};
+std::array<std::uint8_t, 24> encode_permute(const PermuteHeader& header,
+                                            std::uint64_t count) noexcept {
+  std::array<std::uint8_t, 24> out;
+  std::uint8_t* at = put_le(out.data(), header.plan_id);
+  at = put_le(at, header.deadline_ms);
+  at = put_le(at, kElemBytes);
+  put_le(at, count);
+  return out;
 }
 
 StatusOr<PermuteRequestView> PermuteRequestView::decode(std::span<const std::uint8_t> payload,
@@ -188,11 +197,10 @@ StatusOr<PermuteRequestView> PermuteRequestView::decode(std::span<const std::uin
   std::uint64_t count = 0;
   if (!r.get_u64(view.plan_id) || !r.get_u32(view.deadline_ms) || !r.get_u32(elem_bytes) ||
       !r.get_u64(count)) {
-    return Status(StatusCode::kInvalidArgument, "PERMUTE: truncated header");
+    return invalid("PERMUTE", "truncated header");
   }
   if (elem_bytes != kElemBytes) {
-    return Status(StatusCode::kInvalidArgument,
-                  "PERMUTE: unsupported element width (v1 speaks 4-byte elements)");
+    return invalid("PERMUTE", "unsupported element width (v1 speaks 4-byte elements)");
   }
   StatusOr<WordsView> words = decode_words_view(r, count, max_elements, "PERMUTE");
   if (!words.ok()) return words.status();
@@ -200,255 +208,219 @@ StatusOr<PermuteRequestView> PermuteRequestView::decode(std::span<const std::uin
   return view;
 }
 
-std::vector<std::uint8_t> PermuteResponse::encode() const {
-  ByteWriter w;
-  w.put_u64(data.size());
-  w.put_u32_span(data);
-  return w.take();
-}
+Head8 encode_words_ok(std::uint64_t count) noexcept { return head8(count); }
 
-StatusOr<PermuteResponse> PermuteResponse::decode(std::span<const std::uint8_t> payload,
-                                                  std::uint64_t max_elements) {
-  StatusOr<WordsResponseView> view = WordsResponseView::decode(payload, max_elements);
-  if (!view.ok()) return view.status();
-  return PermuteResponse{to_vector(view.value().data)};
-}
-
-namespace {
-
-/// The element count of a SHARD_EXEC or SHARD_PLAN: every band needs an
-/// element, and band tables hold u32 indexes. Each refusal is a
-/// distinct kInvalidArgument.
-Status check_elements(const char* kind, std::uint64_t n, std::uint32_t shard_count) {
-  const auto invalid = [kind](const char* why) {
-    return Status(StatusCode::kInvalidArgument, std::string(kind) + ": " + why);
-  };
-  if (n == 0) return invalid("zero elements");
-  if (n < shard_count) return invalid("fewer elements than shards");
-  if (n > (1ull << 32)) return invalid("element count exceeds the 32-bit element index");
+Status decode_words_ok_head(MsgKind kind, std::span<const std::uint8_t> head,
+                            std::size_t payload_len, std::uint64_t expect) {
+  const std::string_view name = to_string(kind);
+  if (head.size() < sizeof(Head8) || payload_len < sizeof(Head8)) {
+    return invalid(name, "truncated header");
+  }
+  const std::uint64_t count = util::load_le64(head.data());
+  if (count == 0) return invalid(name, "empty element array");
+  if (count != expect) return invalid(name, "element count does not match the request");
+  const std::size_t words_len = payload_len - sizeof(Head8);
+  if (words_len % kElemBytes != 0 || words_len / kElemBytes != count) {
+    return invalid(name, "payload length does not match element count");
+  }
   return Status::ok();
 }
 
-/// Shared SHARD_EXEC prefix decoder: fixed header, peer table, and the
-/// zero padding that puts the band on an 8-byte payload offset. On
-/// success `count_out` holds the band element count and `r` sits at the
-/// first band byte. Strict: every malformed field is a typed
-/// kInvalidArgument.
-Status decode_shard_exec_prefix(ByteReader& r, std::size_t payload_len,
-                                std::uint64_t& session_id, std::uint64_t& plan_id,
-                                std::uint32_t& deadline_ms, std::uint32_t& shard_index,
-                                std::uint64_t& n, std::vector<ShardPeer>& peers,
-                                std::uint64_t& count_out) {
-  std::uint32_t version = 0;
-  std::uint32_t elem_bytes = 0;
-  std::uint32_t shard_count = 0;
-  std::uint32_t reserved = 0;
-  if (!r.get_u32(version) || !r.get_u32(elem_bytes) || !r.get_u64(session_id) ||
-      !r.get_u64(plan_id) || !r.get_u32(deadline_ms) || !r.get_u32(shard_index) ||
-      !r.get_u32(shard_count) || !r.get_u32(reserved) || !r.get_u64(n)) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: truncated header");
+StatusOr<WordsResponseView> WordsResponseView::decode(MsgKind kind,
+                                                      std::span<const std::uint8_t> payload,
+                                                      std::uint64_t expect) {
+  Status head = decode_words_ok_head(kind, payload, payload.size(), expect);
+  if (!head.is_ok()) return head;
+  return WordsResponseView{WordsView{expect, payload.subspan(sizeof(Head8))}};
+}
+
+StatusOr<ProgramPrefix> encode_execute_program(std::uint32_t deadline_ms,
+                                               std::span<const runtime::ProgramOp> ops,
+                                               std::uint64_t count) {
+  if (ops.empty()) return invalid("EXECUTE_PROGRAM", "empty program");
+  if (ops.size() > runtime::kMaxProgramOps) {
+    return invalid("EXECUTE_PROGRAM", "program op count exceeds the limit");
   }
-  if (version != kShardProtocolVersion) {
-    return Status(StatusCode::kInvalidArgument,
-                  "SHARD_EXEC: unsupported shard protocol version");
+  ProgramPrefix prefix;
+  std::uint8_t* at = put_le(prefix.bytes.data(), deadline_ms);
+  at = put_le(at, kElemBytes);
+  at = put_le(at, std::uint32_t{0});  // flags: all reserved
+  at = put_le(at, static_cast<std::uint32_t>(ops.size()));
+  for (const runtime::ProgramOp& op : ops) {
+    at = put_le(at, static_cast<std::uint32_t>(op.op));
+    at = put_le(at, std::uint32_t{0});  // reserved
+    at = put_le(at, op.arg);
+  }
+  at = put_le(at, count);
+  prefix.len = static_cast<std::size_t>(at - prefix.bytes.data());
+  return prefix;
+}
+
+StatusOr<ExecuteProgramRequestView> ExecuteProgramRequestView::decode(
+    std::span<const std::uint8_t> payload, std::uint64_t max_elements) {
+  constexpr std::string_view kKind = "EXECUTE_PROGRAM";
+  ByteReader r(payload);
+  ExecuteProgramRequestView view;
+  std::uint32_t elem_bytes = 0;
+  std::uint32_t flags = 0;
+  std::uint32_t op_count = 0;
+  if (!r.get_u32(view.deadline_ms) || !r.get_u32(elem_bytes) || !r.get_u32(flags) ||
+      !r.get_u32(op_count)) {
+    return invalid(kKind, "truncated header");
   }
   if (elem_bytes != kElemBytes) {
-    return Status(StatusCode::kInvalidArgument,
-                  "SHARD_EXEC: unsupported element width (v1 speaks 4-byte elements)");
+    return invalid(kKind, "unsupported element width (v1 speaks 4-byte elements)");
   }
-  if (reserved != 0) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: reserved field must be zero");
+  if ((flags & ~kProgramFlagsMask) != 0) {
+    return invalid(kKind, "unknown flag bits (reserved bits must be zero)");
   }
-  if (shard_count == 0 || shard_count > runtime::kMaxShards) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: shard count out of range");
+  if (op_count == 0) return invalid(kKind, "empty program");
+  if (op_count > runtime::kMaxProgramOps) {
+    return invalid(kKind, "program op count exceeds the limit");
   }
-  if (shard_index >= shard_count) {
-    return Status(StatusCode::kInvalidArgument,
-                  "SHARD_EXEC: shard index out of range for the shard count");
-  }
-  if (Status elements = check_elements("SHARD_EXEC", n, shard_count); !elements.is_ok()) {
-    return elements;
-  }
-  peers.clear();
-  peers.reserve(shard_count);
-  for (std::uint32_t i = 0; i < shard_count; ++i) {
-    std::uint16_t port = 0;
-    std::uint16_t host_len = 0;
-    std::span<const std::uint8_t> host;
-    if (!r.get_u16(port) || !r.get_u16(host_len) ||
-        !r.get_bytes(host_len, host)) {
-      return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: truncated peer table");
+  view.ops.reserve(op_count);
+  for (std::uint32_t i = 0; i < op_count; ++i) {
+    std::uint32_t opcode = 0;
+    std::uint32_t reserved = 0;
+    std::uint64_t arg = 0;
+    if (!r.get_u32(opcode) || !r.get_u32(reserved) || !r.get_u64(arg)) {
+      return invalid(kKind, "truncated op list");
     }
-    if (port == 0) {
-      return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: peer port must be nonzero");
-    }
-    if (host_len == 0 || host_len > kMaxShardHostLen) {
-      return Status(StatusCode::kInvalidArgument,
-                    "SHARD_EXEC: peer host length out of range");
-    }
-    peers.push_back(ShardPeer{
-        std::string(reinterpret_cast<const char*>(host.data()), host.size()), port});
+    if (reserved != 0) return invalid(kKind, "reserved op field must be zero");
+    if (!runtime::is_known_opcode(opcode)) return invalid(kKind, "unknown program opcode");
+    view.ops.push_back(runtime::ProgramOp{static_cast<runtime::ProgramOpCode>(opcode), arg});
   }
-  const std::size_t consumed = payload_len - r.remaining();
-  const std::size_t pad = (8 - consumed % 8) % 8;
-  std::span<const std::uint8_t> pad_bytes;
-  if (!r.get_bytes(pad, pad_bytes)) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: truncated padding");
-  }
-  for (std::uint8_t b : pad_bytes) {
-    if (b != 0) {
-      return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: padding must be zero");
-    }
-  }
-  if (!r.get_u64(count_out)) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: truncated element count");
-  }
-  return Status::ok();
+  std::uint64_t count = 0;
+  if (!r.get_u64(count)) return invalid(kKind, "truncated element count");
+  StatusOr<WordsView> words = decode_words_view(r, count, max_elements, kKind);
+  if (!words.ok()) return words.status();
+  view.data = words.value();
+  return view;
 }
 
-/// Everything of a SHARD_EXEC frame before the band bytes.
-std::vector<std::uint8_t> encode_shard_exec_prefix(
-    std::uint64_t session_id, std::uint64_t plan_id, std::uint32_t deadline_ms,
-    std::uint32_t shard_index, std::uint64_t n, std::span<const ShardPeer> peers,
-    std::uint64_t count) {
+std::vector<std::uint8_t> encode_shard_exec(const ShardExecHeader& header,
+                                            std::uint64_t count) {
   ByteWriter w;
   w.put_u32(kShardProtocolVersion);
   w.put_u32(kElemBytes);
-  w.put_u64(session_id);
-  w.put_u64(plan_id);
-  w.put_u32(deadline_ms);
-  w.put_u32(shard_index);
-  w.put_u32(static_cast<std::uint32_t>(peers.size()));
+  w.put_u64(header.session_id);
+  w.put_u64(header.plan_id);
+  w.put_u32(header.deadline_ms);
+  w.put_u32(header.shard_index);
+  w.put_u32(header.shard_count());
   w.put_u32(0);  // reserved
-  w.put_u64(n);
-  std::size_t offset = 48;
-  for (const ShardPeer& peer : peers) {
+  w.put_u64(header.n);
+  for (const ShardPeer& peer : header.peers) {
     w.put_u16(peer.port);
     w.put_u16(static_cast<std::uint16_t>(peer.host.size()));
     w.put_string(peer.host);
-    offset += 4 + peer.host.size();
   }
-  const std::size_t pad = (8 - offset % 8) % 8;
-  for (std::size_t i = 0; i < pad; ++i) w.put_u8(0);
+  while (w.bytes().size() % 8 != 0) w.put_u8(0);
   w.put_u64(count);
   return w.take();
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> ShardExecRequest::encode() const {
-  std::vector<std::uint8_t> out = encode_prefix(band.size());
-  ByteWriter w;
-  w.put_u32_span(band);
-  std::vector<std::uint8_t> data = w.take();
-  out.insert(out.end(), data.begin(), data.end());
-  return out;
-}
-
-std::vector<std::uint8_t> ShardExecRequest::encode_prefix(std::uint64_t count) const {
-  return encode_shard_exec_prefix(session_id, plan_id, deadline_ms, shard_index, n, peers,
-                                  count);
-}
-
-StatusOr<ShardExecRequest> ShardExecRequest::decode(std::span<const std::uint8_t> payload,
-                                                    std::uint64_t max_elements) {
-  StatusOr<ShardExecRequestView> view = ShardExecRequestView::decode(payload, max_elements);
-  if (!view.ok()) return view.status();
-  const ShardExecRequestView& v = view.value();
-  return ShardExecRequest{v.session_id, v.plan_id, v.deadline_ms, v.shard_index,
-                          v.n,          v.peers,   to_vector(v.band)};
-}
-
 StatusOr<ShardExecRequestView> ShardExecRequestView::decode(
     std::span<const std::uint8_t> payload, std::uint64_t max_elements) {
+  constexpr std::string_view kKind = "SHARD_EXEC";
   ByteReader r(payload);
   ShardExecRequestView view;
+  std::uint32_t version = 0;
+  std::uint32_t elem_bytes = 0;
+  std::uint32_t shard_count = 0;
+  std::uint32_t reserved = 0;
+  if (!r.get_u32(version) || !r.get_u32(elem_bytes) || !r.get_u64(view.session_id) ||
+      !r.get_u64(view.plan_id) || !r.get_u32(view.deadline_ms) ||
+      !r.get_u32(view.shard_index) || !r.get_u32(shard_count) || !r.get_u32(reserved) ||
+      !r.get_u64(view.n)) {
+    return invalid(kKind, "truncated header");
+  }
+  if (version != kShardProtocolVersion) {
+    return invalid(kKind, "unsupported shard protocol version");
+  }
+  if (elem_bytes != kElemBytes) {
+    return invalid(kKind, "unsupported element width (v1 speaks 4-byte elements)");
+  }
+  if (reserved != 0) return invalid(kKind, "reserved field must be zero");
+  if (shard_count == 0 || shard_count > runtime::kMaxShards) {
+    return invalid(kKind, "shard count out of range");
+  }
+  if (view.shard_index >= shard_count) {
+    return invalid(kKind, "shard index out of range for the shard count");
+  }
+  if (Status elements = check_elements(kKind, view.n, shard_count); !elements.is_ok()) {
+    return elements;
+  }
+  view.peers.reserve(shard_count);
+  for (std::uint32_t i = 0; i < shard_count; ++i) {
+    std::uint16_t port = 0;
+    std::uint16_t host_len = 0;
+    std::span<const std::uint8_t> host;
+    if (!r.get_u16(port) || !r.get_u16(host_len) || !r.get_bytes(host_len, host)) {
+      return invalid(kKind, "truncated peer table");
+    }
+    if (port == 0) return invalid(kKind, "peer port must be nonzero");
+    if (host_len == 0 || host_len > kMaxShardHostLen) {
+      return invalid(kKind, "peer host length out of range");
+    }
+    view.peers.push_back(
+        ShardPeer{std::string(reinterpret_cast<const char*>(host.data()), host.size()), port});
+  }
+  const std::size_t pad = (8 - (payload.size() - r.remaining()) % 8) % 8;
+  std::span<const std::uint8_t> pad_bytes;
+  if (!r.get_bytes(pad, pad_bytes)) return invalid(kKind, "truncated padding");
+  if (std::ranges::any_of(pad_bytes, [](std::uint8_t b) { return b != 0; })) {
+    return invalid(kKind, "padding must be zero");
+  }
   std::uint64_t count = 0;
-  Status prefix = decode_shard_exec_prefix(r, payload.size(), view.session_id, view.plan_id,
-                                           view.deadline_ms, view.shard_index, view.n,
-                                           view.peers, count);
-  if (!prefix.is_ok()) return prefix;
-  StatusOr<WordsView> words = decode_words_view(r, count, max_elements, "SHARD_EXEC");
+  if (!r.get_u64(count)) return invalid(kKind, "truncated element count");
+  StatusOr<WordsView> words = decode_words_view(r, count, max_elements, kKind);
   if (!words.ok()) return words.status();
   view.band = words.value();
   return view;
 }
 
-std::vector<std::uint8_t> ShardXchgRequest::encode() const {
-  std::vector<std::uint8_t> out = encode_prefix(block.size());
-  ByteWriter w;
-  w.put_u32_span(block);
-  std::vector<std::uint8_t> data = w.take();
-  out.insert(out.end(), data.begin(), data.end());
+std::array<std::uint8_t, 24> encode_shard_xchg(const ShardXchgHeader& header,
+                                               std::uint64_t count) noexcept {
+  std::array<std::uint8_t, 24> out;
+  std::uint8_t* at = put_le(out.data(), header.session_id);
+  at = put_le(at, std::uint32_t{0});  // reserved
+  at = put_le(at, header.src_shard);
+  put_le(at, count);
   return out;
-}
-
-std::vector<std::uint8_t> ShardXchgRequest::encode_prefix(std::uint64_t count) const {
-  ByteWriter w;
-  w.put_u64(session_id);
-  w.put_u32(0);  // reserved
-  w.put_u32(src_shard);
-  w.put_u64(count);
-  return w.take();
-}
-
-namespace {
-
-/// Shared SHARD_XCHG header decoder; `r` then sits at the first block
-/// byte. The reserved word holds revision 1's round number, so a block
-/// from a revision-1 peer is refused here. A block may be empty (every
-/// peer gets one), but then nothing may follow the header.
-Status decode_xchg_header(ByteReader& r, std::uint64_t& session_id, std::uint32_t& src_shard,
-                          std::uint64_t& count) {
-  std::uint32_t reserved = 0;
-  if (!r.get_u64(session_id) || !r.get_u32(reserved) || !r.get_u32(src_shard) ||
-      !r.get_u64(count)) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: truncated header");
-  }
-  if (reserved != 0) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: reserved field must be zero");
-  }
-  if (src_shard >= runtime::kMaxShards) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: source shard out of range");
-  }
-  if (count == 0 && r.remaining() != 0) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: bytes after an empty block");
-  }
-  return Status::ok();
-}
-
-}  // namespace
-
-StatusOr<ShardXchgRequest> ShardXchgRequest::decode(std::span<const std::uint8_t> payload,
-                                                    std::uint64_t max_elements) {
-  StatusOr<ShardXchgRequestView> view = ShardXchgRequestView::decode(payload, max_elements);
-  if (!view.ok()) return view.status();
-  return ShardXchgRequest{view.value().session_id, view.value().src_shard,
-                          to_vector(view.value().block)};
 }
 
 StatusOr<ShardXchgRequestView> ShardXchgRequestView::decode(
     std::span<const std::uint8_t> payload, std::uint64_t max_elements) {
+  constexpr std::string_view kKind = "SHARD_XCHG";
   ByteReader r(payload);
   ShardXchgRequestView view;
+  std::uint32_t reserved = 0;
   std::uint64_t count = 0;
-  if (Status header = decode_xchg_header(r, view.session_id, view.src_shard, count);
-      !header.is_ok()) {
-    return header;
+  if (!r.get_u64(view.session_id) || !r.get_u32(reserved) || !r.get_u32(view.src_shard) ||
+      !r.get_u64(count)) {
+    return invalid(kKind, "truncated header");
   }
-  if (count > 0) {
-    StatusOr<WordsView> words = decode_words_view(r, count, max_elements, "SHARD_XCHG");
-    if (!words.ok()) return words.status();
-    view.block = words.value();
+  // The reserved word held revision 1's round number, so a block from a
+  // revision-1 peer is refused here.
+  if (reserved != 0) return invalid(kKind, "reserved field must be zero");
+  if (view.src_shard >= runtime::kMaxShards) return invalid(kKind, "source shard out of range");
+  // A block may be empty (every peer gets one), but then nothing may
+  // follow the header.
+  if (count == 0) {
+    if (r.remaining() != 0) return invalid(kKind, "bytes after an empty block");
+    return view;
   }
+  StatusOr<WordsView> words = decode_words_view(r, count, max_elements, kKind);
+  if (!words.ok()) return words.status();
+  view.block = words.value();
   return view;
 }
 
-std::vector<std::uint8_t> ShardPlanRequest::encode_header(std::uint64_t plan_id,
-                                                          const runtime::BandPlan& bands,
-                                                          std::uint32_t shard,
-                                                          std::span<const std::uint64_t> send,
-                                                          std::span<const std::uint64_t> recv) {
+std::vector<std::uint8_t> encode_shard_plan(std::uint64_t plan_id,
+                                            const runtime::BandPlan& bands, std::uint32_t shard,
+                                            std::span<const std::uint64_t> send,
+                                            std::span<const std::uint64_t> recv) {
   ByteWriter w;
   w.put_u64(plan_id);
   w.put_u32(shard);
@@ -459,15 +431,8 @@ std::vector<std::uint8_t> ShardPlanRequest::encode_header(std::uint64_t plan_id,
   return w.take();
 }
 
-std::vector<std::uint8_t> ShardPlanRequest::encode() const {
-  ByteWriter w;
-  w.put_bytes(encode_header(plan_id, band.bands(), band.shard(), band.send(), band.recv()));
-  w.put_u32_span(band.pack());
-  w.put_u32_span(band.merge());
-  return w.take();
-}
-
 StatusOr<ShardPlanRequest> ShardPlanRequest::decode(std::span<const std::uint8_t> payload) {
+  constexpr std::string_view kKind = "SHARD_PLAN";
   ByteReader r(payload);
   std::uint64_t plan_id = 0;
   std::uint32_t shard_index = 0;
@@ -475,16 +440,15 @@ StatusOr<ShardPlanRequest> ShardPlanRequest::decode(std::span<const std::uint8_t
   std::uint64_t n = 0;
   if (!r.get_u64(plan_id) || !r.get_u32(shard_index) || !r.get_u32(shard_count) ||
       !r.get_u64(n)) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_PLAN: truncated header");
+    return invalid(kKind, "truncated header");
   }
   if (shard_count == 0 || shard_count > runtime::kMaxShards) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_PLAN: shard count out of range");
+    return invalid(kKind, "shard count out of range");
   }
   if (shard_index >= shard_count) {
-    return Status(StatusCode::kInvalidArgument,
-                  "SHARD_PLAN: shard index out of range for the shard count");
+    return invalid(kKind, "shard index out of range for the shard count");
   }
-  if (Status elements = check_elements("SHARD_PLAN", n, shard_count); !elements.is_ok()) {
+  if (Status elements = check_elements(kKind, n, shard_count); !elements.is_ok()) {
     return elements;
   }
   StatusOr<runtime::BandPlan> bands = runtime::BandPlan::build(n, shard_count);
@@ -493,33 +457,24 @@ StatusOr<ShardPlanRequest> ShardPlanRequest::decode(std::span<const std::uint8_t
   runtime::BandExchange::Counts recv(shard_count);
   for (runtime::BandExchange::Counts* counts : {&send, &recv}) {
     for (std::uint64_t& c : *counts) {
-      if (!r.get_u64(c)) {
-        return Status(StatusCode::kInvalidArgument, "SHARD_PLAN: truncated block lengths");
-      }
+      if (!r.get_u64(c)) return invalid(kKind, "truncated block lengths");
     }
   }
   const std::uint64_t band = bands.value().band_elements(shard_index);
   if (r.remaining() != 2 * band * sizeof(std::uint32_t)) {
-    return Status(StatusCode::kInvalidArgument,
-                  "SHARD_PLAN: table bytes do not match the band geometry");
+    return invalid(kKind, "table bytes do not match the band geometry");
   }
   runtime::BandExchange::Table pack(band);
   runtime::BandExchange::Table merge(band);
   for (runtime::BandExchange::Table* table : {&pack, &merge}) {
-    if constexpr (std::endian::native == std::endian::little) {
-      std::span<const std::uint8_t> bytes;
-      (void)r.get_bytes(band * sizeof(std::uint32_t), bytes);
-      std::memcpy(table->data(), bytes.data(), bytes.size());
-    } else {
-      for (std::uint32_t& v : *table) (void)r.get_u32(v);
-    }
+    std::span<const std::uint8_t> bytes;
+    (void)r.get_bytes(band * sizeof(std::uint32_t), bytes);
+    WordsView{band, bytes}.copy_to(*table);
   }
   StatusOr<runtime::BandExchange> adopted = runtime::BandExchange::from_tables(
       std::move(bands).value(), shard_index, std::move(send), std::move(recv), std::move(pack),
       std::move(merge));
-  if (!adopted.ok()) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_PLAN: " + adopted.status().message());
-  }
+  if (!adopted.ok()) return invalid(kKind, adopted.status().message());
   return ShardPlanRequest{plan_id, std::move(adopted).value()};
 }
 
@@ -533,113 +488,6 @@ Status error_status(std::span<const std::uint8_t> payload) {
   StatusOr<ErrorResponse> err = ErrorResponse::decode(payload);
   return err.ok() ? err.value().to_status()
                   : Status(StatusCode::kUnavailable, "malformed ERROR frame");
-}
-
-StatusOr<WordsResponseView> WordsResponseView::decode(std::span<const std::uint8_t> payload,
-                                                      std::uint64_t max_elements) {
-  ByteReader r(payload);
-  std::uint64_t count = 0;
-  if (!r.get_u64(count)) {
-    return Status(StatusCode::kInvalidArgument, "PERMUTE_OK: truncated header");
-  }
-  StatusOr<WordsView> words = decode_words_view(r, count, max_elements, "PERMUTE_OK");
-  if (!words.ok()) return words.status();
-  WordsResponseView view;
-  view.data = words.value();
-  return view;
-}
-
-namespace {
-
-/// Shared EXECUTE_PROGRAM prefix decoder: everything before the element
-/// region. On success `count_out` holds the wire element count and `r`
-/// sits at the first element byte. Strict: any malformed field is a
-/// typed kInvalidArgument, never an exception or a partial decode.
-Status decode_program_prefix(ByteReader& r, std::uint32_t& deadline_ms, std::uint32_t& flags,
-                             std::vector<runtime::ProgramOp>& ops, std::uint64_t& count_out) {
-  std::uint32_t elem_bytes = 0;
-  std::uint32_t op_count = 0;
-  if (!r.get_u32(deadline_ms) || !r.get_u32(elem_bytes) || !r.get_u32(flags) ||
-      !r.get_u32(op_count)) {
-    return Status(StatusCode::kInvalidArgument, "EXECUTE_PROGRAM: truncated header");
-  }
-  if (elem_bytes != kElemBytes) {
-    return Status(StatusCode::kInvalidArgument,
-                  "EXECUTE_PROGRAM: unsupported element width (v1 speaks 4-byte elements)");
-  }
-  if ((flags & ~kProgramFlagsMask) != 0) {
-    return Status(StatusCode::kInvalidArgument,
-                  "EXECUTE_PROGRAM: unknown flag bits (reserved bits must be zero)");
-  }
-  if (op_count == 0) {
-    return Status(StatusCode::kInvalidArgument, "EXECUTE_PROGRAM: empty program");
-  }
-  if (op_count > runtime::kMaxProgramOps) {
-    return Status(StatusCode::kInvalidArgument,
-                  "EXECUTE_PROGRAM: program op count exceeds the limit");
-  }
-  ops.clear();
-  ops.reserve(op_count);
-  for (std::uint32_t i = 0; i < op_count; ++i) {
-    std::uint32_t opcode = 0;
-    std::uint32_t reserved = 0;
-    std::uint64_t arg = 0;
-    if (!r.get_u32(opcode) || !r.get_u32(reserved) || !r.get_u64(arg)) {
-      return Status(StatusCode::kInvalidArgument, "EXECUTE_PROGRAM: truncated op list");
-    }
-    if (reserved != 0) {
-      return Status(StatusCode::kInvalidArgument,
-                    "EXECUTE_PROGRAM: reserved op field must be zero");
-    }
-    if (!runtime::is_known_opcode(opcode)) {
-      return Status(StatusCode::kInvalidArgument, "EXECUTE_PROGRAM: unknown program opcode");
-    }
-    ops.push_back(runtime::ProgramOp{static_cast<runtime::ProgramOpCode>(opcode), arg});
-  }
-  if (!r.get_u64(count_out)) {
-    return Status(StatusCode::kInvalidArgument, "EXECUTE_PROGRAM: truncated element count");
-  }
-  return Status::ok();
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> ExecuteProgramRequest::encode() const {
-  ByteWriter w;
-  w.put_u32(deadline_ms);
-  w.put_u32(kElemBytes);
-  w.put_u32(flags);
-  w.put_u32(static_cast<std::uint32_t>(ops.size()));
-  for (const runtime::ProgramOp& op : ops) {
-    w.put_u32(static_cast<std::uint32_t>(op.op));
-    w.put_u32(0);  // reserved
-    w.put_u64(op.arg);
-  }
-  w.put_u64(data.size());
-  w.put_u32_span(data);
-  return w.take();
-}
-
-StatusOr<ExecuteProgramRequest> ExecuteProgramRequest::decode(
-    std::span<const std::uint8_t> payload, std::uint64_t max_elements) {
-  StatusOr<ExecuteProgramRequestView> view =
-      ExecuteProgramRequestView::decode(payload, max_elements);
-  if (!view.ok()) return view.status();
-  return ExecuteProgramRequest{view.value().deadline_ms, view.value().flags, view.value().ops,
-                               to_vector(view.value().data)};
-}
-
-StatusOr<ExecuteProgramRequestView> ExecuteProgramRequestView::decode(
-    std::span<const std::uint8_t> payload, std::uint64_t max_elements) {
-  ByteReader r(payload);
-  ExecuteProgramRequestView view;
-  std::uint64_t count = 0;
-  Status prefix = decode_program_prefix(r, view.deadline_ms, view.flags, view.ops, count);
-  if (!prefix.is_ok()) return prefix;
-  StatusOr<WordsView> words = decode_words_view(r, count, max_elements, "EXECUTE_PROGRAM");
-  if (!words.ok()) return words.status();
-  view.data = words.value();
-  return view;
 }
 
 std::vector<std::uint8_t> ErrorResponse::encode() const {

@@ -6,7 +6,8 @@
 ///
 /// A connection is a sequence of strictly alternating request/response
 /// frames (no pipelining in v1; see docs/PROTOCOL.md for the normative
-/// spec). Four request kinds cover the serving surface:
+/// spec). Eight request kinds cover the serving surface and the shard
+/// exchange:
 ///
 ///   PING             liveness probe; the payload is echoed back verbatim
 ///   SUBMIT_PLAN      register a permutation mapping; returns a 64-bit
@@ -39,7 +40,9 @@
 /// by contrast, is invisible here: a degraded execution still returns
 /// PERMUTE_OK (the ladder exists so the wire contract can stay simple).
 ///
-/// Payload schemas (all integers little-endian; see ByteWriter/Reader):
+/// Payload schemas (all integers little-endian; each kind's one encoder
+/// and one decoder are below, and its bytes are pinned by a golden
+/// test, `NetProtocol.Golden*`):
 ///
 ///   SUBMIT_PLAN  req:  u64 n, u32 mapping[n]        (must be a bijection)
 ///   PLAN_OK      resp: u64 plan_id
@@ -88,6 +91,8 @@
 ///                resp: empty
 ///   ERROR        resp: u32 code, UTF-8 message bytes
 
+#include <array>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -152,66 +157,44 @@ enum class WireError : std::uint32_t {
 /// move 32-bit elements; wider payloads are a protocol rev away).
 inline constexpr std::uint32_t kElemBytes = 4;
 
-// --- Typed payloads -------------------------------------------------
-// Each request/response payload gets an encode() producing the frame
-// payload bytes and a decode() that is strict: trailing garbage, short
-// fields, and out-of-range values all fail with a reason. decode()
-// never throws on malformed input.
+/// Saturating conversion of a caller-side deadline into the u32
+/// `deadline_ms` field of PERMUTE and EXECUTE_PROGRAM: negative -> 0 (no
+/// deadline), > UINT32_MAX ms (~49.7 days) -> UINT32_MAX. A plain cast
+/// would *wrap*, silently turning a huge "effectively no deadline"
+/// budget into a tiny one.
+[[nodiscard]] constexpr std::uint32_t clamp_deadline(
+    std::chrono::milliseconds deadline) noexcept {
+  if (deadline.count() <= 0) return 0;
+  constexpr auto kMax = std::numeric_limits<std::uint32_t>::max();
+  if (static_cast<std::uint64_t>(deadline.count()) >= kMax) return kMax;
+  return static_cast<std::uint32_t>(deadline.count());
+}
 
-struct SubmitPlanRequest {
-  std::vector<std::uint32_t> mapping;
+// --- Codecs ------------------------------------------------------------
+// Each message kind has one encoder and one decoder. The encoder writes
+// only the bytes before the element words, on the caller's stack where
+// their size is fixed; the caller sends them and the borrowed words
+// (`wire_words`) as `ConstBuffer` parts of one frame. The decoder is a
+// view over the received payload: strict (a short field, trailing
+// bytes, an out-of-range value each fail with a typed kInvalidArgument
+// naming the kind, never an exception), and the element words stay
+// borrowed — a view is valid only while the payload it decoded is. On
+// a little-endian host with aligned storage the words are usable in
+// place; the fallback is one bounded copy.
 
-  [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  [[nodiscard]] static runtime::StatusOr<SubmitPlanRequest> decode(
-      std::span<const std::uint8_t> payload, std::uint64_t max_elements);
-};
+/// The wire (little-endian) bytes of `words`: their own memory on a
+/// little-endian host, else a converted copy in `staging`.
+[[nodiscard]] std::span<const std::uint8_t> wire_words(std::span<const std::uint32_t> words,
+                                                       std::vector<std::uint8_t>& staging);
 
-struct PermuteRequest {
-  std::uint64_t plan_id = 0;
-  std::uint32_t deadline_ms = 0;  ///< relative; 0 = no deadline
-  std::vector<std::uint32_t> data;
-
-  /// Saturating conversion of a caller-side deadline into the u32 wire
-  /// field: negative -> 0 (no deadline), > UINT32_MAX ms (~49.7 days)
-  /// -> UINT32_MAX. A plain cast would *wrap*, silently turning a huge
-  /// "effectively no deadline" budget into a tiny one.
-  [[nodiscard]] static std::uint32_t clamp_deadline(std::chrono::milliseconds deadline) noexcept {
-    if (deadline.count() <= 0) return 0;
-    constexpr auto kMax = std::numeric_limits<std::uint32_t>::max();
-    if (static_cast<std::uint64_t>(deadline.count()) >= kMax) return kMax;
-    return static_cast<std::uint32_t>(deadline.count());
-  }
-
-  [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  [[nodiscard]] static runtime::StatusOr<PermuteRequest> decode(
-      std::span<const std::uint8_t> payload, std::uint64_t max_elements);
-};
-
-struct PermuteResponse {
-  std::vector<std::uint32_t> data;
-
-  [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  [[nodiscard]] static runtime::StatusOr<PermuteResponse> decode(
-      std::span<const std::uint8_t> payload, std::uint64_t max_elements);
-};
-
-// --- Borrowing payload views ----------------------------------------
-// The serving hot path decodes requests from a pooled, connection-owned
-// buffer (see read_frame_view). These views validate the payload with
-// the same strictness as their owning decode() counterparts but borrow
-// the element bytes instead of copying them — on a little-endian host
-// with aligned storage the element array is usable in place, and the
-// fallback is one bounded copy. A view is valid only while the payload
-// buffer it was decoded from is.
-
-/// Decoded u32 element region common to SUBMIT_PLAN and PERMUTE.
+/// A decoded u32 element region.
 struct WordsView {
   std::uint64_t count = 0;
   std::span<const std::uint8_t> bytes;  ///< count * kElemBytes, wire (LE) order
 
   /// The elements as a directly-usable span: non-empty only on a
   /// little-endian host when the wire bytes are 4-byte aligned (true
-  /// for both request layouts when the payload sits in pooled storage —
+  /// for every request layout when the payload sits in pooled storage —
   /// see util::kBufferAlignment — since their element offsets are
   /// multiples of 4). Callers must handle the empty fallback.
   [[nodiscard]] std::span<const std::uint32_t> in_place() const noexcept {
@@ -227,6 +210,12 @@ struct WordsView {
   void copy_to(std::span<std::uint32_t> out) const noexcept;
 };
 
+/// The 8-byte head of SUBMIT_PLAN, PLAN_OK and the count-headed answers.
+using Head8 = std::array<std::uint8_t, 8>;
+
+/// SUBMIT_PLAN: `u64 n`, then the mapping's n words.
+[[nodiscard]] Head8 encode_submit_plan(std::uint64_t n) noexcept;
+
 struct SubmitPlanRequestView {
   WordsView mapping;
 
@@ -234,16 +223,91 @@ struct SubmitPlanRequestView {
       std::span<const std::uint8_t> payload, std::uint64_t max_elements);
 };
 
-struct PermuteRequestView {
+/// PLAN_OK: the registered plan's id.
+[[nodiscard]] Head8 encode_plan_ok(std::uint64_t plan_id) noexcept;
+[[nodiscard]] runtime::StatusOr<std::uint64_t> decode_plan_ok(
+    std::span<const std::uint8_t> payload);
+
+/// PERMUTE's fields before its elements.
+struct PermuteHeader {
   std::uint64_t plan_id = 0;
-  std::uint32_t deadline_ms = 0;
+  std::uint32_t deadline_ms = 0;  ///< relative; 0 = no deadline (clamp_deadline)
+};
+
+/// PERMUTE: the 24 bytes before `count` element words.
+[[nodiscard]] std::array<std::uint8_t, 24> encode_permute(const PermuteHeader& header,
+                                                          std::uint64_t count) noexcept;
+
+struct PermuteRequestView : PermuteHeader {
   WordsView data;
 
   [[nodiscard]] static runtime::StatusOr<PermuteRequestView> decode(
       std::span<const std::uint8_t> payload, std::uint64_t max_elements);
 };
 
-// --- SHARD_EXEC / SHARD_XCHG -----------------------------------------
+/// PERMUTE_OK, PROGRAM_OK and SHARD_EXEC_OK share one layout: `u64
+/// count`, then the words. The coordinator gathers band answers
+/// zero-copy and relays them scatter-gather instead of reassembling
+/// the full array.
+[[nodiscard]] Head8 encode_words_ok(std::uint64_t count) noexcept;
+
+/// The count head of such an answer (`kind`) to a request of `expect`
+/// elements, whose payload is `payload_len` bytes — the head alone
+/// suffices when the words landed elsewhere (a PayloadSink). Strict:
+/// a short head, a count of zero or other than `expect`, and a length
+/// other than 8 + 4 * count are each a kInvalidArgument naming `kind`.
+[[nodiscard]] runtime::Status decode_words_ok_head(MsgKind kind,
+                                                   std::span<const std::uint8_t> head,
+                                                   std::size_t payload_len,
+                                                   std::uint64_t expect);
+
+struct WordsResponseView {
+  WordsView data;
+
+  /// `decode_words_ok_head` over a whole payload, the words borrowed.
+  [[nodiscard]] static runtime::StatusOr<WordsResponseView> decode(
+      MsgKind kind, std::span<const std::uint8_t> payload, std::uint64_t expect);
+};
+
+// --- EXECUTE_PROGRAM -------------------------------------------------
+
+/// Wire flags for EXECUTE_PROGRAM. Bits outside the mask are reserved
+/// and must be zero (strictly rejected, so they stay available for
+/// future revs). Every bit is reserved today.
+inline constexpr std::uint32_t kProgramFlagsMask = 0;
+
+/// The bytes of an EXECUTE_PROGRAM before its elements, on the stack:
+/// the first `size()` of `bytes` (16 + 16 * ops + 8).
+struct ProgramPrefix {
+  std::array<std::uint8_t, 24 + 16 * runtime::kMaxProgramOps> bytes{};
+  std::size_t len = 0;
+
+  [[nodiscard]] const std::uint8_t* data() const noexcept { return bytes.data(); }
+  [[nodiscard]] std::size_t size() const noexcept { return len; }
+};
+
+/// EXECUTE_PROGRAM's prefix for `ops` over `count` elements, flags
+/// zero. Refuses, as the decoder would, an empty op list or one over
+/// runtime::kMaxProgramOps.
+[[nodiscard]] runtime::StatusOr<ProgramPrefix> encode_execute_program(
+    std::uint32_t deadline_ms, std::span<const runtime::ProgramOp> ops, std::uint64_t count);
+
+/// EXECUTE_PROGRAM's decoder. The op list is small (<=
+/// runtime::kMaxProgramOps) and is copied; only the element region is
+/// borrowed. Unsupported element width, unknown flag bits, zero /
+/// over-cap op counts, nonzero reserved op fields, and unknown opcodes
+/// are all typed kInvalidArgument — nothing malformed survives to the
+/// service layer.
+struct ExecuteProgramRequestView {
+  std::uint32_t deadline_ms = 0;
+  std::vector<runtime::ProgramOp> ops;
+  WordsView data;
+
+  [[nodiscard]] static runtime::StatusOr<ExecuteProgramRequestView> decode(
+      std::span<const std::uint8_t> payload, std::uint64_t max_elements);
+};
+
+// --- SHARD_EXEC / SHARD_XCHG / SHARD_PLAN ------------------------------
 // Distributed permutation (docs/PROTOCOL.md §3.8): the coordinator
 // splits a PERMUTE's n elements into bands and sends each shard its
 // band via SHARD_EXEC; each shard packs its band, pushes one SHARD_XCHG
@@ -267,92 +331,82 @@ struct ShardPeer {
   std::uint16_t port = 0;
 };
 
-/// Owning SHARD_EXEC request. The coordinator hot path encodes with
-/// `encode_prefix` + a borrowed band part (scatter-gather send); the
-/// owning `encode`/`decode` pair serves tests and non-pooled callers.
-struct ShardExecRequest {
+/// SHARD_EXEC's fields before its band.
+struct ShardExecHeader {
   std::uint64_t session_id = 0;
   std::uint64_t plan_id = 0;
   std::uint32_t deadline_ms = 0;  ///< relative; 0 = none
   std::uint32_t shard_index = 0;
   std::uint64_t n = 0;            ///< elements of the full plan
-  std::vector<ShardPeer> peers;  ///< size = shard_count, band order
-  std::vector<std::uint32_t> band;
-
-  [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  /// Everything before the band bytes (including the u64 count), padded
-  /// so the band lands on an 8-byte payload offset.
-  [[nodiscard]] std::vector<std::uint8_t> encode_prefix(std::uint64_t count) const;
-  [[nodiscard]] static runtime::StatusOr<ShardExecRequest> decode(
-      std::span<const std::uint8_t> payload, std::uint64_t max_elements);
-};
-
-/// Borrowing decode of SHARD_EXEC: the peer table is small and copied,
-/// the band bytes are borrowed from the pooled payload (8-byte aligned
-/// by layout, so `band.in_place()` succeeds on little-endian hosts).
-struct ShardExecRequestView {
-  std::uint64_t session_id = 0;
-  std::uint64_t plan_id = 0;
-  std::uint32_t deadline_ms = 0;
-  std::uint32_t shard_index = 0;
-  std::uint64_t n = 0;
-  std::vector<ShardPeer> peers;
-  WordsView band;
+  std::vector<ShardPeer> peers;   ///< size = shard_count, band order
 
   [[nodiscard]] std::uint32_t shard_count() const noexcept {
     return static_cast<std::uint32_t>(peers.size());
   }
+};
+
+/// SHARD_EXEC: everything before the `count` band words (the u64 count
+/// included), padded so the band lands on an 8-byte payload offset.
+[[nodiscard]] std::vector<std::uint8_t> encode_shard_exec(const ShardExecHeader& header,
+                                                          std::uint64_t count);
+
+/// SHARD_EXEC's decoder: the peer table is small and copied, the band
+/// bytes are borrowed (8-byte aligned by layout, so `band.in_place()`
+/// succeeds on little-endian hosts).
+struct ShardExecRequestView : ShardExecHeader {
+  WordsView band;
 
   [[nodiscard]] static runtime::StatusOr<ShardExecRequestView> decode(
       std::span<const std::uint8_t> payload, std::uint64_t max_elements);
 };
 
-/// Owning SHARD_XCHG request (the one block `src_shard` sends the
-/// receiver in an exchange).
-struct ShardXchgRequest {
+/// SHARD_XCHG's fields before its block: the one block `src_shard`
+/// sends the receiver in an exchange.
+struct ShardXchgHeader {
   std::uint64_t session_id = 0;
   std::uint32_t src_shard = 0;  ///< sender's shard index
-  std::vector<std::uint32_t> block;
-
-  [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  /// The 24-byte header before the block bytes (scatter-gather send).
-  [[nodiscard]] std::vector<std::uint8_t> encode_prefix(std::uint64_t count) const;
-  [[nodiscard]] static runtime::StatusOr<ShardXchgRequest> decode(
-      std::span<const std::uint8_t> payload, std::uint64_t max_elements);
 };
 
-/// Borrowing decode of SHARD_XCHG (block offset 24 — 8-byte aligned in
-/// pooled storage, so the copy reads the block in place).
-struct ShardXchgRequestView {
-  std::uint64_t session_id = 0;
-  std::uint32_t src_shard = 0;
+/// SHARD_XCHG: the 24 bytes before `count` block words.
+[[nodiscard]] std::array<std::uint8_t, 24> encode_shard_xchg(const ShardXchgHeader& header,
+                                                             std::uint64_t count) noexcept;
+
+/// SHARD_XCHG's decoder (block offset 24 — 8-byte aligned in pooled
+/// storage, so the copy reads the block in place).
+struct ShardXchgRequestView : ShardXchgHeader {
   WordsView block;
 
   [[nodiscard]] static runtime::StatusOr<ShardXchgRequestView> decode(
       std::span<const std::uint8_t> payload, std::uint64_t max_elements);
 };
 
-/// SHARD_PLAN: one shard's part of a plan the coordinator compiled —
-/// its block lengths and its pack and merge tables, 8 bytes per band
-/// element. The plan id is the coordinator's claim (a shard holds no
-/// mapping to check it against); what decode guarantees is that the
-/// tables are safe to run: the header fields are in range, the tables
-/// are exactly as long as the band geometry says, and
-/// `runtime::BandExchange::from_tables` accepts them. Each failure is
-/// a distinct kInvalidArgument.
+/// Bytes of a SHARD_PLAN payload before its two tables, for `shards`
+/// shards.
+[[nodiscard]] constexpr std::size_t shard_plan_header_bytes(std::uint32_t shards) noexcept {
+  return 24 + 16 * std::size_t{shards};
+}
+
+/// SHARD_PLAN: those bytes for shard `shard` of `bands`, with its block
+/// lengths. The pack and merge tables follow, 4 bytes per band element
+/// each.
+[[nodiscard]] std::vector<std::uint8_t> encode_shard_plan(std::uint64_t plan_id,
+                                                          const runtime::BandPlan& bands,
+                                                          std::uint32_t shard,
+                                                          std::span<const std::uint64_t> send,
+                                                          std::span<const std::uint64_t> recv);
+
+/// SHARD_PLAN's decoder: one shard's part of a plan the coordinator
+/// compiled — its block lengths and its pack and merge tables, copied
+/// out because the shard keeps them. The plan id is the coordinator's
+/// claim (a shard holds no mapping to check it against); what decode
+/// guarantees is that the tables are safe to run: the header fields
+/// are in range, the tables are exactly as long as the band geometry
+/// says, and `runtime::BandExchange::from_tables` accepts them. Each
+/// failure is a distinct kInvalidArgument.
 struct ShardPlanRequest {
   std::uint64_t plan_id = 0;
   runtime::BandExchange band;
 
-  /// Bytes of the payload before the two tables, for `shards` shards.
-  [[nodiscard]] static constexpr std::size_t header_bytes(std::uint32_t shards) noexcept {
-    return 24 + 16 * std::size_t{shards};
-  }
-  /// Those bytes for shard `shard` of `bands`, with its block lengths.
-  [[nodiscard]] static std::vector<std::uint8_t> encode_header(
-      std::uint64_t plan_id, const runtime::BandPlan& bands, std::uint32_t shard,
-      std::span<const std::uint64_t> send, std::span<const std::uint64_t> recv);
-  [[nodiscard]] std::vector<std::uint8_t> encode() const;
   [[nodiscard]] static runtime::StatusOr<ShardPlanRequest> decode(
       std::span<const std::uint8_t> payload);
 };
@@ -361,52 +415,6 @@ struct ShardPlanRequest {
 /// status of an ERROR frame, kUnavailable for anything else.
 [[nodiscard]] runtime::Status shard_plan_outcome(std::uint16_t kind,
                                                  std::span<const std::uint8_t> payload);
-
-/// Borrowing decode of the "u64 count + words" response layout shared
-/// by PERMUTE_OK, PROGRAM_OK, and SHARD_EXEC_OK — the coordinator
-/// gathers band responses zero-copy and relays them with scatter-gather
-/// writes instead of reassembling the full array.
-struct WordsResponseView {
-  WordsView data;
-
-  [[nodiscard]] static runtime::StatusOr<WordsResponseView> decode(
-      std::span<const std::uint8_t> payload, std::uint64_t max_elements);
-};
-
-// --- EXECUTE_PROGRAM -------------------------------------------------
-
-/// Wire flags for EXECUTE_PROGRAM. Bits outside the mask are reserved
-/// and must be zero (strictly rejected, so they stay available for
-/// future revs). Every bit is reserved today.
-inline constexpr std::uint32_t kProgramFlagsMask = 0;
-
-/// Owning EXECUTE_PROGRAM request (client-side encode + strict decode).
-struct ExecuteProgramRequest {
-  std::uint32_t deadline_ms = 0;  ///< relative; 0 = no deadline
-  std::uint32_t flags = 0;        ///< reserved (see kProgramFlagsMask)
-  std::vector<runtime::ProgramOp> ops;
-  std::vector<std::uint32_t> data;
-
-  [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  [[nodiscard]] static runtime::StatusOr<ExecuteProgramRequest> decode(
-      std::span<const std::uint8_t> payload, std::uint64_t max_elements);
-};
-
-/// Borrowing decode of EXECUTE_PROGRAM for the serving hot path. The op
-/// list is small (<= runtime::kMaxProgramOps) and is copied; only the
-/// element region is borrowed. Validation is strict: unsupported
-/// element width, unknown flag bits, zero / over-cap op counts, nonzero
-/// reserved op fields, and unknown opcodes are all typed
-/// kInvalidArgument — nothing malformed survives to the service layer.
-struct ExecuteProgramRequestView {
-  std::uint32_t deadline_ms = 0;
-  std::uint32_t flags = 0;
-  std::vector<runtime::ProgramOp> ops;
-  WordsView data;
-
-  [[nodiscard]] static runtime::StatusOr<ExecuteProgramRequestView> decode(
-      std::span<const std::uint8_t> payload, std::uint64_t max_elements);
-};
 
 struct ErrorResponse {
   std::uint32_t code = 0;  ///< a WireError value
@@ -429,7 +437,7 @@ struct ErrorResponse {
 
 /// Build a success frame answering `request_id`. The payload is taken
 /// by value and moved into the frame — no copy for callers that hand
-/// over ownership (`make_ok_frame(id, kind, writer.take())`).
+/// over ownership.
 [[nodiscard]] Frame make_ok_frame(std::uint64_t request_id, MsgKind kind,
                                   std::vector<std::uint8_t> payload);
 

@@ -63,9 +63,8 @@ constexpr std::uint64_t kFailoverJitterSeed = 0xf417'0e5e'edf4'170eull;
 /// one id a plan it registered under another.
 Status plan_ok(const FrameView& frame, std::uint64_t id) {
   if (static_cast<MsgKind>(frame.kind) == MsgKind::kPlanOk) {
-    ByteReader r(frame.payload);
-    std::uint64_t answered = 0;
-    if (r.get_u64(answered) && r.exhausted() && answered == id) return Status::ok();
+    const StatusOr<std::uint64_t> answered = decode_plan_ok(frame.payload);
+    if (answered.ok() && answered.value() == id) return Status::ok();
     return Status(StatusCode::kUnavailable, "replica's PLAN_OK names another plan id");
   }
   const Status typed = error_status(frame.payload);
@@ -219,9 +218,9 @@ OutboundFrame Router::respond(const FrameView& request) {
           std::vector<std::uint8_t>(request.payload.begin(), request.payload.end())));
     case MsgKind::kStats: {
       // The router's own snapshot, not any single backend's.
-      ByteWriter w;
-      w.put_string(snapshot().to_json());
-      return Reactor::outbound(make_ok_frame(request.request_id, MsgKind::kStatsOk, w.take()));
+      const std::string json = snapshot().to_json();
+      return Reactor::outbound(
+          make_ok_frame(request.request_id, MsgKind::kStatsOk, {json.begin(), json.end()}));
     }
     case MsgKind::kSubmitPlan:
       return handle_submit_plan(links, request);
@@ -234,44 +233,41 @@ OutboundFrame Router::respond(const FrameView& request) {
   }
 }
 
-Router::RouteKey Router::route_key(const FrameView& request) {
+Router::RouteKey Router::route_key(const FrameView& request) const {
   RouteKey rk;
-  const std::span<const std::uint8_t> p = request.payload;
-  ByteReader r(p);
-  const auto kind = static_cast<MsgKind>(request.kind);
-  if (kind == MsgKind::kPermute && r.get_u64(rk.key)) {
-    // PERMUTE: [u64 plan_id | ...] — the plan id is the fingerprint.
-    rk.referenced.push_back(rk.key);
-    return rk;
-  }
-  // EXECUTE_PROGRAM: [u32 deadline | u32 elem | u32 flags | u32 op_count |
-  // op_count x {u32 opcode, u32 reserved, u64 arg} | ...]. Route on the
-  // first registered-plan operand so a chain and the PERMUTEs it replaces
-  // land on the same shard; a chain that references several plans
-  // colocates with its *first* one and lazy resync covers the rest.
-  std::uint32_t unused = 0;
-  std::uint32_t op_count = 0;
-  std::span<const std::uint8_t> ops;
-  if (kind == MsgKind::kExecuteProgram && r.get_u32(unused) && r.get_u32(unused) &&
-      r.get_u32(unused) && r.get_u32(op_count) && op_count >= 1 &&
-      op_count <= runtime::kMaxProgramOps && r.get_bytes(16ull * op_count, ops)) {
-    ByteReader op_reader(ops);
-    for (std::uint32_t i = 0; i < op_count; ++i) {
-      std::uint32_t opcode = 0;
-      std::uint64_t arg = 0;
-      (void)(op_reader.get_u32(opcode) && op_reader.get_u32(unused) && op_reader.get_u64(arg));
-      if (opcode == static_cast<std::uint32_t>(runtime::ProgramOpCode::kPermute) ||
-          opcode == static_cast<std::uint32_t>(runtime::ProgramOpCode::kInverse)) {
-        rk.referenced.push_back(arg);
+  const std::uint64_t max_elements = config_.max_payload_bytes / kElemBytes;
+  if (static_cast<MsgKind>(request.kind) == MsgKind::kPermute) {
+    // The plan id is the fingerprint.
+    if (StatusOr<PermuteRequestView> permute =
+            PermuteRequestView::decode(request.payload, max_elements);
+        permute.ok()) {
+      rk.key = permute.value().plan_id;
+      rk.referenced.push_back(rk.key);
+      return rk;
+    }
+  } else if (StatusOr<ExecuteProgramRequestView> program =
+                 ExecuteProgramRequestView::decode(request.payload, max_elements);
+             program.ok()) {
+    // Route on the first registered-plan operand so a chain and the
+    // PERMUTEs it replaces land on the same shard; a chain that
+    // references several plans colocates with its *first* one and lazy
+    // resync covers the rest.
+    for (const runtime::ProgramOp& op : program.value().ops) {
+      if (op.op == runtime::ProgramOpCode::kPermute ||
+          op.op == runtime::ProgramOpCode::kInverse) {
+        rk.referenced.push_back(op.arg);
       }
     }
     // A generator-only chain is stateless, so it spreads by op content.
-    rk.key =
-        rk.referenced.empty() ? util::hash64(ops.data(), ops.size()) : rk.referenced.front();
+    rk.key = rk.referenced.empty()
+                 ? runtime::program_fingerprint(program.value().ops, program.value().data.count)
+                       .value
+                 : rk.referenced.front();
     return rk;
   }
   // Malformed payload: still route deterministically (content hash) and
   // let the backend own the typed rejection.
+  const std::span<const std::uint8_t> p = request.payload;
   rk.key = util::hash64(p.data(), std::min<std::size_t>(p.size(), 256));
   return rk;
 }
@@ -372,13 +368,15 @@ Status Router::push_plans(std::size_t idx, BackendLink& link,
     to_sync.emplace_back(fp, std::move(plan));
   }
   for (const auto& [fp, plan] : to_sync) {
-    ByteWriter payload;
-    payload.put_u64(plan->size());
-    payload.put_u32_span(plan->data());
-    StatusOr<FrameView> response =
-        forward_once(idx, link,
-                     forward(static_cast<std::uint16_t>(MsgKind::kSubmitPlan),
-                             next_router_request_id(), payload.bytes()));
+    // The count, then the mapping straight from the registry, as
+    // Client::submit_plan sends it.
+    const Head8 count = encode_submit_plan(plan->size());
+    std::vector<std::uint8_t> staging;
+    const std::span<const std::uint8_t> mapping = wire_words(plan->data(), staging);
+    Forward submit = forward(static_cast<std::uint16_t>(MsgKind::kSubmitPlan),
+                             next_router_request_id(), count);
+    submit.payload[1] = {mapping.data(), mapping.size()};
+    StatusOr<FrameView> response = forward_once(idx, link, submit);
     if (!response.ok()) return response.status();
     if (Status s = plan_ok(response.value(), fp); !s.is_ok()) return s;
     pushed.fetch_add(1, std::memory_order_relaxed);
@@ -610,9 +608,8 @@ std::optional<OutboundFrame> Router::route_distributed(Links& links, const Frame
 
   // Relay as one PERMUTE_OK: count header + the band payloads straight
   // out of each shard's pooled response buffer, in band order.
-  std::uint8_t count_header[8];
-  for (int i = 0; i < 8; ++i) count_header[i] = static_cast<std::uint8_t>(n >> (8 * i));
-  std::uint64_t checksum = checksum_bytes(count_header);
+  const Head8 head = encode_words_ok(n);
+  std::uint64_t checksum = checksum_bytes(head);
   std::vector<OutboundFrame::Segment> segments;
   segments.reserve(result.value().bands.size());
   for (DistributedPermuter::Band& band : result.value().bands) {
@@ -622,8 +619,7 @@ std::optional<OutboundFrame> Router::route_distributed(Links& links, const Frame
   }
   // n elements were a request payload, so the relayed frame is in bounds.
   return make_outbound_frame(static_cast<std::uint16_t>(MsgKind::kPermuteOk),
-                             request.request_id, {count_header, sizeof(count_header)},
-                             std::move(segments), {}, checksum)
+                             request.request_id, head, std::move(segments), {}, checksum)
       .value();
 }
 
@@ -785,9 +781,9 @@ OutboundFrame Router::handle_submit_plan(Links& links, const FrameView& request)
   if (acked == 0) return error_outbound(request.request_id, last);
   // The PLAN_OK payload is the fingerprint we computed — what every
   // replica that acked answered.
-  ByteWriter w;
-  w.put_u64(fingerprint);
-  return Reactor::outbound(make_ok_frame(request.request_id, MsgKind::kPlanOk, w.take()));
+  const Head8 id = encode_plan_ok(fingerprint);
+  return Reactor::outbound(
+      make_ok_frame(request.request_id, MsgKind::kPlanOk, {id.begin(), id.end()}));
 }
 
 void Router::on_tick(std::chrono::steady_clock::time_point now) {

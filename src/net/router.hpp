@@ -391,7 +391,7 @@ class Router {
     std::uint64_t key = 0;
     std::vector<std::uint64_t> referenced;
   };
-  [[nodiscard]] static RouteKey route_key(const FrameView& request);
+  [[nodiscard]] RouteKey route_key(const FrameView& request) const;
 
   /// High-bits tag for router-originated request ids (probes, resyncs)
   /// so they can never collide with a proxied client id stream (client

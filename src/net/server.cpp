@@ -131,20 +131,15 @@ OutboundFrame Server::error_outbound(std::uint64_t request_id, const Status& why
 OutboundFrame Server::elements_outbound(MsgKind kind, std::uint64_t request_id,
                                         util::PooledBuffer buf, std::uint64_t count) {
   const std::span<std::uint32_t> span = buf.as_span<std::uint32_t>(count);
-  std::uint8_t count_header[8];
-  for (int i = 0; i < 8; ++i) count_header[i] = static_cast<std::uint8_t>(count >> (8 * i));
+  const Head8 head = encode_words_ok(count);
   if constexpr (std::endian::native != std::endian::little) {
-    for (std::uint32_t& w : span) {
-      w = ((w & 0xff000000u) >> 24) | ((w & 0x00ff0000u) >> 8) | ((w & 0x0000ff00u) << 8) |
-          ((w & 0x000000ffu) << 24);
-    }
+    for (std::uint32_t& w : span) w = __builtin_bswap32(w);
   }
   util::Stopwatch serialize_clock;
   std::vector<OutboundFrame::Segment> segments;
   segments.push_back({std::move(buf), 0, count * sizeof(std::uint32_t)});
   StatusOr<OutboundFrame> out = make_outbound_frame(
-      static_cast<std::uint16_t>(kind), request_id, {count_header, sizeof(count_header)},
-      std::move(segments), {});
+      static_cast<std::uint16_t>(kind), request_id, head, std::move(segments), {});
   service_.metrics().record_phase(runtime::Phase::kSerialize,
                                   static_cast<std::uint64_t>(serialize_clock.nanos()));
   // count is bounded by max_payload_bytes / 4, so this cannot overflow.
@@ -186,9 +181,8 @@ Frame Server::handle_submit_plan(const FrameView& request) {
   if (!req.ok()) return make_error_frame(request.request_id, req.status());
   const StatusOr<std::uint64_t> plan_id = plans_.submit(req.value().mapping.bytes);
   if (!plan_id.ok()) return make_error_frame(request.request_id, plan_id.status());
-  ByteWriter w;
-  w.put_u64(plan_id.value());
-  return make_ok_frame(request.request_id, MsgKind::kPlanOk, w.take());
+  const Head8 id = encode_plan_ok(plan_id.value());
+  return make_ok_frame(request.request_id, MsgKind::kPlanOk, {id.begin(), id.end()});
 }
 
 namespace {
@@ -341,22 +335,13 @@ StatusOr<TcpStream> push_block(const ShardPeer& peer, std::uint64_t session_id,
   const auto budget = budget_until(deadline);
   (void)link.set_io_timeout(budget, budget);
 
-  ShardXchgRequest header;
-  header.session_id = session_id;
-  header.src_shard = me;
-  const std::vector<std::uint8_t> prefix = header.encode_prefix(block.size());
-  Status sent;
-  if constexpr (std::endian::native == std::endian::little) {
-    // Native words are already wire order: the block leaves straight
-    // from the packed band, scatter-gathered.
-    const ConstBuffer parts[] = {{prefix.data(), prefix.size()},
-                                 {block.data(), block.size_bytes()}};
-    sent = write_frame_parts(link, static_cast<std::uint16_t>(MsgKind::kShardXchg), session_id,
-                             parts);
-  } else {
-    header.block.assign(block.begin(), block.end());
-    sent = write_frame(link, make_ok_frame(session_id, MsgKind::kShardXchg, header.encode()));
-  }
+  // The block leaves straight from the packed band, scatter-gathered.
+  const std::array<std::uint8_t, 24> head = encode_shard_xchg({session_id, me}, block.size());
+  std::vector<std::uint8_t> staging;
+  const std::span<const std::uint8_t> words = wire_words(block, staging);
+  const ConstBuffer parts[] = {{head.data(), head.size()}, {words.data(), words.size()}};
+  const Status sent = write_frame_parts(link, static_cast<std::uint16_t>(MsgKind::kShardXchg),
+                                        session_id, parts);
   if (!sent.is_ok()) return sent;
   return link;
 }
@@ -574,9 +559,8 @@ Frame Server::handle_stats(std::uint64_t request_id) {
   } else {
     os << "}";
   }
-  ByteWriter w;
-  w.put_string(os.str());
-  return make_ok_frame(request_id, MsgKind::kStatsOk, w.take());
+  const std::string json = os.str();
+  return make_ok_frame(request_id, MsgKind::kStatsOk, {json.begin(), json.end()});
 }
 
 }  // namespace hmm::net

@@ -47,6 +47,7 @@
 #include "net/server.hpp"
 #include "net/shard.hpp"
 #include "net/socket.hpp"
+#include "net_payload.hpp"
 #include "net_relay.hpp"
 #include "perm/generators.hpp"
 #include "perm/permutation.hpp"
@@ -177,14 +178,24 @@ TEST(ShardSession, RejectsHostileBlocks) {
 
 // --------------------------------------------------------------- codecs
 
-net::ShardExecRequest sample_exec() {
-  net::ShardExecRequest req;
-  req.session_id = 0x1122334455667788ull;
-  req.plan_id = 0xdeadbeefcafef00dull;
-  req.deadline_ms = 1500;
-  req.shard_index = 1;
-  req.n = 10007;
-  req.peers = {{"127.0.0.1", 7001}, {"10.0.0.2", 7002}, {"shard-3.local", 7003}};
+/// A SHARD_EXEC: its header, its band, and its payload.
+struct SampleExec {
+  net::ShardExecHeader header;
+  std::vector<std::uint32_t> band;
+
+  [[nodiscard]] std::vector<std::uint8_t> encode() const {
+    return test::payload_of(net::encode_shard_exec(header, band.size()), band);
+  }
+};
+
+SampleExec sample_exec() {
+  SampleExec req;
+  req.header.session_id = 0x1122334455667788ull;
+  req.header.plan_id = 0xdeadbeefcafef00dull;
+  req.header.deadline_ms = 1500;
+  req.header.shard_index = 1;
+  req.header.n = 10007;
+  req.header.peers = {{"127.0.0.1", 7001}, {"10.0.0.2", 7002}, {"shard-3.local", 7003}};
   req.band.resize(256);
   for (std::size_t i = 0; i < req.band.size(); ++i) {
     req.band[i] = static_cast<std::uint32_t>(i * 977u);
@@ -192,28 +203,23 @@ net::ShardExecRequest sample_exec() {
   return req;
 }
 
-TEST(ShardCodec, ExecRoundTripsOwningAndView) {
-  const net::ShardExecRequest req = sample_exec();
+TEST(ShardCodec, ExecRoundTrips) {
+  const SampleExec req = sample_exec();
   const std::vector<std::uint8_t> bytes = req.encode();
-
-  auto owned = net::ShardExecRequest::decode(bytes, 1 << 20);
-  ASSERT_TRUE(owned.ok()) << owned.status().to_string();
-  EXPECT_EQ(owned.value().session_id, req.session_id);
-  EXPECT_EQ(owned.value().plan_id, req.plan_id);
-  EXPECT_EQ(owned.value().deadline_ms, req.deadline_ms);
-  EXPECT_EQ(owned.value().shard_index, req.shard_index);
-  EXPECT_EQ(owned.value().n, req.n);
-  ASSERT_EQ(owned.value().peers.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(owned.value().peers[i].host, req.peers[i].host);
-    EXPECT_EQ(owned.value().peers[i].port, req.peers[i].port);
-  }
-  EXPECT_EQ(owned.value().band, req.band);
 
   auto view = net::ShardExecRequestView::decode(bytes, 1 << 20);
   ASSERT_TRUE(view.ok()) << view.status().to_string();
+  EXPECT_EQ(view.value().session_id, req.header.session_id);
+  EXPECT_EQ(view.value().plan_id, req.header.plan_id);
+  EXPECT_EQ(view.value().deadline_ms, req.header.deadline_ms);
+  EXPECT_EQ(view.value().shard_index, req.header.shard_index);
+  EXPECT_EQ(view.value().n, req.header.n);
   EXPECT_EQ(view.value().shard_count(), 3u);
-  EXPECT_EQ(view.value().n, req.n);
+  ASSERT_EQ(view.value().peers.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(view.value().peers[i].host, req.header.peers[i].host);
+    EXPECT_EQ(view.value().peers[i].port, req.header.peers[i].port);
+  }
   ASSERT_EQ(view.value().band.count, req.band.size());
   // The band lands on an 8-byte payload offset by construction, so the
   // borrowing decode can read it in place on little-endian hosts.
@@ -223,21 +229,19 @@ TEST(ShardCodec, ExecRoundTripsOwningAndView) {
 }
 
 TEST(ShardCodec, ExecRejectsHostileInputs) {
-  const net::ShardExecRequest req = sample_exec();
+  const SampleExec req = sample_exec();
   const std::vector<std::uint8_t> good = req.encode();
-  ASSERT_TRUE(net::ShardExecRequest::decode(good, 1 << 20).ok());
+  ASSERT_TRUE(net::ShardExecRequestView::decode(good, 1 << 20).ok());
 
   const auto expect_reject = [&](std::vector<std::uint8_t> bytes, const char* what,
                                  const char* reason = "") {
-    auto r = net::ShardExecRequest::decode(bytes, 1 << 20);
+    auto r = net::ShardExecRequestView::decode(bytes, 1 << 20);
     EXPECT_FALSE(r.ok()) << what;
     if (!r.ok()) {
       EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << what;
       EXPECT_NE(r.status().message().find(reason), std::string::npos)
           << what << ": " << r.status().to_string();
     }
-    auto v = net::ShardExecRequestView::decode(bytes, 1 << 20);
-    EXPECT_FALSE(v.ok()) << what << " (view)";
   };
 
   // Truncations at every structural boundary.
@@ -266,8 +270,8 @@ TEST(ShardCodec, ExecRejectsHostileInputs) {
     for (int i = 0; i < 8; ++i) bad[40 + i] = static_cast<std::uint8_t>(n >> (8 * i));
     return bad;
   };
-  ASSERT_TRUE(net::ShardExecRequest::decode(with_n(3), 1 << 20).ok()) << "one per shard";
-  ASSERT_TRUE(net::ShardExecRequest::decode(with_n(1ull << 32), 1 << 20).ok());
+  ASSERT_TRUE(net::ShardExecRequestView::decode(with_n(3), 1 << 20).ok()) << "one per shard";
+  ASSERT_TRUE(net::ShardExecRequestView::decode(with_n(1ull << 32), 1 << 20).ok());
   expect_reject(with_n(0), "zero n", "SHARD_EXEC: zero elements");
   expect_reject(with_n(2), "n below the shard count", "SHARD_EXEC: fewer elements than shards");
   expect_reject(with_n((1ull << 32) + 1), "n past 2^32",
@@ -275,54 +279,46 @@ TEST(ShardCodec, ExecRejectsHostileInputs) {
 
   // Element-count cap: the same frame must be refused when the reader's
   // budget is below the band size.
-  auto capped = net::ShardExecRequest::decode(good, req.band.size() - 1);
+  auto capped = net::ShardExecRequestView::decode(good, req.band.size() - 1);
   EXPECT_FALSE(capped.ok());
 
   // Band bytes must match the declared count exactly — no trailing junk.
   std::vector<std::uint8_t> oversized = good;
   oversized.insert(oversized.end(), {0, 0, 0, 0});
-  EXPECT_FALSE(net::ShardExecRequest::decode(oversized, 1 << 20).ok());
+  EXPECT_FALSE(net::ShardExecRequestView::decode(oversized, 1 << 20).ok());
 }
 
 TEST(ShardCodec, XchgRoundTripsAndRejectsHostileInputs) {
-  net::ShardXchgRequest req;
-  req.session_id = 0xfeedface12345678ull;
-  req.src_shard = 5;
-  req.block = {1u, 2u, 3u, 0xffffffffu};
-  const std::vector<std::uint8_t> good = req.encode();
+  const net::ShardXchgHeader header{0xfeedface12345678ull, 5};
+  const std::vector<std::uint32_t> block = {1u, 2u, 3u, 0xffffffffu};
+  const std::vector<std::uint8_t> good =
+      test::payload_of(net::encode_shard_xchg(header, block.size()), block);
   ASSERT_EQ(good.size(), 24u + 16u) << "the block starts on an 8-byte offset";
-
-  auto owned = net::ShardXchgRequest::decode(good, 1 << 20);
-  ASSERT_TRUE(owned.ok()) << owned.status().to_string();
-  EXPECT_EQ(owned.value().session_id, req.session_id);
-  EXPECT_EQ(owned.value().src_shard, 5u);
-  EXPECT_EQ(owned.value().block, req.block);
 
   auto view = net::ShardXchgRequestView::decode(good, 1 << 20);
   ASSERT_TRUE(view.ok()) << view.status().to_string();
+  EXPECT_EQ(view.value().session_id, header.session_id);
+  EXPECT_EQ(view.value().src_shard, 5u);
   ASSERT_EQ(view.value().block.count, 4u);
   std::vector<std::uint32_t> copied(4);
   view.value().block.copy_to(copied);
-  EXPECT_EQ(copied, req.block);
+  EXPECT_EQ(copied, block);
 
-  EXPECT_FALSE(net::ShardXchgRequest::decode({good.begin(), good.begin() + 10}, 1 << 20).ok());
-  EXPECT_FALSE(net::ShardXchgRequest::decode({good.begin(), good.end() - 2}, 1 << 20).ok());
+  EXPECT_FALSE(
+      net::ShardXchgRequestView::decode({good.begin(), good.begin() + 10}, 1 << 20).ok());
+  EXPECT_FALSE(net::ShardXchgRequestView::decode({good.begin(), good.end() - 2}, 1 << 20).ok());
   std::vector<std::uint8_t> out_of_range = good;
   out_of_range[12] = 64;  // src_shard >= the wire's shard bound
-  EXPECT_FALSE(net::ShardXchgRequest::decode(out_of_range, 1 << 20).ok());
-  EXPECT_FALSE(net::ShardXchgRequest::decode(good, 3).ok()) << "block over element cap";
+  EXPECT_FALSE(net::ShardXchgRequestView::decode(out_of_range, 1 << 20).ok());
+  EXPECT_FALSE(net::ShardXchgRequestView::decode(good, 3).ok()) << "block over element cap";
 
   // An empty block is legal (every peer gets one), with nothing after
   // its header.
-  net::ShardXchgRequest empty = req;
-  empty.block.clear();
-  std::vector<std::uint8_t> empty_bytes = empty.encode();
+  std::vector<std::uint8_t> empty_bytes = test::payload_of(net::encode_shard_xchg(header, 0));
   ASSERT_EQ(empty_bytes.size(), 24u);
-  auto empty_owned = net::ShardXchgRequest::decode(empty_bytes, 1 << 20);
-  ASSERT_TRUE(empty_owned.ok()) << empty_owned.status().to_string();
-  EXPECT_TRUE(empty_owned.value().block.empty());
   auto empty_view = net::ShardXchgRequestView::decode(empty_bytes, 1 << 20);
   ASSERT_TRUE(empty_view.ok()) << empty_view.status().to_string();
+  EXPECT_EQ(empty_view.value().session_id, header.session_id);
   EXPECT_EQ(empty_view.value().block.count, 0u);
   empty_bytes.push_back(0);
   EXPECT_FALSE(net::ShardXchgRequestView::decode(empty_bytes, 1 << 20).ok());
@@ -347,7 +343,7 @@ TEST(ShardCodec, PlanRoundTrips) {
   for (std::uint32_t s = 0; s < 3; ++s) {
     const BandExchange& want = compiled.value()[s];
     const std::vector<std::uint8_t> bytes =
-        net::ShardPlanRequest{0xabcdef0123456789ull, want}.encode();
+        test::shard_plan_payload(0xabcdef0123456789ull, want);
     // 24-byte header, two u64 lengths per shard, 8 bytes per element.
     EXPECT_EQ(bytes.size(), 24 + 16 * 3 + 8 * bands.value().band_elements(s));
     // The router's compile encodes the same band (past the plan id).
@@ -822,8 +818,8 @@ INSTANTIATE_TEST_SUITE_P(DistributedOracle, ShardCounts, ::testing::Range(1u, 9u
                          });
 
 // DistributedPermuter::compile writes each band's tables straight into
-// its SHARD_PLAN payload: every payload is ShardPlanRequest::encode() of
-// the reference tables, byte for byte.
+// its SHARD_PLAN payload: every payload is the encoder's header and the
+// reference tables, byte for byte.
 TEST(DistributedCompile, PayloadsEncodeTheReferenceTables) {
   for (const std::uint64_t n : {std::uint64_t{1} << 16, std::uint64_t{1} << 20}) {
     for (const std::uint32_t shards : {3u, 8u}) {
@@ -840,8 +836,8 @@ TEST(DistributedCompile, PayloadsEncodeTheReferenceTables) {
         ASSERT_EQ(payloads.value().size(), shards);
         ASSERT_EQ(reference.size(), shards);
         for (std::uint32_t s = 0; s < shards; ++s) {
-          const net::ShardPlanRequest want{id, reference[s]};
-          EXPECT_TRUE(std::ranges::equal(payloads.value()[s], want.encode()))
+          EXPECT_TRUE(std::ranges::equal(payloads.value()[s],
+                                         test::shard_plan_payload(id, reference[s])))
               << family << " n=" << n << " shard " << s << " of " << shards;
         }
       }
@@ -1300,11 +1296,10 @@ std::vector<std::uint8_t> raw_permute(std::uint16_t port, std::uint64_t request_
   EXPECT_TRUE(conn.ok()) << conn.status().to_string();
   net::TcpStream stream = std::move(conn).value();
   (void)stream.set_io_timeout(30'000ms, 30'000ms);
-  const net::PermuteRequest request{
-      .plan_id = plan_id, .deadline_ms = 0, .data = std::move(data)};
-  const net::Frame frame{.kind = static_cast<std::uint16_t>(net::MsgKind::kPermute),
-                         .request_id = request_id,
-                         .payload = request.encode()};
+  const net::Frame frame{
+      .kind = static_cast<std::uint16_t>(net::MsgKind::kPermute),
+      .request_id = request_id,
+      .payload = test::payload_of(net::encode_permute({plan_id, 0}, data.size()), data)};
   EXPECT_TRUE(net::write_frame(stream, frame).is_ok());
   std::vector<std::uint8_t> bytes(net::kHeaderBytes);
   if (!stream.recv_all(bytes.data(), bytes.size()).is_ok()) return {};
@@ -1328,9 +1323,9 @@ TEST(DistributedRouter, RelayedAnswersAreTheEncodersBytes) {
     for (std::uint64_t i = 0; i < n; ++i) a[i] = static_cast<std::uint32_t>(i * 0x85ebca6bu);
     p.apply<std::uint32_t>({a.data(), n}, {expect.data(), n});
     const std::uint64_t id = 0x601d'0000u + n;
-    const net::PermuteResponse answer{std::move(expect)};
     EXPECT_EQ(raw_permute(fleet.router->port(), id, plan.value(), std::move(a)),
-              outbound_bytes(net::MsgKind::kPermuteOk, id, answer.encode()))
+              outbound_bytes(net::MsgKind::kPermuteOk, id,
+                             test::payload_of(net::encode_words_ok(n), expect)))
         << "n = " << n;
   }
   EXPECT_EQ(fleet.router->snapshot().dist_requests, 1u) << "one answer of each kind";

@@ -18,12 +18,14 @@
 #include <fstream>
 #include <functional>
 #include <new>
+#include <optional>
 #include <random>
 #include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "cpu/dispatch.hpp"
@@ -35,6 +37,7 @@
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "net_payload.hpp"
 #include "perm/generators.hpp"
 #include "perm/permutation.hpp"
 #include "runtime/fault_injector.hpp"
@@ -297,68 +300,61 @@ TEST(NetProtocol, RequestKindsAreRecognized) {
 }
 
 TEST(NetProtocol, SubmitPlanRoundTrips) {
-  net::SubmitPlanRequest in;
-  in.mapping = {3, 1, 0, 2};
-  const auto payload = in.encode();
-  auto out = net::SubmitPlanRequest::decode(payload, 16);
+  const std::vector<std::uint32_t> mapping = {3, 1, 0, 2};
+  const auto payload = test::payload_of(net::encode_submit_plan(mapping.size()), mapping);
+  auto out = net::SubmitPlanRequestView::decode(payload, 16);
   ASSERT_TRUE(out.ok()) << out.status().to_string();
-  EXPECT_EQ(out.value().mapping, in.mapping);
+  EXPECT_EQ(test::words_of(out.value().mapping), mapping);
 }
 
 TEST(NetProtocol, SubmitPlanRejectsMalformedPayloads) {
-  net::SubmitPlanRequest in;
-  in.mapping = {3, 1, 0, 2};
-  const auto payload = in.encode();
+  const std::vector<std::uint32_t> mapping = {3, 1, 0, 2};
+  const auto payload = test::payload_of(net::encode_submit_plan(mapping.size()), mapping);
 
   // Truncated: count promises more words than the payload carries.
   const std::span<const std::uint8_t> torn(payload.data(), payload.size() - 2);
-  EXPECT_FALSE(net::SubmitPlanRequest::decode(torn, 16).ok());
+  EXPECT_FALSE(net::SubmitPlanRequestView::decode(torn, 16).ok());
 
   // Trailing garbage after the mapping.
   auto padded = payload;
   padded.push_back(0x00);
-  EXPECT_FALSE(net::SubmitPlanRequest::decode(padded, 16).ok());
+  EXPECT_FALSE(net::SubmitPlanRequestView::decode(padded, 16).ok());
 
   // Count above the receiver's element budget.
-  EXPECT_EQ(net::SubmitPlanRequest::decode(payload, 3).status().code(),
+  EXPECT_EQ(net::SubmitPlanRequestView::decode(payload, 3).status().code(),
             StatusCode::kInvalidArgument);
 
   // Empty mapping.
-  net::SubmitPlanRequest empty;
-  EXPECT_FALSE(net::SubmitPlanRequest::decode(empty.encode(), 16).ok());
+  EXPECT_FALSE(net::SubmitPlanRequestView::decode(net::encode_submit_plan(0), 16).ok());
 }
 
 TEST(NetProtocol, PermuteRequestRoundTrips) {
-  net::PermuteRequest in;
-  in.plan_id = 0xfeedfacecafebeefull;
-  in.deadline_ms = 250;
-  in.data = {10, 20, 30, 40, 50, 60, 70, 80};
-  const auto payload = in.encode();
-  auto out = net::PermuteRequest::decode(payload, 64);
+  const net::PermuteHeader header{0xfeedfacecafebeefull, 250};
+  const std::vector<std::uint32_t> data = {10, 20, 30, 40, 50, 60, 70, 80};
+  const auto payload = test::payload_of(net::encode_permute(header, data.size()), data);
+  auto out = net::PermuteRequestView::decode(payload, 64);
   ASSERT_TRUE(out.ok()) << out.status().to_string();
-  EXPECT_EQ(out.value().plan_id, in.plan_id);
-  EXPECT_EQ(out.value().deadline_ms, in.deadline_ms);
-  EXPECT_EQ(out.value().data, in.data);
+  EXPECT_EQ(out.value().plan_id, header.plan_id);
+  EXPECT_EQ(out.value().deadline_ms, header.deadline_ms);
+  EXPECT_EQ(test::words_of(out.value().data), data);
 }
 
 TEST(NetProtocol, PermuteRequestRejectsForeignElementWidth) {
-  net::PermuteRequest in;
-  in.plan_id = 1;
-  in.data = {1, 2};
-  auto payload = in.encode();
+  const std::vector<std::uint32_t> data = {1, 2};
+  auto payload = test::payload_of(net::encode_permute({1, 0}, data.size()), data);
   // elem_bytes sits after plan_id (8) + deadline_ms (4), as a u32 LE.
   payload[12] = 8;
-  const auto out = net::PermuteRequest::decode(payload, 64);
+  const auto out = net::PermuteRequestView::decode(payload, 64);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(NetProtocol, PermuteResponseRoundTrips) {
-  net::PermuteResponse in;
-  in.data = {5, 4, 3, 2, 1};
-  auto out = net::PermuteResponse::decode(in.encode(), 8);
+  const std::vector<std::uint32_t> data = {5, 4, 3, 2, 1};
+  const auto payload = test::payload_of(net::encode_words_ok(data.size()), data);
+  auto out = net::WordsResponseView::decode(net::MsgKind::kPermuteOk, payload, data.size());
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out.value().data, in.data);
+  EXPECT_EQ(test::words_of(out.value().data), data);
 }
 
 TEST(NetProtocol, ErrorResponseRoundTripsAndMapsToStatus) {
@@ -380,16 +376,16 @@ TEST(NetProtocol, ErrorResponseRoundTripsAndMapsToStatus) {
 TEST(NetProtocol, ClampDeadlineSaturatesInsteadOfWrapping) {
   using std::chrono::milliseconds;
   constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
-  EXPECT_EQ(net::PermuteRequest::clamp_deadline(milliseconds(-5)), 0u);
-  EXPECT_EQ(net::PermuteRequest::clamp_deadline(milliseconds(0)), 0u);
-  EXPECT_EQ(net::PermuteRequest::clamp_deadline(milliseconds(1)), 1u);
-  EXPECT_EQ(net::PermuteRequest::clamp_deadline(milliseconds(kMax) - milliseconds(1)),
+  EXPECT_EQ(net::clamp_deadline(milliseconds(-5)), 0u);
+  EXPECT_EQ(net::clamp_deadline(milliseconds(0)), 0u);
+  EXPECT_EQ(net::clamp_deadline(milliseconds(1)), 1u);
+  EXPECT_EQ(net::clamp_deadline(milliseconds(kMax) - milliseconds(1)),
             kMax - 1);
-  EXPECT_EQ(net::PermuteRequest::clamp_deadline(milliseconds(kMax)), kMax);
+  EXPECT_EQ(net::clamp_deadline(milliseconds(kMax)), kMax);
   // 2^32 + 1 ms used to wrap to 1 ms — the bug this clamp exists for.
-  EXPECT_EQ(net::PermuteRequest::clamp_deadline(milliseconds((std::int64_t{1} << 32) + 1)),
+  EXPECT_EQ(net::clamp_deadline(milliseconds((std::int64_t{1} << 32) + 1)),
             kMax);
-  EXPECT_EQ(net::PermuteRequest::clamp_deadline(milliseconds(std::int64_t{1} << 40)), kMax);
+  EXPECT_EQ(net::clamp_deadline(milliseconds(std::int64_t{1} << 40)), kMax);
 }
 
 TEST(NetProtocol, MakeErrorFrameCarriesTypedStatus) {
@@ -400,6 +396,353 @@ TEST(NetProtocol, MakeErrorFrameCarriesTypedStatus) {
   auto decoded = net::ErrorResponse::decode(frame.payload);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().to_status().code(), StatusCode::kResourceExhausted);
+}
+
+// --------------------------------------------------------- golden bytes
+// Each message kind's bytes, written field by field from the layouts in
+// docs/PROTOCOL.md §3 — not from the encoders they pin. Every encoder
+// must reproduce its fixture, and every decoder must read back the
+// fields the fixture was written from.
+
+constexpr std::uint64_t kGoldenPlan = 0x0123456789abcdefull;
+constexpr std::uint64_t kGoldenSession = 0x1122334455667788ull;
+constexpr std::uint32_t kGoldenDeadline = 250;
+const std::vector<std::uint32_t> kGoldenWords = {0xdeadbeefu, 7};
+const std::vector<runtime::ProgramOp> kGoldenOps = {
+    {runtime::ProgramOpCode::kPermute, kGoldenPlan}, {runtime::ProgramOpCode::kRotate, 5}};
+
+// SUBMIT_PLAN of the 4-element mapping {3, 1, 0, 2}.
+const std::vector<std::uint32_t> kGoldenMapping = {3, 1, 0, 2};
+const std::vector<std::uint8_t> kGoldenSubmitPlan = {
+    0x04, 0, 0, 0, 0, 0, 0, 0,                                 // u64 n
+    0x03, 0, 0, 0, 0x01, 0, 0, 0, 0x00, 0, 0, 0, 0x02, 0, 0, 0,  // u32 mapping[4]
+};
+
+const std::vector<std::uint8_t> kGoldenPlanOk = {
+    0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64 plan_id
+};
+
+const std::vector<std::uint8_t> kGoldenPermute = {
+    0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64 plan_id
+    0xfa, 0, 0, 0,                                   // u32 deadline_ms = 250
+    0x04, 0, 0, 0,                                   // u32 elem_bytes
+    0x02, 0, 0, 0, 0, 0, 0, 0,                       // u64 count
+    0xef, 0xbe, 0xad, 0xde, 0x07, 0, 0, 0,           // data
+};
+
+// PERMUTE_OK, PROGRAM_OK and SHARD_EXEC_OK alike.
+const std::vector<std::uint8_t> kGoldenWordsOk = {
+    0x02, 0, 0, 0, 0, 0, 0, 0,              // u64 count
+    0xef, 0xbe, 0xad, 0xde, 0x07, 0, 0, 0,  // data
+};
+
+const std::vector<std::uint8_t> kGoldenExecuteProgram = {
+    0xfa, 0, 0, 0,  // u32 deadline_ms = 250
+    0x04, 0, 0, 0,  // u32 elem_bytes
+    0x00, 0, 0, 0,  // u32 flags
+    0x02, 0, 0, 0,  // u32 op_count
+    0x01, 0, 0, 0, 0, 0, 0, 0,                        // op 1: PERMUTE, reserved,
+    0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  //   arg = plan id
+    0x08, 0, 0, 0, 0, 0, 0, 0,                        // op 2: ROTATE, reserved,
+    0x05, 0, 0, 0, 0, 0, 0, 0,                        //   arg = shift 5
+    0x02, 0, 0, 0, 0, 0, 0, 0,                        // u64 count
+    0xef, 0xbe, 0xad, 0xde, 0x07, 0, 0, 0,            // data
+};
+
+// Band 1 of 2 of a 4-element plan; peers "a":7001 and "bb":7002.
+const std::vector<std::uint8_t> kGoldenShardExec = {
+    0x03, 0, 0, 0,                                   // u32 version
+    0x04, 0, 0, 0,                                   // u32 elem_bytes
+    0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // u64 session_id
+    0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64 plan_id
+    0xfa, 0, 0, 0,                                   // u32 deadline_ms
+    0x01, 0, 0, 0,                                   // u32 shard_index
+    0x02, 0, 0, 0,                                   // u32 shard_count
+    0x00, 0, 0, 0,                                   // u32 reserved
+    0x04, 0, 0, 0, 0, 0, 0, 0,                       // u64 n
+    0x59, 0x1b, 0x01, 0x00, 'a',                     // peer 0: port, host_len, host
+    0x5a, 0x1b, 0x02, 0x00, 'b', 'b',                // peer 1
+    0, 0, 0, 0, 0,                                   // pad to offset 64
+    0x02, 0, 0, 0, 0, 0, 0, 0,                       // u64 count
+    0xef, 0xbe, 0xad, 0xde, 0x07, 0, 0, 0,           // band
+};
+
+const std::vector<std::uint8_t> kGoldenShardXchg = {
+    0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // u64 session_id
+    0x00, 0, 0, 0,                                   // u32 reserved
+    0x01, 0, 0, 0,                                   // u32 src_shard
+    0x02, 0, 0, 0, 0, 0, 0, 0,                       // u64 count
+    0xef, 0xbe, 0xad, 0xde, 0x07, 0, 0, 0,           // block
+};
+
+// Band 0 of 2 of a 4-element plan: one element stays, one leaves.
+const std::vector<std::uint64_t> kGoldenSend = {1, 1};
+const std::vector<std::uint64_t> kGoldenRecv = {1, 1};
+const std::vector<std::uint32_t> kGoldenPack = {1, 0};
+const std::vector<std::uint32_t> kGoldenMerge = {0, 1};
+const std::vector<std::uint8_t> kGoldenShardPlan = {
+    0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64 plan_id
+    0x00, 0, 0, 0,                                   // u32 shard_index
+    0x02, 0, 0, 0,                                   // u32 shard_count
+    0x04, 0, 0, 0, 0, 0, 0, 0,                       // u64 n
+    0x01, 0, 0, 0, 0, 0, 0, 0,                       // u64 send[0]
+    0x01, 0, 0, 0, 0, 0, 0, 0,                       // u64 send[1]
+    0x01, 0, 0, 0, 0, 0, 0, 0,                       // u64 recv[0]
+    0x01, 0, 0, 0, 0, 0, 0, 0,                       // u64 recv[1]
+    0x01, 0, 0, 0, 0x00, 0, 0, 0,                    // u32 pack[2]
+    0x00, 0, 0, 0, 0x01, 0, 0, 0,                    // u32 merge[2]
+};
+
+const std::vector<std::uint8_t> kGoldenError = {
+    0x02, 0, 0, 0,       // u32 code = DEADLINE_EXCEEDED
+    'l', 'a', 't', 'e',  // message
+};
+
+std::vector<std::uint8_t> concat(std::span<const std::uint8_t> head,
+                                 std::span<const std::uint8_t> tail) {
+  std::vector<std::uint8_t> out(head.begin(), head.end());
+  out.insert(out.end(), tail.begin(), tail.end());
+  return out;
+}
+
+TEST(NetProtocol, GoldenSubmitPlan) {
+  EXPECT_EQ(test::payload_of(net::encode_submit_plan(4), kGoldenMapping), kGoldenSubmitPlan);
+  auto view = net::SubmitPlanRequestView::decode(kGoldenSubmitPlan, 4);
+  ASSERT_TRUE(view.ok()) << view.status().to_string();
+  EXPECT_EQ(test::words_of(view.value().mapping), kGoldenMapping);
+}
+
+TEST(NetProtocol, GoldenPlanOk) {
+  const net::Head8 head = net::encode_plan_ok(kGoldenPlan);
+  EXPECT_TRUE(std::ranges::equal(head, kGoldenPlanOk));
+  auto plan = net::decode_plan_ok(kGoldenPlanOk);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  EXPECT_EQ(plan.value(), kGoldenPlan);
+}
+
+TEST(NetProtocol, GoldenPermute) {
+  const std::array<std::uint8_t, 24> head =
+      net::encode_permute({kGoldenPlan, kGoldenDeadline}, 2);
+  EXPECT_EQ(test::payload_of(head, kGoldenWords), kGoldenPermute);
+  auto view = net::PermuteRequestView::decode(kGoldenPermute, 2);
+  ASSERT_TRUE(view.ok()) << view.status().to_string();
+  EXPECT_EQ(view.value().plan_id, kGoldenPlan);
+  EXPECT_EQ(view.value().deadline_ms, kGoldenDeadline);
+  EXPECT_EQ(test::words_of(view.value().data), kGoldenWords);
+}
+
+TEST(NetProtocol, GoldenWordsOk) {
+  EXPECT_EQ(test::payload_of(net::encode_words_ok(2), kGoldenWords), kGoldenWordsOk);
+  for (const net::MsgKind kind :
+       {net::MsgKind::kPermuteOk, net::MsgKind::kProgramOk, net::MsgKind::kShardExecOk}) {
+    SCOPED_TRACE(net::to_string(kind));
+    auto view = net::WordsResponseView::decode(kind, kGoldenWordsOk, 2);
+    ASSERT_TRUE(view.ok()) << view.status().to_string();
+    EXPECT_EQ(test::words_of(view.value().data), kGoldenWords);
+    // A refusal names the kind it decoded.
+    auto wrong = net::WordsResponseView::decode(kind, kGoldenWordsOk, 3);
+    ASSERT_FALSE(wrong.ok());
+    EXPECT_EQ(wrong.status().message(),
+              std::string(net::to_string(kind)) + ": element count does not match the request");
+  }
+}
+
+TEST(NetProtocol, GoldenExecuteProgram) {
+  auto prefix = net::encode_execute_program(kGoldenDeadline, kGoldenOps, 2);
+  ASSERT_TRUE(prefix.ok()) << prefix.status().to_string();
+  EXPECT_EQ(test::payload_of(prefix.value(), kGoldenWords), kGoldenExecuteProgram);
+  auto view = net::ExecuteProgramRequestView::decode(kGoldenExecuteProgram, 2);
+  ASSERT_TRUE(view.ok()) << view.status().to_string();
+  EXPECT_EQ(view.value().deadline_ms, kGoldenDeadline);
+  EXPECT_EQ(view.value().ops, kGoldenOps);
+  EXPECT_EQ(test::words_of(view.value().data), kGoldenWords);
+  // The encoder refuses what the decoder would.
+  EXPECT_EQ(net::encode_execute_program(0, {}, 2).status().code(),
+            StatusCode::kInvalidArgument);
+  const std::vector<runtime::ProgramOp> deep(runtime::kMaxProgramOps + 1, kGoldenOps[1]);
+  EXPECT_EQ(net::encode_execute_program(0, deep, 2).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(NetProtocol, GoldenShardExec) {
+  const net::ShardExecHeader header{kGoldenSession, kGoldenPlan, kGoldenDeadline, 1, 4,
+                                    {{"a", 7001}, {"bb", 7002}}};
+  EXPECT_EQ(test::payload_of(net::encode_shard_exec(header, 2), kGoldenWords),
+            kGoldenShardExec);
+  auto view = net::ShardExecRequestView::decode(kGoldenShardExec, 2);
+  ASSERT_TRUE(view.ok()) << view.status().to_string();
+  EXPECT_EQ(view.value().session_id, kGoldenSession);
+  EXPECT_EQ(view.value().plan_id, kGoldenPlan);
+  EXPECT_EQ(view.value().deadline_ms, kGoldenDeadline);
+  EXPECT_EQ(view.value().shard_index, 1u);
+  EXPECT_EQ(view.value().n, 4u);
+  ASSERT_EQ(view.value().shard_count(), 2u);
+  EXPECT_EQ(view.value().peers[0].host, "a");
+  EXPECT_EQ(view.value().peers[0].port, 7001);
+  EXPECT_EQ(view.value().peers[1].host, "bb");
+  EXPECT_EQ(view.value().peers[1].port, 7002);
+  EXPECT_EQ(test::words_of(view.value().band), kGoldenWords);
+}
+
+TEST(NetProtocol, GoldenShardXchg) {
+  const std::array<std::uint8_t, 24> head = net::encode_shard_xchg({kGoldenSession, 1}, 2);
+  EXPECT_EQ(test::payload_of(head, kGoldenWords), kGoldenShardXchg);
+  auto view = net::ShardXchgRequestView::decode(kGoldenShardXchg, 2);
+  ASSERT_TRUE(view.ok()) << view.status().to_string();
+  EXPECT_EQ(view.value().session_id, kGoldenSession);
+  EXPECT_EQ(view.value().src_shard, 1u);
+  EXPECT_EQ(test::words_of(view.value().block), kGoldenWords);
+}
+
+TEST(NetProtocol, GoldenShardPlan) {
+  auto bands = runtime::BandPlan::build(4, 2);
+  ASSERT_TRUE(bands.ok()) << bands.status().to_string();
+  const std::vector<std::uint8_t> header =
+      net::encode_shard_plan(kGoldenPlan, bands.value(), 0, kGoldenSend, kGoldenRecv);
+  ASSERT_EQ(header.size(), net::shard_plan_header_bytes(2));
+  EXPECT_EQ(test::payload_of(test::payload_of(header, kGoldenPack), kGoldenMerge),
+            kGoldenShardPlan);
+  auto plan = net::ShardPlanRequest::decode(kGoldenShardPlan);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  EXPECT_EQ(plan.value().plan_id, kGoldenPlan);
+  const runtime::BandExchange& band = plan.value().band;
+  EXPECT_EQ(band.shard(), 0u);
+  EXPECT_EQ(band.bands().shards(), 2u);
+  EXPECT_EQ(band.bands().elements(), 4u);
+  EXPECT_TRUE(std::ranges::equal(band.send(), kGoldenSend));
+  EXPECT_TRUE(std::ranges::equal(band.recv(), kGoldenRecv));
+  EXPECT_TRUE(std::ranges::equal(band.pack(), kGoldenPack));
+  EXPECT_TRUE(std::ranges::equal(band.merge(), kGoldenMerge));
+}
+
+TEST(NetProtocol, GoldenError) {
+  const net::Frame frame =
+      net::make_error_frame(1, Status(StatusCode::kDeadlineExceeded, "late"));
+  EXPECT_EQ(frame.payload, kGoldenError);
+  auto err = net::ErrorResponse::decode(kGoldenError);
+  ASSERT_TRUE(err.ok()) << err.status().to_string();
+  EXPECT_EQ(err.value().code, static_cast<std::uint32_t>(net::WireError::kDeadlineExceeded));
+  EXPECT_EQ(err.value().message, "late");
+}
+
+// What `Client` puts on the wire is the fixture: a one-connection
+// listener records each request payload and answers it — PLAN_OK with
+// the fingerprint of the mapping it decoded, an element answer echoing
+// the request's words.
+TEST(NetProtocol, ClientSendsTheGoldenBytes) {
+  auto bound = net::TcpListener::bind("127.0.0.1", 0);
+  ASSERT_TRUE(bound.ok()) << bound.status().to_string();
+  net::TcpListener listener = std::move(bound).value();
+  std::vector<std::vector<std::uint8_t>> captured;
+  std::thread listen([&] {
+    auto accepted = listener.accept(5'000ms);
+    if (!accepted.ok()) return;
+    for (;;) {
+      auto frame = net::read_frame(accepted.value());
+      if (!frame.ok()) return;
+      const std::vector<std::uint8_t>& payload = frame.value().payload;
+      captured.push_back(payload);
+      std::vector<std::uint8_t> answer;
+      switch (static_cast<net::MsgKind>(frame.value().kind)) {
+        case net::MsgKind::kSubmitPlan: {
+          auto plan = net::SubmitPlanRequestView::decode(payload, 1 << 20);
+          const std::vector<std::uint32_t> mapping =
+              plan.ok() ? test::words_of(plan.value().mapping) : std::vector<std::uint32_t>{};
+          const net::Head8 id =
+              net::encode_plan_ok(runtime::fingerprint_mapping(mapping).value);
+          answer.assign(id.begin(), id.end());
+          break;
+        }
+        case net::MsgKind::kPermute:
+        case net::MsgKind::kExecuteProgram:
+          // The data is the payload's tail, after its 8-byte count.
+          answer = concat(net::encode_words_ok(kGoldenWords.size()),
+                          std::span(payload).last(4 * kGoldenWords.size()));
+          break;
+        default:
+          return;
+      }
+      if (!net::write_frame(accepted.value(),
+                            net::Frame{static_cast<std::uint16_t>(frame.value().kind | 0x80u),
+                                       frame.value().request_id, std::move(answer)})
+               .is_ok()) {
+        return;
+      }
+    }
+  });
+  net::Client::Config cc;
+  cc.port = listener.port();
+  cc.max_retries = 0;
+  util::aligned_vector<std::uint32_t> mapping(kGoldenMapping.begin(), kGoldenMapping.end());
+  const perm::Permutation p(std::move(mapping));
+  // A mapping of any length leaves the same way.
+  const perm::Permutation big = perm::by_name("random", 10007, 11);
+  std::optional<runtime::StatusOr<std::uint64_t>> plan, big_plan;
+  Status permuted, programmed;
+  std::vector<std::uint32_t> permute_out(2), program_out(2);
+  {
+    net::Client client(cc);
+    plan = client.submit_plan(p);
+    big_plan = client.submit_plan(big);
+    const auto deadline = std::chrono::milliseconds(kGoldenDeadline);
+    permuted = client.permute(kGoldenPlan, kGoldenWords, permute_out, deadline);
+    programmed = client.execute_program(kGoldenOps, kGoldenWords, program_out, deadline);
+  }
+  listen.join();
+  ASSERT_TRUE(plan->ok()) << plan->status().to_string();
+  EXPECT_EQ(plan->value(), runtime::fingerprint_permutation(p).value);
+  ASSERT_TRUE(big_plan->ok()) << big_plan->status().to_string();
+  EXPECT_EQ(big_plan->value(), runtime::fingerprint_permutation(big).value);
+  ASSERT_TRUE(permuted.is_ok()) << permuted.to_string();
+  EXPECT_EQ(permute_out, kGoldenWords);
+  ASSERT_TRUE(programmed.is_ok()) << programmed.to_string();
+  EXPECT_EQ(program_out, kGoldenWords);
+
+  ASSERT_EQ(captured.size(), 4u);
+  EXPECT_EQ(captured[0], kGoldenSubmitPlan);
+  EXPECT_EQ(captured[1], test::payload_of(net::encode_submit_plan(big.size()), big.data()));
+  EXPECT_EQ(captured[2], kGoldenPermute);
+  EXPECT_EQ(captured[3], kGoldenExecuteProgram);
+}
+
+// The seed corpus of a decoder fuzzer: every strict prefix of each
+// golden fixture, and the fixture with one byte appended, is refused
+// typed by its decoder — never accepted, never a crash.
+TEST(NetProtocol, MalformedGoldenPayloadsAreRefusedTyped) {
+  using Decode = std::function<Status(std::span<const std::uint8_t>)>;
+  const auto status_of = [](const auto& decoded) { return decoded.status(); };
+  using Fixture = std::tuple<const char*, const std::vector<std::uint8_t>*, Decode>;
+  const std::vector<Fixture> fixtures = {
+      {"SUBMIT_PLAN", &kGoldenSubmitPlan,
+       [&](auto p) { return status_of(net::SubmitPlanRequestView::decode(p, 1 << 20)); }},
+      {"PLAN_OK", &kGoldenPlanOk, [&](auto p) { return status_of(net::decode_plan_ok(p)); }},
+      {"PERMUTE", &kGoldenPermute,
+       [&](auto p) { return status_of(net::PermuteRequestView::decode(p, 1 << 20)); }},
+      {"PERMUTE_OK", &kGoldenWordsOk,
+       [&](auto p) {
+         return status_of(net::WordsResponseView::decode(net::MsgKind::kPermuteOk, p, 2));
+       }},
+      {"EXECUTE_PROGRAM", &kGoldenExecuteProgram,
+       [&](auto p) { return status_of(net::ExecuteProgramRequestView::decode(p, 1 << 20)); }},
+      {"SHARD_EXEC", &kGoldenShardExec,
+       [&](auto p) { return status_of(net::ShardExecRequestView::decode(p, 1 << 20)); }},
+      {"SHARD_XCHG", &kGoldenShardXchg,
+       [&](auto p) { return status_of(net::ShardXchgRequestView::decode(p, 1 << 20)); }},
+      {"SHARD_PLAN", &kGoldenShardPlan,
+       [&](auto p) { return status_of(net::ShardPlanRequest::decode(p)); }},
+  };
+  for (const auto& [kind, fixture, decode] : fixtures) {
+    SCOPED_TRACE(kind);
+    ASSERT_TRUE(decode(*fixture).is_ok()) << decode(*fixture).to_string();
+    for (std::size_t len = 0; len < fixture->size(); ++len) {
+      const Status s = decode(std::span(*fixture).first(len));
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << len << " bytes: " << s.to_string();
+    }
+    std::vector<std::uint8_t> longer = *fixture;
+    longer.push_back(0);
+    const Status s = decode(longer);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << "one byte over: " << s.to_string();
+  }
 }
 
 // ------------------------------------------------------------ loopback
@@ -628,12 +971,11 @@ TEST(NetLoopback, NonBijectiveMappingIsRejected) {
   ASSERT_TRUE(conn.ok()) << conn.status().to_string();
   net::TcpStream stream = std::move(conn).value();
 
-  net::SubmitPlanRequest bad;
-  bad.mapping = {0, 1, 2, 2};  // 2 appears twice, 3 never
+  const std::vector<std::uint32_t> bad = {0, 1, 2, 2};  // 2 appears twice, 3 never
   net::Frame request;
   request.kind = static_cast<std::uint16_t>(net::MsgKind::kSubmitPlan);
   request.request_id = 9;
-  request.payload = bad.encode();
+  request.payload = test::payload_of(net::encode_submit_plan(bad.size()), bad);
   ASSERT_TRUE(net::write_frame(stream, request).is_ok());
 
   auto response = net::read_frame(stream, net::kDefaultMaxPayload);
@@ -851,44 +1193,6 @@ TEST(NetClient, RetriesAgainstDeadPortPaceThemselves) {
   EXPECT_FALSE(s.is_ok());
   EXPECT_GE(std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count(),
             scheduled.count());
-}
-
-// submit_plan sends the count from the stack and the mapping from the
-// permutation's own words. A one-shot listener captures the payload: it
-// is SubmitPlanRequest::encode() byte for byte, and the plan id the
-// listener fingerprints from it is fingerprint_permutation's.
-TEST(NetClient, SubmitPlanWireBytesMatchTheEncoder) {
-  for (const std::uint64_t n : {std::uint64_t{1} << 12, std::uint64_t{10007}}) {
-    const perm::Permutation p = perm::by_name("random", n, 11);
-    auto bound = net::TcpListener::bind("127.0.0.1", 0);
-    ASSERT_TRUE(bound.ok()) << bound.status().to_string();
-    net::TcpListener listener = std::move(bound).value();
-    std::vector<std::uint8_t> captured;
-    std::thread listen([&] {
-      auto accepted = listener.accept(5'000ms);
-      if (!accepted.ok()) return;
-      auto frame = net::read_frame(accepted.value());
-      if (!frame.ok()) return;
-      captured = frame.value().payload;
-      auto req = net::SubmitPlanRequest::decode(captured, n);
-      net::ByteWriter id;
-      id.put_u64(req.ok() ? runtime::fingerprint_mapping(req.value().mapping).value : 0);
-      (void)net::write_frame(accepted.value(),
-                             net::Frame{static_cast<std::uint16_t>(net::MsgKind::kPlanOk),
-                                        frame.value().request_id, id.take()});
-    });
-    net::Client::Config cc;
-    cc.port = listener.port();
-    cc.max_retries = 0;
-    net::Client client(cc);
-    auto plan = client.submit_plan(p);
-    listen.join();
-    ASSERT_TRUE(plan.ok()) << plan.status().to_string();
-    EXPECT_EQ(plan.value(), runtime::fingerprint_permutation(p).value) << n;
-    net::SubmitPlanRequest reference;
-    reference.mapping.assign(p.data().begin(), p.data().end());
-    EXPECT_EQ(captured, reference.encode()) << n;
-  }
 }
 
 TEST(NetLoopback, ClientReconnectsAfterClose) {
@@ -1318,24 +1622,21 @@ TEST(WireZeroCopy, ReadFrameViewReusesPooledStorageAcrossFrames) {
   EXPECT_EQ(pool.stats().misses, 1u);
 }
 
-TEST(WireZeroCopy, PermuteRequestViewMatchesOwningDecode) {
-  net::PermuteRequest request;
-  request.plan_id = 0x1122334455667788ull;
-  request.deadline_ms = 250;
-  request.data = {5, 4, 3, 2, 1, 0, 9, 8};
-  const std::vector<std::uint8_t> payload = request.encode();
+TEST(WireZeroCopy, PermuteRequestViewBorrowsThePayload) {
+  const net::PermuteHeader header{0x1122334455667788ull, 250};
+  const std::vector<std::uint32_t> data = {5, 4, 3, 2, 1, 0, 9, 8};
+  const std::vector<std::uint8_t> payload =
+      test::payload_of(net::encode_permute(header, data.size()), data);
 
-  auto owning = net::PermuteRequest::decode(payload, 1 << 20);
-  ASSERT_TRUE(owning.ok());
   auto view = net::PermuteRequestView::decode(payload, 1 << 20);
   ASSERT_TRUE(view.ok()) << view.status().to_string();
-  EXPECT_EQ(view.value().plan_id, owning.value().plan_id);
-  EXPECT_EQ(view.value().deadline_ms, owning.value().deadline_ms);
-  ASSERT_EQ(view.value().data.count, owning.value().data.size());
+  EXPECT_EQ(view.value().plan_id, header.plan_id);
+  EXPECT_EQ(view.value().deadline_ms, header.deadline_ms);
+  ASSERT_EQ(view.value().data.count, data.size());
 
   std::vector<std::uint32_t> copied(view.value().data.count);
   view.value().data.copy_to({copied.data(), copied.size()});
-  EXPECT_EQ(copied, owning.value().data);
+  EXPECT_EQ(copied, data);
 
   const std::span<const std::uint32_t> in_place = view.value().data.in_place();
   if (!in_place.empty()) {
@@ -1346,23 +1647,21 @@ TEST(WireZeroCopy, PermuteRequestViewMatchesOwningDecode) {
   }
 }
 
-TEST(WireZeroCopy, ViewDecodersRejectMalformedPayloadsLikeOwningOnes) {
-  net::PermuteRequest request;
-  request.plan_id = 9;
-  request.data = {1, 2, 3, 4};
-  const std::vector<std::uint8_t> payload = request.encode();
+TEST(WireZeroCopy, ViewDecodersRejectMalformedPayloads) {
+  const std::vector<std::uint32_t> data = {1, 2, 3, 4};
+  const std::vector<std::uint8_t> payload =
+      test::payload_of(net::encode_permute({9, 0}, data.size()), data);
 
   // Truncated element region, truncated header, over-budget count.
   for (std::size_t cut : {payload.size() - 1, std::size_t{5}}) {
     const std::span<const std::uint8_t> bad(payload.data(), cut);
     EXPECT_FALSE(net::PermuteRequestView::decode(bad, 1 << 20).ok()) << "cut=" << cut;
-    EXPECT_FALSE(net::PermuteRequest::decode(bad, 1 << 20).ok()) << "cut=" << cut;
   }
   EXPECT_FALSE(net::PermuteRequestView::decode(payload, 2).ok());
 
-  net::SubmitPlanRequest plan_request;
-  plan_request.mapping = {1, 0, 3, 2};
-  const std::vector<std::uint8_t> plan_payload = plan_request.encode();
+  const std::vector<std::uint32_t> mapping = {1, 0, 3, 2};
+  const std::vector<std::uint8_t> plan_payload =
+      test::payload_of(net::encode_submit_plan(mapping.size()), mapping);
   EXPECT_TRUE(net::SubmitPlanRequestView::decode(plan_payload, 1 << 20).ok());
   EXPECT_FALSE(
       net::SubmitPlanRequestView::decode(
@@ -1763,13 +2062,13 @@ TEST(NetReactor, EarlyArrivalShardHoldsAreBoundedAndReleased) {
   {
     Loopback loop({}, server_config);
 
-    net::ShardXchgRequest xchg;
-    xchg.src_shard = 0;
-    xchg.block.assign(768, 7);  // 3072 payload bytes
+    const std::vector<std::uint32_t> block(768, 7);  // 3072 payload bytes
+    const auto xchg = [&block](std::uint64_t session_id) {
+      return test::payload_of(net::encode_shard_xchg({session_id, 0}, block.size()), block);
+    };
 
     // First orphan block: admitted under the hold budget, parks waiting
     // for a session that will never exist.
-    xchg.session_id = 0xfeed0001;
     auto first = net::tcp_connect("127.0.0.1", loop.server.port(), 2'000ms);
     ASSERT_TRUE(first.ok()) << first.status().to_string();
     net::TcpStream parked = std::move(first).value();
@@ -1777,19 +2076,18 @@ TEST(NetReactor, EarlyArrivalShardHoldsAreBoundedAndReleased) {
     net::Frame frame;
     frame.kind = static_cast<std::uint16_t>(net::MsgKind::kShardXchg);
     frame.request_id = 1;
-    frame.payload = xchg.encode();
+    frame.payload = xchg(0xfeed0001);
     ASSERT_TRUE(net::write_frame(parked, frame).is_ok());
     std::this_thread::sleep_for(50ms);  // let it park
 
     // Second orphan block: over the hold budget -> immediate typed
     // RETRY_LATER, not a second pinned payload.
-    xchg.session_id = 0xfeed0002;
     auto second = net::tcp_connect("127.0.0.1", loop.server.port(), 2'000ms);
     ASSERT_TRUE(second.ok()) << second.status().to_string();
     net::TcpStream rejected = std::move(second).value();
     ASSERT_TRUE(rejected.set_io_timeout(5'000ms, 5'000ms).is_ok());
     frame.request_id = 2;
-    frame.payload = xchg.encode();
+    frame.payload = xchg(0xfeed0002);
     const auto started = std::chrono::steady_clock::now();
     ASSERT_TRUE(net::write_frame(rejected, frame).is_ok());
     auto bounced = net::read_frame(rejected, net::kDefaultMaxPayload);
@@ -1938,10 +2236,7 @@ class FakeServer {
 /// A "u64 count + words" payload.
 std::vector<std::uint8_t> words_payload(std::uint64_t count,
                                         std::span<const std::uint32_t> words) {
-  net::ByteWriter w;
-  w.put_u64(count);
-  w.put_u32_span(words);
-  return w.take();
+  return test::payload_of(net::encode_words_ok(count), words);
 }
 
 /// A frame answering `request` with `kind` and `payload`.
@@ -2038,7 +2333,9 @@ TEST(NetClient, ProgramAnswersLandInTheCallersSpan) {
       EXPECT_EQ(out, words);
     } else {
       EXPECT_EQ(s.code(), StatusCode::kUnavailable);
-      EXPECT_NE(s.message().find("malformed PROGRAM_OK payload"), std::string::npos)
+      EXPECT_NE(s.message().find(
+                    "malformed PROGRAM_OK payload: PROGRAM_OK: element count does not match"),
+                std::string::npos)
           << s.to_string();
     }
   }

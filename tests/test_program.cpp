@@ -15,6 +15,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "net_payload.hpp"
 #include "perm/generators.hpp"
 #include "perm/permutation.hpp"
 #include "runtime/fingerprint.hpp"
@@ -527,12 +529,26 @@ TEST(NetProgram, HostileProgramsRejectedTypedAndServerSurvives) {
   ASSERT_TRUE(stream.set_io_timeout(5'000ms, 5'000ms).is_ok());
 
   const std::vector<std::uint32_t> data = make_input<std::uint32_t>(n);
-  const auto encode = [&](std::uint32_t flags, std::vector<ProgramOp> ops) {
-    net::ExecuteProgramRequest req;
-    req.flags = flags;
-    req.ops = std::move(ops);
-    req.data = data;
-    return req.encode();
+  // Field by field (docs/PROTOCOL.md §3.5): the encoder refuses the op
+  // counts and flags some of these cases need.
+  const auto encode_words = [](std::uint32_t flags, const std::vector<ProgramOp>& ops,
+                               std::span<const std::uint32_t> words) {
+    net::ByteWriter w;
+    w.put_u32(0);  // deadline_ms
+    w.put_u32(4);  // elem_bytes
+    w.put_u32(flags);
+    w.put_u32(static_cast<std::uint32_t>(ops.size()));
+    for (const ProgramOp& op : ops) {
+      w.put_u32(static_cast<std::uint32_t>(op.op));
+      w.put_u32(0);  // reserved
+      w.put_u64(op.arg);
+    }
+    w.put_u64(words.size());
+    w.put_u32_span(words);
+    return w.take();
+  };
+  const auto encode = [&](std::uint32_t flags, const std::vector<ProgramOp>& ops) {
+    return encode_words(flags, ops, data);
   };
 
   expect_program_rejected(stream, encode(0, {}), "zero ops");
@@ -559,10 +575,9 @@ TEST(NetProgram, HostileProgramsRejectedTypedAndServerSurvives) {
   {
     // Generator precondition at the wire level: shuffle over a 100-
     // element (non-power-of-two) payload.
-    net::ExecuteProgramRequest req;
-    req.ops = {{ProgramOpCode::kShuffle, 0}};
-    req.data.assign(100, 7u);
-    expect_program_rejected(stream, req.encode(), "non-pow2 shuffle");
+    const std::vector<std::uint32_t> hundred(100, 7u);
+    expect_program_rejected(stream, encode_words(0, {{ProgramOpCode::kShuffle, 0}}, hundred),
+                            "non-pow2 shuffle");
   }
 
   // Hand-rolled malformations the typed encoder cannot produce.
@@ -629,31 +644,24 @@ TEST(NetProgram, HostileProgramsRejectedTypedAndServerSurvives) {
 }
 
 TEST(NetProgram, WireCodecRoundTrip) {
-  net::ExecuteProgramRequest req;
-  req.deadline_ms = 1234;
-  req.flags = 0;
-  req.ops = {{ProgramOpCode::kPermute, 0xfeedfacecafeull},
-             {ProgramOpCode::kInverse, 0x1ull},
-             {ProgramOpCode::kRotate, 42}};
-  req.data = {10, 20, 30, 40, 50};
-  const std::vector<std::uint8_t> bytes = req.encode();
+  const std::vector<ProgramOp> ops = {{ProgramOpCode::kPermute, 0xfeedfacecafeull},
+                                      {ProgramOpCode::kInverse, 0x1ull},
+                                      {ProgramOpCode::kRotate, 42}};
+  const std::vector<std::uint32_t> data = {10, 20, 30, 40, 50};
+  auto prefix = net::encode_execute_program(1234, ops, data.size());
+  ASSERT_TRUE(prefix.ok()) << prefix.status().to_string();
+  const std::vector<std::uint8_t> bytes = test::payload_of(prefix.value(), data);
 
   // Layout check: the data offset must keep elements 4-byte aligned.
-  EXPECT_EQ(bytes.size(), 24 + 16 * req.ops.size() + req.data.size() * 4);
-  EXPECT_EQ((24 + 16 * req.ops.size()) % 8, 0u);
-
-  const auto decoded = net::ExecuteProgramRequest::decode(bytes, 1 << 20);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
-  EXPECT_EQ(decoded.value().deadline_ms, req.deadline_ms);
-  EXPECT_EQ(decoded.value().flags, req.flags);
-  EXPECT_EQ(decoded.value().ops, req.ops);
-  EXPECT_EQ(decoded.value().data, req.data);
+  EXPECT_EQ(bytes.size(), 24 + 16 * ops.size() + data.size() * 4);
+  EXPECT_EQ((24 + 16 * ops.size()) % 8, 0u);
 
   const auto view = net::ExecuteProgramRequestView::decode(bytes, 1 << 20);
-  ASSERT_TRUE(view.ok());
-  EXPECT_EQ(view.value().flags, 0u);
-  EXPECT_EQ(view.value().ops, req.ops);
-  EXPECT_EQ(view.value().data.count, req.data.size());
+  ASSERT_TRUE(view.ok()) << view.status().to_string();
+  EXPECT_EQ(view.value().deadline_ms, 1234u);
+  EXPECT_EQ(view.value().ops, ops);
+  EXPECT_EQ(view.value().data.count, data.size());
+  EXPECT_EQ(test::words_of(view.value().data), data);
 }
 
 }  // namespace

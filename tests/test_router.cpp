@@ -33,6 +33,7 @@
 #include "net/router.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
+#include "net_payload.hpp"
 #include "net_relay.hpp"
 #include "perm/generators.hpp"
 #include "perm/permutation.hpp"
@@ -454,11 +455,13 @@ class WrongIdBackend {
       net::Frame answer{static_cast<std::uint16_t>(net::MsgKind::kPingOk),
                         request.value().request_id, request.value().payload};
       if (static_cast<net::MsgKind>(request.value().kind) == net::MsgKind::kSubmitPlan) {
-        auto plan = net::SubmitPlanRequest::decode(request.value().payload, 1 << 24);
-        net::ByteWriter id;
-        id.put_u64(plan.ok() ? runtime::fingerprint_mapping(plan.value().mapping).value + 1 : 0);
+        auto plan = net::SubmitPlanRequestView::decode(request.value().payload, 1 << 24);
+        const std::vector<std::uint32_t> mapping =
+            plan.ok() ? test::words_of(plan.value().mapping) : std::vector<std::uint32_t>{};
+        const std::uint64_t other = runtime::fingerprint_mapping(mapping).value + 1;
+        const net::Head8 id = net::encode_plan_ok(plan.ok() ? other : 0);
         answer.kind = static_cast<std::uint16_t>(net::MsgKind::kPlanOk);
-        answer.payload = id.take();
+        answer.payload.assign(id.begin(), id.end());
       }
       if (!net::write_frame(conn, answer).is_ok()) return;
     }
@@ -508,11 +511,10 @@ TEST(RouterReplication, NonBijectionIsRefusedBeforeAnyBackend) {
   fleet.await_first_probes();
   auto conn = net::tcp_connect("127.0.0.1", fleet.router->port(), 2'000ms);
   ASSERT_TRUE(conn.ok()) << conn.status().to_string();
-  net::SubmitPlanRequest bad;
-  bad.mapping = {0, 1, 2, 2};  // 2 appears twice, 3 never
+  const std::vector<std::uint32_t> bad = {0, 1, 2, 2};  // 2 appears twice, 3 never
   ASSERT_TRUE(net::write_frame(conn.value(),
                                net::Frame{static_cast<std::uint16_t>(net::MsgKind::kSubmitPlan),
-                                          5, bad.encode()})
+                                          5, test::payload_of(net::encode_submit_plan(4), bad)})
                   .is_ok());
   auto response = net::read_frame(conn.value(), net::kDefaultMaxPayload);
   ASSERT_TRUE(response.ok()) << response.status().to_string();
