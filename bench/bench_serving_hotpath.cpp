@@ -55,7 +55,6 @@
 #include "net/distributed.hpp"
 #include "net/server.hpp"
 #include "runtime/metrics.hpp"
-#include "runtime/plan_cache.hpp"
 #include "runtime/program.hpp"
 #include "runtime/service.hpp"
 #include "util/buffer_pool.hpp"
@@ -190,9 +189,8 @@ void run_once(const perm::Permutation& p, std::uint64_t n, std::uint64_t connect
 void run_sweep(const perm::Permutation& p, std::uint64_t n, std::uint64_t lanes,
                RunResult& sequential, RunResult& fused) {
   auto& pool = util::ThreadPool::global();
-  runtime::PlanCache cache({}, nullptr);
-  auto h = cache.acquire<std::uint32_t>(p, model::MachineParams::gtx680(),
-                                        core::Strategy::kScheduled);
+  const auto h = std::make_shared<const core::OfflinePermuter<std::uint32_t>>(
+      p, model::MachineParams::gtx680(), core::Strategy::kScheduled);
   std::vector<util::aligned_vector<std::uint32_t>> as(lanes), bs(lanes), ss(lanes);
   for (auto* group : {&as, &bs, &ss}) {
     for (auto& v : *group) v.resize(n);

@@ -22,14 +22,6 @@ std::string_view to_string(Strategy s) noexcept {
   return "?";
 }
 
-std::optional<Strategy> strategy_from_string(std::string_view name) noexcept {
-  for (Strategy s : {Strategy::kAuto, Strategy::kScheduled, Strategy::kSDesignated,
-                     Strategy::kDDesignated, Strategy::kBucketed}) {
-    if (name == to_string(s)) return s;
-  }
-  return std::nullopt;
-}
-
 Strategy gpu_pick(const perm::Permutation& p, const model::MachineParams& machine) {
   const std::uint64_t n = p.size();
   if (!OfflinePermuter<float>::plan_supported(n, machine)) return Strategy::kSDesignated;

@@ -4,7 +4,6 @@
 ///        from the permuter itself so that metrics and tools can name
 ///        them without the kernel headers.
 
-#include <optional>
 #include <string_view>
 
 namespace hmm::core {
@@ -19,8 +18,5 @@ enum class Strategy {
 };
 
 std::string_view to_string(Strategy s) noexcept;
-
-/// Parse a `to_string` name back ("auto", "scheduled", ...).
-std::optional<Strategy> strategy_from_string(std::string_view name) noexcept;
 
 }  // namespace hmm::core

@@ -86,11 +86,6 @@ Status reserve_payload(util::BufferPool& pool, util::PooledBuffer& storage,
 
 }  // namespace
 
-Status write_frame(TcpStream& stream, const Frame& frame) {
-  const std::vector<std::uint8_t> bytes = encode_frame(frame);
-  return stream.send_all(bytes.data(), bytes.size());
-}
-
 Status write_frame_parts(TcpStream& stream, std::uint16_t kind, std::uint64_t request_id,
                          std::span<const ConstBuffer> parts) {
   StatusOr<FrameHeader> header = header_over(kind, request_id, parts);
@@ -103,19 +98,6 @@ Status write_frame_parts(TcpStream& stream, std::uint16_t kind, std::uint64_t re
   vec.push_back(ConstBuffer{header_bytes.data(), header_bytes.size()});
   vec.insert(vec.end(), parts.begin(), parts.end());
   return stream.send_vectored(vec);
-}
-
-StatusOr<Frame> read_frame(TcpStream& stream, std::uint32_t max_payload) {
-  StatusOr<FrameHeader> header = read_header(stream, max_payload);
-  if (!header.ok()) return header.status();
-  const FrameHeader& h = header.value();
-
-  Frame frame;
-  frame.kind = h.kind;
-  frame.request_id = h.request_id;
-  frame.payload.resize(h.payload_len);
-  if (Status s = recv_payload(stream, h, {frame.payload}); !s.is_ok()) return s;
-  return frame;
 }
 
 StatusOr<FrameView> read_frame_view(TcpStream& stream, util::BufferPool& pool,

@@ -2,14 +2,14 @@
 /// \file frame_io.hpp
 /// \brief Reading/writing HMMP frames over a TcpStream.
 ///
-/// The stream variant of wire.hpp's buffer codec: the header is read
-/// first (fixed 28 bytes), validated, and only then is the payload —
-/// already bounded by `max_payload` — pulled off the socket. A frame
-/// that fails validation is a **protocol error** (`kInvalidArgument`
-/// carrying the FrameError text); both peers respond by dropping the
-/// connection, because after a framing violation the stream position is
-/// unrecoverable. Transport failures keep their socket.hpp taxonomy
-/// (`kUnavailable` peer-gone, `kDeadlineExceeded` timeout).
+/// The header is read first (fixed 28 bytes, wire.hpp's `parse_header`),
+/// validated, and only then is the payload — already bounded by
+/// `max_payload` — pulled off the socket. A frame that fails validation
+/// is a **protocol error** (`kInvalidArgument` carrying the FrameError
+/// text); both peers respond by dropping the connection, because after
+/// a framing violation the stream position is unrecoverable. Transport
+/// failures keep their socket.hpp taxonomy (`kUnavailable` peer-gone,
+/// `kDeadlineExceeded` timeout).
 
 #include <array>
 #include <cstdint>
@@ -25,9 +25,6 @@
 
 namespace hmm::net {
 
-/// Send one frame (header + payload) in full.
-runtime::Status write_frame(TcpStream& stream, const Frame& frame);
-
 /// Zero-copy frame send: the header goes on a 28-byte stack buffer, the
 /// checksum is streamed across `parts`, and header + parts leave in one
 /// `send_vectored` call — the payload is never concatenated. The parts
@@ -39,13 +36,6 @@ runtime::Status write_frame_parts(TcpStream& stream, std::uint16_t kind,
 /// Receivers checksum a payload as it lands, this many bytes at most at
 /// a time (still in cache): verification ends with the last byte.
 inline constexpr std::size_t kChecksumChunk = 256 << 10;
-
-/// Receive one full frame. Error taxonomy:
-///  - kInvalidArgument: framing violation (bad magic/version, oversized
-///    or corrupt payload) — close the connection;
-///  - kUnavailable / kDeadlineExceeded: transport-level, from socket.hpp.
-runtime::StatusOr<Frame> read_frame(TcpStream& stream,
-                                    std::uint32_t max_payload = kDefaultMaxPayload);
 
 /// A decoded frame whose payload borrows the caller's storage (valid
 /// until the storage is reused for the next read).
@@ -65,12 +55,15 @@ struct PayloadSink {
   std::span<std::uint8_t> body;
 };
 
-/// `read_frame` into pooled, reused storage: the payload lands in
-/// `storage` (acquired from `pool` and grown only when a larger frame
-/// arrives — steady-state reads touch no allocator at all) and the view
-/// borrows it, unless `sink` takes the frame. Exactly read_frame's
-/// error taxonomy, plus kResourceExhausted when the pool refuses the
-/// payload buffer.
+/// Receive one full frame into pooled, reused storage: the payload
+/// lands in `storage` (acquired from `pool` and grown only when a larger
+/// frame arrives — steady-state reads touch no allocator at all) and the
+/// view borrows it, unless `sink` takes the frame. Error taxonomy:
+///  - kInvalidArgument: framing violation (bad magic/version, oversized
+///    or corrupt payload) — close the connection;
+///  - kUnavailable / kDeadlineExceeded: transport-level, from socket.hpp
+///    (EOF mid-frame is a torn frame);
+///  - kResourceExhausted: the pool refused the payload buffer.
 runtime::StatusOr<FrameView> read_frame_view(TcpStream& stream, util::BufferPool& pool,
                                              util::PooledBuffer& storage,
                                              std::uint32_t max_payload = kDefaultMaxPayload,
@@ -90,7 +83,7 @@ runtime::StatusOr<FrameView> read_frame_view(TcpStream& stream, util::BufferPool
 ///
 /// `poll()` returns OK(true) when a full, checksum-verified frame is
 /// ready in `view()`; OK(false) when the socket would block (re-arm
-/// EPOLLIN and come back); otherwise the read_frame error taxonomy
+/// EPOLLIN and come back); otherwise the read_frame_view error taxonomy
 /// (kInvalidArgument protocol violation, kResourceExhausted pool
 /// refusal, kUnavailable peer gone — with EOF between frames kept
 /// distinguishable via `mid_frame()`). After consuming the view, call

@@ -1,11 +1,9 @@
 #include "net/wire.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 
 #include "cpu/dispatch.hpp"
-#include "util/check.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
@@ -150,11 +148,9 @@ std::uint64_t get_le(const std::uint8_t* in, int bytes) noexcept {
 std::string_view to_string(FrameError e) noexcept {
   switch (e) {
     case FrameError::kOk: return "ok";
-    case FrameError::kShortHeader: return "short header";
     case FrameError::kBadMagic: return "bad magic";
     case FrameError::kBadVersion: return "unsupported wire version";
     case FrameError::kOversized: return "payload exceeds frame budget";
-    case FrameError::kShortPayload: return "truncated payload";
     case FrameError::kBadChecksum: return "payload checksum mismatch";
   }
   return "unknown frame error";
@@ -204,36 +200,6 @@ FrameError parse_header(std::span<const std::uint8_t, kHeaderBytes> in,
          .request_id = get_le(&in[8], 8),
          .payload_len = payload_len,
          .checksum = get_le(&in[20], 8)};
-  return FrameError::kOk;
-}
-
-std::vector<std::uint8_t> encode_frame(const Frame& frame) {
-  HMM_CHECK(frame.payload.size() <= UINT32_MAX);
-  std::vector<std::uint8_t> bytes(kHeaderBytes + frame.payload.size());
-  encode_header({.kind = frame.kind,
-                 .request_id = frame.request_id,
-                 .payload_len = static_cast<std::uint32_t>(frame.payload.size()),
-                 .checksum = checksum_bytes(frame.payload)},
-                std::span(bytes).first<kHeaderBytes>());
-  std::copy(frame.payload.begin(), frame.payload.end(), bytes.begin() + kHeaderBytes);
-  return bytes;
-}
-
-FrameError decode_frame(std::span<const std::uint8_t> buf, Frame& out, std::size_t& consumed,
-                        std::uint32_t max_payload) {
-  if (buf.size() < kHeaderBytes) return FrameError::kShortHeader;
-  FrameHeader h;
-  if (const FrameError e = parse_header(buf.first<kHeaderBytes>(), max_payload, h);
-      e != FrameError::kOk) {
-    return e;
-  }
-  if (buf.size() - kHeaderBytes < h.payload_len) return FrameError::kShortPayload;
-  const std::span<const std::uint8_t> payload = buf.subspan(kHeaderBytes, h.payload_len);
-  if (checksum_bytes(payload) != h.checksum) return FrameError::kBadChecksum;
-  out.kind = h.kind;
-  out.request_id = h.request_id;
-  out.payload.assign(payload.begin(), payload.end());
-  consumed = kHeaderBytes + h.payload_len;
   return FrameError::kOk;
 }
 

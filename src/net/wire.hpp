@@ -19,11 +19,11 @@
 /// foreign magic, an unknown framing version, a length that exceeds the
 /// receiver's budget, and payload corruption. `encode_header` /
 /// `parse_header` are the one codec for the 28 header bytes; every
-/// sender and receiver (buffer, blocking stream, reactor) goes through
-/// them, so the checks and their order live in one place. Decoding is
-/// strict and bounds-checked — no field is read past the end of the
-/// buffer, and every rejection is a distinct `FrameError` so tests and
-/// metrics can tell a short read from a corrupt one.
+/// sender and receiver (blocking stream, reactor) goes through them, so
+/// the checks and their order live in one place. Every rejection is a
+/// distinct `FrameError`, and truncation surfaces as the stream's EOF
+/// mid-frame, so tests and metrics can tell a short read from a corrupt
+/// one.
 ///
 /// The checksum is CRC32C (parameters in docs/PROTOCOL.md §2): it
 /// catches every burst error of up to 32 bits. Every SIMD kernel tier
@@ -63,16 +63,14 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// Why a frame failed to decode. Ordered roughly by how early in the
-/// header the problem sits.
+/// Why a frame failed to decode. Ordered by how early in the frame the
+/// problem sits. A frame cut short is the stream's to report (EOF).
 enum class FrameError {
   kOk = 0,
-  kShortHeader,   ///< fewer than kHeaderBytes available
-  kBadMagic,      ///< not an HMMP stream
-  kBadVersion,    ///< framing version this build does not speak
-  kOversized,     ///< payload_len exceeds the receiver's budget
-  kShortPayload,  ///< header promises more payload than is present
-  kBadChecksum,   ///< payload bytes do not hash to the header checksum
+  kBadMagic,     ///< not an HMMP stream
+  kBadVersion,   ///< framing version this build does not speak
+  kOversized,    ///< payload_len exceeds the receiver's budget
+  kBadChecksum,  ///< payload bytes do not hash to the header checksum
 };
 
 [[nodiscard]] std::string_view to_string(FrameError e) noexcept;
@@ -114,17 +112,6 @@ void encode_header(const FrameHeader& header,
 /// to verify once the payload has arrived.
 [[nodiscard]] FrameError parse_header(std::span<const std::uint8_t, kHeaderBytes> in,
                                       std::uint32_t max_payload, FrameHeader& out) noexcept;
-
-/// Serialize a frame (header + payload) into a fresh buffer.
-[[nodiscard]] std::vector<std::uint8_t> encode_frame(const Frame& frame);
-
-/// Strict decode of one frame from `buf`. On kOk, `out` holds the frame
-/// and `consumed` the number of bytes it occupied. On any error, `out`
-/// and `consumed` are untouched. `max_payload` is the receiver's budget
-/// (a frame promising more is rejected before any payload is read).
-[[nodiscard]] FrameError decode_frame(std::span<const std::uint8_t> buf, Frame& out,
-                                      std::size_t& consumed,
-                                      std::uint32_t max_payload = kDefaultMaxPayload);
 
 /// Append-only little-endian serializer for frame payloads.
 class ByteWriter {

@@ -97,8 +97,9 @@ class Executor {
   };
 
   /// Same-plan gathering bounds. Off by default: batching trades a
-  /// bounded gather delay for amortized fork/join cost, and that trade
-  /// is the operator's to make (`--batch-max` / `--batch-delay-us`).
+  /// bounded gather delay for amortized fork/join cost. Only scheduled
+  /// permuters gather, and the service compiles kAuto's pick (never
+  /// scheduled), so a served request does not.
   struct BatchOptions {
     /// Coalesce up to this many same-plan requests per kernel sweep.
     /// <= 1 disables batching entirely (no flusher thread).

@@ -5,8 +5,8 @@
 ///
 /// The serving code carries named injection points (see `fault_sites`)
 /// at exactly the places a production deployment fails: plan
-/// compilation, request scratch allocation, worker execution, plan-file
-/// reads. When the injector is **disarmed** (the default) every check
+/// compilation, request scratch allocation, worker execution, buffer-pool
+/// pressure. When the injector is **disarmed** (the default) every check
 /// is one relaxed atomic load; arming happens either programmatically
 /// (tests, `ScopedFaultInjection`) or through environment variables so
 /// a stock binary can run a chaos drill:
@@ -38,7 +38,6 @@ inline constexpr std::string_view kPlanBuild = "plan_cache.build";        ///< t
 inline constexpr std::string_view kPlanBuildStall = "plan_cache.build_stall";  ///< stall the builder
 inline constexpr std::string_view kExecutorAlloc = "executor.alloc";      ///< scratch allocation failure
 inline constexpr std::string_view kExecutorStall = "executor.stall";      ///< worker stall before execute
-inline constexpr std::string_view kPlanRead = "plan_io.read";             ///< corrupt plan-file bytes
 inline constexpr std::string_view kPoolExhausted = "pool.exhausted";      ///< buffer-pool pressure
 }  // namespace fault_sites
 

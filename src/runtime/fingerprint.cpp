@@ -7,8 +7,9 @@ namespace {
 
 /// Bumped whenever the plan-key schema changes (fields, order, widths,
 /// hash). v2 folds the memoised mapping fingerprint instead of the n
-/// words; v3 hashes with util::Hash64.
-constexpr std::uint64_t kKeySchemaVersion = 3;
+/// words; v3 hashes with util::Hash64; v4 drops the machine parameters
+/// and the strategy (the cache holds kAuto's compile only).
+constexpr std::uint64_t kKeySchemaVersion = 4;
 
 }  // namespace
 
@@ -26,16 +27,8 @@ Fingerprint fingerprint_mapping(std::span<const std::uint32_t> words) {
   return Fingerprint{perm::Permutation::mapping_hash(words)};
 }
 
-Fingerprint fingerprint_plan_key(const perm::Permutation& p,
-                                 const model::MachineParams& machine, int strategy_tag,
-                                 std::uint32_t elem_bytes) {
+Fingerprint fingerprint_plan_key(const perm::Permutation& p, std::uint32_t elem_bytes) {
   util::Hash64 h(kKeySchemaVersion);
-  h.update_u32(machine.width);
-  h.update_u32(machine.latency);
-  h.update_u32(machine.shared_latency);
-  h.update_u32(machine.dmms);
-  h.update_u64(machine.shared_bytes);
-  h.update_u32(static_cast<std::uint32_t>(strategy_tag));
   h.update_u32(elem_bytes);
   h.update_u64(p.size());
   h.update_u64(fingerprint_permutation(p).value);

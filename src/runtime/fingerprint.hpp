@@ -2,9 +2,9 @@
 /// \file fingerprint.hpp
 /// \brief 64-bit cache keys for compiled permutation plans.
 ///
-/// A compiled `core::OfflinePermuter` is fully determined by
-///   (permutation mapping, machine parameters, strategy, element width),
-/// so the plan cache keys entries by a util::Hash64 over exactly those
+/// The plan cache holds only kAuto's compile of each permutation, which
+/// is fully determined by (permutation mapping, element width) within
+/// one process, so it keys entries by a util::Hash64 over exactly those
 /// inputs. The mapping enters as its own fingerprint (the wire plan id,
 /// `perm::Permutation::mapping_hash`), which the Permutation memoises.
 /// Key and mapping hash each carry a schema-version salt, so a new
@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <span>
 
-#include "model/machine.hpp"
 #include "perm/permutation.hpp"
 
 namespace hmm::runtime {
@@ -29,7 +28,7 @@ struct Fingerprint {
   friend constexpr bool operator==(Fingerprint, Fingerprint) = default;
 };
 
-/// Hash of the permutation mapping alone (no machine / strategy).
+/// Hash of the permutation mapping alone (no element width).
 /// Computed on first use and memoised on `p` (copies carry it).
 [[nodiscard]] Fingerprint fingerprint_permutation(const perm::Permutation& p);
 
@@ -39,12 +38,9 @@ struct Fingerprint {
 /// Permutation built from the same words, however built (tested as such).
 [[nodiscard]] Fingerprint fingerprint_mapping(std::span<const std::uint32_t> words);
 
-/// Full plan-cache key: machine parameters + strategy tag + element
-/// width in bytes + n + `fingerprint_permutation(p)`. `strategy_tag` is
-/// the integer value of `core::Strategy` (kept as an int here so this
-/// header does not depend on core/).
+/// Full plan-cache key: element width in bytes + n +
+/// `fingerprint_permutation(p)`.
 [[nodiscard]] Fingerprint fingerprint_plan_key(const perm::Permutation& p,
-                                               const model::MachineParams& machine,
-                                               int strategy_tag, std::uint32_t elem_bytes);
+                                               std::uint32_t elem_bytes);
 
 }  // namespace hmm::runtime

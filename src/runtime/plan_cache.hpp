@@ -8,10 +8,14 @@
 /// exploitation of that property — repeated permutations skip the
 /// offline phase entirely and hit an already-compiled permuter.
 ///
+/// Every entry is the permuter kAuto compiles (`OfflinePermuter<T>(p)`):
+/// the host cost model picks its strategy, so the cache key needs no
+/// machine or strategy part.
+///
 /// Keying: the 64-bit plan fingerprint (fingerprint.hpp) over the
-/// machine parameters + strategy + element width + the permutation's
-/// memoised mapping fingerprint (a warm lookup never rewalks the n words),
-/// further mixed with a per-element-type token: entries are typed
+/// element width + the permutation's memoised mapping fingerprint (a
+/// warm lookup never rewalks the n words), further mixed with a
+/// per-element-type token: entries are typed
 /// (`OfflinePermuter<T>`), so two distinct types of the same width
 /// (float vs int32) must occupy distinct slots even though their
 /// compiled plans are structurally identical.
@@ -61,7 +65,7 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Get-or-compile the permuter for (p, machine, strategy, T). Hits
+  /// Get-or-compile kAuto's permuter for (p, T). Hits
   /// return in O(1) without touching the offline phase; misses compile
   /// outside the cache lock. Throws whatever the build throws (and the
   /// failed key is erased, so a later acquire retries).
@@ -71,12 +75,10 @@ class PlanCache {
   /// compile — or the wait on another thread's in-flight compile. A
   /// clean hit on a completed entry records no kPlanBuild span.
   template <class T>
-  std::shared_ptr<const core::OfflinePermuter<T>> acquire(
-      const perm::Permutation& p,
-      const model::MachineParams& machine = model::MachineParams::gtx680(),
-      core::Strategy strategy = core::Strategy::kAuto, PhaseBreakdown* phases = nullptr) {
+  std::shared_ptr<const core::OfflinePermuter<T>> acquire(const perm::Permutation& p,
+                                                           PhaseBreakdown* phases = nullptr) {
     util::Stopwatch lookup_clock;
-    const Fingerprint fp = typed_key<T>(p, machine, strategy);
+    const Fingerprint fp = plan_key<T>(p);
     std::promise<std::shared_ptr<EntryBase>> promise;
     std::shared_future<std::shared_ptr<EntryBase>> ready;
     bool builder = false;
@@ -107,7 +109,7 @@ class PlanCache {
         faults.maybe_stall(fault_sites::kPlanBuildStall);
         faults.maybe_throw(fault_sites::kPlanBuild, StatusCode::kPlanBuildFailed,
                            "plan build failure");
-        entry = std::make_shared<TypedEntry<T>>(p, machine, strategy);
+        entry = std::make_shared<TypedEntry<T>>(p);
       } catch (...) {
         erase(fp.value, my_generation);
         promise.set_exception(std::current_exception());
@@ -151,11 +153,9 @@ class PlanCache {
   ///   - anything else thrown -> kPlanBuildFailed with the what() string
   template <class T>
   StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> try_acquire(
-      const perm::Permutation& p,
-      const model::MachineParams& machine = model::MachineParams::gtx680(),
-      core::Strategy strategy = core::Strategy::kAuto, PhaseBreakdown* phases = nullptr) {
+      const perm::Permutation& p, PhaseBreakdown* phases = nullptr) {
     try {
-      return acquire<T>(p, machine, strategy, phases);
+      return acquire<T>(p, phases);
     } catch (const FaultInjectedError& e) {
       return Status(e.code, e.what());
     } catch (const std::bad_alloc&) {
@@ -169,11 +169,9 @@ class PlanCache {
   /// fingerprint mixed with the per-type token. Use this (not the raw
   /// `fingerprint_plan_key`) when probing `contains()`.
   template <class T>
-  [[nodiscard]] static Fingerprint plan_key(
-      const perm::Permutation& p,
-      const model::MachineParams& machine = model::MachineParams::gtx680(),
-      core::Strategy strategy = core::Strategy::kAuto) {
-    return typed_key<T>(p, machine, strategy);
+  [[nodiscard]] static Fingerprint plan_key(const perm::Permutation& p) {
+    const Fingerprint fp = fingerprint_plan_key(p, static_cast<std::uint32_t>(sizeof(T)));
+    return Fingerprint{util::Hash64(fp.value).update_u32(type_token<T>()).digest()};
   }
 
   /// True iff a *completed* entry for this key is resident.
@@ -215,18 +213,9 @@ class PlanCache {
   }
 
   template <class T>
-  static Fingerprint typed_key(const perm::Permutation& p, const model::MachineParams& machine,
-                               core::Strategy strategy) {
-    const Fingerprint fp = fingerprint_plan_key(p, machine, static_cast<int>(strategy),
-                                                static_cast<std::uint32_t>(sizeof(T)));
-    return Fingerprint{util::Hash64(fp.value).update_u32(type_token<T>()).digest()};
-  }
-
-  template <class T>
   struct TypedEntry final : EntryBase {
-    TypedEntry(const perm::Permutation& p, const model::MachineParams& machine,
-               core::Strategy strategy)
-        : permuter(std::make_shared<const core::OfflinePermuter<T>>(p, machine, strategy)) {}
+    explicit TypedEntry(const perm::Permutation& p)
+        : permuter(std::make_shared<const core::OfflinePermuter<T>>(p)) {}
     std::shared_ptr<const core::OfflinePermuter<T>> permuter;
   };
 

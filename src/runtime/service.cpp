@@ -1,8 +1,5 @@
 #include "runtime/service.hpp"
 
-#include <fstream>
-#include <sstream>
-
 namespace hmm::runtime {
 
 StatusOr<std::shared_ptr<const perm::Permutation>> RobustPermuteService::compile_program(
@@ -32,34 +29,6 @@ StatusOr<std::shared_ptr<const perm::Permutation>> RobustPermuteService::compile
     composites_lru_.pop_back();
   }
   return composite;
-}
-
-StatusOr<core::ScheduledPlan> load_plan_checked(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    return Status(StatusCode::kUnavailable, "cannot open plan file: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  if (!is.good() && !is.eof()) {
-    return Status(StatusCode::kUnavailable, "read error on plan file: " + path);
-  }
-  std::string bytes = std::move(buffer).str();
-
-  // Named injection point: a torn/corrupt read flips one payload byte
-  // deterministically. The loader's validation must catch it.
-  if (FaultInjector::instance().should_fire(fault_sites::kPlanRead) && !bytes.empty()) {
-    const std::size_t victim = bytes.size() / 2;
-    bytes[victim] = static_cast<char>(bytes[victim] ^ 0x55);
-  }
-
-  std::istringstream stream(std::move(bytes));
-  std::string reason;
-  std::optional<core::ScheduledPlan> plan = core::load_plan(stream, &reason);
-  if (!plan) {
-    return Status(StatusCode::kInvalidArgument, "rejected plan file " + path + ": " + reason);
-  }
-  return std::move(*plan);
 }
 
 }  // namespace hmm::runtime

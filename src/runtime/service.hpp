@@ -10,18 +10,17 @@
 /// (`resolve`) for plain requests and programs alike:
 ///
 ///   1. **Cached / built** — a PlanCache hit or a successful build of
-///      the request's strategy: under kAuto the host cost model's pick
-///      (the bucketed kernel or S-designated), or whatever strategy the
-///      request or `Config::strategy` forces.
+///      the plan kAuto picks: the host cost model's choice (the bucketed
+///      kernel or S-designated).
 ///   2. **Retry** — transient build failures (kPlanBuildFailed,
 ///      kUnavailable, kResourceExhausted) are retried up to
 ///      `max_build_retries` times with deterministic jittered
 ///      exponential backoff.
 ///   3. **Conventional fallback** — if retries are exhausted, or the
 ///      request's deadline is tighter than the slowest build observed
-///      so far and its plan is not cached, the request is served by the
-///      D-designated conventional permuter (correct, slower, zero
-///      offline phase) and counted in `degraded_executions`.
+///      so far and its plan is not cached, the request is served by an
+///      S-designated permuter built outside the cache (correct, zero
+///      plan build) and counted in `degraded_executions`.
 ///   4. **Reject** — non-transient errors (kInvalidArgument), expired
 ///      deadlines, cancellation, and admission-bound rejections fail
 ///      fast with a typed Status. The process never aborts on a
@@ -49,7 +48,6 @@
 #include <vector>
 
 #include "core/permuter.hpp"
-#include "core/plan_io.hpp"
 #include "runtime/cancel.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/fault_injector.hpp"
@@ -62,12 +60,10 @@
 
 namespace hmm::runtime {
 
-/// Per-request controls. Defaults: no deadline, not cancellable, let
-/// the permuter pick its strategy.
+/// Per-request controls. Defaults: no deadline, not cancellable.
 struct RequestOptions {
   std::chrono::steady_clock::time_point deadline = Executor::kNoDeadline;
   CancelToken cancel;
-  core::Strategy strategy = core::Strategy::kAuto;
   /// Correlation id echoed in the slow-request log (the net server
   /// forwards the HMMP request_id). 0 = unnamed.
   std::uint64_t trace_id = 0;
@@ -76,13 +72,6 @@ struct RequestOptions {
 class RobustPermuteService {
  public:
   struct Config {
-    model::MachineParams machine = model::MachineParams::gtx680();
-    /// Strategy for requests that leave `RequestOptions::strategy` at
-    /// kAuto. kAuto lets each plan's permuter pick by the host cost
-    /// model; kScheduled keeps every plan the paper's algorithm supports
-    /// on it (and so within reach of same-plan batching), leaving the
-    /// rest to kAuto.
-    core::Strategy strategy = core::Strategy::kAuto;
     PlanCache::Config cache;
     Executor::Config executor;
     /// Additional attempts after the first failed plan build (0 = fail
@@ -276,18 +265,6 @@ class RobustPermuteService {
     return submitted;
   }
 
-  /// The request's strategy, or the service default when it says kAuto
-  /// (a scheduled default only where the plan supports it).
-  [[nodiscard]] core::Strategy strategy_for(const perm::Permutation& p,
-                                            const RequestOptions& opts) const noexcept {
-    if (opts.strategy != core::Strategy::kAuto) return opts.strategy;
-    if (config_.strategy == core::Strategy::kScheduled &&
-        !core::OfflinePermuter<float>::plan_supported(p.size(), config_.machine)) {
-      return core::Strategy::kAuto;
-    }
-    return config_.strategy;
-  }
-
   /// Deadline-pressure heuristic: with an uncached plan and a deadline
   /// tighter than the worst build observed so far, skip the offline
   /// phase entirely. Conservative on a cold service (no builds observed
@@ -295,9 +272,7 @@ class RobustPermuteService {
   template <class T>
   bool should_skip_build_for_deadline(const perm::Permutation& p, const RequestOptions& opts) {
     if (opts.deadline == Executor::kNoDeadline) return false;
-    if (cache_.contains(PlanCache::plan_key<T>(p, config_.machine, strategy_for(p, opts)))) {
-      return false;
-    }
+    if (cache_.contains(PlanCache::plan_key<T>(p))) return false;
     const std::uint64_t worst_build_ns = metrics_.plan_build_ns_max();
     if (worst_build_ns == 0) return false;
     const auto remaining = opts.deadline - std::chrono::steady_clock::now();
@@ -309,7 +284,7 @@ class RobustPermuteService {
       const perm::Permutation& p, const RequestOptions& opts, PhaseBreakdown* phases) {
     for (int attempt = 0;; ++attempt) {
       StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> result =
-          cache_.try_acquire<T>(p, config_.machine, strategy_for(p, opts), phases);
+          cache_.try_acquire<T>(p, phases);
       if (result.ok() || attempt >= config_.max_build_retries ||
           !is_transient(result.status().code())) {
         return result;
@@ -340,7 +315,7 @@ class RobustPermuteService {
       const perm::Permutation& p) {
     try {
       return std::shared_ptr<const core::OfflinePermuter<T>>(
-          std::make_shared<const core::OfflinePermuter<T>>(p, config_.machine,
+          std::make_shared<const core::OfflinePermuter<T>>(p, model::MachineParams::gtx680(),
                                                            core::Strategy::kSDesignated));
     } catch (const std::bad_alloc&) {
       return Status(StatusCode::kResourceExhausted, "allocation failed building fallback");
@@ -369,13 +344,5 @@ class RobustPermuteService {
                                std::list<std::uint64_t>::iterator>>
       composites_;
 };
-
-/// Load a serialized plan as a typed Status instead of a bare nullopt:
-/// kUnavailable for IO-level failures, kInvalidArgument for malformed
-/// or corrupt payloads (with the loader's reason attached). Carries the
-/// `plan_io.read` fault-injection point, which corrupts the in-memory
-/// image before parsing — proving the loader's validation rejects a
-/// torn read instead of feeding garbage to a kernel.
-StatusOr<core::ScheduledPlan> load_plan_checked(const std::string& path);
 
 }  // namespace hmm::runtime

@@ -15,7 +15,7 @@
 /// allocation pressure, deadlines, cancellation — must instead return
 /// `hmm::runtime::Status` / `StatusOr<T>` through the serving-path
 /// entry points (`PlanCache::try_acquire`, `Executor::try_submit`,
-/// `RobustPermuteService::submit`, `load_plan_checked`). Adding an
+/// `RobustPermuteService::submit`). Adding an
 /// HMM_CHECK on a path reachable by untrusted request input is a bug.
 
 #include <cstdio>

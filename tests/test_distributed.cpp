@@ -928,8 +928,8 @@ TEST(DistributedWire, RevisionOneShardExecIsRefusedTyped) {
     frame.kind = static_cast<std::uint16_t>(net::MsgKind::kShardExec);
     frame.request_id = 11;
     frame.payload = old;
-    ASSERT_TRUE(net::write_frame(stream, frame).is_ok());
-    auto answer = net::read_frame(stream, net::kDefaultMaxPayload);
+    ASSERT_TRUE(test::send_frame(stream, frame).is_ok());
+    auto answer = test::recv_frame(stream, net::kDefaultMaxPayload);
     ASSERT_TRUE(answer.ok()) << answer.status().to_string();
     ASSERT_EQ(static_cast<net::MsgKind>(answer.value().kind), net::MsgKind::kError);
     auto err = net::ErrorResponse::decode(answer.value().payload);
@@ -1300,7 +1300,7 @@ std::vector<std::uint8_t> raw_permute(std::uint16_t port, std::uint64_t request_
       .kind = static_cast<std::uint16_t>(net::MsgKind::kPermute),
       .request_id = request_id,
       .payload = test::payload_of(net::encode_permute({plan_id, 0}, data.size()), data)};
-  EXPECT_TRUE(net::write_frame(stream, frame).is_ok());
+  EXPECT_TRUE(test::send_frame(stream, frame).is_ok());
   std::vector<std::uint8_t> bytes(net::kHeaderBytes);
   if (!stream.recv_all(bytes.data(), bytes.size()).is_ok()) return {};
   const std::size_t len = bytes[16] | (bytes[17] << 8) | (bytes[18] << 16) |

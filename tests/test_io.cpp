@@ -255,6 +255,7 @@ TEST(PlanIo, FileRoundTrip) {
   ASSERT_TRUE(loaded.has_value());
   EXPECT_TRUE(loaded->validate(p));
   std::remove(path.c_str());
+  EXPECT_FALSE(core::load_plan_file(path).has_value());
 }
 
 }  // namespace

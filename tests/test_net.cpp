@@ -1,9 +1,10 @@
-/// Tests for the net layer: HMMP framing (encode/decode round-trip and
+/// Tests for the net layer: HMMP framing (round trip over a stream and
 /// strict rejection of truncated / foreign / oversized / corrupt
-/// frames), the typed payload codecs, the Status<->wire-error bijection,
-/// and a loopback end-to-end suite running `net::Server` and
-/// `net::Client` in-process — including the deadline-exceeded and
-/// admission-reject paths and graceful drain under load.
+/// frames by both stream readers), the typed payload codecs, the
+/// Status<->wire-error bijection, and a loopback end-to-end suite
+/// running `net::Server` and `net::Client` in-process — including the
+/// deadline-exceeded and admission-reject paths and graceful drain
+/// under load.
 
 #include <gtest/gtest.h>
 
@@ -83,81 +84,12 @@ net::Frame sample_frame() {
   return f;
 }
 
-TEST(Wire, FrameRoundTrip) {
-  const net::Frame in = sample_frame();
-  const std::vector<std::uint8_t> bytes = net::encode_frame(in);
-  ASSERT_EQ(bytes.size(), net::kHeaderBytes + in.payload.size());
-
-  net::Frame out;
-  std::size_t consumed = 0;
-  ASSERT_EQ(net::decode_frame(bytes, out, consumed), net::FrameError::kOk);
-  EXPECT_EQ(consumed, bytes.size());
-  EXPECT_EQ(out.kind, in.kind);
-  EXPECT_EQ(out.request_id, in.request_id);
-  EXPECT_EQ(out.payload, in.payload);
-}
-
-TEST(Wire, EmptyPayloadRoundTrips) {
-  net::Frame in;
-  in.kind = static_cast<std::uint16_t>(net::MsgKind::kStats);
-  in.request_id = 7;
-  const auto bytes = net::encode_frame(in);
-  ASSERT_EQ(bytes.size(), net::kHeaderBytes);
-
-  net::Frame out;
-  std::size_t consumed = 0;
-  ASSERT_EQ(net::decode_frame(bytes, out, consumed), net::FrameError::kOk);
-  EXPECT_TRUE(out.payload.empty());
-}
-
 TEST(Wire, MagicBytesSpellHMMP) {
-  const auto bytes = net::encode_frame(sample_frame());
+  const auto bytes = test::frame_bytes(sample_frame());
   EXPECT_EQ(bytes[0], 'H');
   EXPECT_EQ(bytes[1], 'M');
   EXPECT_EQ(bytes[2], 'M');
   EXPECT_EQ(bytes[3], 'P');
-}
-
-TEST(Wire, ShortHeaderIsRejectedWithoutTouchingOutputs) {
-  const auto bytes = net::encode_frame(sample_frame());
-  net::Frame out;
-  out.request_id = 99;  // sentinel: must survive a failed decode
-  std::size_t consumed = 123;
-  const std::span<const std::uint8_t> head(bytes.data(), net::kHeaderBytes - 1);
-  EXPECT_EQ(net::decode_frame(head, out, consumed), net::FrameError::kShortHeader);
-  EXPECT_EQ(out.request_id, 99u);
-  EXPECT_EQ(consumed, 123u);
-}
-
-TEST(Wire, BadMagicIsRejected) {
-  auto bytes = net::encode_frame(sample_frame());
-  bytes[0] ^= 0xff;
-  net::Frame out;
-  std::size_t consumed = 0;
-  EXPECT_EQ(net::decode_frame(bytes, out, consumed), net::FrameError::kBadMagic);
-}
-
-TEST(Wire, UnknownVersionIsRejected) {
-  auto bytes = net::encode_frame(sample_frame());
-  bytes[4] = 0x7f;  // version lives at offset 4, LE
-  net::Frame out;
-  std::size_t consumed = 0;
-  EXPECT_EQ(net::decode_frame(bytes, out, consumed), net::FrameError::kBadVersion);
-}
-
-TEST(Wire, VersionOneFrameIsRefusedAsBadVersion) {
-  // A v1 peer (FNV-1a checksums) must get a typed framing error, not a
-  // checksum mismatch: the version is checked before the payload.
-  auto bytes = net::encode_frame(sample_frame());
-  bytes[4] = 0x01;
-  bytes[5] = 0x00;
-  net::Frame out;
-  std::size_t consumed = 0;
-  EXPECT_EQ(net::decode_frame(bytes, out, consumed), net::FrameError::kBadVersion);
-  net::FrameHeader header;
-  EXPECT_EQ(net::parse_header(std::span<const std::uint8_t>(bytes).first<net::kHeaderBytes>(),
-                              net::kDefaultMaxPayload, header),
-            net::FrameError::kBadVersion);
 }
 
 TEST(Wire, HeaderCodecRoundTripsAndWritesVersionTwo) {
@@ -176,31 +108,6 @@ TEST(Wire, HeaderCodecRoundTripsAndWritesVersionTwo) {
   EXPECT_EQ(out.payload_len, in.payload_len);
   EXPECT_EQ(out.checksum, in.checksum);
   EXPECT_EQ(net::parse_header(bytes, in.payload_len - 1, out), net::FrameError::kOversized);
-}
-
-TEST(Wire, PayloadOverBudgetIsRejectedBeforeRead) {
-  const net::Frame in = sample_frame();
-  const auto bytes = net::encode_frame(in);
-  net::Frame out;
-  std::size_t consumed = 0;
-  const auto budget = static_cast<std::uint32_t>(in.payload.size() - 1);
-  EXPECT_EQ(net::decode_frame(bytes, out, consumed, budget), net::FrameError::kOversized);
-}
-
-TEST(Wire, TruncatedPayloadIsRejected) {
-  const auto bytes = net::encode_frame(sample_frame());
-  net::Frame out;
-  std::size_t consumed = 0;
-  const std::span<const std::uint8_t> torn(bytes.data(), bytes.size() - 1);
-  EXPECT_EQ(net::decode_frame(torn, out, consumed), net::FrameError::kShortPayload);
-}
-
-TEST(Wire, CorruptPayloadFailsChecksum) {
-  auto bytes = net::encode_frame(sample_frame());
-  bytes[net::kHeaderBytes + 2] ^= 0x01;  // flip one payload bit
-  net::Frame out;
-  std::size_t consumed = 0;
-  EXPECT_EQ(net::decode_frame(bytes, out, consumed), net::FrameError::kBadChecksum);
 }
 
 TEST(Wire, FrameErrorNamesAreStable) {
@@ -638,7 +545,7 @@ TEST(NetProtocol, ClientSendsTheGoldenBytes) {
     auto accepted = listener.accept(5'000ms);
     if (!accepted.ok()) return;
     for (;;) {
-      auto frame = net::read_frame(accepted.value());
+      auto frame = test::recv_frame(accepted.value());
       if (!frame.ok()) return;
       const std::vector<std::uint8_t>& payload = frame.value().payload;
       captured.push_back(payload);
@@ -662,7 +569,7 @@ TEST(NetProtocol, ClientSendsTheGoldenBytes) {
         default:
           return;
       }
-      if (!net::write_frame(accepted.value(),
+      if (!test::send_frame(accepted.value(),
                             net::Frame{static_cast<std::uint16_t>(frame.value().kind | 0x80u),
                                        frame.value().request_id, std::move(answer)})
                .is_ok()) {
@@ -976,9 +883,9 @@ TEST(NetLoopback, NonBijectiveMappingIsRejected) {
   request.kind = static_cast<std::uint16_t>(net::MsgKind::kSubmitPlan);
   request.request_id = 9;
   request.payload = test::payload_of(net::encode_submit_plan(bad.size()), bad);
-  ASSERT_TRUE(net::write_frame(stream, request).is_ok());
+  ASSERT_TRUE(test::send_frame(stream, request).is_ok());
 
-  auto response = net::read_frame(stream, net::kDefaultMaxPayload);
+  auto response = test::recv_frame(stream, net::kDefaultMaxPayload);
   ASSERT_TRUE(response.ok()) << response.status().to_string();
   EXPECT_EQ(response.value().kind, static_cast<std::uint16_t>(net::MsgKind::kError));
   EXPECT_EQ(response.value().request_id, 9u);
@@ -998,7 +905,7 @@ TEST(NetLoopback, GarbageBytesGetAnErrorFrameNotAHangup) {
   std::vector<std::uint8_t> junk(net::kHeaderBytes, 0x5a);
   ASSERT_TRUE(stream.send_all(junk.data(), junk.size()).is_ok());
 
-  auto response = net::read_frame(stream, net::kDefaultMaxPayload);
+  auto response = test::recv_frame(stream, net::kDefaultMaxPayload);
   ASSERT_TRUE(response.ok()) << response.status().to_string();
   EXPECT_EQ(response.value().kind, static_cast<std::uint16_t>(net::MsgKind::kError));
   auto err = net::ErrorResponse::decode(response.value().payload);
@@ -1006,7 +913,7 @@ TEST(NetLoopback, GarbageBytesGetAnErrorFrameNotAHangup) {
   EXPECT_EQ(err.value().to_status().code(), StatusCode::kInvalidArgument);
 
   // The connection is closed afterwards...
-  auto next = net::read_frame(stream, net::kDefaultMaxPayload);
+  auto next = test::recv_frame(stream, net::kDefaultMaxPayload);
   EXPECT_FALSE(next.ok());
   // ...and the process is fine: a fresh connection still serves.
   net::Client client(loop.client_config());
@@ -1219,7 +1126,7 @@ TEST(NetLoopback, IdleConnectionsAreClosedAndCounted) {
   ASSERT_TRUE(idle.set_io_timeout(5'000ms, 5'000ms).is_ok());
 
   // The server closes it quietly (no ERROR frame): the read sees EOF.
-  auto got = net::read_frame(idle, net::kDefaultMaxPayload);
+  auto got = test::recv_frame(idle, net::kDefaultMaxPayload);
   EXPECT_FALSE(got.ok());
   EXPECT_GE(loop.server.counters().idle_closed, 1u);
 
@@ -1249,8 +1156,8 @@ TEST(NetLoopback, ConnectionCapRejectionSurfacesTypedRetryLater) {
   ping.kind = static_cast<std::uint16_t>(net::MsgKind::kPing);
   ping.request_id = 1;
   ping.payload = {'h', 'i'};
-  ASSERT_TRUE(net::write_frame(occupant, ping).is_ok());
-  ASSERT_TRUE(net::read_frame(occupant, net::kDefaultMaxPayload).ok());
+  ASSERT_TRUE(test::send_frame(occupant, ping).is_ok());
+  ASSERT_TRUE(test::recv_frame(occupant, net::kDefaultMaxPayload).ok());
 
   net::Client::Config config = loop.client_config();
   config.max_retries = 0;  // surface the first answer, no backoff loop
@@ -1451,7 +1358,8 @@ struct ReadBack {
   }
 };
 
-/// `wire` through a FrameReader, sent in pieces of `piece()` bytes.
+/// `wire` through a FrameReader, sent in pieces of `piece()` bytes, then
+/// the sender closes (bytes short of a frame read as a torn one).
 ReadBack through_frame_reader(std::span<const std::uint8_t> wire,
                               const std::function<std::size_t()>& piece) {
   SocketPair pair;
@@ -1462,6 +1370,7 @@ ReadBack through_frame_reader(std::span<const std::uint8_t> wire,
       if (!pair.sender.send_all(wire.data() + at, n).is_ok()) return;
       at += n;
     }
+    pair.sender = net::TcpStream();
   });
   util::BufferPool pool;
   net::FrameReader reader(pool);
@@ -1487,14 +1396,19 @@ ReadBack through_frame_reader(std::span<const std::uint8_t> wire,
   return out;
 }
 
-/// `wire` through read_frame_view, sent in one piece.
-ReadBack through_read_frame_view(std::span<const std::uint8_t> wire) {
+/// `wire` through read_frame_view, sent in one piece, then the sender
+/// closes.
+ReadBack through_read_frame_view(std::span<const std::uint8_t> wire,
+                                 std::uint32_t max_payload = net::kDefaultMaxPayload) {
   SocketPair pair;
-  std::thread feeder([&] { (void)pair.sender.send_all(wire.data(), wire.size()); });
+  std::thread feeder([&] {
+    (void)pair.sender.send_all(wire.data(), wire.size());
+    pair.sender = net::TcpStream();
+  });
   util::BufferPool pool;
   util::PooledBuffer storage;
   ReadBack out;
-  auto view = net::read_frame_view(pair.receiver, pool, storage);
+  auto view = net::read_frame_view(pair.receiver, pool, storage, max_payload);
   if (view.ok()) {
     out.take(view.value());
   } else {
@@ -1502,6 +1416,110 @@ ReadBack through_read_frame_view(std::span<const std::uint8_t> wire) {
   }
   feeder.join();
   return out;
+}
+
+/// `wire` through both stream readers: a FrameReader fed in pieces of a
+/// few bytes, and read_frame_view.
+std::vector<ReadBack> through_both_readers(std::span<const std::uint8_t> wire) {
+  std::mt19937 rng(static_cast<std::uint32_t>(wire.size()));
+  return {through_frame_reader(wire, [&] { return 1 + rng() % 7; }),
+          through_read_frame_view(wire)};
+}
+
+/// Both readers refuse `wire` as a protocol error naming `error`.
+void expect_refused(std::span<const std::uint8_t> wire, net::FrameError error) {
+  for (const ReadBack& read : through_both_readers(wire)) {
+    EXPECT_EQ(read.status.code(), StatusCode::kInvalidArgument) << read.status.to_string();
+    EXPECT_NE(read.status.message().find(net::to_string(error)), std::string::npos)
+        << read.status.to_string();
+  }
+}
+
+/// Both readers see `wire` end mid-frame: the peer is gone, torn.
+void expect_torn(std::span<const std::uint8_t> wire) {
+  for (const ReadBack& read : through_both_readers(wire)) {
+    EXPECT_EQ(read.status.code(), StatusCode::kUnavailable) << read.status.to_string();
+  }
+}
+
+TEST(Wire, FrameRoundTrip) {
+  SocketPair pair;
+  const net::Frame in = sample_frame();
+  ASSERT_TRUE(test::send_frame(pair.sender, in).is_ok());
+  auto out = test::recv_frame(pair.receiver);
+  ASSERT_TRUE(out.ok()) << out.status().to_string();
+  EXPECT_EQ(out.value().kind, in.kind);
+  EXPECT_EQ(out.value().request_id, in.request_id);
+  EXPECT_EQ(out.value().payload, in.payload);
+}
+
+TEST(Wire, EmptyPayloadRoundTrips) {
+  net::Frame in;
+  in.kind = static_cast<std::uint16_t>(net::MsgKind::kStats);
+  in.request_id = 7;
+  const auto bytes = test::frame_bytes(in);
+  ASSERT_EQ(bytes.size(), net::kHeaderBytes);
+  for (const ReadBack& read : through_both_readers(bytes)) {
+    ASSERT_TRUE(read.status.is_ok()) << read.status.to_string();
+    EXPECT_EQ(read.kind, in.kind);
+    EXPECT_EQ(read.request_id, in.request_id);
+    EXPECT_TRUE(read.payload.empty());
+  }
+}
+
+TEST(Wire, ShortHeaderIsATornFrame) {
+  const auto bytes = test::frame_bytes(sample_frame());
+  expect_torn(std::span(bytes).first(net::kHeaderBytes - 1));
+}
+
+TEST(Wire, BadMagicIsRejected) {
+  auto bytes = test::frame_bytes(sample_frame());
+  bytes[0] ^= 0xff;
+  expect_refused(bytes, net::FrameError::kBadMagic);
+}
+
+TEST(Wire, UnknownVersionIsRejected) {
+  auto bytes = test::frame_bytes(sample_frame());
+  bytes[4] = 0x7f;  // version lives at offset 4, LE
+  expect_refused(bytes, net::FrameError::kBadVersion);
+}
+
+TEST(Wire, VersionOneFrameIsRefusedAsBadVersion) {
+  // A v1 peer (FNV-1a checksums) must get a typed framing error, not a
+  // checksum mismatch: the version is checked before the payload.
+  auto bytes = test::frame_bytes(sample_frame());
+  bytes[4] = 0x01;
+  bytes[5] = 0x00;
+  net::FrameHeader header;
+  EXPECT_EQ(net::parse_header(std::span<const std::uint8_t>(bytes).first<net::kHeaderBytes>(),
+                              net::kDefaultMaxPayload, header),
+            net::FrameError::kBadVersion);
+  expect_refused(bytes, net::FrameError::kBadVersion);
+}
+
+TEST(Wire, PayloadOverBudgetIsRejectedBeforeRead) {
+  const net::Frame in = sample_frame();
+  const auto bytes = test::frame_bytes(in);
+  const auto budget = static_cast<std::uint32_t>(in.payload.size() - 1);
+  // The header alone is sent: the refusal cannot have waited for the
+  // payload.
+  const ReadBack read =
+      through_read_frame_view(std::span(bytes).first(net::kHeaderBytes), budget);
+  EXPECT_EQ(read.status.code(), StatusCode::kInvalidArgument) << read.status.to_string();
+  EXPECT_NE(read.status.message().find(net::to_string(net::FrameError::kOversized)),
+            std::string::npos)
+      << read.status.to_string();
+}
+
+TEST(Wire, TruncatedPayloadIsRejected) {
+  const auto bytes = test::frame_bytes(sample_frame());
+  expect_torn(std::span(bytes).first(bytes.size() - 1));
+}
+
+TEST(Wire, CorruptPayloadFailsChecksum) {
+  auto bytes = test::frame_bytes(sample_frame());
+  bytes[net::kHeaderBytes + 2] ^= 0x01;  // flip one payload bit
+  expect_refused(bytes, net::FrameError::kBadChecksum);
 }
 
 TEST(Wire, FrameReaderVerifiesTheSameFrameHoweverItArrives) {
@@ -1512,7 +1530,7 @@ TEST(Wire, FrameReaderVerifiesTheSameFrameHoweverItArrives) {
     frame.kind = static_cast<std::uint16_t>(net::MsgKind::kPermuteOk);
     frame.request_id = 0xfeed0000u + len;
     frame.payload = noise(len, len);
-    const std::vector<std::uint8_t> wire = net::encode_frame(frame);
+    const std::vector<std::uint8_t> wire = test::frame_bytes(frame);
     const std::uint64_t crc = net::checksum_bytes(frame.payload);
 
     std::mt19937 rng(static_cast<std::uint32_t>(len));
@@ -1538,7 +1556,7 @@ TEST(Wire, FlippedByteInTheFirstOrLastChunkIsABadChecksumOnBothReaders) {
   frame.kind = static_cast<std::uint16_t>(net::MsgKind::kShardExecOk);
   frame.request_id = 9;
   frame.payload = noise(2 * net::kChecksumChunk + 5, 50);
-  const std::vector<std::uint8_t> clean = net::encode_frame(frame);
+  const std::vector<std::uint8_t> clean = test::frame_bytes(frame);
   for (const std::size_t at : {std::size_t{3}, frame.payload.size() - 2}) {
     std::vector<std::uint8_t> wire = clean;
     wire[net::kHeaderBytes + at] ^= 0x10;
@@ -1578,7 +1596,7 @@ TEST(WireZeroCopy, WriteFramePartsRoundTripsThroughReadFrame) {
       sender, static_cast<std::uint16_t>(net::MsgKind::kPing), 77, parts);
   ASSERT_TRUE(sent.is_ok()) << sent.to_string();
 
-  auto got = net::read_frame(receiver);
+  auto got = test::recv_frame(receiver);
   ASSERT_TRUE(got.ok()) << got.status().to_string();
   EXPECT_EQ(got.value().kind, static_cast<std::uint16_t>(net::MsgKind::kPing));
   EXPECT_EQ(got.value().request_id, 77u);
@@ -1605,7 +1623,7 @@ TEST(WireZeroCopy, ReadFrameViewReusesPooledStorageAcrossFrames) {
   const std::uint8_t* storage_data = nullptr;
   for (int i = 0; i < 5; ++i) {
     f.request_id = static_cast<std::uint64_t>(i);
-    ASSERT_TRUE(net::write_frame(sender, f).is_ok());
+    ASSERT_TRUE(test::send_frame(sender, f).is_ok());
     auto view = net::read_frame_view(receiver, pool, storage);
     ASSERT_TRUE(view.ok()) << view.status().to_string();
     EXPECT_EQ(view.value().request_id, static_cast<std::uint64_t>(i));
@@ -1707,17 +1725,11 @@ TEST(NetLoopback, SteadyStatePermuteIsPoolMissFree) {
   for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(b[p(i)], a[i]);
 }
 
-TEST(NetLoopback, BatchedServerMatchesLocalApplyAndExecutesBatches) {
-  // Four concurrent clients against a batching server: the gather
-  // window is generous, so the four requests coalesce into fused
-  // sweeps; outputs must still match the local apply per client.
+TEST(NetLoopback, ConcurrentClientsMatchLocalApply) {
+  // Four concurrent clients on one plan: every output must match the
+  // local apply per client.
   const std::uint64_t n = 1 << 13;
-  runtime::RobustPermuteService::Config config;
-  config.executor.batch.max_batch = 4;
-  config.executor.batch.max_delay = std::chrono::milliseconds(500);
-  // Only scheduled executions batch; kAuto would gather an 8K plan.
-  config.strategy = core::Strategy::kScheduled;
-  Loopback loop(config);
+  Loopback loop;
   const perm::Permutation p = perm::bit_reversal(n);
 
   std::uint64_t plan_id = 0;
@@ -1758,7 +1770,6 @@ TEST(NetLoopback, BatchedServerMatchesLocalApplyAndExecutesBatches) {
       ASSERT_EQ(outputs[c][p(i)], inputs[c][i]) << "client " << c << " diverged at " << i;
     }
   }
-  EXPECT_GE(loop.service.metrics().snapshot().batches_executed, 1u);
 }
 
 // --------------------------------------------- reactor connection scale
@@ -1878,8 +1889,8 @@ TEST_P(NetReactorFrontends, ThousandIdleConnectionsAreCarriedAndServed) {
   ping.payload = {'u', 'p', '?'};
   for (std::size_t i : {std::size_t{0}, kIdle / 2, kIdle - 1}) {
     ASSERT_TRUE(idle[i].set_io_timeout(5'000ms, 5'000ms).is_ok());
-    ASSERT_TRUE(net::write_frame(idle[i], ping).is_ok()) << "connection " << i;
-    auto resp = net::read_frame(idle[i], net::kDefaultMaxPayload);
+    ASSERT_TRUE(test::send_frame(idle[i], ping).is_ok()) << "connection " << i;
+    auto resp = test::recv_frame(idle[i], net::kDefaultMaxPayload);
     ASSERT_TRUE(resp.ok()) << "connection " << i << ": " << resp.status().to_string();
     EXPECT_EQ(resp.value().payload, ping.payload);
   }
@@ -1903,7 +1914,7 @@ TEST(NetReactor, ConnectionChurnStormLeavesTheServerServing) {
       net::Frame ping;
       ping.kind = static_cast<std::uint16_t>(net::MsgKind::kPing);
       ping.request_id = static_cast<std::uint64_t>(i);
-      ASSERT_TRUE(net::write_frame(stream, ping).is_ok());
+      ASSERT_TRUE(test::send_frame(stream, ping).is_ok());
       // Close without reading the response: the flush hits a dead peer.
     }
     stream.close();
@@ -1932,7 +1943,7 @@ TEST_P(NetReactorFrontends, SlowLorisPartialHeaderIsClosedByIoTimeout) {
   // Quiet close (EOF), not an ERROR frame, and well before the 5s
   // blocking-read budget: the stall scan fired.
   const auto started = std::chrono::steady_clock::now();
-  auto got = net::read_frame(loris, net::kDefaultMaxPayload);
+  auto got = test::recv_frame(loris, net::kDefaultMaxPayload);
   const auto elapsed = std::chrono::steady_clock::now() - started;
   EXPECT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kUnavailable) << got.status().to_string();
@@ -2009,8 +2020,8 @@ TEST_P(NetReactorFrontends, CapRejectionIsFlushedOffTheAcceptPath) {
   net::Frame ping;
   ping.kind = static_cast<std::uint16_t>(net::MsgKind::kPing);
   ping.request_id = 1;
-  ASSERT_TRUE(net::write_frame(occupant, ping).is_ok());
-  ASSERT_TRUE(net::read_frame(occupant, net::kDefaultMaxPayload).ok());
+  ASSERT_TRUE(test::send_frame(occupant, ping).is_ok());
+  ASSERT_TRUE(test::recv_frame(occupant, net::kDefaultMaxPayload).ok());
 
   // Hostile over-cap peers: connect and never read a byte. Under the
   // old code each would have parked the accept thread in a blocking
@@ -2037,8 +2048,8 @@ TEST_P(NetReactorFrontends, CapRejectionIsFlushedOffTheAcceptPath) {
   EXPECT_GE(loop.rejected(), 4u);
 
   // And the occupant, who owns the one real slot, is unaffected.
-  ASSERT_TRUE(net::write_frame(occupant, ping).is_ok());
-  EXPECT_TRUE(net::read_frame(occupant, net::kDefaultMaxPayload).ok());
+  ASSERT_TRUE(test::send_frame(occupant, ping).is_ok());
+  EXPECT_TRUE(test::recv_frame(occupant, net::kDefaultMaxPayload).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(NetReactor, NetReactorFrontends,
@@ -2077,7 +2088,7 @@ TEST(NetReactor, EarlyArrivalShardHoldsAreBoundedAndReleased) {
     frame.kind = static_cast<std::uint16_t>(net::MsgKind::kShardXchg);
     frame.request_id = 1;
     frame.payload = xchg(0xfeed0001);
-    ASSERT_TRUE(net::write_frame(parked, frame).is_ok());
+    ASSERT_TRUE(test::send_frame(parked, frame).is_ok());
     std::this_thread::sleep_for(50ms);  // let it park
 
     // Second orphan block: over the hold budget -> immediate typed
@@ -2089,8 +2100,8 @@ TEST(NetReactor, EarlyArrivalShardHoldsAreBoundedAndReleased) {
     frame.request_id = 2;
     frame.payload = xchg(0xfeed0002);
     const auto started = std::chrono::steady_clock::now();
-    ASSERT_TRUE(net::write_frame(rejected, frame).is_ok());
-    auto bounced = net::read_frame(rejected, net::kDefaultMaxPayload);
+    ASSERT_TRUE(test::send_frame(rejected, frame).is_ok());
+    auto bounced = test::recv_frame(rejected, net::kDefaultMaxPayload);
     const auto elapsed = std::chrono::steady_clock::now() - started;
     ASSERT_TRUE(bounced.ok()) << bounced.status().to_string();
     ASSERT_EQ(static_cast<net::MsgKind>(bounced.value().kind), net::MsgKind::kError);
@@ -2102,7 +2113,7 @@ TEST(NetReactor, EarlyArrivalShardHoldsAreBoundedAndReleased) {
 
     // The parked block resolves typed (no such session) once the
     // exchange timeout passes, releasing its hold.
-    auto resolved = net::read_frame(parked, net::kDefaultMaxPayload);
+    auto resolved = test::recv_frame(parked, net::kDefaultMaxPayload);
     ASSERT_TRUE(resolved.ok()) << resolved.status().to_string();
     ASSERT_EQ(static_cast<net::MsgKind>(resolved.value().kind), net::MsgKind::kError);
     auto parked_err = net::ErrorResponse::decode(resolved.value().payload);
@@ -2164,13 +2175,13 @@ TEST(NetClient, MidFrameCloseSurfacesCancelledAndIsNotRetried) {
     auto accepted = listener.accept(5'000ms);
     if (!accepted.ok()) return;
     net::TcpStream conn = std::move(accepted).value();
-    auto request = net::read_frame(conn, net::kDefaultMaxPayload);
+    auto request = test::recv_frame(conn, net::kDefaultMaxPayload);
     if (!request.ok()) return;
     net::Frame response;
     response.kind = request.value().kind | 0x80u;
     response.request_id = request.value().request_id;
     response.payload = {1, 2, 3, 4, 5, 6, 7, 8};
-    const std::vector<std::uint8_t> bytes = net::encode_frame(response);
+    const std::vector<std::uint8_t> bytes = test::frame_bytes(response);
     (void)conn.send_all(bytes.data(), net::kHeaderBytes + 2);
     conn.close();
   });
@@ -2207,7 +2218,7 @@ class FakeServer {
       auto accepted = listener_.accept(5'000ms);
       if (!accepted.ok()) return;
       net::TcpStream conn = std::move(accepted).value();
-      auto request = net::read_frame(conn);
+      auto request = test::recv_frame(conn);
       if (!request.ok()) return;
       const std::vector<std::uint8_t> bytes = answer(request.value());
       if (!conn.send_all(bytes.data(), bytes.size()).is_ok() || hang_up) return;
@@ -2242,7 +2253,7 @@ std::vector<std::uint8_t> words_payload(std::uint64_t count,
 /// A frame answering `request` with `kind` and `payload`.
 std::vector<std::uint8_t> answer_bytes(const net::Frame& request, net::MsgKind kind,
                                        std::vector<std::uint8_t> payload) {
-  return net::encode_frame(net::Frame{.kind = static_cast<std::uint16_t>(kind),
+  return test::frame_bytes(net::Frame{.kind = static_cast<std::uint16_t>(kind),
                                       .request_id = request.request_id,
                                       .payload = std::move(payload)});
 }
@@ -2269,7 +2280,7 @@ TEST(NetClient, PermuteAnswersKeepTheirStatusAndConnection) {
   const std::vector<ClientCase> cases = {
       {"the answer", ok(n, n), false, StatusCode::kOk, "", true},
       {"an ERROR", [](const net::Frame& request) {
-         return net::encode_frame(net::make_error_frame(
+         return test::frame_bytes(net::make_error_frame(
              request.request_id, Status(StatusCode::kInvalidArgument, "no such plan")));
        }, false, StatusCode::kInvalidArgument, "no such plan", true},
       // The count check that decode_into made: a count off by one, at

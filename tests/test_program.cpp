@@ -507,8 +507,8 @@ void expect_program_rejected(net::TcpStream& stream, std::vector<std::uint8_t> p
   request.kind = static_cast<std::uint16_t>(net::MsgKind::kExecuteProgram);
   request.request_id = next_id++;
   request.payload = std::move(payload);
-  ASSERT_TRUE(net::write_frame(stream, request).is_ok()) << what;
-  auto response = net::read_frame(stream, net::kDefaultMaxPayload);
+  ASSERT_TRUE(test::send_frame(stream, request).is_ok()) << what;
+  auto response = test::recv_frame(stream, net::kDefaultMaxPayload);
   ASSERT_TRUE(response.ok()) << what;
   ASSERT_EQ(static_cast<net::MsgKind>(response.value().kind), net::MsgKind::kError) << what;
   auto err = net::ErrorResponse::decode(response.value().payload);

@@ -450,7 +450,7 @@ class WrongIdBackend {
       const runtime::StatusOr<bool> readable = conn.poll_readable(10ms);
       if (!readable.ok()) return;
       if (!readable.value()) continue;
-      runtime::StatusOr<net::Frame> request = net::read_frame(conn, net::kDefaultMaxPayload);
+      runtime::StatusOr<net::Frame> request = test::recv_frame(conn, net::kDefaultMaxPayload);
       if (!request.ok()) return;
       net::Frame answer{static_cast<std::uint16_t>(net::MsgKind::kPingOk),
                         request.value().request_id, request.value().payload};
@@ -463,7 +463,7 @@ class WrongIdBackend {
         answer.kind = static_cast<std::uint16_t>(net::MsgKind::kPlanOk);
         answer.payload.assign(id.begin(), id.end());
       }
-      if (!net::write_frame(conn, answer).is_ok()) return;
+      if (!test::send_frame(conn, answer).is_ok()) return;
     }
   }
 
@@ -512,11 +512,11 @@ TEST(RouterReplication, NonBijectionIsRefusedBeforeAnyBackend) {
   auto conn = net::tcp_connect("127.0.0.1", fleet.router->port(), 2'000ms);
   ASSERT_TRUE(conn.ok()) << conn.status().to_string();
   const std::vector<std::uint32_t> bad = {0, 1, 2, 2};  // 2 appears twice, 3 never
-  ASSERT_TRUE(net::write_frame(conn.value(),
+  ASSERT_TRUE(test::send_frame(conn.value(),
                                net::Frame{static_cast<std::uint16_t>(net::MsgKind::kSubmitPlan),
                                           5, test::payload_of(net::encode_submit_plan(4), bad)})
                   .is_ok());
-  auto response = net::read_frame(conn.value(), net::kDefaultMaxPayload);
+  auto response = test::recv_frame(conn.value(), net::kDefaultMaxPayload);
   ASSERT_TRUE(response.ok()) << response.status().to_string();
   ASSERT_EQ(response.value().kind, static_cast<std::uint16_t>(net::MsgKind::kError));
   auto err = net::ErrorResponse::decode(response.value().payload);

@@ -29,39 +29,30 @@ namespace {
 using model::MachineParams;
 using runtime::Fingerprint;
 
-constexpr int kScheduledTag = static_cast<int>(core::Strategy::kScheduled);
-constexpr int kAutoTag = static_cast<int>(core::Strategy::kAuto);
-
 // ---------------------------------------------------------------- fingerprint
 
 TEST(Fingerprint, DeterministicAndEqualForEqualInputs) {
   const perm::Permutation p = perm::by_name("random", 1024, 7);
   const perm::Permutation q = perm::by_name("random", 1024, 7);  // same seed -> same mapping
-  const MachineParams mp = MachineParams::gtx680();
-  EXPECT_EQ(runtime::fingerprint_plan_key(p, mp, kAutoTag, 4),
-            runtime::fingerprint_plan_key(q, mp, kAutoTag, 4));
+  EXPECT_EQ(runtime::fingerprint_plan_key(p, 4), runtime::fingerprint_plan_key(q, 4));
   EXPECT_EQ(runtime::fingerprint_permutation(p), runtime::fingerprint_permutation(q));
 }
 
 TEST(Fingerprint, DiscriminatesEveryKeyComponent) {
-  const MachineParams mp = MachineParams::gtx680();
   const perm::Permutation p = perm::bit_reversal(1024);
-  const Fingerprint base = runtime::fingerprint_plan_key(p, mp, kAutoTag, 4);
+  const Fingerprint base = runtime::fingerprint_plan_key(p, 4);
 
   // Different permutation (even by a single transposition).
   util::aligned_vector<std::uint32_t> tweaked(p.data().begin(), p.data().end());
   std::swap(tweaked[0], tweaked[1]);
-  EXPECT_NE(base,
-            runtime::fingerprint_plan_key(perm::Permutation(std::move(tweaked)), mp, kAutoTag, 4));
+  EXPECT_NE(base, runtime::fingerprint_plan_key(perm::Permutation(std::move(tweaked)), 4));
 
-  // Different machine parameters.
-  MachineParams other = mp;
-  other.latency += 1;
-  EXPECT_NE(base, runtime::fingerprint_plan_key(p, other, kAutoTag, 4));
+  // Different n (identity mappings are prefixes of each other).
+  EXPECT_NE(runtime::fingerprint_plan_key(perm::identical(256), 4),
+            runtime::fingerprint_plan_key(perm::identical(512), 4));
 
-  // Different strategy and element width.
-  EXPECT_NE(base, runtime::fingerprint_plan_key(p, mp, kScheduledTag, 4));
-  EXPECT_NE(base, runtime::fingerprint_plan_key(p, mp, kAutoTag, 8));
+  // Different element width.
+  EXPECT_NE(base, runtime::fingerprint_plan_key(p, 8));
 }
 
 TEST(Fingerprint, PermutationSizeIsPartOfTheKey) {
@@ -252,10 +243,9 @@ TEST(PlanCache, HitReturnsSameCompiledPermuter) {
   runtime::ServiceMetrics metrics;
   runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
   const perm::Permutation p = perm::bit_reversal(4096);
-  const MachineParams mp = MachineParams::gtx680();
 
-  auto h1 = cache.acquire<float>(p, mp);
-  auto h2 = cache.acquire<float>(p, mp);
+  auto h1 = cache.acquire<float>(p);
+  auto h2 = cache.acquire<float>(p);
   EXPECT_EQ(h1.get(), h2.get());  // same compiled object, no rebuild
 
   const auto snap = metrics.snapshot();
@@ -292,28 +282,27 @@ TEST(PlanCache, SameWidthElementTypesDoNotAlias) {
 }
 
 TEST(PlanCache, EvictsLeastRecentlyUsedUnderByteCap) {
-  const MachineParams mp = MachineParams::gtx680();
   const perm::Permutation pa = perm::bit_reversal(4096);
   const perm::Permutation pb = perm::shuffle(4096);
   const perm::Permutation pc = perm::gray(4096);
 
-  // Size the cap so exactly two compiled entries fit.
-  const std::uint64_t one_entry =
-      core::OfflinePermuter<float>(pa, mp, core::Strategy::kScheduled).compiled_bytes();
+  // Size the cap so exactly two compiled entries fit (kAuto compiles
+  // all three to the same strategy, hence the same size).
+  const std::uint64_t one_entry = core::OfflinePermuter<float>(pa).compiled_bytes();
   runtime::ServiceMetrics metrics;
   runtime::PlanCache cache(runtime::PlanCache::Config{.max_bytes = 2 * one_entry + one_entry / 2},
                            &metrics);
 
-  const auto fpa = runtime::PlanCache::plan_key<float>(pa, mp, core::Strategy::kScheduled);
-  const auto fpb = runtime::PlanCache::plan_key<float>(pb, mp, core::Strategy::kScheduled);
-  const auto fpc = runtime::PlanCache::plan_key<float>(pc, mp, core::Strategy::kScheduled);
+  const auto fpa = runtime::PlanCache::plan_key<float>(pa);
+  const auto fpb = runtime::PlanCache::plan_key<float>(pb);
+  const auto fpc = runtime::PlanCache::plan_key<float>(pc);
 
-  (void)cache.acquire<float>(pa, mp, core::Strategy::kScheduled);
-  (void)cache.acquire<float>(pb, mp, core::Strategy::kScheduled);
+  (void)cache.acquire<float>(pa);
+  (void)cache.acquire<float>(pb);
   // Touch A so B becomes the LRU entry...
-  (void)cache.acquire<float>(pa, mp, core::Strategy::kScheduled);
+  (void)cache.acquire<float>(pa);
   // ...then C's insert must evict B, not A.
-  (void)cache.acquire<float>(pc, mp, core::Strategy::kScheduled);
+  (void)cache.acquire<float>(pc);
 
   EXPECT_TRUE(cache.contains(fpa));
   EXPECT_FALSE(cache.contains(fpb));
@@ -404,7 +393,6 @@ TEST(PlanCache, ConcurrentAcquiresBuildOnce) {
   runtime::ServiceMetrics metrics;
   runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
   const perm::Permutation p = perm::by_name("random", 8192, 11);
-  const MachineParams mp = MachineParams::gtx680();
 
   constexpr int kThreads = 8;
   std::vector<std::shared_ptr<const core::OfflinePermuter<float>>> handles(kThreads);
@@ -412,7 +400,7 @@ TEST(PlanCache, ConcurrentAcquiresBuildOnce) {
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] { handles[t] = cache.acquire<float>(p, mp); });
+      threads.emplace_back([&, t] { handles[t] = cache.acquire<float>(p); });
     }
     for (auto& th : threads) th.join();
   }
@@ -425,6 +413,14 @@ TEST(PlanCache, ConcurrentAcquiresBuildOnce) {
 }
 
 // ------------------------------------------------------------------ executor
+
+/// A permuter compiled to `strategy`, built directly: the plan cache
+/// compiles kAuto's pick only.
+template <class T>
+std::shared_ptr<const core::OfflinePermuter<T>> compiled(const perm::Permutation& p,
+                                                         core::Strategy strategy) {
+  return std::make_shared<const core::OfflinePermuter<T>>(p, MachineParams::gtx680(), strategy);
+}
 
 /// Submit one float request, asserting the executor accepted it.
 std::future<runtime::Status> submit_accepted(
@@ -453,8 +449,8 @@ TEST(Executor, ConcurrentSubmitsMatchSerialPermute) {
   // picks for the random permutation), eight submitting threads.
   const perm::Permutation p1 = perm::bit_reversal(n);
   const perm::Permutation p2 = perm::by_name("random", n, 3);
-  auto h1 = cache.acquire<float>(p1, mp, core::Strategy::kScheduled);
-  auto h2 = cache.acquire<float>(p2, mp);
+  auto h1 = compiled<float>(p1, core::Strategy::kScheduled);
+  auto h2 = cache.acquire<float>(p2);
 
   // Serial ground truth via the stateful single-thread path.
   const auto a = test::iota_data<float>(n);
@@ -603,12 +599,11 @@ TEST(Metrics, CounterConsistencyUnderMixedWorkload) {
   runtime::ServiceMetrics metrics;
   runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
   util::Xoshiro256 rng(5);
-  const MachineParams mp = MachineParams::gtx680();
 
   std::vector<perm::Permutation> pop;
   for (int i = 0; i < 4; ++i) pop.push_back(perm::by_name("random", 1024, 100 + i));
   for (int r = 0; r < 64; ++r) {
-    (void)cache.acquire<float>(pop[rng.bounded(pop.size())], mp);
+    (void)cache.acquire<float>(pop[rng.bounded(pop.size())]);
   }
 
   const auto snap = metrics.snapshot();
@@ -623,22 +618,22 @@ TEST(Metrics, CounterConsistencyUnderMixedWorkload) {
 TEST(Metrics, CompiledPlansCountedByResolvedStrategy) {
   runtime::ServiceMetrics metrics;
   runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
-  const MachineParams mp = MachineParams::gtx680();
   const std::uint64_t n = 1 << 12;
-  // kAuto on an L2-resident source resolves to S-designated; the forced
-  // ones count under the strategy they force; a hit compiles nothing.
-  (void)cache.acquire<float>(perm::bit_reversal(n), mp);
-  (void)cache.acquire<float>(perm::bit_reversal(n), mp);
-  (void)cache.acquire<float>(perm::bit_reversal(n), mp, core::Strategy::kScheduled);
-  (void)cache.acquire<float>(perm::shuffle(n), mp, core::Strategy::kDDesignated);
-  (void)cache.acquire<float>(perm::identical(n), mp, core::Strategy::kBucketed);
+  // kAuto on an L2-resident source resolves to S-designated, and the
+  // cache counts the build under it; a hit compiles nothing.
+  (void)cache.acquire<float>(perm::bit_reversal(n));
+  (void)cache.acquire<float>(perm::bit_reversal(n));
+  // The cache never compiles the other three; their rows still render.
+  metrics.record_plan_strategy(core::Strategy::kScheduled);
+  metrics.record_plan_strategy(core::Strategy::kDDesignated);
+  metrics.record_plan_strategy(core::Strategy::kBucketed);
 
   const auto snap = metrics.snapshot();
   EXPECT_EQ(snap.plans_scheduled, 1u);
   EXPECT_EQ(snap.plans_s_designated, 1u);
   EXPECT_EQ(snap.plans_d_designated, 1u);
   EXPECT_EQ(snap.plans_bucketed, 1u);
-  EXPECT_EQ(snap.plan_builds, 4u);
+  EXPECT_EQ(snap.plan_builds, 1u);
   EXPECT_GT(snap.host.l2_bytes, 0u);
 
   const std::string json = snap.to_json();
@@ -765,20 +760,17 @@ TEST(Metrics, PhasesRenderInJsonTableAndPrometheus) {
 }
 
 TEST(Executor, ScheduledRequestRecordsEveryKernelPhase) {
-  // The tentpole end-to-end check at the executor level: one request
-  // through the scheduled permuter must leave exactly one sample in
-  // every request-path phase and in each of the three sweeps — and none
-  // in the retired transpose phases (fused into the sweeps), the
-  // conventional-kernel or the serialize phase.
+  // One request through the scheduled permuter must leave exactly one
+  // sample in every executor-side phase and in each of the three
+  // sweeps — and none in the retired transpose phases (fused into the
+  // sweeps), the conventional-kernel or the serialize phase.
   using runtime::Phase;
   const std::uint64_t n = 1 << 12;
   runtime::ServiceMetrics metrics;
-  runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
   runtime::Executor executor(util::ThreadPool::global(), &metrics);
 
   auto phases = std::make_shared<runtime::PhaseBreakdown>();
-  auto h = cache.acquire<float>(perm::bit_reversal(n), MachineParams::gtx680(),
-                                core::Strategy::kScheduled, phases.get());
+  auto h = compiled<float>(perm::bit_reversal(n), core::Strategy::kScheduled);
   const auto a = test::iota_data<float>(n);
   util::aligned_vector<float> b(n);
 
@@ -792,9 +784,8 @@ TEST(Executor, ScheduledRequestRecordsEveryKernelPhase) {
   executor.wait_idle();
 
   const auto snap = metrics.snapshot();
-  for (Phase phase : {Phase::kAdmissionWait, Phase::kQueueWait, Phase::kPlanLookup,
-                      Phase::kPlanBuild, Phase::kKernelRowPass1, Phase::kKernelRowPass2,
-                      Phase::kKernelRowPass3}) {
+  for (Phase phase : {Phase::kAdmissionWait, Phase::kQueueWait, Phase::kKernelRowPass1,
+                      Phase::kKernelRowPass2, Phase::kKernelRowPass3}) {
     EXPECT_EQ(snap.phase(phase).count, 1u) << runtime::to_string(phase);
   }
   EXPECT_EQ(snap.phase(Phase::kKernelTranspose1).count, 0u);
@@ -809,13 +800,10 @@ TEST(Executor, BucketedRequestRecordsItsTwoPasses) {
   using runtime::Phase;
   const std::uint64_t n = 1 << 16;
   runtime::ServiceMetrics metrics;
-  runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
   runtime::Executor executor(util::ThreadPool::global(), &metrics);
 
   auto phases = std::make_shared<runtime::PhaseBreakdown>();
-  auto h = cache.acquire<float>(perm::bit_reversal(n), MachineParams::gtx680(),
-                                core::Strategy::kBucketed, phases.get());
-  ASSERT_EQ(h->strategy(), core::Strategy::kBucketed);
+  auto h = compiled<float>(perm::bit_reversal(n), core::Strategy::kBucketed);
   const auto a = test::iota_data<float>(n);
   util::aligned_vector<float> b(n);
 
@@ -839,6 +827,9 @@ TEST(Executor, BucketedRequestRecordsItsTwoPasses) {
 }
 
 TEST(Executor, ConventionalRequestRecordsTheConventionalPhase) {
+  // The served path end to end at the executor level: kAuto compiles an
+  // L2-resident source to S-designated through the cache, whose lookup
+  // and build land in the request's breakdown beside the kernel.
   using runtime::Phase;
   const std::uint64_t n = 1 << 12;
   runtime::ServiceMetrics metrics;
@@ -846,8 +837,8 @@ TEST(Executor, ConventionalRequestRecordsTheConventionalPhase) {
   runtime::Executor executor(util::ThreadPool::global(), &metrics);
 
   auto phases = std::make_shared<runtime::PhaseBreakdown>();
-  auto h = cache.acquire<float>(perm::bit_reversal(n), MachineParams::gtx680(),
-                                core::Strategy::kSDesignated, phases.get());
+  auto h = cache.acquire<float>(perm::bit_reversal(n), phases.get());
+  ASSERT_EQ(h->strategy(), core::Strategy::kSDesignated);
   const auto a = test::iota_data<float>(n);
   util::aligned_vector<float> b(n);
 
@@ -860,9 +851,11 @@ TEST(Executor, ConventionalRequestRecordsTheConventionalPhase) {
   executor.wait_idle();
 
   const auto snap = metrics.snapshot();
-  EXPECT_EQ(snap.phase(Phase::kKernelConventional).count, 1u);
+  for (Phase phase : {Phase::kAdmissionWait, Phase::kQueueWait, Phase::kPlanLookup,
+                      Phase::kPlanBuild, Phase::kKernelConventional}) {
+    EXPECT_EQ(snap.phase(phase).count, 1u) << runtime::to_string(phase);
+  }
   EXPECT_EQ(snap.phase(Phase::kKernelRowPass1).count, 0u);
-  EXPECT_EQ(snap.phase(Phase::kQueueWait).count, 1u);
 }
 
 // ------------------------------------------------------- same-plan batching
@@ -885,17 +878,15 @@ runtime::Executor::Config batched_config(std::uint64_t batch,
 /// same input. Returns the metrics delta of batches executed.
 template <class T>
 void expect_batched_matches_serial(std::uint64_t n) {
-  const MachineParams mp = MachineParams::gtx680();
   runtime::ServiceMetrics metrics;
-  runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
   runtime::Executor executor(util::ThreadPool::global(), &metrics, batched_config(8));
 
   const perm::Permutation p = perm::bit_reversal(n);
-  auto h = cache.acquire<T>(p, mp, core::Strategy::kScheduled);
+  auto h = compiled<T>(p, core::Strategy::kScheduled);
 
   constexpr std::uint64_t kRequests = 8;
   std::vector<util::aligned_vector<T>> as(kRequests), bs(kRequests), expects(kRequests);
-  core::OfflinePermuter<T> serial(p, mp, core::Strategy::kScheduled);
+  core::OfflinePermuter<T> serial(p, MachineParams::gtx680(), core::Strategy::kScheduled);
   for (std::uint64_t r = 0; r < kRequests; ++r) {
     as[r].resize(n);
     bs[r].resize(n);
@@ -941,12 +932,10 @@ TEST(ExecutorBatching, PartialBatchFlushesOnGatherWindow) {
   // Fewer requests than max_batch: nothing ever fills the group, so
   // completion proves the flusher's max_delay timer fires.
   const std::uint64_t n = 1 << 12;
-  const MachineParams mp = MachineParams::gtx680();
   runtime::ServiceMetrics metrics;
-  runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
   runtime::Executor executor(util::ThreadPool::global(), &metrics,
                              batched_config(32, std::chrono::milliseconds(2)));
-  auto h = cache.acquire<float>(perm::bit_reversal(n), mp, core::Strategy::kScheduled);
+  auto h = compiled<float>(perm::bit_reversal(n), core::Strategy::kScheduled);
 
   constexpr std::uint64_t kRequests = 5;
   std::vector<util::aligned_vector<float>> as(kRequests), bs(kRequests);
@@ -968,14 +957,12 @@ TEST(ExecutorBatching, PartialBatchFlushesOnGatherWindow) {
 
 TEST(ExecutorBatching, CancelledItemResolvesWithoutDisturbingItsBatch) {
   const std::uint64_t n = 1 << 12;
-  const MachineParams mp = MachineParams::gtx680();
   runtime::ServiceMetrics metrics;
-  runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
   // Window long enough that the batch only flushes when it fills.
   runtime::Executor executor(util::ThreadPool::global(), &metrics,
                              batched_config(8, std::chrono::seconds(2)));
   const perm::Permutation p = perm::bit_reversal(n);
-  auto h = cache.acquire<float>(p, mp, core::Strategy::kScheduled);
+  auto h = compiled<float>(p, core::Strategy::kScheduled);
 
   constexpr std::uint64_t kRequests = 8;
   constexpr std::uint64_t kVictim = 3;
@@ -1012,13 +999,11 @@ TEST(ExecutorBatching, CancelledItemResolvesWithoutDisturbingItsBatch) {
 
 TEST(ExecutorBatching, DeadlineExpiredWhileGatheredResolvesPerRequest) {
   const std::uint64_t n = 1 << 12;
-  const MachineParams mp = MachineParams::gtx680();
   runtime::ServiceMetrics metrics;
-  runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
   runtime::Executor executor(util::ThreadPool::global(), &metrics,
                              batched_config(8, std::chrono::seconds(2)));
   const perm::Permutation p = perm::bit_reversal(n);
-  auto h = cache.acquire<float>(p, mp, core::Strategy::kScheduled);
+  auto h = compiled<float>(p, core::Strategy::kScheduled);
 
   constexpr std::uint64_t kRequests = 8;
   constexpr std::uint64_t kVictim = 0;
@@ -1054,11 +1039,9 @@ TEST(ExecutorBatching, DeadlineExpiredWhileGatheredResolvesPerRequest) {
 
 TEST(ExecutorBatching, ConventionalStrategyBypassesGathering) {
   const std::uint64_t n = 1 << 12;
-  const MachineParams mp = MachineParams::gtx680();
   runtime::ServiceMetrics metrics;
-  runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
   runtime::Executor executor(util::ThreadPool::global(), &metrics, batched_config(8));
-  auto h = cache.acquire<float>(perm::bit_reversal(n), mp, core::Strategy::kSDesignated);
+  auto h = compiled<float>(perm::bit_reversal(n), core::Strategy::kSDesignated);
   const auto a = test::iota_data<float>(n);
   util::aligned_vector<float> b(n);
   for (int r = 0; r < 4; ++r) {
@@ -1076,13 +1059,11 @@ TEST(ExecutorBatching, CacheBudgetSkipsGatheringForOversizeRequests) {
   // kMinFusedLanes: the request must take the unbatched path — fused
   // sweeps that overflow the cache run slower than sequential ones.
   const std::uint64_t n = 1 << 12;
-  const MachineParams mp = MachineParams::gtx680();
   runtime::ServiceMetrics metrics;
-  runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
   runtime::Executor::Config config = batched_config(8);
   config.batch.cache_budget_bytes = 3 * n * sizeof(float);  // exactly one lane
   runtime::Executor executor(util::ThreadPool::global(), &metrics, config);
-  auto h = cache.acquire<float>(perm::bit_reversal(n), mp, core::Strategy::kScheduled);
+  auto h = compiled<float>(perm::bit_reversal(n), core::Strategy::kScheduled);
   const auto a = test::iota_data<float>(n);
   util::aligned_vector<float> b(n);
   auto submitted = executor.try_submit<float>(h, std::span<const float>(a.data(), n),
@@ -1101,12 +1082,10 @@ TEST(ExecutorPool, SteadyStateScratchIsZeroAllocation) {
   // free-list hit, i.e. the request path performs no heap allocation.
   const std::uint64_t n = 1 << 12;
   util::BufferPool pool;
-  runtime::PlanCache cache;
   runtime::Executor::Config config;
   config.pool = &pool;
   runtime::Executor executor(util::ThreadPool::global(), nullptr, config);
-  auto h = cache.acquire<float>(perm::bit_reversal(n), MachineParams::gtx680(),
-                                core::Strategy::kScheduled);
+  auto h = compiled<float>(perm::bit_reversal(n), core::Strategy::kScheduled);
   const auto a = test::iota_data<float>(n);
   util::aligned_vector<float> b(n);
   const auto one = [&] {
@@ -1128,12 +1107,10 @@ TEST(ExecutorPool, PoolCapResolvesResourceExhausted) {
   pool_config.max_outstanding_bytes = 64;  // below any scratch class
   util::BufferPool pool(pool_config);
   runtime::ServiceMetrics metrics;
-  runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
   runtime::Executor::Config config;
   config.pool = &pool;
   runtime::Executor executor(util::ThreadPool::global(), &metrics, config);
-  auto h = cache.acquire<float>(perm::bit_reversal(n), MachineParams::gtx680(),
-                                core::Strategy::kScheduled);
+  auto h = compiled<float>(perm::bit_reversal(n), core::Strategy::kScheduled);
   const auto a = test::iota_data<float>(n);
   util::aligned_vector<float> b(n);
   auto submitted = executor.try_submit<float>(h, std::span<const float>(a.data(), n),
@@ -1148,10 +1125,8 @@ TEST(ExecutorPool, PoolCapResolvesResourceExhausted) {
 TEST(ExecutorPool, PoolExhaustedFaultSiteInjects) {
   const std::uint64_t n = 1 << 12;
   runtime::ServiceMetrics metrics;
-  runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
   runtime::Executor executor(util::ThreadPool::global(), &metrics);
-  auto h = cache.acquire<float>(perm::bit_reversal(n), MachineParams::gtx680(),
-                                core::Strategy::kScheduled);
+  auto h = compiled<float>(perm::bit_reversal(n), core::Strategy::kScheduled);
   const auto a = test::iota_data<float>(n);
   util::aligned_vector<float> b(n);
   runtime::ScopedFaultInjection chaos(

@@ -18,7 +18,7 @@
 ///                 [--requests 100] [--duration-s 0] [--n 16K]
 ///                 [--perms 12] [--zipf 1.0] [--seed 42]
 ///                 [--deadline-ms 0] [--timeout-ms 30000] [--json]
-///                 [--require-batching] [--program-depth 0]
+///                 [--program-depth 0]
 ///                 [--retry-later-max 0]
 ///                 [--router] [--distributed] [--max-payload-mb 64]
 ///
@@ -46,12 +46,6 @@
 /// run early. The final report includes the server's own
 /// ServiceMetrics::to_json() snapshot, so one loadgen run captures
 /// both sides of the wire.
-///
-/// `--require-batching` turns the run into a batching smoke: it fails
-/// (exit 1) unless the server's final STATS report shows at least one
-/// fused batch executed AND a nonzero buffer-pool hit count — the CI
-/// guard that the hot-path machinery is actually engaged, not silently
-/// bypassed.
 ///
 /// `--distributed` (implies --router) turns the run into a distributed
 /// smoke: it fails (exit 1) unless the router's final STATS report a
@@ -171,9 +165,8 @@ bool scrape_u64(const std::string& json, std::string_view key, std::uint64_t& ou
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   if (!cli.expect_flags({"host", "port", "connections", "requests", "duration-s", "n", "perms",
-                         "zipf", "seed", "deadline-ms", "timeout-ms", "json",
-                         "require-batching", "program-depth", "retry-later-max", "router",
-                         "distributed", "max-payload-mb"},
+                         "zipf", "seed", "deadline-ms", "timeout-ms", "json", "program-depth",
+                         "retry-later-max", "router", "distributed", "max-payload-mb"},
                         std::cerr)) {
     return 2;
   }
@@ -194,7 +187,6 @@ int main(int argc, char** argv) {
   const std::int64_t deadline_ms = cli.get_int("deadline-ms", 0);
   const std::int64_t timeout_ms = cli.get_int("timeout-ms", 30'000);
   const bool json = cli.get_bool("json");
-  const bool require_batching = cli.get_bool("require-batching");
   const std::uint64_t program_depth =
       static_cast<std::uint64_t>(cli.get_int("program-depth", 0));
   const std::int64_t retry_later_max = cli.get_int("retry-later-max", 0);
@@ -443,22 +435,6 @@ int main(int argc, char** argv) {
     std::cerr << "permd_loadgen: FAILED (garbled/hung connections, wrong data, or no "
                  "requests completed)\n";
     return 1;
-  }
-  if (require_batching) {
-    std::uint64_t batches = 0, pool_hits = 0;
-    // "hits" also names the plan-cache counter, so anchor the pool
-    // scrape at its own object.
-    const std::size_t pool_at = server_stats.value().find("\"pool\":{");
-    const bool scraped = scrape_u64(server_stats.value(), "batches_executed", batches) &&
-                         pool_at != std::string::npos &&
-                         scrape_u64(server_stats.value().substr(pool_at), "hits", pool_hits);
-    std::cout << "batching smoke: batches_executed=" << batches << " pool_hits=" << pool_hits
-              << "\n";
-    if (!scraped || batches == 0 || pool_hits == 0) {
-      std::cerr << "permd_loadgen: FAILED --require-batching (server reports no fused "
-                   "batches or no buffer-pool hits; hot-path machinery not engaged)\n";
-      return 1;
-    }
   }
   if (distributed) {
     std::uint64_t dist = 0;

@@ -1,7 +1,7 @@
 /// \file permd_replay.cpp
 /// \brief Replay a synthetic request trace against the permutation
-///        runtime (RobustPermuteService: plan cache + batched async
-///        executor + robustness controls) and report the service
+///        runtime (RobustPermuteService: plan cache + async executor
+///        + robustness controls) and report the service
 ///        metrics.
 ///
 /// Models a permutation-as-a-service workload: a fixed population of
@@ -23,7 +23,6 @@
 ///                [--metrics-json <path>] [--prom-file <path>] [--slow-ms 0]
 ///                [--fault-rate 0.0] [--fault-seed 1] [--fault-sites plan_cache.build]
 ///                [--fault-stall-ms 50] [--deadline-ms 0] [--max-in-flight 0] [--reject]
-///                [--batch-max 1] [--batch-delay-us 200]
 ///
 /// `--json` appends the metrics snapshot as a single JSON line (the
 /// same `to_json()` dump a service would export to a scraper),
@@ -109,7 +108,7 @@ int main(int argc, char** argv) {
   if (!cli.expect_flags({"n", "perms", "requests", "zipf", "cache-mb", "seed", "verify",
                          "json", "metrics-json", "prom-file", "slow-ms", "fault-rate",
                          "fault-seed", "fault-sites", "fault-stall-ms", "deadline-ms",
-                         "max-in-flight", "reject", "batch-max", "batch-delay-us"},
+                         "max-in-flight", "reject"},
                         std::cerr)) {
     return 2;
   }
@@ -134,8 +133,6 @@ int main(int argc, char** argv) {
   const std::uint64_t max_in_flight =
       static_cast<std::uint64_t>(cli.get_int("max-in-flight", 0));
   const bool reject = cli.get_bool("reject");
-  const std::int64_t batch_max = cli.get_int("batch-max", 1);
-  const std::int64_t batch_delay_us = cli.get_int("batch-delay-us", 200);
 
   if (!util::is_pow2(n) || n < 64) {
     std::cerr << "permd_replay: --n must be a power of two >= 64 (got " << n << ")\n";
@@ -179,10 +176,6 @@ int main(int argc, char** argv) {
   config.executor.admission =
       reject ? runtime::Executor::Admission::kReject : runtime::Executor::Admission::kBlock;
   if (slow_ms > 0) config.executor.slow_log_threshold = std::chrono::milliseconds(slow_ms);
-  if (batch_max > 1) {
-    config.executor.batch.max_batch = static_cast<std::uint32_t>(batch_max);
-    config.executor.batch.max_delay = std::chrono::microseconds(batch_delay_us);
-  }
   runtime::RobustPermuteService service(pool, config);
 
   // A bounded ring of request buffers: slot reuse waits for the slot's

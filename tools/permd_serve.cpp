@@ -22,8 +22,6 @@
 ///               [--duration-s 0]
 ///               [--metrics-json <path>] [--json]
 ///               [--prom-file <path>] [--slow-ms 0]
-///               [--batch-max 1] [--batch-delay-us 200]
-///               [--strategy auto|scheduled|s-designated|d-designated|bucketed]
 ///               [--fault-rate 0.0] [--fault-seed 1]
 ///               [--fault-sites plan_cache.build] [--fault-stall-ms 50]
 ///
@@ -33,13 +31,8 @@
 /// 2 carries 10k+ connections. `--handler-threads N` bounds concurrent
 /// request execution (0 = auto: max(16, 2 x hardware threads)).
 ///
-/// `--batch-max N` (N > 1) turns on same-plan request batching in the
-/// executor: up to N queued PERMUTEs that share a compiled plan run as
-/// one fused kernel sweep, gathered for at most `--batch-delay-us`.
-///
-/// `--strategy` is the strategy every plan compiles to (default
-/// `auto`: the host cost model picks per plan). Batching fuses only
-/// scheduled executions, so a batching smoke forces `scheduled`.
+/// Every plan compiles to kAuto's pick: the host cost model chooses
+/// per plan.
 ///
 /// `--prom-file` rewrites the Prometheus text exposition roughly once
 /// per second while serving (textfile-collector style) and once more
@@ -56,7 +49,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <thread>
 
@@ -87,9 +79,8 @@ int main(int argc, char** argv) {
                          "max-connections", "max-payload-mb", "io-threads", "handler-threads",
                          "io-timeout-ms",
                          "idle-timeout-ms", "shard-exchange-timeout-ms", "duration-s",
-                         "metrics-json", "json", "prom-file", "slow-ms", "batch-max",
-                         "batch-delay-us", "strategy", "fault-rate", "fault-seed", "fault-sites",
-                         "fault-stall-ms"},
+                         "metrics-json", "json", "prom-file", "slow-ms", "fault-rate",
+                         "fault-seed", "fault-sites", "fault-stall-ms"},
                         std::cerr)) {
     return 2;
   }
@@ -113,15 +104,6 @@ int main(int argc, char** argv) {
   const bool json = cli.get_bool("json");
   const std::string prom_file = cli.get("prom-file");
   const std::int64_t slow_ms = cli.get_int("slow-ms", 0);
-  const std::int64_t batch_max = cli.get_int("batch-max", 1);
-  const std::int64_t batch_delay_us = cli.get_int("batch-delay-us", 200);
-  const std::optional<core::Strategy> strategy =
-      core::strategy_from_string(cli.get("strategy", "auto"));
-  if (!strategy) {
-    std::cerr << "permd_serve: --strategy must be auto, scheduled, s-designated, "
-                 "d-designated or bucketed\n";
-    return 2;
-  }
   const double fault_rate = cli.get_double("fault-rate", 0.0);
   const std::uint64_t fault_seed = static_cast<std::uint64_t>(cli.get_int("fault-seed", 1));
   const std::string fault_sites =
@@ -148,16 +130,11 @@ int main(int argc, char** argv) {
   auto& pool = util::ThreadPool::global();
   runtime::RobustPermuteService::Config service_config;
   service_config.cache.max_bytes = cache_bytes;
-  service_config.strategy = *strategy;
   service_config.executor.max_in_flight = max_in_flight;
   service_config.executor.admission =
       reject ? runtime::Executor::Admission::kReject : runtime::Executor::Admission::kBlock;
   if (slow_ms > 0) {
     service_config.executor.slow_log_threshold = std::chrono::milliseconds(slow_ms);
-  }
-  if (batch_max > 1) {
-    service_config.executor.batch.max_batch = static_cast<std::uint32_t>(batch_max);
-    service_config.executor.batch.max_delay = std::chrono::microseconds(batch_delay_us);
   }
   runtime::RobustPermuteService service(pool, service_config);
 
@@ -181,9 +158,6 @@ int main(int argc, char** argv) {
   std::cout << "permd_serve: listening on " << host << ":" << server.port() << "  (io="
             << io_threads << " reactors, pool=" << pool.size()
             << " threads, cache=" << util::format_bytes(cache_bytes);
-  if (batch_max > 1) {
-    std::cout << ", batching max=" << batch_max << " delay=" << batch_delay_us << "us";
-  }
   if (fault_rate > 0.0) {
     std::cout << ", chaos rate=" << fault_rate << " seed=" << fault_seed;
   }
